@@ -291,32 +291,62 @@ impl CheckpointEngine {
         self.persistence.as_ref().map(|p| p.stats())
     }
 
-    /// Mirror one chunk's freshly committed payload into the durable
-    /// backend (no-op when none is attached).
-    fn store_put(&mut self, id: ChunkId, epoch: u64) -> Result<(), EngineError> {
-        if self.persistence.is_none() {
-            return Ok(());
-        }
-        let chunk = self.heap.chunk(id)?;
-        let name = chunk.name.clone();
-        let len = chunk.len;
-        let payload = match self.heap.materialization() {
-            Materialization::Bytes => self.heap.working_copy(id)?,
-            // Size-only runs persist a fixed descriptor standing in
-            // for the bytes; crash tests still verify it bit-for-bit.
-            Materialization::Synthetic => SyntheticPayload {
-                id: id.0,
-                epoch,
-                len: len as u64,
-            }
-            .encode()
-            .to_vec(),
+    /// Flush, checksum and flip chunk `id`'s in-progress `slot`,
+    /// mirroring the payload into the durable backend when one is
+    /// attached (cost-free in virtual time). Returns the bytes
+    /// mirrored, for the caller's [`TraceEventKind::StoreWrite`].
+    ///
+    /// Every committed byte is read from the slot once and checksummed
+    /// once: with a backend attached the buffer read here is the one
+    /// handed to [`Persistence::put_chunk`], and the CRC the backend
+    /// stores in its slot header is the chunk's checksum; without one
+    /// the engine runs that single pass itself.
+    fn commit_slot(&mut self, id: ChunkId, slot: u8) -> Result<Option<u64>, EngineError> {
+        let flush_cost = self.heap.flush_version(id, slot)?;
+        self.clock.advance(flush_cost);
+        let bytes = self.heap.materialization() == Materialization::Bytes;
+        let slot_data = if self.config.checksums && bytes {
+            let (data, read_cost) = self.heap.read_version(id, slot)?;
+            self.clock.advance(read_cost);
+            Some(data)
+        } else {
+            None
         };
-        let bytes = payload.len() as u64;
-        let store = self.persistence.as_mut().expect("checked above");
-        store.put_chunk(id, &name, len, epoch, &payload)?;
-        self.trace(TraceEventKind::StoreWrite { chunk: id.0, bytes });
-        Ok(())
+        let epoch = self.epoch;
+        let checksummed = slot_data.is_some();
+        let (checksum, mirrored) = match self.persistence.as_mut() {
+            Some(store) => {
+                let chunk = self.heap.chunk(id)?;
+                let payload = match slot_data {
+                    Some(data) => data,
+                    // Checksums off: nothing was read (or charged), so
+                    // mirror the working copy the slot was filled from.
+                    None if bytes => self.heap.working_copy(id)?,
+                    // Size-only runs persist a fixed descriptor standing
+                    // in for the bytes; crash tests still verify it
+                    // bit-for-bit.
+                    None => SyntheticPayload {
+                        id: id.0,
+                        epoch,
+                        len: chunk.len as u64,
+                    }
+                    .encode()
+                    .to_vec(),
+                };
+                let crc = store.put_chunk(id, &chunk.name, chunk.len, epoch, &payload)?;
+                (checksummed.then_some(crc), Some(payload.len() as u64))
+            }
+            None => (slot_data.map(|data| crc64(&data)), None),
+        };
+        let chunk = self.heap.chunk_mut(id)?;
+        chunk.committed_slot = Some(slot);
+        chunk.checksum = checksum;
+        chunk.committed_epoch = epoch;
+        self.trace(TraceEventKind::CommitFlip {
+            chunk: id.0,
+            slot: slot as u64,
+        });
+        Ok(mirrored)
     }
 
     /// Durably commit everything mirrored so far (no-op when no
@@ -662,38 +692,23 @@ impl CheckpointEngine {
             }
         }
 
-        // Flush + checksum + commit each freshly written slot.
+        // Flush + checksum + commit each freshly written slot,
+        // mirroring it into the durable backend on the way (no-op
+        // without one). The store-write events follow the flips: the
+        // mirror is free in virtual time, so all of them carry the
+        // time of the last flip.
+        let mut mirrored: Vec<(ChunkId, u64)> = Vec::new();
         for &id in &to_commit {
-            let slot = {
-                let chunk = self.heap.chunk(id)?;
-                chunk.in_progress_slot(self.heap.versioning())
-            };
-            let flush_cost = self.heap.flush_version(id, slot)?;
-            self.clock.advance(flush_cost);
-            let checksum =
-                if self.config.checksums && self.heap.materialization() == Materialization::Bytes {
-                    let (data, read_cost) = self.heap.read_version(id, slot)?;
-                    self.clock.advance(read_cost);
-                    Some(crc64(&data))
-                } else {
-                    None
-                };
-            let epoch = self.epoch;
-            let chunk = self.heap.chunk_mut(id)?;
-            chunk.committed_slot = Some(slot);
-            chunk.checksum = checksum;
-            chunk.committed_epoch = epoch;
-            self.trace(TraceEventKind::CommitFlip {
-                chunk: id.0,
-                slot: slot as u64,
-            });
+            let slot = self
+                .heap
+                .chunk(id)?
+                .in_progress_slot(self.heap.versioning());
+            if let Some(bytes) = self.commit_slot(id, slot)? {
+                mirrored.push((id, bytes));
+            }
         }
-
-        // Mirror the freshly committed payloads into the durable
-        // backend's shadow slots (no-op without one; cost-free in
-        // virtual time).
-        for &id in &to_commit {
-            self.store_put(id, self.epoch)?;
+        for (id, bytes) in mirrored {
+            self.trace(TraceEventKind::StoreWrite { chunk: id.0, bytes });
         }
 
         // The commit point: persisting the metadata region. A crash
@@ -787,26 +802,10 @@ impl CheckpointEngine {
             .heap
             .shadow_copy(id, slot, self.config.node_concurrency)?;
         self.clock.advance(cost);
-        let flush_cost = self.heap.flush_version(id, slot)?;
-        self.clock.advance(flush_cost);
-        let checksum =
-            if self.config.checksums && self.heap.materialization() == Materialization::Bytes {
-                let (data, read_cost) = self.heap.read_version(id, slot)?;
-                self.clock.advance(read_cost);
-                Some(crc64(&data))
-            } else {
-                None
-            };
         let epoch = self.epoch;
-        let chunk = self.heap.chunk_mut(id)?;
-        chunk.committed_slot = Some(slot);
-        chunk.checksum = checksum;
-        chunk.committed_epoch = epoch;
-        self.trace(TraceEventKind::CommitFlip {
-            chunk: id.0,
-            slot: slot as u64,
-        });
-        self.store_put(id, epoch)?;
+        if let Some(bytes) = self.commit_slot(id, slot)? {
+            self.trace(TraceEventKind::StoreWrite { chunk: id.0, bytes });
+        }
         let meta_cost = self.metadata.save(&self.heap.export_metadata())?;
         self.clock.advance(meta_cost);
         self.store_commit(epoch)?;
@@ -898,7 +897,7 @@ impl CheckpointEngine {
         let mut restore_cost = SimDuration::ZERO;
 
         for id in heap.chunk_ids() {
-            let chunk = heap.chunk(id)?.clone();
+            let chunk = heap.chunk(id)?;
             mmu.register_chunk(id, pages_for(chunk.len).max(1));
             if !chunk.has_committed() {
                 report.never_committed.push(id);
@@ -913,20 +912,14 @@ impl CheckpointEngine {
                 report.deferred.push(id);
                 continue;
             }
-            let slot = chunk.committed_slot.expect("checked");
-            // Verify checksum when we have both bytes and a stored sum.
-            if config.materialization == Materialization::Bytes {
-                if let Some(expected) = chunk.checksum {
-                    let (data, read_cost) = heap.read_version(id, slot)?;
-                    restore_cost += read_cost;
-                    let actual = crc64(&data);
-                    if actual != expected {
-                        report.corrupt.push(id);
-                        continue;
-                    }
+            match Self::verify_and_restore(&mut heap, id, |cost| restore_cost += cost) {
+                Ok(()) => {}
+                Err(EngineError::ChecksumMismatch { .. }) => {
+                    report.corrupt.push(id);
+                    continue;
                 }
+                Err(e) => return Err(e),
             }
-            restore_cost += heap.restore_to_dram(id)?;
             // Restored chunks are in sync with their committed version.
             mmu.clear_local_dirty(id);
             mmu.clear_remote_dirty(id);
@@ -1244,6 +1237,45 @@ impl CheckpointEngine {
         ))
     }
 
+    /// Restore `id`'s working copy from its committed NVM version,
+    /// verifying the stored checksum first when there is one (bytes
+    /// and a sum recorded at commit). The slot is read once: the
+    /// buffer that was verified is the buffer copied into DRAM, and
+    /// the restore's own modeled NVM read is charged without a second
+    /// host read. Each modeled cost goes to `charge` as it is incurred
+    /// — the verification read also when it ends in a mismatch — so
+    /// eager restarts can sum per their strategy while lazy restores
+    /// advance the clock step by step.
+    fn verify_and_restore(
+        heap: &mut NvmHeap,
+        id: ChunkId,
+        mut charge: impl FnMut(SimDuration),
+    ) -> Result<(), EngineError> {
+        let chunk = heap.chunk(id)?;
+        let slot = chunk
+            .committed_slot
+            .ok_or(EngineError::NoCommittedData(id))?;
+        let expected = match chunk.checksum {
+            Some(sum) if heap.materialization() == Materialization::Bytes => sum,
+            _ => {
+                charge(heap.restore_to_dram(id)?);
+                return Ok(());
+            }
+        };
+        let (data, read_cost) = heap.read_version(id, slot)?;
+        charge(read_cost);
+        let actual = crc64(&data);
+        if actual != expected {
+            return Err(EngineError::ChecksumMismatch {
+                chunk: id,
+                expected,
+                actual,
+            });
+        }
+        charge(heap.restore_to_dram_from(id, &data)?);
+        Ok(())
+    }
+
     /// Install one payload recovered from a durable store into a
     /// freshly allocated chunk: seed the NVM version slot (free —
     /// those bytes survived on the medium), mark it committed, and
@@ -1270,6 +1302,9 @@ impl CheckpointEngine {
                 chunk.committed_slot = Some(slot);
                 chunk.checksum = Some(rec.checksum);
                 chunk.committed_epoch = rec.epoch;
+                // The slot now holds exactly `payload`: fill the working
+                // copy from it instead of reading the slot back.
+                Ok(heap.restore_to_dram_from(id, payload)?)
             }
             Materialization::Synthetic => {
                 let desc = SyntheticPayload::decode(payload).map_err(EngineError::Store)?;
@@ -1283,9 +1318,9 @@ impl CheckpointEngine {
                 chunk.committed_slot = Some(slot);
                 chunk.checksum = None;
                 chunk.committed_epoch = rec.epoch;
+                Ok(heap.restore_to_dram(id)?)
             }
         }
-        Ok(heap.restore_to_dram(id)?)
     }
 
     /// First-access restore of a store-lazy chunk: read the payload
@@ -1343,27 +1378,10 @@ impl CheckpointEngine {
         if !self.lazy_pending.remove(&id) {
             return Ok(());
         }
-        let chunk = self.heap.chunk(id)?;
-        let slot = chunk
-            .committed_slot
-            .ok_or(EngineError::NoCommittedData(id))?;
-        let expected = chunk.checksum;
-        if self.config.materialization == Materialization::Bytes {
-            if let Some(expected) = expected {
-                let (data, read_cost) = self.heap.read_version(id, slot)?;
-                self.clock.advance(read_cost);
-                let actual = crc64(&data);
-                if actual != expected {
-                    return Err(EngineError::ChecksumMismatch {
-                        chunk: id,
-                        expected,
-                        actual,
-                    });
-                }
-            }
-        }
-        let cost = self.heap.restore_to_dram(id)?;
-        self.clock.advance(cost);
+        let clock = &self.clock;
+        Self::verify_and_restore(&mut self.heap, id, |cost| {
+            clock.advance(cost);
+        })?;
         if self.config.precopy.enabled() {
             self.mmu.protect_after_precopy(id);
         }
@@ -2226,6 +2244,90 @@ mod tests {
         assert_eq!(e2.committed_bytes(b).unwrap(), bytes_b);
         assert_eq!(e2.epoch(), 5, "epoch counter resumes where told");
         assert_eq!(e2.stats().restarts, 1);
+    }
+
+    /// In-memory stand-in for the nvm-store container (which depends
+    /// on this crate, so cannot be used here). It checksums a staged
+    /// payload the way the container does: one `crc64` pass, kept and
+    /// returned.
+    #[derive(Default)]
+    struct CrcStore {
+        staged: BTreeMap<ChunkId, u64>,
+    }
+
+    impl Persistence for CrcStore {
+        fn put_chunk(
+            &mut self,
+            id: ChunkId,
+            _name: &str,
+            _len: usize,
+            _epoch: u64,
+            payload: &[u8],
+        ) -> Result<u64, PersistError> {
+            let crc = crc64(payload);
+            self.staged.insert(id, crc);
+            Ok(crc)
+        }
+        fn delete_chunk(&mut self, id: ChunkId) {
+            self.staged.remove(&id);
+        }
+        fn commit(&mut self, _epoch: u64) -> Result<(), PersistError> {
+            Ok(())
+        }
+        fn recover(&mut self) -> Result<crate::persist::RecoveredState, PersistError> {
+            Ok(Default::default())
+        }
+        fn read_chunk(&mut self, id: ChunkId) -> Result<Vec<u8>, PersistError> {
+            Err(PersistError::NoSuchChunk(id.0))
+        }
+        fn stats(&self) -> crate::persist::StoreStats {
+            Default::default()
+        }
+    }
+
+    #[test]
+    fn each_committed_byte_is_checksummed_exactly_once() {
+        use crate::checksum::hashed_bytes;
+        for policy in [
+            PrecopyPolicy::None,
+            PrecopyPolicy::Cpc,
+            PrecopyPolicy::Dcpc,
+            PrecopyPolicy::Dcpcp,
+        ] {
+            for with_store in [false, true] {
+                let (mut e, ..) = setup(EngineConfig::default().with_precopy(policy));
+                if with_store {
+                    e.set_persistence(Box::new(CrcStore::default()));
+                }
+                let a = e.nvmalloc("a", 3 * 4096 + 5, true).unwrap();
+                let b = e.nvmalloc("b", 70_000, true).unwrap();
+                for epoch in 0..3u8 {
+                    e.write(a, 0, &vec![epoch + 1; 3 * 4096 + 5]).unwrap();
+                    e.write(b, 100, &vec![0x40 | epoch; 60_000]).unwrap();
+                    e.compute(SimDuration::from_secs(2));
+                    // Re-dirty a chunk pre-copy may already have staged.
+                    e.write(a, 7, &[0xEE; 3]).unwrap();
+                    let before = hashed_bytes();
+                    let report = e.nvchkptall().unwrap();
+                    assert_eq!(
+                        hashed_bytes() - before,
+                        (3 * 4096 + 5 + 70_000) as u64,
+                        "{policy:?} store={with_store} epoch {epoch}: {report:?}"
+                    );
+                }
+                e.write(b, 0, &[9u8; 16]).unwrap();
+                let before = hashed_bytes();
+                e.nvchkptid(b).unwrap();
+                assert_eq!(hashed_bytes() - before, 70_000);
+                for id in [a, b] {
+                    assert_eq!(
+                        e.heap().chunk(id).unwrap().checksum,
+                        Some(crc64(&e.committed_bytes(id).unwrap())),
+                        "{policy:?} store={with_store}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!
 //! * [`Persistence::put_chunk`] stages one chunk's payload for the
 //!   epoch in progress (the backend writes it to the *non-committed*
-//!   shadow slot — never over live data);
+//!   shadow slot — never over live data) and returns the payload
+//!   CRC-64 it stored, which the engine records as the chunk's
+//!   checksum instead of running a second pass over the same bytes;
 //! * [`Persistence::commit`] makes everything staged durable in one
 //!   atomic step (append a commit record + fsync);
 //! * [`Persistence::recover`] scans media and returns the chunk table
@@ -161,7 +163,10 @@ pub struct RecoveredState {
 pub trait Persistence: Send {
     /// Stage `payload` as chunk `id`'s data for `epoch`. Written to
     /// the chunk's non-committed shadow slot; becomes the recovery
-    /// version only after the next [`Persistence::commit`].
+    /// version only after the next [`Persistence::commit`]. Returns
+    /// the CRC-64 of `payload` as stored with it — the value
+    /// [`Persistence::read_chunk`] will verify against and
+    /// [`RecoveredChunk::checksum`] will report.
     fn put_chunk(
         &mut self,
         id: ChunkId,
@@ -169,7 +174,7 @@ pub trait Persistence: Send {
         len: usize,
         epoch: u64,
         payload: &[u8],
-    ) -> Result<(), PersistError>;
+    ) -> Result<u64, PersistError>;
 
     /// Remove a chunk from the staged table (durable at next commit).
     fn delete_chunk(&mut self, id: ChunkId);

@@ -433,6 +433,36 @@ impl NvmHeap {
         }
     }
 
+    /// Restore the working copy from `data` — the committed version's
+    /// bytes, which the caller already holds (it just read them to
+    /// verify a checksum, or received them from a durable store).
+    /// Charges exactly what [`NvmHeap::restore_to_dram`] charges, in
+    /// the same order — the modeled NVM read of the committed slot,
+    /// then the DRAM write — without reading the slot a second time on
+    /// the host.
+    pub fn restore_to_dram_from(
+        &mut self,
+        id: ChunkId,
+        data: &[u8],
+    ) -> Result<SimDuration, HeapError> {
+        let chunk = self.chunks.get(&id).ok_or(HeapError::NoSuchChunk(id))?;
+        let slot = chunk
+            .committed_slot
+            .ok_or(HeapError::MissingVersion { chunk: id, slot: 0 })?;
+        let ext =
+            chunk.versions[slot as usize].ok_or(HeapError::MissingVersion { chunk: id, slot })?;
+        assert_eq!(
+            data.len(),
+            chunk.len,
+            "restore_to_dram_from payload is not the committed version"
+        );
+        let read_cost = self
+            .nvm
+            .read_synthetic(self.container, ext.offset, chunk.len, 1)?;
+        let write_cost = self.dram.write(chunk.dram_region, 0, data, 1)?;
+        Ok(read_cost + write_cost)
+    }
+
     /// Immutable access to a chunk.
     pub fn chunk(&self, id: ChunkId) -> Result<&Chunk, HeapError> {
         self.chunks.get(&id).ok_or(HeapError::NoSuchChunk(id))
@@ -730,6 +760,40 @@ mod tests {
         let mut buf = vec![0u8; 512];
         h.read(id, 0, &mut buf).unwrap();
         assert_eq!(buf, vec![9u8; 512]);
+    }
+
+    #[test]
+    fn restore_from_bytes_in_hand_matches_restore_to_dram() {
+        // Same bytes land in DRAM and both devices are charged the
+        // same operations, whether the slot is re-read or not.
+        let run = |in_hand: bool| {
+            let (dram, nvm) = devices();
+            let mut h = NvmHeap::new(
+                1,
+                &dram,
+                &nvm,
+                32 * MB,
+                Versioning::Double,
+                Materialization::Bytes,
+            )
+            .unwrap();
+            let id = h.nvmalloc("x", 5000, true).unwrap();
+            let data: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+            h.write(id, 0, &data).unwrap();
+            h.shadow_copy(id, 1, 1).unwrap();
+            h.chunk_mut(id).unwrap().committed_slot = Some(1);
+            h.write(id, 0, &[0u8; 5000]).unwrap();
+            let cost = if in_hand {
+                h.restore_to_dram_from(id, &data).unwrap()
+            } else {
+                h.restore_to_dram(id).unwrap()
+            };
+            let mut buf = vec![0u8; 5000];
+            h.read(id, 0, &mut buf).unwrap();
+            assert_eq!(buf, data);
+            (cost, dram.stats(), nvm.stats())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -300,7 +300,7 @@ impl<M: Media> Persistence for Container<M> {
         len: usize,
         epoch: u64,
         payload: &[u8],
-    ) -> Result<(), PersistError> {
+    ) -> Result<u64, PersistError> {
         let needed = SLOT_HEADER_LEN + payload.len();
         let chunk = self.chunks.entry(id).or_insert_with(|| ChunkState {
             name: name.to_string(),
@@ -357,7 +357,7 @@ impl<M: Media> Persistence for Container<M> {
             crc,
             epoch,
         });
-        Ok(())
+        Ok(crc)
     }
 
     fn delete_chunk(&mut self, id: ChunkId) {
@@ -435,22 +435,28 @@ impl<M: Media> Persistence for Container<M> {
         let ext = chunk.slots[meta.slot as usize]
             .ok_or_else(|| PersistError::Corrupt("committed slot has no extent".to_string()))?;
         let at = self.sb.data_start() + ext.offset as u64;
-        let mut buf = vec![0u8; SLOT_HEADER_LEN + meta.payload_len];
-        let got = self.media.read_at(at, &mut buf)?;
-        if got != buf.len() {
-            return Err(PersistError::Corrupt(format!(
-                "slot for chunk {} truncated on media",
-                id.0
-            )));
+        let truncated =
+            || PersistError::Corrupt(format!("slot for chunk {} truncated on media", id.0));
+        let mut header = [0u8; SLOT_HEADER_LEN];
+        if self.media.read_at(at, &mut header)? != SLOT_HEADER_LEN {
+            return Err(truncated());
         }
-        let header = SlotHeader::decode(&buf[..SLOT_HEADER_LEN])?;
+        let header = SlotHeader::decode(&header)?;
         if header.id != id.0 || header.payload_len as usize != meta.payload_len {
             return Err(PersistError::Corrupt(format!(
                 "slot header mismatch for chunk {}",
                 id.0
             )));
         }
-        let payload = buf.split_off(SLOT_HEADER_LEN);
+        // The payload lands directly in the buffer handed back to the
+        // caller: verified in place, never copied out of a larger one.
+        let mut payload = vec![0u8; meta.payload_len];
+        let got = self
+            .media
+            .read_at(at + SLOT_HEADER_LEN as u64, &mut payload)?;
+        if got != payload.len() {
+            return Err(truncated());
+        }
         let actual = crc64(&payload);
         if actual != meta.crc || actual != header.payload_crc {
             return Err(PersistError::Checksum {

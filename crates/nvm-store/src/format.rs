@@ -22,8 +22,13 @@
 //!   CRC-64 over everything before it, so a torn append is detected
 //!   and discarded; the last fully valid record *is* the checkpoint.
 //!
-//! Every checksum here is the engine's own [`crc64`] — one checksum
-//! codepath across commit, restart, and store (satellite requirement).
+//! Every checksum here is the engine's own [`crc64`]: one function
+//! across commit, restart, and store. For payloads it is also one
+//! *pass* — the `payload_crc` a slot header carries is computed once,
+//! by `put_chunk`, and handed back to the engine, which records that
+//! same value as the chunk's commit checksum instead of hashing the
+//! bytes again. Header and record CRCs cover tens of bytes and are
+//! computed where they are written.
 
 use nvm_chkpt::checksum::crc64;
 use nvm_chkpt::persist::PersistError;

@@ -12,6 +12,7 @@ use nvm_chkpt::persist::PersistError;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Byte-addressed, growable, fsync-able storage.
 pub trait Media: Send {
@@ -141,6 +142,33 @@ impl Media for MemMedia {
     }
 }
 
+fn shared<M>(media: &Mutex<M>) -> MutexGuard<'_, M> {
+    media
+        .lock()
+        .expect("a media operation panicked while holding the shared handle")
+}
+
+/// Media behind a shared handle: a container boxed into an engine
+/// writes through one clone while the owner of another reads the image
+/// (or a recorded op log) back — also after that engine is gone.
+impl<M: Media> Media for Arc<Mutex<M>> {
+    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), PersistError> {
+        shared(self).write_at(offset, data)
+    }
+
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, PersistError> {
+        shared(self).read_at(offset, buf)
+    }
+
+    fn fsync(&mut self) -> Result<(), PersistError> {
+        shared(self).fsync()
+    }
+
+    fn len(&self) -> u64 {
+        shared(self).len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +183,15 @@ mod tests {
         assert_eq!(&buf[4..], b"abcd");
         assert_eq!(m.read_at(6, &mut buf).unwrap(), 2);
         assert_eq!(m.read_at(100, &mut buf).unwrap(), 0);
+    }
+
+    #[test]
+    fn shared_handle_sees_writes_of_its_clones() {
+        let owner = Arc::new(Mutex::new(MemMedia::new()));
+        let mut writer = owner.clone();
+        writer.write_at(0, b"abc").unwrap();
+        assert_eq!(Media::len(&owner), 3);
+        assert_eq!(shared(&owner).bytes(), b"abc");
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! media exactly as they do over the emulated device, and attaching a
 //! store never perturbs simulation results.
 
-use nvm_chkpt::{CheckpointEngine, EngineConfig, EngineError, RestartStrategy};
+use nvm_chkpt::checksum::crc64;
+use nvm_chkpt::{CheckpointEngine, EngineConfig, EngineError, PrecopyPolicy, RestartStrategy};
 use nvm_emu::{MemoryDevice, SimDuration, TempDir, VirtualClock};
 use nvm_paging::ChunkId;
+use nvm_store::format::{decode_record, RecordParse, SlotHeader, Superblock, TableEntry};
 use nvm_store::{Container, FileStore, MemMedia, Persistence};
 
 const MB: usize = 1 << 20;
@@ -302,4 +304,115 @@ fn identical_engine_histories_produce_identical_store_files() {
     let b1 = std::fs::read(&p1).unwrap();
     let b2 = std::fs::read(&p2).unwrap();
     assert_eq!(b1, b2, "same history must lay out the same bytes");
+}
+
+/// Chunk table of the last valid commit record in a container image.
+fn last_table(image: &[u8]) -> Vec<TableEntry> {
+    let sb = Superblock::decode(image).expect("superblock");
+    let mut pos = sb.log_start() as usize;
+    let mut last = None;
+    while let RecordParse::Valid {
+        table, total_len, ..
+    } = decode_record(&image[pos..])
+    {
+        last = Some(table);
+        pos += total_len;
+    }
+    last.expect("at least one commit record")
+}
+
+/// Data-region size for [`scripted_history`] containers: small, so the
+/// committed fixture file is.
+const SCRIPT_CAP: usize = 16 * 1024;
+
+/// A commit history that exercises every way a slot gets committed:
+/// CPC pre-copy, a pre-copied chunk re-dirtied before the coordinated
+/// step, clean carry-over, `nvchkptall` and `nvchkptid`.
+fn scripted_history(store: Box<dyn Persistence>, policy: PrecopyPolicy) -> CheckpointEngine {
+    let (dram, nvm, clock) = devices();
+    let config = EngineConfig::default().with_precopy(policy);
+    let mut e = CheckpointEngine::new(7, &dram, &nvm, 16 * MB, clock, config).unwrap();
+    e.set_persistence(store);
+    let a = e.nvmalloc("a", 1000, true).unwrap();
+    let b = e.nvmalloc("b", 3000, true).unwrap();
+    let c = e.nvmalloc("c", 517, true).unwrap();
+    e.write(c, 0, &[0xC3; 517]).unwrap();
+    for epoch in 0u8..3 {
+        let ramp: Vec<u8> = (0..1000u32)
+            .map(|i| (i as u8).wrapping_mul(epoch + 3))
+            .collect();
+        e.write(a, 0, &ramp).unwrap();
+        e.compute(SimDuration::from_millis(200));
+        e.write(b, 100, &vec![0x40 | epoch; 2000]).unwrap();
+        if epoch == 1 {
+            e.write(a, 10, &[0xEE; 5]).unwrap();
+        }
+        e.nvchkptall().unwrap();
+    }
+    e.write(b, 0, &[9u8; 16]).unwrap();
+    e.nvchkptid(b).unwrap();
+    e
+}
+
+#[test]
+fn one_checksum_is_shared_by_engine_slot_header_and_recovery() {
+    for policy in [
+        PrecopyPolicy::Cpc,
+        PrecopyPolicy::Dcpc,
+        PrecopyPolicy::Dcpcp,
+    ] {
+        let tmp = TempDir::new("store-one-crc").unwrap();
+        let path = tmp.join("rank.store");
+        let store = FileStore::open_path(&path, 7, SCRIPT_CAP).unwrap();
+        let e = scripted_history(Box::new(store), policy);
+
+        let image = std::fs::read(&path).unwrap();
+        let data_start = Superblock::decode(&image).unwrap().data_start() as usize;
+        let table = last_table(&image);
+        assert_eq!(table.len(), 3, "{policy:?}");
+        let recovered = FileStore::open_existing(&path).unwrap().recover().unwrap();
+        for (entry, rec) in table.iter().zip(&recovered.chunks) {
+            let id = ChunkId(entry.id);
+            let engine_sum = e.heap().chunk(id).unwrap().checksum.expect("checksums on");
+            let slot_sum = crc64(&e.committed_bytes(id).unwrap());
+            let at = data_start + entry.offset as usize;
+            let header = SlotHeader::decode(&image[at..]).unwrap();
+            assert_eq!(engine_sum, slot_sum, "{policy:?} {id:?}: NVM slot bytes");
+            assert_eq!(engine_sum, header.payload_crc, "{policy:?} {id:?}: header");
+            assert_eq!(engine_sum, entry.crc, "{policy:?} {id:?}: commit record");
+            assert_eq!(rec.id, id);
+            assert_eq!(engine_sum, rec.checksum, "{policy:?} {id:?}: recovered");
+        }
+    }
+}
+
+#[test]
+fn container_written_before_the_checksum_rewrite_still_opens_and_matches() {
+    // `fixtures/pr11_cpc_history.store` is the file `scripted_history`
+    // left behind when run (CPC) at the commit before the slice-by-16
+    // kernel and the single-pass commit landed. Same digests, same
+    // layout: it must verify chunk by chunk, and today's engine must
+    // write the very same bytes.
+    let golden: &[u8] = include_bytes!("fixtures/pr11_cpc_history.store");
+    let tmp = TempDir::new("store-compat").unwrap();
+
+    let old = tmp.join("old.store");
+    std::fs::write(&old, golden).unwrap();
+    let mut store = FileStore::open_existing(&old).unwrap();
+    let state = store.recover().unwrap();
+    assert_eq!(state.epoch, Some(3));
+    assert_eq!(state.chunks.len(), 3);
+    for rec in &state.chunks {
+        let payload = store.read_chunk(rec.id).unwrap();
+        assert_eq!(payload.len(), rec.len);
+        assert_eq!(crc64(&payload), rec.checksum);
+    }
+
+    let new = tmp.join("new.store");
+    let store = FileStore::open_path(&new, 7, SCRIPT_CAP).unwrap();
+    drop(scripted_history(Box::new(store), PrecopyPolicy::Cpc));
+    assert!(
+        std::fs::read(&new).unwrap() == golden,
+        "container bytes diverged from the pre-rewrite file"
+    );
 }

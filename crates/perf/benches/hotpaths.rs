@@ -8,11 +8,13 @@
 //! workload.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use nvm_chkpt::checksum::crc64;
 use nvm_chkpt::PrecopyPolicy;
 use nvm_perf::{
     analyze_events, buddy_store, calibration_spin, epoch_engine, epoch_step, fold_metrics,
-    kv_drain_step, kv_mix_step, kv_store, merge_traces, merge_traces_sharded, run_tiny_cluster,
-    touched_rank_metrics, trace_buffers, traced_tiny_events, KV_MIX_OPS,
+    kv_drain_step, kv_mix_step, kv_store, merge_traces, merge_traces_sharded, payload,
+    run_tiny_cluster, store_commit_restart_step, store_fixture, touched_rank_metrics,
+    trace_buffers, traced_tiny_events, KV_MIX_OPS,
 };
 
 fn bench_calibration(c: &mut Criterion) {
@@ -118,6 +120,25 @@ fn bench_buddy_fetch(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_checksum(c: &mut Criterion) {
+    let mut g = c.benchmark_group("checksum");
+    let data = payload(1 << 20);
+    g.throughput(Throughput::Bytes(1 << 20));
+    g.bench_function("crc64_1m", |b| b.iter(|| crc64(black_box(&data))));
+    g.finish();
+}
+
+fn bench_store(c: &mut Criterion) {
+    let mut g = c.benchmark_group("store");
+    // 4 MiB committed + 4 MiB restored per iteration.
+    g.throughput(Throughput::Bytes(8 << 20));
+    g.bench_function("commit_restart_4m", |b| {
+        let mut fx = store_fixture();
+        b.iter(|| black_box(store_commit_restart_step(&mut fx)))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_calibration,
@@ -126,6 +147,8 @@ criterion_group!(
     bench_merges,
     bench_analyzer,
     bench_kv,
-    bench_buddy_fetch
+    bench_buddy_fetch,
+    bench_checksum,
+    bench_store
 );
 criterion_main!(benches);

@@ -5,8 +5,9 @@
 //! The benchmarks cover the paths the thread-scaling work of this
 //! repo optimizes — a single engine checkpoint epoch under each
 //! pre-copy policy, the per-rank cluster simulate loop, the
-//! coordinator-side trace/metrics merges, and the buddy fetch used by
-//! remote recovery. Fixtures live here (not in the bench file) so
+//! coordinator-side trace/metrics merges, the buddy fetch used by
+//! remote recovery — and the byte path under them: the CRC-64 kernel
+//! and one store-mirrored commit + restart. Fixtures live here (not in the bench file) so
 //! unit tests keep them compiling and behaving even when the bench
 //! binary is not run.
 //!
@@ -21,12 +22,17 @@
 
 use cluster_sim::{Cluster, ClusterConfig, RunOptions, RunResult};
 use hpc_workloads::SyntheticApp;
-use nvm_chkpt::{CheckpointEngine, ChunkId, EngineConfig, Materialization, PrecopyPolicy};
+use nvm_chkpt::{
+    CheckpointEngine, ChunkId, EngineConfig, Materialization, PrecopyPolicy, RestartStrategy,
+    Tracer,
+};
 use nvm_emu::{MemoryDevice, SimDuration, VirtualClock};
 use nvm_kv::{KvConfig, KvStore, SessionId};
 use nvm_metrics::{Metrics, MetricsRegistry};
+use nvm_store::{Container, MemMedia};
 use nvm_trace::{merge_ranked, TraceEvent, TraceEventKind};
 use rdma_sim::RemoteStore;
+use std::sync::{Arc, Mutex};
 
 const MB: usize = 1 << 20;
 
@@ -186,13 +192,80 @@ pub fn analyze_events(events: &[TraceEvent]) -> nvm_obs::AnalysisReport {
 pub fn buddy_store(chunk_bytes: usize) -> (RemoteStore, Vec<u8>, ChunkId) {
     let nvm = MemoryDevice::pcm(chunk_bytes * 4 + 8 * MB);
     let mut store = RemoteStore::new(&nvm, true);
-    let data: Vec<u8> = (0..chunk_bytes)
-        .map(|i| ((i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 33) as u8)
-        .collect();
+    let data = payload(chunk_bytes);
     let chunk = ChunkId(7);
     store.put(0, chunk, &data).expect("put");
     store.commit_rank(0, 1);
     (store, data, chunk)
+}
+
+/// Deterministic non-repeating bytes for the checksum and store
+/// benchmarks.
+pub fn payload(len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| ((i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 33) as u8)
+        .collect()
+}
+
+/// Byte-materialized, checksummed engine holding one committed 4 MB
+/// chunk, mirrored into an in-memory container (see
+/// [`store_commit_restart_step`]).
+pub struct StoreFixture {
+    engine: CheckpointEngine,
+    /// The container image, shared with the container inside `engine`
+    /// so a restart can open it while that engine lives on.
+    media: Arc<Mutex<MemMedia>>,
+}
+
+fn store_devices() -> (MemoryDevice, MemoryDevice) {
+    (MemoryDevice::dram(16 * MB), MemoryDevice::pcm(32 * MB))
+}
+
+/// Build the [`StoreFixture`]. Pre-copy is off, so every
+/// `nvchkptall` re-commits the whole chunk without a write in
+/// between.
+pub fn store_fixture() -> StoreFixture {
+    let (dram, nvm) = store_devices();
+    let media = Arc::new(Mutex::new(MemMedia::new()));
+    let store = Container::open(media.clone(), 0, 12 * MB).expect("container");
+    let mut engine = CheckpointEngine::new(
+        0,
+        &dram,
+        &nvm,
+        16 * MB,
+        VirtualClock::new(),
+        EngineConfig::no_precopy(),
+    )
+    .expect("engine");
+    engine.set_persistence(Box::new(store));
+    let id = engine.nvmalloc("bench", 4 * MB, true).expect("alloc");
+    engine.write(id, 0, &payload(4 * MB)).expect("fill");
+    engine.nvchkptall().expect("first commit");
+    StoreFixture { engine, media }
+}
+
+/// One `nvchkptall` of the 4 MB chunk (NVM copy, checksum, container
+/// slot write, commit record) followed by a `restart_from_store` of a
+/// fresh process from the container image alone (what one `b.iter` of
+/// `store/commit_restart_4m` measures). Returns the restored chunk
+/// count.
+pub fn store_commit_restart_step(fx: &mut StoreFixture) -> usize {
+    fx.engine.nvchkptall().expect("commit");
+    let (dram, nvm) = store_devices();
+    let store = Container::open(fx.media.clone(), 0, 0).expect("reopen");
+    let (_restarted, report) = CheckpointEngine::restart_from_store(
+        &dram,
+        &nvm,
+        16 * MB,
+        VirtualClock::new(),
+        EngineConfig::no_precopy(),
+        RestartStrategy::Eager,
+        Box::new(store),
+        Tracer::disabled(),
+    )
+    .expect("restart");
+    assert!(report.corrupt.is_empty());
+    report.restored.len()
 }
 
 /// Keys preloaded into the [`kv_store`] fixture.
@@ -359,6 +432,14 @@ mod tests {
         let drained = kv_drain_step(&mut e, &mut kv, session);
         assert!(drained > 0, "the drain moved no bytes to NVM");
         assert_eq!(kv.stats().token, 1);
+    }
+
+    #[test]
+    fn store_fixture_commits_and_restarts() {
+        let mut fx = store_fixture();
+        assert_eq!(store_commit_restart_step(&mut fx), 1);
+        assert_eq!(store_commit_restart_step(&mut fx), 1);
+        assert_eq!(fx.engine.epoch(), 3);
     }
 
     #[test]

@@ -26,10 +26,7 @@ use std::sync::{Arc, Mutex};
 use nvm_chkpt::{CheckpointEngine, EngineConfig, RestartStrategy};
 use nvm_emu::{MemoryDevice, VirtualClock};
 use nvm_kv::{KvConfig, KvStore, SessionId};
-use nvm_store::{
-    surviving_image, Container, CrashMode, CrashPoint, Media, OpRecord, PersistError,
-    RecordingMedia,
-};
+use nvm_store::{surviving_image, Container, CrashMode, CrashPoint, OpRecord, RecordingMedia};
 use nvm_trace::Tracer;
 use proptest::prelude::*;
 
@@ -41,31 +38,10 @@ const CONTAINER_CAP: usize = 8 * MB;
 /// into the engine as its persistence backend) writes through one
 /// clone while the harness reads the op log from the other after the
 /// run.
-#[derive(Clone, Default)]
-struct SharedMedia(Arc<Mutex<RecordingMedia>>);
+type SharedMedia = Arc<Mutex<RecordingMedia>>;
 
-impl SharedMedia {
-    fn ops(&self) -> Vec<OpRecord> {
-        self.0.lock().unwrap().ops().to_vec()
-    }
-}
-
-impl Media for SharedMedia {
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), PersistError> {
-        self.0.lock().unwrap().write_at(offset, data)
-    }
-
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, PersistError> {
-        self.0.lock().unwrap().read_at(offset, buf)
-    }
-
-    fn fsync(&mut self) -> Result<(), PersistError> {
-        self.0.lock().unwrap().fsync()
-    }
-
-    fn len(&self) -> u64 {
-        self.0.lock().unwrap().len()
-    }
+fn recorded_ops(media: &SharedMedia) -> Vec<OpRecord> {
+    media.lock().unwrap().ops().to_vec()
 }
 
 fn kv_cfg() -> KvConfig {
@@ -190,7 +166,7 @@ impl Driver {
     fn commit(&mut self) {
         self.engine.nvchkptall().unwrap();
         self.marks.push(KvMark {
-            ops_after: self.media.ops().len(),
+            ops_after: self.media.lock().unwrap().ops().len(),
             token: self.at_token.0,
             expected: self.at_token.1.clone(),
         });
@@ -198,7 +174,7 @@ impl Driver {
 
     fn finish(self) -> KvCrashRun {
         KvCrashRun {
-            ops: self.media.ops(),
+            ops: recorded_ops(&self.media),
             marks: self.marks,
         }
     }
