@@ -1,20 +1,14 @@
-//! Run the extension experiments: restart strategies, compression,
-//! redundancy schemes, and wear leveling.
+//! Run the extension experiments: restart strategies and NVM write
+//! energy by pre-copy policy.
 use nvm_bench::experiments::extensions;
 use nvm_bench::report::write_json;
 
 fn main() {
     let restart = extensions::run_restart();
-    let compression = extensions::run_compression();
-    let redundancy = extensions::run_redundancy();
-    let wear = extensions::run_wear();
     let energy = extensions::run_energy();
-    for t in extensions::render(&restart, &compression, &redundancy, &wear, &energy) {
+    for t in extensions::render(&restart, &energy) {
         t.print();
     }
     write_json("ext_restart_strategies", &restart);
-    write_json("ext_compression", &compression);
-    write_json("ext_redundancy", &redundancy);
-    write_json("ext_wear_leveling", &wear);
     write_json("ext_energy", &energy);
 }

@@ -157,17 +157,11 @@ fn main() {
     write_json("kv_serving", &kv);
 
     let restart = extensions::run_restart();
-    let compression = extensions::run_compression();
-    let redundancy = extensions::run_redundancy();
-    let wear = extensions::run_wear();
     let energy = extensions::run_energy();
-    for t in extensions::render(&restart, &compression, &redundancy, &wear, &energy) {
+    for t in extensions::render(&restart, &energy) {
         t.print();
     }
     write_json("ext_restart_strategies", &restart);
-    write_json("ext_compression", &compression);
-    write_json("ext_redundancy", &redundancy);
-    write_json("ext_wear_leveling", &wear);
     write_json("ext_energy", &energy);
 
     if let Some(path) = &args.trace {

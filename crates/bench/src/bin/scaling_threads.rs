@@ -1,7 +1,6 @@
 //! Regenerate the thread-scaling sweep (`scaling_threads.json`):
-//! measured wall clock, projected speedup from the serial run's
-//! busy/serial decomposition, and the bit-identity check per thread
-//! count. `--quick` runs the reduced preset.
+//! measured wall clock and the bit-identity check per thread count.
+//! `--quick` runs the reduced preset.
 use nvm_bench::experiments::scaling;
 use nvm_bench::report::write_json;
 use nvm_bench::scale::Scale;

@@ -3,17 +3,11 @@
 //!
 //! * restart strategies (eager / parallel / lazy) — the paper's
 //!   explicit future work on recovery;
-//! * checkpoint compression (mcrEngine-style volume reduction);
-//! * XOR-parity remote redundancy vs full replication (diskless
-//!   checkpointing);
-//! * start-gap wear leveling under checkpoint write traffic.
+//! * NVM write energy by pre-copy policy.
 
 use crate::report::Table;
-use nvm_chkpt::compress::{compress, CompressionModel};
-use nvm_chkpt::{CheckpointEngine, EngineConfig, RestartStrategy};
-use nvm_emu::{MemoryDevice, StartGap, VirtualClock};
-use nvm_paging::ChunkId;
-use rdma_sim::{ParityStore, RemoteStore};
+use nvm_chkpt::{CheckpointEngine, EngineConfig, RestartStrategy, Tracer};
+use nvm_emu::{MemoryDevice, VirtualClock};
 use serde::Serialize;
 
 const MB: usize = 1 << 20;
@@ -61,9 +55,16 @@ pub fn run_restart() -> Vec<RestartRow> {
     ] {
         let (dram, nvm, clock, region, cfg, ids) = build();
         let t0 = clock.now();
-        let (mut e, _report) =
-            CheckpointEngine::restart_with(&dram, &nvm, region, clock.clone(), cfg, strategy)
-                .unwrap();
+        let (mut e, _report) = CheckpointEngine::restart(
+            &dram,
+            &nvm,
+            region,
+            clock.clone(),
+            cfg,
+            strategy,
+            Tracer::disabled(),
+        )
+        .unwrap();
         let control = clock.now().since(t0);
         // Touch everything: lazy pays here, the others already did.
         for id in &ids {
@@ -77,185 +78,6 @@ pub fn run_restart() -> Vec<RestartRow> {
         });
     }
     rows
-}
-
-/// One compression measurement.
-#[derive(Clone, Debug, Serialize)]
-pub struct CompressionRow {
-    /// Data shape.
-    pub data: String,
-    /// Input MB.
-    pub in_mb: f64,
-    /// Output MB.
-    pub out_mb: f64,
-    /// Compression ratio (out/in).
-    pub ratio: f64,
-    /// CPU cost of compressing, ms (model).
-    pub cpu_ms: f64,
-    /// Wire time saved on a 4 GB/s link, ms.
-    pub wire_saved_ms: f64,
-}
-
-/// Compress three checkpoint-like data shapes.
-pub fn run_compression() -> Vec<CompressionRow> {
-    let model = CompressionModel::default();
-    let shapes: Vec<(&str, Vec<u8>)> = vec![
-        ("zero-heavy (fresh allocation)", {
-            let mut v = vec![0u8; 16 * MB];
-            for i in (0..v.len()).step_by(8192) {
-                v[i] = 1;
-            }
-            v
-        }),
-        ("piecewise-constant field", {
-            (0..16 * MB).map(|i| (i / 65536) as u8).collect()
-        }),
-        ("high-entropy particles", {
-            (0..16 * MB)
-                .map(|i| ((i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 33) as u8)
-                .collect()
-        }),
-    ];
-    shapes
-        .into_iter()
-        .map(|(name, data)| {
-            let out = compress(&data);
-            let link_bw = 4.0e9;
-            let saved_bytes = data.len().saturating_sub(out.len()) as f64;
-            CompressionRow {
-                data: name.to_string(),
-                in_mb: data.len() as f64 / MB as f64,
-                out_mb: out.len() as f64 / MB as f64,
-                ratio: out.len() as f64 / data.len() as f64,
-                cpu_ms: model.compress_cost(data.len() as u64).as_secs_f64() * 1e3,
-                wire_saved_ms: saved_bytes / link_bw * 1e3,
-            }
-        })
-        .collect()
-}
-
-/// One redundancy-scheme measurement.
-#[derive(Clone, Debug, Serialize)]
-pub struct RedundancyRow {
-    /// Scheme name.
-    pub scheme: String,
-    /// Remote storage per group, MB.
-    pub storage_mb: f64,
-    /// Survives any single node loss?
-    pub single_loss_ok: bool,
-    /// Survives two simultaneous losses in the group?
-    pub double_loss_ok: bool,
-}
-
-/// Compare full replication against a 4+1 parity group for a 4-node
-/// group with 32 MB of checkpoint data per node.
-pub fn run_redundancy() -> Vec<RedundancyRow> {
-    let group = 4usize;
-    let per_node = 32 * MB;
-    let chunk = ChunkId(1);
-    let blocks: Vec<Vec<u8>> = (0..group as u64)
-        .map(|r| {
-            (0..per_node)
-                .map(|i| (i as u8).wrapping_mul(13).wrapping_add(r as u8))
-                .collect()
-        })
-        .collect();
-
-    // Full replication: every node's data copied to its buddy.
-    let mut replication = RemoteStore::new(&MemoryDevice::pcm(512 * MB), true);
-    for (r, b) in blocks.iter().enumerate() {
-        replication.put(r as u64, chunk, b).unwrap();
-    }
-    replication.commit_rank(0, 0);
-
-    // Parity: one XOR block for the whole group.
-    let mut parity = ParityStore::new(&MemoryDevice::pcm(512 * MB), group);
-    let refs: Vec<&[u8]> = blocks.iter().map(|b| b.as_slice()).collect();
-    parity.encode(chunk, &refs).unwrap();
-    let survivors: Vec<&[u8]> = blocks[1..].iter().map(|b| b.as_slice()).collect();
-    let (recovered, _) = parity.recover(chunk, &survivors).unwrap();
-    assert_eq!(recovered, blocks[0], "parity recovery must be exact");
-
-    vec![
-        RedundancyRow {
-            scheme: format!("replication (buddy copy x{group})"),
-            storage_mb: replication.stored_bytes() as f64 / MB as f64,
-            single_loss_ok: true,
-            double_loss_ok: true,
-        },
-        RedundancyRow {
-            scheme: format!("XOR parity ({group}+1)"),
-            storage_mb: parity.storage_bytes() as f64 / MB as f64,
-            single_loss_ok: true,
-            double_loss_ok: false,
-        },
-    ]
-}
-
-/// One wear-leveling measurement.
-#[derive(Clone, Debug, Serialize)]
-pub struct WearRow {
-    /// Mapping scheme.
-    pub scheme: String,
-    /// Max writes on the hottest frame.
-    pub max_wear: u64,
-    /// Max/mean imbalance.
-    pub imbalance: f64,
-    /// Projected years to first frame death at one checkpoint per
-    /// minute (10^8 endurance).
-    pub years_to_death: f64,
-}
-
-/// Checkpoint write traffic (hot metadata page + uniform data pages)
-/// through identity mapping vs start-gap.
-pub fn run_wear() -> Vec<WearRow> {
-    let frames = 257;
-    let writes_per_ckpt = 64u64; // data pages touched per checkpoint
-    let ckpts = 20_000u64;
-
-    // Identity mapping: metadata page 0 written every checkpoint.
-    let mut identity = vec![0u64; frames];
-    for _ in 0..ckpts {
-        identity[0] += writes_per_ckpt / 4; // hot metadata/commit page
-        for w in identity[1..=(writes_per_ckpt as usize)].iter_mut() {
-            *w += 1;
-        }
-    }
-    let id_max = *identity.iter().max().unwrap();
-    let id_mean = identity.iter().sum::<u64>() as f64 / frames as f64;
-
-    // Start-gap over the same traffic.
-    let mut sg = StartGap::new(frames, 64);
-    for _ in 0..ckpts {
-        for _ in 0..writes_per_ckpt / 4 {
-            sg.write(0);
-        }
-        for p in 1..=(writes_per_ckpt as usize) {
-            sg.write(p);
-        }
-    }
-
-    // Hottest frame's wear per checkpoint decides lifetime: at one
-    // checkpoint per minute and 10^8 endurance,
-    // years = (10^8 / wear_per_ckpt) minutes.
-    let years = |max_wear: u64| {
-        let wear_per_ckpt = max_wear as f64 / ckpts as f64;
-        (1e8 / wear_per_ckpt) / (60.0 * 24.0 * 365.25)
-    };
-    vec![
-        WearRow {
-            scheme: "identity mapping".into(),
-            max_wear: id_max,
-            imbalance: id_max as f64 / id_mean,
-            years_to_death: years(id_max),
-        },
-        WearRow {
-            scheme: "start-gap".into(),
-            max_wear: sg.max_wear(),
-            imbalance: sg.wear_imbalance(),
-            years_to_death: years(sg.max_wear()),
-        },
-    ]
 }
 
 /// One energy measurement.
@@ -321,13 +143,7 @@ pub fn run_energy() -> Vec<EnergyRow> {
 }
 
 /// Render all extension tables.
-pub fn render(
-    restart: &[RestartRow],
-    compression: &[CompressionRow],
-    redundancy: &[RedundancyRow],
-    wear: &[WearRow],
-    energy: &[EnergyRow],
-) -> Vec<Table> {
+pub fn render(restart: &[RestartRow], energy: &[EnergyRow]) -> Vec<Table> {
     let mut t1 = Table::new(
         "Extension — restart strategies (16 x 8 MB chunks)",
         &["Strategy", "Time to control (ms)", "Time to hot set (ms)"],
@@ -340,48 +156,6 @@ pub fn render(
         ]);
     }
     let mut t2 = Table::new(
-        "Extension — checkpoint compression (16 MB inputs)",
-        &["Data", "Out (MB)", "Ratio", "CPU (ms)", "Wire saved (ms)"],
-    );
-    for r in compression {
-        t2.row(vec![
-            r.data.clone(),
-            format!("{:.2}", r.out_mb),
-            format!("{:.3}", r.ratio),
-            format!("{:.1}", r.cpu_ms),
-            format!("{:.1}", r.wire_saved_ms),
-        ]);
-    }
-    let mut t3 = Table::new(
-        "Extension — remote redundancy schemes (4 nodes x 32 MB)",
-        &["Scheme", "Storage (MB)", "1-loss", "2-loss"],
-    );
-    for r in redundancy {
-        t3.row(vec![
-            r.scheme.clone(),
-            format!("{:.0}", r.storage_mb),
-            r.single_loss_ok.to_string(),
-            r.double_loss_ok.to_string(),
-        ]);
-    }
-    let mut t4 = Table::new(
-        "Extension — wear leveling under checkpoint traffic (20k checkpoints)",
-        &[
-            "Scheme",
-            "Max frame wear",
-            "Imbalance",
-            "Years to first death @1 ckpt/min",
-        ],
-    );
-    for r in wear {
-        t4.row(vec![
-            r.scheme.clone(),
-            r.max_wear.to_string(),
-            format!("{:.1}x", r.imbalance),
-            format!("{:.1}", r.years_to_death),
-        ]);
-    }
-    let mut t5 = Table::new(
         "Extension — NVM write energy by pre-copy policy (hot-chunk workload)",
         &[
             "Policy",
@@ -391,14 +165,14 @@ pub fn render(
         ],
     );
     for r in energy {
-        t5.row(vec![
+        t2.row(vec![
             r.policy.clone(),
             format!("{:.0}", r.moved_mb),
             format!("{:.3}", r.nvm_joules),
             format!("{:.2}", r.nj_per_committed_byte),
         ]);
     }
-    vec![t1, t2, t3, t4, t5]
+    vec![t1, t2]
 }
 
 #[cfg(test)]
@@ -418,21 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn compression_shapes_behave() {
-        let rows = run_compression();
-        assert!(rows[0].ratio < 0.01, "zero-heavy: {}", rows[0].ratio);
-        assert!(rows[1].ratio < 0.02, "piecewise: {}", rows[1].ratio);
-        assert!(rows[2].ratio >= 1.0, "entropy: {}", rows[2].ratio);
-    }
-
-    #[test]
-    fn parity_uses_quarter_the_storage() {
-        let rows = run_redundancy();
-        assert!((rows[0].storage_mb / rows[1].storage_mb - 4.0).abs() < 0.1);
-        assert!(!rows[1].double_loss_ok);
-    }
-
-    #[test]
     fn cpc_burns_more_energy_than_dcpcp() {
         let rows = run_energy();
         let cpc = rows.iter().find(|r| r.policy == "Cpc").unwrap();
@@ -446,13 +205,5 @@ mod tests {
         );
         // DCPCP's energy is close to the no-pre-copy floor.
         assert!(dcpcp.nvm_joules <= none.nvm_joules * 1.25);
-    }
-
-    #[test]
-    fn start_gap_beats_identity() {
-        let rows = run_wear();
-        assert!(rows[1].max_wear * 4 < rows[0].max_wear);
-        assert!(rows[1].imbalance < rows[0].imbalance);
-        assert!(rows[1].years_to_death > rows[0].years_to_death);
     }
 }

@@ -9,24 +9,16 @@
 //! serialized [`cluster_sim::RunResult`] matches the serial run byte
 //! for byte.
 //!
-//! Two speedup columns are reported, because measured wall time only
-//! shows thread scaling when the host actually has idle cores:
-//!
-//! * `speedup_vs_serial` — measured: serial wall / this row's wall.
-//!   On a single-core host (CI runners included) this hovers near 1.0
-//!   no matter how parallel the work is.
-//! * `projected_speedup` — from the serial run's measured
-//!   decomposition ([`cluster_sim::RunProfile`]): per-rank busy time
-//!   vs coordinator-serial floor, combined with the worker pool's
-//!   real contiguous chunk partition. This is the speedup the same
-//!   run yields on a host with at least `threads` free cores, and is
-//!   the honest scaling figure on core-starved machines. `host_cores`
-//!   records which regime the measured column was taken in.
+//! The one speedup column is measured — serial wall / this row's
+//! wall — and measured wall time only shows thread scaling when the
+//! host has idle cores: on a single-core host (CI runners included) it
+//! hovers near 1.0 no matter how parallel the work is. `host_cores`
+//! records which regime the sweep was taken in.
 
 use super::{cluster_config, make_app};
 use crate::report::Table;
 use crate::scale::Scale;
-use cluster_sim::{Cluster, RunOptions, RunProfile};
+use cluster_sim::{Cluster, RunOptions};
 use nvm_chkpt::PrecopyPolicy;
 use serde::Serialize;
 use std::time::Instant;
@@ -45,10 +37,6 @@ pub struct Row {
     /// Wall-clock speedup versus the serial row (measured; ~1.0 on a
     /// single-core host regardless of how parallel the work is).
     pub speedup_vs_serial: f64,
-    /// Speedup at this thread count projected from the serial run's
-    /// busy/serial decomposition and the pool's real chunk partition
-    /// (what a host with enough cores gets).
-    pub projected_speedup: f64,
     /// Whether the serialized result matched the serial run exactly.
     pub identical_to_serial: bool,
     /// Simulated (virtual) time of the run, seconds — identical on
@@ -63,9 +51,6 @@ pub struct Sweep {
     /// measured-speedup column is only meaningful when this is >= the
     /// row's thread count).
     pub host_cores: usize,
-    /// Fraction of the serial run's wall spent in rank-parallel work,
-    /// in [0, 1] — the Amdahl ceiling is `1 / (1 - this)`.
-    pub parallel_fraction: f64,
     /// Per-thread-count measurements.
     pub rows: Vec<Row>,
 }
@@ -75,7 +60,6 @@ pub fn run(scale: &Scale) -> Sweep {
     let mut rows: Vec<Row> = Vec::new();
     let mut serial_json = String::new();
     let mut serial_ms = f64::NAN;
-    let mut serial_profile: Option<RunProfile> = None;
     for &threads in &THREAD_SWEEP {
         let mut cfg = cluster_config(scale, PrecopyPolicy::Dcpcp);
         cfg.threads = threads;
@@ -84,26 +68,17 @@ pub fn run(scale: &Scale) -> Sweep {
             move |_| make_app("lammps", &scale)
         });
         let start = Instant::now();
-        let outcome = sim
-            .run(RunOptions::new().with_profile(true))
-            .expect("cluster run");
+        let result = sim.run(RunOptions::new()).expect("cluster run").result;
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let (result, profile) = (outcome.result, outcome.profile.expect("profile requested"));
         let json = serde_json::to_string(&result).expect("serialize result");
         if threads == 1 {
             serial_json = json.clone();
             serial_ms = wall_ms;
-            serial_profile = Some(profile);
         }
-        let projected = serial_profile
-            .as_ref()
-            .map(|p| p.projected_speedup(threads))
-            .unwrap_or(1.0);
         rows.push(Row {
             threads,
             wall_ms,
             speedup_vs_serial: serial_ms / wall_ms.max(1e-6),
-            projected_speedup: projected,
             identical_to_serial: json == serial_json,
             virtual_secs: result.total_time.as_secs_f64(),
         });
@@ -112,10 +87,6 @@ pub fn run(scale: &Scale) -> Sweep {
         host_cores: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        parallel_fraction: serial_profile
-            .as_ref()
-            .map(|p| p.parallel_fraction())
-            .unwrap_or(0.0),
         rows,
     }
 }
@@ -124,20 +95,13 @@ pub fn run(scale: &Scale) -> Sweep {
 pub fn render(sweep: &Sweep) -> Table {
     let mut t = Table::new(
         "Thread scaling — parallel rank execution (LAMMPS, DCPCP)",
-        &[
-            "threads",
-            "wall ms",
-            "measured speedup",
-            "projected speedup",
-            "bit-identical",
-        ],
+        &["threads", "wall ms", "measured speedup", "bit-identical"],
     );
     for r in &sweep.rows {
         t.row(vec![
             r.threads.to_string(),
             format!("{:.1}", r.wall_ms),
             format!("{:.2}x", r.speedup_vs_serial),
-            format!("{:.2}x", r.projected_speedup),
             if r.identical_to_serial { "yes" } else { "NO" }.to_string(),
         ]);
     }
@@ -154,14 +118,7 @@ mod tests {
         assert_eq!(sweep.rows.len(), THREAD_SWEEP.len());
         assert!(sweep.rows.iter().all(|r| r.identical_to_serial));
         assert!((sweep.rows[0].speedup_vs_serial - 1.0).abs() < 1e-9);
-        assert!((sweep.rows[0].projected_speedup - 1.0).abs() < 1e-9);
-        // Projection is monotone non-decreasing in threads and at
-        // least 1 (more workers never slow the projected wall).
-        for pair in sweep.rows.windows(2) {
-            assert!(pair[1].projected_speedup >= pair[0].projected_speedup - 1e-9);
-        }
         assert!(sweep.host_cores >= 1);
-        assert!((0.0..=1.0).contains(&sweep.parallel_fraction));
         let v0 = sweep.rows[0].virtual_secs;
         assert!(sweep.rows.iter().all(|r| r.virtual_secs == v0));
         assert_eq!(render(&sweep).len(), sweep.rows.len());

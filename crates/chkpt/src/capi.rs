@@ -16,8 +16,10 @@
 
 use crate::config::EngineConfig;
 use crate::engine::CheckpointEngine;
+use crate::restart::RestartStrategy;
 use nvm_emu::{MemoryDevice, SimDuration, VirtualClock};
 use nvm_paging::ChunkId;
+use nvm_trace::Tracer;
 use std::cell::RefCell;
 use std::ffi::{c_char, CStr};
 
@@ -308,7 +310,16 @@ pub unsafe extern "C" fn nvm_simulate_restart(ctx: *mut NvmCtx) -> i64 {
     let Some(c) = ctx_mut(ctx) else { return -1 };
     let region = c.engine.metadata_region();
     // Build the replacement engine before dropping the old one.
-    match CheckpointEngine::restart(&c.dram, &c.nvm, region, c.clock.clone(), *c.engine.config()) {
+    let rebuilt = CheckpointEngine::restart(
+        &c.dram,
+        &c.nvm,
+        region,
+        c.clock.clone(),
+        *c.engine.config(),
+        RestartStrategy::Eager,
+        Tracer::disabled(),
+    );
+    match rebuilt {
         Ok((engine, report)) => {
             c.engine = engine;
             report.restored.len() as i64

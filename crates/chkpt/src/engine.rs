@@ -124,6 +124,21 @@ pub struct RemoteImage {
     pub payload: Vec<u8>,
 }
 
+/// Where a chunk's committed bytes are when a restore comes for them.
+enum Committed {
+    /// In this process's own NVM version slot (the device survived).
+    OnDevice,
+    /// Outside the device — in the durable store, or in a fetched
+    /// remote image — under this commit-table entry.
+    Recovered(RecoveredChunk),
+}
+
+/// One chunk of a restart's plan: its id, where its committed version
+/// is (`None`: never committed), and its payload when the caller
+/// already holds it (remote images) rather than leaving it to be read
+/// from the store.
+type PlannedChunk<'a> = (ChunkId, Option<Committed>, Option<&'a [u8]>);
+
 /// The per-process checkpoint engine.
 pub struct CheckpointEngine {
     heap: NvmHeap,
@@ -143,12 +158,10 @@ pub struct CheckpointEngine {
     epoch_precopied: u64,
     epoch_wasted: u64,
     faults_at_interval_start: u64,
-    /// Chunks awaiting lazy (first-access) restore.
-    lazy_pending: BTreeSet<ChunkId>,
-    /// Chunks awaiting lazy restore *from the durable store* (their
-    /// payload was never materialized in this process's NVM device),
-    /// with the recovered table entry needed to install them.
-    lazy_store_pending: BTreeMap<ChunkId, RecoveredChunk>,
+    /// Chunks awaiting lazy (first-access) restore, with where their
+    /// committed bytes wait: the NVM device, or the durable store
+    /// (payload never materialized in this process's NVM).
+    lazy_pending: BTreeMap<ChunkId, Committed>,
     /// Durable backend every commit is mirrored into (cost-free in
     /// virtual time; the devices already charged the copies).
     persistence: Option<Box<dyn Persistence>>,
@@ -206,6 +219,20 @@ impl CheckpointEngine {
         config: EngineConfig,
     ) -> Result<Self, EngineError> {
         config.validate()?;
+        let (heap, metadata) =
+            Self::fresh_heap(process_id, dram, nvm, container_capacity, &config)?;
+        Ok(Self::assemble(heap, metadata, clock, config))
+    }
+
+    /// An empty heap and metadata region on `nvm` — what [`Self::new`]
+    /// and the restarts that rebuild onto fresh devices start from.
+    fn fresh_heap(
+        process_id: u64,
+        dram: &MemoryDevice,
+        nvm: &MemoryDevice,
+        container_capacity: usize,
+        config: &EngineConfig,
+    ) -> Result<(NvmHeap, MetadataRegion), EngineError> {
         if container_capacity == 0 {
             return Err(ConfigError::ZeroShadowRegion.into());
         }
@@ -217,32 +244,41 @@ impl CheckpointEngine {
             config.versioning,
             config.materialization,
         )?;
-        let metadata = MetadataRegion::create(nvm)?;
-        let now = clock.now();
-        Ok(CheckpointEngine {
+        Ok((heap, MetadataRegion::create(nvm)?))
+    }
+
+    /// The one place an engine value is put together: epoch 0, nothing
+    /// pending, no store, no instrumentation. Restarts adjust the
+    /// result before handing it to [`Self::restart_core`].
+    fn assemble(
+        heap: NvmHeap,
+        metadata: MetadataRegion,
+        clock: VirtualClock,
+        config: EngineConfig,
+    ) -> Self {
+        CheckpointEngine {
             heap,
             mmu: Mmu::with_granularity(config.granularity),
+            interval_start: clock.now(),
             clock,
             config,
             metadata,
             predictor: PredictionTable::new(),
             planner: PrecopyPlanner::new(),
             epoch: 0,
-            interval_start: now,
             precopy_done: BTreeSet::new(),
             precopy_credit_secs: 0.0,
             epoch_precopied: 0,
             epoch_wasted: 0,
             faults_at_interval_start: 0,
-            lazy_pending: BTreeSet::new(),
-            lazy_store_pending: BTreeMap::new(),
+            lazy_pending: BTreeMap::new(),
             persistence: None,
             stats: EngineStats::default(),
             log: Vec::new(),
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
             hot: HotMetrics::default(),
-        })
+        }
     }
 
     /// Attach a [`Tracer`]: protection faults, pre-copy activity,
@@ -428,7 +464,7 @@ impl CheckpointEngine {
             self.mmu.unregister_chunk(id);
             self.predictor.forget(id);
             self.precopy_done.remove(&id);
-            self.lazy_store_pending.remove(&id);
+            self.lazy_pending.remove(&id);
             if let Some(store) = self.persistence.as_mut() {
                 // Dropped from the store's table at the next commit;
                 // its on-media extents are recycled only after that
@@ -638,7 +674,10 @@ impl CheckpointEngine {
         // so chunks whose store-lazy restore is still outstanding must
         // be materialized first — otherwise their unrestored working
         // copies would be committed over the recovered data.
-        while let Some(id) = self.lazy_store_pending.keys().next().copied() {
+        let in_store = |(id, from): (&ChunkId, &Committed)| {
+            matches!(from, Committed::Recovered(_)).then_some(*id)
+        };
+        while let Some(id) = self.lazy_pending.iter().find_map(in_store) {
             self.ensure_restored(id)?;
         }
         let t0 = self.clock.now();
@@ -825,58 +864,17 @@ impl CheckpointEngine {
     // ------------------------------------------------------------------
 
     /// Rebuild an engine from a persisted metadata region after a
-    /// process restart (soft failure: the NVM device survived), using
-    /// the baseline eager strategy.
+    /// process restart (soft failure: the NVM device survived).
     ///
-    /// Verifies checksums where available and restores committed data
-    /// into fresh DRAM working copies. Chunks that fail verification
-    /// are listed in the report for remote recovery.
+    /// `strategy` is `Eager` (verify + restore everything serially),
+    /// `Parallel` (concurrent restore streams), or `Lazy` (verify +
+    /// restore each chunk on first access). Checksums are verified
+    /// where available and committed data restored into fresh DRAM
+    /// working copies; chunks that fail verification are listed in the
+    /// report for remote recovery. The restart itself is recorded on
+    /// `tracer` as a [`TraceEventKind::Restart`] event and the rebuilt
+    /// engine keeps the tracer ([`Tracer::disabled`] for none).
     pub fn restart(
-        dram: &MemoryDevice,
-        nvm: &MemoryDevice,
-        metadata_region: RegionId,
-        clock: VirtualClock,
-        config: EngineConfig,
-    ) -> Result<(Self, RestartReport), EngineError> {
-        Self::restart_with(
-            dram,
-            nvm,
-            metadata_region,
-            clock,
-            config,
-            RestartStrategy::Eager,
-        )
-    }
-
-    /// Rebuild an engine with an explicit [`RestartStrategy`]:
-    /// `Eager` (verify + restore everything serially), `Parallel`
-    /// (concurrent restore streams), or `Lazy` (restore each chunk on
-    /// first access).
-    pub fn restart_with(
-        dram: &MemoryDevice,
-        nvm: &MemoryDevice,
-        metadata_region: RegionId,
-        clock: VirtualClock,
-        config: EngineConfig,
-        strategy: RestartStrategy,
-    ) -> Result<(Self, RestartReport), EngineError> {
-        Self::restart_traced(
-            dram,
-            nvm,
-            metadata_region,
-            clock,
-            config,
-            strategy,
-            Tracer::disabled(),
-        )
-    }
-
-    /// [`CheckpointEngine::restart_with`] with a [`Tracer`] attached
-    /// from the first instruction: the restart itself is recorded as a
-    /// [`TraceEventKind::Restart`] event and the rebuilt engine keeps
-    /// the tracer.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restart_traced(
         dram: &MemoryDevice,
         nvm: &MemoryDevice,
         metadata_region: RegionId,
@@ -889,112 +887,25 @@ impl CheckpointEngine {
         let metadata = MetadataRegion::open(nvm, metadata_region)?;
         let (meta, load_cost) = metadata.load()?;
         clock.advance(load_cost);
-        let mut heap =
-            NvmHeap::reopen(dram, nvm, &meta, config.materialization, config.versioning)?;
-        let mut mmu = Mmu::with_granularity(config.granularity);
-        let mut report = RestartReport::default();
-        let mut lazy_pending = BTreeSet::new();
-        let mut restore_cost = SimDuration::ZERO;
-
-        for id in heap.chunk_ids() {
-            let chunk = heap.chunk(id)?;
-            mmu.register_chunk(id, pages_for(chunk.len).max(1));
-            if !chunk.has_committed() {
-                report.never_committed.push(id);
-                continue;
-            }
-            if strategy == RestartStrategy::Lazy {
-                // Defer verification + restore to first access. The
-                // chunk is clean: its committed NVM copy is the truth.
-                mmu.clear_local_dirty(id);
-                mmu.clear_remote_dirty(id);
-                lazy_pending.insert(id);
-                report.deferred.push(id);
-                continue;
-            }
-            match Self::verify_and_restore(&mut heap, id, |cost| restore_cost += cost) {
-                Ok(()) => {}
-                Err(EngineError::ChecksumMismatch { .. }) => {
-                    report.corrupt.push(id);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-            // Restored chunks are in sync with their committed version.
-            mmu.clear_local_dirty(id);
-            mmu.clear_remote_dirty(id);
-            if config.precopy.enabled() {
-                mmu.protect_after_precopy(id);
-            }
-            report.restored.push(id);
-        }
-        // Charge the restore time per the strategy: parallel streams
-        // overlap, bounded by the contended per-stream bandwidth.
-        match strategy {
-            RestartStrategy::Parallel { streams } if streams > 1 => {
-                let n = streams.min(report.restored.len().max(1));
-                let solo = nvm.per_core_bandwidth(1, 32 << 20);
-                let shared = nvm.per_core_bandwidth(n, 32 << 20);
-                let slowdown = (solo / shared).max(1.0);
-                clock.advance(SimDuration::from_secs_f64(
-                    restore_cost.as_secs_f64() * slowdown / n as f64,
-                ));
-            }
-            _ => {
-                clock.advance(restore_cost);
-            }
-        }
-        report.duration = clock.now().since(t0);
-        let now = clock.now();
-        tracer.emit(
-            now.as_nanos(),
-            TraceEventKind::Restart {
-                strategy: strategy.name().to_string(),
-                chunks: report.restored.len() as u64,
-            },
-        );
-        let stats = EngineStats {
-            restarts: 1,
-            ..EngineStats::default()
-        };
-        Ok((
-            CheckpointEngine {
-                heap,
-                mmu,
-                clock,
-                config,
-                metadata,
-                predictor: PredictionTable::new(),
-                planner: PrecopyPlanner::new(),
-                epoch: 0,
-                interval_start: now,
-                precopy_done: BTreeSet::new(),
-                precopy_credit_secs: 0.0,
-                epoch_precopied: 0,
-                epoch_wasted: 0,
-                faults_at_interval_start: 0,
-                lazy_pending,
-                lazy_store_pending: BTreeMap::new(),
-                persistence: None,
-                stats,
-                log: Vec::new(),
-                tracer,
-                metrics: Metrics::disabled(),
-                hot: HotMetrics::default(),
-            },
-            report,
-        ))
+        let heap = NvmHeap::reopen(dram, nvm, &meta, config.materialization, config.versioning)?;
+        let chunks = (heap.chunks())
+            .map(|c| (c.id, c.has_committed().then_some(Committed::OnDevice), None))
+            .collect();
+        Self::assemble(heap, metadata, clock, config)
+            .restart_core(t0, chunks, None, strategy, tracer)
     }
 
     /// Rebuild an engine from a durable [`Persistence`] backend alone:
     /// nothing of the failed process survives except its container
     /// file. Fresh devices are populated from the store's last durable
     /// commit, with restore costs charged exactly as
-    /// [`CheckpointEngine::restart_traced`] charges them — the store
-    /// file stands in for the surviving NVM medium, so installing its
+    /// [`CheckpointEngine::restart`] charges them — the store file
+    /// stands in for the surviving NVM medium, so installing its
     /// payloads back into the emulated device is free while the
     /// modeled NVM-read + DRAM-write of each restore is paid per the
-    /// strategy. The rebuilt engine keeps the store attached.
+    /// strategy. Under [`RestartStrategy::Lazy`] the media read itself
+    /// waits for first access: an untouched chunk is never fetched
+    /// from the store. The rebuilt engine keeps the store attached.
     #[allow(clippy::too_many_arguments)]
     pub fn restart_from_store(
         dram: &MemoryDevice,
@@ -1006,116 +917,22 @@ impl CheckpointEngine {
         mut store: Box<dyn Persistence>,
         tracer: Tracer,
     ) -> Result<(Self, RestartReport), EngineError> {
-        config.validate()?;
-        if container_capacity == 0 {
-            return Err(ConfigError::ZeroShadowRegion.into());
-        }
         let t0 = clock.now();
         let state = store.recover()?;
-        let mut heap = NvmHeap::new(
-            state.process_id,
-            dram,
-            nvm,
-            container_capacity,
-            config.versioning,
-            config.materialization,
-        )?;
-        let metadata = MetadataRegion::create(nvm)?;
-        let mut mmu = Mmu::with_granularity(config.granularity);
-        let mut report = RestartReport::default();
-        let mut lazy_store_pending = BTreeMap::new();
-        let mut restore_cost = SimDuration::ZERO;
-
-        for rec in &state.chunks {
-            let id = heap.nvmalloc_id(rec.id, &rec.name, rec.len, true)?;
-            mmu.register_chunk(id, pages_for(rec.len).max(1));
-            if strategy == RestartStrategy::Lazy {
-                // Defer the media read itself to first access: an
-                // untouched chunk is never fetched from the store.
-                mmu.clear_local_dirty(id);
-                mmu.clear_remote_dirty(id);
-                lazy_store_pending.insert(id, rec.clone());
-                report.deferred.push(id);
-                continue;
-            }
-            let payload = match store.read_chunk(id) {
-                Ok(p) => p,
-                Err(PersistError::Checksum { .. }) => {
-                    report.corrupt.push(id);
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            };
-            restore_cost += Self::install_recovered(&mut heap, id, rec, &payload)?;
-            mmu.clear_local_dirty(id);
-            mmu.clear_remote_dirty(id);
-            if config.precopy.enabled() {
-                mmu.protect_after_precopy(id);
-            }
-            report.restored.push(id);
-        }
-        match strategy {
-            RestartStrategy::Parallel { streams } if streams > 1 => {
-                let n = streams.min(report.restored.len().max(1));
-                let solo = nvm.per_core_bandwidth(1, 32 << 20);
-                let shared = nvm.per_core_bandwidth(n, 32 << 20);
-                let slowdown = (solo / shared).max(1.0);
-                clock.advance(SimDuration::from_secs_f64(
-                    restore_cost.as_secs_f64() * slowdown / n as f64,
-                ));
-            }
-            _ => {
-                clock.advance(restore_cost);
-            }
-        }
-        report.duration = clock.now().since(t0);
-        let now = clock.now();
-        tracer.emit(
-            now.as_nanos(),
-            TraceEventKind::StoreRecovery {
-                epoch: state.epoch,
-                chunks: state.chunks.len() as u64,
-                torn: state.torn_writes_detected,
-            },
-        );
-        tracer.emit(
-            now.as_nanos(),
-            TraceEventKind::Restart {
-                strategy: strategy.name().to_string(),
-                chunks: report.restored.len() as u64,
-            },
-        );
-        let stats = EngineStats {
-            restarts: 1,
-            ..EngineStats::default()
+        let (heap, metadata) =
+            Self::fresh_heap(state.process_id, dram, nvm, container_capacity, &config)?;
+        let mut engine = Self::assemble(heap, metadata, clock, config);
+        engine.epoch = state.epoch.map_or(0, |e| e + 1);
+        engine.persistence = Some(store);
+        let recovery = TraceEventKind::StoreRecovery {
+            epoch: state.epoch,
+            chunks: state.chunks.len() as u64,
+            torn: state.torn_writes_detected,
         };
-        Ok((
-            CheckpointEngine {
-                heap,
-                mmu,
-                clock,
-                config,
-                metadata,
-                predictor: PredictionTable::new(),
-                planner: PrecopyPlanner::new(),
-                epoch: state.epoch.map_or(0, |e| e + 1),
-                interval_start: now,
-                precopy_done: BTreeSet::new(),
-                precopy_credit_secs: 0.0,
-                epoch_precopied: 0,
-                epoch_wasted: 0,
-                faults_at_interval_start: 0,
-                lazy_pending: BTreeSet::new(),
-                lazy_store_pending,
-                persistence: Some(store),
-                stats,
-                log: Vec::new(),
-                tracer,
-                metrics: Metrics::disabled(),
-                hot: HotMetrics::default(),
-            },
-            report,
-        ))
+        let chunks = (state.chunks.into_iter())
+            .map(|rec| (rec.id, Some(Committed::Recovered(rec)), None))
+            .collect();
+        engine.restart_core(t0, chunks, Some(recovery), strategy, tracer)
     }
 
     /// Rebuild an engine from chunk images fetched off a buddy node's
@@ -1144,97 +961,165 @@ impl CheckpointEngine {
         next_epoch: u64,
         tracer: Tracer,
     ) -> Result<(Self, RestartReport), EngineError> {
-        config.validate()?;
-        if container_capacity == 0 {
-            return Err(ConfigError::ZeroShadowRegion.into());
-        }
         let t0 = clock.now();
-        let mut heap = NvmHeap::new(
-            process_id,
-            dram,
-            nvm,
-            container_capacity,
-            config.versioning,
-            config.materialization,
-        )?;
-        let metadata = MetadataRegion::create(nvm)?;
-        let mut mmu = Mmu::with_granularity(config.granularity);
+        let (heap, metadata) =
+            Self::fresh_heap(process_id, dram, nvm, container_capacity, &config)?;
+        let chunks = images
+            .iter()
+            .map(|img| {
+                let from = Committed::Recovered(RecoveredChunk {
+                    id: img.id,
+                    name: img.name.clone(),
+                    len: img.len,
+                    payload_len: img.payload.len(),
+                    checksum: img.checksum.unwrap_or_else(|| crc64(&img.payload)),
+                    epoch: img.epoch,
+                });
+                (img.id, Some(from), Some(&img.payload[..]))
+            })
+            .collect();
+        let mut engine = Self::assemble(heap, metadata, clock, config);
+        engine.epoch = next_epoch;
+        engine.restart_core(t0, chunks, None, strategy, tracer)
+    }
+
+    /// The restart every source shares. The public entry points only
+    /// say where the heap, the metadata region, the next epoch and the
+    /// store come from (an engine [`Self::assemble`]d from them) and
+    /// list `chunks` in restore order. Everything a restart *does*
+    /// happens here, once: the configuration is validated,
+    /// every chunk is registered with the MMU and — per `strategy` —
+    /// restored now or left for first access, left clean and
+    /// re-protected, the summed restore cost is charged, and the
+    /// `recovery` (`StoreRecovery`) and `Restart` events are emitted.
+    /// `t0` is when the caller's prologue began, so
+    /// [`RestartReport::duration`] covers it.
+    fn restart_core(
+        mut self,
+        t0: SimTime,
+        chunks: Vec<PlannedChunk<'_>>,
+        recovery: Option<TraceEventKind>,
+        strategy: RestartStrategy,
+        tracer: Tracer,
+    ) -> Result<(Self, RestartReport), EngineError> {
+        self.config.validate()?;
+        self.tracer = tracer;
+        self.stats.restarts = 1;
         let mut report = RestartReport::default();
         let mut restore_cost = SimDuration::ZERO;
 
-        for img in images {
-            let id = heap.nvmalloc_id(img.id, &img.name, img.len, true)?;
-            mmu.register_chunk(id, pages_for(img.len).max(1));
-            let rec = RecoveredChunk {
-                id: img.id,
-                name: img.name.clone(),
-                len: img.len,
-                payload_len: img.payload.len(),
-                checksum: img.checksum.unwrap_or_else(|| crc64(&img.payload)),
-                epoch: img.epoch,
-            };
-            restore_cost += Self::install_recovered(&mut heap, id, &rec, &img.payload)?;
-            mmu.clear_local_dirty(id);
-            mmu.clear_remote_dirty(id);
-            if config.precopy.enabled() {
-                mmu.protect_after_precopy(id);
+        for (id, committed, in_hand) in chunks {
+            if let Some(Committed::Recovered(rec)) = &committed {
+                // Arrived from outside the device: the fresh heap has
+                // no such chunk yet.
+                self.heap.nvmalloc_id(id, &rec.name, rec.len, true)?;
             }
-            report.restored.push(id);
+            let pages = pages_for(self.heap.chunk(id)?.len).max(1);
+            self.mmu.register_chunk(id, pages);
+            let Some(from) = committed else {
+                report.never_committed.push(id);
+                continue;
+            };
+            // A payload already in hand leaves nothing to defer.
+            let defer = strategy == RestartStrategy::Lazy && in_hand.is_none();
+            if !defer {
+                let store = self.persistence.as_mut();
+                let charge = |cost| restore_cost += cost;
+                match Self::restore_chunk(&mut self.heap, store, id, &from, in_hand, charge) {
+                    Ok(()) => {}
+                    Err(EngineError::ChecksumMismatch { .. }) => {
+                        report.corrupt.push(id);
+                        continue;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            // Restored or deferred, the chunk is clean: its committed
+            // version is the truth.
+            self.mmu.clear_local_dirty(id);
+            self.mmu.clear_remote_dirty(id);
+            if defer {
+                self.lazy_pending.insert(id, from);
+                report.deferred.push(id);
+            } else {
+                if self.config.precopy.enabled() {
+                    self.mmu.protect_after_precopy(id);
+                }
+                report.restored.push(id);
+            }
         }
+        // Charge the restore time per the strategy: parallel streams
+        // overlap, bounded by the contended per-stream bandwidth.
         match strategy {
             RestartStrategy::Parallel { streams } if streams > 1 => {
                 let n = streams.min(report.restored.len().max(1));
+                let nvm = self.heap.nvm();
                 let solo = nvm.per_core_bandwidth(1, 32 << 20);
                 let shared = nvm.per_core_bandwidth(n, 32 << 20);
                 let slowdown = (solo / shared).max(1.0);
-                clock.advance(SimDuration::from_secs_f64(
+                self.clock.advance(SimDuration::from_secs_f64(
                     restore_cost.as_secs_f64() * slowdown / n as f64,
                 ));
             }
             _ => {
-                clock.advance(restore_cost);
+                self.clock.advance(restore_cost);
             }
         }
-        report.duration = clock.now().since(t0);
-        let now = clock.now();
-        tracer.emit(
-            now.as_nanos(),
-            TraceEventKind::Restart {
-                strategy: strategy.name().to_string(),
-                chunks: report.restored.len() as u64,
-            },
-        );
-        let stats = EngineStats {
-            restarts: 1,
-            ..EngineStats::default()
+        let now = self.clock.now();
+        report.duration = now.since(t0);
+        self.interval_start = now;
+        if let Some(recovery) = recovery {
+            self.trace(recovery);
+        }
+        self.trace(TraceEventKind::Restart {
+            strategy: strategy.name().to_string(),
+            chunks: report.restored.len() as u64,
+        });
+        Ok((self, report))
+    }
+
+    /// Restore `id`'s working copy from wherever its committed bytes
+    /// are — the one restore body behind eager restarts and lazy first
+    /// accesses alike. Each modeled cost goes to `charge` as it is
+    /// incurred, so eager restarts can sum per their strategy while
+    /// lazy restores advance the clock step by step. `in_hand` is the
+    /// payload of a [`Committed::Recovered`] chunk when the caller
+    /// already holds it; otherwise it is read from `store`,
+    /// checksum-verified on the way.
+    fn restore_chunk(
+        heap: &mut NvmHeap,
+        store: Option<&mut Box<dyn Persistence>>,
+        id: ChunkId,
+        from: &Committed,
+        in_hand: Option<&[u8]>,
+        mut charge: impl FnMut(SimDuration),
+    ) -> Result<(), EngineError> {
+        let rec = match from {
+            Committed::OnDevice => return Self::verify_and_restore(heap, id, charge),
+            Committed::Recovered(rec) => rec,
         };
-        Ok((
-            CheckpointEngine {
-                heap,
-                mmu,
-                clock,
-                config,
-                metadata,
-                predictor: PredictionTable::new(),
-                planner: PrecopyPlanner::new(),
-                epoch: next_epoch,
-                interval_start: now,
-                precopy_done: BTreeSet::new(),
-                precopy_credit_secs: 0.0,
-                epoch_precopied: 0,
-                epoch_wasted: 0,
-                faults_at_interval_start: 0,
-                lazy_pending: BTreeSet::new(),
-                lazy_store_pending: BTreeMap::new(),
-                persistence: None,
-                stats,
-                log: Vec::new(),
-                tracer,
-                metrics: Metrics::disabled(),
-                hot: HotMetrics::default(),
-            },
-            report,
-        ))
+        let read;
+        let payload = match in_hand {
+            Some(payload) => payload,
+            None => {
+                let store = store.expect("a chunk recovered from a store keeps it attached");
+                read = store.read_chunk(id).map_err(|e| match e {
+                    PersistError::Checksum {
+                        chunk,
+                        expected,
+                        actual,
+                    } => EngineError::ChecksumMismatch {
+                        chunk: ChunkId(chunk),
+                        expected,
+                        actual,
+                    },
+                    e => e.into(),
+                })?;
+                &read
+            }
+        };
+        charge(Self::install_recovered(heap, id, rec, payload)?);
+        Ok(())
     }
 
     /// Restore `id`'s working copy from its committed NVM version,
@@ -1323,63 +1208,21 @@ impl CheckpointEngine {
         }
     }
 
-    /// First-access restore of a store-lazy chunk: read the payload
-    /// from the durable backend (checksum-verified on the way),
-    /// install it, and charge the restore like any lazy restore.
-    fn restore_from_store(&mut self, id: ChunkId, rec: &RecoveredChunk) -> Result<(), EngineError> {
-        let store = self
-            .persistence
-            .as_mut()
-            .expect("store-lazy chunks require an attached backend");
-        let payload = match store.read_chunk(id) {
-            Ok(p) => p,
-            Err(PersistError::Checksum {
-                chunk,
-                expected,
-                actual,
-            }) => {
-                return Err(EngineError::ChecksumMismatch {
-                    chunk: ChunkId(chunk),
-                    expected,
-                    actual,
-                })
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let cost = Self::install_recovered(&mut self.heap, id, rec, &payload)?;
-        self.clock.advance(cost);
-        if self.config.precopy.enabled() {
-            self.mmu.protect_after_precopy(id);
-        }
-        self.trace(TraceEventKind::Restart {
-            strategy: "lazy".to_string(),
-            chunks: 1,
-        });
-        Ok(())
-    }
-
-    /// Number of chunks still awaiting lazy restore.
+    /// Number of chunks still awaiting lazy restore (from the NVM
+    /// device or, unread so far, from the durable store).
     pub fn lazy_pending_count(&self) -> usize {
         self.lazy_pending.len()
-    }
-
-    /// Number of chunks still awaiting lazy restore from the durable
-    /// store (their payloads have not been read from media yet).
-    pub fn store_lazy_pending_count(&self) -> usize {
-        self.lazy_store_pending.len()
     }
 
     /// Verify + restore a lazily-deferred chunk now (called on first
     /// access). No-op for chunks that are not pending.
     fn ensure_restored(&mut self, id: ChunkId) -> Result<(), EngineError> {
-        if let Some(rec) = self.lazy_store_pending.remove(&id) {
-            return self.restore_from_store(id, &rec);
-        }
-        if !self.lazy_pending.remove(&id) {
+        let Some(from) = self.lazy_pending.remove(&id) else {
             return Ok(());
-        }
+        };
         let clock = &self.clock;
-        Self::verify_and_restore(&mut self.heap, id, |cost| {
+        let store = self.persistence.as_mut();
+        Self::restore_chunk(&mut self.heap, store, id, &from, None, |cost| {
             clock.advance(cost);
         })?;
         if self.config.precopy.enabled() {
@@ -1539,8 +1382,16 @@ mod tests {
         let region = e.metadata_region();
         drop(e); // process dies (soft failure)
 
-        let (mut e2, report) =
-            CheckpointEngine::restart(&dram, &nvm, region, clock, EngineConfig::default()).unwrap();
+        let (mut e2, report) = CheckpointEngine::restart(
+            &dram,
+            &nvm,
+            region,
+            clock,
+            EngineConfig::default(),
+            RestartStrategy::Eager,
+            Tracer::disabled(),
+        )
+        .unwrap();
         assert_eq!(report.restored.len(), 2);
         assert!(report.corrupt.is_empty());
         let mut buf = vec![0u8; 4096];
@@ -1569,8 +1420,16 @@ mod tests {
         let region = e.metadata_region();
         drop(e); // crash
 
-        let (mut e2, report) =
-            CheckpointEngine::restart(&dram, &nvm, region, clock, EngineConfig::default()).unwrap();
+        let (mut e2, report) = CheckpointEngine::restart(
+            &dram,
+            &nvm,
+            region,
+            clock,
+            EngineConfig::default(),
+            RestartStrategy::Eager,
+            Tracer::disabled(),
+        )
+        .unwrap();
         assert_eq!(report.restored, vec![a]);
         let mut buf = vec![0u8; 4096];
         e2.read(a, 0, &mut buf).unwrap();
@@ -1587,8 +1446,16 @@ mod tests {
         let region = e.metadata_region();
         drop(e);
 
-        let (_e2, report) =
-            CheckpointEngine::restart(&dram, &nvm, region, clock, EngineConfig::default()).unwrap();
+        let (_e2, report) = CheckpointEngine::restart(
+            &dram,
+            &nvm,
+            region,
+            clock,
+            EngineConfig::default(),
+            RestartStrategy::Eager,
+            Tracer::disabled(),
+        )
+        .unwrap();
         assert_eq!(report.corrupt, vec![a], "checksum must catch corruption");
         assert!(report.restored.is_empty());
     }
@@ -1794,13 +1661,14 @@ mod tests {
         let region = e.metadata_region();
         drop(e);
 
-        let (mut e2, report) = CheckpointEngine::restart_with(
+        let (mut e2, report) = CheckpointEngine::restart(
             &dram,
             &nvm,
             region,
             clock,
             EngineConfig::default(),
-            crate::restart::RestartStrategy::Lazy,
+            RestartStrategy::Lazy,
+            Tracer::disabled(),
         )
         .unwrap();
         assert!(report.restored.is_empty());
@@ -1844,23 +1712,25 @@ mod tests {
             (dram, nvm, clock, region)
         };
         let (dram, nvm, clock, region) = mk();
-        let (_, eager) = CheckpointEngine::restart_with(
+        let (_, eager) = CheckpointEngine::restart(
             &dram,
             &nvm,
             region,
             clock,
             EngineConfig::default(),
-            crate::restart::RestartStrategy::Eager,
+            RestartStrategy::Eager,
+            Tracer::disabled(),
         )
         .unwrap();
         let (dram, nvm, clock, region) = mk();
-        let (_, lazy) = CheckpointEngine::restart_with(
+        let (_, lazy) = CheckpointEngine::restart(
             &dram,
             &nvm,
             region,
             clock,
             EngineConfig::default(),
-            crate::restart::RestartStrategy::Lazy,
+            RestartStrategy::Lazy,
+            Tracer::disabled(),
         )
         .unwrap();
         assert!(
@@ -1890,23 +1760,25 @@ mod tests {
             (dram, nvm, clock, region, cfg)
         };
         let (dram, nvm, clock, region, cfg) = mk();
-        let (_, eager) = CheckpointEngine::restart_with(
+        let (_, eager) = CheckpointEngine::restart(
             &dram,
             &nvm,
             region,
             clock,
             cfg,
-            crate::restart::RestartStrategy::Eager,
+            RestartStrategy::Eager,
+            Tracer::disabled(),
         )
         .unwrap();
         let (dram, nvm, clock, region, cfg) = mk();
-        let (_, parallel) = CheckpointEngine::restart_with(
+        let (_, parallel) = CheckpointEngine::restart(
             &dram,
             &nvm,
             region,
             clock,
             cfg,
-            crate::restart::RestartStrategy::Parallel { streams: 8 },
+            RestartStrategy::Parallel { streams: 8 },
+            Tracer::disabled(),
         )
         .unwrap();
         assert!(
@@ -1927,13 +1799,14 @@ mod tests {
         e.corrupt_committed(a).unwrap();
         let region = e.metadata_region();
         drop(e);
-        let (mut e2, report) = CheckpointEngine::restart_with(
+        let (mut e2, report) = CheckpointEngine::restart(
             &dram,
             &nvm,
             region,
             clock,
             EngineConfig::default(),
-            crate::restart::RestartStrategy::Lazy,
+            RestartStrategy::Lazy,
+            Tracer::disabled(),
         )
         .unwrap();
         assert!(report.corrupt.is_empty(), "not detected yet");
@@ -1978,8 +1851,16 @@ mod tests {
         e.nvdelete(gone).unwrap();
         let region = e.metadata_region();
         drop(e);
-        let (e2, report) =
-            CheckpointEngine::restart(&dram, &nvm, region, clock, EngineConfig::default()).unwrap();
+        let (e2, report) = CheckpointEngine::restart(
+            &dram,
+            &nvm,
+            region,
+            clock,
+            EngineConfig::default(),
+            RestartStrategy::Eager,
+            Tracer::disabled(),
+        )
+        .unwrap();
         assert_eq!(report.restored, vec![keep], "deleted chunk stays gone");
         assert!(e2.heap().chunk(gone).is_err());
     }

@@ -44,7 +44,6 @@
 
 pub mod capi;
 pub mod checksum;
-pub mod compress;
 pub mod config;
 pub mod engine;
 pub mod persist;
@@ -54,7 +53,6 @@ pub mod restart;
 pub mod stats;
 pub mod transparent;
 
-pub use compress::{compress, decompress, CompressionModel, CompressionStats};
 pub use config::{ConfigError, EngineConfig, EngineConfigBuilder, PrecopyPolicy};
 pub use engine::{CheckpointEngine, EngineError, RemoteImage, RestartReport};
 pub use persist::{

@@ -18,9 +18,11 @@
 
 use crate::config::EngineConfig;
 use crate::engine::{CheckpointEngine, EngineError, RestartReport};
+use crate::restart::RestartStrategy;
 use crate::stats::EpochReport;
 use nvm_emu::{MemoryDevice, RegionId, SimDuration, VirtualClock};
 use nvm_paging::ChunkId;
+use nvm_trace::Tracer;
 
 /// A transparently-checkpointed process image.
 pub struct TransparentProcess {
@@ -152,8 +154,15 @@ impl TransparentProcess {
         config: EngineConfig,
         segment_bytes: usize,
     ) -> Result<(Self, RestartReport), EngineError> {
-        let (engine, report) =
-            CheckpointEngine::restart(dram, nvm, metadata_region, clock, config)?;
+        let (engine, report) = CheckpointEngine::restart(
+            dram,
+            nvm,
+            metadata_region,
+            clock,
+            config,
+            RestartStrategy::Eager,
+            Tracer::disabled(),
+        )?;
         let mut segments: Vec<(usize, ChunkId)> = engine
             .heap()
             .chunks()

@@ -16,21 +16,15 @@
 //!   arithmetic, failure handling, helper/link bookkeeping, and the
 //!   final O(shards) fold (the serial floor that caps scaling).
 //!
-//! From that split and the *actual* contiguous chunk partition used by
-//! the worker pool, [`RunProfile::projected_speedup`] computes the
-//! Amdahl-style speedup a given thread count yields on a host with
-//! enough cores. On a single-core runner (like the CI shell this repo
-//! is typically profiled in) measured wall time cannot show thread
-//! scaling at all — the projection, derived from a serial run's
-//! measurements, is the honest substitute and is what
-//! `experiments/scaling_threads.json` records alongside measured wall
-//! times.
+//! The split is measured, never modelled: what `--threads N` buys on a
+//! given host is read off two profiled runs' `wall_ns`, not projected
+//! from one.
 
 /// Thread CPU time (CLOCK_THREAD_CPUTIME_ID) in nanoseconds.
 ///
 /// Raw `clock_gettime` so no external crate is needed; falls back to a
 /// process-wide monotonic clock off Linux (still monotone, just not
-/// per-thread — projections stay meaningful on one thread).
+/// per-thread).
 #[cfg(target_os = "linux")]
 pub fn thread_cpu_ns() -> u64 {
     #[repr(C)]
@@ -103,49 +97,6 @@ impl RunProfile {
             .saturating_sub(self.total_rank_busy_ns())
             .saturating_sub(self.total_merge_busy_ns())
     }
-
-    /// Busiest contiguous `div_ceil` chunk of `work` at `threads`
-    /// workers — the wall cost of one parallel phase.
-    fn busiest_chunk_ns(work: &[u64], threads: usize) -> u64 {
-        if work.is_empty() {
-            return 0;
-        }
-        let chunk = work.len().div_ceil(threads.min(work.len()));
-        work.chunks(chunk)
-            .map(|c| c.iter().sum::<u64>())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Wall time a `threads`-worker run of the same work would take on
-    /// a host with at least `threads` free cores: the serial floor
-    /// plus the busiest rank chunk plus the busiest merge chunk, using
-    /// the pools' real contiguous `div_ceil` partitions.
-    pub fn projected_wall_ns(&self, threads: usize) -> u64 {
-        let threads = threads.max(1);
-        if self.rank_busy_ns.is_empty() && self.merge_busy_ns.is_empty() {
-            return self.wall_ns;
-        }
-        self.coordinator_ns()
-            + Self::busiest_chunk_ns(&self.rank_busy_ns, threads)
-            + Self::busiest_chunk_ns(&self.merge_busy_ns, threads)
-    }
-
-    /// `wall / projected_wall(threads)` — the speedup the measured
-    /// decomposition supports at `threads` workers. Call on a profile
-    /// from a serial run (see [`RunProfile::coordinator_ns`]).
-    pub fn projected_speedup(&self, threads: usize) -> f64 {
-        let projected = self.projected_wall_ns(threads).max(1);
-        self.wall_ns as f64 / projected as f64
-    }
-
-    /// Fraction of the wall the rank-parallel work covers, in [0, 1].
-    pub fn parallel_fraction(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        (self.total_rank_busy_ns().min(self.wall_ns)) as f64 / self.wall_ns as f64
-    }
 }
 
 #[cfg(test)]
@@ -167,55 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_is_amdahl_with_real_partition() {
-        // 4 ranks, equal work, no serial floor: ideal scaling.
-        let p = RunProfile {
-            wall_ns: 400,
-            rank_busy_ns: vec![100; 4],
-            merge_busy_ns: Vec::new(),
-            threads: 1,
-        };
-        assert_eq!(p.coordinator_ns(), 0);
-        assert_eq!(p.projected_wall_ns(4), 100);
-        assert!((p.projected_speedup(4) - 4.0).abs() < 1e-9);
-        // Serial floor of 100: speedup at 4 = 500/200 = 2.5.
-        let p = RunProfile {
-            wall_ns: 500,
-            rank_busy_ns: vec![100; 4],
-            merge_busy_ns: Vec::new(),
-            threads: 1,
-        };
-        assert_eq!(p.coordinator_ns(), 100);
-        assert!((p.projected_speedup(4) - 2.5).abs() < 1e-9);
-        // Uneven chunking: 5 ranks over 2 threads -> chunks of 3 and 2.
-        let p = RunProfile {
-            wall_ns: 500,
-            rank_busy_ns: vec![100; 5],
-            merge_busy_ns: Vec::new(),
-            threads: 1,
-        };
-        assert_eq!(p.projected_wall_ns(2), 300);
-        // More threads than ranks caps at per-rank max.
-        assert_eq!(p.projected_wall_ns(64), 100);
-    }
-
-    #[test]
-    fn merge_work_scales_like_rank_work_in_the_projection() {
-        // 4 ranks of 100 + 2 shards of 50, serial floor 100.
-        let p = RunProfile {
-            wall_ns: 600,
-            rank_busy_ns: vec![100; 4],
-            merge_busy_ns: vec![50; 2],
-            threads: 1,
-        };
-        assert_eq!(p.coordinator_ns(), 100);
-        // 2 threads: 100 + 200 (rank chunk) + 50 (merge chunk).
-        assert_eq!(p.projected_wall_ns(2), 350);
-        // Plenty of threads: 100 + 100 + 50.
-        assert_eq!(p.projected_wall_ns(64), 250);
-    }
-
-    #[test]
     fn degenerate_profiles_do_not_panic() {
         let p = RunProfile {
             wall_ns: 0,
@@ -223,8 +125,18 @@ mod tests {
             merge_busy_ns: Vec::new(),
             threads: 1,
         };
-        assert_eq!(p.projected_wall_ns(8), 0);
-        assert!(p.projected_speedup(8) >= 0.0);
-        assert_eq!(p.parallel_fraction(), 0.0);
+        assert_eq!(p.coordinator_ns(), 0);
+        // The serial floor is what the wall has left after rank and
+        // merge work: 600 - 4 x 100 - 2 x 50.
+        let p = RunProfile {
+            wall_ns: 600,
+            rank_busy_ns: vec![100; 4],
+            merge_busy_ns: vec![50; 2],
+            threads: 1,
+        };
+        assert_eq!(p.coordinator_ns(), 100);
+        // A parallel run's busy time can exceed its wall: saturate.
+        let p = RunProfile { wall_ns: 300, ..p };
+        assert_eq!(p.coordinator_ns(), 0);
     }
 }

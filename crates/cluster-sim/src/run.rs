@@ -54,8 +54,8 @@ use nvm_store::{FileSpill, FileStore, PersistError, Persistence, StoreStats};
 use nvm_trace::{BufferSink, TraceEvent, TraceEventKind, Tracer};
 use rdma_sim::armci::RemoteError;
 use rdma_sim::{
-    fetch_with_retry, FaultModel, HelperProcess, HelperStats, Link, RemoteStore, RetryPolicy,
-    UsageTrace,
+    fetch_with_retry, FaultModel, HelperParams, HelperProcess, HelperStats, Link, RemoteStore,
+    RetryPolicy, UsageTrace,
 };
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -316,10 +316,14 @@ impl RunOptions {
         self.trace || self.rollup.is_some()
     }
 
-    /// True when ranks need tracers attached at all (full stream or
-    /// bounded flight ring).
-    fn observing(&self) -> bool {
-        self.stream() || self.flight.is_some()
+    /// A fresh registry when metrics are collected, else the disabled
+    /// handle.
+    fn new_metrics(&self) -> Metrics {
+        if self.metrics {
+            Metrics::new()
+        } else {
+            Metrics::disabled()
+        }
     }
 }
 
@@ -435,6 +439,38 @@ struct Rank {
     metrics: Metrics,
 }
 
+impl Rank {
+    /// A tracer into this rank's private sink (disabled without one).
+    fn tracer(&self) -> Tracer {
+        match &self.sink {
+            Some(sink) => Tracer::new(sink.clone()).with_rank(self.global),
+            None => Tracer::disabled(),
+        }
+    }
+
+    /// Attach this rank's instrumentation to its (new or rebuilt)
+    /// engine: the tracer, the metrics registry, and — given a store
+    /// directory — its durable container there (opened or created),
+    /// counting into the same registry.
+    fn attach(&mut self, store_dir: Option<&Path>, container_bytes: usize) -> Result<(), SimError> {
+        self.engine.set_tracer(self.tracer());
+        self.engine.set_metrics(self.metrics.clone());
+        if let Some(dir) = store_dir {
+            let path = rank_store_path(dir, self.global);
+            let mut store = FileStore::open_path(&path, self.global, container_bytes)
+                .map_err(EngineError::from)?;
+            store.set_metrics(self.metrics.clone());
+            self.engine.set_persistence(Box::new(store));
+        }
+        Ok(())
+    }
+}
+
+/// Where rank `global`'s durable container lives under a store directory.
+fn rank_store_path(dir: &Path, global: u64) -> PathBuf {
+    dir.join(format!("rank_{global}.store"))
+}
+
 // The worker pool moves `&mut Rank` across scoped threads; everything
 // a rank owns (engine, clock, workload) must therefore be `Send`.
 const _: () = {
@@ -443,9 +479,37 @@ const _: () = {
     assert_send::<SimError>();
 };
 
-/// Run `f` over every rank, in rank order when `threads == 1`, or on
-/// `threads` scoped worker threads over contiguous rank-ordered chunks
-/// otherwise.
+/// The one worker pool: run `f` over `items` and return the results in
+/// input order. With `threads <= 1` (or a single item) that is a plain
+/// in-order loop on the calling thread, stopping at the first error.
+/// Otherwise `threads` scoped workers each take one contiguous
+/// `div_ceil` chunk and stop at its first error; chunks are in input
+/// order, so the first failed chunk holds the lowest failing index and
+/// a failing run is as deterministic as a passing one.
+fn pool_map<T: Send, R: Send>(
+    items: &mut [T],
+    threads: usize,
+    f: impl Fn(&mut T) -> Result<R, SimError> + Sync,
+) -> Result<Vec<R>, SimError> {
+    if threads <= 1 || items.len() <= 1 {
+        return items.iter_mut().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(threads.min(items.len()));
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items
+            .chunks_mut(chunk)
+            .map(|part| scope.spawn(move || part.iter_mut().map(f).collect::<Result<Vec<R>, _>>()))
+            .collect();
+        let mut out = Vec::new();
+        for handle in handles {
+            out.extend(handle.join().expect("pool worker panicked")?);
+        }
+        Ok(out)
+    })
+}
+
+/// Run `f` over every rank through [`pool_map`], in rank order.
 ///
 /// Correctness under concurrency rests on three properties that the
 /// determinism regression tests pin down:
@@ -457,59 +521,23 @@ const _: () = {
 ///   time only flows through barriers, which the caller runs serially;
 /// * errors are reported by the lowest global rank that failed, so a
 ///   failing run is also deterministic.
-fn for_each_rank_parallel<F>(
+fn for_each_rank_parallel(
     ranks: &mut [Vec<Rank>],
     threads: usize,
     busy: &[AtomicU64],
-    f: F,
-) -> Result<(), SimError>
-where
-    F: Fn(&mut Rank) -> Result<(), SimError> + Sync,
-{
-    // Run one rank's callback, charging its thread-CPU time to the
-    // profile accumulator (indexed by global rank; workers touch
-    // disjoint indices, the atomic is only for the shared borrow).
-    let timed = |rank: &mut Rank| {
+    f: impl Fn(&mut Rank) -> Result<(), SimError> + Sync,
+) -> Result<(), SimError> {
+    let mut flat: Vec<&mut Rank> = ranks.iter_mut().flatten().collect();
+    // Each callback's thread-CPU time goes to the profile accumulator
+    // (indexed by global rank; workers touch disjoint indices, the
+    // atomic is only for the shared borrow).
+    pool_map(&mut flat, threads, |rank| {
         let t0 = thread_cpu_ns();
         let out = f(rank);
         busy[rank.global as usize].fetch_add(thread_cpu_ns().saturating_sub(t0), Relaxed);
         out
-    };
-    let mut flat: Vec<&mut Rank> = ranks.iter_mut().flatten().collect();
-    if threads <= 1 || flat.len() <= 1 {
-        for rank in flat {
-            timed(rank)?;
-        }
-        return Ok(());
-    }
-    let chunk = flat.len().div_ceil(threads.min(flat.len()));
-    let mut failures: Vec<(u64, SimError)> = std::thread::scope(|scope| {
-        let timed = &timed;
-        let handles: Vec<_> = flat
-            .chunks_mut(chunk)
-            .map(|ranks| {
-                scope.spawn(move || {
-                    let mut failed = Vec::new();
-                    for rank in ranks.iter_mut() {
-                        if let Err(e) = timed(rank) {
-                            failed.push((rank.global, e));
-                            break;
-                        }
-                    }
-                    failed
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("rank worker panicked"))
-            .collect()
-    });
-    failures.sort_by_key(|(global, _)| *global);
-    match failures.into_iter().next() {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
-    }
+    })
+    .map(drop)
 }
 
 struct NodeDevices {
@@ -599,7 +627,6 @@ impl ClusterSim {
             drams.push(dram);
         }
 
-        let link_bw = config.link_bandwidth();
         let helper_params = config.remote.map(|r| r.helper).unwrap_or_default();
 
         if let Some(dir) = &options.store_dir {
@@ -611,18 +638,13 @@ impl ClusterSim {
         let mut stores = Vec::new();
         for n in 0..config.nodes {
             let mut node_ranks = Vec::new();
-            let node_metrics = if options.metrics {
-                let m = Metrics::new();
-                // Devices are shared by this node's ranks; counter adds
-                // are commutative, so a shared registry stays
-                // deterministic under parallel rank execution. Attach
-                // before building ranks so setup charges are counted.
-                nvms[n].set_metrics(m.clone());
-                drams[n].set_metrics(m.clone());
-                m
-            } else {
-                Metrics::disabled()
-            };
+            // Devices are shared by this node's ranks; counter adds are
+            // commutative, so a shared registry stays deterministic
+            // under parallel rank execution. Attach before building
+            // ranks so setup charges are counted.
+            let node_metrics = options.new_metrics();
+            nvms[n].set_metrics(node_metrics.clone());
+            drams[n].set_metrics(node_metrics.clone());
             for r in 0..config.ranks_per_node {
                 let global = (n * config.ranks_per_node + r) as u64;
                 let clock = VirtualClock::new();
@@ -636,49 +658,31 @@ impl ClusterSim {
                 )?;
                 let mut workload = factory(global);
                 workload.setup(&mut engine)?;
-                let sink = if options.observing() {
-                    // Full stream outputs (trace/rollup) need every
-                    // event; a flight-only run keeps a bounded ring.
-                    let sink = if options.stream() {
-                        Arc::new(BufferSink::new())
-                    } else {
-                        Arc::new(BufferSink::with_capacity(
-                            options.flight.expect("observing implies an output"),
-                        ))
-                    };
-                    engine.set_tracer(Tracer::new(sink.clone()).with_rank(global));
-                    Some(sink)
+                // Full stream outputs (trace/rollup) need every event;
+                // a flight-only run keeps a bounded ring.
+                let sink = if options.stream() {
+                    Some(Arc::new(BufferSink::new()))
                 } else {
-                    None
+                    options
+                        .flight
+                        .map(|bound| Arc::new(BufferSink::with_capacity(bound)))
                 };
-                let metrics = if options.metrics {
-                    let m = Metrics::new();
-                    engine.set_metrics(m.clone());
-                    m
-                } else {
-                    Metrics::disabled()
-                };
-                if let Some(dir) = &options.store_dir {
-                    let path = dir.join(format!("rank_{global}.store"));
-                    let mut store = FileStore::open_path(&path, global, config.container_bytes)
-                        .map_err(EngineError::from)?;
-                    store.set_metrics(metrics.clone());
-                    engine.set_persistence(Box::new(store));
-                }
-                node_ranks.push(Rank {
+                let mut rank = Rank {
                     global,
                     clock,
                     engine,
                     workload,
                     sink,
-                    metrics,
-                });
+                    metrics: options.new_metrics(),
+                };
+                rank.attach(options.store_dir.as_deref(), config.container_bytes)?;
+                node_ranks.push(rank);
             }
             ranks.push(node_ranks);
             let mut helper = HelperProcess::with_params(helper_params);
             helper.set_metrics(node_metrics.clone());
             nodes.push(NodeDevices {
-                link: Link::new(link_bw),
+                link: Link::new(config.link_bandwidth()),
                 helper,
                 flows: Vec::new(),
                 metrics: node_metrics,
@@ -780,11 +784,7 @@ impl ClusterSim {
         // Coordinator-side metrics (comm stalls, barrier count, link
         // peaks) — recorded only from the serial coordinator loop, so
         // observation order is the same at any thread count.
-        let coord_metrics = if self.options.metrics {
-            Metrics::new()
-        } else {
-            Metrics::disabled()
-        };
+        let coord_metrics = self.options.new_metrics();
         let mut failures = match (&self.config.schedule_override, &self.config.failures) {
             (Some(schedule), _) => schedule.clone(),
             (None, Some(cfg)) => FailureSchedule::generate(
@@ -957,7 +957,6 @@ impl ClusterSim {
                     let rate = self.nodes[n].active_rate(iter_start);
                     if rate > 0.0 {
                         let fabric = AlphaBeta::infiniband(self.nodes[n].link.capacity());
-                        let total_ranks = self.config.nodes * self.config.ranks_per_node;
                         for rank in self.ranks[n].iter_mut() {
                             let pattern = rank.workload.comm_pattern();
                             let delay = pattern.contention_delay(total_ranks, &fabric, rate);
@@ -1047,82 +1046,9 @@ impl ClusterSim {
                     // interval").
                     let next_remote = last_remote_end + rc.interval;
                     let ship_now = rc.precopy && t1 + local_int >= next_remote;
-                    if ship_now {
-                        // The helper ships the freshly committed NVM
-                        // state chunk-by-chunk at its incremental copy
-                        // rate — a low, flat wire rate (about half the
-                        // bulk staging rate), which is what halves the
-                        // peak in Figure 10.
-                        let incr_bw = rc.helper.incremental_bandwidth;
-                        let mut cluster_end = t1;
-                        for n in 0..self.config.nodes {
-                            let mut shipped: u64 = 0;
-                            for rank in self.ranks[n].iter_mut() {
-                                for id in rank.engine.remote_stable_chunks() {
-                                    let len = rank.engine.chunk_len(id)? as u64;
-                                    Self::ship_chunk(&mut self.stores[n], rank, id, len as usize)?;
-                                    self.nodes[n].helper.copy_chunk(len);
-                                    rank.engine.mark_remote_copied(id);
-                                    shipped += len;
-                                }
-                            }
-                            if shipped > 0 {
-                                let window = SimDuration::for_transfer(shipped, incr_bw);
-                                let dur = self.nodes[n].link.transfer_spread(t1, shipped, window);
-                                let rate = shipped as f64 / dur.as_secs_f64();
-                                self.nodes[n].add_flow(t1 + dur, rate);
-                                cluster_end = cluster_end.max(t1 + dur);
-                                if tracing {
-                                    coord.push(TraceEvent {
-                                        t_ns: t1.as_nanos(),
-                                        rank: self.config.first_rank(n),
-                                        kind: TraceEventKind::RemoteTransfer {
-                                            bytes: shipped,
-                                            incremental: true,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                        trace.record(Activity::RemoteCheckpoint, t1, cluster_end);
-                    } else if !rc.precopy && remote_due {
-                        // No pre-copy: ship the entire committed
-                        // checkpoint as one full-rate burst.
-                        let mut cluster_end = t1;
-                        for n in 0..self.config.nodes {
-                            let mut volume: u64 = 0;
-                            for rank in self.ranks[n].iter_mut() {
-                                for id in rank.engine.heap().persistent_ids() {
-                                    let len = rank.engine.chunk_len(id)? as u64;
-                                    Self::ship_chunk(&mut self.stores[n], rank, id, len as usize)?;
-                                    self.nodes[n].helper.copy_bulk(len);
-                                    rank.engine.mark_remote_copied(id);
-                                    volume += len;
-                                }
-                            }
-                            if volume > 0 {
-                                // The burst is staged by the helper at
-                                // its bulk copy rate (the wire itself
-                                // is faster but fed by one core).
-                                let window =
-                                    SimDuration::for_transfer(volume, rc.helper.bulk_bandwidth);
-                                let dur = self.nodes[n].link.transfer_spread(t1, volume, window);
-                                let rate = volume as f64 / dur.as_secs_f64();
-                                self.nodes[n].add_flow(t1 + dur, rate);
-                                cluster_end = cluster_end.max(t1 + dur);
-                                if tracing {
-                                    coord.push(TraceEvent {
-                                        t_ns: t1.as_nanos(),
-                                        rank: self.config.first_rank(n),
-                                        kind: TraceEventKind::RemoteTransfer {
-                                            bytes: volume,
-                                            incremental: false,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                        trace.record(Activity::RemoteCheckpoint, t1, cluster_end);
+                    if ship_now || (!rc.precopy && remote_due) {
+                        let end = self.ship_remote(t1, rc.precopy, &rc.helper, &mut coord)?;
+                        trace.record(Activity::RemoteCheckpoint, t1, end);
                     }
                 }
             }
@@ -1163,7 +1089,7 @@ impl ClusterSim {
         }
         let metrics_on = self.options.metrics;
         let rollup_bucket = self.options.rollup;
-        let merge_shard = |shard_ranks: &mut [Vec<Rank>], shard_nodes: &[NodeDevices]| {
+        let merge_shard = |shard_ranks: &[Vec<Rank>], shard_nodes: &[NodeDevices]| {
             let t0 = thread_cpu_ns();
             let trace = if tracing {
                 let buffers: Vec<Vec<TraceEvent>> = shard_ranks
@@ -1222,24 +1148,14 @@ impl ClusterSim {
                 busy_ns: thread_cpu_ns().saturating_sub(t0),
             }
         };
-        let shard_chunks = self
+        let mut shard_chunks: Vec<(&mut [Vec<Rank>], &[NodeDevices])> = self
             .ranks
             .chunks_mut(nodes_per_shard)
-            .zip(self.nodes.chunks(nodes_per_shard));
-        let mut shard_results: Vec<ShardMerge> = if self.config.threads <= 1 || shards <= 1 {
-            shard_chunks.map(|(r, n)| merge_shard(r, n)).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let merge_shard = &merge_shard;
-                let handles: Vec<_> = shard_chunks
-                    .map(|(r, n)| scope.spawn(move || merge_shard(r, n)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("merge worker panicked"))
-                    .collect()
-            })
-        };
+            .zip(self.nodes.chunks(nodes_per_shard))
+            .collect();
+        let mut shard_results = pool_map(&mut shard_chunks, self.config.threads, |(r, n)| {
+            Ok(merge_shard(r, n))
+        })?;
         let merge_busy_ns: Vec<u64> = shard_results.iter().map(|s| s.busy_ns).collect();
 
         // Coordinator fold of the shard rollups, plus the coordinator
@@ -1329,26 +1245,14 @@ impl ClusterSim {
             merge_busy_ns,
             threads: self.config.threads,
         });
-        let spill = self.spill_dir.as_ref().map(|_| SpillReport {
-            devices: self.nvms.len() + self.drams.len(),
-            peak_bytes: self
-                .nvms
-                .iter()
-                .chain(&self.drams)
-                .map(|d| d.spill_peak_bytes())
-                .sum(),
-            live_bytes: self
-                .nvms
-                .iter()
-                .chain(&self.drams)
-                .map(|d| d.spill_live_bytes())
-                .sum(),
-            resident_bytes: self
-                .nvms
-                .iter()
-                .chain(&self.drams)
-                .map(|d| d.resident_bytes())
-                .sum(),
+        let spill = self.spill_dir.as_ref().map(|_| {
+            let devices = || self.nvms.iter().chain(&self.drams);
+            SpillReport {
+                devices: devices().count(),
+                peak_bytes: devices().map(|d| d.spill_peak_bytes()).sum(),
+                live_bytes: devices().map(|d| d.spill_live_bytes()).sum(),
+                resident_bytes: devices().map(|d| d.resident_bytes()).sum(),
+            }
         });
         Ok(RunOutcome {
             result,
@@ -1362,19 +1266,24 @@ impl ClusterSim {
     /// remote images they were rebuilt from: per rank, read every
     /// restored chunk back, compare against the fetched payload, and
     /// record its CRC. Pure reads over rank-owned engines (shared
-    /// device access is commutative stats only), so ranks verify on
-    /// `threads` scoped workers; results come back in rank order, and
-    /// on failure the lowest failing global rank wins — both identical
-    /// to the serial path.
+    /// device access is commutative stats only), so ranks verify
+    /// through [`pool_map`]: results come back in rank order, and on
+    /// failure the lowest failing global rank wins — both identical to
+    /// the serial path.
     fn verify_restored(
         ranks: &mut [Rank],
         images_per_rank: &[Vec<RemoteImage>],
         threads: usize,
         node: usize,
     ) -> Result<Vec<Vec<RecoveredChunkRecord>>, SimError> {
-        let verify_one = |rank: &Rank, images: &[RemoteImage]| {
+        // `&mut Rank` is `Send` even though `&Rank` is not `Sync`
+        // (boxed workloads/persistence), so the pool gets exclusive
+        // rank borrows exactly like `for_each_rank_parallel`.
+        let mut pairs: Vec<(&mut Rank, &Vec<RemoteImage>)> =
+            ranks.iter_mut().zip(images_per_rank.iter()).collect();
+        pool_map(&mut pairs, threads, |(rank, images)| {
             let mut records = Vec::with_capacity(images.len());
-            for img in images {
+            for img in images.iter() {
                 let restored = rank.engine.committed_bytes(img.id)?;
                 if restored != img.payload {
                     return Err(SimError::RecoveryMismatch {
@@ -1392,66 +1301,90 @@ impl ClusterSim {
                 });
             }
             Ok(records)
+        })
+    }
+
+    /// Ship committed chunks from every node to its buddy's remote
+    /// store at time `t1`; returns when the last node's transfer ends.
+    ///
+    /// `incremental` (remote pre-copy): the helper ships the chunks
+    /// that are remote-stale but locally stable, chunk-by-chunk at its
+    /// incremental copy rate — a low, flat wire rate (about half the
+    /// bulk staging rate), which is what halves the peak in Figure 10.
+    /// Otherwise the entire committed checkpoint goes as one burst,
+    /// staged by the helper at its bulk copy rate (the wire itself is
+    /// faster but fed by one core).
+    fn ship_remote(
+        &mut self,
+        t1: SimTime,
+        incremental: bool,
+        helper: &HelperParams,
+        coord: &mut Vec<TraceEvent>,
+    ) -> Result<SimTime, SimError> {
+        let bandwidth = if incremental {
+            helper.incremental_bandwidth
+        } else {
+            helper.bulk_bandwidth
         };
-        // `&mut Rank` is `Send` even though `&Rank` is not `Sync`
-        // (boxed workloads/persistence), so the pool moves exclusive
-        // rank borrows to workers exactly like `for_each_rank_parallel`.
-        let mut pairs: Vec<(&mut Rank, &Vec<RemoteImage>)> =
-            ranks.iter_mut().zip(images_per_rank.iter()).collect();
-        if threads <= 1 || pairs.len() <= 1 {
-            return pairs
-                .into_iter()
-                .map(|(rank, images)| verify_one(rank, images))
-                .collect();
+        let mut cluster_end = t1;
+        for n in 0..self.config.nodes {
+            let mut shipped: u64 = 0;
+            for rank in self.ranks[n].iter_mut() {
+                let chunks = if incremental {
+                    rank.engine.remote_stable_chunks()
+                } else {
+                    rank.engine.heap().persistent_ids()
+                };
+                for id in chunks {
+                    let len = Self::ship_chunk(&mut self.stores[n], rank, id)?;
+                    if incremental {
+                        self.nodes[n].helper.copy_chunk(len);
+                    } else {
+                        self.nodes[n].helper.copy_bulk(len);
+                    }
+                    rank.engine.mark_remote_copied(id);
+                    shipped += len;
+                }
+            }
+            if shipped > 0 {
+                let window = SimDuration::for_transfer(shipped, bandwidth);
+                let dur = self.nodes[n].link.transfer_spread(t1, shipped, window);
+                let rate = shipped as f64 / dur.as_secs_f64();
+                self.nodes[n].add_flow(t1 + dur, rate);
+                cluster_end = cluster_end.max(t1 + dur);
+                if self.options.stream() {
+                    coord.push(TraceEvent {
+                        t_ns: t1.as_nanos(),
+                        rank: self.config.first_rank(n),
+                        kind: TraceEventKind::RemoteTransfer {
+                            bytes: shipped,
+                            incremental,
+                        },
+                    });
+                }
+            }
         }
-        let chunk = pairs.len().div_ceil(threads.min(pairs.len()));
-        let per_rank: Vec<(u64, Result<Vec<RecoveredChunkRecord>, SimError>)> =
-            std::thread::scope(|scope| {
-                let verify_one = &verify_one;
-                let handles: Vec<_> = pairs
-                    .chunks_mut(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            part.iter()
-                                .map(|(rank, images)| (rank.global, verify_one(rank, images)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("verify worker panicked"))
-                    .collect()
-            });
-        // Chunks are contiguous and in rank order, so the flattened
-        // results already are too; the first error is the lowest rank.
-        per_rank.into_iter().map(|(_, r)| r).collect()
+        Ok(cluster_end)
     }
 
     /// Mirror one committed chunk into the node's remote store: real
     /// bytes (plus the chunk name, which a recovery needs to rebuild
     /// the rank) under byte materialization, size-only otherwise.
+    /// Returns the chunk's length.
     fn ship_chunk(
         store: &mut RemoteStore,
-        rank: &mut Rank,
+        rank: &Rank,
         id: nvm_paging::ChunkId,
-        len: usize,
-    ) -> Result<(), SimError> {
+    ) -> Result<u64, SimError> {
+        let chunk = rank.engine.heap().chunk(id).map_err(EngineError::from)?;
         if rank.engine.config().materialization == Materialization::Bytes {
             let data = rank.engine.committed_bytes(id)?;
             store.put(rank.global, id, &data)?;
-            let name = rank
-                .engine
-                .heap()
-                .chunk(id)
-                .map_err(EngineError::from)?
-                .name
-                .clone();
-            store.set_chunk_name(rank.global, id, &name)?;
+            store.set_chunk_name(rank.global, id, &chunk.name)?;
         } else {
-            store.put_synthetic(rank.global, id, len)?;
+            store.put_synthetic(rank.global, id, chunk.len)?;
         }
-        Ok(())
+        Ok(chunk.len as u64)
     }
 
     /// True if every rank of `node` has a durable container under
@@ -1462,8 +1395,7 @@ impl ClusterSim {
     fn probe_local_store(dir: &std::path::Path, node: usize, rpn: usize) -> bool {
         for r in 0..rpn {
             let global = (node * rpn + r) as u64;
-            let Ok(mut store) = FileStore::open_existing(&dir.join(format!("rank_{global}.store")))
-            else {
+            let Ok(mut store) = FileStore::open_existing(&rank_store_path(dir, global)) else {
                 return false;
             };
             let Ok(state) = store.recover() else {
@@ -1563,7 +1495,6 @@ impl ClusterSim {
             d_per_rank,
         } = progress;
         let rpn = self.config.node_rank_count(node);
-        let tracing = self.options.stream();
         let t0 = self.ranks[node][0].clock.now();
 
         if self.config.engine.materialization == Materialization::Synthetic {
@@ -1610,13 +1541,9 @@ impl ClusterSim {
             // Rung 1: every rank's durable container survived intact.
             source = RecoverySource::LocalStore;
             for rank in self.ranks[node].iter_mut() {
-                let path = dir.join(format!("rank_{}.store", rank.global));
-                let mut store = FileStore::open_existing(&path).map_err(EngineError::from)?;
+                let mut store = FileStore::open_existing(&rank_store_path(&dir, rank.global))
+                    .map_err(EngineError::from)?;
                 store.set_metrics(rank.metrics.clone());
-                let tracer = match &rank.sink {
-                    Some(s) => Tracer::new(s.clone()).with_rank(rank.global),
-                    None => Tracer::disabled(),
-                };
                 let (engine, _report) = CheckpointEngine::restart_from_store(
                     &self.drams[node],
                     &self.nvms[node],
@@ -1625,10 +1552,10 @@ impl ClusterSim {
                     self.config.engine,
                     RestartStrategy::Eager,
                     Box::new(store),
-                    tracer,
+                    rank.tracer(),
                 )?;
                 rank.engine = engine;
-                rank.engine.set_metrics(rank.metrics.clone());
+                rank.attach(None, self.config.container_bytes)?;
                 max_install = max_install.max(rank.clock.now().since(t0));
             }
         } else {
@@ -1663,7 +1590,7 @@ impl ClusterSim {
                         )?;
                         if outcome.attempts > 1 {
                             retries += u64::from(outcome.attempts - 1);
-                            if tracing {
+                            if self.options.stream() {
                                 coord.push(TraceEvent {
                                     t_ns: (t0 + wire).as_nanos(),
                                     rank: global,
@@ -1704,10 +1631,6 @@ impl ClusterSim {
                 // rank's metadata, so the order must not depend on
                 // thread scheduling.
                 for (rank, images) in self.ranks[node].iter_mut().zip(&images_per_rank) {
-                    let tracer = match &rank.sink {
-                        Some(s) => Tracer::new(s.clone()).with_rank(rank.global),
-                        None => Tracer::disabled(),
-                    };
                     let (engine, _report) = CheckpointEngine::restart_from_images(
                         rank.global,
                         &self.drams[node],
@@ -1718,10 +1641,10 @@ impl ClusterSim {
                         RestartStrategy::Eager,
                         images,
                         local_ckpts,
-                        tracer,
+                        rank.tracer(),
                     )?;
                     rank.engine = engine;
-                    rank.engine.set_metrics(rank.metrics.clone());
+                    rank.attach(None, self.config.container_bytes)?;
                     max_install = max_install.max(rank.clock.now().since(t0));
                 }
                 // Verify the restored contents bit-for-bit against the
@@ -1747,7 +1670,7 @@ impl ClusterSim {
                 // survivable, it just loses all progress).
                 remote_epoch = None;
                 for rank in self.ranks[node].iter_mut() {
-                    let mut engine = CheckpointEngine::new(
+                    rank.engine = CheckpointEngine::new(
                         rank.global,
                         &self.drams[node],
                         &self.nvms[node],
@@ -1755,11 +1678,7 @@ impl ClusterSim {
                         rank.clock.clone(),
                         self.config.engine,
                     )?;
-                    if let Some(s) = &rank.sink {
-                        engine.set_tracer(Tracer::new(s.clone()).with_rank(rank.global));
-                    }
-                    engine.set_metrics(rank.metrics.clone());
-                    rank.engine = engine;
+                    rank.attach(None, self.config.container_bytes)?;
                     rank.workload.setup(&mut rank.engine)?;
                     max_install = max_install.max(rank.clock.now().since(t0));
                 }
@@ -1770,15 +1689,10 @@ impl ClusterSim {
         // durable container along with the node: reformat it so the
         // revived process keeps mirroring checkpoints.
         if source != RecoverySource::LocalStore {
-            if let Some(dir) = self.options.store_dir.clone() {
+            if let Some(dir) = &self.options.store_dir {
                 for rank in self.ranks[node].iter_mut() {
-                    let path = dir.join(format!("rank_{}.store", rank.global));
-                    let _ = std::fs::remove_file(&path);
-                    let mut store =
-                        FileStore::open_path(&path, rank.global, self.config.container_bytes)
-                            .map_err(EngineError::from)?;
-                    store.set_metrics(rank.metrics.clone());
-                    rank.engine.set_persistence(Box::new(store));
+                    let _ = std::fs::remove_file(rank_store_path(dir, rank.global));
+                    rank.attach(Some(dir), self.config.container_bytes)?;
                 }
             }
         }
@@ -1793,21 +1707,11 @@ impl ClusterSim {
         if hosted != node && remote_ckpts > 0 {
             for rank in &self.ranks[hosted] {
                 for id in rank.engine.heap().persistent_ids() {
-                    let data = match rank.engine.committed_bytes(id) {
-                        Ok(d) => d,
-                        Err(EngineError::NoCommittedData(_)) => continue,
-                        Err(e) => return Err(e.into()),
-                    };
-                    self.stores[hosted].put(rank.global, id, &data)?;
-                    let name = rank
-                        .engine
-                        .heap()
-                        .chunk(id)
-                        .map_err(EngineError::from)?
-                        .name
-                        .clone();
-                    self.stores[hosted].set_chunk_name(rank.global, id, &name)?;
-                    reprotected += data.len() as u64;
+                    match Self::ship_chunk(&mut self.stores[hosted], rank, id) {
+                        Ok(len) => reprotected += len,
+                        Err(SimError::Engine(EngineError::NoCommittedData(_))) => {}
+                        Err(e) => return Err(e),
+                    }
                 }
                 self.stores[hosted].commit_rank(rank.global, remote_ckpts - 1);
             }

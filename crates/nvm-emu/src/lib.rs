@@ -52,7 +52,6 @@ pub mod params;
 pub mod spill;
 pub mod tempdir;
 pub mod time;
-pub mod wear;
 pub mod wearmap;
 
 pub use bandwidth::BandwidthModel;
@@ -62,7 +61,6 @@ pub use params::{DeviceKind, DeviceParams};
 pub use spill::{MemSpill, SpillStore};
 pub use tempdir::TempDir;
 pub use time::{SimDuration, SimTime, VirtualClock};
-pub use wear::StartGap;
 
 /// Page size used throughout the emulation (matches Linux x86-64).
 pub const PAGE_SIZE: usize = 4096;

@@ -46,7 +46,7 @@ pub use store::{KvCheckpointToken, KvConfig, KvError, KvRecovery, KvStats, KvSto
 mod tests {
     use std::collections::BTreeMap;
 
-    use nvm_chkpt::{CheckpointEngine, EngineConfig};
+    use nvm_chkpt::{CheckpointEngine, EngineConfig, RestartStrategy, Tracer};
     use nvm_emu::{MemoryDevice, VirtualClock};
 
     use crate::{KvConfig, KvError, KvStore};
@@ -169,8 +169,16 @@ mod tests {
 
         let region = e.metadata_region();
         drop(e);
-        let (mut e2, _report) =
-            CheckpointEngine::restart(&dram, &nvm, region, clock, EngineConfig::default()).unwrap();
+        let (mut e2, _report) = CheckpointEngine::restart(
+            &dram,
+            &nvm,
+            region,
+            clock,
+            EngineConfig::default(),
+            RestartStrategy::Eager,
+            Tracer::disabled(),
+        )
+        .unwrap();
         let (mut kv2, recovery) = KvStore::recover(&mut e2, small_cfg()).unwrap();
         assert_eq!(recovery.token, 1);
         assert_eq!(recovery.replayed, 2);
@@ -201,8 +209,16 @@ mod tests {
 
         let region = e.metadata_region();
         drop(e);
-        let (mut e2, _report) =
-            CheckpointEngine::restart(&dram, &nvm, region, clock, EngineConfig::default()).unwrap();
+        let (mut e2, _report) = CheckpointEngine::restart(
+            &dram,
+            &nvm,
+            region,
+            clock,
+            EngineConfig::default(),
+            RestartStrategy::Eager,
+            Tracer::disabled(),
+        )
+        .unwrap();
         let (mut kv2, recovery) = KvStore::recover(&mut e2, small_cfg()).unwrap();
         assert_eq!(recovery.token, 0);
         assert_eq!(recovery.replayed, 0);

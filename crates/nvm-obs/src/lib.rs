@@ -7,10 +7,10 @@
 //!
 //! Three layers (see DESIGN.md §15):
 //!
-//! * [`span`] — reconstruct per-rank duration spans from the flat
+//! * `span` ([`build_spans`]) — reconstruct per-rank duration spans from the flat
 //!   event stream (begin/end pairing + carried durations);
 //! * [`blame`] — barrier-segment critical-path extraction and an
-//!   exact-sum blame decomposition ([`BlameReport`]); [`rollup`] —
+//!   exact-sum blame decomposition ([`BlameReport`]); `rollup` —
 //!   interval-bucketed time series ([`Rollup`]), mergeable
 //!   rank→shard→coordinator;
 //! * exporters — folded-stack flamegraphs ([`to_folded`]), the

@@ -6,7 +6,7 @@
 //! real on-media home — one container file per process — implementing
 //! the engine's [`Persistence`] trait:
 //!
-//! * [`format`] — the on-media layout: a write-once superblock, a data
+//! * [`mod@format`] — the on-media layout: a write-once superblock, a data
 //!   region of per-chunk shadow **slot pairs** (each slot a checksummed
 //!   header + payload, written in one media write), and an append-only
 //!   **commit log** whose last fully valid record *is* the checkpoint.

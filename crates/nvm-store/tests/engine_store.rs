@@ -4,7 +4,10 @@
 //! store never perturbs simulation results.
 
 use nvm_chkpt::checksum::crc64;
-use nvm_chkpt::{CheckpointEngine, EngineConfig, EngineError, PrecopyPolicy, RestartStrategy};
+use nvm_chkpt::{
+    CheckpointEngine, ConfigError, EngineConfig, EngineError, PrecopyPolicy, RemoteImage,
+    RestartReport, RestartStrategy, Tracer,
+};
 use nvm_emu::{MemoryDevice, SimDuration, TempDir, VirtualClock};
 use nvm_paging::ChunkId;
 use nvm_store::format::{decode_record, RecordParse, SlotHeader, Superblock, TableEntry};
@@ -77,7 +80,7 @@ fn checkpoints_survive_the_process_through_a_file_store() {
         EngineConfig::default(),
         RestartStrategy::Eager,
         Box::new(store),
-        nvm_chkpt::Tracer::disabled(),
+        Tracer::disabled(),
     )
     .unwrap();
     assert_eq!(report.restored.len(), 2);
@@ -118,7 +121,7 @@ fn lazy_store_restart_never_reads_untouched_chunks_from_media() {
         EngineConfig::default(),
         RestartStrategy::Lazy,
         Box::new(store),
-        nvm_chkpt::Tracer::disabled(),
+        Tracer::disabled(),
     )
     .unwrap();
     assert_eq!(report.deferred.len(), 2);
@@ -128,7 +131,7 @@ fn lazy_store_restart_never_reads_untouched_chunks_from_media() {
         stats.payload_reads, reads_at_open,
         "lazy restart must not fetch any payload from media"
     );
-    assert_eq!(e2.store_lazy_pending_count(), 2);
+    assert_eq!(e2.lazy_pending_count(), 2);
 
     // First access to `a` fetches exactly one payload.
     let mut buf = vec![0u8; 4096];
@@ -136,7 +139,7 @@ fn lazy_store_restart_never_reads_untouched_chunks_from_media() {
     assert_eq!(buf, vec![3u8; 4096]);
     let stats = e2.persistence_stats().unwrap();
     assert_eq!(stats.payload_reads, reads_at_open + 1);
-    assert_eq!(e2.store_lazy_pending_count(), 1);
+    assert_eq!(e2.lazy_pending_count(), 1);
 
     // `b` stays pinned on media: still never read.
     let _ = b;
@@ -144,69 +147,6 @@ fn lazy_store_restart_never_reads_untouched_chunks_from_media() {
         e2.persistence_stats().unwrap().payload_reads,
         reads_at_open + 1
     );
-}
-
-#[test]
-fn corrupted_slot_surfaces_on_first_access_not_at_restart() {
-    let tmp = TempDir::new("store-corrupt").unwrap();
-    let path = tmp.join("rank.store");
-    let (a, b) = {
-        let (dram, nvm, clock) = devices();
-        let store = FileStore::open_path(&path, 7, STORE_CAP).unwrap();
-        let mut e = engine_with(&dram, &nvm, clock, Some(Box::new(store)));
-        run_three_epochs(&mut e)
-    };
-
-    // Flip one payload byte of `a` on media.
-    {
-        let mut store = FileStore::open_existing(&path).unwrap();
-        store.corrupt_payload(a).unwrap();
-    }
-
-    let (dram, nvm, clock) = devices();
-    let store = FileStore::open_existing(&path).unwrap();
-    let (mut e2, report) = CheckpointEngine::restart_from_store(
-        &dram,
-        &nvm,
-        16 * MB,
-        clock,
-        EngineConfig::default(),
-        RestartStrategy::Lazy,
-        Box::new(store),
-        nvm_chkpt::Tracer::disabled(),
-    )
-    .unwrap();
-    // Lazy restart succeeds without noticing: nothing was read yet.
-    assert!(report.corrupt.is_empty());
-    assert_eq!(report.deferred.len(), 2);
-
-    // The clean chunk restores fine ...
-    let mut buf = vec![0u8; 100];
-    e2.read(b, 0, &mut buf).unwrap();
-    // ... the corrupted one fails with a checksum error on first touch.
-    let err = e2.read(a, 0, &mut [0u8; 16]).unwrap_err();
-    match err {
-        EngineError::ChecksumMismatch { chunk, .. } => assert_eq!(chunk, a),
-        other => panic!("expected checksum mismatch, got {other:?}"),
-    }
-
-    // An eager restart of the same file reports the corruption up
-    // front instead.
-    let (dram, nvm, clock) = devices();
-    let store = FileStore::open_existing(&path).unwrap();
-    let (_e3, report) = CheckpointEngine::restart_from_store(
-        &dram,
-        &nvm,
-        16 * MB,
-        clock,
-        EngineConfig::default(),
-        RestartStrategy::Eager,
-        Box::new(store),
-        nvm_chkpt::Tracer::disabled(),
-    )
-    .unwrap();
-    assert_eq!(report.corrupt, vec![a]);
-    assert_eq!(report.restored, vec![b]);
 }
 
 #[test]
@@ -233,12 +173,12 @@ fn coordinated_checkpoint_drains_store_lazy_chunks_first() {
         EngineConfig::default(),
         RestartStrategy::Lazy,
         Box::new(store),
-        nvm_chkpt::Tracer::disabled(),
+        Tracer::disabled(),
     )
     .unwrap();
-    assert_eq!(e2.store_lazy_pending_count(), 2);
+    assert_eq!(e2.lazy_pending_count(), 2);
     e2.nvchkptall().unwrap();
-    assert_eq!(e2.store_lazy_pending_count(), 0);
+    assert_eq!(e2.lazy_pending_count(), 0);
     drop(e2);
 
     // A third process still sees the epoch-2 payloads.
@@ -252,7 +192,7 @@ fn coordinated_checkpoint_drains_store_lazy_chunks_first() {
         EngineConfig::default(),
         RestartStrategy::Eager,
         Box::new(store),
-        nvm_chkpt::Tracer::disabled(),
+        Tracer::disabled(),
     )
     .unwrap();
     assert_eq!(e3.committed_bytes(a).unwrap(), vec![3u8; 4096]);
@@ -415,4 +355,202 @@ fn container_written_before_the_checksum_rewrite_still_opens_and_matches() {
         std::fs::read(&new).unwrap() == golden,
         "container bytes diverged from the pre-rewrite file"
     );
+}
+
+/// Where a restart-matrix cell rebuilds the process from.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Source {
+    /// The surviving NVM device and metadata region.
+    Device,
+    /// The container file alone, on fresh devices.
+    Store,
+    /// Chunk images as fetched from a buddy, on fresh devices.
+    Images,
+}
+
+type Restarted = Result<(CheckpointEngine, RestartReport), EngineError>;
+
+/// One cell of the restart matrix: replay [`scripted_history`] (CPC)
+/// into a container file, optionally corrupt one chunk's committed
+/// copy where `source` will look for it, kill the process, and restart
+/// it from `source` under `strategy` with `config`. Also returns every
+/// chunk's committed bytes as of the kill, in id order.
+fn restart_cell(
+    source: Source,
+    strategy: RestartStrategy,
+    config: EngineConfig,
+    corrupt: Option<ChunkId>,
+) -> (Restarted, Vec<(ChunkId, Vec<u8>)>) {
+    let tmp = TempDir::new("restart-matrix").unwrap();
+    let path = tmp.join("rank.store");
+    let store = FileStore::open_path(&path, 7, SCRIPT_CAP).unwrap();
+    let mut e = scripted_history(Box::new(store), PrecopyPolicy::Cpc);
+    let committed: Vec<(ChunkId, Vec<u8>)> = (e.heap().persistent_ids().into_iter())
+        .map(|id| (id, e.committed_bytes(id).unwrap()))
+        .collect();
+    let restarted = match source {
+        Source::Device => {
+            if let Some(id) = corrupt {
+                e.corrupt_committed(id).unwrap();
+            }
+            let (dram, nvm) = (e.heap().dram().clone(), e.heap().nvm().clone());
+            let (region, clock) = (e.metadata_region(), e.clock().clone());
+            drop(e);
+            let tracer = Tracer::disabled();
+            CheckpointEngine::restart(&dram, &nvm, region, clock, config, strategy, tracer)
+        }
+        Source::Store => {
+            drop(e);
+            let mut store = FileStore::open_existing(&path).unwrap();
+            if let Some(id) = corrupt {
+                store.corrupt_payload(id).unwrap();
+            }
+            let (dram, nvm, clock) = devices();
+            CheckpointEngine::restart_from_store(
+                &dram,
+                &nvm,
+                16 * MB,
+                clock,
+                config,
+                strategy,
+                Box::new(store),
+                Tracer::disabled(),
+            )
+        }
+        Source::Images => {
+            assert!(corrupt.is_none(), "fetched images arrive verified");
+            let images: Vec<RemoteImage> = (committed.iter())
+                .map(|(id, payload)| RemoteImage {
+                    id: *id,
+                    name: e.heap().chunk(*id).unwrap().name.clone(),
+                    len: payload.len(),
+                    checksum: None,
+                    epoch: e.heap().chunk(*id).unwrap().committed_epoch,
+                    payload: payload.clone(),
+                })
+                .collect();
+            drop(e);
+            let (dram, nvm, clock) = devices();
+            CheckpointEngine::restart_from_images(
+                7,
+                &dram,
+                &nvm,
+                16 * MB,
+                clock,
+                config,
+                strategy,
+                &images,
+                3,
+                Tracer::disabled(),
+            )
+        }
+    };
+    (restarted, committed)
+}
+
+const SOURCES: [Source; 3] = [Source::Device, Source::Store, Source::Images];
+
+#[test]
+fn restart_matrix_every_source_and_strategy_rebuilds_the_same_process() {
+    let config = EngineConfig::default().with_precopy(PrecopyPolicy::Cpc);
+    let mut eager_duration = Vec::new();
+    for source in SOURCES {
+        for strategy in [
+            RestartStrategy::Eager,
+            RestartStrategy::Parallel { streams: 4 },
+            RestartStrategy::Lazy,
+        ] {
+            let cell = format!("{source:?} x {strategy:?}");
+            let (restarted, committed) = restart_cell(source, strategy, config, None);
+            let (mut e, report) = restarted.unwrap_or_else(|err| panic!("{cell}: {err}"));
+            let ids: Vec<ChunkId> = committed.iter().map(|(id, _)| *id).collect();
+
+            // What the strategy says: lazy defers whatever is not
+            // already in hand, everything else restores up front.
+            let defers = strategy == RestartStrategy::Lazy && source != Source::Images;
+            let (restored, deferred) = if defers {
+                (Vec::new(), ids.clone())
+            } else {
+                (ids.clone(), Vec::new())
+            };
+            assert_eq!(report.restored, restored, "{cell}");
+            assert_eq!(report.deferred, deferred, "{cell}");
+            assert!(report.corrupt.is_empty(), "{cell}");
+            assert!(report.never_committed.is_empty(), "{cell}");
+            assert_eq!(e.lazy_pending_count(), deferred.len(), "{cell}");
+            assert_eq!(e.stats().restarts, 1, "{cell}");
+
+            // One read of each chunk later, every cell is the same
+            // process: same working copies, same committed versions.
+            for (id, bytes) in &committed {
+                let mut working = vec![0u8; bytes.len()];
+                e.read(*id, 0, &mut working).unwrap();
+                assert_eq!(&working, bytes, "{cell}: working copy of {id:?}");
+                assert_eq!(&e.committed_bytes(*id).unwrap(), bytes, "{cell}: {id:?}");
+            }
+            assert_eq!(e.lazy_pending_count(), 0, "{cell}");
+
+            match strategy {
+                RestartStrategy::Eager => eager_duration.push(report.duration),
+                RestartStrategy::Parallel { .. } => assert!(
+                    report.duration <= *eager_duration.last().unwrap(),
+                    "{cell}: parallel {} vs eager {}",
+                    report.duration,
+                    eager_duration.last().unwrap()
+                ),
+                RestartStrategy::Lazy => {}
+            }
+        }
+    }
+    // Store and images install the same payloads under the same
+    // charge; only the device-local restart also pays a metadata load
+    // and a verifying read of each slot.
+    assert_eq!(eager_duration[1], eager_duration[2], "store vs images");
+    assert!(eager_duration[0] > eager_duration[1], "device vs store");
+}
+
+#[test]
+fn corrupted_slot_surfaces_on_first_access_not_at_restart() {
+    let config = EngineConfig::default().with_precopy(PrecopyPolicy::Cpc);
+    for source in [Source::Device, Source::Store] {
+        // Eager: the restart reads everything, so it reports the bad
+        // chunk up front and restores the rest.
+        let (restarted, committed) = restart_cell(source, RestartStrategy::Eager, config, None);
+        drop(restarted);
+        let ids: Vec<ChunkId> = committed.iter().map(|(id, _)| *id).collect();
+        let (bad, good) = (ids[1], [ids[0], ids[2]]);
+        let (restarted, _) = restart_cell(source, RestartStrategy::Eager, config, Some(bad));
+        let (_e, report) = restarted.unwrap();
+        assert_eq!(report.corrupt, vec![bad], "{source:?}");
+        assert_eq!(report.restored, good, "{source:?}");
+
+        // Lazy: nothing was read yet, so the restart succeeds without
+        // noticing; clean chunks restore, the bad one fails its first
+        // touch with a checksum error.
+        let (restarted, _) = restart_cell(source, RestartStrategy::Lazy, config, Some(bad));
+        let (mut e, report) = restarted.unwrap();
+        assert!(report.corrupt.is_empty(), "{source:?}: not detected yet");
+        assert_eq!(report.deferred, ids, "{source:?}");
+        e.read(good[0], 0, &mut [0u8; 16]).unwrap();
+        match e.read(bad, 0, &mut [0u8; 16]).unwrap_err() {
+            EngineError::ChecksumMismatch { chunk, .. } => assert_eq!(chunk, bad, "{source:?}"),
+            other => panic!("{source:?}: expected checksum mismatch, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn restart_matrix_invalid_config_is_a_config_error_from_every_source() {
+    let bad = EngineConfig {
+        node_concurrency: 0,
+        ..EngineConfig::default()
+    };
+    for source in SOURCES {
+        let (restarted, _) = restart_cell(source, RestartStrategy::Eager, bad, None);
+        match restarted {
+            Err(EngineError::Config(ConfigError::ZeroNodeConcurrency)) => {}
+            Err(other) => panic!("{source:?}: wrong error: {other}"),
+            Ok(_) => panic!("{source:?}: node_concurrency 0 must be rejected"),
+        }
+    }
 }

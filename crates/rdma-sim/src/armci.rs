@@ -58,14 +58,11 @@ pub enum RemoteError {
         /// Attempts made before giving up.
         attempts: u32,
     },
-    /// XOR-parity reconstruction fallback failed.
-    Parity(crate::erasure::ErasureError),
 }
 
 nvm_emu::error_enum! {
     RemoteError, f {
         wrap Device(DeviceError) => "remote device",
-        wrap Parity(crate::erasure::ErasureError) => "parity fallback",
         leaf RemoteError::NoSuchEntry(k) => write!(f, "no remote entry for {k:?}"),
         leaf RemoteError::NothingCommitted(k) => write!(f, "nothing committed for {k:?}"),
         leaf RemoteError::ChecksumMismatch(k) => write!(f, "remote checksum mismatch for {k:?}"),
@@ -308,7 +305,7 @@ impl RemoteStore {
 
     /// Overwrite a committed slot's bytes *without* updating its
     /// checksum — silent remote corruption, for fault-injection tests
-    /// of the checksum-verified fetch and the parity fallback.
+    /// of the checksum-verified fetch.
     pub fn corrupt_committed(&mut self, rank: u64, chunk: ChunkId) -> Result<(), RemoteError> {
         let key = (rank, chunk);
         let entry = self
@@ -440,6 +437,19 @@ mod tests {
         s.commit_rank(0, 2);
         let (data, _) = s.fetch(0, c).unwrap();
         assert_eq!(data.len(), 4096);
+    }
+
+    #[test]
+    fn corrupt_replica_fails_the_verified_fetch() {
+        let mut s = store();
+        let c = ChunkId(6);
+        s.put(0, c, &[7u8; 4096]).unwrap();
+        s.commit_rank(0, 0);
+        s.corrupt_committed(0, c).unwrap();
+        assert!(matches!(
+            s.fetch(0, c),
+            Err(RemoteError::ChecksumMismatch(_))
+        ));
     }
 
     #[test]

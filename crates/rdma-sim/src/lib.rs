@@ -13,24 +13,19 @@
 //!   with two-version commit and checksum-verified fetch.
 //! * [`helper::HelperProcess`] — the per-node helper's CPU cost model
 //!   (scan + per-op + copy), reproducing Table V's utilization.
-//! * [`erasure::ParityStore`] — an XOR-parity alternative remote tier
-//!   (diskless-checkpointing style) for the space/recovery trade-off.
 
 #![warn(missing_docs)]
 
 pub mod armci;
-pub mod erasure;
 pub mod helper;
 pub mod link;
 pub mod recovery;
 pub mod trace;
 
 pub use armci::{RemoteError, RemoteStore};
-pub use erasure::{ErasureError, ParityStore};
 pub use helper::{HelperParams, HelperProcess, HelperStats};
 pub use link::{Link, LinkStats, IB_40GBPS};
 pub use recovery::{
-    fetch_synthetic_with_retry, fetch_with_parity_fallback, fetch_with_retry, FaultModel,
-    FetchOutcome, RetryPolicy,
+    fetch_synthetic_with_retry, fetch_with_retry, FaultModel, FetchOutcome, RetryPolicy,
 };
 pub use trace::UsageTrace;

@@ -9,14 +9,8 @@
 //! which attempts are lost — no RNG state, so outcomes are identical
 //! at any thread count) and a [`RetryPolicy`] charging timeout +
 //! exponential backoff for every lost attempt.
-//!
-//! [`fetch_with_parity_fallback`] adds the erasure-coded escape hatch:
-//! when the replica itself is corrupt (checksum mismatch), the chunk
-//! is reconstructed from the XOR-parity group's survivors instead of
-//! failing the recovery outright.
 
 use crate::armci::{RemoteError, RemoteStore};
-use crate::erasure::ParityStore;
 use crate::link::Link;
 use nvm_emu::{SimDuration, SimTime};
 use nvm_paging::ChunkId;
@@ -116,9 +110,6 @@ pub struct FetchOutcome {
     pub duration: SimDuration,
     /// Attempts made (1 = first try succeeded).
     pub attempts: u32,
-    /// True if the bytes came from parity reconstruction rather than
-    /// the replica.
-    pub reconstructed: bool,
 }
 
 /// Fetch one committed chunk from `store` across `link`, retrying
@@ -146,7 +137,6 @@ pub fn fetch_with_retry(
             duration: elapsed + read_cost + wire,
             attempts: attempt,
             data,
-            reconstructed: false,
         });
     }
     Err(RemoteError::RetriesExhausted {
@@ -183,38 +173,6 @@ pub fn fetch_synthetic_with_retry(
     })
 }
 
-/// [`fetch_with_retry`], falling back to XOR-parity reconstruction
-/// when the replica is corrupt: a checksum mismatch on the committed
-/// replica triggers [`ParityStore::recover`] from `survivors` (the
-/// other group members' blocks), and the reconstructed bytes cross
-/// the wire instead. Retries-exhausted and other errors pass through.
-#[allow(clippy::too_many_arguments)]
-pub fn fetch_with_parity_fallback(
-    store: &RemoteStore,
-    parity: &ParityStore,
-    survivors: &[&[u8]],
-    link: &mut Link,
-    now: SimTime,
-    rank: u64,
-    chunk: ChunkId,
-    policy: &RetryPolicy,
-    faults: &FaultModel,
-) -> Result<FetchOutcome, RemoteError> {
-    match fetch_with_retry(store, link, now, rank, chunk, policy, faults) {
-        Err(RemoteError::ChecksumMismatch(_)) => {
-            let (data, parity_cost) = parity.recover(chunk, survivors)?;
-            let wire = link.transfer(now, data.len() as u64, 1);
-            Ok(FetchOutcome {
-                duration: parity_cost + wire,
-                attempts: 1,
-                data,
-                reconstructed: true,
-            })
-        }
-        other => other,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,7 +204,6 @@ mod tests {
         assert_eq!(out.attempts, 1);
         assert_eq!(out.data, vec![9u8; 4096]);
         assert!(!out.duration.is_zero());
-        assert!(!out.reconstructed);
         assert_eq!(link.stats().transfers, 1);
     }
 
@@ -357,57 +314,5 @@ mod tests {
         assert_eq!(len, 8 * MB);
         assert_eq!(attempts, 1);
         assert!(dur.as_secs_f64() > 8.0 * MB as f64 / 1e9 * 0.9);
-    }
-
-    #[test]
-    fn corrupt_replica_reconstructs_from_parity() {
-        let a: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-        let b: Vec<u8> = (0..4096).map(|i| (i % 241 + 7) as u8).collect();
-        let chunk = ChunkId(6);
-        let mut s = store_with(0, chunk, &a);
-        let mut parity = ParityStore::new(&MemoryDevice::pcm(64 * MB), 2);
-        parity.encode(chunk, &[&a, &b]).unwrap();
-        s.corrupt_committed(0, chunk).unwrap();
-        // Direct fetch now fails verification...
-        assert!(matches!(
-            s.fetch(0, chunk),
-            Err(RemoteError::ChecksumMismatch(_))
-        ));
-        // ...but the parity fallback reconstructs the lost member.
-        let mut link = Link::new(1e9);
-        let out = fetch_with_parity_fallback(
-            &s,
-            &parity,
-            &[&b],
-            &mut link,
-            SimTime::ZERO,
-            0,
-            chunk,
-            &RetryPolicy::default(),
-            &FaultModel::reliable(),
-        )
-        .unwrap();
-        assert!(out.reconstructed);
-        assert_eq!(out.data, a, "reconstruction must be bit-for-bit");
-    }
-
-    #[test]
-    fn parity_fallback_passes_other_errors_through() {
-        let s = store_with(0, ChunkId(1), &[1u8; 64]);
-        let parity = ParityStore::new(&MemoryDevice::pcm(64 * MB), 2);
-        let mut link = Link::new(1e9);
-        let err = fetch_with_parity_fallback(
-            &s,
-            &parity,
-            &[],
-            &mut link,
-            SimTime::ZERO,
-            9, // no such rank
-            ChunkId(1),
-            &RetryPolicy::default(),
-            &FaultModel::reliable(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, RemoteError::NoSuchEntry(_)), "{err}");
     }
 }

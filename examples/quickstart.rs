@@ -5,7 +5,7 @@
 //! cargo run -p nvm-chkpt-examples --bin quickstart
 //! ```
 
-use nvm_chkpt::{CheckpointEngine, EngineConfig};
+use nvm_chkpt::{CheckpointEngine, EngineConfig, RestartStrategy, Tracer};
 use nvm_emu::{MemoryDevice, SimDuration, VirtualClock};
 
 fn main() {
@@ -62,9 +62,16 @@ fn main() {
     drop(engine); // the process dies; DRAM is gone, NVM survives
 
     // Restart from the persistent metadata region.
-    let (mut engine, report) =
-        CheckpointEngine::restart(&dram, &nvm, metadata_region, clock, EngineConfig::default())
-            .expect("restart");
+    let (mut engine, report) = CheckpointEngine::restart(
+        &dram,
+        &nvm,
+        metadata_region,
+        clock,
+        EngineConfig::default(),
+        RestartStrategy::Eager,
+        Tracer::disabled(),
+    )
+    .expect("restart");
     println!(
         "restart: {} chunks restored, {} corrupt, took {}",
         report.restored.len(),

@@ -6,7 +6,7 @@
 //! cargo run -p nvm-chkpt-examples --bin restart_recovery
 //! ```
 
-use nvm_chkpt::{CheckpointEngine, EngineConfig};
+use nvm_chkpt::{CheckpointEngine, EngineConfig, RestartStrategy, Tracer};
 use nvm_emu::{MemoryDevice, SimDuration, VirtualClock};
 use rdma_sim::{Link, RemoteStore};
 
@@ -59,9 +59,16 @@ fn main() {
     drop(engine); // crash
 
     // Restart: the checksum catches the corruption.
-    let (mut engine, report) =
-        CheckpointEngine::restart(&dram, &nvm, region, clock.clone(), EngineConfig::default())
-            .unwrap();
+    let (mut engine, report) = CheckpointEngine::restart(
+        &dram,
+        &nvm,
+        region,
+        clock.clone(),
+        EngineConfig::default(),
+        RestartStrategy::Eager,
+        Tracer::disabled(),
+    )
+    .unwrap();
     println!(
         "restart: restored {:?}, corrupt {:?}",
         report.restored, report.corrupt

@@ -2,7 +2,7 @@
 //! engine + paging + heap + remote store, byte-perfect verification
 //! through soft failures, silent corruption, and hard node loss.
 
-use nvm_chkpt::{CheckpointEngine, EngineConfig, EngineError};
+use nvm_chkpt::{CheckpointEngine, EngineConfig, EngineError, RestartStrategy, Tracer};
 use nvm_emu::{MemoryDevice, SimDuration, VirtualClock};
 use rdma_sim::{Link, RemoteStore};
 
@@ -71,6 +71,8 @@ fn soft_failure_restarts_from_local_nvm() {
         region,
         clock,
         EngineConfig::default(),
+        RestartStrategy::Eager,
+        Tracer::disabled(),
     )
     .unwrap();
     assert_eq!(report.restored.len(), 2);
@@ -106,6 +108,8 @@ fn repeated_crash_restart_cycles_converge() {
             region,
             clock.clone(),
             EngineConfig::default(),
+            RestartStrategy::Eager,
+            Tracer::disabled(),
         )
         .unwrap();
         engine = e2;
@@ -159,6 +163,8 @@ fn corruption_falls_back_to_remote_copy() {
         region,
         clock,
         EngineConfig::default(),
+        RestartStrategy::Eager,
+        Tracer::disabled(),
     )
     .unwrap();
     assert_eq!(report.corrupt.len(), 2, "both chunks must fail checksums");
@@ -252,6 +258,8 @@ fn restart_of_never_checkpointed_process_reports_it() {
         region,
         clock,
         EngineConfig::default(),
+        RestartStrategy::Eager,
+        Tracer::disabled(),
     )
     .unwrap();
     assert_eq!(report.never_committed, vec![a]);

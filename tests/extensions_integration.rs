@@ -1,13 +1,8 @@
 //! Cross-crate integration of the extension features: lazy restart
-//! feeding computation, parity-based node recovery of real engine
-//! state, compression on the remote path, and wear accounting under
-//! engine traffic.
+//! feeding computation, and wear accounting under engine traffic.
 
-use nvm_chkpt::compress::{compress, decompress};
-use nvm_chkpt::{CheckpointEngine, EngineConfig, RestartStrategy};
+use nvm_chkpt::{CheckpointEngine, EngineConfig, RestartStrategy, Tracer};
 use nvm_emu::{MemoryDevice, SimDuration, VirtualClock};
-use nvm_paging::genid;
-use rdma_sim::{Link, ParityStore};
 
 const MB: usize = 1 << 20;
 
@@ -43,13 +38,14 @@ fn lazy_restart_supports_immediate_forward_progress() {
     drop(e);
 
     let t0 = clock.now();
-    let (mut e, report) = CheckpointEngine::restart_with(
+    let (mut e, report) = CheckpointEngine::restart(
         &dram,
         &nvm,
         region,
         clock.clone(),
         EngineConfig::default(),
         RestartStrategy::Lazy,
+        Tracer::disabled(),
     )
     .unwrap();
     assert_eq!(report.deferred.len(), 2);
@@ -70,102 +66,6 @@ fn lazy_restart_supports_immediate_forward_progress() {
     e.read(cold, 0, &mut buf).unwrap();
     assert_eq!(buf, vec![2u8; 16 * MB]);
     assert_eq!(e.lazy_pending_count(), 0);
-}
-
-#[test]
-fn parity_group_recovers_lost_engine_state() {
-    // Four ranks commit real checkpoints; a parity node encodes their
-    // committed chunks; rank 2's node dies; survivors + parity rebuild
-    // its state byte-for-byte into a fresh engine.
-    let clock = VirtualClock::new();
-    let nodes: Vec<(MemoryDevice, MemoryDevice)> = (0..4)
-        .map(|_| (MemoryDevice::dram(64 * MB), MemoryDevice::pcm(160 * MB)))
-        .collect();
-    let mut engines: Vec<CheckpointEngine> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, (d, n))| engine_on(d, n, &clock, i as u64))
-        .collect();
-    let id = {
-        let mut ids = Vec::new();
-        for (i, e) in engines.iter_mut().enumerate() {
-            let id = e.nvmalloc("field", 2 * MB, true).unwrap();
-            e.write(id, 0, &vec![0x30 + i as u8; 2 * MB]).unwrap();
-            e.nvchkptall().unwrap();
-            ids.push(id);
-        }
-        assert!(ids.windows(2).all(|w| w[0] == w[1]), "same name, same id");
-        ids[0]
-    };
-
-    let parity_nvm = MemoryDevice::pcm(32 * MB);
-    let mut parity = ParityStore::new(&parity_nvm, 4);
-    let blocks: Vec<Vec<u8>> = engines
-        .iter()
-        .map(|e| e.committed_bytes(id).unwrap())
-        .collect();
-    let refs: Vec<&[u8]> = blocks.iter().map(|b| b.as_slice()).collect();
-    parity.encode(id, &refs).unwrap();
-
-    // Node 2 dies hard.
-    nodes[2].1.destroy();
-
-    // Recovery: survivors re-read their committed chunks, XOR with the
-    // parity, ship the block to a replacement node over the link.
-    let survivors: Vec<Vec<u8>> = engines
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != 2)
-        .map(|(_, e)| e.committed_bytes(id).unwrap())
-        .collect();
-    let refs: Vec<&[u8]> = survivors.iter().map(|b| b.as_slice()).collect();
-    let (rebuilt, _) = parity.recover(id, &refs).unwrap();
-    assert_eq!(rebuilt, vec![0x32u8; 2 * MB]);
-
-    let mut link = Link::infiniband_40g();
-    let wire = link.transfer(clock.now(), rebuilt.len() as u64, 1);
-    clock.advance(wire);
-
-    let fresh = (MemoryDevice::dram(64 * MB), MemoryDevice::pcm(160 * MB));
-    let mut replacement = engine_on(&fresh.0, &fresh.1, &clock, 2);
-    let new_id = replacement.nvmalloc("field", 2 * MB, true).unwrap();
-    assert_eq!(new_id, genid("field"));
-    replacement.write(new_id, 0, &rebuilt).unwrap();
-    replacement.nvchkptid(new_id).unwrap();
-    assert_eq!(
-        replacement.committed_bytes(new_id).unwrap(),
-        vec![0x32u8; 2 * MB]
-    );
-}
-
-#[test]
-fn compressed_remote_shipping_roundtrips_engine_state() {
-    let dram = MemoryDevice::dram(64 * MB);
-    let nvm = MemoryDevice::pcm(160 * MB);
-    let clock = VirtualClock::new();
-    let mut e = engine_on(&dram, &nvm, &clock, 0);
-    // Zero-heavy field array: the common HPC case compression targets.
-    let id = e.nvmalloc("sparse_field", 8 * MB, true).unwrap();
-    let mut data = vec![0u8; 8 * MB];
-    for i in (0..data.len()).step_by(4096) {
-        data[i] = (i / 4096) as u8;
-    }
-    e.write(id, 0, &data).unwrap();
-    e.nvchkptall().unwrap();
-
-    // Helper compresses the committed bytes before the wire.
-    let committed = e.committed_bytes(id).unwrap();
-    let packed = compress(&committed);
-    assert!(packed.len() * 50 < committed.len(), "sparse data shrinks");
-
-    let mut link = Link::infiniband_40g();
-    let t_packed = link.transfer(clock.now(), packed.len() as u64, 1);
-    let t_raw = link.transfer(clock.now(), committed.len() as u64, 1);
-    assert!(t_packed < t_raw / 10, "wire time collapses");
-
-    // Receiver decompresses to the exact original.
-    assert_eq!(decompress(&packed).unwrap(), committed);
-    assert_eq!(committed, data);
 }
 
 #[test]

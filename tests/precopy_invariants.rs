@@ -6,7 +6,9 @@
 //! demand identical committed content — plus crash-safety and
 //! dirty-tracking invariants.
 
-use nvm_chkpt::{CheckpointEngine, ChunkId, EngineConfig, PrecopyPolicy, Versioning};
+use nvm_chkpt::{
+    CheckpointEngine, ChunkId, EngineConfig, PrecopyPolicy, RestartStrategy, Tracer, Versioning,
+};
 use nvm_emu::{MemoryDevice, SimDuration, VirtualClock};
 use proptest::prelude::*;
 
@@ -150,7 +152,7 @@ proptest! {
         let region = e.metadata_region();
         drop(e);
         let (e2, report) =
-            CheckpointEngine::restart(&dram, &nvm, region, clock, EngineConfig::default())
+            CheckpointEngine::restart(&dram, &nvm, region, clock, EngineConfig::default(), RestartStrategy::Eager, Tracer::disabled())
                 .unwrap();
         prop_assert!(report.corrupt.is_empty());
         for (i, &id) in ids.iter().enumerate() {
