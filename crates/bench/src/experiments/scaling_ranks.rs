@@ -255,7 +255,8 @@ mod tests {
     #[test]
     fn quick_sweep_spills_and_recovers_at_scale() {
         let out = run(&Scale::quick());
-        assert_eq!(out.rows.len(), RANK_SWEEP_QUICK.len());
+        let ranks: Vec<usize> = out.rows.iter().map(|r| r.ranks).collect();
+        assert_eq!(ranks, RANK_SWEEP_QUICK);
         for r in &out.rows {
             assert_eq!(r.nodes * RANKS_PER_NODE, r.ranks);
             assert!(r.shards <= r.nodes);
@@ -269,6 +270,9 @@ mod tests {
         // The serial merge floor stays sublinear in ranks.
         let last = out.rows.last().unwrap();
         assert!(last.shards * last.shards <= last.ranks * 4);
+        // The RSS gate, at the size where images dwarf the rest of this
+        // process (`tests/rank_scaling.rs` counts allocations exactly).
+        assert!(last.rss_vs_naive < 0.25, "{last:?}");
         // The hard failure recovered from the buddy rung with every
         // chunk bit-verified out of the spilled images.
         assert_eq!(out.recovery.source, "remote-buddy");

@@ -151,8 +151,15 @@ mod tests {
     fn quick_store_experiment_produces_consistent_rows() {
         let tmp = TempDir::new("bench-store").unwrap();
         let rows = run(&Scale::quick(), tmp.path());
-        assert_eq!(rows.len(), 3);
+        let strategies: Vec<&str> = rows.iter().map(|r| r.strategy.as_str()).collect();
+        assert_eq!(strategies, ["eager", "parallel x4", "lazy"]);
         let ranks = Scale::quick().total_ranks();
+        // One container per rank, each opening with the superblock magic.
+        assert_eq!(std::fs::read_dir(tmp.path()).unwrap().count(), ranks);
+        for g in 0..ranks {
+            let file = std::fs::read(tmp.join(format!("rank_{g}.store"))).unwrap();
+            assert_eq!(&file[..8], b"NVMSTOR1", "rank {g}");
+        }
         for r in &rows {
             assert_eq!(r.ranks, ranks);
             assert!(r.chunks_per_rank > 0);

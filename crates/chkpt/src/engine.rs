@@ -36,7 +36,7 @@ use nvm_emu::{
     pages_for, DeviceError, MemoryDevice, RegionId, SimDuration, SimTime, VirtualClock, PAGE_SIZE,
 };
 use nvm_heap::{HeapError, Materialization, NvmHeap};
-use nvm_metrics::{names, CounterHandle, HistogramHandle, Metrics};
+use nvm_metrics::{names, Metrics};
 use nvm_paging::metadata::MetadataError;
 use nvm_paging::{ChunkId, MetadataRegion, Mmu};
 use nvm_trace::{TraceEventKind, Tracer};
@@ -155,9 +155,9 @@ pub struct CheckpointEngine {
     /// Background-copy budget in seconds; may go negative when a large
     /// chunk overdraws one compute segment and repays in the next.
     precopy_credit_secs: f64,
-    epoch_precopied: u64,
-    epoch_wasted: u64,
-    faults_at_interval_start: u64,
+    /// [`Self::stats`] as of `interval_start`; an [`EpochReport`]'s
+    /// per-interval counts are the totals' movement since.
+    interval_stats: EngineStats,
     /// Chunks awaiting lazy (first-access) restore, with where their
     /// committed bytes wait: the NVM device, or the durable store
     /// (payload never materialized in this process's NVM).
@@ -170,41 +170,10 @@ pub struct CheckpointEngine {
     /// Event-stream handle; disabled (one branch per emission site) by
     /// default.
     tracer: Tracer,
-    /// Aggregate-metrics handle; disabled (one branch per update) by
-    /// default.
+    /// Handle for the latency distributions, which have no stats
+    /// twin; disabled (one branch per sample) by default. Counters are
+    /// not recorded here: they are [`EngineStats::publish`]ed.
     metrics: Metrics,
-    /// Lock-free cells for the per-write/per-copy metrics, resolved
-    /// once at attach so the simulate loop never locks a registry or
-    /// walks the name map.
-    hot: HotMetrics,
-}
-
-/// Pre-resolved handles for the metrics updated inside the simulate
-/// loop (per protection fault / per pre-copy drain). Per-epoch metrics
-/// stay on the name-keyed locked path, which is cold.
-#[derive(Clone, Default)]
-struct HotMetrics {
-    faults_total: CounterHandle,
-    fault_time_ns_total: CounterHandle,
-    fault_ns: HistogramHandle,
-    wasted_precopy_bytes_total: CounterHandle,
-    interference_time_ns_total: CounterHandle,
-    precopied_bytes_total: CounterHandle,
-}
-
-impl HotMetrics {
-    fn resolve(metrics: &Metrics) -> Self {
-        HotMetrics {
-            faults_total: metrics.counter_handle(names::CHKPT_FAULTS_TOTAL),
-            fault_time_ns_total: metrics.counter_handle(names::CHKPT_FAULT_TIME_NS_TOTAL),
-            fault_ns: metrics.histogram_handle(names::CHKPT_FAULT_NS),
-            wasted_precopy_bytes_total: metrics
-                .counter_handle(names::CHKPT_WASTED_PRECOPY_BYTES_TOTAL),
-            interference_time_ns_total: metrics
-                .counter_handle(names::CHKPT_INTERFERENCE_TIME_NS_TOTAL),
-            precopied_bytes_total: metrics.counter_handle(names::CHKPT_PRECOPIED_BYTES_TOTAL),
-        }
-    }
 }
 
 impl CheckpointEngine {
@@ -268,16 +237,13 @@ impl CheckpointEngine {
             epoch: 0,
             precopy_done: BTreeSet::new(),
             precopy_credit_secs: 0.0,
-            epoch_precopied: 0,
-            epoch_wasted: 0,
-            faults_at_interval_start: 0,
+            interval_stats: EngineStats::default(),
             lazy_pending: BTreeMap::new(),
             persistence: None,
             stats: EngineStats::default(),
             log: Vec::new(),
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
-            hot: HotMetrics::default(),
         }
     }
 
@@ -294,11 +260,11 @@ impl CheckpointEngine {
         &self.tracer
     }
 
-    /// Attach a [`Metrics`] handle: faults, pre-copy volume, waste,
-    /// coordinated phases, and latency distributions record into it.
+    /// Attach a [`Metrics`] handle for the fault and coordinated-step
+    /// latency distributions (event totals are not recorded into it:
+    /// [`EngineStats::publish`] turns [`Self::stats`] into counters).
     /// Pass [`Metrics::disabled`] to detach.
     pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.hot = HotMetrics::resolve(&metrics);
         self.metrics = metrics;
     }
 
@@ -516,22 +482,17 @@ impl CheckpointEngine {
             let last = (offset + len - 1) / PAGE_SIZE;
             let out = self.mmu.record_write(id, first, last - first + 1);
             total += out.cost;
-            self.stats.faults += out.faults as u64;
-            self.stats.fault_time += out.cost;
             if out.faults > 0 {
                 self.trace(TraceEventKind::ProtectionFault { chunk: id.0 });
-                self.hot.faults_total.add(out.faults as u64);
-                self.hot.fault_time_ns_total.add(out.cost.as_nanos());
-                self.hot.fault_ns.observe(out.cost.as_nanos());
+                self.metrics
+                    .observe(names::CHKPT_FAULT_NS, out.cost.as_nanos());
             }
             self.predictor.record_modification(id);
             if self.precopy_done.remove(&id) {
                 // A pre-copied chunk was modified again: the earlier
                 // copy is wasted and must be redone.
                 self.stats.wasted_precopy_bytes += chunk_len as u64;
-                self.epoch_wasted += chunk_len as u64;
                 self.trace(TraceEventKind::PrecopyWaste { chunk: id.0 });
-                self.hot.wasted_precopy_bytes_total.add(chunk_len as u64);
             }
         }
         self.clock.advance(total);
@@ -569,9 +530,6 @@ impl CheckpointEngine {
             let copied_time = self.run_precopy(window);
             interference = copied_time * self.config.precopy_interference;
             self.stats.interference_time += interference;
-            self.hot
-                .interference_time_ns_total
-                .add(interference.as_nanos());
             if self.tracer.enabled() {
                 self.trace(TraceEventKind::PrecopyEnd {
                     epoch: self.epoch,
@@ -632,8 +590,6 @@ impl CheckpointEngine {
             self.precopy_credit_secs -= cost.as_secs_f64();
             spent += cost;
             self.stats.precopied_bytes += len;
-            self.epoch_precopied += len;
-            self.hot.precopied_bytes_total.add(len);
             self.mmu.protect_after_precopy(id);
             self.precopy_done.insert(id);
             self.trace(TraceEventKind::PrecopyDrain {
@@ -775,20 +731,20 @@ impl CheckpointEngine {
             copied_bytes: coordinated_bytes,
         });
         let interval = now.since(self.interval_start);
-        let faults_now = self.mmu.stats().faults;
+        let (totals, before) = (self.stats(), self.interval_stats);
         let report = EpochReport {
             epoch: self.epoch,
             coordinated_time,
             coordinated_bytes,
-            precopied_bytes: self.epoch_precopied,
+            precopied_bytes: totals.precopied_bytes - before.precopied_bytes,
             skipped_bytes,
-            wasted_bytes: self.epoch_wasted,
-            faults: faults_now - self.faults_at_interval_start,
+            wasted_bytes: totals.wasted_precopy_bytes - before.wasted_precopy_bytes,
+            faults: totals.faults - before.faults,
             interval,
         };
 
         // Learn/adapt.
-        let moved = coordinated_bytes + self.epoch_precopied;
+        let moved = report.total_bytes();
         let bw = self
             .heap
             .nvm()
@@ -804,15 +760,6 @@ impl CheckpointEngine {
         self.stats.coordinated_bytes += coordinated_bytes;
         self.stats.skipped_bytes += skipped_bytes;
         self.stats.coordinated_time += coordinated_time;
-        self.metrics.counter_add(names::CHKPT_CHECKPOINTS_TOTAL, 1);
-        self.metrics
-            .counter_add(names::CHKPT_COORDINATED_BYTES_TOTAL, coordinated_bytes);
-        self.metrics
-            .counter_add(names::CHKPT_SKIPPED_BYTES_TOTAL, skipped_bytes);
-        self.metrics.counter_add(
-            names::CHKPT_COORDINATED_TIME_NS_TOTAL,
-            coordinated_time.as_nanos(),
-        );
         self.metrics
             .observe(names::CHKPT_COORDINATED_NS, coordinated_time.as_nanos());
 
@@ -820,9 +767,7 @@ impl CheckpointEngine {
         self.interval_start = now;
         self.precopy_done.clear();
         self.precopy_credit_secs = 0.0;
-        self.epoch_precopied = 0;
-        self.epoch_wasted = 0;
-        self.faults_at_interval_start = faults_now;
+        self.interval_stats = self.stats();
         self.log.push(report);
         Ok(report)
     }
@@ -854,8 +799,6 @@ impl CheckpointEngine {
         }
         self.precopy_done.remove(&id);
         self.stats.coordinated_bytes += len;
-        self.metrics
-            .counter_add(names::CHKPT_COORDINATED_BYTES_TOTAL, len);
         Ok(self.clock.now().since(t0))
     }
 
@@ -1980,73 +1923,36 @@ mod tests {
     }
 
     #[test]
-    fn metrics_mirror_engine_stats() {
-        let (mut e, ..) = setup(EngineConfig::default().with_precopy(PrecopyPolicy::Cpc));
-        let m = Metrics::new();
-        e.set_metrics(m.clone());
-
-        let id = e.nvmalloc("x", 64 * 1024, true).unwrap();
-        e.write(id, 0, &[7u8; 64 * 1024]).unwrap();
-        e.compute(SimDuration::from_secs(1)); // CPC pre-copy drains it
-        e.write(id, 0, &[8u8; 64 * 1024]).unwrap(); // fault + waste
-        e.nvchkptall().unwrap();
-
-        let snap = m.registry().snapshot();
-        let s = e.stats();
-        assert_eq!(snap.counter(names::CHKPT_CHECKPOINTS_TOTAL), s.checkpoints);
-        assert_eq!(snap.counter(names::CHKPT_FAULTS_TOTAL), s.faults);
-        assert_eq!(
-            snap.counter(names::CHKPT_PRECOPIED_BYTES_TOTAL),
-            s.precopied_bytes
-        );
-        assert_eq!(
-            snap.counter(names::CHKPT_COORDINATED_BYTES_TOTAL),
-            s.coordinated_bytes
-        );
-        assert_eq!(
-            snap.counter(names::CHKPT_SKIPPED_BYTES_TOTAL),
-            s.skipped_bytes
-        );
-        assert_eq!(
-            snap.counter(names::CHKPT_WASTED_PRECOPY_BYTES_TOTAL),
-            s.wasted_precopy_bytes
-        );
-        assert_eq!(
-            snap.counter(names::CHKPT_COORDINATED_TIME_NS_TOTAL),
-            s.coordinated_time.as_nanos()
-        );
-        assert_eq!(
-            snap.counter(names::CHKPT_FAULT_TIME_NS_TOTAL),
-            s.fault_time.as_nanos()
-        );
-        assert_eq!(
-            snap.counter(names::CHKPT_INTERFERENCE_TIME_NS_TOTAL),
-            s.interference_time.as_nanos()
-        );
-        // Latency distributions carry exact maxima.
-        let coord = snap.histogram(names::CHKPT_COORDINATED_NS).unwrap();
-        assert_eq!(coord.count, s.checkpoints);
-        let fault = snap.histogram(names::CHKPT_FAULT_NS).unwrap();
-        assert_eq!(fault.count, s.faults);
-        assert_eq!(fault.sum, s.fault_time.as_nanos());
-    }
-
-    #[test]
     fn disabled_metrics_change_nothing() {
-        let run = |instrumented: bool| {
-            let (mut e, _, _, clock) = setup(EngineConfig::default());
-            if instrumented {
-                e.set_metrics(Metrics::new());
-            }
-            let id = e.nvmalloc("x", 4096, true).unwrap();
+        let run = |metrics: Metrics| {
+            let cfg = EngineConfig::default().with_precopy(PrecopyPolicy::Cpc);
+            let (mut e, _, _, clock) = setup(cfg);
+            e.set_metrics(metrics);
+            let id = e.nvmalloc("x", 64 * 1024, true).unwrap();
             for i in 0..3u8 {
-                e.write(id, 0, &[i; 4096]).unwrap();
-                e.compute(SimDuration::from_millis(100));
+                e.write(id, 0, &[i; 64 * 1024]).unwrap();
+                e.compute(SimDuration::from_millis(100)); // CPC pre-copy drains it
+                e.write(id, 0, &[i + 8; 64 * 1024]).unwrap(); // fault + waste
                 e.nvchkptall().unwrap();
             }
-            clock.now().as_nanos()
+            (clock.now().as_nanos(), e.stats())
         };
-        assert_eq!(run(false), run(true));
+        let m = Metrics::new();
+        let (t, s) = run(m.clone());
+        assert_eq!(run(Metrics::disabled()), (t, s));
+
+        // Live recording is the latency distributions only — one
+        // sample per coordinated step and per faulting write (one
+        // fault each at chunk granularity); totals are published.
+        let snap = m.registry().snapshot();
+        assert!(snap.counters.is_empty(), "{:?}", snap.counters);
+        let coord = snap.histogram(names::CHKPT_COORDINATED_NS).unwrap();
+        assert_eq!(coord.count, s.checkpoints);
+        assert_eq!(coord.sum, s.coordinated_time.as_nanos());
+        let fault = snap.histogram(names::CHKPT_FAULT_NS).unwrap();
+        assert!(s.faults > 0);
+        assert_eq!(fault.count, s.faults);
+        assert_eq!(fault.sum, s.fault_time.as_nanos());
     }
 
     #[test]

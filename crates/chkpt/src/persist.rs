@@ -24,6 +24,7 @@
 //! already charged write time/bandwidth/wear for every shadow copy, so
 //! attaching a backend never perturbs simulation results.
 
+use nvm_metrics::{names, MetricsRegistry};
 use nvm_paging::ChunkId;
 use serde::{Deserialize, Serialize};
 
@@ -89,10 +90,12 @@ pub struct StoreStats {
     pub torn_writes_detected: u64,
 }
 
-impl std::ops::AddAssign for StoreStats {
-    fn add_assign(&mut self, rhs: Self) {
-        // Exhaustive destructuring: adding a field without updating the
-        // merge is a compile error, not a silently dropped counter.
+/// Field-exhaustive accumulation (no `..` in the destructuring): a
+/// field added to [`StoreStats`] is a compile error here until the
+/// merge handles it. Also provides [`nvm_metrics::MergeStats`] via its
+/// blanket impl.
+impl std::ops::AddAssign<&StoreStats> for StoreStats {
+    fn add_assign(&mut self, rhs: &StoreStats) {
         let StoreStats {
             bytes_written,
             fsyncs,
@@ -101,7 +104,7 @@ impl std::ops::AddAssign for StoreStats {
             payload_read_bytes,
             recoveries,
             torn_writes_detected,
-        } = rhs;
+        } = *rhs;
         self.bytes_written += bytes_written;
         self.fsyncs += fsyncs;
         self.commits += commits;
@@ -113,13 +116,28 @@ impl std::ops::AddAssign for StoreStats {
 }
 
 impl StoreStats {
-    /// Sum a collection of per-backend stats.
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a StoreStats>) -> StoreStats {
-        let mut out = StoreStats::default();
-        for p in parts {
-            out += *p;
-        }
-        out
+    /// Add these totals to the `store_*_total` counters of `reg` — the
+    /// only path from a backend's totals into a registry, destructured
+    /// as exhaustively as the merge above.
+    pub fn publish(&self, reg: &mut MetricsRegistry) {
+        let StoreStats {
+            bytes_written,
+            fsyncs,
+            commits,
+            payload_reads,
+            payload_read_bytes,
+            recoveries,
+            torn_writes_detected,
+        } = *self;
+        reg.publish_totals([
+            (names::STORE_BYTES_WRITTEN_TOTAL, bytes_written),
+            (names::STORE_FSYNCS_TOTAL, fsyncs),
+            (names::STORE_COMMITS_TOTAL, commits),
+            (names::STORE_PAYLOAD_READS_TOTAL, payload_reads),
+            (names::STORE_PAYLOAD_READ_BYTES_TOTAL, payload_read_bytes),
+            (names::STORE_RECOVERIES_TOTAL, recoveries),
+            (names::STORE_TORN_WRITES_TOTAL, torn_writes_detected),
+        ]);
     }
 }
 
@@ -243,6 +261,7 @@ impl SyntheticPayload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvm_metrics::MergeStats;
 
     #[test]
     fn synthetic_payload_round_trips() {
@@ -284,6 +303,37 @@ mod tests {
         assert_eq!(m.bytes_written, 15);
         assert_eq!(m.payload_read_bytes, 64);
         assert_eq!(m.torn_writes_detected, 2);
+    }
+
+    #[test]
+    fn publish_names_every_field() {
+        let mut reg = MetricsRegistry::new();
+        StoreStats::default().publish(&mut reg);
+        assert!(reg.is_empty(), "zero totals publish no key");
+        StoreStats {
+            bytes_written: 1,
+            fsyncs: 2,
+            commits: 3,
+            payload_reads: 4,
+            payload_read_bytes: 5,
+            recoveries: 6,
+            torn_writes_detected: 7,
+        }
+        .publish(&mut reg);
+        assert_eq!(
+            reg.snapshot().counters,
+            [
+                (names::STORE_BYTES_WRITTEN_TOTAL, 1),
+                (names::STORE_FSYNCS_TOTAL, 2),
+                (names::STORE_COMMITS_TOTAL, 3),
+                (names::STORE_PAYLOAD_READS_TOTAL, 4),
+                (names::STORE_PAYLOAD_READ_BYTES_TOTAL, 5),
+                (names::STORE_RECOVERIES_TOTAL, 6),
+                (names::STORE_TORN_WRITES_TOTAL, 7),
+            ]
+            .map(|(name, v)| (name.to_string(), v))
+            .into()
+        );
     }
 
     #[test]

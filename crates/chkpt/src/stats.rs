@@ -1,6 +1,7 @@
 //! Engine statistics and per-epoch reports.
 
 use nvm_emu::SimDuration;
+use nvm_metrics::{names, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
 /// Cumulative counters over the life of a [`crate::CheckpointEngine`].
@@ -32,9 +33,7 @@ pub struct EngineStats {
 
 /// Field-exhaustive accumulation: the destructuring has no `..`, so a
 /// field added to [`EngineStats`] is a compile error here until the
-/// aggregation handles it — the cluster coordinator's totals can no
-/// longer silently drop a field (as the old field-by-field summation
-/// did with `restarts`). This also provides
+/// aggregation handles it. This also provides
 /// [`nvm_metrics::MergeStats`] via its blanket impl.
 impl std::ops::AddAssign<&EngineStats> for EngineStats {
     fn add_assign(&mut self, rhs: &EngineStats) {
@@ -64,6 +63,45 @@ impl std::ops::AddAssign<&EngineStats> for EngineStats {
 }
 
 impl EngineStats {
+    /// Add these totals to the `chkpt_*_total` counters of `reg` — the
+    /// only path from an engine's totals into a registry. Destructured
+    /// like the merge above: a new field needs a counter name to compile.
+    pub fn publish(&self, reg: &mut MetricsRegistry) {
+        let EngineStats {
+            checkpoints,
+            precopied_bytes,
+            coordinated_bytes,
+            skipped_bytes,
+            wasted_precopy_bytes,
+            coordinated_time,
+            interference_time,
+            fault_time,
+            faults,
+            restarts,
+        } = *self;
+        reg.publish_totals([
+            (names::CHKPT_CHECKPOINTS_TOTAL, checkpoints),
+            (names::CHKPT_PRECOPIED_BYTES_TOTAL, precopied_bytes),
+            (names::CHKPT_COORDINATED_BYTES_TOTAL, coordinated_bytes),
+            (names::CHKPT_SKIPPED_BYTES_TOTAL, skipped_bytes),
+            (
+                names::CHKPT_WASTED_PRECOPY_BYTES_TOTAL,
+                wasted_precopy_bytes,
+            ),
+            (
+                names::CHKPT_COORDINATED_TIME_NS_TOTAL,
+                coordinated_time.as_nanos(),
+            ),
+            (
+                names::CHKPT_INTERFERENCE_TIME_NS_TOTAL,
+                interference_time.as_nanos(),
+            ),
+            (names::CHKPT_FAULT_TIME_NS_TOTAL, fault_time.as_nanos()),
+            (names::CHKPT_FAULTS_TOTAL, faults),
+            (names::CHKPT_RESTARTS_TOTAL, restarts),
+        ]);
+    }
+
     /// All bytes moved to NVM for checkpointing.
     pub fn total_copied_bytes(&self) -> u64 {
         self.precopied_bytes + self.coordinated_bytes
@@ -120,12 +158,10 @@ mod tests {
         assert_eq!(s.precopy_fraction(), 0.0);
     }
 
-    #[test]
-    fn add_assign_merges_every_field() {
-        use nvm_emu::SimDuration;
-        // One distinct value per field: if any field were dropped from
-        // the merge, the corresponding assertion below would fail.
-        let a = EngineStats {
+    /// One distinct value per field: a field dropped from the merge or
+    /// from `publish` fails the matching assertion below.
+    fn distinct() -> EngineStats {
+        EngineStats {
             checkpoints: 1,
             precopied_bytes: 2,
             coordinated_bytes: 3,
@@ -136,7 +172,37 @@ mod tests {
             fault_time: SimDuration::from_nanos(8),
             faults: 9,
             restarts: 10,
-        };
+        }
+    }
+
+    #[test]
+    fn publish_names_every_field() {
+        let mut reg = MetricsRegistry::new();
+        EngineStats::default().publish(&mut reg);
+        assert!(reg.is_empty(), "zero totals publish no key");
+        distinct().publish(&mut reg);
+        assert_eq!(
+            reg.snapshot().counters,
+            [
+                (names::CHKPT_CHECKPOINTS_TOTAL, 1),
+                (names::CHKPT_PRECOPIED_BYTES_TOTAL, 2),
+                (names::CHKPT_COORDINATED_BYTES_TOTAL, 3),
+                (names::CHKPT_SKIPPED_BYTES_TOTAL, 4),
+                (names::CHKPT_WASTED_PRECOPY_BYTES_TOTAL, 5),
+                (names::CHKPT_COORDINATED_TIME_NS_TOTAL, 6),
+                (names::CHKPT_INTERFERENCE_TIME_NS_TOTAL, 7),
+                (names::CHKPT_FAULT_TIME_NS_TOTAL, 8),
+                (names::CHKPT_FAULTS_TOTAL, 9),
+                (names::CHKPT_RESTARTS_TOTAL, 10),
+            ]
+            .map(|(name, v)| (name.to_string(), v))
+            .into()
+        );
+    }
+
+    #[test]
+    fn add_assign_merges_every_field() {
+        let a = distinct();
         let mut total = a;
         total += &a;
         assert_eq!(total.checkpoints, 2);

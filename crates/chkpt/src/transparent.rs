@@ -87,12 +87,6 @@ impl TransparentProcess {
         self.engine.set_tracer(tracer);
     }
 
-    /// Attach a metrics handle to the wrapped engine: faults, copies,
-    /// and checkpoint latencies of this process image record into it.
-    pub fn set_metrics(&mut self, metrics: nvm_metrics::Metrics) {
-        self.engine.set_metrics(metrics);
-    }
-
     fn locate(&self, addr: usize) -> (usize, usize) {
         (addr / self.segment_bytes, addr % self.segment_bytes)
     }

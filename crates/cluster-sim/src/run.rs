@@ -229,11 +229,10 @@ pub struct RunOptions {
     /// [`RunResult::trace`], bit-identical for serial and
     /// multi-threaded execution.
     pub trace: bool,
-    /// Collect aggregate metrics. Each rank's engine records into a
-    /// private registry and each node's devices/helper into a
-    /// per-node registry (commutative updates only); shard merges
-    /// fold them — all updates commute, so the snapshot in
-    /// [`RunResult::metrics`] is bit-identical at any thread count.
+    /// Collect aggregate metrics: a private registry per rank for what
+    /// is recorded live, every other counter published from the stats
+    /// structs at the shard merges — all updates commute, so the snapshot
+    /// in [`RunResult::metrics`] is bit-identical at any thread count.
     pub metrics: bool,
     /// Give every rank a durable container file (`rank_<g>.store`)
     /// under this directory and mirror each committed checkpoint into
@@ -448,21 +447,39 @@ impl Rank {
         }
     }
 
-    /// Attach this rank's instrumentation to its (new or rebuilt)
-    /// engine: the tracer, the metrics registry, and — given a store
-    /// directory — its durable container there (opened or created),
-    /// counting into the same registry.
-    fn attach(&mut self, store_dir: Option<&Path>, container_bytes: usize) -> Result<(), SimError> {
+    /// Point the (new or rebuilt) engine at this rank's tracer and
+    /// metrics registry.
+    fn instrument(&mut self) {
         self.engine.set_tracer(self.tracer());
         self.engine.set_metrics(self.metrics.clone());
-        if let Some(dir) = store_dir {
-            let path = rank_store_path(dir, self.global);
-            let mut store = FileStore::open_path(&path, self.global, container_bytes)
-                .map_err(EngineError::from)?;
-            store.set_metrics(self.metrics.clone());
-            self.engine.set_persistence(Box::new(store));
-        }
+    }
+
+    /// Mirror the engine's commits into this rank's durable container
+    /// under `dir` (opened or created).
+    fn attach_store(&mut self, dir: &Path, container_bytes: usize) -> Result<(), SimError> {
+        let path = rank_store_path(dir, self.global);
+        let store =
+            FileStore::open_path(&path, self.global, container_bytes).map_err(EngineError::from)?;
+        self.engine.set_persistence(Box::new(store));
         Ok(())
+    }
+
+    /// Add the current engine's totals, and its store's, to `reg`.
+    fn publish(&self, reg: &mut MetricsRegistry) {
+        self.engine.stats().publish(reg);
+        if let Some(store) = self.engine.persistence_stats() {
+            store.publish(reg);
+        }
+    }
+
+    /// Replace this rank's engine with a rebuilt one — the only place
+    /// a recovery swaps engines. The outgoing engine's totals go into
+    /// the rank's registry first, so the run's counters stay cumulative
+    /// while [`RunResult::engine_stats`] describes the surviving engines.
+    fn install(&mut self, engine: CheckpointEngine) {
+        self.metrics.update(|reg| self.publish(reg));
+        self.engine = engine;
+        self.instrument();
     }
 }
 
@@ -546,10 +563,9 @@ struct NodeDevices {
     /// Checkpoint flows in flight: (ends_at, rate bytes/s) — they
     /// contend with application communication until they drain.
     flows: Vec<(SimTime, f64)>,
-    /// Shared registry for this node's devices and helper. Safe to
-    /// share across concurrently-executing ranks because every update
-    /// is commutative; merged in node order at the end.
-    metrics: Metrics,
+    /// This node's NVM and DRAM (the handles in `ClusterSim::nvms` and
+    /// `drams`), whose totals are published next to the helper's.
+    devices: [MemoryDevice; 2],
 }
 
 impl NodeDevices {
@@ -579,6 +595,10 @@ pub(crate) struct ClusterSim {
     drams: Vec<MemoryDevice>,
     /// Barrier synchronisations executed (coordinator-side counter).
     barriers: u64,
+    /// Coordinator-side metrics (comm stalls, recoveries, helper
+    /// transfer sizes, barrier count, link peaks), recorded only from
+    /// the serial coordinator loop.
+    coord_metrics: Metrics,
     /// Owns the per-device spill files for the lifetime of the run;
     /// `None` when the run is synthetic or spill is disabled.
     spill_dir: Option<TempDir>,
@@ -633,18 +653,12 @@ impl ClusterSim {
             std::fs::create_dir_all(dir).map_err(Self::io_err)?;
         }
 
+        let coord_metrics = options.new_metrics();
         let mut ranks = Vec::new();
         let mut nodes = Vec::new();
         let mut stores = Vec::new();
         for n in 0..config.nodes {
             let mut node_ranks = Vec::new();
-            // Devices are shared by this node's ranks; counter adds are
-            // commutative, so a shared registry stays deterministic
-            // under parallel rank execution. Attach before building
-            // ranks so setup charges are counted.
-            let node_metrics = options.new_metrics();
-            nvms[n].set_metrics(node_metrics.clone());
-            drams[n].set_metrics(node_metrics.clone());
             for r in 0..config.ranks_per_node {
                 let global = (n * config.ranks_per_node + r) as u64;
                 let clock = VirtualClock::new();
@@ -675,17 +689,20 @@ impl ClusterSim {
                     sink,
                     metrics: options.new_metrics(),
                 };
-                rank.attach(options.store_dir.as_deref(), config.container_bytes)?;
+                rank.instrument();
+                if let Some(dir) = &options.store_dir {
+                    rank.attach_store(dir, config.container_bytes)?;
+                }
                 node_ranks.push(rank);
             }
             ranks.push(node_ranks);
             let mut helper = HelperProcess::with_params(helper_params);
-            helper.set_metrics(node_metrics.clone());
+            helper.set_metrics(coord_metrics.clone());
             nodes.push(NodeDevices {
                 link: Link::new(config.link_bandwidth()),
                 helper,
                 flows: Vec::new(),
-                metrics: node_metrics,
+                devices: [nvms[n].clone(), drams[n].clone()],
             });
             let buddy = config.buddy_of(n);
             // Byte-materialized runs keep real chunk images in the
@@ -704,6 +721,7 @@ impl ClusterSim {
             nvms,
             drams,
             barriers: 0,
+            coord_metrics,
             spill_dir,
         })
     }
@@ -767,24 +785,26 @@ impl ClusterSim {
     /// byte-identical across thread counts and machines; timing and
     /// host-memory accounting are neither.
     fn execute(mut self) -> Result<RunOutcome, SimError> {
-        let wall_start = std::time::Instant::now();
         let total_ranks = self.config.nodes * self.config.ranks_per_node;
+        // Host-side profile inputs; they travel next to the tallies.
+        let wall_start = std::time::Instant::now();
         let rank_busy: Vec<AtomicU64> = (0..total_ranks).map(|_| AtomicU64::new(0)).collect();
-        let mut trace = ScheduleTrace::new();
-        // Cluster-level events (failures, remote shipping) happen on
-        // the coordinator, outside any single rank's timeline; they get
-        // their own buffer and merge with the per-rank streams at the
-        // end.
-        let mut coord: Vec<TraceEvent> = Vec::new();
+        let mut tally = LoopTallies {
+            schedule: ScheduleTrace::new(),
+            coord: Vec::new(),
+            flight: None,
+            executed: 0,
+            lost: 0,
+            soft: 0,
+            hard: 0,
+            local_ckpts: 0,
+            remote_ckpts: 0,
+            d_per_rank: self.ranks[0][0].engine.checkpoint_bytes() as u64,
+            recovery: Vec::new(),
+        };
         // Trace *collection* is on for any full-stream output: the
         // JSONL/Chrome trace itself, or rollups derived from it.
         let tracing = self.options.stream();
-        // Dump taken if a recovery ladder bottoms out at virgin.
-        let mut flight: Option<FlightDump> = None;
-        // Coordinator-side metrics (comm stalls, barrier count, link
-        // peaks) — recorded only from the serial coordinator loop, so
-        // observation order is the same at any thread count.
-        let coord_metrics = self.options.new_metrics();
         let mut failures = match (&self.config.schedule_override, &self.config.failures) {
             (Some(schedule), _) => schedule.clone(),
             (None, Some(cfg)) => FailureSchedule::generate(
@@ -796,19 +816,10 @@ impl ClusterSim {
         };
 
         let mut iter: u64 = 0;
-        let mut executed: u64 = 0;
-        let mut lost: u64 = 0;
-        let mut soft = 0u64;
-        let mut hard = 0u64;
-        let mut local_ckpts = 0u64;
-        let mut remote_ckpts = 0u64;
         let mut last_local_end = SimTime::ZERO;
         let mut last_remote_end = SimTime::ZERO;
         let mut last_local_iter: u64 = 0;
         let mut last_remote_iter: u64 = 0;
-
-        let d_per_rank = self.ranks[0][0].engine.checkpoint_bytes() as u64;
-        let mut recovery_records: Vec<RecoveryRecord> = Vec::new();
 
         while iter < self.config.iterations {
             let iter_start = self.max_time();
@@ -855,29 +866,18 @@ impl ClusterSim {
                 for ev in &batch {
                     match ev.kind {
                         FailureKind::Soft => {
-                            soft += 1;
+                            tally.soft += 1;
                             max_restart = max_restart.max(self.local_restart_cost(ev.node));
                             target = target.min(last_local_iter);
                         }
                         FailureKind::Hard => {
-                            hard += 1;
-                            let progress = CkptProgress {
-                                iteration: iter,
-                                local_ckpts,
-                                remote_ckpts,
-                                d_per_rank,
-                            };
-                            let record = self.recover_hard_node(
-                                ev.node,
-                                &progress,
-                                &mut coord,
-                                &coord_metrics,
-                            )?;
+                            tally.hard += 1;
+                            let record = self.recover_hard_node(ev.node, iter, &mut tally)?;
                             // A ladder that bottomed out at virgin
                             // lost all progress — worth a black-box
                             // dump even though the run survives.
-                            if record.source == RecoverySource::Virgin && flight.is_none() {
-                                flight = self.flight_dump(&format!(
+                            if record.source == RecoverySource::Virgin && tally.flight.is_none() {
+                                tally.flight = self.flight_dump(&format!(
                                     "recovery of node {} fell through to virgin at iteration {iter}",
                                     ev.node
                                 ));
@@ -890,7 +890,7 @@ impl ClusterSim {
                                 }
                             });
                             max_restart = max_restart.max(record.duration);
-                            recovery_records.push(record);
+                            tally.recovery.push(record);
                         }
                     }
                 }
@@ -901,9 +901,9 @@ impl ClusterSim {
                     r.clock.advance_to(t);
                 }
                 for ev in &batch {
-                    trace.record(Activity::Restart, t0, t);
+                    tally.schedule.record(Activity::Restart, t0, t);
                     if tracing {
-                        coord.push(TraceEvent {
+                        tally.coord.push(TraceEvent {
                             t_ns: t0.as_nanos(),
                             rank: self.config.first_rank(ev.node),
                             kind: TraceEventKind::RankFailure {
@@ -913,7 +913,7 @@ impl ClusterSim {
                         });
                     }
                 }
-                lost += iter - target;
+                tally.lost += iter - target;
                 iter = target;
             }
 
@@ -924,12 +924,12 @@ impl ClusterSim {
                     .iterate(&mut rank.engine, iter)
                     .map_err(SimError::from)
             })?;
-            trace.record(
+            tally.schedule.record(
                 Activity::Compute,
                 rank0_before,
                 self.ranks[0][0].clock.now(),
             );
-            executed += 1;
+            tally.executed += 1;
 
             // -- 2: helper polling + link contention --------------------
             if let Some(rc) = self.config.remote {
@@ -978,10 +978,10 @@ impl ClusterSim {
                                     }
                                 }
                                 rank.clock.advance(delay);
-                                coord_metrics
+                                self.coord_metrics
                                     .observe(names::CLUSTER_COMM_STALL_NS, delay.as_nanos());
                                 if n == 0 && rank.global == 0 {
-                                    trace.record(
+                                    tally.schedule.record(
                                         Activity::Blocked,
                                         rank.clock.now() - delay,
                                         rank.clock.now(),
@@ -1012,10 +1012,10 @@ impl ClusterSim {
                         .map_err(SimError::from)
                 })?;
                 let t1 = self.barrier();
-                trace.record(Activity::LocalCheckpoint, t0, t1);
+                tally.schedule.record(Activity::LocalCheckpoint, t0, t1);
                 last_local_end = t1;
                 last_local_iter = iter;
-                local_ckpts += 1;
+                tally.local_ckpts += 1;
 
                 // -- 4: remote checkpointing ----------------------------
                 if let Some(rc) = self.config.remote {
@@ -1026,12 +1026,12 @@ impl ClusterSim {
                     if remote_due {
                         for n in 0..self.config.nodes {
                             for rank in self.ranks[n].iter() {
-                                self.stores[n].commit_rank(rank.global, remote_ckpts);
+                                self.stores[n].commit_rank(rank.global, tally.remote_ckpts);
                             }
                         }
                         last_remote_end = t1;
                         last_remote_iter = iter;
-                        remote_ckpts += 1;
+                        tally.remote_ckpts += 1;
                     }
                     let local_int = self
                         .config
@@ -1047,36 +1047,45 @@ impl ClusterSim {
                     let next_remote = last_remote_end + rc.interval;
                     let ship_now = rc.precopy && t1 + local_int >= next_remote;
                     if ship_now || (!rc.precopy && remote_due) {
-                        let end = self.ship_remote(t1, rc.precopy, &rc.helper, &mut coord)?;
-                        trace.record(Activity::RemoteCheckpoint, t1, end);
+                        let end = self.ship_remote(t1, rc.precopy, &rc.helper, &mut tally.coord)?;
+                        tally.schedule.record(Activity::RemoteCheckpoint, t1, end);
                     }
                 }
             }
         }
 
-        let total_time = self.barrier().since(SimTime::ZERO);
+        self.reduce(tally, wall_start, rank_busy)
+    }
 
-        // -- hierarchical end-of-run reduction ----------------------
-        // The coordinator used to fold every rank's trace buffer,
-        // engine stats, metrics registry, and store counters itself —
-        // an O(ranks) serial floor that dominates wall time at 1024
-        // ranks. Instead, contiguous node groups ("shards", a function
-        // of topology only — see `ClusterConfig::shard_count`) each
-        // reduce their own ranks, in parallel when `threads > 1`, and
-        // the coordinator folds O(shards) partial results:
-        //
-        // * traces — each shard emits its ranks' events merged in
-        //   `(time, rank)` order; the final fold re-sorts the
-        //   concatenated shard streams (plus the coordinator buffer,
-        //   appended last, as before) with the same stable key. Equal
-        //   keys always come from one rank's buffer — or that rank's
-        //   buffer plus the coordinator's — and both levels preserve
-        //   their relative order, so the result is byte-identical to
-        //   the flat merge at any shard or thread count.
-        // * stats/metrics/store counters — integer sums, gauge maxes
-        //   and histogram bucket adds all commute and associate, so
-        //   any merge tree yields the same totals; snapshots are
-        //   name-sorted, so the report is identical too.
+    /// The hierarchical end-of-run reduction of every rank's trace
+    /// buffer, engine stats, metrics and store counters, plus the
+    /// loop's tallies, into the [`RunOutcome`]. A serial fold is an
+    /// O(ranks) floor that dominates wall time at 1024 ranks, so
+    /// contiguous node groups ("shards", a function of topology only —
+    /// see `ClusterConfig::shard_count`) each reduce their own ranks,
+    /// in parallel when `threads > 1`, and the coordinator folds
+    /// O(shards) partial results:
+    ///
+    /// * traces — each shard emits its ranks' events merged in
+    ///   `(time, rank)` order; the final fold re-sorts the
+    ///   concatenated shard streams (plus the coordinator buffer,
+    ///   appended last) with the same stable key. Equal keys always
+    ///   come from one rank's buffer — or that rank's buffer plus the
+    ///   coordinator's — and both levels preserve their relative
+    ///   order, so the result is byte-identical to the flat merge at
+    ///   any shard or thread count.
+    /// * stats/metrics/store counters — integer sums, gauge maxes and
+    ///   histogram bucket adds all commute and associate, so any merge
+    ///   tree yields the same totals; snapshots are name-sorted, so
+    ///   the report is identical too.
+    fn reduce(
+        mut self,
+        tally: LoopTallies,
+        wall_start: std::time::Instant,
+        rank_busy: Vec<AtomicU64>,
+    ) -> Result<RunOutcome, SimError> {
+        let total_time = self.barrier().since(SimTime::ZERO);
+        let tracing = self.options.stream();
         let shards = self.config.shard_count();
         let nodes_per_shard = self.config.nodes.div_ceil(shards);
         struct ShardMerge {
@@ -1091,10 +1100,9 @@ impl ClusterSim {
         let rollup_bucket = self.options.rollup;
         let merge_shard = |shard_ranks: &[Vec<Rank>], shard_nodes: &[NodeDevices]| {
             let t0 = thread_cpu_ns();
+            let ranks = || shard_ranks.iter().flatten();
             let trace = if tracing {
-                let buffers: Vec<Vec<TraceEvent>> = shard_ranks
-                    .iter()
-                    .flatten()
+                let buffers: Vec<Vec<TraceEvent>> = ranks()
                     .map(|r| r.sink.as_ref().map(|s| s.drain()).unwrap_or_default())
                     .collect();
                 nvm_trace::merge_ranked(buffers)
@@ -1106,39 +1114,30 @@ impl ClusterSim {
             // coordinator's fold below equals one rollup over the
             // whole merged trace — at any shard or thread count.
             let rollup = rollup_bucket.map(|bucket| Rollup::from_events(&trace, bucket));
-            // `MergeStats` rides on the exhaustively-destructuring
-            // `AddAssign` impl, so adding a field to `EngineStats` is a
-            // compile error here rather than a silently-dropped
-            // statistic (the old hand-rolled summation lost
-            // `restarts`).
-            let rank_stats: Vec<EngineStats> = shard_ranks
-                .iter()
-                .flatten()
-                .map(|r| r.engine.stats())
-                .collect();
+            let rank_stats: Vec<EngineStats> = ranks().map(|r| r.engine.stats()).collect();
             let engine_stats = EngineStats::merged(rank_stats.iter());
-            let registry = if metrics_on {
+            // The registries hold what was recorded live (latency
+            // distributions, kv counters) and the totals of engines a
+            // recovery replaced; every other counter is published
+            // here, from the stats structs that are its one record.
+            let registry = metrics_on.then(|| {
                 let mut reg = MetricsRegistry::new();
-                for r in shard_ranks.iter().flatten() {
+                for r in ranks() {
                     r.metrics.merge_into(&mut reg);
+                    r.publish(&mut reg);
                 }
                 for n in shard_nodes {
-                    n.metrics.merge_into(&mut reg);
+                    n.helper.stats().publish(&mut reg);
+                    for dev in &n.devices {
+                        dev.stats().publish(dev.kind(), &mut reg);
+                    }
                 }
-                Some(reg)
-            } else {
-                None
-            };
-            let store_stats: Vec<StoreStats> = shard_ranks
-                .iter()
-                .flatten()
+                reg
+            });
+            let store_stats: Vec<StoreStats> = ranks()
                 .filter_map(|r| r.engine.persistence_stats())
                 .collect();
-            let store_stats = if store_stats.is_empty() {
-                None
-            } else {
-                Some(StoreStats::merged(store_stats.iter()))
-            };
+            let store_stats = (!store_stats.is_empty()).then(|| StoreStats::merged(&store_stats));
             ShardMerge {
                 trace,
                 rollup,
@@ -1167,7 +1166,7 @@ impl ClusterSim {
                     folded.merge_from(partial);
                 }
             }
-            folded.merge_from(&Rollup::from_events(&coord, bucket));
+            folded.merge_from(&Rollup::from_events(&tally.coord, bucket));
             folded
         });
         let merged_trace = if self.options.trace {
@@ -1175,16 +1174,17 @@ impl ClusterSim {
                 .iter_mut()
                 .map(|s| std::mem::take(&mut s.trace))
                 .collect();
-            streams.push(coord);
+            streams.push(tally.coord);
             nvm_trace::merge_ranked(streams)
         } else {
             Vec::new()
         };
         let engine_stats = EngineStats::merged(shard_results.iter().map(|s| &s.engine_stats));
 
-        coord_metrics.counter_add(names::CLUSTER_BARRIERS_TOTAL, self.barriers);
+        self.coord_metrics
+            .counter_add(names::CLUSTER_BARRIERS_TOTAL, self.barriers);
         for n in &self.nodes {
-            coord_metrics.gauge_max(
+            self.coord_metrics.gauge_max(
                 names::LINK_PEAK_BYTES_PER_S,
                 n.link.trace().peak_bytes() as i64,
             );
@@ -1196,7 +1196,7 @@ impl ClusterSim {
                     reg.merge_from(partial);
                 }
             }
-            coord_metrics.merge_into(&mut reg);
+            self.coord_metrics.merge_into(&mut reg);
             Some(MetricsReport::new(reg.snapshot()))
         } else {
             None
@@ -1208,17 +1208,13 @@ impl ClusterSim {
             .iter()
             .filter_map(|s| s.store_stats.as_ref())
             .collect();
-        let store = if store_partials.is_empty() {
-            None
-        } else {
-            Some(StoreStats::merged(store_partials))
-        };
+        let store = (!store_partials.is_empty()).then(|| StoreStats::merged(store_partials));
 
         let result = RunResult {
             total_time,
-            iterations_executed: executed,
-            local_checkpoints: local_ckpts,
-            remote_checkpoints: remote_ckpts,
+            iterations_executed: tally.executed,
+            local_checkpoints: tally.local_ckpts,
+            remote_checkpoints: tally.remote_ckpts,
             engine_stats,
             rank0_epochs: self.ranks[0][0].engine.log().to_vec(),
             link_traces: self.nodes.iter().map(|n| n.link.trace().clone()).collect(),
@@ -1228,16 +1224,16 @@ impl ClusterSim {
                 .iter()
                 .map(|n| n.helper.cpu_utilization())
                 .collect(),
-            soft_failures: soft,
-            hard_failures: hard,
-            lost_iterations: lost,
-            schedule: trace,
-            checkpoint_bytes_per_rank: d_per_rank,
+            soft_failures: tally.soft,
+            hard_failures: tally.hard,
+            lost_iterations: tally.lost,
+            schedule: tally.schedule,
+            checkpoint_bytes_per_rank: tally.d_per_rank,
             trace: merged_trace,
             metrics,
             rollup,
             store,
-            recovery: recovery_records,
+            recovery: tally.recovery,
         };
         let profile = self.options.profile.then(|| RunProfile {
             wall_ns: wall_start.elapsed().as_nanos() as u64,
@@ -1258,7 +1254,7 @@ impl ClusterSim {
             result,
             profile,
             spill,
-            flight,
+            flight: tally.flight,
         })
     }
 
@@ -1416,13 +1412,7 @@ impl ClusterSim {
     }
 
     /// Emit the recovery's trace events and counters.
-    fn note_recovery(
-        &self,
-        record: &RecoveryRecord,
-        t0: SimTime,
-        coord: &mut Vec<TraceEvent>,
-        coord_metrics: &Metrics,
-    ) {
+    fn note_recovery(&self, record: &RecoveryRecord, t0: SimTime, coord: &mut Vec<TraceEvent>) {
         if self.options.stream() {
             let rank0 = self.config.first_rank(record.node);
             coord.push(TraceEvent {
@@ -1459,18 +1449,19 @@ impl ClusterSim {
                 },
             });
         }
-        coord_metrics.counter_add(names::RECOVERY_HARD_TOTAL, 1);
-        coord_metrics.counter_add(names::RECOVERY_BYTES_FETCHED_TOTAL, record.bytes_fetched);
-        coord_metrics.counter_add(names::RECOVERY_RETRIES_TOTAL, record.retries);
-        coord_metrics.counter_add(
+        let metrics = &self.coord_metrics;
+        metrics.counter_add(names::RECOVERY_HARD_TOTAL, 1);
+        metrics.counter_add(names::RECOVERY_BYTES_FETCHED_TOTAL, record.bytes_fetched);
+        metrics.counter_add(names::RECOVERY_RETRIES_TOTAL, record.retries);
+        metrics.counter_add(
             names::RECOVERY_CHUNKS_VERIFIED_TOTAL,
             record.verified_chunks,
         );
-        coord_metrics.observe(names::RECOVERY_TIME_NS, record.duration.as_nanos());
+        metrics.observe(names::RECOVERY_TIME_NS, record.duration.as_nanos());
     }
 
-    /// Rebuild a hard-failed node (see [`CkptProgress`] for the
-    /// checkpoint state it starts from).
+    /// Rebuild a hard-failed node at iteration count `iteration`, from
+    /// the checkpoint progress `tally` holds.
     ///
     /// Under byte materialization the node's devices are wiped (taking
     /// the remote copy it hosted for its ring neighbour with them) and
@@ -1484,16 +1475,12 @@ impl ClusterSim {
     fn recover_hard_node(
         &mut self,
         node: usize,
-        progress: &CkptProgress,
-        coord: &mut Vec<TraceEvent>,
-        coord_metrics: &Metrics,
+        iteration: u64,
+        tally: &mut LoopTallies,
     ) -> Result<RecoveryRecord, SimError> {
-        let &CkptProgress {
-            iteration,
-            local_ckpts,
-            remote_ckpts,
-            d_per_rank,
-        } = progress;
+        let (local_ckpts, remote_ckpts) = (tally.local_ckpts, tally.remote_ckpts);
+        let d_per_rank = tally.d_per_rank;
+        let coord = &mut tally.coord;
         let rpn = self.config.node_rank_count(node);
         let t0 = self.ranks[node][0].clock.now();
 
@@ -1510,7 +1497,7 @@ impl ClusterSim {
                 duration: self.remote_restart_cost(node, d_per_rank),
                 chunks: Vec::new(),
             };
-            self.note_recovery(&record, t0, coord, coord_metrics);
+            self.note_recovery(&record, t0, coord);
             return Ok(record);
         }
 
@@ -1541,9 +1528,8 @@ impl ClusterSim {
             // Rung 1: every rank's durable container survived intact.
             source = RecoverySource::LocalStore;
             for rank in self.ranks[node].iter_mut() {
-                let mut store = FileStore::open_existing(&rank_store_path(&dir, rank.global))
+                let store = FileStore::open_existing(&rank_store_path(&dir, rank.global))
                     .map_err(EngineError::from)?;
-                store.set_metrics(rank.metrics.clone());
                 let (engine, _report) = CheckpointEngine::restart_from_store(
                     &self.drams[node],
                     &self.nvms[node],
@@ -1554,8 +1540,7 @@ impl ClusterSim {
                     Box::new(store),
                     rank.tracer(),
                 )?;
-                rank.engine = engine;
-                rank.attach(None, self.config.container_bytes)?;
+                rank.install(engine);
                 max_install = max_install.max(rank.clock.now().since(t0));
             }
         } else {
@@ -1643,8 +1628,7 @@ impl ClusterSim {
                         local_ckpts,
                         rank.tracer(),
                     )?;
-                    rank.engine = engine;
-                    rank.attach(None, self.config.container_bytes)?;
+                    rank.install(engine);
                     max_install = max_install.max(rank.clock.now().since(t0));
                 }
                 // Verify the restored contents bit-for-bit against the
@@ -1670,15 +1654,14 @@ impl ClusterSim {
                 // survivable, it just loses all progress).
                 remote_epoch = None;
                 for rank in self.ranks[node].iter_mut() {
-                    rank.engine = CheckpointEngine::new(
+                    rank.install(CheckpointEngine::new(
                         rank.global,
                         &self.drams[node],
                         &self.nvms[node],
                         self.config.container_bytes,
                         rank.clock.clone(),
                         self.config.engine,
-                    )?;
-                    rank.attach(None, self.config.container_bytes)?;
+                    )?);
                     rank.workload.setup(&mut rank.engine)?;
                     max_install = max_install.max(rank.clock.now().since(t0));
                 }
@@ -1692,7 +1675,7 @@ impl ClusterSim {
             if let Some(dir) = &self.options.store_dir {
                 for rank in self.ranks[node].iter_mut() {
                     let _ = std::fs::remove_file(rank_store_path(dir, rank.global));
-                    rank.attach(Some(dir), self.config.container_bytes)?;
+                    rank.attach_store(dir, self.config.container_bytes)?;
                 }
             }
         }
@@ -1721,7 +1704,8 @@ impl ClusterSim {
         }
 
         if self.options.store_dir.is_some() && source != RecoverySource::LocalStore {
-            coord_metrics.counter_add(names::RECOVERY_FALLBACK_REMOTE_TOTAL, 1);
+            self.coord_metrics
+                .counter_add(names::RECOVERY_FALLBACK_REMOTE_TOTAL, 1);
         }
 
         let record = RecoveryRecord {
@@ -1736,7 +1720,7 @@ impl ClusterSim {
             duration: wire + max_install + reprotect_wire,
             chunks: chunk_records,
         };
-        self.note_recovery(&record, t0, coord, coord_metrics);
+        self.note_recovery(&record, t0, coord);
         Ok(record)
     }
 
@@ -1763,18 +1747,29 @@ impl ClusterSim {
     }
 }
 
-/// Checkpoint progress at the moment a failure batch is handled —
-/// everything hard-failure recovery needs to know about where the run
-/// stood.
-struct CkptProgress {
-    /// Iteration count when the failure was handled.
-    iteration: u64,
+/// The run loop's tallies: what hard-failure recovery reads (where the
+/// run stood) and records into, and what the end-of-run reduction
+/// ([`ClusterSim::reduce`]) folds into the outcome.
+struct LoopTallies {
+    /// Rank 0's activity schedule.
+    schedule: ScheduleTrace,
+    /// Cluster-level events (failures, remote shipping) happen on the
+    /// coordinator, outside any single rank's timeline; they get their
+    /// own buffer and merge with the per-rank streams at the end.
+    coord: Vec<TraceEvent>,
+    /// Dump taken if a recovery ladder bottomed out at virgin.
+    flight: Option<FlightDump>,
+    executed: u64,
+    lost: u64,
+    soft: u64,
+    hard: u64,
     /// Local checkpoints committed so far.
     local_ckpts: u64,
     /// Remote epochs committed so far.
     remote_ckpts: u64,
-    /// Checkpoint bytes per rank (for the modeled fetch charge).
+    /// Checkpoint bytes per rank (`D`; the modeled fetch charge).
     d_per_rank: u64,
+    recovery: Vec<RecoveryRecord>,
 }
 
 #[cfg(test)]
@@ -2043,27 +2038,6 @@ mod tests {
         cfg.remote = Some(RemoteConfig::infiniband(SimDuration::from_secs(10), true));
         let r = run_opts(cfg, RunOptions::new().with_metrics(true));
         let snap = &r.metrics.as_ref().unwrap().snapshot;
-        let es = &r.engine_stats;
-        assert_eq!(snap.counter(names::CHKPT_CHECKPOINTS_TOTAL), es.checkpoints);
-        assert_eq!(
-            snap.counter(names::CHKPT_COORDINATED_BYTES_TOTAL),
-            es.coordinated_bytes
-        );
-        assert_eq!(
-            snap.counter(names::CHKPT_PRECOPIED_BYTES_TOTAL),
-            es.precopied_bytes
-        );
-        assert_eq!(
-            snap.counter(names::CHKPT_SKIPPED_BYTES_TOTAL),
-            es.skipped_bytes
-        );
-        assert_eq!(snap.counter(names::CHKPT_FAULTS_TOTAL), es.faults);
-        let hs = HelperStats::merged(r.helper_stats.iter());
-        assert_eq!(
-            snap.counter(names::HELPER_BYTES_COPIED_TOTAL),
-            hs.bytes_copied
-        );
-        assert_eq!(snap.counter(names::HELPER_COPY_OPS_TOTAL), hs.copy_ops);
         assert!(snap.counter(names::CLUSTER_BARRIERS_TOTAL) > 0);
         assert!(snap.gauge(names::LINK_PEAK_BYTES_PER_S) > 0);
         let d = &r.metrics.as_ref().unwrap().derived;

@@ -291,6 +291,7 @@ mod tests {
     use crate::run::RemoteConfig;
     use nvm_chkpt::checksum::crc64;
     use nvm_emu::SimTime;
+    use nvm_metrics::names;
 
     /// `store_config` plus remote checkpointing, long enough for two
     /// remote epochs to commit before a late hard failure.
@@ -449,10 +450,13 @@ mod tests {
         .result;
         assert_eq!(r.recovery[0].source, RecoverySource::Virgin);
         let snap = &r.metrics.as_ref().unwrap().snapshot;
-        assert_eq!(snap.counter(nvm_metrics::names::RECOVERY_HARD_TOTAL), 1);
+        assert_eq!(snap.counter(names::RECOVERY_HARD_TOTAL), 1);
+        assert_eq!(snap.counter(names::RECOVERY_FALLBACK_REMOTE_TOTAL), 1);
+        // The stores' totals are published too (nothing had committed
+        // into the containers the failure replaced).
         assert_eq!(
-            snap.counter(nvm_metrics::names::RECOVERY_FALLBACK_REMOTE_TOTAL),
-            1
+            snap.counter(names::STORE_COMMITS_TOTAL),
+            r.store.unwrap().commits
         );
     }
 
@@ -462,13 +466,22 @@ mod tests {
         // re-protection, rollback — runs on the coordinator, so a
         // threaded run must produce a byte-identical RunResult.
         let cfg = recovery_config(true).with_failure_schedule(hard_at(100, 1));
-        let serial = run_with(cfg.clone(), RunOptions::new().with_trace(true)).result;
-        let threaded = run_with(cfg.with_threads(4), RunOptions::new().with_trace(true)).result;
+        let opts = RunOptions::new().with_trace(true).with_metrics(true);
+        let serial = run_with(cfg.clone(), opts.clone()).result;
+        let threaded = run_with(cfg.with_threads(4), opts).result;
         assert_eq!(serial.recovery[0].source, RecoverySource::RemoteBuddy);
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&threaded).unwrap()
         );
+        // Counters are cumulative across the rebuild: every rank took
+        // every local checkpoint, though the two revived engines only
+        // remember those since their restart.
+        let snap = &serial.metrics.as_ref().unwrap().snapshot;
+        let checkpoints = snap.counter(names::CHKPT_CHECKPOINTS_TOTAL);
+        assert_eq!(checkpoints, 4 * serial.local_checkpoints);
+        assert!(checkpoints > serial.engine_stats.checkpoints);
+        assert_eq!(snap.counter(names::CHKPT_RESTARTS_TOTAL), 2);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::spill::SpillStore;
 use crate::time::{SimDuration, VirtualClock};
 use crate::wearmap::WearMap;
 use crate::{pages_for, PAGE_SIZE};
-use nvm_metrics::{names, CounterHandle, Metrics};
+use nvm_metrics::{names, MetricsRegistry};
 use nvm_trace::{TraceEventKind, Tracer};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -62,6 +62,29 @@ pub struct DeviceStats {
     pub busy: SimDuration,
     /// Energy spent on writes.
     pub energy: EnergyMeter,
+}
+
+impl DeviceStats {
+    /// Add these totals to the `dev_<kind>_*_total` counters of `reg`
+    /// — the only path from a device's totals into a registry. No `..`:
+    /// a new field needs a counter name or an explicit `_` to compile.
+    pub fn publish(&self, kind: DeviceKind, reg: &mut MetricsRegistry) {
+        let DeviceStats {
+            bytes_written,
+            bytes_read,
+            write_ops: _,
+            read_ops: _,
+            flush_ops: _,
+            busy,
+            energy: _,
+        } = *self;
+        let kind = kind.name();
+        reg.publish_totals([
+            (names::device_write_bytes_total(kind), bytes_written),
+            (names::device_read_bytes_total(kind), bytes_read),
+            (names::device_busy_ns_total(kind), busy.as_nanos()),
+        ]);
+    }
 }
 
 /// Backing storage of a region.
@@ -117,18 +140,6 @@ struct DeviceTracer {
     clock: VirtualClock,
 }
 
-/// Metrics attachment for a device, with the per-kind counters
-/// pre-resolved into lock-free cells at attach time so the charge
-/// path is a couple of relaxed atomic adds — no registry mutex, no
-/// name lookup. Counter adds are commutative, so unlike a tracer a
-/// metrics handle may be attached to a device shared by
-/// concurrently-executing ranks without breaking determinism.
-struct DeviceMetrics {
-    read_bytes: CounterHandle,
-    write_bytes: CounterHandle,
-    busy_ns: CounterHandle,
-}
-
 struct Inner {
     params: DeviceParams,
     model: BandwidthModel,
@@ -141,8 +152,6 @@ struct Inner {
     strict_endurance: bool,
     /// Optional charge tracing; `None` (the default) costs one branch.
     tracer: Option<DeviceTracer>,
-    /// Optional charge metrics; `None` (the default) costs one branch.
-    metrics: Option<DeviceMetrics>,
     /// Optional spill backing: when present, materialized regions
     /// allocated afterwards keep their bytes here instead of in RAM.
     spill: Option<Box<dyn SpillStore>>,
@@ -189,7 +198,6 @@ impl MemoryDevice {
                 stats: DeviceStats::default(),
                 strict_endurance: false,
                 tracer: None,
-                metrics: None,
                 spill: None,
             })),
         }
@@ -231,36 +239,6 @@ impl MemoryDevice {
         };
     }
 
-    /// Detach any tracer attached with [`MemoryDevice::set_tracer`].
-    pub fn clear_tracer(&self) {
-        self.inner.lock().tracer = None;
-    }
-
-    /// Attach a metrics handle: every subsequent read/write/flush
-    /// charge adds to `dev_<kind>_{read,write}_bytes_total` and
-    /// `dev_<kind>_busy_ns_total`. Counter updates are commutative, so
-    /// this is safe on a device shared by concurrent ranks (unlike
-    /// [`MemoryDevice::set_tracer`]).
-    pub fn set_metrics(&self, metrics: Metrics) {
-        let mut g = self.inner.lock();
-        let kind = g.params.kind.name();
-        g.metrics = if metrics.enabled() {
-            Some(DeviceMetrics {
-                read_bytes: metrics.counter_handle(names::device_read_bytes_total(kind)),
-                write_bytes: metrics.counter_handle(names::device_write_bytes_total(kind)),
-                busy_ns: metrics.counter_handle(names::device_busy_ns_total(kind)),
-            })
-        } else {
-            None
-        };
-    }
-
-    /// Detach any metrics handle attached with
-    /// [`MemoryDevice::set_metrics`].
-    pub fn clear_metrics(&self) {
-        self.inner.lock().metrics = None;
-    }
-
     /// Device parameter block.
     pub fn params(&self) -> DeviceParams {
         self.inner.lock().params
@@ -298,8 +276,8 @@ impl MemoryDevice {
     }
 
     /// Attach a spill store: materialized regions allocated from now on
-    /// keep their bytes in `store` instead of process RAM. Costs, wear,
-    /// statistics, and metrics are charged by the exact same code as
+    /// keep their bytes in `store` instead of process RAM. Costs, wear
+    /// and statistics are charged by the exact same code as
     /// RAM-backed regions, so simulation results are unaffected —
     /// only the process's resident set shrinks. Regions allocated
     /// before the attach keep their RAM backing.
@@ -565,9 +543,6 @@ impl MemoryDevice {
         g.stats.flush_ops += 1;
         g.stats.busy += cost;
         g.trace_charge("flush", len as u64, cost);
-        if let Some(dm) = &g.metrics {
-            dm.busy_ns.add(cost.as_nanos());
-        }
         Ok(cost)
     }
 
@@ -650,10 +625,6 @@ impl Inner {
             .energy
             .charge_write(len as u64, params.write_energy_pj_per_bit);
         self.trace_charge("write", len as u64, cost);
-        if let Some(dm) = &self.metrics {
-            dm.write_bytes.add(len as u64);
-            dm.busy_ns.add(cost.as_nanos());
-        }
         Ok(cost)
     }
 
@@ -669,10 +640,6 @@ impl Inner {
         self.stats.read_ops += 1;
         self.stats.busy += cost;
         self.trace_charge("read", len as u64, cost);
-        if let Some(dm) = &self.metrics {
-            dm.read_bytes.add(len as u64);
-            dm.busy_ns.add(cost.as_nanos());
-        }
         cost
     }
 
@@ -919,43 +886,33 @@ mod tests {
     }
 
     #[test]
-    fn attached_metrics_mirror_device_stats() {
-        let d = MemoryDevice::pcm(MB);
-        let m = Metrics::new();
-        d.set_metrics(m.clone());
-        let r = d.alloc(4096).unwrap();
-        d.write(r, 0, &[1; 4096], 1).unwrap();
-        let mut buf = vec![0u8; 1024];
-        d.read(r, 0, &mut buf, 1).unwrap();
-        d.flush(r, 4096).unwrap();
-        let snap = m.registry().snapshot();
-        let s = d.stats();
-        assert_eq!(snap.counter("dev_pcm_write_bytes_total"), s.bytes_written);
-        assert_eq!(snap.counter("dev_pcm_read_bytes_total"), s.bytes_read);
-        assert_eq!(snap.counter("dev_pcm_busy_ns_total"), s.busy.as_nanos());
-
-        // Commutative counter adds: a device shared by threads ends up
-        // with the same totals regardless of interleaving.
-        let before = m.registry().snapshot().counter("dev_pcm_write_bytes_total");
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let d = d.clone();
-                scope.spawn(move || {
-                    for _ in 0..8 {
-                        d.write(r, 0, &[2; 512], 1).unwrap();
-                    }
-                });
-            }
-        });
-        let after = m.registry().snapshot().counter("dev_pcm_write_bytes_total");
-        assert_eq!(after - before, 4 * 8 * 512);
-
-        // Detaching stops recording.
-        d.clear_metrics();
-        d.write(r, 0, &[3; 64], 1).unwrap();
+    fn publish_names_every_counted_field() {
+        let mut reg = MetricsRegistry::new();
+        DeviceStats::default().publish(DeviceKind::Pcm, &mut reg);
+        assert!(reg.is_empty(), "zero totals publish no key");
+        let stats = DeviceStats {
+            bytes_written: 1,
+            bytes_read: 2,
+            write_ops: 3,
+            read_ops: 4,
+            flush_ops: 5,
+            busy: SimDuration::from_nanos(6),
+            energy: EnergyMeter::default(),
+        };
+        stats.publish(DeviceKind::Pcm, &mut reg);
+        stats.publish(DeviceKind::Dram, &mut reg);
         assert_eq!(
-            m.registry().snapshot().counter("dev_pcm_write_bytes_total"),
-            after
+            reg.snapshot().counters,
+            [
+                ("dev_dram_busy_ns_total", 6),
+                ("dev_dram_read_bytes_total", 2),
+                ("dev_dram_write_bytes_total", 1),
+                ("dev_pcm_busy_ns_total", 6),
+                ("dev_pcm_read_bytes_total", 2),
+                ("dev_pcm_write_bytes_total", 1),
+            ]
+            .map(|(name, v)| (name.to_string(), v))
+            .into()
         );
     }
 

@@ -1,6 +1,5 @@
 //! Exporters: Prometheus text exposition and stable JSON.
 
-use crate::histogram::HistogramSnapshot;
 use crate::registry::MetricsSnapshot;
 use std::fmt::Write as _;
 
@@ -34,14 +33,17 @@ pub fn to_prometheus_text(snap: &MetricsSnapshot) -> String {
 }
 
 /// Minimal structural validation of Prometheus text: every non-comment
-/// line must be `name[{labels}] value` with a numeric value, every
-/// series must be preceded by a `# TYPE` declaration for its family,
-/// and histogram families must end with an `+Inf` bucket and matching
-/// `_count`. Returns the number of samples on success. This is the
-/// check CI runs on the exported file.
+/// line must be `name[{labels}] value` with a legal metric name and a
+/// numeric value, every series must be preceded by a `# TYPE`
+/// declaration for its family, and a histogram's bucket counts must be
+/// cumulative. Returns the number of samples on success. This is the
+/// one check of the exported file (`quick_metered_run_yields_report`
+/// runs it on the quick preset's exposition).
 pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
     let mut declared: Vec<String> = Vec::new();
     let mut samples = 0usize;
+    // Family and count of the previous `_bucket` line.
+    let mut last_bucket: Option<(&str, f64)> = None;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim_end();
         if line.is_empty() {
@@ -67,10 +69,14 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
         let (series, value) = line
             .rsplit_once(' ')
             .ok_or_else(|| format!("line {}: no value: {line}", lineno + 1))?;
-        value
+        let value = value
             .parse::<f64>()
             .map_err(|_| format!("line {}: non-numeric value {value}", lineno + 1))?;
         let base = series.split('{').next().unwrap_or(series);
+        let legal = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+        if !base.chars().all(legal) || base.starts_with(|c: char| c.is_ascii_digit()) {
+            return Err(format!("line {}: bad metric name {base}", lineno + 1));
+        }
         let family = base
             .strip_suffix("_bucket")
             .or_else(|| base.strip_suffix("_sum"))
@@ -83,26 +89,21 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
                 lineno + 1
             ));
         }
+        if base.ends_with("_bucket") && family != base {
+            if matches!(last_bucket, Some((f, prev)) if f == family && value < prev) {
+                return Err(format!(
+                    "line {}: {family} buckets not cumulative",
+                    lineno + 1
+                ));
+            }
+            last_bucket = Some((family, value));
+        }
         samples += 1;
     }
     if samples == 0 {
         return Err("no samples".to_string());
     }
     Ok(samples)
-}
-
-/// Reconstruct a cumulative-bucket view (as Prometheus would scrape
-/// it) from a snapshot histogram — used by tests to cross-check the
-/// text renderer.
-pub fn cumulative_buckets(h: &HistogramSnapshot) -> Vec<(u64, u64)> {
-    let mut cumulative = 0u64;
-    h.buckets
-        .iter()
-        .map(|&(upper, count)| {
-            cumulative += count;
-            (upper, cumulative)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -136,11 +137,7 @@ mod tests {
 
     #[test]
     fn prometheus_buckets_are_cumulative() {
-        let snap = sample_snapshot();
-        let h = snap.histogram("chkpt_fault_ns").unwrap();
-        let cum = cumulative_buckets(h);
-        assert_eq!(cum, vec![(127, 1), (8191, 2)]);
-        let text = to_prometheus_text(&snap);
+        let text = to_prometheus_text(&sample_snapshot());
         assert!(text.contains("chkpt_fault_ns_bucket{le=\"127\"} 1"));
         assert!(text.contains("chkpt_fault_ns_bucket{le=\"8191\"} 2"));
     }
@@ -151,6 +148,9 @@ mod tests {
         assert!(validate_prometheus_text("no_type_decl 1\n").is_err());
         assert!(validate_prometheus_text("# TYPE x counter\nx notanumber\n").is_err());
         assert!(validate_prometheus_text("# TYPE x widget\nx 1\n").is_err());
+        assert!(validate_prometheus_text("# TYPE x-y counter\nx-y 1\n").is_err());
+        let shrinking = "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 1\n";
+        assert!(validate_prometheus_text(shrinking).is_err());
     }
 
     #[test]

@@ -47,6 +47,17 @@ impl MetricsRegistry {
         }
     }
 
+    /// Add a stats struct's `(name, total)` pairs to their counters —
+    /// what every `publish` body calls. Zero totals create no entry,
+    /// so a published key is present exactly when its event happened.
+    pub fn publish_totals(&mut self, totals: impl IntoIterator<Item = (&'static str, u64)>) {
+        for (name, total) in totals {
+            if total != 0 {
+                self.counter_add(name, total);
+            }
+        }
+    }
+
     /// Raise the named gauge to at least `value` (created at `value`).
     pub fn gauge_max(&mut self, name: &'static str, value: i64) {
         match self.metrics.entry(name).or_insert(Metric::Gauge(value)) {
@@ -316,15 +327,14 @@ impl std::fmt::Debug for HistogramHandle {
 /// (the default) is disabled and every update is a single branch;
 /// enabled handles share one registry behind a mutex. All updates are
 /// commutative (add/max/bucket-add), so a registry shared by
-/// concurrently executing ranks — the per-node device registries — is
-/// still bit-deterministic.
+/// concurrently executing ranks is still bit-deterministic.
 ///
-/// Hot paths should pre-resolve names once via
-/// [`Metrics::counter_handle`]/[`Metrics::histogram_handle`] and
+/// Per-operation paths (the kv store's) should pre-resolve names once
+/// via [`Metrics::counter_handle`]/[`Metrics::histogram_handle`] and
 /// update through the returned lock-free cells; the name-keyed
 /// `counter_add`/`gauge_max`/`observe` methods lock the registry and
-/// walk the name map on every call, which is fine for per-epoch
-/// coordinator updates but not for per-event device charges.
+/// walk the name map on every call, which is fine per epoch or per
+/// protection fault.
 #[derive(Clone, Default)]
 pub struct Metrics {
     inner: Option<Arc<MetricsInner>>,
@@ -381,6 +391,14 @@ impl Metrics {
     pub fn observe(&self, name: &'static str, value: u64) {
         if let Some(inner) = &self.inner {
             inner.registry.lock().unwrap().observe(name, value);
+        }
+    }
+
+    /// Run `f` on the attached registry — how stats-struct `publish`
+    /// methods reach it. No-op when disabled.
+    pub fn update(&self, f: impl FnOnce(&mut MetricsRegistry)) {
+        if let Some(inner) = &self.inner {
+            f(&mut inner.registry.lock().expect("metrics registry poisoned"));
         }
     }
 

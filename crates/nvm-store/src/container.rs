@@ -29,7 +29,6 @@ use crate::media::{FileMedia, Media};
 use nvm_chkpt::checksum::crc64;
 use nvm_chkpt::persist::{PersistError, Persistence, RecoveredChunk, RecoveredState, StoreStats};
 use nvm_heap::{Arena, Extent};
-use nvm_metrics::{names, Metrics};
 use nvm_paging::ChunkId;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -81,7 +80,6 @@ pub struct Container<M: Media> {
     /// Snapshot of what the open-time scan recovered.
     recovered: RecoveredState,
     stats: StoreStats,
-    metrics: Metrics,
 }
 
 impl<M: Media> Container<M> {
@@ -114,7 +112,6 @@ impl<M: Media> Container<M> {
                 ..RecoveredState::default()
             },
             stats: StoreStats::default(),
-            metrics: Metrics::disabled(),
         };
         if fresh {
             // Geometry must be durable before any slot write lands
@@ -135,12 +132,6 @@ impl<M: Media> Container<M> {
     /// Consume the container, returning its media.
     pub fn into_media(self) -> M {
         self.media
-    }
-
-    /// Attach a metrics handle; store counters are recorded as they
-    /// accrue.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
     }
 
     /// Container identity from the superblock.
@@ -181,8 +172,6 @@ impl<M: Media> Container<M> {
     fn write(&mut self, offset: u64, data: &[u8]) -> Result<(), PersistError> {
         self.media.write_at(offset, data)?;
         self.stats.bytes_written += data.len() as u64;
-        self.metrics
-            .counter_add(names::STORE_BYTES_WRITTEN_TOTAL, data.len() as u64);
         Ok(())
     }
 
@@ -190,7 +179,6 @@ impl<M: Media> Container<M> {
     fn fsync(&mut self) -> Result<(), PersistError> {
         self.media.fsync()?;
         self.stats.fsyncs += 1;
-        self.metrics.counter_add(names::STORE_FSYNCS_TOTAL, 1);
         Ok(())
     }
 
@@ -226,8 +214,6 @@ impl<M: Media> Container<M> {
         // Appends resume here: a torn tail record is overwritten.
         self.log_tail = start + pos as u64;
         self.stats.torn_writes_detected += torn;
-        self.metrics
-            .counter_add(names::STORE_TORN_WRITES_TOTAL, torn);
 
         let mut recovered = RecoveredState {
             process_id: self.sb.process_id,
@@ -406,7 +392,6 @@ impl<M: Media> Persistence for Container<M> {
         // --- Durable from here on. ---
         self.log_tail = at + rec.len() as u64;
         self.stats.commits += 1;
-        self.metrics.counter_add(names::STORE_COMMITS_TOTAL, 1);
         for chunk in self.chunks.values_mut() {
             if let Some(s) = chunk.staged.take() {
                 chunk.committed = Some(s);
@@ -422,7 +407,6 @@ impl<M: Media> Persistence for Container<M> {
 
     fn recover(&mut self) -> Result<RecoveredState, PersistError> {
         self.stats.recoveries += 1;
-        self.metrics.counter_add(names::STORE_RECOVERIES_TOTAL, 1);
         Ok(self.recovered.clone())
     }
 
@@ -467,10 +451,6 @@ impl<M: Media> Persistence for Container<M> {
         }
         self.stats.payload_reads += 1;
         self.stats.payload_read_bytes += payload.len() as u64;
-        self.metrics
-            .counter_add(names::STORE_PAYLOAD_READS_TOTAL, 1);
-        self.metrics
-            .counter_add(names::STORE_PAYLOAD_READ_BYTES_TOTAL, payload.len() as u64);
         Ok(payload)
     }
 

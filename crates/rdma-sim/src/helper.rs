@@ -16,7 +16,7 @@
 //! ~2.5% of a 12-core node.
 
 use nvm_emu::SimDuration;
-use nvm_metrics::{names, Metrics};
+use nvm_metrics::{names, Metrics, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
 /// Cost parameters of the helper.
@@ -88,6 +88,26 @@ impl std::ops::AddAssign<&HelperStats> for HelperStats {
 }
 
 impl HelperStats {
+    /// Add these totals to the `helper_*_total` counters of `reg` —
+    /// the only path from a helper's totals into a registry,
+    /// destructured as exhaustively as the merge above.
+    pub fn publish(&self, reg: &mut MetricsRegistry) {
+        let HelperStats {
+            busy,
+            elapsed,
+            bytes_copied,
+            copy_ops,
+            scans,
+        } = *self;
+        reg.publish_totals([
+            (names::HELPER_BUSY_NS_TOTAL, busy.as_nanos()),
+            (names::HELPER_ELAPSED_NS_TOTAL, elapsed.as_nanos()),
+            (names::HELPER_BYTES_COPIED_TOTAL, bytes_copied),
+            (names::HELPER_COPY_OPS_TOTAL, copy_ops),
+            (names::HELPER_SCANS_TOTAL, scans),
+        ]);
+    }
+
     /// Aggregate utilization over merged stats (`busy / elapsed`).
     pub fn cpu_utilization(&self) -> f64 {
         if self.elapsed.is_zero() {
@@ -126,7 +146,9 @@ impl HelperProcess {
         self.params
     }
 
-    /// Attach a metrics handle; subsequent scans/copies record into it.
+    /// Attach a metrics handle: the transfer-size distribution, which
+    /// has no stats twin, records into it. Totals are
+    /// [`HelperStats::publish`]ed instead.
     pub fn set_metrics(&mut self, metrics: Metrics) {
         self.metrics = metrics;
     }
@@ -137,9 +159,6 @@ impl HelperProcess {
         let cost = self.params.scan_per_chunk * chunks as u64;
         self.stats.busy += cost;
         self.stats.scans += 1;
-        self.metrics.counter_add(names::HELPER_SCANS_TOTAL, 1);
-        self.metrics
-            .counter_add(names::HELPER_BUSY_NS_TOTAL, cost.as_nanos());
         cost
     }
 
@@ -162,11 +181,6 @@ impl HelperProcess {
         self.stats.busy += cost;
         self.stats.bytes_copied += bytes;
         self.stats.copy_ops += 1;
-        self.metrics.counter_add(names::HELPER_COPY_OPS_TOTAL, 1);
-        self.metrics
-            .counter_add(names::HELPER_BYTES_COPIED_TOTAL, bytes);
-        self.metrics
-            .counter_add(names::HELPER_BUSY_NS_TOTAL, cost.as_nanos());
         self.metrics.observe(names::HELPER_TRANSFER_BYTES, bytes);
         cost
     }
@@ -175,17 +189,11 @@ impl HelperProcess {
     /// charged separately by `scan`/`copy_chunk`).
     pub fn advance(&mut self, dur: SimDuration) {
         self.stats.elapsed += dur;
-        self.metrics
-            .counter_add(names::HELPER_ELAPSED_NS_TOTAL, dur.as_nanos());
     }
 
     /// CPU utilization of the dedicated helper core, in [0, 1+].
     pub fn cpu_utilization(&self) -> f64 {
-        if self.stats.elapsed.is_zero() {
-            0.0
-        } else {
-            self.stats.busy.as_secs_f64() / self.stats.elapsed.as_secs_f64()
-        }
+        self.stats.cpu_utilization()
     }
 
     /// Node-wide utilization when the node has `cores` cores.
@@ -297,43 +305,50 @@ mod tests {
     }
 
     #[test]
-    fn metrics_mirror_stats() {
-        use nvm_metrics::names;
-        let mut h = HelperProcess::new();
-        let m = Metrics::new();
-        h.set_metrics(m.clone());
-        h.scan(10);
-        h.copy_chunk(MB);
-        h.copy_bulk(2 * MB);
-        h.advance(SimDuration::from_secs(1));
-        let snap = m.registry().snapshot();
-        let s = h.stats();
-        assert_eq!(snap.counter(names::HELPER_SCANS_TOTAL), s.scans);
-        assert_eq!(snap.counter(names::HELPER_COPY_OPS_TOTAL), s.copy_ops);
+    fn publish_names_every_field() {
+        let mut reg = MetricsRegistry::new();
+        HelperStats::default().publish(&mut reg);
+        assert!(reg.is_empty(), "zero totals publish no key");
+        HelperStats {
+            busy: SimDuration::from_nanos(1),
+            elapsed: SimDuration::from_nanos(2),
+            bytes_copied: 3,
+            copy_ops: 4,
+            scans: 5,
+        }
+        .publish(&mut reg);
         assert_eq!(
-            snap.counter(names::HELPER_BYTES_COPIED_TOTAL),
-            s.bytes_copied
+            reg.snapshot().counters,
+            [
+                (names::HELPER_BUSY_NS_TOTAL, 1),
+                (names::HELPER_ELAPSED_NS_TOTAL, 2),
+                (names::HELPER_BYTES_COPIED_TOTAL, 3),
+                (names::HELPER_COPY_OPS_TOTAL, 4),
+                (names::HELPER_SCANS_TOTAL, 5),
+            ]
+            .map(|(name, v)| (name.to_string(), v))
+            .into()
         );
-        assert_eq!(snap.counter(names::HELPER_BUSY_NS_TOTAL), s.busy.as_nanos());
-        assert_eq!(
-            snap.counter(names::HELPER_ELAPSED_NS_TOTAL),
-            s.elapsed.as_nanos()
-        );
-        let hist = snap.histogram(names::HELPER_TRANSFER_BYTES).unwrap();
-        assert_eq!(hist.count, 2);
-        assert_eq!(hist.max, 2 * MB);
     }
 
     #[test]
     fn stats_accumulate() {
         let mut h = HelperProcess::new();
+        let m = Metrics::new();
+        h.set_metrics(m.clone());
         h.scan(100);
         h.copy_chunk(MB);
-        h.copy_chunk(MB);
+        h.copy_bulk(2 * MB);
         let s = h.stats();
         assert_eq!(s.scans, 1);
         assert_eq!(s.copy_ops, 2);
-        assert_eq!(s.bytes_copied, 2 * MB);
+        assert_eq!(s.bytes_copied, 3 * MB);
         assert!(!s.busy.is_zero());
+        // The only live metric is the transfer-size distribution.
+        let snap = m.registry().snapshot();
+        assert!(snap.counters.is_empty(), "{:?}", snap.counters);
+        let hist = snap.histogram(names::HELPER_TRANSFER_BYTES).unwrap();
+        assert_eq!(hist.count, s.copy_ops);
+        assert_eq!(hist.max, 2 * MB);
     }
 }
