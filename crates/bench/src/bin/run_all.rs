@@ -1,4 +1,8 @@
-//! Run every experiment in sequence and emit all tables + JSON.
+//! The one experiment binary. With no positional argument it runs
+//! every experiment in sequence and emits all tables + JSON; naming
+//! experiments (`run_all fig7_lammps_local kv_serving`, see
+//! [`EXPERIMENTS`]) runs just those. `scaling_ranks` runs only when
+//! named: it must have the process to itself.
 //! `--quick` runs the reduced presets (CI-friendly); `--threads N`
 //! runs cluster simulations on N rank-execution worker threads
 //! (results are bit-identical at any thread count); `--trace PATH`
@@ -18,38 +22,124 @@
 //! rank under DIR and timing per-rank recovery from those files alone.
 //! `--store` combines with `--trace`: the traced run then attaches the
 //! stores too, so store write/commit events appear in the exported
-//! stream. Unknown flags abort with usage.
+//! stream. `--measure` adds a real host memcpy curve to Figure 4 and
+//! `--real` a live memcpy-vs-tmpfs run to the MADBench experiment.
+//! Unknown flags and unknown experiment names abort with usage.
 use nvm_bench::experiments::*;
 use nvm_bench::report::write_json;
-use nvm_bench::scale::RunArgs;
+use nvm_bench::scale::{RunArgs, USAGE};
 
-fn main() {
-    let args = RunArgs::from_env();
-    let scale = args.scale();
-    let remote_scale = args.remote_scale();
-    let threads = args.thread_count();
+/// Runs one experiment: prints its tables, writes its JSON.
+type Stanza = fn(&RunArgs);
 
-    println!(
-        "# NVM-checkpoints — full experiment suite ({}, {} rank-execution thread{})",
-        if args.quick {
-            "quick preset"
-        } else {
-            "paper preset"
-        },
-        threads,
-        if threads == 1 { "" } else { "s" }
-    );
+/// Every experiment by the name that selects it, in full-run order.
+const EXPERIMENTS: &[(&str, Stanza)] = &[
+    ("table1_device_params", |_| {
+        let t1 = table1::run();
+        table1::render(&t1).print();
+        write_json("table1_device_params", &t1);
+    }),
+    ("fig4_parallel_memcpy", |args| {
+        let f4 = fig4::run(args.measure);
+        for t in fig4::render(&f4) {
+            t.print();
+        }
+        write_json("fig4_parallel_memcpy", &f4);
+    }),
+    ("madbench_ramdisk_vs_memory", madbench_ramdisk_vs_memory),
+    ("table4_chunk_distribution", |_| {
+        let t4 = table4::run();
+        table4::render(&t4).print();
+        write_json("table4_chunk_distribution", &t4);
+    }),
+    ("fig7_lammps_local", |args| {
+        local_checkpoint(args, "fig7_lammps_local", "lammps", "Figure 7 — LAMMPS")
+    }),
+    ("fig8_gtc_local", |args| {
+        local_checkpoint(args, "fig8_gtc_local", "gtc", "Figure 8 — GTC")
+    }),
+    ("cm1_local", |args| {
+        local_checkpoint(args, "cm1_local", "cm1", "CM1")
+    }),
+    ("fig9_gtc_remote_efficiency", |args| {
+        let f9 = fig9::run(&args.remote_scale());
+        fig9::render(&f9).print();
+        let (pre, nopre) = fig9::average_overheads(&f9);
+        println!(
+            "\naverage overhead: pre-copy {:.1}% vs no-pre-copy {:.1}% ({:.0}% reduction)",
+            pre * 100.0,
+            nopre * 100.0,
+            (1.0 - pre / nopre) * 100.0
+        );
+        write_json("fig9_gtc_remote_efficiency", &f9);
+    }),
+    ("fig10_peak_interconnect", |args| {
+        let f10 = fig10::run(&args.remote_scale());
+        fig10::render(&f10).print();
+        println!("\n{}", fig10::summary(&f10));
+        write_json("fig10_peak_interconnect", &f10);
+    }),
+    ("table5_helper_cpu", |args| {
+        let t5 = table5::run(&args.remote_scale());
+        table5::render(&t5).print();
+        write_json("table5_helper_cpu", &t5);
+    }),
+    ("model_validation", model_validation),
+    ("multilevel_recovery", |args| {
+        let ml = multilevel_recovery::run(&args.scale());
+        for t in multilevel_recovery::render(&ml) {
+            t.print();
+        }
+        if !ml.serial_threaded_identical {
+            eprintln!("WARNING: remote-buddy recovery differed serial vs threaded");
+        }
+        write_json("multilevel_recovery", &ml);
+    }),
+    ("scaling_threads", |args| {
+        let sc = scaling::run(&args.scale());
+        scaling::render(&sc).print();
+        write_json("scaling_threads", &sc);
+    }),
+    (FRESH_PROCESS_ONLY, scaling_ranks),
+    ("ablations", ablations),
+    ("blame", |args| {
+        let bl = blame::run(&args.scale());
+        blame::render(&bl).print();
+        println!(
+            "\nexposed checkpoint time on the critical path: dcpcp {:.1} ms vs cpc {:.1} ms",
+            blame::exposed(&bl, "dcpcp") as f64 / 1e6,
+            blame::exposed(&bl, "cpc") as f64 / 1e6,
+        );
+        write_json("blame", &bl);
+    }),
+    ("kv_serving", |args| {
+        let kv = kv_serving::run(&args.remote_scale());
+        kv_serving::render(&kv).print();
+        println!(
+            "\nexposed checkpoint time on the serving path: dcpcp {:.1} ms vs stop-the-world {:.1} ms",
+            kv_serving::exposed(&kv, "dcpcp") as f64 / 1e6,
+            kv_serving::exposed(&kv, "none") as f64 / 1e6,
+        );
+        write_json("kv_serving", &kv);
+    }),
+    ("extensions", |_| {
+        let restart = extensions::run_restart();
+        let energy = extensions::run_energy();
+        for t in extensions::render(&restart, &energy) {
+            t.print();
+        }
+        write_json("ext_restart_strategies", &restart);
+        write_json("ext_energy", &energy);
+    }),
+];
 
-    let t1 = table1::run();
-    table1::render(&t1).print();
-    write_json("table1_device_params", &t1);
+/// The rank-scaling sweep runs only when named: its peak-RSS column
+/// reads the process-wide VmHWM, which cannot reset below the residue
+/// the experiments before it leave behind, so it must run in a fresh
+/// process to measure anything.
+const FRESH_PROCESS_ONLY: &str = "scaling_ranks";
 
-    let f4 = fig4::run(false);
-    for t in fig4::render(&f4) {
-        t.print();
-    }
-    write_json("fig4_parallel_memcpy", &f4);
-
+fn madbench_ramdisk_vs_memory(args: &RunArgs) {
     let mad = madbench::run();
     madbench::render(
         "MADBench2 — ramdisk vs in-memory checkpoint (cost model)",
@@ -57,45 +147,26 @@ fn main() {
     )
     .print();
     write_json("madbench_ramdisk_vs_memory", &mad);
-
-    let t4 = table4::run();
-    table4::render(&t4).print();
-    write_json("table4_chunk_distribution", &t4);
-
-    for (fig, app, title) in [
-        (
-            "fig7_lammps_local",
-            "lammps",
-            "Figure 7 — LAMMPS local checkpoint",
-        ),
-        ("fig8_gtc_local", "gtc", "Figure 8 — GTC local checkpoint"),
-        ("cm1_local", "cm1", "CM1 local checkpoint"),
-    ] {
-        let rows = local::run(app, &scale);
-        local::render(title, &rows).print();
-        write_json(fig, &rows);
+    if args.real {
+        let real = madbench::run_real();
+        if real.is_empty() {
+            eprintln!("real mode unavailable (no writable tmpfs)");
+        } else {
+            madbench::render("MADBench2 — measured on this host", &real).print();
+            write_json("madbench_real", &real);
+        }
     }
+}
 
-    let f9 = fig9::run(&remote_scale);
-    fig9::render(&f9).print();
-    let (pre, nopre) = fig9::average_overheads(&f9);
-    println!(
-        "\naverage overhead: pre-copy {:.1}% vs no-pre-copy {:.1}% ({:.0}% reduction)",
-        pre * 100.0,
-        nopre * 100.0,
-        (1.0 - pre / nopre) * 100.0
-    );
-    write_json("fig9_gtc_remote_efficiency", &f9);
+/// Figures 7 / 8 and the CM1 text result: one application's local
+/// checkpoint under each policy.
+fn local_checkpoint(args: &RunArgs, json: &str, app: &str, title: &str) {
+    let rows = local::run(app, &args.scale());
+    local::render(&format!("{title} local checkpoint"), &rows).print();
+    write_json(json, &rows);
+}
 
-    let f10 = fig10::run(&remote_scale);
-    fig10::render(&f10).print();
-    println!("\n{}", fig10::summary(&f10));
-    write_json("fig10_peak_interconnect", &f10);
-
-    let t5 = table5::run(&remote_scale);
-    table5::render(&t5).print();
-    write_json("table5_helper_cpu", &t5);
-
+fn model_validation(_: &RunArgs) {
     let mv = model_val::run();
     model_val::render(&mv).print();
     write_json("model_validation", &mv);
@@ -106,25 +177,23 @@ fn main() {
         cluster_sim::unrecoverable_probability(&rel) * 100.0,
         cluster_sim::expected_failures(&rel),
     );
+}
 
-    let ml = multilevel_recovery::run(&scale);
-    for t in multilevel_recovery::render(&ml) {
-        t.print();
-    }
-    if !ml.serial_threaded_identical {
-        eprintln!("WARNING: remote-buddy recovery differed serial vs threaded");
-    }
-    write_json("multilevel_recovery", &ml);
+fn scaling_ranks(args: &RunArgs) {
+    let out = scaling_ranks::run(&args.scale());
+    scaling_ranks::render(&out).print();
+    println!(
+        "\nrecovery probe at {} ranks: source {}, {} chunks bit-verified, {:.2} MB fetched",
+        out.recovery.ranks,
+        out.recovery.source,
+        out.recovery.verified_chunks,
+        out.recovery.bytes_fetched_mb
+    );
+    write_json("scaling_ranks", &out);
+}
 
-    let sc = scaling::run(&scale);
-    scaling::render(&sc).print();
-    write_json("scaling_threads", &sc);
-
-    // The rank-scaling sweep (`scaling_ranks`) is a dedicated binary:
-    // its peak-RSS column reads the process-wide VmHWM, which cannot
-    // reset below the residue the twenty experiments above leave
-    // behind, so it must run in a fresh process to measure anything.
-
+fn ablations(args: &RunArgs) {
+    let scale = args.scale();
     let g = ablations::run_granularity(&scale);
     ablations::render_granularity(&g).print();
     write_json("ablation_granularity", &g);
@@ -137,32 +206,55 @@ fn main() {
     let s = ablations::run_serialized(&scale);
     ablations::render_serialized(&s).print();
     write_json("ablation_serialized_copy", &s);
+}
 
-    let bl = blame::run(&scale);
-    blame::render(&bl).print();
-    println!(
-        "\nexposed checkpoint time on the critical path: dcpcp {:.1} ms vs cpc {:.1} ms",
-        blame::exposed(&bl, "dcpcp") as f64 / 1e6,
-        blame::exposed(&bl, "cpc") as f64 / 1e6,
-    );
-    write_json("blame", &bl);
-
-    let kv = kv_serving::run(&remote_scale);
-    kv_serving::render(&kv).print();
-    println!(
-        "\nexposed checkpoint time on the serving path: dcpcp {:.1} ms vs stop-the-world {:.1} ms",
-        kv_serving::exposed(&kv, "dcpcp") as f64 / 1e6,
-        kv_serving::exposed(&kv, "none") as f64 / 1e6,
-    );
-    write_json("kv_serving", &kv);
-
-    let restart = extensions::run_restart();
-    let energy = extensions::run_energy();
-    for t in extensions::render(&restart, &energy) {
-        t.print();
+/// Write a blame + rollup report to `path` with its folded-stack
+/// flamegraph alongside, and print the summary table.
+fn export_analysis(report: &nvm_obs::AnalysisReport, events: &[nvm_trace::TraceEvent], path: &str) {
+    match analyze::export(report, events, path) {
+        Ok(folded) => {
+            analyze::render(report, path).print();
+            println!("folded-stack flamegraph written to {folded}.");
+        }
+        Err(e) => eprintln!("failed to write analysis to {path}: {e}"),
     }
-    write_json("ext_restart_strategies", &restart);
-    write_json("ext_energy", &energy);
+}
+
+fn main() {
+    let args = RunArgs::from_env();
+    let known = |name: &String| EXPERIMENTS.iter().any(|(n, _)| n == name);
+    if let Some(name) = args.experiments.iter().find(|name| !known(name)) {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        eprintln!(
+            "error: unknown experiment {name:?}; known: {}\n{USAGE}",
+            names.join(" ")
+        );
+        std::process::exit(2);
+    }
+    let scale = args.scale();
+    let threads = args.thread_count();
+
+    if args.experiments.is_empty() {
+        println!(
+            "# NVM-checkpoints — full experiment suite ({}, {} rank-execution thread{})",
+            if args.quick {
+                "quick preset"
+            } else {
+                "paper preset"
+            },
+            threads,
+            if threads == 1 { "" } else { "s" }
+        );
+    }
+    for (name, stanza) in EXPERIMENTS {
+        let selected = match args.experiments.as_slice() {
+            [] => *name != FRESH_PROCESS_ONLY,
+            named => named.iter().any(|n| n == name),
+        };
+        if selected {
+            stanza(&args);
+        }
+    }
 
     if let Some(path) = &args.trace {
         // With --store too, the traced run attaches containers of its
@@ -185,13 +277,7 @@ fn main() {
 
     if let Some(path) = &args.analyze {
         let (events, report) = analyze::run(&scale);
-        match analyze::export(&report, &events, path) {
-            Ok(folded) => {
-                analyze::render(&report, path).print();
-                println!("folded-stack flamegraph written to {folded}.");
-            }
-            Err(e) => eprintln!("failed to write analysis to {path}: {e}"),
-        }
+        export_analysis(&report, &events, path);
     }
 
     if let Some(trace_path) = &args.analyze_from {
@@ -199,14 +285,7 @@ fn main() {
             Ok(text) => match nvm_trace::read_jsonl(&text) {
                 Ok(events) => {
                     let report = nvm_obs::analyze(&events, nvm_obs::DEFAULT_BUCKET_NS);
-                    let path = format!("{trace_path}.analysis.json");
-                    match analyze::export(&report, &events, &path) {
-                        Ok(folded) => {
-                            analyze::render(&report, &path).print();
-                            println!("folded-stack flamegraph written to {folded}.");
-                        }
-                        Err(e) => eprintln!("failed to write analysis to {path}: {e}"),
-                    }
+                    export_analysis(&report, &events, &format!("{trace_path}.analysis.json"));
                 }
                 Err(e) => eprintln!("cannot analyze {trace_path}: {e}"),
             },

@@ -1,8 +1,8 @@
 //! One module per paper table/figure, plus ablations.
 //!
 //! Each module exposes `run(...) -> Vec<Row>` returning serializable
-//! rows and `render(...) -> Table` for human-readable output, so the
-//! thin binaries and the `run_all` aggregator share one code path.
+//! rows and `render(...) -> Table` for human-readable output; the
+//! `run_all` binary's name → stanza table prints and saves them.
 
 pub mod ablations;
 pub mod analyze;

@@ -9,7 +9,7 @@
 //! * **quick** — a scaled-down variant (fewer ranks, a few percent of
 //!   the data size) for smoke runs and CI.
 //!
-//! Binaries accept `--quick` to select the small preset.
+//! `run_all --quick` selects the small preset.
 
 use nvm_emu::SimDuration;
 
@@ -69,13 +69,6 @@ impl Scale {
         }
     }
 
-    /// Pick a preset from process args (strict: unknown flags abort
-    /// with usage). `--quick` selects the small preset, `--threads N`
-    /// sets the rank-execution worker count.
-    pub fn from_args() -> Self {
-        RunArgs::from_env().scale()
-    }
-
     /// Override the worker-thread count (builder style).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -95,12 +88,9 @@ impl Scale {
     }
 }
 
-/// Command-line arguments shared by every experiment binary, parsed
-/// strictly: an unknown flag, a missing value, or an invalid value is
-/// an error rather than a silently-applied default. This replaces the
-/// three lenient ad-hoc scanners (`--quick` substring check,
-/// `threads_from`, `trace_from`) that each binary previously combined
-/// by hand.
+/// Command-line arguments of the experiment binary, parsed strictly:
+/// an unknown flag, a missing value, or an invalid value is an error
+/// rather than a silently-applied default.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunArgs {
     /// `--quick`: run the reduced CI-friendly presets.
@@ -134,11 +124,19 @@ pub struct RunArgs {
     /// attaches stores, so `StoreWrite`/`StoreCommit` events appear in
     /// the exported stream.
     pub store: Option<String>,
+    /// `--measure`: Figure 4 also runs real copies on this host.
+    pub measure: bool,
+    /// `--real`: the MADBench experiment also measures real
+    /// memcpy-vs-tmpfs on this host.
+    pub real: bool,
+    /// Positional arguments: the experiments to run, by name (none =
+    /// the full suite). `run_all` checks them against its table.
+    pub experiments: Vec<String>,
 }
 
 /// Usage string printed when strict parsing fails.
-pub const USAGE: &str = "usage: [--quick] [--threads N] [--trace PATH] [--metrics PATH] \
-[--analyze PATH] [--analyze-from TRACE] [--store DIR]";
+pub const USAGE: &str = "usage: [EXPERIMENT...] [--quick] [--threads N] [--trace PATH] \
+[--metrics PATH] [--analyze PATH] [--analyze-from TRACE] [--store DIR] [--measure] [--real]";
 
 impl RunArgs {
     /// Parse an argument list (`args[0]` is the binary name and is
@@ -165,6 +163,8 @@ impl RunArgs {
             };
             match flag {
                 "--quick" if inline.is_none() => out.quick = true,
+                "--measure" if inline.is_none() => out.measure = true,
+                "--real" if inline.is_none() => out.real = true,
                 "--threads" => {
                     let v = value(&mut it)?;
                     let n: usize = v
@@ -180,6 +180,9 @@ impl RunArgs {
                 "--analyze" => out.analyze = Some(value(&mut it)?),
                 "--analyze-from" => out.analyze_from = Some(value(&mut it)?),
                 "--store" => out.store = Some(value(&mut it)?),
+                name if !name.starts_with('-') && inline.is_none() => {
+                    out.experiments.push(name.to_string())
+                }
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
@@ -288,6 +291,14 @@ mod tests {
     }
 
     #[test]
+    fn positionals_name_experiments_around_the_flags() {
+        let args = parse(&["scaling_ranks", "--threads", "2", "kv_serving", "--real"]).unwrap();
+        assert_eq!(args.experiments, ["scaling_ranks", "kv_serving"]);
+        assert_eq!(args.threads, Some(2));
+        assert!(args.real && !args.measure);
+    }
+
+    #[test]
     fn scale_selection_follows_flags() {
         let quick = parse(&["--quick", "--threads", "3"]).unwrap();
         assert_eq!(quick.scale().nodes, Scale::quick().nodes);
@@ -302,7 +313,8 @@ mod tests {
     #[test]
     fn rejects_unknown_and_malformed_flags() {
         assert!(parse(&["--qick"]).unwrap_err().contains("unknown argument"));
-        assert!(parse(&["extra"]).unwrap_err().contains("unknown argument"));
+        assert!(parse(&["-x"]).unwrap_err().contains("unknown argument"));
+        assert!(parse(&["a=b"]).unwrap_err().contains("unknown argument"));
         assert!(parse(&["--threads"]).unwrap_err().contains("value"));
         assert!(parse(&["--threads", "zero"])
             .unwrap_err()

@@ -7,10 +7,14 @@
 //! disk, and hides the NVM's write-latency and bandwidth limits with
 //! shadow buffering and three pre-copy schemes.
 //!
-//! * [`engine::CheckpointEngine`] — per-process engine: allocation
-//!   (Table III interfaces), shadow buffering, background pre-copy,
-//!   coordinated checkpoint with two-version commit, checksummed
-//!   restart.
+//! * [`engine::CheckpointEngine`] — per-process engine: the Table III
+//!   interfaces, as a facade over the two parts below.
+//! * [`commit::CommitCore`] — everything whose output is bytes:
+//!   allocation, shadow buffering, the two-version commit, checksummed
+//!   restart. Policy-free.
+//! * [`precopy::Scheduler`] — everything whose output is *when*:
+//!   background pre-copy windows and candidate choice, over a
+//!   read-only view of the core.
 //! * [`config::PrecopyPolicy`] — `None` (baseline), `Cpc`, `Dcpc`,
 //!   `Dcpcp`.
 //! * [`precopy::PrecopyPlanner`] — learns the checkpoint interval and
@@ -44,6 +48,7 @@
 
 pub mod capi;
 pub mod checksum;
+pub mod commit;
 pub mod config;
 pub mod engine;
 pub mod persist;
@@ -53,6 +58,7 @@ pub mod restart;
 pub mod stats;
 pub mod transparent;
 
+pub use commit::CommitCore;
 pub use config::{ConfigError, EngineConfig, EngineConfigBuilder, PrecopyPolicy};
 pub use engine::{CheckpointEngine, EngineError, RemoteImage, RestartReport};
 pub use persist::{

@@ -5,7 +5,7 @@
 //! Pre-copying them early is wasted work: every re-modification forces
 //! another copy. The paper's fix is a prediction table: during the
 //! first checkpoint interval (the *learning phase*) each chunk's
-//! modification count and order is recorded; in later intervals a
+//! modification count is recorded; in later intervals a
 //! chunk becomes eligible for pre-copy only once its observed
 //! modification count reaches the learned count (the counter "becomes
 //! 0" in the paper's phrasing).
@@ -14,105 +14,36 @@
 //! prediction fails is simply copied at the coordinated checkpoint.
 
 use nvm_paging::ChunkId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Table phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Phase {
-    /// First interval: record counts, allow eager pre-copy.
-    Learning,
-    /// Subsequent intervals: gate pre-copy on learned counts.
-    Trained,
-}
-
-/// Accuracy counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PredictionStats {
-    /// Chunks whose observed count exceeded the learned count (the
-    /// chunk was modified again after we declared it stable).
-    pub underpredictions: u64,
-    /// Chunks that ended an interval with fewer modifications than
-    /// learned (pre-copy never triggered; the coordinated step covered
-    /// them).
-    pub overpredictions: u64,
-    /// Intervals completed.
-    pub intervals: u64,
-}
-
-/// Per-chunk modification predictor.
-#[derive(Clone, Debug)]
+/// Per-chunk modification predictor; `default()` is a table in its
+/// learning phase.
+#[derive(Clone, Debug, Default)]
 pub struct PredictionTable {
-    phase: Phase,
+    /// False during the first interval (the learning phase): counts
+    /// are recorded and everything is eligible for pre-copy.
+    trained: bool,
     /// Learned modifications per interval.
     learned: HashMap<ChunkId, u32>,
     /// Modifications observed in the current interval.
     observed: HashMap<ChunkId, u32>,
-    /// Chunk-modification order observed during learning (first-touch
-    /// order — the state machine's transition order in Fig. 6).
-    order: Vec<ChunkId>,
-    stats: PredictionStats,
 }
 
 impl PredictionTable {
-    /// A table in its learning phase.
-    pub fn new() -> Self {
-        PredictionTable {
-            phase: Phase::Learning,
-            learned: HashMap::new(),
-            observed: HashMap::new(),
-            order: Vec::new(),
-            stats: PredictionStats::default(),
-        }
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> Phase {
-        self.phase
-    }
-
     /// Record one modification of `id` (one application write event).
     pub fn record_modification(&mut self, id: ChunkId) {
-        let count = self.observed.entry(id).or_insert(0);
-        if *count == 0 && self.phase == Phase::Learning {
-            self.order.push(id);
-        }
-        *count += 1;
-        if self.phase == Phase::Trained {
-            let learned = self.learned.get(&id).copied().unwrap_or(0);
-            if *count == learned + 1 {
-                self.stats.underpredictions += 1;
-            }
-        }
+        *self.observed.entry(id).or_insert(0) += 1;
     }
 
     /// Is `id` eligible for pre-copy *now*? During learning everything
     /// is eligible (the paper's initial bandwidth spike in Fig. 10 is
     /// exactly this eager learning-phase behaviour). Once trained, a
     /// chunk is eligible only when its observed count has reached the
-    /// learned count.
+    /// learned count (the per-chunk countdown in Fig. 6 hit zero).
     pub fn ready_for_precopy(&self, id: ChunkId) -> bool {
-        match self.phase {
-            Phase::Learning => true,
-            Phase::Trained => {
-                let learned = self.learned.get(&id).copied().unwrap_or(0);
-                let observed = self.observed.get(&id).copied().unwrap_or(0);
-                observed >= learned
-            }
-        }
-    }
-
-    /// Remaining modifications predicted before `id` goes quiet
-    /// (the per-chunk countdown in Fig. 6).
-    pub fn expected_remaining(&self, id: ChunkId) -> u32 {
         let learned = self.learned.get(&id).copied().unwrap_or(0);
         let observed = self.observed.get(&id).copied().unwrap_or(0);
-        learned.saturating_sub(observed)
-    }
-
-    /// Learned modification order (stable across intervals).
-    pub fn learned_order(&self) -> &[ChunkId] {
-        &self.order
+        !self.trained || observed >= learned
     }
 
     /// Close an interval: fold observations into the learned counts
@@ -120,37 +51,14 @@ impl PredictionTable {
     /// so the paper finds the order "fairly constant") and reset
     /// observations.
     pub fn end_interval(&mut self) {
-        if self.phase == Phase::Trained {
-            for (id, learned) in &self.learned {
-                let observed = self.observed.get(id).copied().unwrap_or(0);
-                if observed < *learned {
-                    self.stats.overpredictions += 1;
-                }
-            }
-        }
-        for (id, observed) in self.observed.drain() {
-            self.learned.insert(id, observed);
-        }
-        self.phase = Phase::Trained;
-        self.stats.intervals += 1;
+        self.learned.extend(self.observed.drain());
+        self.trained = true;
     }
 
     /// Drop a chunk from the table (`nvdelete`).
     pub fn forget(&mut self, id: ChunkId) {
         self.learned.remove(&id);
         self.observed.remove(&id);
-        self.order.retain(|&c| c != id);
-    }
-
-    /// Accuracy counters.
-    pub fn stats(&self) -> PredictionStats {
-        self.stats
-    }
-}
-
-impl Default for PredictionTable {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -164,74 +72,41 @@ mod tests {
 
     #[test]
     fn learning_phase_is_always_ready() {
-        let mut t = PredictionTable::new();
+        let mut t = PredictionTable::default();
         assert!(t.ready_for_precopy(id(1)));
         t.record_modification(id(1));
         assert!(t.ready_for_precopy(id(1)));
-        assert_eq!(t.phase(), Phase::Learning);
     }
 
     #[test]
     fn trained_phase_gates_on_learned_count() {
-        let mut t = PredictionTable::new();
+        let mut t = PredictionTable::default();
         // Learning: C3 modified 3 times (the paper's Fig. 6 example).
         for _ in 0..3 {
             t.record_modification(id(3));
         }
         t.end_interval();
-        assert_eq!(t.phase(), Phase::Trained);
 
         // Replay: not ready until the 3rd modification.
         assert!(!t.ready_for_precopy(id(3)));
-        assert_eq!(t.expected_remaining(id(3)), 3);
         t.record_modification(id(3));
         t.record_modification(id(3));
         assert!(!t.ready_for_precopy(id(3)));
-        assert_eq!(t.expected_remaining(id(3)), 1);
         t.record_modification(id(3));
         assert!(t.ready_for_precopy(id(3)));
-        assert_eq!(t.expected_remaining(id(3)), 0);
     }
 
     #[test]
     fn unknown_chunks_are_ready_when_trained() {
-        let mut t = PredictionTable::new();
+        let mut t = PredictionTable::default();
         t.end_interval();
         // Never-seen chunk: learned count 0, so immediately eligible.
         assert!(t.ready_for_precopy(id(42)));
     }
 
     #[test]
-    fn underprediction_is_counted() {
-        let mut t = PredictionTable::new();
-        t.record_modification(id(1));
-        t.end_interval(); // learned = 1
-        t.record_modification(id(1));
-        assert_eq!(t.stats().underpredictions, 0);
-        t.record_modification(id(1)); // 2nd mod: exceeded learned count
-        assert_eq!(t.stats().underpredictions, 1);
-        t.record_modification(id(1)); // counted once per interval
-        assert_eq!(t.stats().underpredictions, 1);
-    }
-
-    #[test]
-    fn overprediction_is_counted_at_interval_end() {
-        let mut t = PredictionTable::new();
-        for _ in 0..5 {
-            t.record_modification(id(1));
-        }
-        t.end_interval(); // learned = 5
-        t.record_modification(id(1)); // only 1 this interval
-        t.end_interval();
-        assert_eq!(t.stats().overpredictions, 1);
-        // Adaptation: learned count updated to last observation.
-        t.record_modification(id(1));
-        assert!(t.ready_for_precopy(id(1)), "learned count adapted to 1");
-    }
-
-    #[test]
     fn adaptation_follows_changing_behaviour() {
-        let mut t = PredictionTable::new();
+        let mut t = PredictionTable::default();
         for _ in 0..2 {
             t.record_modification(id(7));
         }
@@ -249,25 +124,11 @@ mod tests {
     }
 
     #[test]
-    fn learned_order_is_first_touch_order() {
-        let mut t = PredictionTable::new();
-        for n in [5u64, 2, 5, 9, 2] {
-            t.record_modification(id(n));
-        }
-        assert_eq!(t.learned_order(), &[id(5), id(2), id(9)]);
-        t.end_interval();
-        // Order does not change after learning.
-        t.record_modification(id(1));
-        assert_eq!(t.learned_order(), &[id(5), id(2), id(9)]);
-    }
-
-    #[test]
     fn forget_removes_chunk() {
-        let mut t = PredictionTable::new();
+        let mut t = PredictionTable::default();
         t.record_modification(id(1));
         t.end_interval();
         t.forget(id(1));
-        assert!(t.learned_order().is_empty());
         assert!(t.ready_for_precopy(id(1)));
     }
 }

@@ -121,7 +121,7 @@ impl EngineStats {
 
 /// Per-checkpoint (epoch) report — one row of the paper's local
 /// checkpoint figures.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct EpochReport {
     /// Epoch number (0-based).
     pub epoch: u64,

@@ -480,6 +480,15 @@ fn restart_matrix_every_source_and_strategy_rebuilds_the_same_process() {
             assert_eq!(e.lazy_pending_count(), deferred.len(), "{cell}");
             assert_eq!(e.stats().restarts, 1, "{cell}");
 
+            // A deferred chunk checkpointed before anyone touched it
+            // commits its recovered bytes, not an unrestored working
+            // copy.
+            if defers {
+                let (id, bytes) = &committed[0];
+                e.nvchkptid(*id).unwrap();
+                assert_eq!(&e.committed_bytes(*id).unwrap(), bytes, "{cell}: {id:?}");
+            }
+
             // One read of each chunk later, every cell is the same
             // process: same working copies, same committed versions.
             for (id, bytes) in &committed {
