@@ -24,33 +24,37 @@
 //! stores too, so store write/commit events appear in the exported
 //! stream. `--measure` adds a real host memcpy curve to Figure 4 and
 //! `--real` a live memcpy-vs-tmpfs run to the MADBench experiment.
-//! Unknown flags and unknown experiment names abort with usage.
+//! Unknown flags and unknown experiment names abort with usage; an
+//! artifact that could not be written, or an `--analyze-from` input
+//! that does not parse, is reported once everything else has run and
+//! makes the exit status 1.
 use nvm_bench::experiments::*;
 use nvm_bench::report::write_json;
 use nvm_bench::scale::{RunArgs, USAGE};
+use std::io;
 
 /// Runs one experiment: prints its tables, writes its JSON.
-type Stanza = fn(&RunArgs);
+type Stanza = fn(&RunArgs) -> io::Result<()>;
 
 /// Every experiment by the name that selects it, in full-run order.
 const EXPERIMENTS: &[(&str, Stanza)] = &[
     ("table1_device_params", |_| {
         let t1 = table1::run();
         table1::render(&t1).print();
-        write_json("table1_device_params", &t1);
+        write_json("table1_device_params", &t1)
     }),
     ("fig4_parallel_memcpy", |args| {
         let f4 = fig4::run(args.measure);
         for t in fig4::render(&f4) {
             t.print();
         }
-        write_json("fig4_parallel_memcpy", &f4);
+        write_json("fig4_parallel_memcpy", &f4)
     }),
     ("madbench_ramdisk_vs_memory", madbench_ramdisk_vs_memory),
     ("table4_chunk_distribution", |_| {
         let t4 = table4::run();
         table4::render(&t4).print();
-        write_json("table4_chunk_distribution", &t4);
+        write_json("table4_chunk_distribution", &t4)
     }),
     ("fig7_lammps_local", |args| {
         local_checkpoint(args, "fig7_lammps_local", "lammps", "Figure 7 — LAMMPS")
@@ -71,18 +75,18 @@ const EXPERIMENTS: &[(&str, Stanza)] = &[
             nopre * 100.0,
             (1.0 - pre / nopre) * 100.0
         );
-        write_json("fig9_gtc_remote_efficiency", &f9);
+        write_json("fig9_gtc_remote_efficiency", &f9)
     }),
     ("fig10_peak_interconnect", |args| {
         let f10 = fig10::run(&args.remote_scale());
         fig10::render(&f10).print();
         println!("\n{}", fig10::summary(&f10));
-        write_json("fig10_peak_interconnect", &f10);
+        write_json("fig10_peak_interconnect", &f10)
     }),
     ("table5_helper_cpu", |args| {
         let t5 = table5::run(&args.remote_scale());
         table5::render(&t5).print();
-        write_json("table5_helper_cpu", &t5);
+        write_json("table5_helper_cpu", &t5)
     }),
     ("model_validation", model_validation),
     ("multilevel_recovery", |args| {
@@ -93,12 +97,12 @@ const EXPERIMENTS: &[(&str, Stanza)] = &[
         if !ml.serial_threaded_identical {
             eprintln!("WARNING: remote-buddy recovery differed serial vs threaded");
         }
-        write_json("multilevel_recovery", &ml);
+        write_json("multilevel_recovery", &ml)
     }),
     ("scaling_threads", |args| {
         let sc = scaling::run(&args.scale());
         scaling::render(&sc).print();
-        write_json("scaling_threads", &sc);
+        write_json("scaling_threads", &sc)
     }),
     (FRESH_PROCESS_ONLY, scaling_ranks),
     ("ablations", ablations),
@@ -110,7 +114,7 @@ const EXPERIMENTS: &[(&str, Stanza)] = &[
             blame::exposed(&bl, "dcpcp") as f64 / 1e6,
             blame::exposed(&bl, "cpc") as f64 / 1e6,
         );
-        write_json("blame", &bl);
+        write_json("blame", &bl)
     }),
     ("kv_serving", |args| {
         let kv = kv_serving::run(&args.remote_scale());
@@ -120,16 +124,7 @@ const EXPERIMENTS: &[(&str, Stanza)] = &[
             kv_serving::exposed(&kv, "dcpcp") as f64 / 1e6,
             kv_serving::exposed(&kv, "none") as f64 / 1e6,
         );
-        write_json("kv_serving", &kv);
-    }),
-    ("extensions", |_| {
-        let restart = extensions::run_restart();
-        let energy = extensions::run_energy();
-        for t in extensions::render(&restart, &energy) {
-            t.print();
-        }
-        write_json("ext_restart_strategies", &restart);
-        write_json("ext_energy", &energy);
+        write_json("kv_serving", &kv)
     }),
 ];
 
@@ -139,37 +134,37 @@ const EXPERIMENTS: &[(&str, Stanza)] = &[
 /// process to measure anything.
 const FRESH_PROCESS_ONLY: &str = "scaling_ranks";
 
-fn madbench_ramdisk_vs_memory(args: &RunArgs) {
+fn madbench_ramdisk_vs_memory(args: &RunArgs) -> io::Result<()> {
     let mad = madbench::run();
     madbench::render(
         "MADBench2 — ramdisk vs in-memory checkpoint (cost model)",
         &mad,
     )
     .print();
-    write_json("madbench_ramdisk_vs_memory", &mad);
+    write_json("madbench_ramdisk_vs_memory", &mad)?;
     if args.real {
         let real = madbench::run_real();
         if real.is_empty() {
             eprintln!("real mode unavailable (no writable tmpfs)");
         } else {
             madbench::render("MADBench2 — measured on this host", &real).print();
-            write_json("madbench_real", &real);
+            write_json("madbench_real", &real)?;
         }
     }
+    Ok(())
 }
 
 /// Figures 7 / 8 and the CM1 text result: one application's local
 /// checkpoint under each policy.
-fn local_checkpoint(args: &RunArgs, json: &str, app: &str, title: &str) {
+fn local_checkpoint(args: &RunArgs, json: &str, app: &str, title: &str) -> io::Result<()> {
     let rows = local::run(app, &args.scale());
     local::render(&format!("{title} local checkpoint"), &rows).print();
-    write_json(json, &rows);
+    write_json(json, &rows)
 }
 
-fn model_validation(_: &RunArgs) {
+fn model_validation(_: &RunArgs) -> io::Result<()> {
     let mv = model_val::run();
     model_val::render(&mv).print();
-    write_json("model_validation", &mv);
     let rel = cluster_sim::ReliabilityParams::zheng_ftc_charm();
     println!(
         "\nbuddy-pair reliability (Zheng et al. configuration): P(unrecoverable) = {:.6}% \
@@ -177,9 +172,10 @@ fn model_validation(_: &RunArgs) {
         cluster_sim::unrecoverable_probability(&rel) * 100.0,
         cluster_sim::expected_failures(&rel),
     );
+    write_json("model_validation", &mv)
 }
 
-fn scaling_ranks(args: &RunArgs) {
+fn scaling_ranks(args: &RunArgs) -> io::Result<()> {
     let out = scaling_ranks::run(&args.scale());
     scaling_ranks::render(&out).print();
     println!(
@@ -189,35 +185,44 @@ fn scaling_ranks(args: &RunArgs) {
         out.recovery.verified_chunks,
         out.recovery.bytes_fetched_mb
     );
-    write_json("scaling_ranks", &out);
+    write_json("scaling_ranks", &out)
 }
 
-fn ablations(args: &RunArgs) {
+fn ablations(args: &RunArgs) -> io::Result<()> {
     let scale = args.scale();
     let g = ablations::run_granularity(&scale);
     ablations::render_granularity(&g).print();
-    write_json("ablation_granularity", &g);
+    write_json("ablation_granularity", &g)?;
     let p = ablations::run_prediction(&scale);
     ablations::render_prediction(&p).print();
-    write_json("ablation_prediction", &p);
+    write_json("ablation_prediction", &p)?;
     let v = ablations::run_versioning(&scale);
     ablations::render_versioning(&v).print();
-    write_json("ablation_versions", &v);
+    write_json("ablation_versions", &v)?;
     let s = ablations::run_serialized(&scale);
     ablations::render_serialized(&s).print();
-    write_json("ablation_serialized_copy", &s);
+    write_json("ablation_serialized_copy", &s)
 }
 
 /// Write a blame + rollup report to `path` with its folded-stack
 /// flamegraph alongside, and print the summary table.
-fn export_analysis(report: &nvm_obs::AnalysisReport, events: &[nvm_trace::TraceEvent], path: &str) {
-    match analyze::export(report, events, path) {
-        Ok(folded) => {
-            analyze::render(report, path).print();
-            println!("folded-stack flamegraph written to {folded}.");
-        }
-        Err(e) => eprintln!("failed to write analysis to {path}: {e}"),
-    }
+fn export_analysis(
+    report: &nvm_obs::AnalysisReport,
+    events: &[nvm_trace::TraceEvent],
+    path: &str,
+) -> io::Result<()> {
+    let folded = analyze::export(report, events, path)?;
+    analyze::render(report, path).print();
+    println!("folded-stack flamegraph written to {folded}.");
+    Ok(())
+}
+
+/// Analyze a recorded JSONL trace into `<trace_path>.analysis.json`.
+fn analyze_recorded(trace_path: &str) -> io::Result<()> {
+    let text = std::fs::read_to_string(trace_path)?;
+    let (events, report) =
+        analyze::from_recorded(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    export_analysis(&report, &events, &format!("{trace_path}.analysis.json"))
 }
 
 fn main() {
@@ -246,13 +251,22 @@ fn main() {
             if threads == 1 { "" } else { "s" }
         );
     }
+    // What was asked for and not produced: the run goes on, the exit
+    // status reports it.
+    let mut failed: Vec<String> = Vec::new();
+    let mut check = |what: &str, result: io::Result<()>| {
+        if let Err(e) = result {
+            eprintln!("error: {what}: {e}");
+            failed.push(what.to_string());
+        }
+    };
     for (name, stanza) in EXPERIMENTS {
         let selected = match args.experiments.as_slice() {
             [] => *name != FRESH_PROCESS_ONLY,
             named => named.iter().any(|n| n == name),
         };
         if selected {
-            stanza(&args);
+            check(name, stanza(&args));
         }
     }
 
@@ -266,50 +280,47 @@ fn main() {
             .as_deref()
             .map(|d| std::path::Path::new(d).join("trace"));
         let (events, summary) = tracing::run(&scale, trace_store.as_deref());
-        match tracing::export(&events, path) {
-            Ok(()) => {
-                tracing::render(&summary, path).print();
-                write_json("trace_summary", &summary);
-            }
-            Err(e) => eprintln!("failed to write trace to {path}: {e}"),
-        }
+        let written = tracing::export(&events, path).and_then(|()| {
+            tracing::render(&summary, path).print();
+            write_json("trace_summary", &summary)
+        });
+        check(&format!("--trace {path}"), written);
     }
 
     if let Some(path) = &args.analyze {
         let (events, report) = analyze::run(&scale);
-        export_analysis(&report, &events, path);
+        check(
+            &format!("--analyze {path}"),
+            export_analysis(&report, &events, path),
+        );
     }
 
     if let Some(trace_path) = &args.analyze_from {
-        match std::fs::read_to_string(trace_path) {
-            Ok(text) => match nvm_trace::read_jsonl(&text) {
-                Ok(events) => {
-                    let report = nvm_obs::analyze(&events, nvm_obs::DEFAULT_BUCKET_NS);
-                    export_analysis(&report, &events, &format!("{trace_path}.analysis.json"));
-                }
-                Err(e) => eprintln!("cannot analyze {trace_path}: {e}"),
-            },
-            Err(e) => eprintln!("cannot read {trace_path}: {e}"),
-        }
+        check(
+            &format!("--analyze-from {trace_path}"),
+            analyze_recorded(trace_path),
+        );
     }
 
     if let Some(path) = &args.metrics {
         let report = metrics::run(&scale);
-        match metrics::export(&report, path) {
-            Ok(prom) => {
-                metrics::render(&report, path).print();
-                println!("Prometheus exposition written to {prom}.");
-            }
-            Err(e) => eprintln!("failed to write metrics to {path}: {e}"),
-        }
+        let written = metrics::export(&report, path).map(|prom| {
+            metrics::render(&report, path).print();
+            println!("Prometheus exposition written to {prom}.");
+        });
+        check(&format!("--metrics {path}"), written);
     }
 
     if let Some(dir) = &args.store {
         let rows = store::run(&scale, std::path::Path::new(dir));
         store::render(&rows).print();
-        write_json("store_recovery", &rows);
+        check("store_recovery", write_json("store_recovery", &rows));
         println!("per-rank container files left under {dir}.");
     }
 
+    if !failed.is_empty() {
+        eprintln!("\nerror: not written: {}", failed.join(", "));
+        std::process::exit(1);
+    }
     println!("\nJSON written to experiments/ at the workspace root.");
 }

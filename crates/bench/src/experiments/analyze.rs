@@ -29,11 +29,15 @@ pub fn run(scale: &Scale) -> (Vec<TraceEvent>, AnalysisReport) {
     (events, report)
 }
 
-/// Analyze a recorded JSONL trace (offline mode). Schema-version
-/// mismatches surface as [`nvm_trace::TraceReadError::Schema`].
-pub fn from_recorded(text: &str) -> Result<AnalysisReport, nvm_trace::TraceReadError> {
+/// Analyze a recorded JSONL trace (offline mode); returns what
+/// [`run`] does. Schema-version mismatches surface as
+/// [`nvm_trace::TraceReadError::Schema`].
+pub fn from_recorded(
+    text: &str,
+) -> Result<(Vec<TraceEvent>, AnalysisReport), nvm_trace::TraceReadError> {
     let events = nvm_trace::read_jsonl(text)?;
-    Ok(analyze(&events, DEFAULT_BUCKET_NS))
+    let report = analyze(&events, DEFAULT_BUCKET_NS);
+    Ok((events, report))
 }
 
 /// Sibling path for the folded-stack flamegraph.
@@ -99,7 +103,7 @@ mod tests {
         // Round-trip through the JSONL recording and re-analyze: the
         // report is a pure function of the stream, so the bytes match.
         let recorded = nvm_trace::to_jsonl(&events);
-        let offline = from_recorded(&recorded).expect("recorded trace loads");
+        let (_, offline) = from_recorded(&recorded).expect("recorded trace loads");
         assert_eq!(to_stable_json(&live), to_stable_json(&offline));
         let table = render(&live, "analysis.json");
         assert_eq!(table.len(), 1);
@@ -127,15 +131,34 @@ mod tests {
     fn quick_flamegraph_is_well_formed() {
         let (events, report) = run(&Scale::quick());
         let folded = to_folded(&events);
-        let mut ranks = std::collections::BTreeSet::new();
+        let mut walls = std::collections::BTreeMap::<&str, u64>::new();
         for line in folded.lines() {
             let (stack, weight) = line.rsplit_once(' ').expect("stack<space>weight");
-            assert!(weight.parse::<u64>().is_ok(), "bad weight in {line:?}");
+            let weight: u64 = weight.parse().expect("integer weight");
             let frames: Vec<&str> = stack.split(';').collect();
             assert!(frames.len() >= 2, "stack too shallow: {line:?}");
             assert!(frames[0].starts_with("rank_"), "bad root frame: {line:?}");
-            ranks.insert(frames[0].to_string());
+            *walls.entry(frames[0]).or_default() += weight;
         }
-        assert_eq!(ranks.len() as u64, report.blame.ranks);
+        assert_eq!(walls.len() as u64, report.blame.ranks);
+        // Every rank's stacks tile the same wall.
+        let wall = *walls.values().next().expect("non-empty flamegraph");
+        assert!(
+            walls.values().all(|w| *w == wall),
+            "walls diverge: {walls:?}"
+        );
+
+        assert!(report.schema_version >= 2);
+        let rollup = &report.rollup;
+        assert!(rollup.bucket_ns > 0);
+        assert!(!rollup.series.is_empty(), "rollup collected no series");
+        for (name, buckets) in &rollup.series {
+            assert!(!buckets.is_empty(), "series {name} is empty");
+        }
+        let last_bucket_start = (rollup.buckets() as u64 - 1) * rollup.bucket_ns;
+        assert!(
+            last_bucket_start <= report.blame.wall_ns,
+            "rollup overruns wall"
+        );
     }
 }

@@ -7,7 +7,6 @@
 pub mod ablations;
 pub mod analyze;
 pub mod blame;
-pub mod extensions;
 pub mod fig10;
 pub mod fig4;
 pub mod fig9;

@@ -2,6 +2,7 @@
 
 use serde::Serialize;
 use std::fmt::Write as _;
+use std::io;
 use std::path::Path;
 
 /// A simple markdown table builder used by every experiment binary.
@@ -82,20 +83,22 @@ impl Table {
 }
 
 /// Write a serializable result to `experiments/<name>.json` under the
-/// workspace root (best effort — benches still print to stdout).
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
+/// workspace root.
+pub fn write_json<T: Serialize>(name: &str, value: &T) -> io::Result<()> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .map(|p| p.join("experiments"))
         .unwrap_or_else(|| Path::new("experiments").to_path_buf());
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(value) {
-        let _ = std::fs::write(path, json);
-    }
+    write_json_in(&dir, name, value)
+}
+
+/// Write a serializable result to `<dir>/<name>.json`, creating `dir`
+/// if needed.
+fn write_json_in<T: Serialize>(dir: &Path, name: &str, value: &T) -> io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let json = serde_json::to_string_pretty(value).map_err(io::Error::other)?;
+    std::fs::write(dir.join(format!("{name}.json")), json)
 }
 
 /// Format bytes as MB with one decimal.
@@ -130,6 +133,16 @@ mod tests {
         Table::new("x", &["a"]).row(vec!["1".into(), "2".into()]);
     }
 
+    #[test]
+    fn write_json_reports_an_unwritable_directory() {
+        // A regular file where the directory should be: unwritable
+        // for any user, root included.
+        let td = nvm_emu::TempDir::new("nvm_bench_report").unwrap();
+        let blocker = td.join("blocker");
+        std::fs::write(&blocker, b"").unwrap();
+        let result = write_json_in(&blocker.join("experiments"), "rows", &[1u32, 2]);
+        assert!(result.is_err(), "a failed write must not be swallowed");
+    }
     #[test]
     fn helpers_format() {
         assert_eq!(mb(1 << 20), "1.0");

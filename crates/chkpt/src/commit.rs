@@ -841,11 +841,6 @@ impl CommitCore {
         stable
     }
 
-    /// Length of a chunk in bytes.
-    pub fn chunk_len(&self, id: ChunkId) -> Result<usize, EngineError> {
-        Ok(self.heap.chunk(id)?.len)
-    }
-
     /// Committed bytes of a chunk (what a remote checkpoint ships).
     pub fn committed_bytes(&self, id: ChunkId) -> Result<Vec<u8>, EngineError> {
         let chunk = self.heap.chunk(id)?;

@@ -49,14 +49,9 @@ impl PrecopyPolicy {
 pub enum ConfigError {
     /// `node_concurrency` must be at least 1.
     ZeroNodeConcurrency,
-    /// `precopy_interference` must be finite and within `[0, 1]`.
-    InvalidInterference(f64),
     /// Checksums need real bytes: `checksums = true` is meaningless
     /// with size-only (synthetic) payloads.
     ChecksumsRequireBytes,
-    /// DCPCP's prediction table needs at least one warm-up epoch to
-    /// learn per-chunk modification counts before it can gate pre-copy.
-    PredictionNeedsWarmup,
     /// The engine's NVM shadow container must not be empty.
     ZeroShadowRegion,
 }
@@ -65,12 +60,8 @@ nvm_emu::error_enum! {
     ConfigError, f {
         leaf ConfigError::ZeroNodeConcurrency =>
             write!(f, "node_concurrency must be >= 1"),
-        leaf ConfigError::InvalidInterference(v) =>
-            write!(f, "precopy_interference must be finite in [0, 1], got {v}"),
         leaf ConfigError::ChecksumsRequireBytes =>
             write!(f, "checksums require byte-backed (non-synthetic) materialization"),
-        leaf ConfigError::PredictionNeedsWarmup =>
-            write!(f, "DCPCP needs warmup_epochs >= 1 for its prediction table"),
         leaf ConfigError::ZeroShadowRegion =>
             write!(f, "NVM shadow container capacity must be > 0"),
     }
@@ -98,16 +89,6 @@ pub struct EngineConfig {
     /// during a coordinated checkpoint (sets the contention level the
     /// device model sees).
     pub node_concurrency: usize,
-    /// Fraction of a background copy's duration that surfaces as
-    /// application slowdown (memory-bandwidth interference between the
-    /// pre-copy stream and the computation). 0 = free overlap,
-    /// 1 = fully serialized.
-    pub precopy_interference: f64,
-    /// Epochs the delayed pre-copy policies observe before the learned
-    /// threshold (and, for DCPCP, the prediction table) takes effect.
-    /// The paper's scheme "waits for the first checkpoint step to
-    /// complete", i.e. 1.
-    pub warmup_epochs: u64,
 }
 
 impl Default for EngineConfig {
@@ -119,8 +100,6 @@ impl Default for EngineConfig {
             checksums: true,
             materialization: Materialization::Bytes,
             node_concurrency: 1,
-            precopy_interference: 0.25,
-            warmup_epochs: 1,
         }
     }
 }
@@ -139,26 +118,10 @@ impl EngineConfig {
         if self.node_concurrency == 0 {
             return Err(ConfigError::ZeroNodeConcurrency);
         }
-        if !self.precopy_interference.is_finite()
-            || !(0.0..=1.0).contains(&self.precopy_interference)
-        {
-            return Err(ConfigError::InvalidInterference(self.precopy_interference));
-        }
         if self.checksums && self.materialization == Materialization::Synthetic {
             return Err(ConfigError::ChecksumsRequireBytes);
         }
-        if self.precopy.predictive() && self.warmup_epochs == 0 {
-            return Err(ConfigError::PredictionNeedsWarmup);
-        }
         Ok(())
-    }
-
-    /// The paper's "no pre-copy" baseline with otherwise default knobs.
-    pub fn no_precopy() -> Self {
-        EngineConfig {
-            precopy: PrecopyPolicy::None,
-            ..Self::default()
-        }
     }
 
     /// Builder-style setter for the pre-copy policy.
@@ -173,18 +136,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for node concurrency.
-    pub fn with_node_concurrency(mut self, n: usize) -> Self {
-        self.node_concurrency = n.max(1);
-        self
-    }
-
-    /// Builder-style setter for versioning.
-    pub fn with_versioning(mut self, v: Versioning) -> Self {
-        self.versioning = v;
-        self
-    }
-
     /// Builder-style setter for protection granularity.
     pub fn with_granularity(mut self, g: Granularity) -> Self {
         self.granularity = g;
@@ -196,18 +147,11 @@ impl EngineConfig {
         self.checksums = on;
         self
     }
-
-    /// Builder-style setter for the warm-up epoch count.
-    pub fn with_warmup_epochs(mut self, epochs: u64) -> Self {
-        self.warmup_epochs = epochs;
-        self
-    }
 }
 
 /// Validating builder for [`EngineConfig`].
 ///
-/// Unlike the `with_*` setters (which keep legacy clamping behavior),
-/// the builder stores exactly what it is given and [`build`] rejects
+/// The builder stores exactly what it is given and [`build`] rejects
 /// invalid combinations with a [`ConfigError`].
 ///
 /// [`build`]: EngineConfigBuilder::build
@@ -229,12 +173,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Set the protection granularity.
-    pub fn granularity(mut self, g: Granularity) -> Self {
-        self.config.granularity = g;
-        self
-    }
-
     /// Enable or disable commit-time checksums.
     pub fn checksums(mut self, on: bool) -> Self {
         self.config.checksums = on;
@@ -253,18 +191,6 @@ impl EngineConfigBuilder {
     /// Set how many ranks share the node's NVM device.
     pub fn node_concurrency(mut self, n: usize) -> Self {
         self.config.node_concurrency = n;
-        self
-    }
-
-    /// Set the pre-copy interference fraction in `[0, 1]`.
-    pub fn precopy_interference(mut self, frac: f64) -> Self {
-        self.config.precopy_interference = frac;
-        self
-    }
-
-    /// Set the number of warm-up epochs for delayed pre-copy.
-    pub fn warmup_epochs(mut self, epochs: u64) -> Self {
-        self.config.warmup_epochs = epochs;
         self
     }
 
@@ -297,12 +223,10 @@ mod tests {
             .materialization(Materialization::Synthetic)
             .checksums(false)
             .node_concurrency(12)
-            .precopy_interference(0.5)
             .build()
             .unwrap();
         assert_eq!(c.precopy, PrecopyPolicy::Cpc);
         assert_eq!(c.node_concurrency, 12);
-        assert_eq!(c.precopy_interference, 0.5);
         // Untouched knobs come from Default.
         assert_eq!(c.versioning, EngineConfig::default().versioning);
     }
@@ -321,44 +245,19 @@ mod tests {
             Err(ConfigError::ZeroNodeConcurrency)
         );
         assert_eq!(
-            EngineConfig::builder().precopy_interference(1.5).build(),
-            Err(ConfigError::InvalidInterference(1.5))
-        );
-        assert!(matches!(
-            EngineConfig::builder()
-                .precopy_interference(f64::NAN)
-                .build(),
-            Err(ConfigError::InvalidInterference(_))
-        ));
-        assert_eq!(
             EngineConfig::builder()
                 .materialization(Materialization::Synthetic)
                 .build(),
             Err(ConfigError::ChecksumsRequireBytes)
         );
-        assert_eq!(
-            EngineConfig::builder()
-                .precopy(PrecopyPolicy::Dcpcp)
-                .warmup_epochs(0)
-                .build(),
-            Err(ConfigError::PredictionNeedsWarmup)
-        );
-        // DCPC (non-predictive) tolerates zero warm-up.
-        assert!(EngineConfig::builder()
-            .precopy(PrecopyPolicy::Dcpc)
-            .warmup_epochs(0)
-            .build()
-            .is_ok());
     }
 
     #[test]
     fn builders_compose() {
         let c = EngineConfig::default()
             .with_precopy(PrecopyPolicy::Cpc)
-            .with_node_concurrency(0)
             .with_checksums(false);
         assert_eq!(c.precopy, PrecopyPolicy::Cpc);
-        assert_eq!(c.node_concurrency, 1, "clamped to >= 1");
         assert!(!c.checksums);
     }
 }

@@ -14,7 +14,7 @@ use crate::checksum::crc64;
 use crate::commit::{CommitCore, Committed};
 use crate::config::{ConfigError, EngineConfig};
 use crate::persist::{PersistError, Persistence, RecoveredChunk};
-use crate::precopy::Scheduler;
+use crate::precopy::{self, Scheduler};
 use crate::restart::RestartStrategy;
 use crate::stats::{EngineStats, EpochReport};
 use nvm_emu::{DeviceError, MemoryDevice, RegionId, SimDuration, VirtualClock};
@@ -285,7 +285,7 @@ impl CheckpointEngine {
                 busy += cost;
             }
             self.sched.close();
-            interference = busy * self.config.precopy_interference;
+            interference = busy * precopy::INTERFERENCE;
             self.core.trace(TraceEventKind::PrecopyEnd {
                 epoch,
                 busy_ns: busy.as_nanos(),
@@ -582,7 +582,7 @@ mod tests {
 
     #[test]
     fn no_precopy_copies_everything_at_checkpoint() {
-        let (mut e, ..) = setup(EngineConfig::no_precopy());
+        let (mut e, ..) = setup(EngineConfig::default().with_precopy(PrecopyPolicy::None));
         let a = e.nvmalloc("a", 4 * MB, true).unwrap();
         e.write(a, 0, &vec![3u8; 4 * MB]).unwrap();
         e.compute(SimDuration::from_secs(5));

@@ -56,7 +56,6 @@ pub mod precopy;
 pub mod predict;
 pub mod restart;
 pub mod stats;
-pub mod transparent;
 
 pub use commit::CommitCore;
 pub use config::{ConfigError, EngineConfig, EngineConfigBuilder, PrecopyPolicy};
@@ -68,7 +67,6 @@ pub use precopy::PrecopyPlanner;
 pub use predict::PredictionTable;
 pub use restart::RestartStrategy;
 pub use stats::{EngineStats, EpochReport};
-pub use transparent::TransparentProcess;
 
 // The Table-III C surface, re-exported so bindings and examples import
 // from the crate root instead of reaching into `capi`.

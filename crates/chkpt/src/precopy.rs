@@ -39,6 +39,17 @@ const ADAPT_ALPHA: f64 = 0.5;
 /// than strictly necessary so jitter does not leave data uncopied.
 const HEADROOM: f64 = 1.2;
 
+/// Fraction of a background copy's duration that surfaces as
+/// application slowdown (memory-bandwidth interference between the
+/// pre-copy stream and the computation). 0 = free overlap,
+/// 1 = fully serialized.
+pub(crate) const INTERFERENCE: f64 = 0.25;
+
+/// Epochs the delayed pre-copy policies observe before the learned
+/// threshold (and, for DCPCP, the prediction table) takes effect: the
+/// paper's scheme "waits for the first checkpoint step to complete".
+const WARMUP_EPOCHS: u64 = 1;
+
 /// Planner state for the delayed pre-copy threshold.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PrecopyPlanner {
@@ -120,7 +131,6 @@ impl ChunkState {
 #[derive(Clone, Debug)]
 pub struct Scheduler {
     policy: PrecopyPolicy,
-    warmup_epochs: u64,
     planner: PrecopyPlanner,
     predictor: PredictionTable,
     interval_start: SimTime,
@@ -135,7 +145,6 @@ impl Scheduler {
     pub fn new(config: &EngineConfig, now: SimTime) -> Self {
         Scheduler {
             policy: config.precopy,
-            warmup_epochs: config.warmup_epochs,
             planner: PrecopyPlanner::default(),
             predictor: PredictionTable::default(),
             interval_start: now,
@@ -167,7 +176,7 @@ impl Scheduler {
         // "our method waits for the first checkpoint step to complete
         // and finds the approximate interval" — no threshold (and for
         // DCPCP no learned modification counts) exists yet.
-        if epoch < self.warmup_epochs {
+        if epoch < WARMUP_EPOCHS {
             return SimDuration::ZERO;
         }
         match self

@@ -172,11 +172,6 @@ impl CommPattern {
             acc + c.contention_delay(*b, p, ab, ckpt_rate)
         })
     }
-
-    /// Sum of per-rank bytes across ops (rough volume for tracing).
-    pub fn bytes(&self) -> u64 {
-        self.ops.iter().map(|(_, b)| b).sum()
-    }
 }
 
 #[cfg(test)]
@@ -258,13 +253,13 @@ mod tests {
     fn patterns_compose() {
         let p = CommPattern::gtc(16 << 20, 4 << 20);
         assert_eq!(p.ops.len(), 2);
-        assert_eq!(p.bytes(), (16 << 20) + (4 << 20));
+        assert_eq!(p.ops[0].1 + p.ops[1].1, (16 << 20) + (4 << 20));
         let t = p.time(48, &ab());
         let d = p.contention_delay(48, &ab(), 2.0e9);
         assert!(t > SimDuration::ZERO);
         assert!(d > SimDuration::ZERO && d < t * 20);
         assert_eq!(CommPattern::none().time(48, &ab()), SimDuration::ZERO);
-        assert!(CommPattern::stencil(1 << 20).bytes() == 1 << 20);
+        assert!(CommPattern::stencil(1 << 20).ops[0].1 == 1 << 20);
         assert!(CommPattern::md(1 << 20).ops.len() == 2);
     }
 }

@@ -355,13 +355,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Fix the effective NVM bandwidth per core instead of the
-    /// contended Figure-4 curve.
-    pub fn nvm_bw_per_core(mut self, bytes_per_s: f64) -> Self {
-        self.config.nvm_bw_per_core = Some(bytes_per_s);
-        self
-    }
-
     /// Local checkpoint interval; `None` disables local checkpoints.
     pub fn local_interval(mut self, interval: Option<SimDuration>) -> Self {
         self.config.local_interval = interval;
@@ -380,18 +373,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Enable seeded failure injection.
-    pub fn failures(mut self, failures: FailureConfig) -> Self {
-        self.config.failures = Some(failures);
-        self
-    }
-
-    /// Horizon for failure-schedule generation.
-    pub fn failure_horizon(mut self, horizon: SimDuration) -> Self {
-        self.config.failure_horizon = horizon;
-        self
-    }
-
     /// Scripted failure schedule (overrides generation).
     pub fn schedule(mut self, schedule: FailureSchedule) -> Self {
         self.config.schedule_override = Some(schedule);
@@ -401,19 +382,6 @@ impl ClusterConfigBuilder {
     /// Worker threads for rank execution (1 = serial).
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
-        self
-    }
-
-    /// Override the merge-shard count (default: derived from the
-    /// topology; see [`ClusterConfig::shard_count`]).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = Some(shards);
-        self
-    }
-
-    /// Enable or disable device spill (see [`ClusterConfig::spill`]).
-    pub fn spill(mut self, spill: bool) -> Self {
-        self.config.spill = spill;
         self
     }
 
@@ -468,10 +436,9 @@ mod tests {
             ClusterConfig::builder().threads(0).build().unwrap_err(),
             ConfigError::ZeroThreads
         );
-        assert_eq!(
-            ClusterConfig::builder().shards(0).build().unwrap_err(),
-            ConfigError::ZeroShards
-        );
+        let mut zero_shards = ClusterConfig::new(2, 2);
+        zero_shards.shards = Some(0);
+        assert_eq!(zero_shards.validate().unwrap_err(), ConfigError::ZeroShards);
         match ClusterConfig::builder().container_bytes(1024).build() {
             Err(ConfigError::ContainerTooSmall { bytes: 1024, min }) => {
                 assert_eq!(min, MIN_CONTAINER_BYTES)

@@ -134,11 +134,6 @@ impl FailureSchedule {
         let split = self.events.partition_point(|e| e.at <= now);
         self.events.drain(..split).collect()
     }
-
-    /// Peek the next event, if any.
-    pub fn next_event(&self) -> Option<&FailureEvent> {
-        self.events.first()
-    }
 }
 
 #[cfg(test)]
@@ -243,10 +238,8 @@ mod tests {
         let total = s.len();
         let early = s.drain_due(SimTime::from_secs(500));
         assert!(early.iter().all(|e| e.at <= SimTime::from_secs(500)));
-        assert!(s
-            .next_event()
-            .is_none_or(|e| e.at > SimTime::from_secs(500)));
         let rest = s.drain_due(SimTime::from_secs(2000));
+        assert!(rest.iter().all(|e| e.at > SimTime::from_secs(500)));
         assert_eq!(early.len() + rest.len(), total);
         assert!(s.is_empty());
     }
@@ -254,6 +247,5 @@ mod tests {
     #[test]
     fn none_schedule_is_empty() {
         assert!(FailureSchedule::none().is_empty());
-        assert!(FailureSchedule::none().next_event().is_none());
     }
 }

@@ -56,7 +56,7 @@ pub use failure::{FailureConfig, FailureEvent, FailureKind, FailureSchedule};
 pub use model::{
     evaluate, optimal_interval, plan_two_level, ModelParams, ModelPrediction, TwoLevelPlan,
 };
-pub use nvm_obs::{FlightDump, Rollup};
+pub use nvm_obs::FlightDump;
 pub use profile::thread_cpu_ns;
 pub use profile::RunProfile;
 pub use recovery::{collapse_batch, RecoveredChunkRecord, RecoveryRecord, RecoverySource};

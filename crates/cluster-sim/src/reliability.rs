@@ -175,15 +175,6 @@ pub fn expected_failures(p: &ReliabilityParams) -> f64 {
     p.nodes as f64 * p.runtime.as_secs_f64() / p.node_mtbf.as_secs_f64()
 }
 
-/// How much the second (remote) level buys: the ratio between losing
-/// the run on *any* single failure (local-only checkpointing with
-/// volatile storage) and losing it only on a buddy double failure.
-pub fn remote_level_improvement(p: &ReliabilityParams) -> f64 {
-    // P(at least one node failure over the run), Poisson.
-    let single_loss = 1.0 - (-expected_failures(p)).exp();
-    single_loss / unrecoverable_probability(p).max(f64::MIN_POSITIVE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +299,5 @@ mod tests {
         let p = ReliabilityParams::zheng_ftc_charm();
         let f = expected_failures(&p);
         assert!((30.0..40.0).contains(&f), "expected ~34 failures, got {f}");
-        assert!(remote_level_improvement(&p) > 1e3);
     }
 }

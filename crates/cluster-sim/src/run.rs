@@ -49,7 +49,7 @@ use nvm_chkpt::{
 };
 use nvm_emu::{BandwidthModel, MemoryDevice, SimDuration, SimTime, TempDir, VirtualClock};
 use nvm_metrics::{names, MergeStats, Metrics, MetricsRegistry, MetricsReport};
-use nvm_obs::{FlightDump, Rollup};
+use nvm_obs::FlightDump;
 use nvm_store::{FileSpill, FileStore, PersistError, Persistence, StoreStats};
 use nvm_trace::{BufferSink, TraceEvent, TraceEventKind, Tracer};
 use rdma_sim::armci::RemoteError;
@@ -182,10 +182,6 @@ pub struct RunResult {
     /// Merged metrics report (raw snapshot + derived paper metrics);
     /// `None` unless [`RunOptions::metrics`] is set.
     pub metrics: Option<MetricsReport>,
-    /// Virtual-time rollups built per shard from the same event
-    /// stream and folded rank→shard→coordinator; `None` unless
-    /// [`RunOptions::rollup`] is set.
-    pub rollup: Option<Rollup>,
     /// Durable-store counters summed over every rank in rank order;
     /// `None` unless [`RunOptions::store_dir`] is set.
     pub store: Option<StoreStats>,
@@ -247,18 +243,12 @@ pub struct RunOptions {
     /// never inside it — [`RunResult`] stays byte-identity-gated,
     /// timing is not.
     pub profile: bool,
-    /// Build interval-bucketed virtual-time rollups with this bucket
-    /// width (virtual nanoseconds) into [`RunResult::rollup`]. The
-    /// rollup is a pure function of the event stream, so it is
-    /// bit-identical at any thread count whether or not `trace` is
-    /// also set.
-    pub rollup: Option<u64>,
     /// Keep a bounded flight-recorder tail of this many events per
     /// rank and attach it to fatal failures: a
     /// [`SimError::Unrecoverable`] run returns
     /// [`SimError::WithFlight`], and a recovery ladder that falls
     /// through to virgin state surfaces the dump in
-    /// [`RunOutcome::flight`]. Without `trace`/`rollup` the per-rank
+    /// [`RunOutcome::flight`]. Without `trace` the per-rank
     /// buffers stay rings of this size, so long runs pay O(bound)
     /// memory, not O(events).
     pub flight: Option<usize>,
@@ -295,24 +285,11 @@ impl RunOptions {
         self
     }
 
-    /// Build virtual-time rollups with the given bucket width
-    /// (builder style).
-    pub fn with_rollup(mut self, bucket_ns: u64) -> Self {
-        self.rollup = Some(bucket_ns);
-        self
-    }
-
     /// Keep a flight-recorder tail of `per_rank` events per rank and
     /// attach it to fatal failures (builder style).
     pub fn with_flight(mut self, per_rank: usize) -> Self {
         self.flight = Some(per_rank);
         self
-    }
-
-    /// True when the full event stream must be collected (trace or
-    /// rollup output requested).
-    fn stream(&self) -> bool {
-        self.trace || self.rollup.is_some()
     }
 
     /// A fresh registry when metrics are collected, else the disabled
@@ -520,7 +497,12 @@ fn pool_map<T: Send, R: Send>(
             .collect();
         let mut out = Vec::new();
         for handle in handles {
-            out.extend(handle.join().expect("pool worker panicked")?);
+            // A worker's panic is the rank's own: re-raise its payload
+            // so the message names what failed, not the pool.
+            let part = handle
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            out.extend(part?);
         }
         Ok(out)
     })
@@ -672,9 +654,9 @@ impl ClusterSim {
                 )?;
                 let mut workload = factory(global);
                 workload.setup(&mut engine)?;
-                // Full stream outputs (trace/rollup) need every event;
-                // a flight-only run keeps a bounded ring.
-                let sink = if options.stream() {
+                // A traced run needs every event; a flight-only run
+                // keeps a bounded ring.
+                let sink = if options.trace {
                     Some(Arc::new(BufferSink::new()))
                 } else {
                     options
@@ -802,9 +784,7 @@ impl ClusterSim {
             d_per_rank: self.ranks[0][0].engine.checkpoint_bytes() as u64,
             recovery: Vec::new(),
         };
-        // Trace *collection* is on for any full-stream output: the
-        // JSONL/Chrome trace itself, or rollups derived from it.
-        let tracing = self.options.stream();
+        let tracing = self.options.trace;
         let mut failures = match (&self.config.schedule_override, &self.config.failures) {
             (Some(schedule), _) => schedule.clone(),
             (None, Some(cfg)) => FailureSchedule::generate(
@@ -1085,19 +1065,17 @@ impl ClusterSim {
         rank_busy: Vec<AtomicU64>,
     ) -> Result<RunOutcome, SimError> {
         let total_time = self.barrier().since(SimTime::ZERO);
-        let tracing = self.options.stream();
+        let tracing = self.options.trace;
         let shards = self.config.shard_count();
         let nodes_per_shard = self.config.nodes.div_ceil(shards);
         struct ShardMerge {
             trace: Vec<TraceEvent>,
-            rollup: Option<Rollup>,
             engine_stats: EngineStats,
             registry: Option<MetricsRegistry>,
             store_stats: Option<StoreStats>,
             busy_ns: u64,
         }
         let metrics_on = self.options.metrics;
-        let rollup_bucket = self.options.rollup;
         let merge_shard = |shard_ranks: &[Vec<Rank>], shard_nodes: &[NodeDevices]| {
             let t0 = thread_cpu_ns();
             let ranks = || shard_ranks.iter().flatten();
@@ -1109,11 +1087,6 @@ impl ClusterSim {
             } else {
                 Vec::new()
             };
-            // Per-shard rollup over the shard's own (sorted) slice of
-            // the stream. Bucket sums are commutative, so the
-            // coordinator's fold below equals one rollup over the
-            // whole merged trace — at any shard or thread count.
-            let rollup = rollup_bucket.map(|bucket| Rollup::from_events(&trace, bucket));
             let rank_stats: Vec<EngineStats> = ranks().map(|r| r.engine.stats()).collect();
             let engine_stats = EngineStats::merged(rank_stats.iter());
             // The registries hold what was recorded live (latency
@@ -1140,7 +1113,6 @@ impl ClusterSim {
             let store_stats = (!store_stats.is_empty()).then(|| StoreStats::merged(&store_stats));
             ShardMerge {
                 trace,
-                rollup,
                 engine_stats,
                 registry,
                 store_stats,
@@ -1157,19 +1129,7 @@ impl ClusterSim {
         })?;
         let merge_busy_ns: Vec<u64> = shard_results.iter().map(|s| s.busy_ns).collect();
 
-        // Coordinator fold of the shard rollups, plus the coordinator
-        // buffer's own events (remote transfers, recoveries).
-        let rollup = rollup_bucket.map(|bucket| {
-            let mut folded = Rollup::new(bucket);
-            for shard in &shard_results {
-                if let Some(partial) = &shard.rollup {
-                    folded.merge_from(partial);
-                }
-            }
-            folded.merge_from(&Rollup::from_events(&tally.coord, bucket));
-            folded
-        });
-        let merged_trace = if self.options.trace {
+        let merged_trace = if tracing {
             let mut streams: Vec<Vec<TraceEvent>> = shard_results
                 .iter_mut()
                 .map(|s| std::mem::take(&mut s.trace))
@@ -1231,7 +1191,6 @@ impl ClusterSim {
             checkpoint_bytes_per_rank: tally.d_per_rank,
             trace: merged_trace,
             metrics,
-            rollup,
             store,
             recovery: tally.recovery,
         };
@@ -1348,7 +1307,7 @@ impl ClusterSim {
                 let rate = shipped as f64 / dur.as_secs_f64();
                 self.nodes[n].add_flow(t1 + dur, rate);
                 cluster_end = cluster_end.max(t1 + dur);
-                if self.options.stream() {
+                if self.options.trace {
                     coord.push(TraceEvent {
                         t_ns: t1.as_nanos(),
                         rank: self.config.first_rank(n),
@@ -1413,7 +1372,7 @@ impl ClusterSim {
 
     /// Emit the recovery's trace events and counters.
     fn note_recovery(&self, record: &RecoveryRecord, t0: SimTime, coord: &mut Vec<TraceEvent>) {
-        if self.options.stream() {
+        if self.options.trace {
             let rank0 = self.config.first_rank(record.node);
             coord.push(TraceEvent {
                 t_ns: t0.as_nanos(),
@@ -1575,7 +1534,7 @@ impl ClusterSim {
                         )?;
                         if outcome.attempts > 1 {
                             retries += u64::from(outcome.attempts - 1);
-                            if self.options.stream() {
+                            if self.options.trace {
                                 coord.push(TraceEvent {
                                     t_ns: (t0 + wire).as_nanos(),
                                     rank: global,
@@ -2220,31 +2179,13 @@ mod tests {
     }
 
     #[test]
-    fn rollup_is_bit_identical_across_threads_and_equals_whole_stream_rebuild() {
-        let mut base = small_config();
-        base.remote = Some(RemoteConfig::infiniband(SimDuration::from_secs(10), true));
-        let bucket = 1_000_000_000;
-        let opts = RunOptions::new().with_trace(true).with_rollup(bucket);
-        let serial = run_opts(base.clone().with_threads(1), opts.clone());
-        let parallel = run_opts(base.with_threads(4), opts);
-        let rollup = serial.rollup.clone().expect("rollup requested");
-        assert_eq!(parallel.rollup.as_ref(), Some(&rollup));
-        assert!(!rollup.series.is_empty());
-        // The shard-merged rollup must equal one built directly over
-        // the merged trace — the merge path adds nothing and loses
-        // nothing.
-        assert_eq!(rollup, Rollup::from_events(&serial.trace, bucket));
-        // Rollup without trace: same rollup, empty trace in the result.
-        let quiet = run_opts(
-            {
-                let mut c = small_config();
-                c.remote = Some(RemoteConfig::infiniband(SimDuration::from_secs(10), true));
-                c
-            },
-            RunOptions::new().with_rollup(bucket),
-        );
-        assert_eq!(quiet.rollup, Some(rollup));
-        assert!(quiet.trace.is_empty());
+    #[should_panic(expected = "rank 3 exploded")]
+    fn pool_worker_panic_keeps_its_own_message() {
+        let mut ranks = [0u64, 1, 2, 3];
+        let _ = pool_map(&mut ranks, 2, |rank| -> Result<(), SimError> {
+            assert!(*rank != 3, "rank {rank} exploded");
+            Ok(())
+        });
     }
 
     #[test]
@@ -2334,6 +2275,5 @@ mod tests {
         // Flight-only instrumentation must not leak a trace into the
         // deterministic result.
         assert!(out.result.trace.is_empty());
-        assert!(out.result.rollup.is_none());
     }
 }

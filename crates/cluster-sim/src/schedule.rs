@@ -65,11 +65,6 @@ impl ScheduleTrace {
         }
     }
 
-    /// All spans in recording order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
     /// Spans of one activity.
     pub fn of(&self, activity: Activity) -> Vec<Span> {
         self.spans
@@ -166,6 +161,6 @@ mod tests {
     fn zero_length_spans_dropped() {
         let mut tr = ScheduleTrace::new();
         tr.record(Activity::Compute, t(5), t(5));
-        assert!(tr.spans().is_empty());
+        assert!(tr.spans.is_empty());
     }
 }

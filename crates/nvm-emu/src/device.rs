@@ -259,11 +259,6 @@ impl MemoryDevice {
         self.inner.lock().used
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().capacity
-    }
-
     /// Bytes still available.
     pub fn available(&self) -> usize {
         let g = self.inner.lock();
@@ -384,15 +379,6 @@ impl MemoryDevice {
         g.regions
             .get(&id)
             .map(|r| r.len)
-            .ok_or(DeviceError::NoSuchRegion(id.0))
-    }
-
-    /// True if the region is materialized (byte-backed).
-    pub fn is_materialized(&self, id: RegionId) -> Result<bool, DeviceError> {
-        let g = self.inner.lock();
-        g.regions
-            .get(&id)
-            .map(|r| !matches!(r.backing, Backing::Synthetic))
             .ok_or(DeviceError::NoSuchRegion(id.0))
     }
 
@@ -573,11 +559,6 @@ impl MemoryDevice {
             }
         }
         g.used = 0;
-    }
-
-    /// Number of live regions.
-    pub fn region_count(&self) -> usize {
-        self.inner.lock().regions.len()
     }
 
     /// Effective per-core bandwidth for `concurrency` streams and
@@ -831,7 +812,6 @@ mod tests {
         let d = MemoryDevice::pcm(MB);
         let r = d.alloc(1024).unwrap();
         d.destroy();
-        assert_eq!(d.region_count(), 0);
         assert_eq!(d.used(), 0);
         assert!(matches!(
             d.write(r, 0, &[1; 8], 1),
@@ -925,7 +905,6 @@ mod tests {
 
         let rp = plain.alloc(4096).unwrap();
         let rs = spilly.alloc(4096).unwrap();
-        assert!(spilly.is_materialized(rs).unwrap());
         assert_eq!(spilly.resident_bytes(), 0, "bytes live in the spill store");
         assert_eq!(spilly.spill_live_bytes(), 4096);
 

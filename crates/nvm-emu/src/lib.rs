@@ -36,7 +36,7 @@
 //! let cost = pcm.write(region, 0, &[7u8; 4096], /* concurrency */ 1).unwrap();
 //! clock.advance(cost);
 //! // PCM writes are slow: a page costs microseconds, not nanoseconds.
-//! assert!(cost.as_micros() >= 1);
+//! assert!(cost.as_nanos() >= 1_000);
 //! let mut back = [0u8; 4096];
 //! pcm.read(region, 0, &mut back, 1).unwrap();
 //! assert_eq!(back[0], 7);

@@ -18,8 +18,6 @@ pub enum DeviceKind {
     Dram,
     /// Phase-change memory (the paper's primary NVM model).
     Pcm,
-    /// A generic NVM with custom parameters (e.g. memristor what-ifs).
-    CustomNvm,
 }
 
 impl DeviceKind {
@@ -33,7 +31,6 @@ impl DeviceKind {
         match self {
             DeviceKind::Dram => "dram",
             DeviceKind::Pcm => "pcm",
-            DeviceKind::CustomNvm => "nvm",
         }
     }
 }
@@ -87,30 +84,6 @@ impl DeviceParams {
             write_energy_pj_per_bit: 40.0,
         }
     }
-
-    /// A custom NVM with the given write bandwidth, keeping the other
-    /// PCM-like characteristics. Used by bandwidth sweeps.
-    pub fn custom_nvm(write_bandwidth: f64) -> Self {
-        DeviceParams {
-            kind: DeviceKind::CustomNvm,
-            write_bandwidth,
-            ..Self::pcm()
-        }
-    }
-
-    /// Ratio of this device's page write latency to DRAM's (the "~10x
-    /// slower writes" headline for PCM; actually ~28x against the 35 ns
-    /// midpoint, ~10-50x across the 20-50 ns range).
-    pub fn write_latency_vs_dram(&self) -> f64 {
-        self.page_write_latency.as_nanos() as f64
-            / Self::dram().page_write_latency.as_nanos() as f64
-    }
-
-    /// Ratio of DRAM write bandwidth to this device's (the "4x lower
-    /// bandwidth" headline for PCM).
-    pub fn bandwidth_deficit_vs_dram(&self) -> f64 {
-        Self::dram().write_bandwidth / self.write_bandwidth
-    }
 }
 
 #[cfg(test)]
@@ -122,12 +95,13 @@ mod tests {
         let pcm = DeviceParams::pcm();
         // Paper: "write latencies are 10x higher" (order of magnitude;
         // 1 us vs 20-50 ns is 20-50x, we assert >= 10x).
-        assert!(pcm.write_latency_vs_dram() >= 10.0);
+        let dram = DeviceParams::dram();
+        assert!(pcm.page_write_latency.as_nanos() >= 10 * dram.page_write_latency.as_nanos());
         // "overall bandwidth is 4x lower compared to DRAM"
-        assert!((pcm.bandwidth_deficit_vs_dram() - 4.0).abs() < 1e-9);
+        assert!((dram.write_bandwidth / pcm.write_bandwidth - 4.0).abs() < 1e-9);
         // "10^8 write durability compared to 10^16 for DRAM"
         assert_eq!(pcm.write_endurance, 100_000_000);
-        assert_eq!(DeviceParams::dram().write_endurance, 10u64.pow(16));
+        assert_eq!(dram.write_endurance, 10u64.pow(16));
         // "40 times higher write energy/bit"
         assert!((pcm.write_energy_pj_per_bit / 1.0 - 40.0).abs() < 1e-9);
     }
@@ -136,14 +110,5 @@ mod tests {
     fn persistence_flags() {
         assert!(!DeviceKind::Dram.is_persistent());
         assert!(DeviceKind::Pcm.is_persistent());
-        assert!(DeviceKind::CustomNvm.is_persistent());
-    }
-
-    #[test]
-    fn custom_nvm_overrides_bandwidth_only() {
-        let c = DeviceParams::custom_nvm(4.0e8);
-        assert_eq!(c.kind, DeviceKind::CustomNvm);
-        assert_eq!(c.write_bandwidth, 4.0e8);
-        assert_eq!(c.page_write_latency, DeviceParams::pcm().page_write_latency);
     }
 }

@@ -77,18 +77,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// The later of two instants.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// The earlier of two instants.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
 }
 
 impl SimDuration {
@@ -140,12 +128,6 @@ impl SimDuration {
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Whole microseconds (truncating).
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Seconds as a float.

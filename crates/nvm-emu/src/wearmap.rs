@@ -64,11 +64,6 @@ impl WearMap {
         }
     }
 
-    /// Number of pages covered.
-    pub fn pages(&self) -> u64 {
-        self.pages
-    }
-
     /// Hottest page count over the whole map.
     pub fn max(&self) -> u64 {
         self.max

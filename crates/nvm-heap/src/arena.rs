@@ -116,16 +116,6 @@ impl Arena {
         self.free.iter().map(|e| e.len).max().unwrap_or(0)
     }
 
-    /// External fragmentation in [0, 1]: 1 - largest_free/free_bytes.
-    pub fn fragmentation(&self) -> f64 {
-        let total = self.free_bytes();
-        if total == 0 {
-            0.0
-        } else {
-            1.0 - self.largest_free() as f64 / total as f64
-        }
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> ArenaStats {
         self.stats
@@ -273,7 +263,6 @@ mod tests {
         a.free(z);
         assert_eq!(a.free_bytes(), 10 * PAGE_SIZE);
         assert_eq!(a.largest_free(), 10 * PAGE_SIZE);
-        assert_eq!(a.fragmentation(), 0.0);
     }
 
     #[test]
@@ -302,9 +291,9 @@ mod tests {
         let _y = a.alloc(PAGE_SIZE).unwrap();
         let z = a.alloc(PAGE_SIZE).unwrap();
         a.free(x);
-        a.free(z); // two non-adjacent pages free + one tail page
-        assert!(a.fragmentation() > 0.0);
-        // 3 pages free but the largest contiguous run is 2 (z + tail).
+        // Two non-adjacent pages free + one tail page: 3 pages free
+        // but the largest contiguous run is 2 (z + tail).
+        a.free(z);
         assert_eq!(a.free_bytes(), 3 * PAGE_SIZE);
         assert_eq!(a.largest_free(), 2 * PAGE_SIZE);
         assert!(a.alloc(3 * PAGE_SIZE).is_none());

@@ -13,7 +13,7 @@
 
 use crate::arena::{Arena, ArenaStats, Extent};
 use crate::chunk::{Chunk, Versioning};
-use nvm_emu::{pages_for, DeviceError, MemoryDevice, RegionId, SimDuration};
+use nvm_emu::{DeviceError, MemoryDevice, RegionId, SimDuration};
 use nvm_paging::{genid, ChunkId, ChunkRecord, ProcessMetadata};
 use std::collections::BTreeMap;
 
@@ -103,11 +103,6 @@ impl NvmHeap {
             versioning,
             materialization,
         })
-    }
-
-    /// Owning process id.
-    pub fn process_id(&self) -> u64 {
-        self.process_id
     }
 
     /// The container region on the NVM device.
@@ -479,11 +474,6 @@ impl NvmHeap {
         self.chunks.values()
     }
 
-    /// Ids of all chunks, in id order.
-    pub fn chunk_ids(&self) -> Vec<ChunkId> {
-        self.chunks.keys().copied().collect()
-    }
-
     /// Ids of persistent chunks only (the checkpoint set).
     pub fn persistent_ids(&self) -> Vec<ChunkId> {
         self.iter_persistent_ids().collect()
@@ -514,11 +504,6 @@ impl NvmHeap {
             .filter(|c| c.persistent)
             .map(|c| c.len)
             .sum()
-    }
-
-    /// Pages of a chunk (for MMU registration).
-    pub fn chunk_pages(&self, id: ChunkId) -> Result<usize, HeapError> {
-        Ok(pages_for(self.chunk(id)?.len).max(1))
     }
 
     /// Export the persistent state as metadata records (what the
@@ -827,7 +812,7 @@ mod tests {
             Versioning::Double,
         )
         .unwrap();
-        assert_eq!(h2.process_id(), 42);
+        assert_eq!(h2.export_metadata().process_id, 42);
         assert_eq!(h2.len(), 2);
         let (data, _) = h2.read_version(a, 0).unwrap();
         assert_eq!(data, vec![1u8; 4096], "committed bytes survive restart");

@@ -122,13 +122,6 @@ impl KvConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionId(u16);
 
-impl SessionId {
-    /// The session's index (dense, 0-based).
-    pub fn index(self) -> u16 {
-        self.0
-    }
-}
-
 /// What [`KvStore::checkpoint`] publishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvCheckpointToken {

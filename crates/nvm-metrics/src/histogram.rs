@@ -21,7 +21,7 @@ pub fn bucket_index(value: u64) -> usize {
 }
 
 /// Inclusive `(low, high)` bounds of bucket `i`.
-pub fn bucket_bounds(i: usize) -> (u64, u64) {
+fn bucket_bounds(i: usize) -> (u64, u64) {
     assert!(i < BUCKET_COUNT, "bucket index {i} out of range");
     if i == 0 {
         (0, 0)
@@ -63,35 +63,6 @@ impl Histogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest sample seen (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64; BUCKET_COUNT] {
-        &self.buckets
     }
 
     /// Reassemble a histogram from raw accumulator state (used when
@@ -230,9 +201,9 @@ mod tests {
         for v in 1..=100 {
             h.record(v);
         }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.sum(), 5050);
-        assert_eq!(h.max(), 100);
+        assert_eq!(h.count, 100);
+        assert_eq!(h.sum, 5050);
+        assert_eq!(h.max, 100);
         assert_eq!(h.p50(), 63);
         assert_eq!(h.p90(), 100, "tail bucket clamps to the exact max");
         assert_eq!(h.p99(), 100);
@@ -245,7 +216,7 @@ mod tests {
         h.record(777);
         assert_eq!(h.p50(), 777);
         assert_eq!(h.p99(), 777);
-        assert_eq!(h.max(), 777);
+        assert_eq!(h.max, 777);
     }
 
     #[test]
@@ -253,16 +224,15 @@ mod tests {
         let mut h = Histogram::new();
         h.record(0);
         h.record(0);
-        assert_eq!(h.buckets()[0], 2);
+        assert_eq!(h.buckets[0], 2);
         assert_eq!(h.p50(), 0);
-        assert_eq!(h.max(), 0);
+        assert_eq!(h.max, 0);
     }
 
     #[test]
     fn empty_histogram_is_all_zeros() {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.mean(), 0.0);
         let s = h.snapshot();
         assert_eq!(s.count, 0);
         assert!(s.buckets.is_empty());

@@ -34,7 +34,7 @@ pub mod registry;
 
 pub use derived::{DerivedMetrics, MetricsReport};
 pub use export::{to_prometheus_text, validate_prometheus_text};
-pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKET_COUNT};
+pub use histogram::{bucket_index, Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use merge::MergeStats;
 pub use registry::{
     CounterHandle, HistogramHandle, Metric, Metrics, MetricsRegistry, MetricsSnapshot,

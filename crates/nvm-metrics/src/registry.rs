@@ -78,19 +78,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.metrics.is_empty()
-    }
-
-    /// Look up a metric by name.
-    pub fn get(&self, name: &str) -> Option<&Metric> {
-        self.metrics.get(name)
     }
 
     /// Fold a complete histogram into the named entry (used when
@@ -573,7 +563,7 @@ mod tests {
         // A zero-delta add still marks the counter live, matching the
         // locked path (counter_add(name, 0) creates the entry).
         m.counter_handle("zero").add(0);
-        assert_eq!(m.registry().len(), 1);
+        assert_eq!(m.registry().metrics.len(), 1);
         assert_eq!(m.registry().snapshot().counter("zero"), 0);
     }
 

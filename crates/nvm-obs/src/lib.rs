@@ -11,8 +11,7 @@
 //!   event stream (begin/end pairing + carried durations);
 //! * [`blame`] — barrier-segment critical-path extraction and an
 //!   exact-sum blame decomposition ([`BlameReport`]); `rollup` —
-//!   interval-bucketed time series ([`Rollup`]), mergeable
-//!   rank→shard→coordinator;
+//!   interval-bucketed time series ([`Rollup`]);
 //! * exporters — folded-stack flamegraphs ([`to_folded`]), the
 //!   stable-JSON [`AnalysisReport`] consumed by `run_all --analyze`,
 //!   and the bounded [`FlightDump`] ring attached to fatal errors.

@@ -2,14 +2,8 @@
 //! the trace.
 //!
 //! A [`Rollup`] is a pure function of the event stream — it never
-//! looks at host state — so two properties fall out for free:
-//!
-//! * **thread-count identity**: the merged cluster trace is
-//!   bit-identical at any `--threads N`, hence so is the rollup;
-//! * **merge associativity**: bucket sums commute, so building one
-//!   rollup per rank (or per shard) and merging rank→shard→coordinator
-//!   equals building a single rollup over the merged trace. Cluster
-//!   runs use exactly that path.
+//! looks at host state — and the merged cluster trace is
+//! bit-identical at any `--threads N`, hence so is the rollup.
 //!
 //! Series are named by the `series::*` constants; values are plain
 //! `u64` sums per bucket (bytes or nanoseconds or counts — per-bucket
@@ -135,30 +129,6 @@ impl Rollup {
         rollup
     }
 
-    /// Element-wise merge (rank→shard→coordinator reduction step).
-    /// Bucket widths must match — merging differently-bucketed
-    /// rollups would silently misalign time.
-    pub fn merge_from(&mut self, other: &Rollup) {
-        assert_eq!(
-            self.bucket_ns, other.bucket_ns,
-            "cannot merge rollups with different bucket widths"
-        );
-        for (name, row) in &other.series {
-            let mine = self.series.entry(name.clone()).or_default();
-            if mine.len() < row.len() {
-                mine.resize(row.len(), 0);
-            }
-            for (slot, value) in mine.iter_mut().zip(row) {
-                *slot += value;
-            }
-        }
-    }
-
-    /// Total across all buckets of one series (0 if absent).
-    pub fn total(&self, name: &str) -> u64 {
-        self.series.get(name).map_or(0, |row| row.iter().sum())
-    }
-
     /// Number of buckets in the longest series.
     pub fn buckets(&self) -> usize {
         self.series.values().map(Vec::len).max().unwrap_or(0)
@@ -214,23 +184,7 @@ mod tests {
         );
         assert_eq!(rollup.series[series::LINK_BYTES], vec![0, 128]);
         assert_eq!(rollup.series[series::DIRTY_FAULTS], vec![1]);
-        assert_eq!(rollup.total(series::NVM_WRITE_BYTES), 96);
         assert_eq!(rollup.buckets(), 3);
-    }
-
-    #[test]
-    fn merge_of_per_rank_rollups_equals_whole_stream_rollup() {
-        let events = sample();
-        let whole = Rollup::from_events(&events, 1_000);
-        let rank0: Vec<TraceEvent> = events.iter().filter(|e| e.rank == 0).cloned().collect();
-        let rank1: Vec<TraceEvent> = events.iter().filter(|e| e.rank == 1).cloned().collect();
-        let mut merged = Rollup::from_events(&rank0, 1_000);
-        merged.merge_from(&Rollup::from_events(&rank1, 1_000));
-        assert_eq!(merged, whole);
-        // Merge order must not matter either.
-        let mut reversed = Rollup::from_events(&rank1, 1_000);
-        reversed.merge_from(&Rollup::from_events(&rank0, 1_000));
-        assert_eq!(reversed, whole);
     }
 
     #[test]
@@ -260,13 +214,6 @@ mod tests {
         assert_eq!(rollup.series[series::KV_OPS], vec![1]);
         assert_eq!(rollup.series[series::KV_TOKENS], vec![0, 1]);
         assert_eq!(rollup.series[series::KV_TOKEN_LOG_BYTES], vec![0, 4096]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket widths")]
-    fn merging_mismatched_buckets_panics() {
-        let mut a = Rollup::new(1_000);
-        a.merge_from(&Rollup::new(2_000));
     }
 
     #[test]

@@ -38,21 +38,6 @@ pub enum SpanKind {
     Recovery,
 }
 
-impl SpanKind {
-    /// Stable lowercase label (flamegraph frames, report keys).
-    pub fn label(self) -> &'static str {
-        match self {
-            SpanKind::PrecopyBusy => "precopy_hidden",
-            SpanKind::Interference => "interference",
-            SpanKind::Drain => "drain",
-            SpanKind::Coordinated => "coordinated",
-            SpanKind::BarrierWait => "barrier",
-            SpanKind::CommWait => "comm",
-            SpanKind::Recovery => "recovery",
-        }
-    }
-}
-
 /// One reconstructed interval on one rank's virtual clock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
@@ -66,13 +51,6 @@ pub struct Span {
     pub start_ns: u64,
     /// Length, virtual nanoseconds.
     pub dur_ns: u64,
-}
-
-impl Span {
-    /// Exclusive end of the interval.
-    pub fn end_ns(&self) -> u64 {
-        self.start_ns + self.dur_ns
-    }
 }
 
 #[derive(Default)]

@@ -122,20 +122,6 @@ impl PageMap {
         self.for_all(|f| f.write_protected = false);
     }
 
-    /// Write-protect a page range (page-granularity ablation mode).
-    pub fn protect_range(&mut self, first: usize, count: usize) {
-        assert!(first + count <= self.len, "range out of bounds");
-        if count == self.len {
-            self.protect_all();
-            return;
-        }
-        let v = self.materialize();
-        for f in &mut v[first..first + count] {
-            f.write_protected = true;
-        }
-        self.normalize();
-    }
-
     /// Mark pages `[first, first+count)` written: sets `dirty` and
     /// `nvdirty`, clears protection. Returns how many of them were
     /// write-protected (i.e. how many faults page-granularity
@@ -291,15 +277,6 @@ mod tests {
         assert_eq!(m.nvdirty_pages(), 4, "remote bit survives local clear");
         m.clear_nvdirty();
         assert_eq!(m.nvdirty_pages(), 0);
-    }
-
-    #[test]
-    fn protect_range_is_partial() {
-        let mut m = PageMap::new(10);
-        m.protect_range(2, 3);
-        assert_eq!(m.protected_pages(), 3);
-        m.unprotect_all();
-        assert_eq!(m.protected_pages(), 0);
     }
 
     #[test]

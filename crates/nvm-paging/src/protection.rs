@@ -47,14 +47,6 @@ impl Default for FaultCostModel {
 }
 
 impl FaultCostModel {
-    /// A fixed-cost model (min == max).
-    pub fn fixed(cost: SimDuration) -> Self {
-        FaultCostModel {
-            min: cost,
-            max: cost,
-        }
-    }
-
     /// Cost of the `index`-th fault: a deterministic triangle sweep of
     /// [min, max].
     pub fn cost(&self, index: u64) -> SimDuration {
@@ -66,11 +58,6 @@ impl FaultCostModel {
         let phase = index % 16;
         let up = if phase <= 8 { phase } else { 16 - phase };
         SimDuration::from_nanos(self.min.as_nanos() + span * up / 8)
-    }
-
-    /// Mean fault cost (useful for closed-form estimates).
-    pub fn mean(&self) -> SimDuration {
-        SimDuration::from_nanos((self.min.as_nanos() + self.max.as_nanos()) / 2)
     }
 }
 
@@ -124,16 +111,6 @@ impl Mmu {
         }
     }
 
-    /// Override the fault cost model.
-    pub fn set_fault_cost(&mut self, model: FaultCostModel) {
-        self.fault_cost = model;
-    }
-
-    /// The active granularity.
-    pub fn granularity(&self) -> Granularity {
-        self.granularity
-    }
-
     /// Register a chunk of `pages` pages. New chunks start fully dirty:
     /// nothing has been checkpointed yet.
     pub fn register_chunk(&mut self, id: ChunkId, pages: usize) {
@@ -152,11 +129,6 @@ impl Mmu {
         if let Some(m) = self.chunks.get_mut(&id) {
             m.grow(pages);
         }
-    }
-
-    /// Number of registered chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
     }
 
     /// Record an application write of pages `[first, first+count)` of
@@ -250,18 +222,6 @@ impl Mmu {
         self.chunks.get(&id).map_or(0, |m| m.nvdirty_pages())
     }
 
-    /// Ids of all locally dirty chunks.
-    pub fn dirty_chunks(&self) -> Vec<ChunkId> {
-        let mut v: Vec<ChunkId> = self
-            .chunks
-            .iter()
-            .filter(|(_, m)| m.any_dirty())
-            .map(|(id, _)| *id)
-            .collect();
-        v.sort();
-        v
-    }
-
     /// Ids of all remotely dirty chunks.
     pub fn nvdirty_chunks(&self) -> Vec<ChunkId> {
         let mut v: Vec<ChunkId> = self
@@ -304,7 +264,6 @@ mod tests {
         // Both extremes are hit.
         assert!((0..16).any(|i| m.cost(i) == m.min));
         assert!((0..16).any(|i| m.cost(i) == m.max));
-        assert_eq!(m.mean(), SimDuration::from_micros(9));
     }
 
     #[test]
@@ -391,7 +350,6 @@ mod tests {
             mmu.register_chunk(id(n), 2);
         }
         mmu.protect_after_precopy(id(3));
-        assert_eq!(mmu.dirty_chunks(), vec![id(1), id(5)]);
         assert_eq!(mmu.nvdirty_chunks(), vec![id(1), id(3), id(5)]);
     }
 

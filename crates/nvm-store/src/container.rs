@@ -134,17 +134,6 @@ impl<M: Media> Container<M> {
         self.media
     }
 
-    /// Container identity from the superblock.
-    pub fn process_id(&self) -> u64 {
-        self.sb.process_id
-    }
-
-    /// What the open-time scan recovered (same as the first
-    /// [`Persistence::recover`] call, without counting a recovery).
-    pub fn recovered_state(&self) -> &RecoveredState {
-        &self.recovered
-    }
-
     /// Flip one byte of `id`'s *committed* payload directly on media,
     /// bypassing the shadow-slot discipline. Test support: simulates
     /// media corruption (bit rot) so checksum verification paths can
@@ -533,8 +522,7 @@ mod tests {
         ));
         let reopened = Container::open(MemMedia::from_bytes(c.media.bytes().to_vec()), 0, 0)
             .unwrap()
-            .recovered_state()
-            .clone();
+            .recovered;
         assert_eq!(reopened.epoch, None, "no commit record, no checkpoint");
     }
 

@@ -106,11 +106,6 @@ impl MemMedia {
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
     }
-
-    /// Mutable byte access (corruption injection in tests).
-    pub fn bytes_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.bytes
-    }
 }
 
 impl Media for MemMedia {

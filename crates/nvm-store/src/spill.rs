@@ -50,11 +50,6 @@ impl FileSpill {
             peak: 0,
         })
     }
-
-    /// Bytes the file has grown to (live + free extents).
-    pub fn file_bytes(&self) -> u64 {
-        self.end
-    }
 }
 
 fn io_err(e: crate::PersistError) -> io::Error {
@@ -155,7 +150,7 @@ mod tests {
         let mut bb = vec![0u8; 32];
         s.read(b, 0, &mut bb).unwrap();
         assert_eq!(bb, vec![0u8; 32]);
-        assert_eq!(s.file_bytes(), 96, "no growth after reuse");
+        assert_eq!(s.end, 96, "no growth after reuse");
     }
 
     #[test]
@@ -168,7 +163,7 @@ mod tests {
         let c = s.alloc(60).unwrap();
         assert_eq!(b, a);
         assert_eq!(c, a + 40);
-        assert_eq!(s.file_bytes(), 100);
+        assert_eq!(s.end, 100);
     }
 
     #[test]

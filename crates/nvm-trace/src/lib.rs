@@ -411,15 +411,6 @@ impl JsonlSink {
         })
     }
 
-    /// Stream events to an arbitrary writer (tests). Writes the same
-    /// [`SCHEMA_VERSION`] header line as [`JsonlSink::create`].
-    pub fn from_writer(mut writer: Box<dyn std::io::Write + Send>) -> Self {
-        let _ = writeln!(writer, "{}", jsonl_header());
-        JsonlSink {
-            writer: Mutex::new(writer),
-        }
-    }
-
     /// Flush the underlying writer.
     pub fn flush(&self) -> std::io::Result<()> {
         self.writer.lock().unwrap().flush()
@@ -478,11 +469,6 @@ impl Tracer {
             sink: self.sink.clone(),
             rank,
         }
-    }
-
-    /// Rank stamped onto emitted events.
-    pub fn rank(&self) -> u64 {
-        self.rank
     }
 
     /// True when a sink is attached. Call sites that need to compute
@@ -618,28 +604,6 @@ pub fn read_jsonl(text: &str) -> Result<Vec<TraceEvent>, TraceReadError> {
     }
     let _ = saw_header; // headerless == legacy v1, upgraded above
     Ok(events)
-}
-
-/// Parse JSONL produced by [`to_jsonl`] (or a [`JsonlSink`]). Lenient
-/// variant of [`read_jsonl`]: header lines are skipped without
-/// version enforcement (use `read_jsonl` to get a typed
-/// [`TraceReadError`] for version mismatches).
-pub fn from_jsonl(text: &str) -> Result<Vec<TraceEvent>, serde_json::Error> {
-    text.lines()
-        .filter(|line| !line.trim().is_empty())
-        .filter_map(|line| {
-            let value: serde::Value = match serde_json::from_str(line) {
-                Ok(v) => v,
-                Err(e) => return Some(Err(e)),
-            };
-            if value.get("schema_version").is_some() {
-                return None;
-            }
-            let mut value = value;
-            upgrade_event_value(&mut value);
-            Some(serde_json::from_value(&value))
-        })
-        .collect()
 }
 
 /// Upgrade one event's value tree from any older schema version to
@@ -892,9 +856,6 @@ mod tests {
             text.lines().next().unwrap(),
             format!("{{\"schema_version\":{SCHEMA_VERSION}}}")
         );
-        let back = from_jsonl(&text).unwrap();
-        assert_eq!(back, events);
-        // The strict reader accepts its own output too.
         assert_eq!(read_jsonl(&text).unwrap(), events);
     }
 
@@ -903,17 +864,16 @@ mod tests {
         // A headerless trace with a pre-`cost_ns` drain record, as a
         // schema-version-1 writer produced it.
         let v1 = "{\"t_ns\":5,\"rank\":0,\"kind\":{\"PrecopyDrain\":{\"chunk\":3,\"bytes\":64}}}\n";
-        for events in [read_jsonl(v1).unwrap(), from_jsonl(v1).unwrap()] {
-            assert_eq!(events.len(), 1);
-            assert_eq!(
-                events[0].kind,
-                TraceEventKind::PrecopyDrain {
-                    chunk: 3,
-                    bytes: 64,
-                    cost_ns: 0,
-                }
-            );
-        }
+        let events = read_jsonl(v1).unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            events[0].kind,
+            TraceEventKind::PrecopyDrain {
+                chunk: 3,
+                bytes: 64,
+                cost_ns: 0,
+            }
+        );
     }
 
     #[test]
@@ -927,8 +887,6 @@ mod tests {
                 supported: SCHEMA_VERSION,
             }
         );
-        // The lenient reader skips the header without enforcing it.
-        assert_eq!(from_jsonl(&future).unwrap(), Vec::new());
     }
 
     #[test]
@@ -942,26 +900,16 @@ mod tests {
 
     #[test]
     fn jsonl_sink_matches_offline_rendering() {
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for Shared {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
+        let path =
+            std::env::temp_dir().join(format!("nvm_trace_sink_{}.jsonl", std::process::id()));
         let events = vec![ev(1, 0, 7), ev(2, 0, 8)];
-        let sink = JsonlSink::from_writer(Box::new(Shared(buf.clone())));
+        let sink = JsonlSink::create(&path).unwrap();
         for e in &events {
             sink.record(e.clone());
         }
         drop(sink);
-        let written = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let written = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
         assert_eq!(written, to_jsonl(&events));
     }
 

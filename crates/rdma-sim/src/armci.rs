@@ -234,25 +234,6 @@ impl RemoteStore {
         Ok((buf, cost))
     }
 
-    /// Charge the cost of fetching a committed chunk without
-    /// materializing bytes (size-only runs). Returns the logical
-    /// length and the remote NVM read cost.
-    pub fn fetch_synthetic(
-        &self,
-        rank: u64,
-        chunk: ChunkId,
-    ) -> Result<(usize, SimDuration), RemoteError> {
-        let key = (rank, chunk);
-        let entry = self
-            .entries
-            .get(&key)
-            .ok_or(RemoteError::NoSuchEntry(key))?;
-        let slot = entry.committed.ok_or(RemoteError::NothingCommitted(key))?;
-        let region = entry.slots[slot as usize].expect("committed slot allocated");
-        let cost = self.nvm.read_synthetic(region, 0, entry.len, 1)?;
-        Ok((entry.len, cost))
-    }
-
     /// Committed epoch of a chunk, if any.
     pub fn committed_epoch(&self, rank: u64, chunk: ChunkId) -> Option<u64> {
         self.entries
@@ -283,11 +264,6 @@ impl RemoteStore {
         self.entries
             .get(&(rank, chunk))
             .and_then(|e| e.name.as_deref())
-    }
-
-    /// Logical length of an entry.
-    pub fn chunk_len(&self, rank: u64, chunk: ChunkId) -> Option<usize> {
-        self.entries.get(&(rank, chunk)).map(|e| e.len)
     }
 
     /// Chunk ids of `rank` holding a committed version, sorted — the
@@ -327,14 +303,6 @@ impl RemoteStore {
     /// True if the store holds nothing.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Total logical bytes stored (committed + staged slots).
-    pub fn stored_bytes(&self) -> u64 {
-        self.entries
-            .values()
-            .map(|e| e.slots.iter().flatten().count() as u64 * e.len as u64)
-            .sum()
     }
 
     /// Simulate losing the buddy node (hard failure of the remote).
@@ -399,7 +367,7 @@ mod tests {
             assert_eq!(data, vec![fill; 256]);
         }
         // Exactly two slots allocated despite six epochs.
-        assert_eq!(s.stored_bytes(), 2 * 256);
+        assert_eq!(s.entries[&(3, c)].slots.iter().flatten().count(), 2);
     }
 
     #[test]
@@ -424,7 +392,7 @@ mod tests {
         assert!(!cost.is_zero());
         s.commit_rank(0, 1);
         assert!(matches!(s.fetch(0, c), Err(RemoteError::Device(_))));
-        assert_eq!(s.stored_bytes(), 8 * MB as u64);
+        assert_eq!(s.entries[&(0, c)].len, 8 * MB);
     }
 
     #[test]

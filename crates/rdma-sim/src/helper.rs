@@ -141,11 +141,6 @@ impl HelperProcess {
         }
     }
 
-    /// Parameters in use.
-    pub fn params(&self) -> HelperParams {
-        self.params
-    }
-
     /// Attach a metrics handle: the transfer-size distribution, which
     /// has no stats twin, records into it. Totals are
     /// [`HelperStats::publish`]ed instead.
@@ -194,11 +189,6 @@ impl HelperProcess {
     /// CPU utilization of the dedicated helper core, in [0, 1+].
     pub fn cpu_utilization(&self) -> f64 {
         self.stats.cpu_utilization()
-    }
-
-    /// Node-wide utilization when the node has `cores` cores.
-    pub fn node_utilization(&self, cores: usize) -> f64 {
-        self.cpu_utilization() / cores.max(1) as f64
     }
 
     /// Accounting snapshot.
@@ -252,8 +242,6 @@ mod tests {
             (0.10..0.17).contains(&u),
             "expected ~13% helper utilization, got {u}"
         );
-        // Node-wide this is tiny.
-        assert!(h.node_utilization(12) < 0.015);
     }
 
     #[test]

@@ -25,7 +25,5 @@ pub mod trace;
 pub use armci::{RemoteError, RemoteStore};
 pub use helper::{HelperParams, HelperProcess, HelperStats};
 pub use link::{Link, LinkStats, IB_40GBPS};
-pub use recovery::{
-    fetch_synthetic_with_retry, fetch_with_retry, FaultModel, FetchOutcome, RetryPolicy,
-};
+pub use recovery::{fetch_with_retry, FaultModel, FetchOutcome, RetryPolicy};
 pub use trace::UsageTrace;

@@ -79,11 +79,6 @@ impl FaultModel {
         }
     }
 
-    /// Loss probability in parts-per-million.
-    pub fn loss_ppm(&self) -> u32 {
-        self.loss_ppm
-    }
-
     /// True if the `attempt`-th (1-based) transfer of `(rank, chunk)`
     /// is lost.
     pub fn drops(&self, rank: u64, chunk: ChunkId, attempt: u32) -> bool {
@@ -138,34 +133,6 @@ pub fn fetch_with_retry(
             attempts: attempt,
             data,
         });
-    }
-    Err(RemoteError::RetriesExhausted {
-        key: (rank, chunk),
-        attempts: policy.max_attempts.max(1),
-    })
-}
-
-/// Size-only variant of [`fetch_with_retry`]: charges the same
-/// retry/read/wire costs without materializing bytes. Returns the
-/// logical length in place of data.
-pub fn fetch_synthetic_with_retry(
-    store: &RemoteStore,
-    link: &mut Link,
-    now: SimTime,
-    rank: u64,
-    chunk: ChunkId,
-    policy: &RetryPolicy,
-    faults: &FaultModel,
-) -> Result<(usize, SimDuration, u32), RemoteError> {
-    let mut elapsed = SimDuration::ZERO;
-    for attempt in 1..=policy.max_attempts.max(1) {
-        if faults.drops(rank, chunk, attempt) {
-            elapsed += policy.lost_attempt_cost(attempt);
-            continue;
-        }
-        let (len, read_cost) = store.fetch_synthetic(rank, chunk)?;
-        let wire = link.transfer(now + elapsed, len as u64, 1);
-        return Ok((len, elapsed + read_cost + wire, attempt));
     }
     Err(RemoteError::RetriesExhausted {
         key: (rank, chunk),
@@ -293,26 +260,5 @@ mod tests {
             .filter(|i| f.drops(i % 16, ChunkId(i / 16), 1))
             .count();
         assert!((100..400).contains(&drops), "drops={drops}");
-    }
-
-    #[test]
-    fn synthetic_fetch_charges_without_bytes() {
-        let mut s = RemoteStore::new(&MemoryDevice::pcm(64 * MB), false);
-        s.put_synthetic(2, ChunkId(4), 8 * MB).unwrap();
-        s.commit_rank(2, 0);
-        let mut link = Link::new(1e9);
-        let (len, dur, attempts) = fetch_synthetic_with_retry(
-            &s,
-            &mut link,
-            SimTime::ZERO,
-            2,
-            ChunkId(4),
-            &RetryPolicy::default(),
-            &FaultModel::reliable(),
-        )
-        .unwrap();
-        assert_eq!(len, 8 * MB);
-        assert_eq!(attempts, 1);
-        assert!(dur.as_secs_f64() > 8.0 * MB as f64 / 1e9 * 0.9);
     }
 }

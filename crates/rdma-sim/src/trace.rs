@@ -65,23 +65,9 @@ impl UsageTrace {
         &self.buckets
     }
 
-    /// `(bucket_start_time, bytes)` pairs.
-    pub fn timeline(&self) -> Vec<(SimTime, f64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (SimTime::from_nanos(i as u64 * self.bucket.as_nanos()), b))
-            .collect()
-    }
-
     /// Peak bucket, in bytes.
     pub fn peak_bytes(&self) -> f64 {
         self.buckets.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Peak bandwidth, bytes/second.
-    pub fn peak_bandwidth(&self) -> f64 {
-        self.peak_bytes() / self.bucket.as_secs_f64()
     }
 
     /// Total bytes recorded.
@@ -158,13 +144,6 @@ mod tests {
         assert_eq!(burst.peak_bytes(), 4000.0);
         assert_eq!(spread.peak_bytes(), 1000.0);
         assert!(burst.peak_to_mean() > spread.peak_to_mean());
-    }
-
-    #[test]
-    fn peak_bandwidth_scales_with_bucket() {
-        let mut t = UsageTrace::new(SimDuration::from_millis(100));
-        t.record(secs(0), SimTime::from_millis(100), 1_000_000);
-        assert!((t.peak_bandwidth() - 10_000_000.0).abs() < 1.0);
     }
 
     #[test]

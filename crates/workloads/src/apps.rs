@@ -213,22 +213,6 @@ impl SyntheticApp {
         self
     }
 
-    /// Override the per-iteration communication volume.
-    pub fn with_comm_bytes(mut self, bytes: u64) -> Self {
-        self.comm_bytes = bytes;
-        self
-    }
-
-    /// Total checkpoint bytes this app will allocate.
-    pub fn checkpoint_bytes(&self) -> usize {
-        self.chunks.iter().map(|c| c.spec.bytes).sum()
-    }
-
-    /// Number of chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// Write schedule for one iteration: `(fraction_of_iteration,
     /// chunk_index)` events, sorted by fraction.
     #[cfg(test)]
@@ -342,14 +326,15 @@ mod tests {
         let lammps = SyntheticApp::lammps();
         let cm1 = SyntheticApp::cm1();
         for (app, target_mb) in [(&gtc, 433.0), (&lammps, 410.0), (&cm1, 400.0)] {
-            let mb = app.checkpoint_bytes() as f64 / MB as f64;
+            let bytes: usize = app.chunks.iter().map(|c| c.spec.bytes).sum();
+            let mb = bytes as f64 / MB as f64;
             assert!(
                 (mb / target_mb - 1.0).abs() < 0.35,
                 "{} total {mb} MB vs target {target_mb}",
                 app.name
             );
         }
-        assert_eq!(lammps.chunk_count(), 10);
+        assert_eq!(lammps.chunks.len(), 10);
     }
 
     #[test]

@@ -116,36 +116,6 @@ impl KvMix {
         }
     }
 
-    /// YCSB-B: read mostly (95% reads, 5% upserts).
-    pub fn b() -> KvMix {
-        KvMix {
-            read_pct: 95,
-            upsert_pct: 5,
-            rmw_pct: 0,
-            delete_pct: 0,
-        }
-    }
-
-    /// YCSB-C: read only.
-    pub fn c() -> KvMix {
-        KvMix {
-            read_pct: 100,
-            upsert_pct: 0,
-            rmw_pct: 0,
-            delete_pct: 0,
-        }
-    }
-
-    /// YCSB-F: read-modify-write heavy (50% reads, 50% rmw).
-    pub fn f() -> KvMix {
-        KvMix {
-            read_pct: 50,
-            upsert_pct: 0,
-            rmw_pct: 50,
-            delete_pct: 0,
-        }
-    }
-
     /// Draw an operation kind.
     fn draw(&self, rng: &mut u64) -> KvOpKind {
         debug_assert_eq!(
@@ -259,11 +229,6 @@ impl KvServingWorkload {
             val_buf: vec![0u8; cfg.value_bytes],
             cfg,
         }
-    }
-
-    /// The store's statistics (None before `setup`).
-    pub fn stats(&self) -> Option<nvm_kv::KvStats> {
-        self.kv.as_ref().map(|kv| kv.stats())
     }
 
     fn fill_value(&mut self, key_id: u64, salt: u64) {
@@ -426,7 +391,12 @@ mod tests {
 
     #[test]
     fn mix_draw_matches_percentages() {
-        let mix = KvMix::b();
+        let mix = KvMix {
+            read_pct: 95,
+            upsert_pct: 5,
+            rmw_pct: 0,
+            delete_pct: 0,
+        };
         let mut rng = 3u64;
         let mut reads = 0;
         for _ in 0..10_000 {
@@ -451,12 +421,12 @@ mod tests {
         let mut e = mk_engine();
         let mut w = KvServingWorkload::new(0, small_cfg());
         w.setup(&mut e).unwrap();
-        let preloaded = w.stats().unwrap();
+        let preloaded = w.kv.as_ref().unwrap().stats();
         assert_eq!(preloaded.occupied_slots, 64);
         for iter in 0..3 {
             w.iterate(&mut e, iter).unwrap();
         }
-        let stats = w.stats().unwrap();
+        let stats = w.kv.as_ref().unwrap().stats();
         assert_eq!(stats.token, 3, "one CPR token per iteration");
         assert!(stats.log_bytes > preloaded.log_bytes);
         e.nvchkptall().unwrap();
@@ -471,7 +441,7 @@ mod tests {
             for iter in 0..2 {
                 w.iterate(&mut e, iter).unwrap();
             }
-            (w.stats().unwrap(), e.clock().now().as_nanos())
+            (w.kv.as_ref().unwrap().stats(), e.clock().now().as_nanos())
         };
         assert_eq!(run(), run());
     }

@@ -14,7 +14,7 @@ use nvm_chkpt::{
     BufferSink, CheckpointEngine, EngineConfig, PrecopyPolicy, TraceEventKind, Tracer,
 };
 use nvm_emu::{MemoryDevice, SimDuration, VirtualClock};
-use nvm_trace::{from_jsonl, to_jsonl, JsonlSink};
+use nvm_trace::{read_jsonl, to_jsonl, JsonlSink};
 use std::sync::Arc;
 
 const MB: usize = 1 << 20;
@@ -147,7 +147,7 @@ fn canonical_cpc_run_matches_golden_sequence() {
     // Timestamps are monotone and the stream round-trips through JSONL.
     assert!(events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
     let jsonl = to_jsonl(&events);
-    assert_eq!(from_jsonl(&jsonl).unwrap(), events);
+    assert_eq!(read_jsonl(&jsonl).unwrap(), events);
 }
 
 fn traced_config(threads: usize) -> ClusterConfig {
