@@ -92,6 +92,7 @@ impl CommitCore {
         config: &EngineConfig,
     ) -> Result<Self, EngineError> {
         config.validate()?;
+        Self::distinct_devices(dram, nvm)?;
         if container_capacity == 0 {
             return Err(ConfigError::ZeroShadowRegion.into());
         }
@@ -116,6 +117,7 @@ impl CommitCore {
         clock: VirtualClock,
         config: &EngineConfig,
     ) -> Result<(Self, Vec<PlannedChunk<'static>>), EngineError> {
+        Self::distinct_devices(dram, nvm)?;
         let metadata = MetadataRegion::open(nvm, metadata_region)?;
         let (meta, load_cost) = metadata.load()?;
         clock.advance(load_cost);
@@ -125,6 +127,15 @@ impl CommitCore {
             .map(|c| (c.id, c.has_committed().then_some(Committed::OnDevice), None))
             .collect();
         Ok((Self::assemble(heap, metadata, clock, config), chunks))
+    }
+
+    /// Shadow copies and restores hold the DRAM device's lock around
+    /// an NVM access; on one device that is a self-deadlock.
+    fn distinct_devices(dram: &MemoryDevice, nvm: &MemoryDevice) -> Result<(), ConfigError> {
+        if dram.same_device(nvm) {
+            return Err(ConfigError::SharedDevice);
+        }
+        Ok(())
     }
 
     fn assemble(
@@ -455,48 +466,47 @@ impl CommitCore {
     /// attached (cost-free in virtual time). Returns the bytes
     /// mirrored, for the caller's [`TraceEventKind::StoreWrite`].
     ///
-    /// Every committed byte is read from the slot once and checksummed
-    /// once: with a backend attached the buffer read here is the one
-    /// handed to [`Persistence::put_chunk`], and the CRC the backend
+    /// Every committed byte is checksummed once, where it lies: with a
+    /// backend attached the slot's bytes are lent to
+    /// [`Persistence::put_chunk`] in place, and the CRC the backend
     /// stores in its slot header is the chunk's checksum; without one
-    /// the core runs that single pass itself.
+    /// the core runs that single pass itself. The modeled read of the
+    /// slot is charged either way.
     fn commit_slot(&mut self, id: ChunkId) -> Result<Option<u64>, EngineError> {
         let slot = (self.heap.chunk(id)?).in_progress_slot(self.heap.versioning());
         let flush_cost = self.heap.flush_version(id, slot)?;
         self.clock.advance(flush_cost);
         let bytes = self.heap.materialization() == Materialization::Bytes;
-        let slot_data = if self.checksums && bytes {
-            let (data, read_cost) = self.heap.read_version(id, slot)?;
+        let checksummed = self.checksums && bytes;
+        if checksummed {
+            let read_cost = self.heap.charge_version_read(id, slot)?;
             self.clock.advance(read_cost);
-            Some(data)
-        } else {
-            None
-        };
+        }
         let epoch = self.epoch;
-        let checksummed = slot_data.is_some();
         let (checksum, mirrored) = match self.persistence.as_mut() {
             Some(store) => {
                 let chunk = self.heap.chunk(id)?;
-                let payload = match slot_data {
-                    Some(data) => data,
-                    // Checksums off: nothing was read (or charged), so
-                    // mirror the working copy the slot was filled from.
-                    None if bytes => self.heap.working_copy(id)?,
+                let mut put =
+                    |payload: &[u8]| store.put_chunk(id, &chunk.name, chunk.len, epoch, payload);
+                let (crc, mirrored) = if bytes {
+                    // Checksums off: nothing was charged, and the slot
+                    // still holds the working copy it was filled from.
+                    (self.heap.view_version(id, slot, put)??, chunk.len)
+                } else {
                     // Size-only runs persist a fixed descriptor standing
                     // in for the bytes; crash tests still verify it
                     // bit-for-bit.
-                    None => SyntheticPayload {
+                    let desc = SyntheticPayload {
                         id: id.0,
                         epoch,
                         len: chunk.len as u64,
-                    }
-                    .encode()
-                    .to_vec(),
+                    };
+                    (put(&desc.encode())?, SyntheticPayload::ENCODED_LEN)
                 };
-                let crc = store.put_chunk(id, &chunk.name, chunk.len, epoch, &payload)?;
-                (checksummed.then_some(crc), Some(payload.len() as u64))
+                (checksummed.then_some(crc), Some(mirrored as u64))
             }
-            None => (slot_data.map(|data| crc64(&data)), None),
+            None if checksummed => (Some(self.heap.view_version(id, slot, crc64)?), None),
+            None => (None, None),
         };
         let chunk = self.heap.chunk_mut(id)?;
         chunk.committed_slot = Some(slot);
@@ -611,8 +621,7 @@ impl CommitCore {
     /// incurred, so eager restarts can sum per their strategy while
     /// lazy restores advance the clock step by step. `in_hand` is the
     /// payload of a [`Committed::Recovered`] chunk when the caller
-    /// already holds it; otherwise it is read from `store`,
-    /// checksum-verified on the way.
+    /// already holds it; otherwise it is read from `store`.
     fn restore_chunk(
         heap: &mut NvmHeap,
         store: Option<&mut Box<dyn Persistence>>,
@@ -621,43 +630,20 @@ impl CommitCore {
         in_hand: Option<&[u8]>,
         mut charge: impl FnMut(SimDuration),
     ) -> Result<(), EngineError> {
-        let rec = match from {
-            Committed::OnDevice => return Self::verify_and_restore(heap, id, charge),
-            Committed::Recovered(rec) => rec,
-        };
-        let read;
-        let payload = match in_hand {
-            Some(payload) => payload,
-            None => {
-                let store = store.expect("a chunk recovered from a store keeps it attached");
-                read = store.read_chunk(id).map_err(|e| match e {
-                    PersistError::Checksum {
-                        chunk,
-                        expected,
-                        actual,
-                    } => EngineError::ChecksumMismatch {
-                        chunk: ChunkId(chunk),
-                        expected,
-                        actual,
-                    },
-                    e => e.into(),
-                })?;
-                &read
-            }
-        };
-        charge(Self::install_recovered(heap, id, rec, payload)?);
+        match from {
+            Committed::OnDevice => Self::verify_in_place(heap, id, &mut charge)?,
+            Committed::Recovered(rec) => Self::install_recovered(heap, store, id, rec, in_hand)?,
+        }
+        charge(heap.restore_to_dram(id)?);
         Ok(())
     }
 
-    /// Restore `id`'s working copy from its committed NVM version,
-    /// verifying the stored checksum first when there is one (bytes
-    /// and a sum recorded at commit). The slot is read once: the
-    /// buffer that was verified is the buffer copied into DRAM, and
-    /// the restore's own modeled NVM read is charged without a second
-    /// host read. The verification read is charged also when it ends
-    /// in a mismatch.
-    fn verify_and_restore(
-        heap: &mut NvmHeap,
+    /// Verify `id`'s committed NVM version against the checksum
+    /// recorded at commit, when there is one (bytes and a sum): one
+    /// CRC pass over the slot where it lies. The verification read is
+    /// charged also when it ends in a mismatch.
+    fn verify_in_place(
+        heap: &NvmHeap,
         id: ChunkId,
         mut charge: impl FnMut(SimDuration),
     ) -> Result<(), EngineError> {
@@ -667,14 +653,10 @@ impl CommitCore {
             .ok_or(EngineError::NoCommittedData(id))?;
         let expected = match chunk.checksum {
             Some(sum) if heap.materialization() == Materialization::Bytes => sum,
-            _ => {
-                charge(heap.restore_to_dram(id)?);
-                return Ok(());
-            }
+            _ => return Ok(()),
         };
-        let (data, read_cost) = heap.read_version(id, slot)?;
-        charge(read_cost);
-        let actual = crc64(&data);
+        charge(heap.charge_version_read(id, slot)?);
+        let actual = heap.view_version(id, slot, crc64)?;
         if actual != expected {
             return Err(EngineError::ChecksumMismatch {
                 chunk: id,
@@ -682,33 +664,62 @@ impl CommitCore {
                 actual,
             });
         }
-        charge(heap.restore_to_dram_from(id, &data)?);
         Ok(())
     }
 
-    /// Install one payload recovered from a durable store into a
-    /// freshly allocated chunk: seed the NVM version slot (free —
-    /// those bytes survived on the medium), mark it committed, and
-    /// restore the DRAM working copy. Returns the modeled restore
-    /// cost, which the caller charges per its strategy.
+    /// Land one payload recovered from outside the device in a freshly
+    /// allocated chunk's NVM version slot (free — those bytes survived
+    /// on the medium) — read from `store` straight into the slot and
+    /// checksum-verified there, or copied from `in_hand` — and only
+    /// then mark the slot committed.
     fn install_recovered(
         heap: &mut NvmHeap,
+        store: Option<&mut Box<dyn Persistence>>,
         id: ChunkId,
         rec: &RecoveredChunk,
-        payload: &[u8],
-    ) -> Result<SimDuration, EngineError> {
+        in_hand: Option<&[u8]>,
+    ) -> Result<(), EngineError> {
         let versioning = heap.versioning();
         let bytes = heap.materialization() == Materialization::Bytes;
         let slot = heap.chunk(id)?.in_progress_slot(versioning);
+        let from_store = |buf: &mut [u8]| {
+            let store = store.expect("a chunk recovered from a store keeps it attached");
+            store.read_chunk_into(id, buf).map_err(|e| match e {
+                PersistError::Checksum {
+                    chunk,
+                    expected,
+                    actual,
+                } => EngineError::ChecksumMismatch {
+                    chunk: ChunkId(chunk),
+                    expected,
+                    actual,
+                },
+                e => e.into(),
+            })
+        };
         if bytes {
-            if payload.len() != rec.len {
+            if in_hand.is_some_and(|payload| payload.len() != rec.len) {
                 return Err(EngineError::Store(PersistError::Corrupt(format!(
                     "recovered payload length mismatch for chunk {}",
                     id.0
                 ))));
             }
-            heap.seed_version(id, slot, payload)?;
+            heap.fill_version(id, slot, |dst| match in_hand {
+                Some(payload) => {
+                    dst.copy_from_slice(payload);
+                    Ok(())
+                }
+                None => from_store(dst),
+            })??;
         } else {
+            let mut read = [0u8; SyntheticPayload::ENCODED_LEN];
+            let payload = match in_hand {
+                Some(payload) => payload,
+                None => {
+                    from_store(&mut read)?;
+                    &read
+                }
+            };
             let desc = SyntheticPayload::decode(payload).map_err(EngineError::Store)?;
             if desc.id != id.0 || desc.len as usize != rec.len {
                 return Err(EngineError::Store(PersistError::Corrupt(format!(
@@ -721,13 +732,7 @@ impl CommitCore {
         chunk.committed_slot = Some(slot);
         chunk.checksum = bytes.then_some(rec.checksum);
         chunk.committed_epoch = rec.epoch;
-        if bytes {
-            // The slot now holds exactly `payload`: fill the working
-            // copy from it instead of reading the slot back.
-            Ok(heap.restore_to_dram_from(id, payload)?)
-        } else {
-            Ok(heap.restore_to_dram(id)?)
-        }
+        Ok(())
     }
 
     /// Verify + restore a lazily-deferred chunk now. No-op for chunks
@@ -847,8 +852,10 @@ impl CommitCore {
         let slot = chunk
             .committed_slot
             .ok_or(EngineError::NoCommittedData(id))?;
-        let (data, _) = self.heap.read_version(id, slot)?;
-        Ok(data)
+        // The reader (the remote helper) goes through the shared-NVM
+        // interface: the device counts the read, nobody's clock moves.
+        self.heap.charge_version_read(id, slot)?;
+        Ok(self.heap.view_version(id, slot, <[u8]>::to_vec)?)
     }
 
     /// The persistent chunks in id order — all the pre-copy scheduler

@@ -54,6 +54,10 @@ pub enum ConfigError {
     ChecksumsRequireBytes,
     /// The engine's NVM shadow container must not be empty.
     ZeroShadowRegion,
+    /// The DRAM and NVM handles are two handles onto one device. The
+    /// engine nests the two devices' locks (DRAM, then NVM), which one
+    /// device cannot do.
+    SharedDevice,
 }
 
 nvm_emu::error_enum! {
@@ -64,6 +68,8 @@ nvm_emu::error_enum! {
             write!(f, "checksums require byte-backed (non-synthetic) materialization"),
         leaf ConfigError::ZeroShadowRegion =>
             write!(f, "NVM shadow container capacity must be > 0"),
+        leaf ConfigError::SharedDevice =>
+            write!(f, "the DRAM and NVM handles must be two different devices"),
     }
 }
 

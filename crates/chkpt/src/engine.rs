@@ -1209,7 +1209,10 @@ mod tests {
         fn recover(&mut self) -> Result<crate::persist::RecoveredState, PersistError> {
             Ok(Default::default())
         }
-        fn read_chunk(&mut self, id: ChunkId) -> Result<Vec<u8>, PersistError> {
+        fn payload_len(&self, id: ChunkId) -> Result<usize, PersistError> {
+            Err(PersistError::NoSuchChunk(id.0))
+        }
+        fn read_chunk_into(&mut self, id: ChunkId, _buf: &mut [u8]) -> Result<(), PersistError> {
             Err(PersistError::NoSuchChunk(id.0))
         }
         fn stats(&self) -> crate::persist::StoreStats {

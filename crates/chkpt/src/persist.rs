@@ -17,8 +17,9 @@
 //!   atomic step (append a commit record + fsync);
 //! * [`Persistence::recover`] scans media and returns the chunk table
 //!   of the last durable commit — or a clean "no checkpoint";
-//! * [`Persistence::read_chunk`] fetches one committed payload with
-//!   checksum verification.
+//! * [`Persistence::read_chunk_into`] reads one committed payload into
+//!   the caller's buffer — on restart, the chunk's NVM slot itself —
+//!   and verifies its checksum there.
 //!
 //! Mirroring is cost-free in virtual time: the emulated NVM device has
 //! already charged write time/bandwidth/wear for every shadow copy, so
@@ -183,7 +184,7 @@ pub trait Persistence: Send {
     /// the chunk's non-committed shadow slot; becomes the recovery
     /// version only after the next [`Persistence::commit`]. Returns
     /// the CRC-64 of `payload` as stored with it — the value
-    /// [`Persistence::read_chunk`] will verify against and
+    /// [`Persistence::read_chunk_into`] will verify against and
     /// [`RecoveredChunk::checksum`] will report.
     fn put_chunk(
         &mut self,
@@ -203,8 +204,23 @@ pub trait Persistence: Send {
     /// Scan media and return the last durable commit's chunk table.
     fn recover(&mut self) -> Result<RecoveredState, PersistError>;
 
-    /// Read one committed payload back, verifying its checksum.
-    fn read_chunk(&mut self, id: ChunkId) -> Result<Vec<u8>, PersistError>;
+    /// Stored length in bytes of `id`'s committed payload
+    /// ([`RecoveredChunk::payload_len`]).
+    fn payload_len(&self, id: ChunkId) -> Result<usize, PersistError>;
+
+    /// Read `id`'s committed payload into `buf` and verify its
+    /// checksum where it landed. `buf` must be exactly
+    /// [`Persistence::payload_len`] bytes: any other length is
+    /// [`PersistError::Corrupt`]. On an error `buf` holds nothing
+    /// usable.
+    fn read_chunk_into(&mut self, id: ChunkId, buf: &mut [u8]) -> Result<(), PersistError>;
+
+    /// [`Persistence::read_chunk_into`] a buffer allocated for it.
+    fn read_chunk(&mut self, id: ChunkId) -> Result<Vec<u8>, PersistError> {
+        let mut payload = vec![0u8; self.payload_len(id)?];
+        self.read_chunk_into(id, &mut payload)?;
+        Ok(payload)
+    }
 
     /// Cumulative counters.
     fn stats(&self) -> StoreStats;

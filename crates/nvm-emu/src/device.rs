@@ -18,6 +18,18 @@
 //! [`SimDuration`] they would take, and the caller advances its clock.
 //! Concurrency (how many cores copy simultaneously) is an argument to
 //! each transfer, because only the orchestration layer knows it.
+//!
+//! **Borrowed views and lock order.** [`MemoryDevice::view`] and
+//! [`MemoryDevice::view_mut`] lend a range of a region's bytes to a
+//! closure instead of copying them out. For a RAM-backed region the
+//! closure runs *under this device's lock* (the mutex is not
+//! reentrant: the closure must not call back into the same device);
+//! for a spilled region it runs on a private buffer with the lock
+//! released. A closure may use **another** device, and every such
+//! nesting in the workspace takes **DRAM first, then NVM** — a shadow
+//! copy is a DRAM `view` around an NVM `write`, a restore a DRAM
+//! `view_mut` around an NVM `read` — so two threads sharing a node's
+//! devices cannot take the two locks in opposite orders.
 
 use crate::bandwidth::BandwidthModel;
 use crate::energy::EnergyMeter;
@@ -466,55 +478,95 @@ impl MemoryDevice {
         Ok(g.charge_read(len, concurrency))
     }
 
-    /// Place bytes into a materialized region without charging time,
-    /// statistics, or wear. This is *not* a modeled operation: it
-    /// reconstitutes emulator state that conceptually survived a
-    /// process failure (e.g. re-loading a durable store file into a
-    /// fresh NVM device on restart — on real hardware those bytes
-    /// never left the medium).
-    pub fn restore_bytes(
+    /// Lend `len` bytes of a materialized region at `offset` to `f`,
+    /// without copying them out and without charging time, statistics
+    /// or wear — a modeled read is charged separately
+    /// ([`MemoryDevice::read_synthetic`]). RAM-backed bytes are lent in
+    /// place, under the device lock; a spilled range is read into a
+    /// private buffer under the lock and lent with the lock released.
+    /// See the module docs for what `f` may call.
+    pub fn view<R>(
         &self,
         id: RegionId,
         offset: usize,
-        data: &[u8],
-    ) -> Result<(), DeviceError> {
-        let mut g = self.inner.lock();
-        let g = &mut *g;
-        let region = g.regions.get(&id).ok_or(DeviceError::NoSuchRegion(id.0))?;
-        region.check_bounds(id, offset, data.len())?;
-        let region = g.regions.get_mut(&id).expect("checked above");
-        match &mut region.backing {
-            Backing::Bytes(bytes) => {
-                bytes[offset..offset + data.len()].copy_from_slice(data);
-                Ok(())
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, DeviceError> {
+        let buf = {
+            let mut g = self.inner.lock();
+            let g = &mut *g;
+            let region = g.regions.get(&id).ok_or(DeviceError::NoSuchRegion(id.0))?;
+            region.check_bounds(id, offset, len)?;
+            match &region.backing {
+                Backing::Bytes(bytes) => return Ok(f(&bytes[offset..offset + len])),
+                Backing::Spilled { slot } => {
+                    let slot = *slot;
+                    let mut buf = vec![0u8; len];
+                    spill_of!(g)
+                        .read(slot, offset, &mut buf)
+                        .map_err(|e| DeviceError::Spill(e.to_string()))?;
+                    buf
+                }
+                Backing::Synthetic => return Err(DeviceError::SyntheticAccess(id.0)),
             }
-            Backing::Spilled { slot } => {
-                let slot = *slot;
-                spill_of!(g)
-                    .write(slot, offset, data)
-                    .map_err(|e| DeviceError::Spill(e.to_string()))
-            }
-            Backing::Synthetic => Err(DeviceError::SyntheticAccess(id.0)),
-        }
+        };
+        Ok(f(&buf))
     }
 
-    /// Copy of a materialized region's bytes (for checksumming/restart).
-    pub fn snapshot(&self, id: RegionId) -> Result<Vec<u8>, DeviceError> {
+    /// Lend `len` bytes of a materialized region at `offset` to `f`
+    /// for overwriting: what `f` leaves in the slice is what the range
+    /// holds afterwards, whatever `f` returns. The slice starts out
+    /// as the range's current bytes (RAM-backed, in place under the
+    /// device lock) or as zeros (spilled: a private buffer, filled with
+    /// the lock released and flushed under it), so `f` is expected to
+    /// write all of it.
+    ///
+    /// Like [`MemoryDevice::view`] this charges no time, statistics or
+    /// wear. On its own it is *not* a modeled operation: it
+    /// reconstitutes emulator state that conceptually survived a
+    /// process failure (re-loading a durable store file into a fresh
+    /// NVM device on restart — on real hardware those bytes never left
+    /// the medium). A modeled write made through it is charged with
+    /// [`MemoryDevice::write_synthetic`].
+    pub fn view_mut<R>(
+        &self,
+        id: RegionId,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, DeviceError> {
+        {
+            let mut g = self.inner.lock();
+            let region = g
+                .regions
+                .get_mut(&id)
+                .ok_or(DeviceError::NoSuchRegion(id.0))?;
+            region.check_bounds(id, offset, len)?;
+            match &mut region.backing {
+                Backing::Bytes(bytes) => return Ok(f(&mut bytes[offset..offset + len])),
+                Backing::Spilled { .. } => {}
+                Backing::Synthetic => return Err(DeviceError::SyntheticAccess(id.0)),
+            }
+        }
+        let mut buf = vec![0u8; len];
+        let out = f(&mut buf);
         let mut g = self.inner.lock();
         let g = &mut *g;
+        // Looked up again: the region may have been freed (and its
+        // spill slot handed to another) while the lock was released.
         let region = g.regions.get(&id).ok_or(DeviceError::NoSuchRegion(id.0))?;
-        match &region.backing {
-            Backing::Bytes(bytes) => Ok(bytes.clone()),
-            Backing::Spilled { slot } => {
-                let (slot, len) = (*slot, region.len);
-                let mut buf = vec![0u8; len];
-                spill_of!(g)
-                    .read(slot, 0, &mut buf)
-                    .map_err(|e| DeviceError::Spill(e.to_string()))?;
-                Ok(buf)
-            }
-            Backing::Synthetic => Err(DeviceError::SyntheticAccess(id.0)),
+        if let Backing::Spilled { slot } = region.backing {
+            spill_of!(g)
+                .write(slot, offset, &buf)
+                .map_err(|e| DeviceError::Spill(e.to_string()))?;
         }
+        Ok(out)
+    }
+
+    /// True when `other` is a handle onto this same device (and so
+    /// onto this same lock).
+    pub fn same_device(&self, other: &MemoryDevice) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Flush `len` bytes of a region from the processor cache to the
@@ -645,6 +697,12 @@ mod tests {
 
     const MB: usize = 1 << 20;
 
+    /// Every byte of `r`, copied out through the read view.
+    fn contents(d: &MemoryDevice, r: RegionId) -> Vec<u8> {
+        let len = d.region_len(r).unwrap();
+        d.view(r, 0, len, <[u8]>::to_vec).unwrap()
+    }
+
     #[test]
     fn alloc_free_accounting() {
         let d = MemoryDevice::pcm(10 * MB);
@@ -681,7 +739,7 @@ mod tests {
         let d = MemoryDevice::dram(MB);
         let r = d.alloc(100).unwrap();
         d.write(r, 10, &[7; 20], 1).unwrap();
-        let snap = d.snapshot(r).unwrap();
+        let snap = contents(&d, r);
         assert!(snap[..10].iter().all(|&b| b == 0));
         assert!(snap[10..30].iter().all(|&b| b == 7));
         assert!(snap[30..].iter().all(|&b| b == 0));
@@ -719,7 +777,11 @@ mod tests {
             Err(DeviceError::SyntheticAccess(_))
         ));
         assert!(matches!(
-            d.snapshot(r),
+            d.view(r, 0, 16, <[u8]>::to_vec),
+            Err(DeviceError::SyntheticAccess(_))
+        ));
+        assert!(matches!(
+            d.view_mut(r, 0, 16, |b| b.fill(1)),
             Err(DeviceError::SyntheticAccess(_))
         ));
         // but cost-only reads work
@@ -825,7 +887,7 @@ mod tests {
         let d2 = d.clone();
         let r = d.alloc(128).unwrap();
         d2.write(r, 0, &[9; 128], 1).unwrap();
-        assert_eq!(d.snapshot(r).unwrap(), vec![9u8; 128]);
+        assert_eq!(contents(&d, r), vec![9u8; 128]);
     }
 
     #[test]
@@ -909,7 +971,7 @@ mod tests {
         assert_eq!(spilly.spill_live_bytes(), 4096);
 
         // Fresh regions read back zeros either way.
-        assert_eq!(spilly.snapshot(rs).unwrap(), vec![0u8; 4096]);
+        assert_eq!(contents(&spilly, rs), vec![0u8; 4096]);
 
         // Identical virtual-time charges, stats, and wear for the same
         // operation sequence — spilling must not perturb the model.
@@ -927,9 +989,13 @@ mod tests {
         assert_eq!(plain.stats(), spilly.stats());
         assert_eq!(plain.max_wear(rp).unwrap(), spilly.max_wear(rs).unwrap());
 
-        // restore_bytes and snapshot round-trip through the spill.
-        spilly.restore_bytes(rs, 0, &data).unwrap();
-        assert_eq!(spilly.snapshot(rs).unwrap(), data);
+        // Both views round-trip through the spill, free of charge.
+        let charged = spilly.stats();
+        spilly
+            .view_mut(rs, 0, 4096, |b| b.copy_from_slice(&data))
+            .unwrap();
+        assert_eq!(contents(&spilly, rs), data);
+        assert_eq!(spilly.stats(), charged);
 
         // free and destroy release spill slots.
         let extra = spilly.alloc(512).unwrap();
@@ -952,8 +1018,79 @@ mod tests {
         d.write(after, 0, &[2; 256], 1).unwrap();
         assert_eq!(d.resident_bytes(), 256);
         assert_eq!(d.spill_live_bytes(), 256);
-        assert_eq!(d.snapshot(before).unwrap(), vec![1u8; 256]);
-        assert_eq!(d.snapshot(after).unwrap(), vec![2u8; 256]);
+        assert_eq!(contents(&d, before), vec![1u8; 256]);
+        assert_eq!(contents(&d, after), vec![2u8; 256]);
+    }
+
+    #[test]
+    fn views_lend_a_range_in_place_and_charge_nothing() {
+        let d = MemoryDevice::pcm(MB);
+        let r = d.alloc(100).unwrap();
+        d.write(r, 0, &[7; 100], 1).unwrap();
+        let charged = d.stats();
+        let wear = d.max_wear(r).unwrap();
+        let seen = d
+            .view_mut(r, 10, 20, |b| {
+                let seen = b.to_vec();
+                b.fill(9);
+                seen
+            })
+            .unwrap();
+        assert_eq!(seen, vec![7u8; 20], "a RAM-backed range is lent as it is");
+        assert_eq!(d.view(r, 8, 4, <[u8]>::to_vec).unwrap(), [7, 7, 9, 9]);
+        assert_eq!(d.view(r, 28, 4, <[u8]>::to_vec).unwrap(), [9, 9, 7, 7]);
+        assert_eq!(d.stats(), charged);
+        assert_eq!(d.max_wear(r).unwrap(), wear);
+        // A range that does not fit is a typed error, not a panic.
+        assert!(matches!(
+            d.view(r, 90, 20, <[u8]>::len),
+            Err(DeviceError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            d.view_mut(r, usize::MAX, 2, |b| b.fill(0)),
+            Err(DeviceError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            d.view(RegionId(99), 0, 1, <[u8]>::len),
+            Err(DeviceError::NoSuchRegion(99))
+        ));
+    }
+
+    #[test]
+    fn a_view_may_use_another_device_but_is_not_the_same_device() {
+        let dram = MemoryDevice::dram(MB);
+        let nvm = MemoryDevice::pcm(MB);
+        assert!(dram.same_device(&dram.clone()));
+        assert!(!dram.same_device(&nvm));
+        // DRAM first, then NVM: the shadow-copy and restore nestings.
+        let src = dram.alloc(64).unwrap();
+        let dst = nvm.alloc(64).unwrap();
+        dram.write(src, 0, &[5; 64], 1).unwrap();
+        dram.view(src, 0, 64, |b| nvm.write(dst, 0, b, 1))
+            .unwrap()
+            .unwrap();
+        dram.view_mut(src, 0, 32, |b| {
+            b.fill(0);
+            nvm.read(dst, 32, b, 1)
+        })
+        .unwrap()
+        .unwrap();
+        assert_eq!(contents(&dram, src), vec![5u8; 64]);
+    }
+
+    #[test]
+    fn a_spilled_write_view_does_not_land_in_a_freed_region() {
+        use crate::spill::MemSpill;
+        let d = MemoryDevice::dram(MB);
+        d.attach_spill(Box::new(MemSpill::new()));
+        let r = d.alloc(16).unwrap();
+        // The closure runs with the lock released, so it may free the
+        // region it is filling; the flush must then find it gone.
+        let freed = d.view_mut(r, 0, 16, |b| {
+            b.fill(1);
+            d.free(r).unwrap();
+        });
+        assert!(matches!(freed, Err(DeviceError::NoSuchRegion(_))));
     }
 
     #[test]
@@ -964,5 +1101,7 @@ mod tests {
         assert!(d.write(r, 16, &[], 1).is_ok());
         let mut buf = [0u8; 0];
         assert!(d.read(r, 16, &mut buf, 1).is_ok());
+        assert_eq!(d.view(r, 16, 0, <[u8]>::len).unwrap(), 0);
+        assert_eq!(d.view_mut(r, 0, 0, |b| b.len()).unwrap(), 0);
     }
 }

@@ -80,7 +80,9 @@ pub struct NvmHeap {
 
 impl NvmHeap {
     /// Create a heap for process `process_id`, carving a container of
-    /// `container_capacity` bytes out of `nvm`.
+    /// `container_capacity` bytes out of `nvm`. `dram` and `nvm` must
+    /// be two devices ([`MemoryDevice::same_device`]): copies between
+    /// working copy and slot hold the DRAM lock around an NVM access.
     pub fn new(
         process_id: u64,
         dram: &MemoryDevice,
@@ -244,7 +246,9 @@ impl NvmHeap {
         let new_dram = match self.materialization {
             Materialization::Bytes => {
                 let r = self.dram.alloc(new_len)?;
-                let data = self.dram.snapshot(old_dram)?;
+                // Same device on both sides: its lock cannot nest, so
+                // the carry-over goes through a copy.
+                let data = self.dram.view(old_dram, 0, old_len, <[u8]>::to_vec)?;
                 self.dram.write(r, 0, &data, 1)?;
                 r
             }
@@ -340,10 +344,12 @@ impl NvmHeap {
         let ext =
             chunk.versions[slot as usize].ok_or(HeapError::MissingVersion { chunk: id, slot })?;
         let cost = match self.materialization {
+            // One copy, working copy to slot (DRAM lock, then NVM).
             Materialization::Bytes => {
-                let data = self.dram.snapshot(chunk.dram_region)?;
-                self.nvm
-                    .write(self.container, ext.offset, &data[..chunk.len], concurrency)?
+                self.dram.view(chunk.dram_region, 0, chunk.len, |data| {
+                    self.nvm
+                        .write(self.container, ext.offset, data, concurrency)
+                })??
             }
             Materialization::Synthetic => {
                 self.nvm
@@ -356,105 +362,77 @@ impl NvmHeap {
     /// Flush a version slot's bytes from cache to the persistence
     /// domain (done before marking a checkpoint committed).
     pub fn flush_version(&self, id: ChunkId, slot: u8) -> Result<SimDuration, HeapError> {
-        let chunk = self.chunks.get(&id).ok_or(HeapError::NoSuchChunk(id))?;
-        let ext =
-            chunk.versions[slot as usize].ok_or(HeapError::MissingVersion { chunk: id, slot })?;
+        let (ext, _) = self.version(id, slot)?;
         Ok(self.nvm.flush(self.container, ext.len)?)
     }
 
-    /// Read the bytes of a version slot (restart / checksum paths).
-    pub fn read_version(&self, id: ChunkId, slot: u8) -> Result<(Vec<u8>, SimDuration), HeapError> {
+    /// The extent of version `slot` and the chunk's length within it.
+    fn version(&self, id: ChunkId, slot: u8) -> Result<(Extent, usize), HeapError> {
         let chunk = self.chunks.get(&id).ok_or(HeapError::NoSuchChunk(id))?;
         let ext =
             chunk.versions[slot as usize].ok_or(HeapError::MissingVersion { chunk: id, slot })?;
-        let mut buf = vec![0u8; chunk.len];
-        let cost = self.nvm.read(self.container, ext.offset, &mut buf, 1)?;
-        Ok((buf, cost))
+        Ok((ext, chunk.len))
     }
 
-    /// Place `data` into version `slot`'s NVM extent without charging
-    /// time or device statistics: reconstitutes NVM contents that
-    /// survived a process failure inside a durable store (the store
-    /// file *is* the surviving medium, so re-loading it is emulator
-    /// bookkeeping, not a modeled operation). `data` must fit the
-    /// slot's extent.
-    pub fn seed_version(&mut self, id: ChunkId, slot: u8, data: &[u8]) -> Result<(), HeapError> {
-        let chunk = self.chunks.get(&id).ok_or(HeapError::NoSuchChunk(id))?;
-        let ext =
-            chunk.versions[slot as usize].ok_or(HeapError::MissingVersion { chunk: id, slot })?;
-        assert!(
-            data.len() <= ext.len,
-            "seed_version payload exceeds slot extent"
-        );
-        self.nvm.restore_bytes(self.container, ext.offset, data)?;
-        Ok(())
+    /// Lend the bytes of version `slot` to `f` where they lie
+    /// (checksum, store mirror and remote-ship paths). Charges
+    /// nothing: the modeled read is [`NvmHeap::charge_version_read`].
+    pub fn view_version<R>(
+        &self,
+        id: ChunkId,
+        slot: u8,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, HeapError> {
+        let (ext, len) = self.version(id, slot)?;
+        Ok(self.nvm.view(self.container, ext.offset, len, f)?)
     }
 
-    /// Cost-free snapshot of a chunk's DRAM working copy (first
-    /// `chunk.len` bytes). Used to mirror commits into a durable store:
-    /// the devices already charged virtual time for every copy, so the
-    /// mirror must not charge again.
-    pub fn working_copy(&self, id: ChunkId) -> Result<Vec<u8>, HeapError> {
-        let chunk = self.chunks.get(&id).ok_or(HeapError::NoSuchChunk(id))?;
-        let mut data = self.dram.snapshot(chunk.dram_region)?;
-        data.truncate(chunk.len);
-        Ok(data)
+    /// Charge the modeled read of version `slot`'s bytes and return
+    /// its cost.
+    pub fn charge_version_read(&self, id: ChunkId, slot: u8) -> Result<SimDuration, HeapError> {
+        let (ext, len) = self.version(id, slot)?;
+        Ok(self
+            .nvm
+            .read_synthetic(self.container, ext.offset, len, 1)?)
     }
 
-    /// Copy a committed version back into the working copy (restart).
+    /// Lend version `slot`'s bytes to `f` for overwriting, without
+    /// charging time or device statistics: reconstitutes NVM contents
+    /// that survived a process failure inside a durable store (the
+    /// store file *is* the surviving medium, so re-loading it is
+    /// emulator bookkeeping, not a modeled operation). `f` is expected
+    /// to write the whole slice (see [`MemoryDevice::view_mut`]).
+    pub fn fill_version<R>(
+        &mut self,
+        id: ChunkId,
+        slot: u8,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, HeapError> {
+        let (ext, len) = self.version(id, slot)?;
+        Ok(self.nvm.view_mut(self.container, ext.offset, len, f)?)
+    }
+
+    /// Copy a committed version back into the working copy (restart):
+    /// one copy, slot to working copy, charged as the modeled NVM read
+    /// and then the DRAM write.
     pub fn restore_to_dram(&mut self, id: ChunkId) -> Result<SimDuration, HeapError> {
         let chunk = self.chunks.get(&id).ok_or(HeapError::NoSuchChunk(id))?;
         let slot = chunk
             .committed_slot
             .ok_or(HeapError::MissingVersion { chunk: id, slot: 0 })?;
-        match self.materialization {
-            Materialization::Bytes => {
-                let (data, read_cost) = self.read_version(id, slot)?;
-                let chunk = self.chunks.get(&id).expect("checked above");
-                let write_cost = self.dram.write(chunk.dram_region, 0, &data, 1)?;
-                Ok(read_cost + write_cost)
-            }
+        let (ext, len) = self.version(id, slot)?;
+        let read_cost = match self.materialization {
+            // DRAM lock, then NVM; the write the view makes is charged
+            // to the DRAM device below.
+            Materialization::Bytes => self.dram.view_mut(chunk.dram_region, 0, len, |data| {
+                self.nvm.read(self.container, ext.offset, data, 1)
+            })??,
             Materialization::Synthetic => {
-                let ext = chunk.versions[slot as usize].expect("committed slot exists");
-                let read_cost =
-                    self.nvm
-                        .read_synthetic(self.container, ext.offset, chunk.len, 1)?;
-                let chunk = self.chunks.get(&id).expect("checked above");
-                let write_cost = self
-                    .dram
-                    .write_synthetic(chunk.dram_region, 0, chunk.len, 1)?;
-                Ok(read_cost + write_cost)
+                self.nvm
+                    .read_synthetic(self.container, ext.offset, len, 1)?
             }
-        }
-    }
-
-    /// Restore the working copy from `data` — the committed version's
-    /// bytes, which the caller already holds (it just read them to
-    /// verify a checksum, or received them from a durable store).
-    /// Charges exactly what [`NvmHeap::restore_to_dram`] charges, in
-    /// the same order — the modeled NVM read of the committed slot,
-    /// then the DRAM write — without reading the slot a second time on
-    /// the host.
-    pub fn restore_to_dram_from(
-        &mut self,
-        id: ChunkId,
-        data: &[u8],
-    ) -> Result<SimDuration, HeapError> {
-        let chunk = self.chunks.get(&id).ok_or(HeapError::NoSuchChunk(id))?;
-        let slot = chunk
-            .committed_slot
-            .ok_or(HeapError::MissingVersion { chunk: id, slot: 0 })?;
-        let ext =
-            chunk.versions[slot as usize].ok_or(HeapError::MissingVersion { chunk: id, slot })?;
-        assert_eq!(
-            data.len(),
-            chunk.len,
-            "restore_to_dram_from payload is not the committed version"
-        );
-        let read_cost = self
-            .nvm
-            .read_synthetic(self.container, ext.offset, chunk.len, 1)?;
-        let write_cost = self.dram.write(chunk.dram_region, 0, data, 1)?;
+        };
+        let write_cost = self.dram.write_synthetic(chunk.dram_region, 0, len, 1)?;
         Ok(read_cost + write_cost)
     }
 
@@ -656,15 +634,49 @@ mod tests {
     }
 
     #[test]
-    fn write_then_shadow_copy_then_read_version() {
+    fn write_then_shadow_copy_then_view_version() {
         let mut h = heap(Versioning::Double);
         let id = h.nvmalloc("x", 1024, true).unwrap();
         let data: Vec<u8> = (0..1024u32).map(|i| (i % 256) as u8).collect();
         h.write(id, 0, &data).unwrap();
         let cost = h.shadow_copy(id, 0, 1).unwrap();
         assert!(!cost.is_zero());
-        let (back, _) = h.read_version(id, 0).unwrap();
-        assert_eq!(back, data);
+        let read = h.nvm().stats();
+        assert_eq!(h.view_version(id, 0, <[u8]>::to_vec).unwrap(), data);
+        assert_eq!(h.nvm().stats(), read, "the view itself is free");
+        let cost = h.charge_version_read(id, 0).unwrap();
+        assert!(!cost.is_zero());
+        assert_eq!(h.nvm().stats().bytes_read, read.bytes_read + 1024);
+    }
+
+    #[test]
+    fn fill_version_seeds_a_slot_free_of_charge() {
+        let mut h = heap(Versioning::Double);
+        let id = h.nvmalloc("x", 5000, true).unwrap();
+        let data: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+        let before = (h.dram().stats(), h.nvm().stats());
+        let seen = h.fill_version(id, 1, |slot| {
+            slot.copy_from_slice(&data);
+            slot.len()
+        });
+        assert_eq!(
+            seen.unwrap(),
+            5000,
+            "the slot is lent at the chunk's length"
+        );
+        assert_eq!((h.dram().stats(), h.nvm().stats()), before);
+        assert_eq!(h.view_version(id, 1, <[u8]>::to_vec).unwrap(), data);
+        // A slot or a chunk that is not there is a typed error.
+        let mut single = heap(Versioning::Single);
+        let one = single.nvmalloc("y", 64, true).unwrap();
+        assert!(matches!(
+            single.fill_version(one, 1, |slot| slot.fill(0)),
+            Err(HeapError::MissingVersion { slot: 1, .. })
+        ));
+        assert!(matches!(
+            h.view_version(ChunkId(77), 0, <[u8]>::len),
+            Err(HeapError::NoSuchChunk(_))
+        ));
     }
 
     #[test]
@@ -748,10 +760,12 @@ mod tests {
     }
 
     #[test]
-    fn restore_from_bytes_in_hand_matches_restore_to_dram() {
-        // Same bytes land in DRAM and both devices are charged the
-        // same operations, whether the slot is re-read or not.
-        let run = |in_hand: bool| {
+    fn restore_to_dram_charges_an_nvm_read_and_a_dram_write() {
+        // The restore copies slot -> working copy inside a DRAM write
+        // view. Same bytes land in DRAM, and both devices are charged
+        // (time, statistics, wear) exactly what the plain `read` +
+        // `write` of those bytes charges.
+        let run = |plain: bool| {
             let (dram, nvm) = devices();
             let mut h = NvmHeap::new(
                 1,
@@ -768,15 +782,20 @@ mod tests {
             h.shadow_copy(id, 1, 1).unwrap();
             h.chunk_mut(id).unwrap().committed_slot = Some(1);
             h.write(id, 0, &[0u8; 5000]).unwrap();
-            let cost = if in_hand {
-                h.restore_to_dram_from(id, &data).unwrap()
+            let chunk = h.chunk(id).unwrap();
+            let (region, ext) = (chunk.dram_region, chunk.versions[1].unwrap());
+            let cost = if plain {
+                let mut buf = vec![0u8; 5000];
+                let read = nvm.read(h.container(), ext.offset, &mut buf, 1).unwrap();
+                read + dram.write(region, 0, &buf, 1).unwrap()
             } else {
                 h.restore_to_dram(id).unwrap()
             };
             let mut buf = vec![0u8; 5000];
             h.read(id, 0, &mut buf).unwrap();
             assert_eq!(buf, data);
-            (cost, dram.stats(), nvm.stats())
+            let wear = dram.max_wear(region).unwrap();
+            (cost, dram.stats(), nvm.stats(), wear)
         };
         assert_eq!(run(true), run(false));
     }
@@ -814,7 +833,7 @@ mod tests {
         .unwrap();
         assert_eq!(h2.export_metadata().process_id, 42);
         assert_eq!(h2.len(), 2);
-        let (data, _) = h2.read_version(a, 0).unwrap();
+        let data = h2.view_version(a, 0, <[u8]>::to_vec).unwrap();
         assert_eq!(data, vec![1u8; 4096], "committed bytes survive restart");
         assert_eq!(h2.chunk(b).unwrap().committed_slot, None);
     }
@@ -836,7 +855,10 @@ mod tests {
         assert!(!wc.is_zero());
         let cc = h.shadow_copy(id, 0, 1).unwrap();
         assert!(cc > wc, "NVM copy slower than DRAM write");
-        assert!(h.read_version(id, 0).is_err(), "no bytes to read back");
+        assert!(
+            h.view_version(id, 0, <[u8]>::len).is_err(),
+            "no bytes to read back"
+        );
     }
 
     #[test]

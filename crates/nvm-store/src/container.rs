@@ -116,7 +116,7 @@ impl<M: Media> Container<M> {
         if fresh {
             // Geometry must be durable before any slot write lands
             // beyond it.
-            this.write(0, &sb.encode())?;
+            this.write(0, &[&sb.encode()])?;
             this.fsync()?;
         } else {
             this.scan_log()?;
@@ -139,6 +139,21 @@ impl<M: Media> Container<M> {
     /// media corruption (bit rot) so checksum verification paths can
     /// be exercised.
     pub fn corrupt_payload(&mut self, id: ChunkId) -> Result<(), PersistError> {
+        let (_, ext) = self.committed(id)?;
+        let at = self.sb.data_start() + ext.offset as u64 + SLOT_HEADER_LEN as u64;
+        let mut byte = [0u8; 1];
+        if self.media.read_at(at, &mut byte)? != 1 {
+            return Err(PersistError::Corrupt("payload beyond media".to_string()));
+        }
+        byte[0] ^= 0xFF;
+        self.media.write_at(at, &[&byte])?;
+        self.media.fsync()?;
+        Ok(())
+    }
+
+    /// The slot the last durable commit record references for `id`, and
+    /// its extent.
+    fn committed(&self, id: ChunkId) -> Result<(SlotMeta, Extent), PersistError> {
         let chunk = self
             .chunks
             .get(&id)
@@ -146,21 +161,14 @@ impl<M: Media> Container<M> {
         let meta = chunk.committed.ok_or(PersistError::NoSuchChunk(id.0))?;
         let ext = chunk.slots[meta.slot as usize]
             .ok_or_else(|| PersistError::Corrupt("committed slot has no extent".to_string()))?;
-        let at = self.sb.data_start() + ext.offset as u64 + SLOT_HEADER_LEN as u64;
-        let mut byte = [0u8; 1];
-        if self.media.read_at(at, &mut byte)? != 1 {
-            return Err(PersistError::Corrupt("payload beyond media".to_string()));
-        }
-        byte[0] ^= 0xFF;
-        self.media.write_at(at, &byte)?;
-        self.media.fsync()?;
-        Ok(())
+        Ok((meta, ext))
     }
 
-    /// Tracked media write (byte accounting).
-    fn write(&mut self, offset: u64, data: &[u8]) -> Result<(), PersistError> {
-        self.media.write_at(offset, data)?;
-        self.stats.bytes_written += data.len() as u64;
+    /// Tracked media write (byte accounting) of `parts`, back to back,
+    /// as one [`Media::write_at`].
+    fn write(&mut self, offset: u64, parts: &[&[u8]]) -> Result<(), PersistError> {
+        self.media.write_at(offset, parts)?;
+        self.stats.bytes_written += parts.iter().map(|part| part.len() as u64).sum::<u64>();
         Ok(())
     }
 
@@ -318,12 +326,10 @@ impl<M: Media> Persistence for Container<M> {
         };
         // One media write per slot: header + payload together, so a
         // torn slot write can never pass the header CRC against a
-        // stale payload.
-        let mut buf = Vec::with_capacity(needed);
-        buf.extend_from_slice(&header.encode());
-        buf.extend_from_slice(payload);
+        // stale payload. The payload goes out from where the caller
+        // holds it.
         let at = self.sb.data_start() + ext.offset as u64;
-        self.write(at, &buf)?;
+        self.write(at, &[&header.encode(), payload])?;
 
         let chunk = self.chunks.get_mut(&id).expect("chunk just touched");
         chunk.staged = Some(SlotMeta {
@@ -376,7 +382,7 @@ impl<M: Media> Persistence for Container<M> {
         }
         let rec = encode_record(epoch, &table);
         let at = self.log_tail;
-        self.write(at, &rec)?;
+        self.write(at, &[&rec])?;
         self.fsync()?;
         // --- Durable from here on. ---
         self.log_tail = at + rec.len() as u64;
@@ -399,14 +405,20 @@ impl<M: Media> Persistence for Container<M> {
         Ok(self.recovered.clone())
     }
 
-    fn read_chunk(&mut self, id: ChunkId) -> Result<Vec<u8>, PersistError> {
-        let chunk = self
-            .chunks
-            .get(&id)
-            .ok_or(PersistError::NoSuchChunk(id.0))?;
-        let meta = chunk.committed.ok_or(PersistError::NoSuchChunk(id.0))?;
-        let ext = chunk.slots[meta.slot as usize]
-            .ok_or_else(|| PersistError::Corrupt("committed slot has no extent".to_string()))?;
+    fn payload_len(&self, id: ChunkId) -> Result<usize, PersistError> {
+        Ok(self.committed(id)?.0.payload_len)
+    }
+
+    fn read_chunk_into(&mut self, id: ChunkId, buf: &mut [u8]) -> Result<(), PersistError> {
+        let (meta, ext) = self.committed(id)?;
+        if buf.len() != meta.payload_len {
+            return Err(PersistError::Corrupt(format!(
+                "chunk {} holds {} payload bytes, asked to read {}",
+                id.0,
+                meta.payload_len,
+                buf.len()
+            )));
+        }
         let at = self.sb.data_start() + ext.offset as u64;
         let truncated =
             || PersistError::Corrupt(format!("slot for chunk {} truncated on media", id.0));
@@ -421,16 +433,12 @@ impl<M: Media> Persistence for Container<M> {
                 id.0
             )));
         }
-        // The payload lands directly in the buffer handed back to the
-        // caller: verified in place, never copied out of a larger one.
-        let mut payload = vec![0u8; meta.payload_len];
-        let got = self
-            .media
-            .read_at(at + SLOT_HEADER_LEN as u64, &mut payload)?;
-        if got != payload.len() {
+        // The payload lands directly in the caller's buffer and is
+        // verified there: never copied out of a larger one.
+        if self.media.read_at(at + SLOT_HEADER_LEN as u64, buf)? != buf.len() {
             return Err(truncated());
         }
-        let actual = crc64(&payload);
+        let actual = crc64(buf);
         if actual != meta.crc || actual != header.payload_crc {
             return Err(PersistError::Checksum {
                 chunk: id.0,
@@ -439,8 +447,8 @@ impl<M: Media> Persistence for Container<M> {
             });
         }
         self.stats.payload_reads += 1;
-        self.stats.payload_read_bytes += payload.len() as u64;
-        Ok(payload)
+        self.stats.payload_read_bytes += buf.len() as u64;
+        Ok(())
     }
 
     fn stats(&self) -> StoreStats {
@@ -510,6 +518,34 @@ mod tests {
         assert_eq!(s.fsyncs, 2, "format fsync + commit fsync");
         assert_eq!(s.payload_reads, 1);
         assert_eq!(s.payload_read_bytes, 4096);
+    }
+
+    #[test]
+    fn read_chunk_into_wants_a_buffer_of_the_stored_length() {
+        let mut c = open_mem(1);
+        let payload: Vec<u8> = (0..300u32).map(|i| i as u8).collect();
+        c.put_chunk(ChunkId(3), "field", 300, 0, &payload).unwrap();
+        c.commit(0).unwrap();
+        assert_eq!(c.payload_len(ChunkId(3)).unwrap(), 300);
+        for wrong in [0, 299, 301] {
+            let mut buf = vec![0u8; wrong];
+            assert!(
+                matches!(
+                    c.read_chunk_into(ChunkId(3), &mut buf),
+                    Err(PersistError::Corrupt(_))
+                ),
+                "a {wrong}-byte buffer for a 300-byte payload"
+            );
+        }
+        assert_eq!(c.stats().payload_reads, 0, "a refused read is not a read");
+        let mut buf = vec![0u8; 300];
+        c.read_chunk_into(ChunkId(3), &mut buf).unwrap();
+        assert_eq!(buf, payload);
+        assert_eq!(c.stats().payload_read_bytes, 300);
+        assert!(matches!(
+            c.payload_len(ChunkId(4)),
+            Err(PersistError::NoSuchChunk(4))
+        ));
     }
 
     #[test]

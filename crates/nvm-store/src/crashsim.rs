@@ -70,12 +70,14 @@ impl RecordingMedia {
 }
 
 impl Media for RecordingMedia {
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), PersistError> {
+    fn write_at(&mut self, offset: u64, parts: &[&[u8]]) -> Result<(), PersistError> {
+        // One logical write, one record: a crash tears the
+        // concatenation, never between the parts.
         self.ops.push(OpRecord::Write {
             offset,
-            data: data.to_vec(),
+            data: parts.concat(),
         });
-        self.mem.write_at(offset, data)
+        self.mem.write_at(offset, parts)
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, PersistError> {
@@ -137,7 +139,7 @@ pub fn surviving_image(ops: &[OpRecord], point: &CrashPoint) -> MemMedia {
                 // Strict prefix: a "torn" write that lands whole is a
                 // completed write (that is `Keep` at `at_op + 1`).
                 let keep = keep.min(data.len().saturating_sub(1));
-                mem.write_at(*offset, &data[..keep]).expect("mem write");
+                mem.write_at(*offset, &[&data[..keep]]).expect("mem write");
             }
         }
         CrashMode::Drop => {
@@ -159,7 +161,7 @@ pub fn surviving_image(ops: &[OpRecord], point: &CrashPoint) -> MemMedia {
 
 fn apply(mem: &mut MemMedia, op: &OpRecord) {
     if let OpRecord::Write { offset, data } = op {
-        mem.write_at(*offset, data).expect("mem write");
+        mem.write_at(*offset, &[data]).expect("mem write");
     }
 }
 
@@ -220,6 +222,17 @@ pub fn pattern(id: u64, epoch: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// One scripted epoch: chunk puts as `(id, len)` pairs, then ids to
+/// delete first.
+type EpochScript = (&'static [(u64, usize)], &'static [u64]);
+
+const STANDARD_SCRIPT: [EpochScript; 4] = [
+    (&[(1, 64), (2, 300), (3, 100)], &[]),
+    (&[(1, 64), (3, 5000)], &[]), // chunk 3 grows: realloc
+    (&[(1, 64)], &[2]),           // chunk 2 deleted: deferred free
+    (&[(3, 200), (4, 128)], &[]), // shrink + late creation
+];
+
 /// Build the standard small-but-complete driver run the sweeps crash:
 /// four epochs over three-then-three chunks, exercising update in
 /// place (slot alternation), growth (extent realloc), deletion
@@ -232,16 +245,7 @@ pub fn standard_run() -> CrashRun {
     let mut live: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     let mut marks = Vec::new();
 
-    // One scripted epoch: chunk puts as `(id, len)` pairs, then ids to
-    // delete first.
-    type EpochScript = (&'static [(u64, usize)], &'static [u64]);
-    let script: [EpochScript; 4] = [
-        (&[(1, 64), (2, 300), (3, 100)], &[]),
-        (&[(1, 64), (3, 5000)], &[]), // chunk 3 grows: realloc
-        (&[(1, 64)], &[2]),           // chunk 2 deleted: deferred free
-        (&[(3, 200), (4, 128)], &[]), // shrink + late creation
-    ];
-    for (epoch, (puts, deletes)) in script.iter().enumerate() {
+    for (epoch, (puts, deletes)) in STANDARD_SCRIPT.iter().enumerate() {
         let epoch = epoch as u64;
         for id in *deletes {
             store.delete_chunk(ChunkId(*id));
@@ -378,6 +382,40 @@ mod tests {
     }
 
     #[test]
+    fn each_slot_write_is_one_record_of_header_then_payload() {
+        use crate::format::SlotHeader;
+        use nvm_chkpt::checksum::crc64;
+        let run = standard_run();
+        // The count the one-buffer `put_chunk` recorded: format write +
+        // fsync, then per epoch its puts, the record and the fsync. A
+        // put that reached media in two writes would add crash images
+        // (and a torn point between header and payload) to every sweep.
+        assert_eq!(run.ops.len(), 18);
+        let mut next = 2;
+        for (epoch, (puts, _)) in STANDARD_SCRIPT.iter().enumerate() {
+            for (id, len) in *puts {
+                let payload = pattern(*id, epoch as u64, *len);
+                let header = SlotHeader {
+                    id: *id,
+                    epoch: epoch as u64,
+                    payload_len: *len as u64,
+                    payload_crc: crc64(&payload),
+                };
+                let OpRecord::Write { data, .. } = &run.ops[next] else {
+                    panic!("op {next} is not the slot write of chunk {id}");
+                };
+                assert_eq!(data, &[&header.encode()[..], &payload].concat());
+                next += 1;
+            }
+            assert!(matches!(run.ops[next], OpRecord::Write { .. }), "record");
+            assert_eq!(run.ops[next + 1], OpRecord::Fsync);
+            next += 2;
+            assert_eq!(next, run.marks[epoch].ops_after);
+        }
+        assert_eq!(next, run.ops.len());
+    }
+
+    #[test]
     fn keep_mode_before_first_commit_recovers_nothing() {
         let run = standard_run();
         // Op 0/1 are the superblock format; first slot write is op 2.
@@ -469,7 +507,7 @@ mod tests {
     #[test]
     fn recording_media_records_what_it_applies() {
         let mut m = RecordingMedia::new();
-        m.write_at(0, b"abc").unwrap();
+        m.write_at(0, &[b"abc"]).unwrap();
         m.fsync().unwrap();
         assert_eq!(m.ops().len(), 2);
         let mut buf = [0u8; 3];

@@ -16,9 +16,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Byte-addressed, growable, fsync-able storage.
 pub trait Media: Send {
-    /// Write `data` at `offset`, extending the media if needed. Not
-    /// durable until [`Media::fsync`].
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), PersistError>;
+    /// Write the concatenation of `parts` at `offset` as **one**
+    /// logical write — one unit for tearing and for the crash harness,
+    /// whatever number of pieces the caller holds it in — extending
+    /// the media if needed. Not durable until [`Media::fsync`].
+    fn write_at(&mut self, offset: u64, parts: &[&[u8]]) -> Result<(), PersistError>;
 
     /// Read up to `buf.len()` bytes at `offset`; returns how many were
     /// available (short at end-of-media, zero past it).
@@ -58,10 +60,14 @@ impl FileMedia {
 }
 
 impl Media for FileMedia {
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), PersistError> {
+    fn write_at(&mut self, offset: u64, parts: &[&[u8]]) -> Result<(), PersistError> {
         self.file.seek(SeekFrom::Start(offset))?;
-        self.file.write_all(data)?;
-        self.len = self.len.max(offset + data.len() as u64);
+        let mut end = offset;
+        for part in parts {
+            self.file.write_all(part)?;
+            end += part.len() as u64;
+        }
+        self.len = self.len.max(end);
         Ok(())
     }
 
@@ -109,12 +115,16 @@ impl MemMedia {
 }
 
 impl Media for MemMedia {
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), PersistError> {
-        let end = offset as usize + data.len();
+    fn write_at(&mut self, offset: u64, parts: &[&[u8]]) -> Result<(), PersistError> {
+        let mut at = offset as usize;
+        let end = at + parts.iter().map(|part| part.len()).sum::<usize>();
         if self.bytes.len() < end {
             self.bytes.resize(end, 0);
         }
-        self.bytes[offset as usize..end].copy_from_slice(data);
+        for part in parts {
+            self.bytes[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
         Ok(())
     }
 
@@ -147,8 +157,8 @@ fn shared<M>(media: &Mutex<M>) -> MutexGuard<'_, M> {
 /// writes through one clone while the owner of another reads the image
 /// (or a recorded op log) back — also after that engine is gone.
 impl<M: Media> Media for Arc<Mutex<M>> {
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), PersistError> {
-        shared(self).write_at(offset, data)
+    fn write_at(&mut self, offset: u64, parts: &[&[u8]]) -> Result<(), PersistError> {
+        shared(self).write_at(offset, parts)
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, PersistError> {
@@ -171,7 +181,7 @@ mod tests {
     #[test]
     fn mem_media_reads_back_and_shortens_at_eof() {
         let mut m = MemMedia::new();
-        m.write_at(4, b"abcd").unwrap();
+        m.write_at(4, &[b"ab", b"", b"cd"]).unwrap();
         assert_eq!(m.len(), 8);
         let mut buf = [0u8; 8];
         assert_eq!(m.read_at(0, &mut buf).unwrap(), 8);
@@ -184,7 +194,7 @@ mod tests {
     fn shared_handle_sees_writes_of_its_clones() {
         let owner = Arc::new(Mutex::new(MemMedia::new()));
         let mut writer = owner.clone();
-        writer.write_at(0, b"abc").unwrap();
+        writer.write_at(0, &[b"abc"]).unwrap();
         assert_eq!(Media::len(&owner), 3);
         assert_eq!(shared(&owner).bytes(), b"abc");
     }
@@ -195,7 +205,7 @@ mod tests {
         let path = td.join("m.bin");
         let mut f = FileMedia::open(&path).unwrap();
         assert!(f.is_empty());
-        f.write_at(10, b"xyz").unwrap();
+        f.write_at(10, &[b"x", b"yz"]).unwrap();
         f.fsync().unwrap();
         assert_eq!(f.len(), 13);
         drop(f);

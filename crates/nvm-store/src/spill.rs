@@ -72,7 +72,9 @@ impl nvm_emu::SpillStore for FileSpill {
                     self.free[i] = (off + want, flen - want);
                 }
                 if len > 0 {
-                    self.media.write_at(off, &vec![0u8; len]).map_err(io_err)?;
+                    self.media
+                        .write_at(off, &[&vec![0u8; len]])
+                        .map_err(io_err)?;
                 }
                 off
             }
@@ -89,7 +91,7 @@ impl nvm_emu::SpillStore for FileSpill {
 
     fn write(&mut self, slot: u64, offset: usize, data: &[u8]) -> io::Result<()> {
         self.media
-            .write_at(slot + offset as u64, data)
+            .write_at(slot + offset as u64, &[data])
             .map_err(io_err)
     }
 
@@ -121,6 +123,8 @@ impl nvm_emu::SpillStore for FileSpill {
 mod tests {
     use super::*;
     use nvm_emu::{MemoryDevice, SpillStore};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
 
     #[test]
     fn file_spill_round_trips_and_recycles_extents() {
@@ -166,20 +170,85 @@ mod tests {
         assert_eq!(s.end, 100);
     }
 
+    /// [`FileSpill`] that counts the reads and writes it is asked for.
+    struct CountingSpill {
+        inner: FileSpill,
+        reads: Arc<AtomicU64>,
+        writes: Arc<AtomicU64>,
+    }
+
+    impl SpillStore for CountingSpill {
+        fn alloc(&mut self, len: usize) -> io::Result<u64> {
+            self.inner.alloc(len)
+        }
+        fn write(&mut self, slot: u64, offset: usize, data: &[u8]) -> io::Result<()> {
+            self.writes.fetch_add(1, Relaxed);
+            self.inner.write(slot, offset, data)
+        }
+        fn read(&mut self, slot: u64, offset: usize, buf: &mut [u8]) -> io::Result<()> {
+            self.reads.fetch_add(1, Relaxed);
+            self.inner.read(slot, offset, buf)
+        }
+        fn free(&mut self, slot: u64, len: usize) {
+            self.inner.free(slot, len)
+        }
+        fn live_bytes(&self) -> u64 {
+            self.inner.live_bytes()
+        }
+        fn peak_bytes(&self) -> u64 {
+            self.inner.peak_bytes()
+        }
+    }
+
     #[test]
     fn device_attached_file_spill_matches_ram_backing() {
         let td = nvm_emu::TempDir::new("nvm_store_spill_dev").unwrap();
+        let (reads, writes) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let io = || (reads.load(Relaxed), writes.load(Relaxed));
         let plain = MemoryDevice::pcm(1 << 20);
         let spilly = MemoryDevice::pcm(1 << 20);
-        spilly.attach_spill(Box::new(FileSpill::create(&td.join("pcm.spill")).unwrap()));
+        spilly.attach_spill(Box::new(CountingSpill {
+            inner: FileSpill::create(&td.join("pcm.spill")).unwrap(),
+            reads: reads.clone(),
+            writes: writes.clone(),
+        }));
         let rp = plain.alloc(8192).unwrap();
         let rs = spilly.alloc(8192).unwrap();
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
         let cp = plain.write(rp, 0, &data, 3).unwrap();
         let cs = spilly.write(rs, 0, &data, 3).unwrap();
         assert_eq!(cp, cs, "spilling must not change modeled cost");
-        assert_eq!(plain.snapshot(rp).unwrap(), spilly.snapshot(rs).unwrap());
+        let charged = plain.stats();
+        assert_eq!(spilly.stats(), charged);
+
+        // Both views, whole region and sub-range: the same bytes seen,
+        // the same bytes left behind, nothing charged on either device,
+        // and one spill read per read view / one spill write per write
+        // view — what the copy-out and copy-in calls they replaced
+        // made.
+        let fresh: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
+        for (offset, len) in [(0, 8192), (100, 3000)] {
+            let before = io();
+            let charged = (plain.stats(), spilly.stats());
+            let seen_p = plain.view(rp, offset, len, <[u8]>::to_vec).unwrap();
+            let seen_s = spilly.view(rs, offset, len, <[u8]>::to_vec).unwrap();
+            assert_eq!(seen_p, seen_s);
+            assert_eq!(io(), (before.0 + 1, before.1), "read view of {len}");
+
+            let fill = |b: &mut [u8]| b.copy_from_slice(&fresh[offset..offset + len]);
+            plain.view_mut(rp, offset, len, fill).unwrap();
+            spilly.view_mut(rs, offset, len, fill).unwrap();
+            assert_eq!(io(), (before.0 + 1, before.1 + 1), "write view of {len}");
+            assert_eq!(
+                plain.view(rp, 0, 8192, <[u8]>::to_vec).unwrap(),
+                spilly.view(rs, 0, 8192, <[u8]>::to_vec).unwrap()
+            );
+            assert_eq!((plain.stats(), spilly.stats()), charged);
+            plain.write(rp, 0, &data, 1).unwrap();
+            spilly.write(rs, 0, &data, 1).unwrap();
+        }
         assert_eq!(plain.stats(), spilly.stats());
+        assert_eq!(plain.max_wear(rp).unwrap(), spilly.max_wear(rs).unwrap());
         assert_eq!(spilly.resident_bytes(), 0);
         assert_eq!(spilly.spill_live_bytes(), 8192);
     }

@@ -563,3 +563,122 @@ fn restart_matrix_invalid_config_is_a_config_error_from_every_source() {
         }
     }
 }
+
+#[test]
+fn one_device_behind_both_handles_is_a_config_error_from_every_entry_point() {
+    // The engine nests the two device locks (DRAM, then NVM); two
+    // handles onto one device would take one non-reentrant lock twice.
+    let shared = MemoryDevice::pcm(64 * MB);
+    let (dram, nvm) = (shared.clone(), shared.clone());
+    let config = EngineConfig::default();
+    let tmp = TempDir::new("store-one-device").unwrap();
+    let store = FileStore::open_path(&tmp.join("rank.store"), 7, SCRIPT_CAP).unwrap();
+    let region = nvm.alloc(64).unwrap();
+    let attempts: [(&str, Result<CheckpointEngine, EngineError>); 4] = [
+        (
+            "new",
+            CheckpointEngine::new(7, &dram, &nvm, 16 * MB, VirtualClock::new(), config),
+        ),
+        (
+            "restart",
+            CheckpointEngine::restart(
+                &dram,
+                &nvm,
+                region,
+                VirtualClock::new(),
+                config,
+                RestartStrategy::Lazy,
+                Tracer::disabled(),
+            )
+            .map(|(e, _)| e),
+        ),
+        (
+            "restart_from_store",
+            CheckpointEngine::restart_from_store(
+                &dram,
+                &nvm,
+                16 * MB,
+                VirtualClock::new(),
+                config,
+                RestartStrategy::Eager,
+                Box::new(store),
+                Tracer::disabled(),
+            )
+            .map(|(e, _)| e),
+        ),
+        (
+            "restart_from_images",
+            CheckpointEngine::restart_from_images(
+                7,
+                &dram,
+                &nvm,
+                16 * MB,
+                VirtualClock::new(),
+                config,
+                RestartStrategy::Eager,
+                &[],
+                0,
+                Tracer::disabled(),
+            )
+            .map(|(e, _)| e),
+        ),
+    ];
+    for (entry, attempt) in attempts {
+        match attempt {
+            Err(EngineError::Config(ConfigError::SharedDevice)) => {}
+            Err(other) => panic!("{entry}: wrong error: {other}"),
+            Ok(_) => panic!("{entry}: one device behind both handles must be rejected"),
+        }
+    }
+    assert_eq!(shared.used(), 64, "a refused engine allocates nothing");
+}
+
+#[test]
+fn a_payload_that_does_not_fit_its_chunk_is_corrupt_not_a_panic() {
+    // A container written by a size-only run holds 32-byte descriptors;
+    // one written by a byte run holds the bytes. Restarting either
+    // under the other materialization asks the store for a payload of
+    // the wrong length: a typed error from `read_chunk_into`.
+    let sized = EngineConfig::builder()
+        .materialization(nvm_chkpt::Materialization::Synthetic)
+        .checksums(false)
+        .build()
+        .unwrap();
+    for (written_as, restarted_as) in [
+        (sized, EngineConfig::default()),
+        (EngineConfig::default(), sized),
+    ] {
+        let tmp = TempDir::new("store-wrong-materialization").unwrap();
+        let path = tmp.join("rank.store");
+        {
+            let (dram, nvm, clock) = devices();
+            let mut e = CheckpointEngine::new(7, &dram, &nvm, 16 * MB, clock, written_as).unwrap();
+            e.set_persistence(Box::new(FileStore::open_path(&path, 7, STORE_CAP).unwrap()));
+            let a = e.nvmalloc("a", 4096, true).unwrap();
+            e.write_synthetic(a, 0, 4096).unwrap();
+            e.nvchkptall().unwrap();
+        }
+        for strategy in [RestartStrategy::Eager, RestartStrategy::Lazy] {
+            let (dram, nvm, clock) = devices();
+            let restarted = CheckpointEngine::restart_from_store(
+                &dram,
+                &nvm,
+                16 * MB,
+                clock,
+                restarted_as,
+                strategy,
+                Box::new(FileStore::open_existing(&path).unwrap()),
+                Tracer::disabled(),
+            );
+            // Lazy notices at the first access instead.
+            let outcome = restarted.and_then(|(mut e, report)| {
+                let id = report.deferred[0];
+                e.write_synthetic(id, 0, 1)
+            });
+            match outcome {
+                Err(EngineError::Store(nvm_chkpt::persist::PersistError::Corrupt(_))) => {}
+                other => panic!("{strategy:?}: expected a corrupt-store error, got {other:?}"),
+            }
+        }
+    }
+}

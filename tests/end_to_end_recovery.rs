@@ -22,19 +22,20 @@ impl Node {
     }
 }
 
-fn fill(engine: &mut CheckpointEngine, id: nvm_chkpt::ChunkId, seed: u8, len: usize) {
-    let data: Vec<u8> = (0..len)
+fn pattern(seed: u8, len: usize) -> Vec<u8> {
+    (0..len)
         .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
-        .collect();
-    engine.write(id, 0, &data).unwrap();
+        .collect()
+}
+
+fn fill(engine: &mut CheckpointEngine, id: nvm_chkpt::ChunkId, seed: u8, len: usize) {
+    engine.write(id, 0, &pattern(seed, len)).unwrap();
 }
 
 fn expect(engine: &mut CheckpointEngine, id: nvm_chkpt::ChunkId, seed: u8, len: usize) {
     let mut buf = vec![0u8; len];
     engine.read(id, 0, &mut buf).unwrap();
-    let want: Vec<u8> = (0..len)
-        .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
-        .collect();
+    let want = pattern(seed, len);
     assert_eq!(buf, want, "chunk {id:?} content mismatch for seed {seed}");
 }
 
@@ -268,4 +269,85 @@ fn restart_of_never_checkpointed_process_reports_it() {
         engine.committed_bytes(a),
         Err(EngineError::NoCommittedData(_))
     ));
+}
+
+/// Two processes of one node share its DRAM and its NVM device. One
+/// stages and commits (a DRAM view around an NVM write, then the slot
+/// checksummed under the NVM lock) while the other crashes, restarts
+/// lazily and touches its chunks (the slot verified under the NVM lock,
+/// then a DRAM view around an NVM read). Every nesting takes DRAM
+/// first, then NVM, so the two can never wait on each other.
+#[test]
+fn two_engines_on_one_node_commit_and_restart_concurrently() {
+    use nvm_chkpt::PrecopyPolicy;
+    use std::sync::{mpsc, Arc, Barrier};
+    use std::time::Duration;
+
+    const ROUNDS: u8 = 40;
+    const LEN: usize = 256 << 10;
+    let node = Arc::new(Node::new());
+    let config = EngineConfig::default().with_precopy(PrecopyPolicy::Cpc);
+    let start = |process: u64| {
+        let (dram, nvm, clock) = (&node.dram, &node.nvm, VirtualClock::new());
+        let mut e = CheckpointEngine::new(process, dram, nvm, 8 * MB, clock, config).unwrap();
+        let ids = [("x", LEN), ("y", LEN / 2)]
+            .map(|(name, len)| (e.nvmalloc(name, len, true).unwrap(), len));
+        for (id, len) in ids {
+            fill(&mut e, id, 0, len);
+        }
+        e.nvchkptall().unwrap();
+        (e, ids)
+    };
+    let (mut a, a_ids) = start(0);
+    let (mut b, b_ids) = start(1);
+
+    // Both start each round together, so a stage / commit of one
+    // overlaps a restart / first access of the other every time.
+    let round = Arc::new(Barrier::new(2));
+    let (done, finished) = mpsc::channel();
+
+    let (go, tx) = (round.clone(), done.clone());
+    std::thread::spawn(move || {
+        for seed in 1..=ROUNDS {
+            go.wait();
+            for (id, len) in a_ids {
+                fill(&mut a, id, seed, len);
+            }
+            a.compute(SimDuration::from_secs(1));
+            a.nvchkptall().unwrap();
+        }
+        tx.send(("committer", a)).unwrap();
+    });
+
+    let (go, tx, shared) = (round, done, node.clone());
+    std::thread::spawn(move || {
+        for seed in 1..=ROUNDS {
+            go.wait();
+            let (region, clock) = (b.metadata_region(), b.clock().clone());
+            drop(b); // crash
+            let (dram, nvm, lazy) = (&shared.dram, &shared.nvm, RestartStrategy::Lazy);
+            let tracer = Tracer::disabled();
+            let (restarted, report) =
+                CheckpointEngine::restart(dram, nvm, region, clock, config, lazy, tracer).unwrap();
+            b = restarted;
+            assert_eq!(report.deferred.len(), 2);
+            for (id, len) in b_ids {
+                expect(&mut b, id, seed - 1, len);
+                fill(&mut b, id, seed, len);
+            }
+            b.nvchkptall().unwrap();
+        }
+        tx.send(("restarter", b)).unwrap();
+    });
+
+    for _ in 0..2 {
+        let (who, engine) = finished.recv_timeout(Duration::from_secs(120)).expect(
+            "a thread did not finish: deadlocked on the two device locks, or panicked above",
+        );
+        let ids = if who == "committer" { a_ids } else { b_ids };
+        for (id, len) in ids {
+            let committed = engine.committed_bytes(id).unwrap();
+            assert!(committed == pattern(ROUNDS, len), "{who}: {id:?}");
+        }
+    }
 }
