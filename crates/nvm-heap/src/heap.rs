@@ -490,8 +490,10 @@ impl NvmHeap {
         let mut meta = ProcessMetadata::new(self.process_id);
         meta.container_region = Some(self.container.0);
         meta.container_capacity = self.arena.capacity();
+        // `chunks` is keyed by id: already unique and in order.
+        meta.records.reserve(self.chunks.len());
         for c in self.chunks.values().filter(|c| c.persistent) {
-            meta.upsert(ChunkRecord {
+            meta.records.push(ChunkRecord {
                 id: c.id,
                 name: c.name.clone(),
                 len: c.len,

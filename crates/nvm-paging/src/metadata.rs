@@ -87,6 +87,90 @@ impl ProcessMetadata {
     }
 }
 
+/// Append `meta` to `out` in the region's format: the JSON
+/// `serde_json::to_vec` gives for the derives above, byte for byte,
+/// written straight from the fields. A save is charged by payload
+/// length, so the format is part of the model; `load` parses it through
+/// `serde_json`, and the derive is what the tests hold this against.
+fn encode(meta: &ProcessMetadata, out: &mut Vec<u8>) {
+    put(out, "{\"process_id\":", Some(meta.process_id));
+    put(out, ",\"container_region\":", meta.container_region);
+    put(
+        out,
+        ",\"container_capacity\":",
+        Some(meta.container_capacity as u64),
+    );
+    out.extend_from_slice(b",\"records\":[");
+    for (i, r) in meta.records.iter().enumerate() {
+        put(
+            out,
+            if i == 0 { "{\"id\":" } else { ",{\"id\":" },
+            Some(r.id.0),
+        );
+        out.extend_from_slice(b",\"name\":\"");
+        for &b in r.name.as_bytes() {
+            match b {
+                b'"' => out.extend_from_slice(b"\\\""),
+                b'\\' => out.extend_from_slice(b"\\\\"),
+                b'\n' => out.extend_from_slice(b"\\n"),
+                b'\r' => out.extend_from_slice(b"\\r"),
+                b'\t' => out.extend_from_slice(b"\\t"),
+                0..0x20 => {
+                    let hex = |nibble: u8| b"0123456789abcdef"[usize::from(nibble)];
+                    out.extend_from_slice(&[b'\\', b'u', b'0', b'0', hex(b >> 4), hex(b & 15)]);
+                }
+                _ => out.push(b), // UTF-8 passes through
+            }
+        }
+        put(out, "\",\"len\":", Some(r.len as u64));
+        out.extend_from_slice(if r.persistent {
+            b",\"persistent\":true".as_slice()
+        } else {
+            b",\"persistent\":false"
+        });
+        for (key, slot) in [",\"versions\":[", ","].into_iter().zip(r.versions) {
+            match slot {
+                Some((offset, len)) => {
+                    out.extend_from_slice(key.as_bytes());
+                    put(out, "[", Some(offset));
+                    put(out, ",", Some(len));
+                    out.push(b']');
+                }
+                None => put(out, key, None),
+            }
+        }
+        put(
+            out,
+            "],\"committed_slot\":",
+            r.committed_slot.map(u64::from),
+        );
+        put(out, ",\"checksum\":", r.checksum);
+        put(out, ",\"committed_epoch\":", Some(r.committed_epoch));
+        out.push(b'}');
+    }
+    out.extend_from_slice(b"]}");
+}
+
+/// `key` (with the punctuation before it), then `value` in decimal or
+/// `null`.
+fn put(out: &mut Vec<u8>, key: &str, value: Option<u64>) {
+    out.extend_from_slice(key.as_bytes());
+    let Some(mut n) = value else {
+        return out.extend_from_slice(b"null");
+    };
+    let mut digits = [0u8; 20]; // u64::MAX has twenty
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
 const HEADER: usize = 8; // u64 LE payload length
 const DEFAULT_CAPACITY: usize = 1 << 20;
 
@@ -95,6 +179,9 @@ pub struct MetadataRegion {
     device: MemoryDevice,
     region: RegionId,
     capacity: usize,
+    /// The last saved payload; kept so a save of a table no larger than
+    /// an earlier one asks the allocator for nothing.
+    payload: Vec<u8>,
 }
 
 impl MetadataRegion {
@@ -110,6 +197,7 @@ impl MetadataRegion {
             device: device.clone(),
             region,
             capacity,
+            payload: Vec::new(),
         })
     }
 
@@ -120,6 +208,7 @@ impl MetadataRegion {
             device: device.clone(),
             region,
             capacity,
+            payload: Vec::new(),
         })
     }
 
@@ -133,8 +222,9 @@ impl MetadataRegion {
     /// Persist `meta`, growing the region if needed. Returns the
     /// virtual-time cost (serialize-write + cache flush).
     pub fn save(&mut self, meta: &ProcessMetadata) -> Result<SimDuration, DeviceError> {
-        let payload = serde_json::to_vec(meta).expect("metadata serialization cannot fail");
-        let needed = HEADER + payload.len();
+        self.payload.clear();
+        encode(meta, &mut self.payload);
+        let needed = HEADER + self.payload.len();
         if needed > self.capacity {
             // Grow: allocate a fresh, larger region. The old one is
             // freed only after the new one is written (crash safety).
@@ -143,14 +233,15 @@ impl MetadataRegion {
             let old = self.region;
             self.region = new_region;
             self.capacity = new_cap;
-            let cost = self.write_payload(&payload)?;
+            let cost = self.write_payload()?;
             self.device.free(old)?;
             return Ok(cost);
         }
-        self.write_payload(&payload)
+        self.write_payload()
     }
 
-    fn write_payload(&self, payload: &[u8]) -> Result<SimDuration, DeviceError> {
+    fn write_payload(&self) -> Result<SimDuration, DeviceError> {
+        let payload = &self.payload;
         let mut cost =
             self.device
                 .write(self.region, 0, &(payload.len() as u64).to_le_bytes(), 1)?;
@@ -164,17 +255,19 @@ impl MetadataRegion {
     pub fn load(&self) -> Result<(ProcessMetadata, SimDuration), MetadataError> {
         let mut header = [0u8; HEADER];
         let mut cost = self.device.read(self.region, 0, &mut header, 1)?;
-        let len = u64::from_le_bytes(header) as usize;
+        let len = u64::from_le_bytes(header);
         if len == 0 {
             return Ok((ProcessMetadata::default(), cost));
         }
-        if HEADER + len > self.capacity {
+        // The header is whatever a torn write left: bound it before it
+        // sizes an allocation, without adding to it.
+        if len > self.capacity.saturating_sub(HEADER) as u64 {
             return Err(MetadataError::Corrupt(format!(
                 "metadata length {len} exceeds region capacity {}",
                 self.capacity
             )));
         }
-        let mut payload = vec![0u8; len];
+        let mut payload = vec![0u8; len as usize];
         cost += self.device.read(self.region, HEADER, &mut payload, 1)?;
         let meta =
             serde_json::from_slice(&payload).map_err(|e| MetadataError::Corrupt(e.to_string()))?;
@@ -203,6 +296,7 @@ nvm_emu::error_enum! {
 mod tests {
     use super::*;
     use crate::genid;
+    use proptest::prelude::*;
 
     fn sample_meta() -> ProcessMetadata {
         let mut m = ProcessMetadata::new(7);
@@ -326,5 +420,105 @@ mod tests {
         region.save(&sample_meta()).unwrap();
         dev.destroy(); // hard node failure
         assert!(region.load().is_err());
+    }
+
+    /// A torn or corrupt length header is a typed error whatever it
+    /// holds — it used to be added to before it was checked, and then
+    /// to size a buffer.
+    #[test]
+    fn load_bounds_the_length_header_without_overflow() {
+        const CAPACITY: usize = 4096;
+        let dev = MemoryDevice::pcm(1 << 20);
+        let region = MetadataRegion::with_capacity(&dev, CAPACITY).unwrap();
+        let load_with_header = |len: u64| {
+            dev.write(region.region(), 0, &len.to_le_bytes(), 1)
+                .unwrap();
+            region.load()
+        };
+        for len in [u64::MAX, (CAPACITY - HEADER + 1) as u64] {
+            match load_with_header(len) {
+                Err(MetadataError::Corrupt(why)) => assert!(why.contains("exceeds"), "{why}"),
+                other => panic!("header {len}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // The largest length the region can hold is in range: the
+        // payload (zeros here) is read and parsed, and does not parse.
+        let in_range = load_with_header((CAPACITY - HEADER) as u64);
+        assert!(matches!(in_range, Err(MetadataError::Corrupt(_))));
+    }
+
+    fn num() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), Just(u64::MAX), 0u64..1000, any::<u64>()]
+    }
+
+    fn opt<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
+        (any::<bool>(), inner).prop_map(|(some, v)| some.then_some(v))
+    }
+
+    /// Names over everything the string encoder treats differently:
+    /// the two escaped punctuation marks, the three named and several
+    /// `\u00XX` control characters, DEL, `/`, and 2-, 3- and 4-byte
+    /// UTF-8.
+    fn name() -> impl Strategy<Value = String> {
+        const ALPHABET: [char; 20] = [
+            'a', 'Z', '0', '_', ' ', '/', '"', '\\', '\n', '\r', '\t', '\0', '\u{1}', '\u{8}',
+            '\u{c}', '\u{1f}', '\u{7f}', 'é', '世', '😀',
+        ];
+        proptest::collection::vec(0..ALPHABET.len(), 0..12)
+            .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    fn record() -> impl Strategy<Value = ChunkRecord> {
+        (
+            (num(), name(), num(), any::<bool>()),
+            (opt((num(), num())), opt((num(), num()))),
+            (opt(any::<u8>()), opt(num()), num()),
+        )
+            .prop_map(
+                |((id, name, len, persistent), (v0, v1), (slot, sum, epoch))| ChunkRecord {
+                    id: ChunkId(id),
+                    name,
+                    len: len as usize,
+                    persistent,
+                    versions: [v0, v1],
+                    committed_slot: slot,
+                    checksum: sum,
+                    committed_epoch: epoch,
+                },
+            )
+    }
+
+    fn table() -> impl Strategy<Value = ProcessMetadata> {
+        let records = proptest::collection::vec(record(), 0..65);
+        (num(), opt(num()), num(), records).prop_map(|(process_id, region, capacity, records)| {
+            ProcessMetadata {
+                process_id,
+                container_region: region,
+                container_capacity: capacity as usize,
+                records,
+            }
+        })
+    }
+
+    proptest! {
+        /// The one encoder in the product writes what the `serde`
+        /// derive would, and what it writes loads back.
+        #[test]
+        fn encoder_equals_the_serde_derive_and_round_trips(meta in table()) {
+            let mut direct = Vec::new();
+            encode(&meta, &mut direct);
+            let derived = serde_json::to_vec(&meta).unwrap();
+            // (Compared as text so a failure is readable; `derived` is
+            // UTF-8, so this is byte equality.)
+            prop_assert_eq!(std::str::from_utf8(&direct), std::str::from_utf8(&derived));
+
+            let dev = MemoryDevice::pcm(4 << 20);
+            let mut region = MetadataRegion::create(&dev).unwrap();
+            region.save(&meta).unwrap();
+            let mut stored = vec![0u8; derived.len()];
+            dev.read(region.region(), HEADER, &mut stored, 1).unwrap();
+            prop_assert_eq!(&stored, &derived, "the region holds the derive's bytes");
+            prop_assert_eq!(region.load().unwrap().0, meta);
+        }
     }
 }

@@ -11,9 +11,25 @@
 //! whole chunks (the premise of chunk-level protection), so the map
 //! keeps a `Uniform` fast path — one flag word standing for every page
 //! — and only materializes a per-page vector when a *partial* write
-//! makes pages diverge. Full-chunk operations are O(1) regardless of
-//! chunk size, which is what makes paper-scale runs (hundreds of
-//! thousands of pages per chunk) cheap.
+//! makes pages diverge. Beside either representation it caches how many
+//! pages are dirty, `nvdirty` and write-protected; the map is uniform
+//! exactly when each count is 0 or `len`.
+//!
+//! Cost of each operation, in the chunk's page count:
+//!
+//! | operation | uniform map | diverged map |
+//! |---|---|---|
+//! | `any_*`, `*_pages`, `len`, `get` | O(1) | O(1) — a cached count |
+//! | `any_protected_in(range)` | O(1) | O(1) when no page is protected, else O(range) |
+//! | `mark_written`, whole chunk | O(1) | O(1) — the vector is dropped, not read |
+//! | `mark_written`, part, map already all written | O(1) | — (such a map is uniform) |
+//! | `mark_written`, part, otherwise | **O(pages)**: the first divergence builds the vector | O(range) |
+//! | `protect_all`, `unprotect_all`, `clear_dirty`, `clear_nvdirty` | O(1) | **O(pages)**: once per stage or commit, next to a copy of the same chunk |
+//! | `grow` | O(1) when all written, else **O(pages)** | O(new pages) |
+//!
+//! Nothing on the uniform path allocates, so a paper-scale chunk
+//! (hundreds of thousands of pages) that is only ever written whole
+//! costs the same as a one-page chunk.
 
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +48,16 @@ pub struct PageFlags {
     pub nvdirty: bool,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// A page an application write just landed on (and every page of a
+/// grown range: never checkpointed).
+const WRITTEN: PageFlags = PageFlags {
+    present: true,
+    write_protected: false,
+    dirty: true,
+    nvdirty: true,
+};
+
+#[derive(Clone, Debug, PartialEq, Eq)]
 enum Repr {
     /// Every page carries these flags.
     Uniform(PageFlags),
@@ -41,10 +66,16 @@ enum Repr {
 }
 
 /// Page-state array for one chunk's pages.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PageMap {
     len: usize,
     repr: Repr,
+    /// Pages with `dirty` / `nvdirty` / `write_protected` set. Every
+    /// whole-map query reads these; each mutator updates them where it
+    /// changes the flags, then calls `normalize`.
+    dirty: usize,
+    nvdirty: usize,
+    protected: usize,
 }
 
 impl PageMap {
@@ -56,6 +87,9 @@ impl PageMap {
                 present: true,
                 ..PageFlags::default()
             }),
+            dirty: 0,
+            nvdirty: 0,
+            protected: 0,
         }
     }
 
@@ -78,6 +112,14 @@ impl PageMap {
         }
     }
 
+    fn check_range(&self, first: usize, count: usize) {
+        assert!(
+            first.checked_add(count).is_some_and(|end| end <= self.len),
+            "range [{first}, {first}+{count}) out of {} pages",
+            self.len
+        );
+    }
+
     fn materialize(&mut self) -> &mut Vec<PageFlags> {
         if let Repr::Uniform(f) = self.repr {
             self.repr = Repr::Mixed(vec![f; self.len]);
@@ -88,38 +130,49 @@ impl PageMap {
         }
     }
 
-    /// Collapse back to `Uniform` if all pages agree (keeps later bulk
-    /// operations O(1)).
+    /// Collapse back to `Uniform` once all pages agree — each count is
+    /// 0 or `len`; `present` never varies — without reading them.
     fn normalize(&mut self) {
-        if let Repr::Mixed(v) = &self.repr {
-            if let Some(first) = v.first() {
-                if v.iter().all(|f| f == first) {
-                    self.repr = Repr::Uniform(*first);
-                }
-            }
+        let len = self.len;
+        let agree = |count: usize| count == 0 || count == len;
+        if matches!(self.repr, Repr::Mixed(_))
+            && agree(self.protected)
+            && agree(self.dirty)
+            && agree(self.nvdirty)
+        {
+            self.repr = Repr::Uniform(PageFlags {
+                present: true,
+                write_protected: self.protected == len,
+                dirty: self.dirty == len,
+                nvdirty: self.nvdirty == len,
+            });
         }
     }
 
     fn for_all(&mut self, f: impl Fn(&mut PageFlags)) {
         match &mut self.repr {
             Repr::Uniform(u) => f(u),
-            Repr::Mixed(v) => {
-                for p in v.iter_mut() {
-                    f(p);
-                }
-            }
+            Repr::Mixed(v) => v.iter_mut().for_each(f),
         }
         self.normalize();
     }
 
     /// Write-protect every page.
     pub fn protect_all(&mut self) {
+        self.protected = self.len;
         self.for_all(|f| f.write_protected = true);
     }
 
     /// Remove write protection from every page.
     pub fn unprotect_all(&mut self) {
+        self.protected = 0;
         self.for_all(|f| f.write_protected = false);
+    }
+
+    /// True if every page is dirty, `nvdirty` and unprotected: the
+    /// state any write leaves its own pages in.
+    fn all_written(&self) -> bool {
+        self.protected == 0 && self.dirty == self.len && self.nvdirty == self.len
     }
 
     /// Mark pages `[first, first+count)` written: sets `dirty` and
@@ -127,32 +180,27 @@ impl PageMap {
     /// write-protected (i.e. how many faults page-granularity
     /// protection would have taken).
     pub fn mark_written(&mut self, first: usize, count: usize) -> usize {
-        assert!(
-            first.checked_add(count).is_some_and(|end| end <= self.len),
-            "range [{first}, {first}+{count}) out of {} pages",
-            self.len
-        );
+        self.check_range(first, count);
+        if count == 0 || self.all_written() {
+            return 0;
+        }
+        let (mut faulted, mut dirtied, mut nvdirtied) = (0, 0, 0);
         if count == self.len {
-            // Whole-chunk write: O(1) on the uniform path.
-            let faulted = self.protected_pages();
-            self.repr = Repr::Uniform(PageFlags {
-                present: true,
-                write_protected: false,
-                dirty: true,
-                nvdirty: true,
-            });
-            return faulted;
-        }
-        let v = self.materialize();
-        let mut faulted = 0;
-        for f in &mut v[first..first + count] {
-            if f.write_protected {
-                faulted += 1;
-                f.write_protected = false;
+            // Whole-chunk write: whatever the pages held is replaced.
+            faulted = self.protected;
+            (dirtied, nvdirtied) = (self.len - self.dirty, self.len - self.nvdirty);
+            self.repr = Repr::Uniform(WRITTEN);
+        } else {
+            for f in &mut self.materialize()[first..first + count] {
+                faulted += usize::from(f.write_protected);
+                dirtied += usize::from(!f.dirty);
+                nvdirtied += usize::from(!f.nvdirty);
+                *f = WRITTEN;
             }
-            f.dirty = true;
-            f.nvdirty = true;
         }
+        self.protected -= faulted;
+        self.dirty += dirtied;
+        self.nvdirty += nvdirtied;
         self.normalize();
         faulted
     }
@@ -160,56 +208,51 @@ impl PageMap {
     /// Clear the local dirty bit on all pages (after a local
     /// checkpoint/pre-copy of the chunk).
     pub fn clear_dirty(&mut self) {
+        self.dirty = 0;
         self.for_all(|f| f.dirty = false);
     }
 
     /// Clear the `nvdirty` bit on all pages (after a remote
     /// checkpoint/pre-copy of the chunk).
     pub fn clear_nvdirty(&mut self) {
+        self.nvdirty = 0;
         self.for_all(|f| f.nvdirty = false);
-    }
-
-    fn count(&self, pred: impl Fn(&PageFlags) -> bool) -> usize {
-        match &self.repr {
-            Repr::Uniform(f) => {
-                if pred(f) {
-                    self.len
-                } else {
-                    0
-                }
-            }
-            Repr::Mixed(v) => v.iter().filter(|f| pred(f)).count(),
-        }
     }
 
     /// Count of locally dirty pages.
     pub fn dirty_pages(&self) -> usize {
-        self.count(|f| f.dirty)
+        self.dirty
     }
 
     /// Count of `nvdirty` pages.
     pub fn nvdirty_pages(&self) -> usize {
-        self.count(|f| f.nvdirty)
+        self.nvdirty
     }
 
     /// Count of write-protected pages.
     pub fn protected_pages(&self) -> usize {
-        self.count(|f| f.write_protected)
+        self.protected
     }
 
     /// True if any page is locally dirty.
     pub fn any_dirty(&self) -> bool {
-        match &self.repr {
-            Repr::Uniform(f) => f.dirty && self.len > 0,
-            Repr::Mixed(v) => v.iter().any(|f| f.dirty),
-        }
+        self.dirty > 0
     }
 
     /// True if any page is `nvdirty`.
     pub fn any_nvdirty(&self) -> bool {
+        self.nvdirty > 0
+    }
+
+    /// True if any page of `[first, first+count)` is write-protected:
+    /// would a write of that range trap?
+    pub fn any_protected_in(&self, first: usize, count: usize) -> bool {
+        self.check_range(first, count);
         match &self.repr {
-            Repr::Uniform(f) => f.nvdirty && self.len > 0,
-            Repr::Mixed(v) => v.iter().any(|f| f.nvdirty),
+            Repr::Uniform(f) => f.write_protected && count > 0,
+            Repr::Mixed(v) => {
+                self.protected > 0 && v[first..first + count].iter().any(|f| f.write_protected)
+            }
         }
     }
 
@@ -219,26 +262,18 @@ impl PageMap {
         if pages <= self.len {
             return;
         }
-        let fresh = PageFlags {
-            present: true,
-            dirty: true,
-            nvdirty: true,
-            ..PageFlags::default()
-        };
-        match &mut self.repr {
-            Repr::Uniform(f) if *f == fresh => {
-                // still uniform
-            }
-            _ => {
-                let v = self.materialize();
-                v.resize(pages, fresh);
-            }
+        let added = pages - self.len;
+        if self.all_written() {
+            // Still uniform (an empty map is all written whatever its
+            // flag word says).
+            self.repr = Repr::Uniform(WRITTEN);
+        } else {
+            // Some old page is not in the new pages' state: diverged.
+            self.materialize().resize(pages, WRITTEN);
         }
         self.len = pages;
-        if let Repr::Mixed(v) = &mut self.repr {
-            v.resize(pages, fresh);
-        }
-        self.normalize();
+        self.dirty += added;
+        self.nvdirty += added;
     }
 }
 

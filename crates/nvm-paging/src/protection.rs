@@ -135,6 +135,12 @@ impl Mmu {
     /// chunk `id`. Delivers protection faults per the granularity and
     /// returns their cost.
     ///
+    /// One chunk lookup, then O(1) in the chunk's page count while its
+    /// pages agree (every whole-chunk write, every write into a chunk
+    /// that is already all dirty, every chunk-granularity fault);
+    /// O(`count`) once they have diverged; O(pages) only for the
+    /// partial write that makes them diverge — see [`crate::page`].
+    ///
     /// Panics if the chunk is unknown — that is a checkpoint-library
     /// bug, not a recoverable condition.
     pub fn record_write(&mut self, id: ChunkId, first: usize, count: usize) -> WriteOutcome {
@@ -145,21 +151,16 @@ impl Mmu {
         self.stats.write_events += 1;
         let was_dirty = map.any_dirty();
         let faults = match self.granularity {
+            // One fault if any page in the written range traps; the
+            // handler unprotects the *entire* chunk and marks it all
+            // dirty (the paper's chunk-level scheme).
+            Granularity::Chunk if map.any_protected_in(first, count) => {
+                map.mark_written(0, map.len());
+                1
+            }
             Granularity::Chunk => {
-                // One fault if any page in the written range traps; the
-                // handler unprotects the *entire* chunk and marks it all
-                // dirty (the paper's chunk-level scheme).
-                let range_protected = (first..first + count).any(|p| map.get(p).write_protected);
                 map.mark_written(first, count);
-                if range_protected {
-                    map.unprotect_all();
-                    // entire chunk is now considered dirty
-                    let len = map.len();
-                    map.mark_written(0, len);
-                    1
-                } else {
-                    0
-                }
+                0
             }
             Granularity::Page => map.mark_written(first, count),
         };
@@ -172,7 +173,7 @@ impl Mmu {
         WriteOutcome {
             faults,
             cost,
-            chunk_newly_dirty: !was_dirty && (faults > 0 || self.chunks[&id].any_dirty()),
+            chunk_newly_dirty: !was_dirty && map.any_dirty(),
         }
     }
 
@@ -364,6 +365,35 @@ mod tests {
         assert!(mmu.unregister_chunk(id(1)));
         assert!(!mmu.unregister_chunk(id(1)));
         assert!(!mmu.is_dirty(id(1)));
+    }
+
+    /// The sequences the cluster and kv workloads produce cost the
+    /// same on a chunk of any size: this one has 2^36 pages, so a
+    /// single walk of them (or one materialized map: 256 GiB) would
+    /// not return.
+    #[test]
+    fn write_path_does_not_depend_on_chunk_size() {
+        const PAGES: usize = 1 << 36;
+        let mut mmu = Mmu::new();
+        mmu.register_chunk(id(1), PAGES);
+        let whole = mmu.record_write(id(1), 0, PAGES);
+        assert_eq!((whole.faults, whole.chunk_newly_dirty), (0, false));
+        mmu.protect_after_precopy(id(1));
+        assert!(!mmu.is_dirty(id(1)));
+
+        let fault = mmu.record_write(id(1), PAGES - 1, 1);
+        assert_eq!((fault.faults, fault.chunk_newly_dirty), (1, true));
+        assert_eq!(mmu.dirty_pages(id(1)), PAGES, "the fault re-opens it all");
+        let again = mmu.record_write(id(1), 12_345, 1);
+        assert_eq!((again.faults, again.chunk_newly_dirty), (0, false));
+        let whole = mmu.record_write(id(1), 0, PAGES);
+        assert_eq!((whole.faults, whole.chunk_newly_dirty), (0, false));
+
+        mmu.clear_remote_dirty(id(1));
+        assert!(mmu.is_dirty(id(1)) && !mmu.is_nvdirty(id(1)));
+        assert_eq!(mmu.dirty_pages(id(1)), PAGES);
+        assert_eq!(mmu.nvdirty_pages(id(1)), 0);
+        assert_eq!(mmu.stats().faults, 1);
     }
 
     #[test]

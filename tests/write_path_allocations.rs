@@ -1,0 +1,141 @@
+//! Pins the application write path's allocation behaviour: in steady
+//! state a write asks the allocator for nothing, whatever the size of
+//! the chunk it lands in — the page map answers from its uniform state
+//! and cached counts and never builds a per-page vector for a write
+//! that leaves every page as it was — and a metadata save of a table
+//! no larger than the last one encodes into the buffer the region
+//! keeps.
+//!
+//! The global allocator is wrapped to count every request. Everything
+//! runs inside ONE `#[test]` so no concurrent test can pollute the
+//! process-wide counter between two samples.
+
+use nvm_chkpt::{CheckpointEngine, EngineConfig, Materialization, PrecopyPolicy};
+use nvm_emu::{MemoryDevice, SimDuration, VirtualClock};
+use nvm_paging::{ChunkId, ChunkRecord, MetadataRegion, ProcessMetadata};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+const MB: usize = 1 << 20;
+
+/// System allocator wrapped with a request counter.
+struct CountingAlloc;
+
+static REQUESTS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTS.fetch_add(1, Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        REQUESTS.fetch_add(1, Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REQUESTS.fetch_add(1, Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+fn requests_during(f: impl FnOnce()) -> usize {
+    let before = REQUESTS.load(Relaxed);
+    f();
+    REQUESTS.load(Relaxed) - before
+}
+
+fn engine(container: usize, config: EngineConfig) -> CheckpointEngine {
+    let dram = MemoryDevice::dram(container);
+    let nvm = MemoryDevice::pcm(2 * container + 4 * MB);
+    CheckpointEngine::new(0, &dram, &nvm, 2 * container, VirtualClock::new(), config).unwrap()
+}
+
+#[test]
+fn steady_state_writes_and_saves_do_not_allocate() {
+    // --- The cluster workloads' write: a size-only chunk, rewritten
+    // whole every iteration (51,200 pages). ---
+    const BIG: usize = 200 * MB;
+    let synthetic = EngineConfig::builder()
+        .precopy(PrecopyPolicy::Cpc)
+        .materialization(Materialization::Synthetic)
+        .checksums(false)
+        .build()
+        .unwrap();
+    let mut e = engine(BIG, synthetic);
+    let id = e.nvmalloc("field", BIG, true).unwrap();
+    e.write_synthetic(id, 0, BIG).unwrap(); // warm-up
+    let whole = requests_during(|| {
+        for _ in 0..1000 {
+            e.write_synthetic(id, 0, BIG).unwrap();
+        }
+    });
+    assert_eq!(whole, 0, "whole-chunk writes of a 200 MiB synthetic chunk");
+
+    // --- The kv workloads' write: a few bytes into a byte-backed
+    // 4 MiB chunk (1,024 pages) that is already dirty... ---
+    const SMALL: usize = 4 * MB;
+    let mut e = engine(
+        SMALL,
+        EngineConfig::default().with_precopy(PrecopyPolicy::Cpc),
+    );
+    let id = e.nvmalloc("log", SMALL, true).unwrap();
+    e.write(id, 0, &[1; 16]).unwrap(); // warm-up
+    let small = requests_during(|| {
+        for i in 0..1000 {
+            e.write(id, (i * 4099) % (SMALL - 16), &[i as u8; 16])
+                .unwrap();
+        }
+    });
+    assert_eq!(small, 0, "16-byte writes into an already-dirty chunk");
+
+    // --- ...and the first one after a commit left the chunk clean and
+    // write-protected: the fault re-opens the whole chunk. ---
+    e.compute(SimDuration::from_secs(1));
+    e.nvchkptall().unwrap();
+    let faults = e.stats().faults;
+    let fault = requests_during(|| e.write(id, 3 * MB + 5, &[9; 16]).unwrap());
+    assert_eq!(
+        e.stats().faults,
+        faults + 1,
+        "that write took the fault path"
+    );
+    assert_eq!(fault, 0, "the first write after a commit");
+
+    // --- A metadata save whose table is no larger than the last. ---
+    let nvm = MemoryDevice::pcm(4 * MB);
+    let mut region = MetadataRegion::create(&nvm).unwrap();
+    let mut meta = ProcessMetadata::new(3);
+    meta.records = (0..8)
+        .map(|i| ChunkRecord {
+            id: ChunkId(i),
+            name: format!("var \"{i}\""),
+            len: SMALL,
+            persistent: true,
+            versions: [Some((i * 8 * MB as u64, SMALL as u64)), None],
+            committed_slot: Some(0),
+            checksum: Some(u64::MAX - i),
+            committed_epoch: 1,
+        })
+        .collect();
+    region.save(&meta).unwrap(); // warm-up: sizes the kept buffer
+    let saves = requests_during(|| {
+        for epoch in 2..102 {
+            for r in &mut meta.records {
+                r.committed_epoch = epoch % 10; // same width: same size
+                r.committed_slot = Some((epoch % 2) as u8);
+            }
+            region.save(&meta).unwrap();
+        }
+    });
+    assert_eq!(saves, 0, "repeated saves of a same-size table");
+    assert_eq!(region.load().unwrap().0, meta);
+}
