@@ -545,9 +545,19 @@ mod tests {
     fn corruption_is_detected_on_restart() {
         let (mut e, dram, nvm, clock) = setup(EngineConfig::default());
         let a = e.nvmalloc("a", 4096, true).unwrap();
+        let b = e.nvmalloc("b", (64 << 10) + 29, true).unwrap();
         e.write(a, 0, &[1u8; 4096]).unwrap();
+        e.write(b, 0, &vec![2u8; (64 << 10) + 29]).unwrap();
         e.nvchkptall().unwrap();
+        // `a`: its first 64 bytes overwritten. `b`: one bit, deep in
+        // the committed slot — a steady-state stride of the CRC kernel.
         e.corrupt_committed(a).unwrap();
+        let heap = e.core.heap();
+        let slot = heap.chunk(b).unwrap().committed_extent().unwrap();
+        nvm.view_mut(heap.container(), slot.offset + 300 * 128 + 5, 1, |byte| {
+            byte[0] ^= 0x10
+        })
+        .unwrap();
         let region = e.metadata_region();
         drop(e);
 
@@ -561,7 +571,7 @@ mod tests {
             Tracer::disabled(),
         )
         .unwrap();
-        assert_eq!(report.corrupt, vec![a], "checksum must catch corruption");
+        assert_eq!(report.corrupt, vec![a, b], "checksum must catch corruption");
         assert!(report.restored.is_empty());
     }
 

@@ -639,11 +639,23 @@ mod tests {
     fn corruption_is_caught_by_checksum() {
         let mut c = open_mem(1);
         c.put_chunk(ChunkId(4), "z", 256, 0, &[9u8; 256]).unwrap();
+        // A payload of many CRC-kernel strides, one bit flipped deep
+        // inside it (`corrupt_payload` inverts the first byte).
+        let long = vec![9u8; (64 << 10) + 29];
+        c.put_chunk(ChunkId(5), "long", long.len(), 0, &long)
+            .unwrap();
         c.commit(0).unwrap();
         c.corrupt_payload(ChunkId(4)).unwrap();
-        match c.read_chunk(ChunkId(4)) {
-            Err(PersistError::Checksum { chunk, .. }) => assert_eq!(chunk, 4),
-            other => panic!("expected checksum error, got {other:?}"),
+        let (_, ext) = c.committed(ChunkId(5)).unwrap();
+        let at = c.sb.data_start() + (ext.offset + SLOT_HEADER_LEN + 300 * 128 + 5) as u64;
+        let mut byte = [0u8; 1];
+        assert_eq!(c.media.read_at(at, &mut byte).unwrap(), 1);
+        c.media.write_at(at, &[&[byte[0] ^ 0x10]]).unwrap();
+        for id in [4, 5] {
+            match c.read_chunk(ChunkId(id)) {
+                Err(PersistError::Checksum { chunk, .. }) => assert_eq!(chunk, id),
+                other => panic!("expected checksum error, got {other:?}"),
+            }
         }
     }
 

@@ -17,7 +17,9 @@
 //! free list, with the slot id being the extent's file offset. Frees
 //! recycle extents of the same size exactly — the device's allocation
 //! pattern (fixed-size version slots, re-put chunk images) makes
-//! first-fit reuse effectively fragmentation-free.
+//! first-fit reuse effectively fragmentation-free — and a freed extent
+//! merges with its free neighbours, so what a smaller allocation split
+//! can serve the original size again.
 
 use crate::media::{FileMedia, Media};
 use std::io;
@@ -52,6 +54,9 @@ impl FileSpill {
     }
 }
 
+/// What a recycled extent is re-zeroed from, one piece at a time.
+static ZEROS: [u8; 64 << 10] = [0; 64 << 10];
+
 fn io_err(e: crate::PersistError) -> io::Error {
     io::Error::other(e.to_string())
 }
@@ -71,9 +76,10 @@ impl nvm_emu::SpillStore for FileSpill {
                 } else {
                     self.free[i] = (off + want, flen - want);
                 }
-                if len > 0 {
+                for at in (off..off + want).step_by(ZEROS.len()) {
+                    let piece = (off + want - at).min(ZEROS.len() as u64) as usize;
                     self.media
-                        .write_at(off, &[&vec![0u8; len]])
+                        .write_at(at, &[&ZEROS[..piece]])
                         .map_err(io_err)?;
                 }
                 off
@@ -107,7 +113,22 @@ impl nvm_emu::SpillStore for FileSpill {
 
     fn free(&mut self, slot: u64, len: usize) {
         self.live -= len as u64;
-        self.free.push((slot, len as u64));
+        // Merge with the free neighbour on either side, so an extent
+        // split by smaller allocations can serve its original size
+        // again. No two free extents are adjacent: one pass finds both.
+        let (mut start, mut end) = (slot, slot + len as u64);
+        self.free.retain(|&(off, flen)| {
+            if off + flen == start {
+                start = off;
+                false
+            } else if off == end {
+                end = off + flen;
+                false
+            } else {
+                true
+            }
+        });
+        self.free.push((start, end - start));
     }
 
     fn live_bytes(&self) -> u64 {
@@ -168,6 +189,13 @@ mod tests {
         assert_eq!(b, a);
         assert_eq!(c, a + 40);
         assert_eq!(s.end, 100);
+        // Freed, the two halves are one extent again: the original
+        // size fits without growing the file.
+        s.free(b, 40);
+        s.free(c, 60);
+        assert_eq!(s.alloc(100).unwrap(), a);
+        assert_eq!(s.end, 100);
+        assert_eq!((s.live_bytes(), s.peak_bytes()), (100, 100));
     }
 
     /// [`FileSpill`] that counts the reads and writes it is asked for.

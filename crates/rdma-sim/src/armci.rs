@@ -409,15 +409,19 @@ mod tests {
 
     #[test]
     fn corrupt_replica_fails_the_verified_fetch() {
-        let mut s = store();
-        let c = ChunkId(6);
-        s.put(0, c, &[7u8; 4096]).unwrap();
-        s.commit_rank(0, 0);
-        s.corrupt_committed(0, c).unwrap();
-        assert!(matches!(
-            s.fetch(0, c),
-            Err(RemoteError::ChecksumMismatch(_))
-        ));
+        // The second image is many strides of the CRC kernel plus a
+        // remainder block and a table tail.
+        for len in [4096, (64 << 10) + 29] {
+            let mut s = store();
+            let c = ChunkId(6);
+            s.put(0, c, &vec![7u8; len]).unwrap();
+            s.commit_rank(0, 0);
+            s.corrupt_committed(0, c).unwrap();
+            assert!(matches!(
+                s.fetch(0, c),
+                Err(RemoteError::ChecksumMismatch(_))
+            ));
+        }
     }
 
     #[test]

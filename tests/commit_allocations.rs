@@ -10,9 +10,14 @@
 //! requested must equal the growth of the devices' resident bytes —
 //! zero for every commit.
 //!
+//! The checksum under all of those steps asks for nothing at all:
+//! every request, of any size, is counted too, and `crc64` over 64 KiB
+//! and over 4 MiB must make none.
+//!
 //! Everything runs inside ONE `#[test]` so no concurrent test can
 //! pollute the process-wide counters between two samples.
 
+use nvm_chkpt::checksum::crc64;
 use nvm_chkpt::{
     CheckpointEngine, ChunkId, EngineConfig, PrecopyPolicy, RestartReport, RestartStrategy, Tracer,
 };
@@ -29,14 +34,16 @@ const CHUNK_BYTES: usize = MB;
 /// headers), plus slack.
 const CONTAINER: usize = 2 * CHUNKS * CHUNK_BYTES + 4 * MB;
 
-/// System allocator that sums, and remembers the largest of, the
-/// requests of at least [`CHUNK_BYTES`].
+/// System allocator that counts every request, and sums, and
+/// remembers the largest of, the requests of at least [`CHUNK_BYTES`].
 struct LargeRequests;
 
+static REQUESTS: AtomicUsize = AtomicUsize::new(0);
 static LARGE_BYTES: AtomicUsize = AtomicUsize::new(0);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 fn note(size: usize) {
+    REQUESTS.fetch_add(1, Relaxed);
     if size >= CHUNK_BYTES {
         LARGE_BYTES.fetch_add(size, Relaxed);
         LARGEST.fetch_max(size, Relaxed);
@@ -238,6 +245,16 @@ impl Process {
 
 #[test]
 fn no_commit_or_restart_step_allocates_a_chunk_sized_temporary() {
+    // --- The checksum: nothing, of any size, once the first call has
+    // detected what the CPU can do. ---
+    let bytes = [payload(0, 0), payload(1, 0), payload(2, 0), payload(3, 0)].concat();
+    let first = crc64(&bytes[..64 << 10]);
+    let requests = REQUESTS.load(Relaxed);
+    let again = (crc64(&bytes[..64 << 10]), crc64(&bytes));
+    assert_eq!(REQUESTS.load(Relaxed) - requests, 0, "crc64 allocated");
+    assert_eq!(again.0, first);
+    assert_ne!(again.1, first);
+
     // --- Without a store. ---
     let mut p = Process::start(None);
     p.commits("no store");
