@@ -4,7 +4,7 @@
 //! boundary in one batch. [`collapse_batch`] reduces that batch to at
 //! most one event per node — the most severe one — so a node struck by
 //! several failures in one interval is charged one rollback, not one
-//! per event (redone iterations were double-counted before).
+//! per event.
 //!
 //! Each surviving hard failure produces a [`RecoveryRecord`] in
 //! [`crate::run::RunResult::recovery`] describing where the node's
@@ -12,6 +12,7 @@
 
 use crate::failure::{FailureEvent, FailureKind};
 use nvm_emu::SimDuration;
+use nvm_metrics::{names, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -84,6 +85,20 @@ pub struct RecoveryRecord {
     pub duration: SimDuration,
     /// Per-chunk verification records (empty for modeled recoveries).
     pub chunks: Vec<RecoveredChunkRecord>,
+}
+
+impl RecoveryRecord {
+    /// Add this recovery to `reg`: the record is the one place a
+    /// recovery is counted, the `recovery_*` metrics are read off it.
+    pub(crate) fn publish(&self, reg: &mut MetricsRegistry) {
+        reg.publish_totals([
+            (names::RECOVERY_HARD_TOTAL, 1),
+            (names::RECOVERY_BYTES_FETCHED_TOTAL, self.bytes_fetched),
+            (names::RECOVERY_RETRIES_TOTAL, self.retries),
+            (names::RECOVERY_CHUNKS_VERIFIED_TOTAL, self.verified_chunks),
+        ]);
+        reg.observe(names::RECOVERY_TIME_NS, self.duration.as_nanos());
+    }
 }
 
 /// Collapse a drained failure batch to at most one event per node: a

@@ -1,0 +1,658 @@
+//! The coordinator: per-rank state, per-node devices, and the run loop
+//! as phases over one [`LoopState`] — failures (`recover.rs`) → compute
+//! → helper poll + link contention (`remote.rs`) → coordinated local
+//! checkpoint → remote commit/ship (`remote.rs`) — then the end-of-run
+//! reduction. Everything here runs serially between barriers; only the
+//! per-rank closures handed to `for_each_rank_parallel` leave the
+//! coordinator.
+
+use super::pool::{for_each_rank_parallel, pool_map};
+use super::{ClusterConfig, RunOptions, RunOutcome, RunResult, SimError, SpillReport};
+use crate::app::Workload;
+use crate::failure::FailureSchedule;
+use crate::profile::{thread_cpu_ns, RunProfile};
+use crate::recovery::RecoveryRecord;
+use crate::schedule::{Activity, ScheduleTrace};
+use nvm_chkpt::{CheckpointEngine, EngineError, EngineStats, Materialization};
+use nvm_emu::{BandwidthModel, MemoryDevice, SimTime, TempDir, VirtualClock};
+use nvm_metrics::{names, MergeStats, Metrics, MetricsRegistry, MetricsReport};
+use nvm_obs::FlightDump;
+use nvm_store::{FileSpill, FileStore, PersistError, StoreStats};
+use nvm_trace::{BufferSink, TraceEvent, TraceEventKind, Tracer};
+use rdma_sim::{HelperProcess, Link, RemoteStore};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+
+pub(super) struct Rank {
+    pub(super) global: u64,
+    pub(super) clock: VirtualClock,
+    pub(super) engine: CheckpointEngine,
+    pub(super) workload: Box<dyn Workload>,
+    /// Private event buffer; engine events land here via the tracer so
+    /// parallel ranks never contend on (or reorder) a shared stream.
+    pub(super) sink: Option<Arc<BufferSink>>,
+    /// Private metrics registry (disabled unless
+    /// [`RunOptions::metrics`]); merged in rank order at the end.
+    pub(super) metrics: Metrics,
+}
+
+impl Rank {
+    /// A tracer into this rank's private sink (disabled without one).
+    pub(super) fn tracer(&self) -> Tracer {
+        match &self.sink {
+            Some(sink) => Tracer::new(sink.clone()).with_rank(self.global),
+            None => Tracer::disabled(),
+        }
+    }
+
+    /// Point the (new or rebuilt) engine at this rank's tracer and
+    /// metrics registry.
+    fn instrument(&mut self) {
+        self.engine.set_tracer(self.tracer());
+        self.engine.set_metrics(self.metrics.clone());
+    }
+
+    /// Mirror the engine's commits into this rank's durable container
+    /// under `dir` (opened or created).
+    pub(super) fn attach_store(
+        &mut self,
+        dir: &Path,
+        container_bytes: usize,
+    ) -> Result<(), SimError> {
+        let path = rank_store_path(dir, self.global);
+        let store =
+            FileStore::open_path(&path, self.global, container_bytes).map_err(EngineError::from)?;
+        self.engine.set_persistence(Box::new(store));
+        Ok(())
+    }
+
+    /// Add the current engine's totals, and its store's, to `reg`.
+    fn publish(&self, reg: &mut MetricsRegistry) {
+        self.engine.stats().publish(reg);
+        if let Some(store) = self.engine.persistence_stats() {
+            store.publish(reg);
+        }
+    }
+
+    /// Replace this rank's engine with a rebuilt one. The outgoing
+    /// engine's totals go into the rank's registry first, so the run's
+    /// counters stay cumulative while [`RunResult::engine_stats`]
+    /// describes the surviving engines.
+    pub(super) fn install(&mut self, engine: CheckpointEngine) {
+        self.metrics.update(|reg| self.publish(reg));
+        self.engine = engine;
+        self.instrument();
+    }
+}
+
+/// Where rank `global`'s durable container lives under a store directory.
+pub(super) fn rank_store_path(dir: &Path, global: u64) -> PathBuf {
+    dir.join(format!("rank_{global}.store"))
+}
+
+/// An engine made from nothing: empty on `node`'s devices, then the
+/// workload's `setup` allocates its chunks. `tracer` and `metrics`
+/// see the setup — disabled for a run's first start, the rank's own
+/// when the restore ladder bottoms out and a revived rank starts over.
+pub(super) fn fresh_engine(
+    config: &ClusterConfig,
+    node: &NodeDevices,
+    global: u64,
+    clock: &VirtualClock,
+    workload: &mut dyn Workload,
+    tracer: Tracer,
+    metrics: Metrics,
+) -> Result<CheckpointEngine, SimError> {
+    let mut engine = CheckpointEngine::new(
+        global,
+        &node.dram,
+        &node.nvm,
+        config.container_bytes,
+        clock.clone(),
+        config.engine,
+    )?;
+    engine.set_tracer(tracer);
+    engine.set_metrics(metrics);
+    workload.setup(&mut engine)?;
+    Ok(engine)
+}
+
+pub(super) struct NodeDevices {
+    pub(super) link: Link,
+    pub(super) helper: HelperProcess,
+    /// Checkpoint flows in flight: (ends_at, rate bytes/s) — they
+    /// contend with application communication until they drain.
+    pub(super) flows: Vec<(SimTime, f64)>,
+    /// This node's NVM: its ranks' version slots, and the remote copy
+    /// it hosts for its ring neighbour (`stores[hosted_by(n)]`).
+    pub(super) nvm: MemoryDevice,
+    /// This node's DRAM (working copies).
+    pub(super) dram: MemoryDevice,
+}
+
+impl NodeDevices {
+    /// Aggregate checkpoint-traffic rate active at `now` (prunes
+    /// finished flows).
+    pub(super) fn active_rate(&mut self, now: SimTime) -> f64 {
+        self.flows.retain(|(end, _)| *end > now);
+        self.flows.iter().map(|(_, r)| r).sum()
+    }
+
+    fn devices(&self) -> [&MemoryDevice; 2] {
+        [&self.nvm, &self.dram]
+    }
+}
+
+/// Where the run stands: what every phase reads and advances, what a
+/// hard-failure recovery rolls back to and records into, and what
+/// [`ClusterSim::reduce`] folds into the outcome.
+pub(super) struct LoopState {
+    /// The next iteration to execute (rolled back by failures).
+    pub(super) iter: u64,
+    pub(super) failures: FailureSchedule,
+    pub(super) last_local_end: SimTime,
+    pub(super) last_remote_end: SimTime,
+    /// Iteration the last local checkpoint / remote epoch captured.
+    pub(super) last_local_iter: u64,
+    pub(super) last_remote_iter: u64,
+    /// Rank 0's activity schedule.
+    pub(super) schedule: ScheduleTrace,
+    /// Cluster-level events (failures, recoveries, remote shipping)
+    /// happen on the coordinator, outside any single rank's timeline;
+    /// they get their own buffer and merge with the per-rank streams
+    /// at the end. `None` unless the run is traced.
+    pub(super) coord: Option<Vec<TraceEvent>>,
+    /// Dump taken if a recovery ladder bottomed out at virgin.
+    pub(super) flight: Option<FlightDump>,
+    pub(super) executed: u64,
+    pub(super) lost: u64,
+    pub(super) soft: u64,
+    /// Local checkpoints committed so far.
+    pub(super) local_ckpts: u64,
+    /// Remote epochs committed so far.
+    pub(super) remote_ckpts: u64,
+    /// Checkpoint bytes per rank (`D`; the modeled fetch charge).
+    pub(super) d_per_rank: u64,
+    pub(super) recovery: Vec<RecoveryRecord>,
+    /// Host-side profile inputs: they travel next to the tallies and
+    /// never into the result.
+    pub(super) wall_start: std::time::Instant,
+    pub(super) rank_busy: Vec<AtomicU64>,
+}
+
+impl LoopState {
+    fn new(sim: &ClusterSim) -> Self {
+        let config = &sim.config;
+        let failures = match (&config.schedule_override, &config.failures) {
+            (Some(schedule), _) => schedule.clone(),
+            (None, Some(cfg)) => {
+                FailureSchedule::generate(cfg, SimTime::ZERO + config.failure_horizon, config.nodes)
+            }
+            (None, None) => FailureSchedule::none(),
+        };
+        LoopState {
+            iter: 0,
+            failures,
+            last_local_end: SimTime::ZERO,
+            last_remote_end: SimTime::ZERO,
+            last_local_iter: 0,
+            last_remote_iter: 0,
+            schedule: ScheduleTrace::new(),
+            coord: sim.options.trace.then(Vec::new),
+            flight: None,
+            executed: 0,
+            lost: 0,
+            soft: 0,
+            local_ckpts: 0,
+            remote_ckpts: 0,
+            d_per_rank: sim.ranks[0][0].engine.checkpoint_bytes() as u64,
+            recovery: Vec::new(),
+            wall_start: std::time::Instant::now(),
+            rank_busy: (0..config.total_ranks())
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+        }
+    }
+
+    /// Record a coordinator event at `t` on `rank`'s timeline (dropped
+    /// unless the run is traced).
+    pub(super) fn emit(&mut self, t: SimTime, rank: u64, kind: TraceEventKind) {
+        if let Some(coord) = &mut self.coord {
+            coord.push(TraceEvent {
+                t_ns: t.as_nanos(),
+                rank,
+                kind,
+            });
+        }
+    }
+}
+
+/// The simulator behind [`super::Cluster::run`].
+pub(super) struct ClusterSim {
+    pub(super) config: ClusterConfig,
+    pub(super) options: RunOptions,
+    pub(super) ranks: Vec<Vec<Rank>>, // [node][rank]
+    pub(super) nodes: Vec<NodeDevices>,
+    pub(super) stores: Vec<RemoteStore>, // stores[i] holds node i's data (on buddy NVM)
+    /// Barrier synchronisations executed (coordinator-side counter).
+    barriers: u64,
+    /// Coordinator-side metrics (comm stalls, helper transfer sizes,
+    /// barrier count, link peaks), recorded only from the serial
+    /// coordinator loop.
+    pub(super) coord_metrics: Metrics,
+    /// Owns the per-device spill files for the lifetime of the run;
+    /// `None` when the run is synthetic or spill is disabled.
+    spill_dir: Option<TempDir>,
+}
+
+impl ClusterSim {
+    fn io_err(e: std::io::Error) -> SimError {
+        SimError::Engine(EngineError::from(PersistError::Io(e)))
+    }
+
+    pub(super) fn with_options(
+        config: ClusterConfig,
+        options: RunOptions,
+        mut factory: impl FnMut(u64) -> Box<dyn Workload>,
+    ) -> Result<Self, SimError> {
+        config.validate()?;
+        let materialized = config.engine.materialization == Materialization::Bytes;
+
+        // Byte-materialized runs spill every device region to a file:
+        // region contents cost identical virtual time/wear/stats
+        // wherever they live, and at 1024 ranks the images no longer
+        // fit in process RAM. Attach before any engine allocates so
+        // every materialized region is covered.
+        let spill_dir = if config.spill && materialized {
+            Some(TempDir::new("cluster-spill").map_err(Self::io_err)?)
+        } else {
+            None
+        };
+
+        let coord_metrics = options.new_metrics();
+        let helper_params = config.remote.map(|r| r.helper).unwrap_or_default();
+        let mut nodes = Vec::new();
+        for n in 0..config.nodes {
+            let nvm = MemoryDevice::pcm(config.node_nvm_capacity(n));
+            if let Some(bw) = config.nvm_bw_per_core {
+                nvm.set_model(BandwidthModel::fixed_per_core(bw));
+            }
+            let dram = MemoryDevice::dram(config.node_dram_capacity(n));
+            if let Some(dir) = &spill_dir {
+                let f =
+                    FileSpill::create(&dir.join(format!("nvm_{n}.spill"))).map_err(Self::io_err)?;
+                nvm.attach_spill(Box::new(f));
+                let f = FileSpill::create(&dir.join(format!("dram_{n}.spill")))
+                    .map_err(Self::io_err)?;
+                dram.attach_spill(Box::new(f));
+            }
+            let mut helper = HelperProcess::with_params(helper_params);
+            helper.set_metrics(coord_metrics.clone());
+            nodes.push(NodeDevices {
+                link: Link::new(config.link_bandwidth()),
+                helper,
+                flows: Vec::new(),
+                nvm,
+                dram,
+            });
+        }
+
+        if let Some(dir) = &options.store_dir {
+            std::fs::create_dir_all(dir).map_err(Self::io_err)?;
+        }
+
+        let mut ranks = Vec::new();
+        let mut stores = Vec::new();
+        for (n, node) in nodes.iter().enumerate() {
+            let mut node_ranks = Vec::new();
+            for r in 0..config.ranks_per_node {
+                let global = config.first_rank(n) + r as u64;
+                let clock = VirtualClock::new();
+                let mut workload = factory(global);
+                let engine = fresh_engine(
+                    &config,
+                    node,
+                    global,
+                    &clock,
+                    workload.as_mut(),
+                    Tracer::disabled(),
+                    Metrics::disabled(),
+                )?;
+                // A traced run needs every event; a flight-only run
+                // keeps a bounded ring.
+                let sink = if options.trace {
+                    Some(Arc::new(BufferSink::new()))
+                } else {
+                    options
+                        .flight
+                        .map(|bound| Arc::new(BufferSink::with_capacity(bound)))
+                };
+                let mut rank = Rank {
+                    global,
+                    clock,
+                    engine,
+                    workload,
+                    sink,
+                    metrics: options.new_metrics(),
+                };
+                rank.instrument();
+                if let Some(dir) = &options.store_dir {
+                    rank.attach_store(dir, config.container_bytes)?;
+                }
+                node_ranks.push(rank);
+            }
+            ranks.push(node_ranks);
+            // Byte-materialized runs keep real chunk images in the
+            // remote store, so a hard-failed node can be rebuilt from
+            // its buddy bit-for-bit; synthetic runs keep it size-only.
+            stores.push(RemoteStore::new(
+                &nodes[config.buddy_of(n)].nvm,
+                materialized,
+            ));
+        }
+        Ok(ClusterSim {
+            config,
+            options,
+            ranks,
+            nodes,
+            stores,
+            barriers: 0,
+            coord_metrics,
+            spill_dir,
+        })
+    }
+
+    fn max_time(&self) -> SimTime {
+        self.ranks
+            .iter()
+            .flatten()
+            .map(|r| r.clock.now())
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    pub(super) fn barrier(&mut self) -> SimTime {
+        self.barriers += 1;
+        let t = self.max_time();
+        for r in self.ranks.iter().flatten() {
+            // The barrier join edge of the causal DAG: stamped at the
+            // rank's arrival, with its stall. The straggler(s) record
+            // wait 0 — that zero is how the critical-path extractor
+            // finds the rank that owned the segment. Runs on the
+            // coordinator, so per-rank order (and hence the merged
+            // trace) is thread-count independent.
+            if let Some(sink) = &r.sink {
+                let arrival = r.clock.now();
+                nvm_trace::TraceSink::record(
+                    sink.as_ref(),
+                    TraceEvent {
+                        t_ns: arrival.as_nanos(),
+                        rank: r.global,
+                        kind: TraceEventKind::BarrierWait {
+                            id: self.barriers,
+                            wait_ns: t.since(arrival).as_nanos(),
+                        },
+                    },
+                );
+            }
+            r.clock.advance_to(t);
+        }
+        t
+    }
+
+    /// The run loop, one pass per iteration of the Section-III
+    /// schedule. The [`RunProfile`] and [`SpillReport`] travel *next
+    /// to* the result, never inside it — [`RunResult`] stays
+    /// byte-identical across thread counts and machines; timing and
+    /// host-memory accounting are neither.
+    pub(super) fn execute(&mut self) -> Result<RunOutcome, SimError> {
+        let mut st = LoopState::new(self);
+        while st.iter < self.config.iterations {
+            let iter_start = self.max_time();
+            self.handle_failures(&mut st, iter_start)?;
+            self.compute(&mut st)?;
+            self.poll_helpers(&mut st, iter_start);
+            if let Some(t1) = self.checkpoint_local(&mut st)? {
+                self.checkpoint_remote(&mut st, t1)?;
+            }
+        }
+        self.reduce(st)
+    }
+
+    /// One application iteration on every rank (the parallel epoch).
+    fn compute(&mut self, st: &mut LoopState) -> Result<(), SimError> {
+        let iter = st.iter;
+        let rank0_before = self.ranks[0][0].clock.now();
+        for_each_rank_parallel(
+            &mut self.ranks,
+            self.config.threads,
+            &st.rank_busy,
+            |rank| {
+                rank.workload
+                    .iterate(&mut rank.engine, iter)
+                    .map_err(SimError::from)
+            },
+        )?;
+        st.schedule.record(
+            Activity::Compute,
+            rank0_before,
+            self.ranks[0][0].clock.now(),
+        );
+        st.executed += 1;
+        st.iter += 1;
+        Ok(())
+    }
+
+    /// The coordinated local checkpoint, when one is due (the interval
+    /// elapsed, or the run is ending): barrier, every rank's
+    /// `nvchkptall`, barrier. Returns when it ended.
+    fn checkpoint_local(&mut self, st: &mut LoopState) -> Result<Option<SimTime>, SimError> {
+        let now = self.max_time();
+        let due = self.config.local_interval.is_some_and(|interval| {
+            now.since(st.last_local_end) >= interval || st.iter == self.config.iterations
+        });
+        if !due {
+            return Ok(None);
+        }
+        let t0 = self.barrier();
+        for_each_rank_parallel(
+            &mut self.ranks,
+            self.config.threads,
+            &st.rank_busy,
+            |rank| {
+                rank.engine
+                    .nvchkptall()
+                    .map(|_report| ())
+                    .map_err(SimError::from)
+            },
+        )?;
+        let t1 = self.barrier();
+        st.schedule.record(Activity::LocalCheckpoint, t0, t1);
+        st.last_local_end = t1;
+        st.last_local_iter = st.iter;
+        st.local_ckpts += 1;
+        Ok(Some(t1))
+    }
+
+    /// The hierarchical end-of-run reduction of every rank's trace
+    /// buffer, engine stats, metrics and store counters, plus the
+    /// loop's state, into the [`RunOutcome`]. A serial fold is an
+    /// O(ranks) floor that dominates wall time at 1024 ranks, so
+    /// contiguous node groups ("shards", a function of topology only —
+    /// see `ClusterConfig::shard_count`) each reduce their own ranks
+    /// ([`merge_shard`]), in parallel when `threads > 1`, and the
+    /// coordinator folds O(shards) partial results:
+    ///
+    /// * traces — each shard emits its ranks' events merged in
+    ///   `(time, rank)` order; the final fold re-sorts the
+    ///   concatenated shard streams (plus the coordinator buffer,
+    ///   appended last) with the same stable key. Equal keys always
+    ///   come from one rank's buffer — or that rank's buffer plus the
+    ///   coordinator's — and both levels preserve their relative
+    ///   order, so the result is byte-identical to the flat merge at
+    ///   any shard or thread count.
+    /// * stats/metrics/store counters — integer sums, gauge maxes and
+    ///   histogram bucket adds all commute and associate, so any merge
+    ///   tree yields the same totals; snapshots are name-sorted, so
+    ///   the report is identical too.
+    fn reduce(&mut self, st: LoopState) -> Result<RunOutcome, SimError> {
+        let total_time = self.barrier().since(SimTime::ZERO);
+        let options = &self.options;
+        let nodes_per_shard = self.config.nodes.div_ceil(self.config.shard_count());
+        let mut shard_chunks: Vec<(&mut [Vec<Rank>], &[NodeDevices])> = self
+            .ranks
+            .chunks_mut(nodes_per_shard)
+            .zip(self.nodes.chunks(nodes_per_shard))
+            .collect();
+        let mut shards = pool_map(&mut shard_chunks, self.config.threads, |(r, n)| {
+            Ok(merge_shard(r, n, options))
+        })?;
+
+        let trace = match st.coord {
+            Some(coord) => {
+                let mut streams: Vec<Vec<TraceEvent>> = shards
+                    .iter_mut()
+                    .map(|s| std::mem::take(&mut s.trace))
+                    .collect();
+                streams.push(coord);
+                nvm_trace::merge_ranked(streams)
+            }
+            None => Vec::new(),
+        };
+
+        self.coord_metrics
+            .counter_add(names::CLUSTER_BARRIERS_TOTAL, self.barriers);
+        for n in &self.nodes {
+            self.coord_metrics.gauge_max(
+                names::LINK_PEAK_BYTES_PER_S,
+                n.link.trace().peak_bytes() as i64,
+            );
+        }
+        let metrics = options.metrics.then(|| {
+            let mut reg = MetricsRegistry::new();
+            for partial in shards.iter().filter_map(|s| s.registry.as_ref()) {
+                reg.merge_from(partial);
+            }
+            self.coord_metrics.merge_into(&mut reg);
+            for record in &st.recovery {
+                record.publish(&mut reg);
+            }
+            MetricsReport::new(reg.snapshot())
+        });
+
+        // Store counters (None when no store is attached — so results
+        // without `--store` serialize unchanged).
+        let store_partials: Vec<&StoreStats> = shards
+            .iter()
+            .filter_map(|s| s.store_stats.as_ref())
+            .collect();
+        let store = (!store_partials.is_empty()).then(|| StoreStats::merged(store_partials));
+
+        let result = RunResult {
+            total_time,
+            iterations_executed: st.executed,
+            local_checkpoints: st.local_ckpts,
+            remote_checkpoints: st.remote_ckpts,
+            engine_stats: EngineStats::merged(shards.iter().map(|s| &s.engine_stats)),
+            rank0_epochs: self.ranks[0][0].engine.log().to_vec(),
+            link_traces: self.nodes.iter().map(|n| n.link.trace().clone()).collect(),
+            helper_stats: self.nodes.iter().map(|n| n.helper.stats()).collect(),
+            helper_utilization: self
+                .nodes
+                .iter()
+                .map(|n| n.helper.cpu_utilization())
+                .collect(),
+            soft_failures: st.soft,
+            hard_failures: st.recovery.len() as u64,
+            lost_iterations: st.lost,
+            schedule: st.schedule,
+            checkpoint_bytes_per_rank: st.d_per_rank,
+            trace,
+            metrics,
+            store,
+            recovery: st.recovery,
+        };
+        let profile = options.profile.then(|| RunProfile {
+            wall_ns: st.wall_start.elapsed().as_nanos() as u64,
+            rank_busy_ns: st.rank_busy.into_iter().map(|c| c.into_inner()).collect(),
+            merge_busy_ns: shards.iter().map(|s| s.busy_ns).collect(),
+            threads: self.config.threads,
+        });
+        let spill = self.spill_dir.as_ref().map(|_| {
+            let devices = || self.nodes.iter().flat_map(|n| n.devices());
+            SpillReport {
+                devices: devices().count(),
+                peak_bytes: devices().map(|d| d.spill_peak_bytes()).sum(),
+                live_bytes: devices().map(|d| d.spill_live_bytes()).sum(),
+                resident_bytes: devices().map(|d| d.resident_bytes()).sum(),
+            }
+        });
+        Ok(RunOutcome {
+            result,
+            profile,
+            spill,
+            flight: st.flight,
+        })
+    }
+}
+
+/// One shard's share of [`ClusterSim::reduce`].
+struct ShardMerge {
+    trace: Vec<TraceEvent>,
+    engine_stats: EngineStats,
+    registry: Option<MetricsRegistry>,
+    store_stats: Option<StoreStats>,
+    busy_ns: u64,
+}
+
+/// Reduce one shard's ranks and nodes: their trace buffers merged in
+/// `(time, rank)` order, their engine and store stats summed, their
+/// metrics folded into one registry.
+fn merge_shard(
+    shard_ranks: &[Vec<Rank>],
+    shard_nodes: &[NodeDevices],
+    options: &RunOptions,
+) -> ShardMerge {
+    let t0 = thread_cpu_ns();
+    let ranks = || shard_ranks.iter().flatten();
+    let trace = if options.trace {
+        let buffers: Vec<Vec<TraceEvent>> = ranks()
+            .map(|r| r.sink.as_ref().map(|s| s.drain()).unwrap_or_default())
+            .collect();
+        nvm_trace::merge_ranked(buffers)
+    } else {
+        Vec::new()
+    };
+    let rank_stats: Vec<EngineStats> = ranks().map(|r| r.engine.stats()).collect();
+    let engine_stats = EngineStats::merged(rank_stats.iter());
+    // The registries hold what was recorded live (latency
+    // distributions, kv counters) and the totals of engines a recovery
+    // replaced; every other counter is published here, from the stats
+    // structs that are its one record.
+    let registry = options.metrics.then(|| {
+        let mut reg = MetricsRegistry::new();
+        for r in ranks() {
+            r.metrics.merge_into(&mut reg);
+            r.publish(&mut reg);
+        }
+        for n in shard_nodes {
+            n.helper.stats().publish(&mut reg);
+            for dev in n.devices() {
+                dev.stats().publish(dev.kind(), &mut reg);
+            }
+        }
+        reg
+    });
+    let store_stats: Vec<StoreStats> = ranks()
+        .filter_map(|r| r.engine.persistence_stats())
+        .collect();
+    let store_stats = (!store_stats.is_empty()).then(|| StoreStats::merged(&store_stats));
+    ShardMerge {
+        trace,
+        engine_stats,
+        registry,
+        store_stats,
+        busy_ns: thread_cpu_ns().saturating_sub(t0),
+    }
+}

@@ -402,6 +402,28 @@ mod tests {
     }
 
     #[test]
+    fn a_one_node_cluster_losing_its_node_restarts_virgin() {
+        // One node is its own ring buddy: the remote copy it kept died
+        // with it, so there is no pair to lose, nothing to fetch and
+        // nothing hosted for anyone else to re-replicate.
+        let mut cfg = recovery_config(false);
+        cfg.nodes = 1;
+        let out = run_with(
+            cfg.with_failure_schedule(hard_at(100, 0)),
+            RunOptions::new().with_flight(8),
+        );
+        let r = &out.result;
+        assert!(r.remote_checkpoints > 0, "remote epochs did commit");
+        let rec = &r.recovery[0];
+        assert_eq!(rec.source, RecoverySource::Virgin);
+        assert_eq!(rec.remote_epoch, None);
+        assert_eq!(rec.bytes_fetched, 0);
+        assert_eq!(rec.reprotected_bytes, 0);
+        assert_eq!(r.iterations_executed, 20 + r.lost_iterations);
+        assert!(out.flight.is_some(), "a virgin fall-through dumps");
+    }
+
+    #[test]
     fn local_store_outranks_the_remote_buddy() {
         // With intact per-rank containers the ladder's first rung wins:
         // nothing crosses the interconnect and the rollback only goes
