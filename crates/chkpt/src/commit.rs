@@ -25,8 +25,10 @@ use crate::persist::{PersistError, Persistence, RecoveredChunk, StoreStats, Synt
 use crate::precopy::ChunkState;
 use crate::restart::RestartStrategy;
 use crate::stats::{EngineStats, EpochReport};
-use nvm_emu::{pages_for, MemoryDevice, RegionId, SimDuration, SimTime, VirtualClock, PAGE_SIZE};
-use nvm_heap::{Materialization, NvmHeap};
+use nvm_emu::{
+    pages_for, DeviceError, MemoryDevice, RegionId, SimDuration, SimTime, VirtualClock, PAGE_SIZE,
+};
+use nvm_heap::{HeapError, Materialization, NvmHeap};
 use nvm_metrics::{names, Metrics};
 use nvm_paging::{ChunkId, MetadataRegion, Mmu};
 use nvm_trace::{TraceEventKind, Tracer};
@@ -258,9 +260,9 @@ impl CommitCore {
         offset: usize,
         data: &[u8],
     ) -> Result<bool, EngineError> {
-        self.ensure_restored(id)?;
-        let cost = self.heap.write(id, offset, data)?;
-        self.after_write(id, offset, data.len(), cost)
+        self.write_with(id, offset, data.len(), |dram, region| {
+            dram.write(region, offset, data, 1)
+        })
     }
 
     /// [`Self::write`], size-only.
@@ -270,22 +272,25 @@ impl CommitCore {
         offset: usize,
         len: usize,
     ) -> Result<bool, EngineError> {
-        self.ensure_restored(id)?;
-        let cost = self.heap.write_synthetic(id, offset, len)?;
-        self.after_write(id, offset, len, cost)
+        self.write_with(id, offset, len, |dram, region| {
+            dram.write_synthetic(region, offset, len, 1)
+        })
     }
 
-    fn after_write(
+    /// One application write of `len` bytes at `offset` of chunk `id`,
+    /// which `put` makes in the working copy's DRAM region. The chunk
+    /// is looked up once, for the region and for the bookkeeping.
+    fn write_with(
         &mut self,
         id: ChunkId,
         offset: usize,
         len: usize,
-        dram_cost: SimDuration,
+        put: impl FnOnce(&MemoryDevice, RegionId) -> Result<SimDuration, DeviceError>,
     ) -> Result<bool, EngineError> {
+        self.ensure_restored(id)?;
         let chunk = self.heap.chunk(id)?;
+        let mut total = put(self.heap.dram(), chunk.dram_region).map_err(HeapError::from)?;
         let modified = chunk.persistent && len > 0;
-        let chunk_len = chunk.len as u64;
-        let mut total = dram_cost;
         if modified {
             let first = offset / PAGE_SIZE;
             let last = (offset + len - 1) / PAGE_SIZE;
@@ -299,7 +304,7 @@ impl CommitCore {
             if self.staged.remove(&id) {
                 // A staged chunk was modified again: the earlier copy
                 // is wasted and must be redone.
-                self.stats.wasted_precopy_bytes += chunk_len;
+                self.stats.wasted_precopy_bytes += chunk.len as u64;
                 self.trace(TraceEventKind::PrecopyWaste { chunk: id.0 });
             }
         }

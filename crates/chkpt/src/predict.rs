@@ -13,8 +13,8 @@
 //! Predictions are *optimizations, not correctness*: a chunk whose
 //! prediction fails is simply copied at the coordinated checkpoint.
 
+use nvm_emu::idmap::IdMap;
 use nvm_paging::ChunkId;
-use std::collections::HashMap;
 
 /// Per-chunk modification predictor; `default()` is a table in its
 /// learning phase.
@@ -24,9 +24,9 @@ pub struct PredictionTable {
     /// are recorded and everything is eligible for pre-copy.
     trained: bool,
     /// Learned modifications per interval.
-    learned: HashMap<ChunkId, u32>,
+    learned: IdMap<ChunkId, u32>,
     /// Modifications observed in the current interval.
-    observed: HashMap<ChunkId, u32>,
+    observed: IdMap<ChunkId, u32>,
 }
 
 impl PredictionTable {

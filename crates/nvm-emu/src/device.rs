@@ -34,6 +34,7 @@
 use crate::bandwidth::BandwidthModel;
 use crate::energy::EnergyMeter;
 use crate::error::DeviceError;
+use crate::idmap::IdMap;
 use crate::params::{DeviceKind, DeviceParams};
 use crate::spill::SpillStore;
 use crate::time::{SimDuration, VirtualClock};
@@ -43,7 +44,6 @@ use nvm_metrics::{names, MetricsRegistry};
 use nvm_trace::{TraceEventKind, Tracer};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Identifier of a region on a device.
@@ -158,7 +158,7 @@ struct Inner {
     capacity: usize,
     used: usize,
     next_id: u64,
-    regions: HashMap<RegionId, Region>,
+    regions: IdMap<RegionId, Region>,
     stats: DeviceStats,
     /// When true, writes past the endurance limit return an error.
     strict_endurance: bool,
@@ -206,7 +206,7 @@ impl MemoryDevice {
                 capacity,
                 used: 0,
                 next_id: 1,
-                regions: HashMap::new(),
+                regions: IdMap::default(),
                 stats: DeviceStats::default(),
                 strict_endurance: false,
                 tracer: None,
@@ -405,8 +405,7 @@ impl MemoryDevice {
     ) -> Result<SimDuration, DeviceError> {
         let mut g = self.inner.lock();
         let g = &mut *g;
-        let cost = g.write_common(id, offset, data.len(), concurrency)?;
-        let region = g.regions.get_mut(&id).expect("checked by write_common");
+        let (cost, region) = g.write_common(id, offset, data.len(), concurrency)?;
         match &mut region.backing {
             Backing::Bytes(bytes) => {
                 bytes[offset..offset + data.len()].copy_from_slice(data);
@@ -433,7 +432,9 @@ impl MemoryDevice {
         len: usize,
         concurrency: usize,
     ) -> Result<SimDuration, DeviceError> {
-        self.inner.lock().write_common(id, offset, len, concurrency)
+        let mut g = self.inner.lock();
+        let (cost, _) = g.write_common(id, offset, len, concurrency)?;
+        Ok(cost)
     }
 
     /// Read `buf.len()` bytes from `offset` into `buf`. Returns the
@@ -580,7 +581,7 @@ impl MemoryDevice {
         let cost = FLUSH_PER_LINE * lines;
         g.stats.flush_ops += 1;
         g.stats.busy += cost;
-        g.trace_charge("flush", len as u64, cost);
+        trace_charge(&g.tracer, g.params.kind, "flush", len as u64, cost);
         Ok(cost)
     }
 
@@ -622,23 +623,24 @@ impl MemoryDevice {
 }
 
 impl Inner {
+    /// Charge a write of `len` bytes at `offset` of region `id` — wear,
+    /// time, statistics, energy — and return the region with the cost,
+    /// for the caller that also has bytes to put there.
     fn write_common(
         &mut self,
         id: RegionId,
         offset: usize,
         len: usize,
         concurrency: usize,
-    ) -> Result<SimDuration, DeviceError> {
+    ) -> Result<(SimDuration, &mut Region), DeviceError> {
         let params = self.params;
-        let model = self.model;
-        let strict = self.strict_endurance;
         let region = self
             .regions
             .get_mut(&id)
             .ok_or(DeviceError::NoSuchRegion(id.0))?;
         region.check_bounds(id, offset, len)?;
         let max_wear = region.record_page_writes(offset, len);
-        if strict && max_wear > params.write_endurance {
+        if self.strict_endurance && max_wear > params.write_endurance {
             return Err(DeviceError::EnduranceExceeded {
                 region: id.0,
                 writes: max_wear,
@@ -647,7 +649,7 @@ impl Inner {
         }
         // The model already encodes this device's peak bandwidth (or a
         // fixed per-core override); floor it to avoid degenerate zero.
-        let stream_bw = model.per_core(concurrency, len).max(1.0);
+        let stream_bw = self.model.per_core(concurrency, len).max(1.0);
         let transfer = SimDuration::for_transfer(len as u64, stream_bw);
         let latency = params.page_write_latency * pages_for(len.max(1)) as u64;
         let cost = transfer + latency;
@@ -657,8 +659,8 @@ impl Inner {
         self.stats
             .energy
             .charge_write(len as u64, params.write_energy_pj_per_bit);
-        self.trace_charge("write", len as u64, cost);
-        Ok(cost)
+        trace_charge(&self.tracer, params.kind, "write", len as u64, cost);
+        Ok((cost, region))
     }
 
     fn charge_read(&mut self, len: usize, concurrency: usize) -> SimDuration {
@@ -672,22 +674,31 @@ impl Inner {
         self.stats.bytes_read += len as u64;
         self.stats.read_ops += 1;
         self.stats.busy += cost;
-        self.trace_charge("read", len as u64, cost);
+        trace_charge(&self.tracer, params.kind, "read", len as u64, cost);
         cost
     }
+}
 
-    fn trace_charge(&self, op: &str, bytes: u64, cost: SimDuration) {
-        if let Some(dt) = &self.tracer {
-            dt.tracer.emit(
-                dt.clock.now().as_nanos(),
-                TraceEventKind::DeviceCharge {
-                    device: self.params.kind.name().to_string(),
-                    op: op.to_string(),
-                    bytes,
-                    cost_ns: cost.as_nanos(),
-                },
-            );
-        }
+/// Emit the charge on the attached tracer, if there is one. Takes the
+/// tracer field alone, so a charge can be traced with a region of the
+/// same device still borrowed.
+fn trace_charge(
+    tracer: &Option<DeviceTracer>,
+    kind: DeviceKind,
+    op: &str,
+    bytes: u64,
+    cost: SimDuration,
+) {
+    if let Some(dt) = tracer {
+        dt.tracer.emit(
+            dt.clock.now().as_nanos(),
+            TraceEventKind::DeviceCharge {
+                device: kind.name().to_string(),
+                op: op.to_string(),
+                bytes,
+                cost_ns: cost.as_nanos(),
+            },
+        );
     }
 }
 

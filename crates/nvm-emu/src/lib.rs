@@ -20,6 +20,8 @@
 //!   virtual time for reads/writes/flushes and accounting wear + energy.
 //! * [`energy`] — write-energy accounting (PCM write energy is ~40x DRAM
 //!   per bit).
+//! * [`idmap`] — [`idmap::IdMap`]: the hash table for keys that are
+//!   already numbers (region ids here, chunk ids in `nvm-paging`).
 //!
 //! Devices are deliberately *passive*: they expose cost functions and
 //! record statistics but never advance a clock themselves. Callers (the
@@ -48,6 +50,7 @@ pub mod bandwidth;
 pub mod device;
 pub mod energy;
 pub mod error;
+pub mod idmap;
 pub mod params;
 pub mod spill;
 pub mod tempdir;

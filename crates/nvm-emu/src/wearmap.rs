@@ -7,8 +7,22 @@
 //! Checkpoint traffic is highly regular, though: the same chunk-aligned
 //! ranges are written over and over, so the per-page counter array is
 //! almost always a handful of flat plateaus. [`WearMap`] stores those
-//! plateaus directly as maximal segments of equal count, making a
-//! full-chunk write O(log segments) instead of O(pages).
+//! plateaus directly as runs of equal count, making a full-chunk write
+//! O(log runs) instead of O(pages).
+//!
+//! A run boundary is placed at each edge of each written range and is
+//! never taken away again, even when the counts on its two sides come
+//! to agree. Traffic repeats its ranges — a page of a hash index, a
+//! whole chunk, a version slot of the container — so every write after
+//! the first lands exactly on one run: one descent and an increment in
+//! place. Re-merging equal neighbours instead kept the map smaller but
+//! made exactly that traffic pay for it: the pages of an index meet
+//! and part from their neighbours' counts at random, and the page
+//! under a log's append head climbs away from the untouched tail it
+//! was just cut from, so each small write spent most of its time
+//! inserting and removing the same few boundaries. The run count is
+//! bounded by the distinct range edges seen plus one, and by the page
+//! count.
 //!
 //! Semantics are identical to the flat array: [`WearMap::increment_range`]
 //! adds one write to every page in the range and returns the hottest
@@ -19,7 +33,7 @@
 
 use std::collections::BTreeMap;
 
-/// One maximal run of pages sharing a write count.
+/// One run of pages sharing a write count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Seg {
     /// Exclusive end page of the run.
@@ -28,11 +42,10 @@ struct Seg {
     count: u64,
 }
 
-/// Per-page write counters compressed as maximal equal-count segments.
+/// Per-page write counters compressed as equal-count segments.
 ///
-/// Invariants: segments are non-overlapping, cover `[0, pages)` exactly,
-/// and adjacent segments never share a count (they would have been
-/// merged).
+/// Invariants: segments are non-overlapping and cover `[0, pages)`
+/// exactly. Adjacent segments may share a count (see the module docs).
 #[derive(Clone, Debug, Default)]
 pub struct WearMap {
     /// First page of each segment -> the segment.
@@ -91,6 +104,14 @@ impl WearMap {
             first <= last && last < self.pages,
             "wear range out of bounds"
         );
+        // A range written before is one whole segment by now.
+        if let Some(seg) = self.segs.get_mut(&first) {
+            if seg.end == last + 1 {
+                seg.count += 1;
+                self.max = self.max.max(seg.count);
+                return seg.count;
+            }
+        }
         self.split_at(first);
         self.split_at(last + 1);
         let mut range_max = 0;
@@ -99,10 +120,6 @@ impl WearMap {
             range_max = range_max.max(seg.count);
         }
         self.max = self.max.max(range_max);
-        // Incrementing preserves inequality between interior neighbours,
-        // so only the two cut points can need re-merging.
-        self.merge_at(first);
-        self.merge_at(last + 1);
         range_max
     }
 
@@ -112,47 +129,18 @@ impl WearMap {
         if p == 0 || p >= self.pages {
             return;
         }
-        let (&start, &seg) = self
+        let (&start, seg) = self
             .segs
-            .range(..=p)
+            .range_mut(..=p)
             .next_back()
             .expect("segments cover [0, pages)");
         if start == p {
             return;
         }
         debug_assert!(p < seg.end);
-        self.segs.insert(
-            start,
-            Seg {
-                end: p,
-                count: seg.count,
-            },
-        );
-        self.segs.insert(p, seg);
-    }
-
-    /// Merge the segments meeting at boundary `p` if their counts are
-    /// now equal.
-    fn merge_at(&mut self, p: u64) {
-        if p == 0 || p >= self.pages {
-            return;
-        }
-        let Some(&right) = self.segs.get(&p) else {
-            return;
-        };
-        let Some((&left_start, &left)) = self.segs.range(..p).next_back() else {
-            return;
-        };
-        if left.end == p && left.count == right.count {
-            self.segs.remove(&p);
-            self.segs.insert(
-                left_start,
-                Seg {
-                    end: right.end,
-                    count: right.count,
-                },
-            );
-        }
+        let right = *seg;
+        seg.end = p;
+        self.segs.insert(p, right);
     }
 
     /// Expand back to a flat per-page counter array (test aid).
@@ -212,16 +200,27 @@ mod tests {
     }
 
     #[test]
-    fn coalesces_when_counts_equalize() {
+    fn runs_are_bounded_by_write_edges_and_pages() {
         let mut m = WearMap::new(8);
         m.increment_range(0, 3);
         m.increment_range(4, 7);
-        assert_eq!(m.segment_count(), 1, "equal halves merge back");
+        assert_eq!(m.segment_count(), 2, "one edge, at page 4: equal halves");
         m.increment_range(0, 1);
-        assert_eq!(m.segment_count(), 2);
         m.increment_range(2, 7);
-        assert_eq!(m.segment_count(), 1, "catch-up write re-merges");
-        assert_eq!(m.max(), 2);
+        assert_eq!(m.segment_count(), 3, "edges at 2 and 4: a catch-up write");
+        assert_eq!(m.to_vec(), vec![2; 8]);
+        for _ in 0..3 {
+            m.increment_range(0, 1);
+            m.increment_range(4, 7);
+        }
+        assert_eq!(m.segment_count(), 3, "repeated ranges add no edge");
+        for _ in 0..3 {
+            for p in 0..8 {
+                m.increment_range(p, p);
+            }
+        }
+        assert_eq!(m.segment_count(), 8, "never more runs than pages");
+        assert_eq!(m.max(), 8);
     }
 
     #[test]

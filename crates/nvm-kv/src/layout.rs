@@ -79,10 +79,25 @@ impl RecordHeader {
 /// Encode a full record (header + key + value + zero padding).
 /// `value: None` encodes a tombstone.
 pub fn encode_record(session: u16, serial: u64, key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_record_into(&mut buf, session, serial, key, value);
+    buf
+}
+
+/// [`encode_record`] into `buf`, which is left holding exactly the
+/// record and keeps its capacity from one record to the next.
+pub fn encode_record_into(
+    buf: &mut Vec<u8>,
+    session: u16,
+    serial: u64,
+    key: &[u8],
+    value: Option<&[u8]>,
+) {
     debug_assert!(!key.is_empty() && key.len() <= u8::MAX as usize);
     let val = value.unwrap_or(&[]);
     let len_total = record_len(key.len(), val.len());
-    let mut buf = vec![0u8; len_total];
+    buf.clear();
+    buf.resize(len_total, 0);
     buf[0..4].copy_from_slice(&(len_total as u32).to_le_bytes());
     buf[4..8].copy_from_slice(&(val.len() as u32).to_le_bytes());
     buf[8..16].copy_from_slice(&serial.to_le_bytes());
@@ -93,7 +108,6 @@ pub fn encode_record(session: u16, serial: u64, key: &[u8], value: Option<&[u8]>
     buf[RECORD_HEADER_BYTES..RECORD_HEADER_BYTES + key.len()].copy_from_slice(key);
     buf[RECORD_HEADER_BYTES + key.len()..RECORD_HEADER_BYTES + key.len() + val.len()]
         .copy_from_slice(val);
-    buf
 }
 
 /// Decode and sanity-check a record header. Returns `None` for

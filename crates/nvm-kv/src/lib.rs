@@ -278,6 +278,58 @@ mod tests {
     }
 
     #[test]
+    fn a_mutation_that_cannot_get_a_segment_changes_nothing() {
+        // An index large enough never to grow here, so the only
+        // allocation a mutation can ask for is the next log segment.
+        let cfg = KvConfig {
+            initial_index_slots: 1024,
+            ..small_cfg()
+        };
+        // What meta, index and the first segment take of a container;
+        // the engine under test gets a container of exactly that.
+        let (mut sizing, _d, _n, _c) = mk_engine();
+        KvStore::create(&mut sizing, cfg.clone()).unwrap();
+        let container = sizing.heap().arena_stats().allocated;
+        let (dram, nvm) = (MemoryDevice::dram(16 * MB), MemoryDevice::pcm(16 * MB));
+        let config = EngineConfig::default();
+        let mut e =
+            CheckpointEngine::new(0, &dram, &nvm, container, VirtualClock::new(), config).unwrap();
+        let mut kv = KvStore::create(&mut e, cfg).unwrap();
+        let s = kv.new_session().unwrap();
+
+        let value = |i: usize| vec![i as u8; 40];
+        let mut keys = Vec::new();
+        let full = loop {
+            let key = format!("key-{:04}", keys.len());
+            match kv.upsert(&mut e, s, key.as_bytes(), &value(keys.len())) {
+                Ok(()) => keys.push(key),
+                Err(err) => break err,
+            }
+        };
+        assert!(matches!(full, KvError::Engine(_)), "{full:?}");
+        assert!(keys.len() > 16, "the segment held {} records", keys.len());
+
+        let unchanged = |kv: &KvStore| {
+            assert_eq!(kv.session_serial(s).unwrap(), keys.len() as u64);
+            assert_eq!(kv.stats().occupied_slots, keys.len() as u64);
+            assert_eq!(kv.stats().segments, 1);
+        };
+        unchanged(&kv);
+        // A new key through rmw, and a tombstone for an old one.
+        let rmw = kv.rmw(&mut e, s, b"another", |_| vec![1]);
+        assert!(matches!(rmw, Err(KvError::Engine(_))), "{rmw:?}");
+        unchanged(&kv);
+        let delete = kv.delete(&mut e, s, keys[3].as_bytes());
+        assert!(matches!(delete, Err(KvError::Engine(_))), "{delete:?}");
+        unchanged(&kv);
+        for (i, key) in keys.iter().enumerate() {
+            let got = kv.read(&mut e, s, key.as_bytes()).unwrap();
+            assert_eq!(got, Some(value(i)), "{key}");
+        }
+        assert!(kv.read(&mut e, s, b"another").unwrap().is_none());
+    }
+
+    #[test]
     fn serving_state_survives_engine_commits_bit_for_bit() {
         // The kv chunks ride the engine's shadow/version-flip commit:
         // committed bytes must equal the working copy after each

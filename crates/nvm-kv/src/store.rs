@@ -30,7 +30,7 @@ use nvm_trace::TraceEventKind;
 
 use crate::layout::{
     decode_index_entry, decode_meta, decode_record_header, encode_index_entry, encode_meta,
-    encode_record, hash64, meta_bytes, KvMeta, RecordHeader, INDEX_ENTRY_BYTES,
+    encode_record_into, hash64, meta_bytes, KvMeta, RecordHeader, INDEX_ENTRY_BYTES,
     RECORD_HEADER_BYTES, SEGMENT_END_MARKER,
 };
 
@@ -233,6 +233,9 @@ pub struct KvStore {
     token: u64,
     /// Per-session serial counters; index = `SessionId::index()`.
     serials: Vec<u64>,
+    /// The record last appended, kept for its capacity: in steady
+    /// state a mutation encodes its record without allocating.
+    record: Vec<u8>,
     metrics: KvMetricHandles,
 }
 
@@ -259,6 +262,7 @@ impl KvStore {
             head: 0,
             token: 0,
             serials: Vec::new(),
+            record: Vec::new(),
             metrics: KvMetricHandles::default(),
         })
     }
@@ -323,20 +327,11 @@ impl KvStore {
         self.maybe_grow(engine)?;
         let hash = hash64(key);
         let probe = self.probe(engine, hash, key)?;
-        let serial = self.bump_serial(session);
-        let record = encode_record(session.0, serial, key, Some(value));
-        let offset = self.append(engine, &record)?;
-        let slot = match probe {
-            Probe::Found { slot, .. } => slot,
-            Probe::Free { slot } => {
-                self.occupied += 1;
-                slot
-            }
-        };
+        let (offset, serial) = self.append(engine, session, key, Some(value))?;
+        let slot = self.claim(probe);
         self.write_entry(engine, slot, hash, offset)?;
 
         self.metrics.upserts.add(1);
-        self.metrics.log_bytes.add(record.len() as u64);
         let t1 = engine.clock().now().as_nanos();
         self.metrics.op_ns.observe(t1 - t0);
         self.trace_op(engine, "upsert", session, serial, true);
@@ -392,32 +387,23 @@ impl KvStore {
         self.maybe_grow(engine)?;
         let hash = hash64(key);
         let probe = self.probe(engine, hash, key)?;
-        let (slot, old, existed) = match probe {
-            Probe::Found {
-                slot,
-                offset,
-                header,
-            } if !header.is_tombstone() => {
-                (slot, Some(self.read_value(engine, offset, &header)?), true)
+        let old = match probe {
+            Probe::Found { offset, header, .. } if !header.is_tombstone() => {
+                Some(self.read_value(engine, offset, &header)?)
             }
-            Probe::Found { slot, .. } => (slot, None, false),
-            Probe::Free { slot } => {
-                self.occupied += 1;
-                (slot, None, false)
-            }
+            _ => None,
         };
+        let existed = old.is_some();
         let value = f(old.as_deref());
         let need = crate::layout::record_len(key.len(), value.len());
         if need as u64 > self.cfg.segment_bytes {
             return Err(KvError::RecordTooLarge(need));
         }
-        let serial = self.bump_serial(session);
-        let record = encode_record(session.0, serial, key, Some(&value));
-        let offset = self.append(engine, &record)?;
+        let (offset, serial) = self.append(engine, session, key, Some(&value))?;
+        let slot = self.claim(probe);
         self.write_entry(engine, slot, hash, offset)?;
 
         self.metrics.rmws.add(1);
-        self.metrics.log_bytes.add(record.len() as u64);
         let t1 = engine.clock().now().as_nanos();
         self.metrics.op_ns.observe(t1 - t0);
         self.trace_op(engine, "rmw", session, serial, existed);
@@ -440,11 +426,8 @@ impl KvStore {
         let hash = hash64(key);
         let existed = match self.probe(engine, hash, key)? {
             Probe::Found { slot, header, .. } if !header.is_tombstone() => {
-                let serial = self.bump_serial(session);
-                let record = encode_record(session.0, serial, key, None);
-                let offset = self.append(engine, &record)?;
+                let (offset, _) = self.append(engine, session, key, None)?;
                 self.write_entry(engine, slot, hash, offset)?;
-                self.metrics.log_bytes.add(record.len() as u64);
                 true
             }
             _ => false,
@@ -462,6 +445,14 @@ impl KvStore {
     /// every session's serial watermark into the meta chunk, without
     /// stopping any session. Durability of the token rides the
     /// engine's next coordinated commit (`nvchkptall`).
+    ///
+    /// Publishing again before that commit is allowed, and the newest
+    /// token wins: the meta block is one place in the chunk's working
+    /// copy, the second snapshot overwrites the first there, and the
+    /// commit makes durable the token it finds — the later one, with
+    /// the later one's log prefix and watermarks. The earlier token is
+    /// never recoverable on its own; everything it covered is covered
+    /// by its successor.
     pub fn checkpoint(
         &mut self,
         engine: &mut CheckpointEngine,
@@ -714,6 +705,7 @@ impl KvStore {
             head: meta.log_len,
             token: meta.token,
             serials: meta.serials,
+            record: Vec::new(),
             metrics: KvMetricHandles::default(),
         };
         store.metrics.ensure(engine.metrics());
@@ -756,7 +748,8 @@ impl KvStore {
             if header.is_tombstone() {
                 continue;
             }
-            let key = self.read_key(engine, offset, &header)?;
+            let mut key = vec![0u8; header.key_len as usize];
+            self.read_key(engine, offset, &mut key)?;
             let value = self.read_value(engine, offset, &header)?;
             map.insert(key, value);
         }
@@ -780,10 +773,17 @@ impl KvStore {
         }
     }
 
-    fn bump_serial(&mut self, session: SessionId) -> u64 {
-        let s = &mut self.serials[session.0 as usize];
-        *s += 1;
-        *s
+    /// The index slot the probed key's entry goes in, counted as
+    /// occupied if it was free. Called once the key's record is in the
+    /// log, so that a failed append claims nothing.
+    fn claim(&mut self, probe: Probe) -> u64 {
+        match probe {
+            Probe::Found { slot, .. } => slot,
+            Probe::Free { slot } => {
+                self.occupied += 1;
+                slot
+            }
+        }
     }
 
     fn trace_op(
@@ -845,16 +845,16 @@ impl KvStore {
         decode_record_header(&buf).ok_or(KvError::Corrupt("index points at a non-record"))
     }
 
+    /// Read the first `key.len()` key bytes of the record at `offset`.
     fn read_key(
         &self,
         engine: &mut CheckpointEngine,
         offset: u64,
-        header: &RecordHeader,
-    ) -> Result<Vec<u8>, KvError> {
+        key: &mut [u8],
+    ) -> Result<(), KvError> {
         let (seg, off) = self.seg_of(offset);
-        let mut key = vec![0u8; header.key_len as usize];
-        engine.read(self.segments[seg], off + RECORD_HEADER_BYTES, &mut key)?;
-        Ok(key)
+        engine.read(self.segments[seg], off + RECORD_HEADER_BYTES, key)?;
+        Ok(())
     }
 
     fn read_value(
@@ -883,6 +883,9 @@ impl KvStore {
     ) -> Result<Probe, KvError> {
         let mask = self.index_slots - 1;
         let mut slot = hash & mask;
+        // A key is at most `u8::MAX` bytes (`check_key`).
+        let mut stored = [0u8; u8::MAX as usize];
+        let stored = &mut stored[..key.len()];
         for _ in 0..self.index_slots {
             let (entry_hash, tag) = self.read_entry(engine, slot)?;
             if tag == 0 {
@@ -891,14 +894,15 @@ impl KvStore {
             if entry_hash == hash {
                 let offset = tag - 1;
                 let header = self.read_header(engine, offset)?;
-                if header.key_len as usize == key.len()
-                    && self.read_key(engine, offset, &header)? == key
-                {
-                    return Ok(Probe::Found {
-                        slot,
-                        offset,
-                        header,
-                    });
+                if header.key_len as usize == key.len() {
+                    self.read_key(engine, offset, stored)?;
+                    if stored == key {
+                        return Ok(Probe::Found {
+                            slot,
+                            offset,
+                            header,
+                        });
+                    }
                 }
             }
             slot = (slot + 1) & mask;
@@ -906,10 +910,23 @@ impl KvStore {
         Err(KvError::Corrupt("hash index has no free slot"))
     }
 
-    /// Append an encoded record, allocating log segments on demand.
-    /// Records never span segments; a short tail is closed with a
-    /// [`SEGMENT_END_MARKER`].
-    fn append(&mut self, engine: &mut CheckpointEngine, record: &[u8]) -> Result<u64, KvError> {
+    /// Append the record of `session`'s next mutation of `key`
+    /// (`value: None` is a tombstone), allocating log segments on
+    /// demand, and return its log offset and serial. Records never
+    /// span segments; a short tail is closed with a
+    /// [`SEGMENT_END_MARKER`]. The session's serial advances, and the
+    /// record's bytes are counted, only once the record is in the log:
+    /// a failed append consumes no serial.
+    fn append(
+        &mut self,
+        engine: &mut CheckpointEngine,
+        session: SessionId,
+        key: &[u8],
+        value: Option<&[u8]>,
+    ) -> Result<(u64, u64), KvError> {
+        let serial = self.serials[session.0 as usize] + 1;
+        encode_record_into(&mut self.record, session.0, serial, key, value);
+        let record = &self.record;
         let seg_len = self.cfg.segment_bytes;
         loop {
             let seg = (self.head / seg_len) as usize;
@@ -923,7 +940,9 @@ impl KvStore {
                 engine.write(self.segments[seg], off, record)?;
                 let offset = self.head;
                 self.head += record.len() as u64;
-                return Ok(offset);
+                self.serials[session.0 as usize] = serial;
+                self.metrics.log_bytes.add(record.len() as u64);
+                return Ok((offset, serial));
             }
             if seg_len as usize - off >= 4 {
                 engine.write(self.segments[seg], off, &SEGMENT_END_MARKER.to_le_bytes())?;

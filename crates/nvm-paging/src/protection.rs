@@ -13,9 +13,9 @@
 
 use crate::page::PageMap;
 use crate::ChunkId;
+use nvm_emu::idmap::IdMap;
 use nvm_emu::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Protection/dirty-tracking granularity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,7 +90,7 @@ pub struct WriteOutcome {
 pub struct Mmu {
     granularity: Granularity,
     fault_cost: FaultCostModel,
-    chunks: HashMap<ChunkId, PageMap>,
+    chunks: IdMap<ChunkId, PageMap>,
     stats: ProtectionStats,
 }
 
@@ -106,7 +106,7 @@ impl Mmu {
         Mmu {
             granularity,
             fault_cost: FaultCostModel::default(),
-            chunks: HashMap::new(),
+            chunks: IdMap::default(),
             stats: ProtectionStats::default(),
         }
     }

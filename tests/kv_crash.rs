@@ -306,6 +306,49 @@ fn kv_sweep_over_every_operation_boundary() {
     }
 }
 
+/// `KvStore::checkpoint` twice before one `nvchkptall` is "newest
+/// wins": the second meta block overwrites the first in the working
+/// copy, so the commit makes token 2 durable with token 2's prefix —
+/// what was served between the two tokens is in, what came after the
+/// second is out, and token 1 is never a recovery outcome of its own.
+#[test]
+fn two_tokens_before_one_commit_recover_to_the_newer() {
+    let mut d = Driver::new();
+    d.upsert(b"a", b"a-1");
+    d.upsert(b"gone", b"soon");
+    d.token();
+    d.upsert(b"a", b"a-2");
+    d.upsert(b"b", b"b-1");
+    d.delete(b"gone");
+    d.token();
+    d.upsert(b"c", b"after-token-2");
+    d.commit();
+    let run = d.finish();
+
+    let [mark] = &run.marks[..] else {
+        panic!("one commit, one mark: {:?}", run.marks);
+    };
+    assert_eq!(mark.token, 2);
+    let at_token_2: BTreeMap<Vec<u8>, Vec<u8>> = [
+        (b"a".to_vec(), b"a-2".to_vec()),
+        (b"b".to_vec(), b"b-1".to_vec()),
+    ]
+    .into();
+    assert_eq!(mark.expected, at_token_2);
+    // A crash after the drain lands on token 2...
+    let after_drain = CrashPoint {
+        at_op: run.ops.len(),
+        mode: CrashMode::Drop,
+    };
+    assert_eq!(expected_kv_mark(&run.marks, &after_drain).unwrap().token, 2);
+    check_kv_crash_point(&run, &after_drain);
+    // ...and one anywhere before the commit record's fsync on the
+    // virgin store.
+    for point in nvm_store::enumerate_points(&run.ops) {
+        check_kv_crash_point(&run, &point);
+    }
+}
+
 /// One random op against the driver.
 #[derive(Clone, Debug)]
 enum ScriptOp {

@@ -2,16 +2,20 @@
 //! state a write asks the allocator for nothing, whatever the size of
 //! the chunk it lands in — the page map answers from its uniform state
 //! and cached counts and never builds a per-page vector for a write
-//! that leaves every page as it was — and a metadata save of a table
-//! no larger than the last one encodes into the buffer the region
-//! keeps.
+//! that leaves every page as it was, and the device's wear map
+//! increments the run a page got at its first write — a metadata save
+//! of a table no larger than the last one encodes into the buffer the
+//! region keeps, and a kv `upsert` compares keys on the stack and
+//! encodes its record into the buffer the store keeps, so that a
+//! `read` hit allocates the value it returns and nothing else.
 //!
 //! The global allocator is wrapped to count every request. Everything
 //! runs inside ONE `#[test]` so no concurrent test can pollute the
 //! process-wide counter between two samples.
 
 use nvm_chkpt::{CheckpointEngine, EngineConfig, Materialization, PrecopyPolicy};
-use nvm_emu::{MemoryDevice, SimDuration, VirtualClock};
+use nvm_emu::{MemoryDevice, SimDuration, VirtualClock, PAGE_SIZE};
+use nvm_kv::{KvConfig, KvStore};
 use nvm_paging::{ChunkId, ChunkRecord, MetadataRegion, ProcessMetadata};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -81,21 +85,25 @@ fn steady_state_writes_and_saves_do_not_allocate() {
     assert_eq!(whole, 0, "whole-chunk writes of a 200 MiB synthetic chunk");
 
     // --- The kv workloads' write: a few bytes into a byte-backed
-    // 4 MiB chunk (1,024 pages) that is already dirty... ---
+    // 4 MiB chunk (1,024 pages) that is already dirty and whose pages
+    // have all been written before (a page's first write gives it a
+    // wear run of its own)... ---
     const SMALL: usize = 4 * MB;
     let mut e = engine(
         SMALL,
         EngineConfig::default().with_precopy(PrecopyPolicy::Cpc),
     );
     let id = e.nvmalloc("log", SMALL, true).unwrap();
-    e.write(id, 0, &[1; 16]).unwrap(); // warm-up
+    for page in 0..SMALL / PAGE_SIZE {
+        e.write(id, page * PAGE_SIZE, &[1; 16]).unwrap(); // warm-up
+    }
     let small = requests_during(|| {
         for i in 0..1000 {
             e.write(id, (i * 4099) % (SMALL - 16), &[i as u8; 16])
                 .unwrap();
         }
     });
-    assert_eq!(small, 0, "16-byte writes into an already-dirty chunk");
+    assert_eq!(small, 0, "16-byte writes over already-written pages");
 
     // --- ...and the first one after a commit left the chunk clean and
     // write-protected: the fault re-opens the whole chunk. ---
@@ -109,6 +117,56 @@ fn steady_state_writes_and_saves_do_not_allocate() {
         "that write took the fault path"
     );
     assert_eq!(fault, 0, "the first write after a commit");
+
+    // --- The kv path: mutations of existing keys that neither roll a
+    // segment nor grow the index, then read hits. ---
+    const KEYS: usize = 200;
+    const SEGMENT: usize = MB;
+    let mut e = engine(4 * MB, EngineConfig::default());
+    let cfg = KvConfig {
+        initial_index_slots: 1024,
+        segment_bytes: SEGMENT as u64,
+        ..KvConfig::default()
+    };
+    let mut kv = KvStore::create(&mut e, cfg).unwrap();
+    let session = kv.new_session().unwrap();
+    let keys: Vec<String> = (0..KEYS).map(|k| format!("user{k:08}")).collect();
+    // Warm-up: every key twice (the second pass overwrites, as the
+    // measured ones will), and every page of the log rewritten with
+    // what it holds — the append head otherwise reaches pages never
+    // written before, whose first write adds a wear run.
+    for pass in 0..2u8 {
+        for key in &keys {
+            kv.upsert(&mut e, session, key.as_bytes(), &[pass; 32])
+                .unwrap();
+        }
+    }
+    let log = e.heap().chunks().find(|c| c.name == "kv_seg_0").unwrap().id;
+    for at in (0..SEGMENT).step_by(PAGE_SIZE) {
+        let mut held = [0u8; 8];
+        e.read(log, at, &mut held).unwrap();
+        e.write(log, at, &held).unwrap();
+    }
+    let before = kv.stats();
+    let upserts = requests_during(|| {
+        for i in 0..1000 {
+            let key = keys[(i * 7) % KEYS].as_bytes();
+            kv.upsert(&mut e, session, key, &[i as u8; 32]).unwrap();
+        }
+    });
+    assert_eq!(
+        (kv.stats().segments, kv.stats().index_slots),
+        (before.segments, before.index_slots),
+        "no segment rolled, the index did not grow"
+    );
+    assert_eq!(upserts, 0, "upserts of existing keys");
+    let reads = requests_during(|| {
+        for i in 0..1000 {
+            let key = keys[(i * 13) % KEYS].as_bytes();
+            assert!(kv.read(&mut e, session, key).unwrap().is_some());
+        }
+    });
+    assert_eq!(reads, 1000, "read hits: the returned value, nothing else");
 
     // --- A metadata save whose table is no larger than the last. ---
     let nvm = MemoryDevice::pcm(4 * MB);
