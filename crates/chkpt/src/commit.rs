@@ -30,6 +30,7 @@ use nvm_emu::{
 };
 use nvm_heap::{HeapError, Materialization, NvmHeap};
 use nvm_metrics::{names, Metrics};
+use nvm_paging::metadata::MetadataError;
 use nvm_paging::{ChunkId, MetadataRegion, Mmu};
 use nvm_trace::{TraceEventKind, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
@@ -123,6 +124,11 @@ impl CommitCore {
         let metadata = MetadataRegion::open(nvm, metadata_region)?;
         let (meta, load_cost) = metadata.load()?;
         clock.advance(load_cost);
+        // Every save names the container: a table without one was
+        // never saved (the process died before its first `nvmalloc`).
+        if meta.container_region.is_none() {
+            return Err(MetadataError::NeverSaved(metadata_region).into());
+        }
         let heap = NvmHeap::reopen(dram, nvm, &meta, config.materialization, config.versioning)?;
         config.validate()?;
         let chunks = (heap.chunks())
@@ -210,9 +216,10 @@ impl CommitCore {
         self.save_metadata()
     }
 
-    /// Persist the chunk table — for a checkpoint, the commit point.
+    /// Persist the chunk table — for a checkpoint, the commit point —
+    /// encoded straight from the heap's.
     fn save_metadata(&mut self) -> Result<(), EngineError> {
-        let cost = self.metadata.save(&self.heap.export_metadata())?;
+        let cost = self.metadata.save(&self.heap)?;
         self.clock.advance(cost);
         Ok(())
     }

@@ -14,6 +14,19 @@
 //!   410 MB) where only the *cost* of data movement matters; copying
 //!   charges identical virtual time without allocating gigabytes.
 //!
+//! **Never-written bytes read as zero**, whichever backing holds a
+//! materialized region. A spilled region's slot answers unwritten
+//! extents with zeros ([`crate::spill`]). A RAM-backed region holds
+//! nothing when it is allocated; the first `write`, `view` or
+//! `view_mut` that touches it gives it its first page
+//! (`min(PAGE_SIZE, len)` bytes), and the first that reaches past that
+//! page gives it all `len` bytes, zero-filled once, with the page it
+//! held copied in. A `read` never grows what a region holds: bytes past
+//! it are zeros. Capacity (`used`), charges, wear and statistics are
+//! all by region length, so only [`MemoryDevice::resident_bytes`] sees
+//! the difference — a metadata region that a save writes 2 KiB of costs
+//! one page of RAM, not its megabyte.
+//!
 //! The device is passive with respect to time: operations return the
 //! [`SimDuration`] they would take, and the caller advances its clock.
 //! Concurrency (how many cores copy simultaneously) is an argument to
@@ -101,6 +114,8 @@ impl DeviceStats {
 
 /// Backing storage of a region.
 enum Backing {
+    /// In process RAM: the region's first bytes — none, its first page,
+    /// or all of it (`reach` grows it); the rest read as zero.
     Bytes(Vec<u8>),
     /// Materialized, but the bytes live in the attached [`SpillStore`]
     /// instead of process RAM. Behaves exactly like `Bytes` through the
@@ -312,8 +327,11 @@ impl MemoryDevice {
             .map_or(0, |s| s.peak_bytes())
     }
 
-    /// Bytes of materialized region content resident in process RAM
-    /// (spilled and synthetic regions contribute nothing).
+    /// Bytes of materialized region content held in process RAM: per
+    /// RAM-backed region nothing until an access first touches it,
+    /// then its first page, then all of it once an access reaches past
+    /// that page (module docs). Spilled and synthetic regions
+    /// contribute nothing.
     pub fn resident_bytes(&self) -> u64 {
         let g = self.inner.lock();
         g.regions
@@ -325,7 +343,9 @@ impl MemoryDevice {
             .sum()
     }
 
-    /// Allocate a materialized (zero-filled) region of `len` bytes.
+    /// Allocate a materialized region of `len` bytes that reads as
+    /// zeros. A RAM-backed one holds no bytes until an access reaches
+    /// them (module docs).
     pub fn alloc(&self, len: usize) -> Result<RegionId, DeviceError> {
         self.alloc_inner(len, true)
     }
@@ -352,7 +372,7 @@ impl MemoryDevice {
                         .map_err(|e| DeviceError::Spill(e.to_string()))?;
                     Backing::Spilled { slot }
                 }
-                None => Backing::Bytes(vec![0u8; len]),
+                None => Backing::Bytes(Vec::new()),
             }
         } else {
             Backing::Synthetic
@@ -407,8 +427,8 @@ impl MemoryDevice {
         let g = &mut *g;
         let (cost, region) = g.write_common(id, offset, data.len(), concurrency)?;
         match &mut region.backing {
-            Backing::Bytes(bytes) => {
-                bytes[offset..offset + data.len()].copy_from_slice(data);
+            Backing::Bytes(held) => {
+                reach(held, region.len, offset, data.len()).copy_from_slice(data);
             }
             Backing::Spilled { slot } => {
                 let slot = *slot;
@@ -452,9 +472,16 @@ impl MemoryDevice {
         region.check_bounds(id, offset, buf.len())?;
         match &region.backing {
             Backing::Synthetic => return Err(DeviceError::SyntheticAccess(id.0)),
-            Backing::Bytes(bytes) => {
-                buf.copy_from_slice(&bytes[offset..offset + buf.len()]);
-            }
+            Backing::Bytes(held) => match held.get(offset..offset + buf.len()) {
+                Some(bytes) => buf.copy_from_slice(bytes),
+                None => {
+                    // Past what the region holds nothing was ever
+                    // written.
+                    let held = held.get(offset..).unwrap_or_default();
+                    buf[..held.len()].copy_from_slice(held);
+                    buf[held.len()..].fill(0);
+                }
+            },
             Backing::Spilled { slot } => {
                 let slot = *slot;
                 spill_of!(g)
@@ -483,8 +510,9 @@ impl MemoryDevice {
     /// without copying them out and without charging time, statistics
     /// or wear — a modeled read is charged separately
     /// ([`MemoryDevice::read_synthetic`]). RAM-backed bytes are lent in
-    /// place, under the device lock; a spilled range is read into a
-    /// private buffer under the lock and lent with the lock released.
+    /// place, under the device lock, the region first grown to hold
+    /// the range (module docs); a spilled range is read into a private
+    /// buffer under the lock and lent with the lock released.
     /// See the module docs for what `f` may call.
     pub fn view<R>(
         &self,
@@ -496,13 +524,16 @@ impl MemoryDevice {
         let buf = {
             let mut g = self.inner.lock();
             let g = &mut *g;
-            let region = g.regions.get(&id).ok_or(DeviceError::NoSuchRegion(id.0))?;
+            let region = g
+                .regions
+                .get_mut(&id)
+                .ok_or(DeviceError::NoSuchRegion(id.0))?;
             region.check_bounds(id, offset, len)?;
-            match &region.backing {
-                Backing::Bytes(bytes) => return Ok(f(&bytes[offset..offset + len])),
+            match &mut region.backing {
+                Backing::Bytes(held) => return Ok(f(reach(held, region.len, offset, len))),
                 Backing::Spilled { slot } => {
                     let slot = *slot;
-                    let mut buf = vec![0u8; len];
+                    let mut buf = materialize(&[], len);
                     spill_of!(g)
                         .read(slot, offset, &mut buf)
                         .map_err(|e| DeviceError::Spill(e.to_string()))?;
@@ -544,12 +575,12 @@ impl MemoryDevice {
                 .ok_or(DeviceError::NoSuchRegion(id.0))?;
             region.check_bounds(id, offset, len)?;
             match &mut region.backing {
-                Backing::Bytes(bytes) => return Ok(f(&mut bytes[offset..offset + len])),
+                Backing::Bytes(held) => return Ok(f(reach(held, region.len, offset, len))),
                 Backing::Spilled { .. } => {}
                 Backing::Synthetic => return Err(DeviceError::SyntheticAccess(id.0)),
             }
         }
-        let mut buf = vec![0u8; len];
+        let mut buf = materialize(&[], len);
         let out = f(&mut buf);
         let mut g = self.inner.lock();
         let g = &mut *g;
@@ -700,6 +731,36 @@ fn trace_charge(
             },
         );
     }
+}
+
+/// Bytes `offset..offset + len` of a RAM-backed region of `region_len`
+/// bytes that holds `held`, after growing `held` to what the range
+/// reaches: the first page, or the whole region. A range of no bytes
+/// touches nothing. The caller has checked the bounds.
+fn reach(held: &mut Vec<u8>, region_len: usize, offset: usize, len: usize) -> &mut [u8] {
+    if len == 0 {
+        return &mut [];
+    }
+    let end = offset + len;
+    if end > held.len() {
+        let grown = if end <= PAGE_SIZE {
+            region_len.min(PAGE_SIZE)
+        } else {
+            region_len
+        };
+        *held = materialize(held, grown);
+    }
+    &mut held[offset..end]
+}
+
+/// `len` bytes that begin with `held` and are zeros after it — a
+/// RAM-backed region grown by [`reach`], or a spilled range's private
+/// buffer. The one zero-fill in this file (CI checks it), so that no
+/// allocation fills a region nothing has reached yet.
+fn materialize(held: &[u8], len: usize) -> Vec<u8> {
+    let mut bytes = vec![0u8; len];
+    bytes[..held.len()].copy_from_slice(held);
+    bytes
 }
 
 #[cfg(test)]

@@ -14,6 +14,14 @@
 //! computed by the same code path as before, so simulation results
 //! stay bit-identical with and without a spill store.
 //!
+//! Both backings follow one rule: **bytes never written read as
+//! zero**. A RAM-backed region holds only what an access has reached
+//! and answers the rest with zeros (`crate::device` module docs); a
+//! slot answers the extents never written to it with zeros —
+//! `nvm_store::FileSpill` through a short read past the end of its
+//! file (and by re-zeroing an extent it recycles), [`MemSpill`] by
+//! zero-filling the slot up front.
+//!
 //! The production implementation (`nvm_store::FileSpill`) keeps slots
 //! in an extent-allocated file through the nvm-store media layer; the
 //! [`MemSpill`] here is the in-RAM reference used by unit tests.

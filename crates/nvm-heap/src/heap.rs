@@ -14,7 +14,7 @@
 use crate::arena::{Arena, ArenaStats, Extent};
 use crate::chunk::{Chunk, Versioning};
 use nvm_emu::{DeviceError, MemoryDevice, RegionId, SimDuration};
-use nvm_paging::{genid, ChunkId, ChunkRecord, ProcessMetadata};
+use nvm_paging::{genid, ChunkId, ChunkTable, ProcessMetadata, RecordRef};
 use std::collections::BTreeMap;
 
 /// Errors from the heap layer.
@@ -485,29 +485,16 @@ impl NvmHeap {
     }
 
     /// Export the persistent state as metadata records (what the
-    /// kernel manager keeps in the metadata region).
+    /// kernel manager keeps in the metadata region): an owned copy of
+    /// the table a [`nvm_paging::MetadataRegion`] saves from the heap
+    /// itself ([`ChunkTable`]).
     pub fn export_metadata(&self) -> ProcessMetadata {
-        let mut meta = ProcessMetadata::new(self.process_id);
-        meta.container_region = Some(self.container.0);
-        meta.container_capacity = self.arena.capacity();
-        // `chunks` is keyed by id: already unique and in order.
-        meta.records.reserve(self.chunks.len());
-        for c in self.chunks.values().filter(|c| c.persistent) {
-            meta.records.push(ChunkRecord {
-                id: c.id,
-                name: c.name.clone(),
-                len: c.len,
-                persistent: c.persistent,
-                versions: [
-                    c.versions[0].map(|e| (e.offset as u64, e.len as u64)),
-                    c.versions[1].map(|e| (e.offset as u64, e.len as u64)),
-                ],
-                committed_slot: c.committed_slot,
-                checksum: c.checksum,
-                committed_epoch: c.committed_epoch,
-            });
+        ProcessMetadata {
+            process_id: self.process_id(),
+            container_region: self.container_region(),
+            container_capacity: self.container_capacity(),
+            records: self.records().map(RecordRef::to_record).collect(),
         }
-        meta
     }
 
     /// Rebuild a heap from persisted metadata after a process restart.
@@ -581,9 +568,41 @@ impl NvmHeap {
     }
 }
 
+/// The heap's persistent chunks, lent to a metadata save as they are:
+/// a save builds no record and copies no name.
+impl ChunkTable for NvmHeap {
+    fn process_id(&self) -> u64 {
+        self.process_id
+    }
+
+    fn container_region(&self) -> Option<u64> {
+        Some(self.container.0)
+    }
+
+    fn container_capacity(&self) -> usize {
+        self.arena.capacity()
+    }
+
+    fn records(&self) -> impl Iterator<Item = RecordRef<'_>> {
+        // `chunks` is keyed by id: already unique and in order.
+        let extent = |e: Option<Extent>| e.map(|e| (e.offset as u64, e.len as u64));
+        (self.chunks.values().filter(|c| c.persistent)).map(move |c| RecordRef {
+            id: c.id,
+            name: &c.name,
+            len: c.len,
+            persistent: c.persistent,
+            versions: [extent(c.versions[0]), extent(c.versions[1])],
+            committed_slot: c.committed_slot,
+            checksum: c.checksum,
+            committed_epoch: c.committed_epoch,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvm_paging::MetadataRegion;
 
     const MB: usize = 1 << 20;
 
@@ -838,6 +857,25 @@ mod tests {
         let data = h2.view_version(a, 0, <[u8]>::to_vec).unwrap();
         assert_eq!(data, vec![1u8; 4096], "committed bytes survive restart");
         assert_eq!(h2.chunk(b).unwrap().committed_slot, None);
+    }
+
+    #[test]
+    fn the_live_table_saves_the_bytes_of_its_export() {
+        let mut h = heap(Versioning::Double);
+        let a = h.nvmalloc("alpha \"quoted\"", 4096, true).unwrap();
+        h.nvmalloc("tmp", 4096, false).unwrap();
+        h.nvmalloc("beta", 8192, true).unwrap();
+        let chunk = h.chunk_mut(a).unwrap();
+        (chunk.committed_slot, chunk.checksum, chunk.committed_epoch) = (Some(1), Some(7), 3);
+        // Header and payload, and what the save cost.
+        let saved = |save: &dyn Fn(&mut MetadataRegion) -> SimDuration| {
+            let mut region = MetadataRegion::create(h.nvm()).unwrap();
+            let cost = save(&mut region);
+            let bytes = h.nvm().view(region.region(), 0, 4096, <[u8]>::to_vec);
+            (cost, bytes.unwrap())
+        };
+        let live = saved(&|r| r.save(&h).unwrap());
+        assert_eq!(live, saved(&|r| r.save(&h.export_metadata()).unwrap()));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod metadata;
 pub mod page;
 pub mod protection;
 
-pub use metadata::{ChunkRecord, MetadataRegion, ProcessMetadata};
+pub use metadata::{ChunkRecord, ChunkTable, MetadataRegion, ProcessMetadata, RecordRef};
 pub use page::{PageFlags, PageMap};
 pub use protection::{FaultCostModel, Granularity, Mmu, ProtectionStats, WriteOutcome};
 

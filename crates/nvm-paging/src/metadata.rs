@@ -7,11 +7,12 @@
 //! remote-checkpoint helper maps (via the shared-NVM interface) to
 //! discover which chunks exist and where their data lives.
 //!
-//! [`MetadataRegion`] serializes a [`ProcessMetadata`] into a
-//! materialized region of an NVM [`MemoryDevice`] with a small length
-//! header, charging device write + flush costs — metadata updates are
-//! on the checkpoint critical path in the paper and so must cost time
-//! here too.
+//! [`MetadataRegion`] serializes a [`ChunkTable`] — a
+//! [`ProcessMetadata`], or the heap's live table, encoded where it
+//! lies — into a materialized region of an NVM [`MemoryDevice`] with a
+//! small length header, charging device write + flush costs — metadata
+//! updates are on the checkpoint critical path in the paper and so must
+//! cost time here too.
 
 use nvm_emu::{DeviceError, MemoryDevice, RegionId, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -87,21 +88,108 @@ impl ProcessMetadata {
     }
 }
 
-/// Append `meta` to `out` in the region's format: the JSON
+/// A [`ChunkRecord`] lent by the table that holds it, name and all,
+/// for a save to encode without copying.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RecordRef<'a> {
+    /// See [`ChunkRecord::id`].
+    pub id: ChunkId,
+    /// See [`ChunkRecord::name`].
+    pub name: &'a str,
+    /// See [`ChunkRecord::len`].
+    pub len: usize,
+    /// See [`ChunkRecord::persistent`].
+    pub persistent: bool,
+    /// See [`ChunkRecord::versions`].
+    pub versions: [Option<(u64, u64)>; 2],
+    /// See [`ChunkRecord::committed_slot`].
+    pub committed_slot: Option<u8>,
+    /// See [`ChunkRecord::checksum`].
+    pub checksum: Option<u64>,
+    /// See [`ChunkRecord::committed_epoch`].
+    pub committed_epoch: u64,
+}
+
+impl RecordRef<'_> {
+    /// The owned record.
+    pub fn to_record(self) -> ChunkRecord {
+        ChunkRecord {
+            id: self.id,
+            name: self.name.to_string(),
+            len: self.len,
+            persistent: self.persistent,
+            versions: self.versions,
+            committed_slot: self.committed_slot,
+            checksum: self.checksum,
+            committed_epoch: self.committed_epoch,
+        }
+    }
+}
+
+impl ChunkRecord {
+    /// This record, lent.
+    pub fn lend(&self) -> RecordRef<'_> {
+        RecordRef {
+            id: self.id,
+            name: &self.name,
+            len: self.len,
+            persistent: self.persistent,
+            versions: self.versions,
+            committed_slot: self.committed_slot,
+            checksum: self.checksum,
+            committed_epoch: self.committed_epoch,
+        }
+    }
+}
+
+/// A chunk table [`MetadataRegion::save`] encodes where it lies: a
+/// [`ProcessMetadata`], or a live table (the heap's) that lends its
+/// records instead of building one per save. The fields are
+/// [`ProcessMetadata`]'s.
+pub trait ChunkTable {
+    /// Owning process/rank id.
+    fn process_id(&self) -> u64;
+    /// Device region id of the process NVM container.
+    fn container_region(&self) -> Option<u64>;
+    /// Container capacity in bytes.
+    fn container_capacity(&self) -> usize;
+    /// One record per live chunk, in the order they are saved.
+    fn records(&self) -> impl Iterator<Item = RecordRef<'_>>;
+}
+
+impl ChunkTable for ProcessMetadata {
+    fn process_id(&self) -> u64 {
+        self.process_id
+    }
+
+    fn container_region(&self) -> Option<u64> {
+        self.container_region
+    }
+
+    fn container_capacity(&self) -> usize {
+        self.container_capacity
+    }
+
+    fn records(&self) -> impl Iterator<Item = RecordRef<'_>> {
+        self.records.iter().map(ChunkRecord::lend)
+    }
+}
+
+/// Append `table` to `out` in the region's format: the JSON
 /// `serde_json::to_vec` gives for the derives above, byte for byte,
 /// written straight from the fields. A save is charged by payload
 /// length, so the format is part of the model; `load` parses it through
 /// `serde_json`, and the derive is what the tests hold this against.
-fn encode(meta: &ProcessMetadata, out: &mut Vec<u8>) {
-    put(out, "{\"process_id\":", Some(meta.process_id));
-    put(out, ",\"container_region\":", meta.container_region);
+fn encode(table: &impl ChunkTable, out: &mut Vec<u8>) {
+    put(out, "{\"process_id\":", Some(table.process_id()));
+    put(out, ",\"container_region\":", table.container_region());
     put(
         out,
         ",\"container_capacity\":",
-        Some(meta.container_capacity as u64),
+        Some(table.container_capacity() as u64),
     );
     out.extend_from_slice(b",\"records\":[");
-    for (i, r) in meta.records.iter().enumerate() {
+    for (i, r) in table.records().enumerate() {
         put(
             out,
             if i == 0 { "{\"id\":" } else { ",{\"id\":" },
@@ -219,11 +307,11 @@ impl MetadataRegion {
         self.region
     }
 
-    /// Persist `meta`, growing the region if needed. Returns the
+    /// Persist `table`, growing the region if needed. Returns the
     /// virtual-time cost (serialize-write + cache flush).
-    pub fn save(&mut self, meta: &ProcessMetadata) -> Result<SimDuration, DeviceError> {
+    pub fn save(&mut self, table: &impl ChunkTable) -> Result<SimDuration, DeviceError> {
         self.payload.clear();
-        encode(meta, &mut self.payload);
+        encode(table, &mut self.payload);
         let needed = HEADER + self.payload.len();
         if needed > self.capacity {
             // Grow: allocate a fresh, larger region. The old one is
@@ -251,7 +339,8 @@ impl MetadataRegion {
     }
 
     /// Load the metadata back (the restart path). Returns the metadata
-    /// and the read cost.
+    /// and the read cost. A region nothing was saved to reads as a zero
+    /// header and loads as [`ProcessMetadata::default`].
     pub fn load(&self) -> Result<(ProcessMetadata, SimDuration), MetadataError> {
         let mut header = [0u8; HEADER];
         let mut cost = self.device.read(self.region, 0, &mut header, 1)?;
@@ -283,12 +372,18 @@ pub enum MetadataError {
     Device(DeviceError),
     /// The stored bytes do not parse.
     Corrupt(String),
+    /// Nothing was ever saved to this metadata region (its process
+    /// died before its first `nvmalloc`), so there is no chunk table and
+    /// no container to restart from.
+    NeverSaved(RegionId),
 }
 
 nvm_emu::error_enum! {
     MetadataError, f {
         wrap Device(DeviceError) => "device error",
         leaf MetadataError::Corrupt(s) => write!(f, "corrupt metadata: {s}"),
+        leaf MetadataError::NeverSaved(region) =>
+            write!(f, "metadata region {} holds no saved chunk table", region.0),
     }
 }
 

@@ -271,6 +271,35 @@ fn restart_of_never_checkpointed_process_reports_it() {
     ));
 }
 
+/// A process that died before its first `nvmalloc` saved no chunk
+/// table: its metadata region reads back as zeros (never written), and
+/// a restart from it is a typed error naming the region — it used to
+/// be a `NoSuchRegion` for a region id nobody allocated.
+#[test]
+fn restart_of_a_process_that_never_allocated_names_its_metadata_region() {
+    use nvm_paging::metadata::MetadataError;
+    let node = Node::new();
+    let clock = VirtualClock::new();
+    let config = EngineConfig::default;
+    let engine = CheckpointEngine::new(0, &node.dram, &node.nvm, MB, clock.clone(), config());
+    let region = engine.unwrap().metadata_region(); // and the process dies
+    let restarted = CheckpointEngine::restart(
+        &node.dram,
+        &node.nvm,
+        region,
+        clock,
+        config(),
+        RestartStrategy::Eager,
+        Tracer::disabled(),
+    );
+    match restarted {
+        Err(EngineError::Metadata(MetadataError::NeverSaved(r))) => assert_eq!(r, region),
+        Err(e) => panic!("expected NeverSaved, got {e}"),
+        Ok(_) => panic!("restarted from a table nobody saved"),
+    }
+    assert_eq!(node.nvm.resident_bytes(), 0, "the header was never written");
+}
+
 /// Two processes of one node share its DRAM and its NVM device. One
 /// stages and commits (a DRAM view around an NVM write, then the slot
 /// checksummed under the NVM lock) while the other crashes, restarts
