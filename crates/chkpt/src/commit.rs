@@ -5,7 +5,8 @@
 //! region, the durable backend and the two chunk sets the two-version
 //! commit turns on: chunks whose restore still waits for first access
 //! (*pending*), and chunks whose in-progress slot already holds their
-//! current working copy (*staged*). Its mutators are the application
+//! current working copy (*staged*), each with the checksum taken of the
+//! bytes as they were copied there. Its mutators are the application
 //! data path (alloc / realloc / delete / write / read), `stage`, one
 //! `checkpoint` behind `nvchkptall` and `nvchkptid`, and
 //! `restart_core`.
@@ -33,7 +34,7 @@ use nvm_metrics::{names, Metrics};
 use nvm_paging::metadata::MetadataError;
 use nvm_paging::{ChunkId, MetadataRegion, Mmu};
 use nvm_trace::{TraceEventKind, Tracer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Where a chunk's committed bytes are when a restore comes for them.
 pub(crate) enum Committed {
@@ -66,8 +67,10 @@ pub struct CommitCore {
     /// committed bytes wait: the NVM device, or the durable store
     /// (payload never materialized in this process's NVM).
     pending: BTreeMap<ChunkId, Committed>,
-    /// Chunks whose in-progress slot holds the current working copy.
-    staged: BTreeSet<ChunkId>,
+    /// Chunks whose in-progress slot holds the current working copy,
+    /// with the checksum taken of it as it was copied there (`None`
+    /// when the stage did not hash: see [`CommitCore::shadow`]).
+    staged: BTreeMap<ChunkId, Option<u64>>,
     checksums: bool,
     node_concurrency: usize,
     /// Dirty tracking is on (`precopy.enabled()`): committed chunks
@@ -160,7 +163,7 @@ impl CommitCore {
             persistence: None,
             epoch: 0,
             pending: BTreeMap::new(),
-            staged: BTreeSet::new(),
+            staged: BTreeMap::new(),
             checksums: config.checksums,
             node_concurrency: config.node_concurrency,
             track_dirty: config.precopy.enabled(),
@@ -308,7 +311,7 @@ impl CommitCore {
                 self.metrics
                     .observe(names::CHKPT_FAULT_NS, out.cost.as_nanos());
             }
-            if self.staged.remove(&id) {
+            if self.staged.remove(&id).is_some() {
                 // A staged chunk was modified again: the earlier copy
                 // is wasted and must be redone.
                 self.stats.wasted_precopy_bytes += chunk.len as u64;
@@ -343,16 +346,23 @@ impl CommitCore {
     // ------------------------------------------------------------------
 
     /// Copy `id`'s working copy into its in-progress slot and mark it
-    /// staged. Returns the bytes copied and the modeled cost, which
-    /// the caller charges (blocking) or budgets (background).
-    fn shadow(&mut self, id: ChunkId) -> Result<(u64, SimDuration), EngineError> {
+    /// staged, with the chunk's checksum taken from the bytes as they
+    /// are copied — when the commit will want one and no backend will
+    /// return it (checksums on, real bytes, no store). Returns the
+    /// bytes copied, the modeled cost, which the caller charges
+    /// (blocking) or budgets (background), and that checksum.
+    fn shadow(&mut self, id: ChunkId) -> Result<(u64, SimDuration, Option<u64>), EngineError> {
         self.ensure_restored(id)?;
         let chunk = self.heap.chunk(id)?;
         let slot = chunk.in_progress_slot(self.heap.versioning());
         let len = chunk.len as u64;
-        let cost = self.heap.shadow_copy(id, slot, self.node_concurrency)?;
-        self.staged.insert(id);
-        Ok((len, cost))
+        let hash = self.checksums && self.persistence.is_none();
+        let (cost, crc) = (self.heap).shadow_copy(id, slot, self.node_concurrency, |bytes| {
+            hash.then(|| crc64(bytes))
+        })?;
+        let crc = crc.flatten();
+        self.staged.insert(id, crc);
+        Ok((len, cost, crc))
     }
 
     /// [`Self::shadow`] in the background, ahead of the checkpoint; a
@@ -360,7 +370,7 @@ impl CommitCore {
     /// copy time, which is the caller's to budget — the clock does not
     /// move.
     pub(crate) fn stage(&mut self, id: ChunkId) -> Result<SimDuration, EngineError> {
-        let (bytes, cost) = self.shadow(id)?;
+        let (bytes, cost, _) = self.shadow(id)?;
         self.settle(id);
         self.stats.precopied_bytes += bytes;
         self.trace(TraceEventKind::PrecopyDrain {
@@ -408,25 +418,29 @@ impl CommitCore {
         };
         let mut to_commit = Vec::with_capacity(targets.len());
         for &id in &targets {
-            if !self.staged.contains(&id) {
-                let chunk = self.heap.chunk(id)?;
-                // Clean, already committed: dirty tracking lets us skip
-                // it entirely (GTC's init-only giant arrays).
-                if all && self.track_dirty && chunk.has_committed() && !self.mmu.is_dirty(id) {
-                    done.skipped_bytes += chunk.len as u64;
-                    continue;
+            let crc = match self.staged.get(&id) {
+                Some(&crc) => crc,
+                None => {
+                    let chunk = self.heap.chunk(id)?;
+                    // Clean, already committed: dirty tracking lets us
+                    // skip it entirely (GTC's init-only giant arrays).
+                    if all && self.track_dirty && chunk.has_committed() && !self.mmu.is_dirty(id) {
+                        done.skipped_bytes += chunk.len as u64;
+                        continue;
+                    }
+                    let (len, cost, crc) = self.shadow(id)?;
+                    self.clock.advance(cost);
+                    done.coordinated_bytes += len;
+                    crc
                 }
-                let (len, cost) = self.shadow(id)?;
-                self.clock.advance(cost);
-                done.coordinated_bytes += len;
-            }
-            to_commit.push(id);
+            };
+            to_commit.push((id, crc));
         }
         // The store-write events follow the flips: the mirror is free
         // in virtual time, so all carry the time of the last flip.
         let mut mirrored = Vec::new();
-        for id in to_commit {
-            if let Some(bytes) = self.commit_slot(id)? {
+        for (id, crc) in to_commit {
+            if let Some(bytes) = self.commit_slot(id, crc)? {
                 mirrored.push((id, bytes));
             }
         }
@@ -473,18 +487,26 @@ impl CommitCore {
         }
     }
 
-    /// Flush, checksum and flip chunk `id`'s in-progress slot,
-    /// mirroring the payload into the durable backend when one is
-    /// attached (cost-free in virtual time). Returns the bytes
+    /// Flush, checksum and flip chunk `id`'s in-progress slot, which
+    /// holds its working copy (`staged_crc` is what the stage recorded
+    /// of it), mirroring the payload into the durable backend when one
+    /// is attached (cost-free in virtual time). Returns the bytes
     /// mirrored, for the caller's [`TraceEventKind::StoreWrite`].
     ///
-    /// Every committed byte is checksummed once, where it lies: with a
-    /// backend attached the slot's bytes are lent to
+    /// Every committed byte is checksummed once, where it is in hand:
+    /// without a backend that pass ran at stage time, over the bytes
+    /// being copied into the slot ([`Self::shadow`]), and the slot is
+    /// not read again here — a write, `nvrealloc` or `nvdelete` since
+    /// then un-staged the chunk, so a staged checksum is the slot's.
+    /// With a backend attached the slot's bytes are lent to
     /// [`Persistence::put_chunk`] in place, and the CRC the backend
-    /// stores in its slot header is the chunk's checksum; without one
-    /// the core runs that single pass itself. The modeled read of the
-    /// slot is charged either way.
-    fn commit_slot(&mut self, id: ChunkId) -> Result<Option<u64>, EngineError> {
+    /// stores in its slot header is the chunk's checksum. The modeled
+    /// read of the slot is charged either way.
+    fn commit_slot(
+        &mut self,
+        id: ChunkId,
+        staged_crc: Option<u64>,
+    ) -> Result<Option<u64>, EngineError> {
         let slot = (self.heap.chunk(id)?).in_progress_slot(self.heap.versioning());
         let flush_cost = self.heap.flush_version(id, slot)?;
         self.clock.advance(flush_cost);
@@ -517,8 +539,7 @@ impl CommitCore {
                 };
                 (checksummed.then_some(crc), Some(mirrored as u64))
             }
-            None if checksummed => (Some(self.heap.view_version(id, slot, crc64)?), None),
-            None => (None, None),
+            None => (staged_crc, None),
         };
         let chunk = self.heap.chunk_mut(id)?;
         chunk.committed_slot = Some(slot);
@@ -866,8 +887,10 @@ impl CommitCore {
             .ok_or(EngineError::NoCommittedData(id))?;
         // The reader (the remote helper) goes through the shared-NVM
         // interface: the device counts the read, nobody's clock moves.
+        // The one copy-out of a slot: read once, into the returned
+        // buffer (CI checks that nothing else here reads a slot out).
         self.heap.charge_version_read(id, slot)?;
-        Ok(self.heap.view_version(id, slot, <[u8]>::to_vec)?)
+        Ok(self.heap.read_version(id, slot)?)
     }
 
     /// The persistent chunks in id order — all the pre-copy scheduler
@@ -877,7 +900,7 @@ impl CommitCore {
             id: c.id,
             len: c.len,
             dirty: self.mmu.is_dirty(c.id),
-            staged: self.staged.contains(&c.id),
+            staged: self.staged.contains_key(&c.id),
         })
     }
 }

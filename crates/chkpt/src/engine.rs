@@ -465,7 +465,6 @@ mod tests {
     use crate::config::PrecopyPolicy;
     use nvm_heap::Materialization;
     use nvm_metrics::names;
-    use std::collections::BTreeMap;
 
     const MB: usize = 1 << 20;
 
@@ -1188,51 +1187,17 @@ mod tests {
         assert_eq!(e2.stats().restarts, 1);
     }
 
-    /// In-memory stand-in for the nvm-store container (which depends
-    /// on this crate, so cannot be used here). It checksums a staged
-    /// payload the way the container does: one `crc64` pass, kept and
-    /// returned.
-    #[derive(Default)]
-    struct CrcStore {
-        staged: BTreeMap<ChunkId, u64>,
-    }
-
-    impl Persistence for CrcStore {
-        fn put_chunk(
-            &mut self,
-            id: ChunkId,
-            _name: &str,
-            _len: usize,
-            _epoch: u64,
-            payload: &[u8],
-        ) -> Result<u64, PersistError> {
-            let crc = crc64(payload);
-            self.staged.insert(id, crc);
-            Ok(crc)
-        }
-        fn delete_chunk(&mut self, id: ChunkId) {
-            self.staged.remove(&id);
-        }
-        fn commit(&mut self, _epoch: u64) -> Result<(), PersistError> {
-            Ok(())
-        }
-        fn recover(&mut self) -> Result<crate::persist::RecoveredState, PersistError> {
-            Ok(Default::default())
-        }
-        fn payload_len(&self, id: ChunkId) -> Result<usize, PersistError> {
-            Err(PersistError::NoSuchChunk(id.0))
-        }
-        fn read_chunk_into(&mut self, id: ChunkId, _buf: &mut [u8]) -> Result<(), PersistError> {
-            Err(PersistError::NoSuchChunk(id.0))
-        }
-        fn stats(&self) -> crate::persist::StoreStats {
-            Default::default()
-        }
-    }
-
     #[test]
     fn each_committed_byte_is_checksummed_exactly_once() {
+        // Without a store the checksum is taken as a chunk is copied
+        // into its slot: a stage hashes what it copies, and a commit
+        // only what it copies itself — a staged chunk brings its sum.
+        // With one, stages hash nothing and the backend hashes every
+        // committed byte once, at commit.
         use crate::checksum::hashed_bytes;
+        use crate::model::CrcStore;
+        const A: usize = 3 * 4096 + 5;
+        const B: usize = 70_000;
         for policy in [
             PrecopyPolicy::None,
             PrecopyPolicy::Cpc,
@@ -1244,26 +1209,41 @@ mod tests {
                 if with_store {
                     e.set_persistence(Box::new(CrcStore::default()));
                 }
-                let a = e.nvmalloc("a", 3 * 4096 + 5, true).unwrap();
-                let b = e.nvmalloc("b", 70_000, true).unwrap();
+                let a = e.nvmalloc("a", A, true).unwrap();
+                let b = e.nvmalloc("b", B, true).unwrap();
                 for epoch in 0..3u8 {
-                    e.write(a, 0, &vec![epoch + 1; 3 * 4096 + 5]).unwrap();
+                    e.write(a, 0, &vec![epoch + 1; A]).unwrap();
                     e.write(b, 100, &vec![0x40 | epoch; 60_000]).unwrap();
+                    let (before, staged) = (hashed_bytes(), e.stats().precopied_bytes);
                     e.compute(SimDuration::from_secs(2));
-                    // Re-dirty a chunk pre-copy may already have staged.
+                    let staged = e.stats().precopied_bytes - staged;
+                    assert_eq!(
+                        hashed_bytes() - before,
+                        if with_store { 0 } else { staged },
+                        "{policy:?} store={with_store} epoch {epoch}: stage"
+                    );
+                    // Re-dirty a chunk pre-copy may already have staged:
+                    // its staged sum is wasted with its copy.
                     e.write(a, 7, &[0xEE; 3]).unwrap();
                     let before = hashed_bytes();
                     let report = e.nvchkptall().unwrap();
                     assert_eq!(
                         hashed_bytes() - before,
-                        (3 * 4096 + 5 + 70_000) as u64,
+                        if with_store {
+                            (A + B) as u64
+                        } else {
+                            report.coordinated_bytes
+                        },
                         "{policy:?} store={with_store} epoch {epoch}: {report:?}"
                     );
+                }
+                if policy != PrecopyPolicy::None {
+                    assert!(e.stats().precopied_bytes > 0, "{policy:?} staged");
                 }
                 e.write(b, 0, &[9u8; 16]).unwrap();
                 let before = hashed_bytes();
                 e.nvchkptid(b).unwrap();
-                assert_eq!(hashed_bytes() - before, 70_000);
+                assert_eq!(hashed_bytes() - before, B as u64);
                 for id in [a, b] {
                     assert_eq!(
                         e.heap().chunk(id).unwrap().checksum,

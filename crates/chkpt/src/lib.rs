@@ -51,6 +51,8 @@ pub mod checksum;
 pub mod commit;
 pub mod config;
 pub mod engine;
+#[cfg(test)]
+mod model;
 pub mod persist;
 pub mod precopy;
 pub mod predict;

@@ -12,7 +12,11 @@
 //!   epoch in progress (the backend writes it to the *non-committed*
 //!   shadow slot — never over live data) and returns the payload
 //!   CRC-64 it stored, which the engine records as the chunk's
-//!   checksum instead of running a second pass over the same bytes;
+//!   checksum instead of running a second pass over the same bytes.
+//!   That pass is the backend's because the engine cannot hand it a
+//!   checksum through this signature: with a backend attached the
+//!   engine's stage copies do not hash, while without one the engine
+//!   takes the checksum itself as it copies a chunk into its slot;
 //! * [`Persistence::commit`] makes everything staged durable in one
 //!   atomic step (append a commit record + fsync);
 //! * [`Persistence::recover`] scans media and returns the chunk table

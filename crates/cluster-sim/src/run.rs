@@ -325,6 +325,11 @@ pub struct SpillReport {
     /// regions allocated outside spill coverage; 0 when every
     /// materialized region spilled).
     pub resident_bytes: u64,
+    /// Bytes the devices read back from their spill files over the run
+    /// (`MemoryDevice::spill_read_bytes`, summed).
+    pub read_bytes: u64,
+    /// Bytes the devices wrote to their spill files over the run.
+    pub written_bytes: u64,
 }
 
 /// Everything a [`Cluster::run`] produces: the deterministic

@@ -586,6 +586,8 @@ impl ClusterSim {
                 peak_bytes: devices().map(|d| d.spill_peak_bytes()).sum(),
                 live_bytes: devices().map(|d| d.spill_live_bytes()).sum(),
                 resident_bytes: devices().map(|d| d.resident_bytes()).sum(),
+                read_bytes: devices().map(|d| d.spill_read_bytes()).sum(),
+                written_bytes: devices().map(|d| d.spill_written_bytes()).sum(),
             }
         });
         Ok(RunOutcome {

@@ -192,7 +192,10 @@ impl ClusterSim {
     /// Mirror one committed chunk into the node's remote store: real
     /// bytes (plus the chunk name, which a recovery needs to rebuild
     /// the rank) under byte materialization, size-only otherwise.
-    /// Returns the chunk's length.
+    /// The bytes travel with the checksum they were committed under,
+    /// so the buddy's fetch verifies them end to end; only a chunk
+    /// committed without one is hashed on arrival. Returns the chunk's
+    /// length.
     pub(super) fn ship_chunk(
         store: &mut RemoteStore,
         rank: &Rank,
@@ -201,7 +204,10 @@ impl ClusterSim {
         let chunk = rank.engine.heap().chunk(id).map_err(EngineError::from)?;
         if rank.engine.config().materialization == Materialization::Bytes {
             let data = rank.engine.committed_bytes(id)?;
-            store.put(rank.global, id, &data)?;
+            match chunk.checksum {
+                Some(sum) => store.put_with_checksum(rank.global, id, &data, sum)?,
+                None => store.put(rank.global, id, &data)?,
+            };
             store.set_chunk_name(rank.global, id, &chunk.name)?;
         } else {
             store.put_synthetic(rank.global, id, chunk.len)?;

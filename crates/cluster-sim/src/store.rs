@@ -284,6 +284,24 @@ mod tests {
         assert!(report.live_bytes > 0 && report.live_bytes <= report.peak_bytes);
     }
 
+    #[test]
+    fn a_spilled_commit_reads_nothing_back_and_the_ship_reads_each_slot_once() {
+        // Checksums on, no store, no failure, pre-copy both levels. The
+        // DRAM side reads each working copy once per copy into a slot
+        // (pre-copied or coordinated), and the checksum is taken there;
+        // the NVM side reads a committed slot only to ship it, once per
+        // shipped byte. A commit that read its slot back to hash it
+        // would add `copied` again.
+        let out = run_with(recovery_config(true), RunOptions::new());
+        let (r, spill) = (&out.result, out.spill.expect("byte runs spill"));
+        let copied = r.engine_stats.precopied_bytes + r.engine_stats.coordinated_bytes;
+        let shipped: u64 = r.helper_stats.iter().map(|h| h.bytes_copied).sum();
+        assert!(r.engine_stats.precopied_bytes > 0 && shipped > 0);
+        assert_eq!(spill.read_bytes, copied + shipped);
+        // Every working copy, slot and image written went to the files.
+        assert!(spill.written_bytes >= copied + shipped);
+    }
+
     // ---- byte-level hard-failure recovery --------------------------
 
     use crate::failure::{FailureEvent, FailureKind, FailureSchedule};

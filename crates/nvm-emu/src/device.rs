@@ -37,12 +37,14 @@
 //! closure instead of copying them out. For a RAM-backed region the
 //! closure runs *under this device's lock* (the mutex is not
 //! reentrant: the closure must not call back into the same device);
-//! for a spilled region it runs on a private buffer with the lock
-//! released. A closure may use **another** device, and every such
-//! nesting in the workspace takes **DRAM first, then NVM** — a shadow
-//! copy is a DRAM `view` around an NVM `write`, a restore a DRAM
-//! `view_mut` around an NVM `read` — so two threads sharing a node's
-//! devices cannot take the two locks in opposite orders.
+//! for a spilled region it runs on a buffer the range was read into,
+//! with the lock released — for `view` the calling thread's reused
+//! buffer, for `view_mut` a private one. A closure may use **another**
+//! device, and every such nesting in the workspace takes **DRAM first,
+//! then NVM** — a shadow copy is a DRAM `view` around an NVM `write`, a
+//! restore a DRAM `view_mut` around an NVM `read` — so two threads
+//! sharing a node's devices cannot take the two locks in opposite
+//! orders.
 
 use crate::bandwidth::BandwidthModel;
 use crate::energy::EnergyMeter;
@@ -57,7 +59,17 @@ use nvm_metrics::{names, MetricsRegistry};
 use nvm_trace::{TraceEventKind, Tracer};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::sync::Arc;
+
+thread_local! {
+    /// The buffer [`MemoryDevice::view`] reads a spilled range into and
+    /// lends it from: taken for the call and put back after it, so a
+    /// thread's views of spilled ranges allocate and zero-fill only when
+    /// one is longer than any before it. A view nested inside another
+    /// on the same thread finds it taken and allocates its own.
+    static SPILL_VIEW: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
 
 /// Identifier of a region on a device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -182,6 +194,10 @@ struct Inner {
     /// Optional spill backing: when present, materialized regions
     /// allocated afterwards keep their bytes here instead of in RAM.
     spill: Option<Box<dyn SpillStore>>,
+    /// Bytes read from and written to `spill`: host-side I/O, which
+    /// the model does not see (never in [`DeviceStats`]).
+    spill_read_bytes: u64,
+    spill_written_bytes: u64,
 }
 
 /// Borrow only the `spill` field mutably (keeps borrows of other
@@ -226,6 +242,8 @@ impl MemoryDevice {
                 strict_endurance: false,
                 tracer: None,
                 spill: None,
+                spill_read_bytes: 0,
+                spill_written_bytes: 0,
             })),
         }
     }
@@ -325,6 +343,19 @@ impl MemoryDevice {
             .spill
             .as_ref()
             .map_or(0, |s| s.peak_bytes())
+    }
+
+    /// Bytes read from the attached spill store over the device's
+    /// lifetime, by every access that reached a spilled region (0
+    /// without one). Host-side I/O: no [`DeviceStats`] field sees it.
+    pub fn spill_read_bytes(&self) -> u64 {
+        self.inner.lock().spill_read_bytes
+    }
+
+    /// Bytes written to the attached spill store over the device's
+    /// lifetime (0 without one), like [`MemoryDevice::spill_read_bytes`].
+    pub fn spill_written_bytes(&self) -> u64 {
+        self.inner.lock().spill_written_bytes
     }
 
     /// Bytes of materialized region content held in process RAM: per
@@ -432,9 +463,7 @@ impl MemoryDevice {
             }
             Backing::Spilled { slot } => {
                 let slot = *slot;
-                spill_of!(g)
-                    .write(slot, offset, data)
-                    .map_err(|e| DeviceError::Spill(e.to_string()))?;
+                g.spill_write(slot, offset, data)?;
             }
             Backing::Synthetic => {}
         }
@@ -467,29 +496,17 @@ impl MemoryDevice {
         concurrency: usize,
     ) -> Result<SimDuration, DeviceError> {
         let mut g = self.inner.lock();
-        let g = &mut *g;
-        let region = g.regions.get(&id).ok_or(DeviceError::NoSuchRegion(id.0))?;
-        region.check_bounds(id, offset, buf.len())?;
-        match &region.backing {
-            Backing::Synthetic => return Err(DeviceError::SyntheticAccess(id.0)),
-            Backing::Bytes(held) => match held.get(offset..offset + buf.len()) {
-                Some(bytes) => buf.copy_from_slice(bytes),
-                None => {
-                    // Past what the region holds nothing was ever
-                    // written.
-                    let held = held.get(offset..).unwrap_or_default();
-                    buf[..held.len()].copy_from_slice(held);
-                    buf[held.len()..].fill(0);
-                }
-            },
-            Backing::Spilled { slot } => {
-                let slot = *slot;
-                spill_of!(g)
-                    .read(slot, offset, buf)
-                    .map_err(|e| DeviceError::Spill(e.to_string()))?;
-            }
-        }
+        g.fill(id, offset, buf)?;
         Ok(g.charge_read(buf.len(), concurrency))
+    }
+
+    /// Copy `buf.len()` bytes from `offset` into `buf` without charging
+    /// time, statistics or wear: [`MemoryDevice::read`] without its
+    /// charge, for a caller that keeps the bytes where
+    /// [`MemoryDevice::view`] would only lend them. A spilled range is
+    /// read straight into `buf`. Errors on synthetic regions.
+    pub fn copy_out(&self, id: RegionId, offset: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
+        self.inner.lock().fill(id, offset, buf)
     }
 
     /// Charge the cost of reading `len` bytes without materializing them.
@@ -511,8 +528,10 @@ impl MemoryDevice {
     /// or wear — a modeled read is charged separately
     /// ([`MemoryDevice::read_synthetic`]). RAM-backed bytes are lent in
     /// place, under the device lock, the region first grown to hold
-    /// the range (module docs); a spilled range is read into a private
-    /// buffer under the lock and lent with the lock released.
+    /// the range (module docs); a spilled range is read under the lock
+    /// into the calling thread's reused buffer — over whatever an
+    /// earlier view left there, which [`SpillStore::read`] overwrites
+    /// whole — and lent with the lock released.
     /// See the module docs for what `f` may call.
     pub fn view<R>(
         &self,
@@ -533,16 +552,19 @@ impl MemoryDevice {
                 Backing::Bytes(held) => return Ok(f(reach(held, region.len, offset, len))),
                 Backing::Spilled { slot } => {
                     let slot = *slot;
-                    let mut buf = materialize(&[], len);
-                    spill_of!(g)
-                        .read(slot, offset, &mut buf)
-                        .map_err(|e| DeviceError::Spill(e.to_string()))?;
+                    let mut buf = SPILL_VIEW.take();
+                    if buf.len() < len {
+                        buf = materialize(&[], len);
+                    }
+                    g.spill_read(slot, offset, &mut buf[..len])?;
                     buf
                 }
                 Backing::Synthetic => return Err(DeviceError::SyntheticAccess(id.0)),
             }
         };
-        Ok(f(&buf))
+        let out = f(&buf[..len]);
+        SPILL_VIEW.set(buf);
+        Ok(out)
     }
 
     /// Lend `len` bytes of a materialized region at `offset` to `f`
@@ -588,9 +610,7 @@ impl MemoryDevice {
         // spill slot handed to another) while the lock was released.
         let region = g.regions.get(&id).ok_or(DeviceError::NoSuchRegion(id.0))?;
         if let Backing::Spilled { slot } = region.backing {
-            spill_of!(g)
-                .write(slot, offset, &buf)
-                .map_err(|e| DeviceError::Spill(e.to_string()))?;
+            g.spill_write(slot, offset, &buf)?;
         }
         Ok(out)
     }
@@ -694,6 +714,50 @@ impl Inner {
         Ok((cost, region))
     }
 
+    /// Fill `buf` with region `id`'s bytes at `offset`, charging
+    /// nothing: the body of [`MemoryDevice::read`] and
+    /// [`MemoryDevice::copy_out`].
+    fn fill(&mut self, id: RegionId, offset: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
+        let region = self
+            .regions
+            .get(&id)
+            .ok_or(DeviceError::NoSuchRegion(id.0))?;
+        region.check_bounds(id, offset, buf.len())?;
+        match &region.backing {
+            Backing::Synthetic => return Err(DeviceError::SyntheticAccess(id.0)),
+            Backing::Bytes(held) => match held.get(offset..offset + buf.len()) {
+                Some(bytes) => buf.copy_from_slice(bytes),
+                None => {
+                    // Past what the region holds nothing was ever
+                    // written.
+                    let held = held.get(offset..).unwrap_or_default();
+                    buf[..held.len()].copy_from_slice(held);
+                    buf[held.len()..].fill(0);
+                }
+            },
+            Backing::Spilled { slot } => {
+                let slot = *slot;
+                self.spill_read(slot, offset, buf)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Fill `buf` from spill `slot` at `offset`, and count the bytes.
+    fn spill_read(&mut self, slot: u64, offset: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
+        (spill_of!(self).read(slot, offset, buf)).map_err(|e| DeviceError::Spill(e.to_string()))?;
+        self.spill_read_bytes += buf.len() as u64;
+        Ok(())
+    }
+
+    /// Write `data` into spill `slot` at `offset`, and count the bytes.
+    fn spill_write(&mut self, slot: u64, offset: usize, data: &[u8]) -> Result<(), DeviceError> {
+        (spill_of!(self).write(slot, offset, data))
+            .map_err(|e| DeviceError::Spill(e.to_string()))?;
+        self.spill_written_bytes += data.len() as u64;
+        Ok(())
+    }
+
     fn charge_read(&mut self, len: usize, concurrency: usize) -> SimDuration {
         let params = self.params;
         // Reads contend like writes but against the read bandwidth.
@@ -754,8 +818,9 @@ fn reach(held: &mut Vec<u8>, region_len: usize, offset: usize, len: usize) -> &m
 }
 
 /// `len` bytes that begin with `held` and are zeros after it — a
-/// RAM-backed region grown by [`reach`], or a spilled range's private
-/// buffer. The one zero-fill in this file (CI checks it), so that no
+/// RAM-backed region grown by [`reach`], a spilled range's private
+/// `view_mut` buffer, or a thread's `view` buffer when a view is longer
+/// than it. The one zero-fill in this file (CI checks it), so that no
 /// allocation fills a region nothing has reached yet.
 fn materialize(held: &[u8], len: usize) -> Vec<u8> {
     let mut bytes = vec![0u8; len];
@@ -1077,6 +1142,62 @@ mod tests {
         spilly.destroy();
         assert_eq!(spilly.spill_live_bytes(), 0);
         assert_eq!(spilly.spill_peak_bytes(), 4096 + 512, "peak survives");
+    }
+
+    #[test]
+    fn spilled_views_reuse_one_buffer_and_every_spill_byte_is_counted() {
+        use crate::spill::MemSpill;
+        let d = MemoryDevice::pcm(MB);
+        d.attach_spill(Box::new(MemSpill::new()));
+        let long = d.alloc(8192).unwrap();
+        let short = d.alloc(100).unwrap();
+        d.write(long, 0, &[7; 8192], 1).unwrap();
+        d.write(short, 0, &[1; 50], 1).unwrap();
+        let io = || (d.spill_read_bytes(), d.spill_written_bytes());
+        assert_eq!(io(), (0, 8192 + 50));
+        // The long view leaves 7s in this thread's buffer; the short
+        // one, lent from the same buffer, must not show them.
+        assert_eq!(contents(&d, long), vec![7u8; 8192]);
+        let mut short_bytes = vec![1u8; 50];
+        short_bytes.resize(100, 0);
+        assert_eq!(contents(&d, short), short_bytes);
+        // A view nested in another on the same thread lends its own
+        // range, and the outer one's is intact after it.
+        let (inner, outer) = d
+            .view(long, 0, 16, |outer| {
+                let inner = d.view(short, 40, 20, <[u8]>::to_vec).unwrap();
+                (inner, outer.to_vec())
+            })
+            .unwrap();
+        assert_eq!(
+            (inner, outer),
+            (short_bytes[40..60].to_vec(), vec![7u8; 16])
+        );
+        assert_eq!(io(), (8192 + 100 + 16 + 20, 8192 + 50));
+        // `copy_out` reads the range straight into the caller's buffer,
+        // counted like any spill read and charged nothing.
+        let charged = d.stats();
+        let mut buf = [9u8; 10];
+        d.copy_out(short, 45, &mut buf).unwrap();
+        assert_eq!(buf, [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]);
+        assert_eq!(d.stats(), charged);
+        d.view_mut(short, 0, 4, |b| b.fill(3)).unwrap();
+        assert_eq!(io(), (8192 + 100 + 16 + 20 + 10, 8192 + 50 + 4));
+        // No spill store, no spill I/O; `copy_out` is `read` uncharged.
+        let ram = MemoryDevice::pcm(MB);
+        let r = ram.alloc(2 * PAGE_SIZE).unwrap();
+        ram.write(r, 10, &[5; 20], 1).unwrap();
+        let mut read = [0u8; 40];
+        ram.read(r, 0, &mut read, 1).unwrap();
+        let charged = ram.stats();
+        let mut copied = [9u8; 40];
+        ram.copy_out(r, 0, &mut copied).unwrap();
+        assert_eq!((copied, ram.stats()), (read, charged));
+        assert_eq!((ram.spill_read_bytes(), ram.spill_written_bytes()), (0, 0));
+        assert!(matches!(
+            ram.copy_out(r, 2 * PAGE_SIZE - 4, &mut copied),
+            Err(DeviceError::OutOfBounds { .. })
+        ));
     }
 
     #[test]

@@ -20,7 +20,13 @@
 //! slot answers the extents never written to it with zeros —
 //! `nvm_store::FileSpill` through a short read past the end of its
 //! file (and by re-zeroing an extent it recycles), [`MemSpill`] by
-//! zero-filling the slot up front.
+//! zero-filling the slot up front. Either way a read *writes* those
+//! zeros: `MemoryDevice::view` lends a spilled range from a buffer
+//! the calling thread reuses, read over whatever the last view left
+//! there, so a store that skipped the zeros would lend stale bytes.
+//! The device counts every byte it reads from and writes to its store
+//! (`MemoryDevice::spill_read_bytes` / `spill_written_bytes`):
+//! host-side I/O the model never charges.
 //!
 //! The production implementation (`nvm_store::FileSpill`) keeps slots
 //! in an extent-allocated file through the nvm-store media layer; the
@@ -35,7 +41,10 @@ use std::io;
 ///
 /// Contract: [`SpillStore::alloc`] returns a slot that reads back as
 /// `len` zero bytes; reads and writes are bounds-checked by the caller
-/// (the device validates against region length before calling down).
+/// (the device validates against region length before calling down);
+/// and a successful [`SpillStore::read`] writes **every** byte of its
+/// `buf`, zeros included — the device reads into a buffer it reuses
+/// across views, so a byte left untouched would be another range's.
 ///
 /// [`MemoryDevice`]: crate::device::MemoryDevice
 pub trait SpillStore: Send {
@@ -45,7 +54,9 @@ pub trait SpillStore: Send {
     /// Write `data` into `slot` at `offset`.
     fn write(&mut self, slot: u64, offset: usize, data: &[u8]) -> io::Result<()>;
 
-    /// Fill `buf` from `slot` at `offset`.
+    /// Fill all of `buf` from `slot` at `offset`: an extent never
+    /// written reads as zeros, which `read` must write into `buf` —
+    /// `buf` holds stale bytes, not zeros (trait docs).
     fn read(&mut self, slot: u64, offset: usize, buf: &mut [u8]) -> io::Result<()>;
 
     /// Release a slot of `len` bytes (the caller tracks slot lengths).

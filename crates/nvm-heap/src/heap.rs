@@ -333,30 +333,38 @@ impl NvmHeap {
     }
 
     /// Shadow-copy the working copy into NVM version `slot`, as one of
-    /// `concurrency` simultaneous streams. Returns the NVM-bound cost.
-    pub fn shadow_copy(
+    /// `concurrency` simultaneous streams, lending the bytes copied to
+    /// `lend` while they are in hand (the stage-time checksum). Returns
+    /// the NVM-bound cost and what `lend` returned — `None` when there
+    /// are no bytes to lend (synthetic).
+    pub fn shadow_copy<R>(
         &mut self,
         id: ChunkId,
         slot: u8,
         concurrency: usize,
-    ) -> Result<SimDuration, HeapError> {
+        lend: impl FnOnce(&[u8]) -> R,
+    ) -> Result<(SimDuration, Option<R>), HeapError> {
         let chunk = self.chunks.get(&id).ok_or(HeapError::NoSuchChunk(id))?;
         let ext =
             chunk.versions[slot as usize].ok_or(HeapError::MissingVersion { chunk: id, slot })?;
-        let cost = match self.materialization {
+        Ok(match self.materialization {
             // One copy, working copy to slot (DRAM lock, then NVM).
             Materialization::Bytes => {
                 self.dram.view(chunk.dram_region, 0, chunk.len, |data| {
-                    self.nvm
-                        .write(self.container, ext.offset, data, concurrency)
+                    let lent = lend(data);
+                    let cost = self
+                        .nvm
+                        .write(self.container, ext.offset, data, concurrency)?;
+                    Ok::<_, DeviceError>((cost, Some(lent)))
                 })??
             }
             Materialization::Synthetic => {
-                self.nvm
-                    .write_synthetic(self.container, ext.offset, chunk.len, concurrency)?
+                let cost =
+                    self.nvm
+                        .write_synthetic(self.container, ext.offset, chunk.len, concurrency)?;
+                (cost, None)
             }
-        };
-        Ok(cost)
+        })
     }
 
     /// Flush a version slot's bytes from cache to the persistence
@@ -385,6 +393,16 @@ impl NvmHeap {
     ) -> Result<R, HeapError> {
         let (ext, len) = self.version(id, slot)?;
         Ok(self.nvm.view(self.container, ext.offset, len, f)?)
+    }
+
+    /// Copy version `slot`'s bytes out into a buffer of their own, read
+    /// once — a spilled slot straight into it. Charges nothing, like
+    /// [`NvmHeap::view_version`]; for a caller that keeps the bytes.
+    pub fn read_version(&self, id: ChunkId, slot: u8) -> Result<Vec<u8>, HeapError> {
+        let (ext, len) = self.version(id, slot)?;
+        let mut bytes = vec![0u8; len];
+        self.nvm.copy_out(self.container, ext.offset, &mut bytes)?;
+        Ok(bytes)
     }
 
     /// Charge the modeled read of version `slot`'s bytes and return
@@ -660,11 +678,13 @@ mod tests {
         let id = h.nvmalloc("x", 1024, true).unwrap();
         let data: Vec<u8> = (0..1024u32).map(|i| (i % 256) as u8).collect();
         h.write(id, 0, &data).unwrap();
-        let cost = h.shadow_copy(id, 0, 1).unwrap();
+        let (cost, lent) = h.shadow_copy(id, 0, 1, <[u8]>::to_vec).unwrap();
         assert!(!cost.is_zero());
+        assert_eq!(lent, Some(data.clone()), "the copy lends what it copies");
         let read = h.nvm().stats();
         assert_eq!(h.view_version(id, 0, <[u8]>::to_vec).unwrap(), data);
-        assert_eq!(h.nvm().stats(), read, "the view itself is free");
+        assert_eq!(h.read_version(id, 0).unwrap(), data);
+        assert_eq!(h.nvm().stats(), read, "the view and the copy-out are free");
         let cost = h.charge_version_read(id, 0).unwrap();
         assert!(!cost.is_zero());
         assert_eq!(h.nvm().stats().bytes_read, read.bytes_read + 1024);
@@ -770,7 +790,7 @@ mod tests {
         let mut h = heap(Versioning::Double);
         let id = h.nvmalloc("x", 512, true).unwrap();
         h.write(id, 0, &[9u8; 512]).unwrap();
-        h.shadow_copy(id, 1, 1).unwrap();
+        h.shadow_copy(id, 1, 1, |_| ()).unwrap();
         h.chunk_mut(id).unwrap().committed_slot = Some(1);
         // clobber the working copy
         h.write(id, 0, &[0u8; 512]).unwrap();
@@ -800,7 +820,7 @@ mod tests {
             let id = h.nvmalloc("x", 5000, true).unwrap();
             let data: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
             h.write(id, 0, &data).unwrap();
-            h.shadow_copy(id, 1, 1).unwrap();
+            h.shadow_copy(id, 1, 1, |_| ()).unwrap();
             h.chunk_mut(id).unwrap().committed_slot = Some(1);
             h.write(id, 0, &[0u8; 5000]).unwrap();
             let chunk = h.chunk(id).unwrap();
@@ -837,7 +857,7 @@ mod tests {
         let _scratch = h.nvmalloc("tmp", 4096, false).unwrap();
         let b = h.nvmalloc("beta", 8192, true).unwrap();
         h.write(a, 0, &[1u8; 4096]).unwrap();
-        h.shadow_copy(a, 0, 1).unwrap();
+        h.shadow_copy(a, 0, 1, |_| ()).unwrap();
         h.chunk_mut(a).unwrap().committed_slot = Some(0);
 
         let meta = h.export_metadata();
@@ -893,8 +913,9 @@ mod tests {
         let id = h.nvmalloc("big", 8 * MB, true).unwrap();
         let wc = h.write_synthetic(id, 0, 8 * MB).unwrap();
         assert!(!wc.is_zero());
-        let cc = h.shadow_copy(id, 0, 1).unwrap();
+        let (cc, lent) = h.shadow_copy(id, 0, 1, <[u8]>::len).unwrap();
         assert!(cc > wc, "NVM copy slower than DRAM write");
+        assert_eq!(lent, None, "no bytes to lend");
         assert!(
             h.view_version(id, 0, <[u8]>::len).is_err(),
             "no bytes to read back"
@@ -906,7 +927,7 @@ mod tests {
         let mut h = heap(Versioning::Single);
         let id = h.nvmalloc("x", 1024, true).unwrap();
         assert!(matches!(
-            h.shadow_copy(id, 1, 1),
+            h.shadow_copy(id, 1, 1, |_| ()),
             Err(HeapError::MissingVersion { .. })
         ));
     }

@@ -6,7 +6,15 @@
 //! node's NVM holding checkpoint copies for every (rank, chunk) pair,
 //! with the same two-version commit discipline as local checkpoints —
 //! a crash mid-remote-checkpoint must leave the previous remote
-//! version intact.
+//! version intact, whatever length the new one has.
+//!
+//! An image's checksum is the sender's: [`RemoteStore::put_with_checksum`]
+//! records the CRC the sender committed the chunk under, so
+//! [`RemoteStore::fetch`] checks the bytes it hands out against the
+//! committed slot they were read from — damage anywhere between that
+//! slot and the reader is caught, the wire and this store's medium
+//! included. [`RemoteStore::put`] hashes what arrived instead, for a
+//! sender that has no checksum.
 
 use nvm_chkpt::checksum::crc64;
 use nvm_emu::{DeviceError, MemoryDevice, RegionId, SimDuration};
@@ -16,16 +24,24 @@ use std::collections::HashMap;
 /// Key of a remote entry: source rank + chunk.
 pub type RemoteKey = (u64, ChunkId);
 
+/// One version slot of an entry: a region of `capacity` bytes holding
+/// a payload of `len`, under `checksum` (`None`: size-only).
 #[derive(Debug)]
-struct RemoteEntry {
+struct RemoteSlot {
+    region: RegionId,
+    capacity: usize,
     len: usize,
-    slots: [Option<RegionId>; 2],
+    checksum: Option<u64>,
+}
+
+#[derive(Debug, Default)]
+struct RemoteEntry {
+    /// Per-slot payloads: staging a new version must not clobber the
+    /// committed version's bytes, length or checksum.
+    slots: [Option<RemoteSlot>; 2],
     committed: Option<u8>,
     /// Slot holding data newer than `committed`, not yet committed.
     staged: Option<u8>,
-    /// Per-slot checksums: staging a new version must not clobber the
-    /// committed version's checksum.
-    checksums: [Option<u64>; 2],
     epoch: u64,
     /// Variable name of the source chunk, if the sender recorded it —
     /// needed when a failed rank is rebuilt from this store alone.
@@ -93,64 +109,51 @@ impl RemoteStore {
         }
     }
 
-    fn ensure_entry(&mut self, key: RemoteKey, len: usize) -> Result<(), RemoteError> {
-        use std::collections::hash_map::Entry;
-        match self.entries.entry(key) {
-            Entry::Occupied(mut e) => {
-                // Grown chunk: reallocate both slots.
-                if e.get().len < len {
-                    let old = e.get_mut();
-                    for slot in old.slots.iter_mut().flatten() {
-                        self.nvm.free(*slot)?;
-                    }
-                    let name = old.name.take();
-                    *old = RemoteEntry {
-                        len,
-                        slots: [None, None],
-                        committed: None,
-                        staged: None,
-                        checksums: [None, None],
-                        epoch: 0,
-                        name,
-                    };
-                }
-                Ok(())
-            }
-            Entry::Vacant(v) => {
-                v.insert(RemoteEntry {
-                    len,
-                    slots: [None, None],
-                    committed: None,
-                    staged: None,
-                    checksums: [None, None],
-                    epoch: 0,
-                    name: None,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    fn slot_region(&mut self, key: RemoteKey, slot: u8) -> Result<RegionId, RemoteError> {
-        let materialized = self.materialized;
-        let entry = self
-            .entries
-            .get_mut(&key)
-            .ok_or(RemoteError::NoSuchEntry(key))?;
-        if let Some(r) = entry.slots[slot as usize] {
-            return Ok(r);
-        }
-        let region = if materialized {
-            self.nvm.alloc(entry.len)?
-        } else {
-            self.nvm.alloc_synthetic(entry.len)?
+    /// Stage a `len`-byte payload of `key` under `checksum` in the slot
+    /// its committed version does not occupy — reallocated first when
+    /// that slot is missing or too short — with `write` putting it
+    /// there. Returns the write's cost.
+    fn stage(
+        &mut self,
+        key: RemoteKey,
+        len: usize,
+        checksum: Option<u64>,
+        write: impl FnOnce(&MemoryDevice, RegionId) -> Result<SimDuration, DeviceError>,
+    ) -> Result<SimDuration, RemoteError> {
+        let entry = self.entries.entry(key).or_default();
+        let slot = match entry.committed {
+            Some(0) => 1,
+            _ => 0,
         };
-        let entry = self.entries.get_mut(&key).expect("present");
-        entry.slots[slot as usize] = Some(region);
-        Ok(region)
+        let held = &mut entry.slots[slot as usize];
+        let (region, capacity) = match held.take() {
+            Some(s) if s.capacity >= len => (s.region, s.capacity),
+            old => {
+                if let Some(old) = old {
+                    self.nvm.free(old.region)?;
+                }
+                let region = if self.materialized {
+                    self.nvm.alloc(len)?
+                } else {
+                    self.nvm.alloc_synthetic(len)?
+                };
+                (region, len)
+            }
+        };
+        *held = Some(RemoteSlot {
+            region,
+            capacity,
+            len,
+            checksum,
+        });
+        let cost = write(&self.nvm, region)?;
+        entry.staged = Some(slot);
+        Ok(cost)
     }
 
-    /// RDMA put of real bytes into the in-progress slot. Returns the
+    /// RDMA put of real bytes into the in-progress slot, checksummed
+    /// here as they arrived — for a sender that has no checksum of
+    /// them ([`RemoteStore::put_with_checksum`] otherwise). Returns the
     /// remote NVM write cost (the wire cost is the caller's [`Link`]
     /// business).
     ///
@@ -161,16 +164,22 @@ impl RemoteStore {
         chunk: ChunkId,
         data: &[u8],
     ) -> Result<SimDuration, RemoteError> {
-        let key = (rank, chunk);
-        self.ensure_entry(key, data.len())?;
-        let slot = self.staging_slot(key);
-        let region = self.slot_region(key, slot)?;
-        let cost = self.nvm.write(region, 0, data, 1)?;
-        let sum = crc64(data);
-        let entry = self.entries.get_mut(&key).expect("present");
-        entry.staged = Some(slot);
-        entry.checksums[slot as usize] = Some(sum);
-        Ok(cost)
+        self.put_with_checksum(rank, chunk, data, crc64(data))
+    }
+
+    /// [`RemoteStore::put`] of bytes the sender committed under
+    /// `checksum`, which [`RemoteStore::fetch`] then verifies them
+    /// against (module docs): nothing is hashed here.
+    pub fn put_with_checksum(
+        &mut self,
+        rank: u64,
+        chunk: ChunkId,
+        data: &[u8],
+        checksum: u64,
+    ) -> Result<SimDuration, RemoteError> {
+        self.stage((rank, chunk), data.len(), Some(checksum), |nvm, region| {
+            nvm.write(region, 0, data, 1)
+        })
     }
 
     /// RDMA put, size-only.
@@ -180,22 +189,9 @@ impl RemoteStore {
         chunk: ChunkId,
         len: usize,
     ) -> Result<SimDuration, RemoteError> {
-        let key = (rank, chunk);
-        self.ensure_entry(key, len)?;
-        let slot = self.staging_slot(key);
-        let region = self.slot_region(key, slot)?;
-        let cost = self.nvm.write_synthetic(region, 0, len, 1)?;
-        let entry = self.entries.get_mut(&key).expect("present");
-        entry.staged = Some(slot);
-        entry.checksums[slot as usize] = None;
-        Ok(cost)
-    }
-
-    fn staging_slot(&self, key: RemoteKey) -> u8 {
-        match self.entries.get(&key).and_then(|e| e.committed) {
-            Some(0) => 1,
-            _ => 0,
-        }
+        self.stage((rank, chunk), len, None, |nvm, region| {
+            nvm.write_synthetic(region, 0, len, 1)
+        })
     }
 
     /// Commit every staged entry of `rank` at `epoch` — the remote
@@ -214,19 +210,22 @@ impl RemoteStore {
         committed
     }
 
-    /// Fetch the committed bytes for a chunk (remote recovery path).
-    /// Verifies the checksum recorded at put time.
+    /// The committed slot of `key`.
+    fn committed(&self, key: RemoteKey) -> Result<&RemoteSlot, RemoteError> {
+        let entry = (self.entries.get(&key)).ok_or(RemoteError::NoSuchEntry(key))?;
+        let slot = entry.committed.ok_or(RemoteError::NothingCommitted(key))?;
+        Ok((entry.slots[slot as usize].as_ref()).expect("a committed slot was staged"))
+    }
+
+    /// Fetch the committed bytes for a chunk (remote recovery path), at
+    /// the length they were put with. Verifies the checksum recorded at
+    /// put time.
     pub fn fetch(&self, rank: u64, chunk: ChunkId) -> Result<(Vec<u8>, SimDuration), RemoteError> {
         let key = (rank, chunk);
-        let entry = self
-            .entries
-            .get(&key)
-            .ok_or(RemoteError::NoSuchEntry(key))?;
-        let slot = entry.committed.ok_or(RemoteError::NothingCommitted(key))?;
-        let region = entry.slots[slot as usize].expect("committed slot allocated");
-        let mut buf = vec![0u8; entry.len];
-        let cost = self.nvm.read(region, 0, &mut buf, 1)?;
-        if let Some(expected) = entry.checksums[slot as usize] {
+        let committed = self.committed(key)?;
+        let mut buf = vec![0u8; committed.len];
+        let cost = self.nvm.read(committed.region, 0, &mut buf, 1)?;
+        if let Some(expected) = committed.checksum {
             if crc64(&buf) != expected {
                 return Err(RemoteError::ChecksumMismatch(key));
             }
@@ -283,15 +282,9 @@ impl RemoteStore {
     /// checksum — silent remote corruption, for fault-injection tests
     /// of the checksum-verified fetch.
     pub fn corrupt_committed(&mut self, rank: u64, chunk: ChunkId) -> Result<(), RemoteError> {
-        let key = (rank, chunk);
-        let entry = self
-            .entries
-            .get(&key)
-            .ok_or(RemoteError::NoSuchEntry(key))?;
-        let slot = entry.committed.ok_or(RemoteError::NothingCommitted(key))?;
-        let region = entry.slots[slot as usize].expect("committed slot allocated");
-        let garbage = vec![0x5Au8; entry.len.min(64)];
-        self.nvm.write(region, 0, &garbage, 1)?;
+        let committed = self.committed((rank, chunk))?;
+        let garbage = vec![0x5Au8; committed.len.min(64)];
+        self.nvm.write(committed.region, 0, &garbage, 1)?;
         Ok(())
     }
 
@@ -392,7 +385,63 @@ mod tests {
         assert!(!cost.is_zero());
         s.commit_rank(0, 1);
         assert!(matches!(s.fetch(0, c), Err(RemoteError::Device(_))));
-        assert_eq!(s.entries[&(0, c)].len, 8 * MB);
+        assert_eq!(s.committed((0, c)).unwrap().len, 8 * MB);
+    }
+
+    #[test]
+    fn a_re_put_of_any_length_fetches_at_its_own_length_and_only_once_committed() {
+        let fill = |len: usize, b: u8| vec![b; len];
+        for (first, second) in [(4096, 1024), (4096, 4096), (1024, 4096)] {
+            for commit_between in [false, true] {
+                let mut s = store();
+                let c = ChunkId(3);
+                s.put(0, c, &fill(first, 1)).unwrap();
+                s.commit_rank(0, 1);
+                if commit_between {
+                    s.put(0, c, &fill(first, 2)).unwrap();
+                    s.commit_rank(0, 2);
+                }
+                let before = s.fetch(0, c).unwrap().0;
+                s.put(0, c, &fill(second, 3)).unwrap();
+                // Staged, not committed: the previous version stands,
+                // at its own length.
+                assert_eq!(s.fetch(0, c).unwrap().0, before, "{first} -> {second}");
+                s.commit_rank(0, 3);
+                assert_eq!(
+                    s.fetch(0, c).unwrap().0,
+                    fill(second, 3),
+                    "{first} -> {second}, commit between: {commit_between}"
+                );
+                // And back: the slot the longer version left behind
+                // serves a shorter one again.
+                s.put(0, c, &fill(first, 4)).unwrap();
+                assert_eq!(s.fetch(0, c).unwrap().0, fill(second, 3));
+                s.commit_rank(0, 4);
+                assert_eq!(s.fetch(0, c).unwrap().0, fill(first, 4));
+            }
+        }
+    }
+
+    #[test]
+    fn a_carried_checksum_is_verified_as_the_senders() {
+        // Bytes damaged before they reach the store: a receiver-side
+        // hash would vouch for them; the sender's checksum does not.
+        let mut s = store();
+        let c = ChunkId(8);
+        let committed = vec![6u8; 3000];
+        let mut damaged = committed.clone();
+        damaged[1234] ^= 0x40;
+        s.put_with_checksum(0, c, &damaged, crc64(&committed))
+            .unwrap();
+        s.commit_rank(0, 1);
+        assert!(matches!(
+            s.fetch(0, c),
+            Err(RemoteError::ChecksumMismatch(_))
+        ));
+        s.put_with_checksum(0, c, &committed, crc64(&committed))
+            .unwrap();
+        s.commit_rank(0, 2);
+        assert_eq!(s.fetch(0, c).unwrap().0, committed);
     }
 
     #[test]
