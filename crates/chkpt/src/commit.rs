@@ -231,10 +231,17 @@ impl CommitCore {
         // Growing frees the committed extents a pending restore would
         // read, and carries the working copy over.
         self.ensure_restored(id)?;
+        let grows = new_len > self.heap.chunk(id)?.len;
         self.heap.nvrealloc(id, new_len)?;
         if self.heap.chunk(id)?.persistent {
             self.mmu.grow_chunk(id, pages_for(new_len).max(1));
             self.staged.remove(&id);
+            if let (true, Some(store)) = (grows, self.persistence.as_mut()) {
+                // The grow superseded the committed version: the store
+                // drops it from its table as on `nvdelete`, so the next
+                // record does not carry it.
+                store.delete_chunk(id);
+            }
             self.save_metadata()?;
         }
         Ok(())

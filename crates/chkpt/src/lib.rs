@@ -51,8 +51,6 @@ pub mod checksum;
 pub mod commit;
 pub mod config;
 pub mod engine;
-#[cfg(test)]
-mod model;
 pub mod persist;
 pub mod precopy;
 pub mod predict;

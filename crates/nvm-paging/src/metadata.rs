@@ -314,27 +314,42 @@ impl MetadataRegion {
         encode(table, &mut self.payload);
         let needed = HEADER + self.payload.len();
         if needed > self.capacity {
-            // Grow: allocate a fresh, larger region. The old one is
-            // freed only after the new one is written (crash safety).
+            // Grow: allocate a fresh, larger region. It replaces the old
+            // one, which is freed, only once it is written (crash
+            // safety).
             let new_cap = needed.next_power_of_two();
             let new_region = self.device.alloc(new_cap)?;
-            let old = self.region;
-            self.region = new_region;
+            let cost = match self.write_payload(new_region) {
+                Ok(cost) => cost,
+                Err(e) => {
+                    self.device.free(new_region)?;
+                    return Err(e);
+                }
+            };
+            let old = std::mem::replace(&mut self.region, new_region);
             self.capacity = new_cap;
-            let cost = self.write_payload()?;
             self.device.free(old)?;
             return Ok(cost);
         }
-        self.write_payload()
+        self.write_payload(self.region)
     }
 
-    fn write_payload(&self) -> Result<SimDuration, DeviceError> {
+    /// Write the header and the payload to `region`, charged as two
+    /// writes but made as one, so a fault between them cannot leave a
+    /// header that does not describe its payload. A save whose fault
+    /// comes before the write, or that grows, leaves the previous table
+    /// whole; one that overwrites in place does so only if the device's
+    /// backing write either fully happens or not at all.
+    fn write_payload(&self, region: RegionId) -> Result<SimDuration, DeviceError> {
         let payload = &self.payload;
-        let mut cost =
-            self.device
-                .write(self.region, 0, &(payload.len() as u64).to_le_bytes(), 1)?;
-        cost += self.device.write(self.region, HEADER, payload, 1)?;
-        cost += self.device.flush(self.region, HEADER + payload.len())?;
+        let len = HEADER + payload.len();
+        let mut cost = self.device.write_synthetic(region, 0, HEADER, 1)?;
+        cost += (self.device).write_synthetic(region, HEADER, payload.len(), 1)?;
+        self.device.view_mut(region, 0, len, |dst| {
+            dst[..HEADER].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+            dst[HEADER..].copy_from_slice(payload);
+        })?;
+        cost += self.device.flush(region, len)?;
         Ok(cost)
     }
 

@@ -63,6 +63,16 @@ impl RecordingMedia {
         RecordingMedia::default()
     }
 
+    /// Recording media that starts as `image`, durably: the image is
+    /// its first write and an fsync, so every crash point past those
+    /// two operations keeps it.
+    pub fn seeded(image: &MemMedia) -> Self {
+        let mut media = RecordingMedia::new();
+        media.write_at(0, &[image.bytes()]).expect("mem write");
+        media.fsync().expect("mem fsync");
+        media
+    }
+
     /// The operations recorded so far.
     pub fn ops(&self) -> &[OpRecord] {
         &self.ops
@@ -119,6 +129,23 @@ pub struct CrashPoint {
     pub at_op: usize,
     /// Failure model.
     pub mode: CrashMode,
+}
+
+impl CrashPoint {
+    /// The crash point that `at_sel`, `mode_sel` and `keep` select in
+    /// `ops`: at operation `at_sel % (ops.len() + 1)`, under `Keep`,
+    /// `Drop` or `Torn { keep }` by `mode_sel % 3`. Only a write can
+    /// tear: `Torn` on an fsync or past the end is `Keep`.
+    pub fn pick(ops: &[OpRecord], at_sel: usize, mode_sel: u8, keep: usize) -> CrashPoint {
+        let at_op = at_sel % (ops.len() + 1);
+        let mode = match mode_sel % 3 {
+            0 => CrashMode::Keep,
+            1 => CrashMode::Drop,
+            _ if matches!(ops.get(at_op), Some(OpRecord::Write { .. })) => CrashMode::Torn { keep },
+            _ => CrashMode::Keep,
+        };
+        CrashPoint { at_op, mode }
+    }
 }
 
 /// Replay `ops` into the byte image a crash at `point` would leave.
@@ -501,6 +528,27 @@ mod tests {
         let run = standard_run();
         for point in enumerate_points(&run.ops) {
             check_crash_point(&run, &point);
+        }
+    }
+
+    #[test]
+    fn seeded_media_keeps_its_image_at_every_crash_point_past_the_seed() {
+        let run = standard_run();
+        let end = CrashPoint::pick(&run.ops, run.ops.len(), 0, 0);
+        let seed = RecordingMedia::seeded(&surviving_image(&run.ops, &end));
+        let mut store = Container::open(seed, 0, 0).unwrap();
+        store
+            .put_chunk(ChunkId(1), "chunk1", 8, 4, &[4; 8])
+            .unwrap();
+        store.commit(4).unwrap();
+        let ops = store.into_media().ops;
+        for at_op in 2..=ops.len() {
+            for mode in [CrashMode::Keep, CrashMode::Drop] {
+                let image = surviving_image(&ops, &CrashPoint { at_op, mode });
+                let mut store = Container::open(image, 0, 0).unwrap();
+                let epoch = store.recover().unwrap().epoch;
+                assert!(matches!(epoch, Some(3 | 4)), "{at_op} {mode:?}: {epoch:?}");
+            }
         }
     }
 

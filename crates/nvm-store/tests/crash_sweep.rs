@@ -69,25 +69,6 @@ proptest! {
         keep in 0usize..65536,
     ) {
         let run = standard_run();
-        let at_op = at_op % (run.ops.len() + 1);
-        let mode = match mode_sel {
-            0 => CrashMode::Keep,
-            1 => CrashMode::Drop,
-            _ => CrashMode::Torn { keep },
-        };
-        // Torn requires a write op to tear; redirect to Keep when the
-        // op at `at_op` is a fsync or past the end.
-        let mode = match mode {
-            CrashMode::Torn { .. }
-                if !matches!(
-                    run.ops.get(at_op),
-                    Some(nvm_store::OpRecord::Write { .. })
-                ) =>
-            {
-                CrashMode::Keep
-            }
-            m => m,
-        };
-        check_crash_point(&run, &CrashPoint { at_op, mode });
+        check_crash_point(&run, &CrashPoint::pick(&run.ops, at_op, mode_sel, keep));
     }
 }

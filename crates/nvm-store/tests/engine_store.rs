@@ -368,27 +368,23 @@ enum Source {
     Images,
 }
 
-type Restarted = Result<(CheckpointEngine, RestartReport), EngineError>;
-
 /// One cell of the restart matrix: replay [`scripted_history`] (CPC)
 /// into a container file, optionally corrupt one chunk's committed
 /// copy where `source` will look for it, kill the process, and restart
-/// it from `source` under `strategy` with `config`. Also returns every
-/// chunk's committed bytes as of the kill, in id order.
+/// it from `source` under `strategy` with `config`.
 fn restart_cell(
     source: Source,
     strategy: RestartStrategy,
     config: EngineConfig,
     corrupt: Option<ChunkId>,
-) -> (Restarted, Vec<(ChunkId, Vec<u8>)>) {
+) -> Result<(CheckpointEngine, RestartReport), EngineError> {
     let tmp = TempDir::new("restart-matrix").unwrap();
     let path = tmp.join("rank.store");
     let store = FileStore::open_path(&path, 7, SCRIPT_CAP).unwrap();
     let mut e = scripted_history(Box::new(store), PrecopyPolicy::Cpc);
-    let committed: Vec<(ChunkId, Vec<u8>)> = (e.heap().persistent_ids().into_iter())
-        .map(|id| (id, e.committed_bytes(id).unwrap()))
-        .collect();
-    let restarted = match source {
+    let tracer = Tracer::disabled();
+    const CAP: usize = 16 * MB;
+    match source {
         Source::Device => {
             if let Some(id) = corrupt {
                 e.corrupt_committed(id).unwrap();
@@ -396,7 +392,6 @@ fn restart_cell(
             let (dram, nvm) = (e.heap().dram().clone(), e.heap().nvm().clone());
             let (region, clock) = (e.metadata_region(), e.clock().clone());
             drop(e);
-            let tracer = Tracer::disabled();
             CheckpointEngine::restart(&dram, &nvm, region, clock, config, strategy, tracer)
         }
         Source::Store => {
@@ -405,117 +400,61 @@ fn restart_cell(
             if let Some(id) = corrupt {
                 store.corrupt_payload(id).unwrap();
             }
-            let (dram, nvm, clock) = devices();
+            let ((dram, nvm, clock), store) = (devices(), Box::new(store));
             CheckpointEngine::restart_from_store(
-                &dram,
-                &nvm,
-                16 * MB,
-                clock,
-                config,
-                strategy,
-                Box::new(store),
-                Tracer::disabled(),
+                &dram, &nvm, CAP, clock, config, strategy, store, tracer,
             )
         }
         Source::Images => {
             assert!(corrupt.is_none(), "fetched images arrive verified");
-            let images: Vec<RemoteImage> = (committed.iter())
-                .map(|(id, payload)| RemoteImage {
-                    id: *id,
-                    name: e.heap().chunk(*id).unwrap().name.clone(),
-                    len: payload.len(),
-                    checksum: None,
-                    epoch: e.heap().chunk(*id).unwrap().committed_epoch,
-                    payload: payload.clone(),
+            let images: Vec<RemoteImage> = (e.heap().persistent_ids().into_iter())
+                .map(|id| {
+                    let (chunk, payload) = (e.heap().chunk(id).unwrap(), e.committed_bytes(id));
+                    RemoteImage {
+                        id,
+                        name: chunk.name.clone(),
+                        len: chunk.len,
+                        checksum: None,
+                        epoch: chunk.committed_epoch,
+                        payload: payload.unwrap(),
+                    }
                 })
                 .collect();
             drop(e);
             let (dram, nvm, clock) = devices();
             CheckpointEngine::restart_from_images(
-                7,
-                &dram,
-                &nvm,
-                16 * MB,
-                clock,
-                config,
-                strategy,
-                &images,
-                3,
-                Tracer::disabled(),
+                7, &dram, &nvm, CAP, clock, config, strategy, &images, 3, tracer,
             )
         }
-    };
-    (restarted, committed)
+    }
 }
 
 const SOURCES: [Source; 3] = [Source::Device, Source::Store, Source::Images];
 
 #[test]
-fn restart_matrix_every_source_and_strategy_rebuilds_the_same_process() {
+fn restart_duration_orders_by_source_and_strategy() {
+    // What each cell rebuilds is `tests/lockstep.rs`'s to check; here
+    // only what it costs. Store and images install the same payloads
+    // under the same charge; only the device-local restart also pays a
+    // metadata load and a verifying read of each slot. Parallel
+    // streams never take longer than one.
     let config = EngineConfig::default().with_precopy(PrecopyPolicy::Cpc);
-    let mut eager_duration = Vec::new();
-    for source in SOURCES {
-        for strategy in [
-            RestartStrategy::Eager,
-            RestartStrategy::Parallel { streams: 4 },
-            RestartStrategy::Lazy,
-        ] {
-            let cell = format!("{source:?} x {strategy:?}");
-            let (restarted, committed) = restart_cell(source, strategy, config, None);
-            let (mut e, report) = restarted.unwrap_or_else(|err| panic!("{cell}: {err}"));
-            let ids: Vec<ChunkId> = committed.iter().map(|(id, _)| *id).collect();
-
-            // What the strategy says: lazy defers whatever is not
-            // already in hand, everything else restores up front.
-            let defers = strategy == RestartStrategy::Lazy && source != Source::Images;
-            let (restored, deferred) = if defers {
-                (Vec::new(), ids.clone())
-            } else {
-                (ids.clone(), Vec::new())
-            };
-            assert_eq!(report.restored, restored, "{cell}");
-            assert_eq!(report.deferred, deferred, "{cell}");
-            assert!(report.corrupt.is_empty(), "{cell}");
-            assert!(report.never_committed.is_empty(), "{cell}");
-            assert_eq!(e.lazy_pending_count(), deferred.len(), "{cell}");
-            assert_eq!(e.stats().restarts, 1, "{cell}");
-
-            // A deferred chunk checkpointed before anyone touched it
-            // commits its recovered bytes, not an unrestored working
-            // copy.
-            if defers {
-                let (id, bytes) = &committed[0];
-                e.nvchkptid(*id).unwrap();
-                assert_eq!(&e.committed_bytes(*id).unwrap(), bytes, "{cell}: {id:?}");
-            }
-
-            // One read of each chunk later, every cell is the same
-            // process: same working copies, same committed versions.
-            for (id, bytes) in &committed {
-                let mut working = vec![0u8; bytes.len()];
-                e.read(*id, 0, &mut working).unwrap();
-                assert_eq!(&working, bytes, "{cell}: working copy of {id:?}");
-                assert_eq!(&e.committed_bytes(*id).unwrap(), bytes, "{cell}: {id:?}");
-            }
-            assert_eq!(e.lazy_pending_count(), 0, "{cell}");
-
-            match strategy {
-                RestartStrategy::Eager => eager_duration.push(report.duration),
-                RestartStrategy::Parallel { .. } => assert!(
-                    report.duration <= *eager_duration.last().unwrap(),
-                    "{cell}: parallel {} vs eager {}",
-                    report.duration,
-                    eager_duration.last().unwrap()
-                ),
-                RestartStrategy::Lazy => {}
-            }
-        }
+    let duration = |source, strategy| {
+        restart_cell(source, strategy, config, None)
+            .unwrap()
+            .1
+            .duration
+    };
+    let eager = SOURCES.map(|source| duration(source, RestartStrategy::Eager));
+    for (source, eager) in SOURCES.into_iter().zip(eager) {
+        let parallel = duration(source, RestartStrategy::Parallel { streams: 4 });
+        assert!(
+            parallel <= eager,
+            "{source:?}: parallel {parallel} vs eager {eager}"
+        );
     }
-    // Store and images install the same payloads under the same
-    // charge; only the device-local restart also pays a metadata load
-    // and a verifying read of each slot.
-    assert_eq!(eager_duration[1], eager_duration[2], "store vs images");
-    assert!(eager_duration[0] > eager_duration[1], "device vs store");
+    assert_eq!(eager[1], eager[2], "store vs images");
+    assert!(eager[0] > eager[1], "device vs store");
 }
 
 #[test]
@@ -524,11 +463,10 @@ fn corrupted_slot_surfaces_on_first_access_not_at_restart() {
     for source in [Source::Device, Source::Store] {
         // Eager: the restart reads everything, so it reports the bad
         // chunk up front and restores the rest.
-        let (restarted, committed) = restart_cell(source, RestartStrategy::Eager, config, None);
-        drop(restarted);
-        let ids: Vec<ChunkId> = committed.iter().map(|(id, _)| *id).collect();
+        let clean = restart_cell(source, RestartStrategy::Eager, config, None);
+        let ids = clean.unwrap().1.restored;
         let (bad, good) = (ids[1], [ids[0], ids[2]]);
-        let (restarted, _) = restart_cell(source, RestartStrategy::Eager, config, Some(bad));
+        let restarted = restart_cell(source, RestartStrategy::Eager, config, Some(bad));
         let (_e, report) = restarted.unwrap();
         assert_eq!(report.corrupt, vec![bad], "{source:?}");
         assert_eq!(report.restored, good, "{source:?}");
@@ -536,7 +474,7 @@ fn corrupted_slot_surfaces_on_first_access_not_at_restart() {
         // Lazy: nothing was read yet, so the restart succeeds without
         // noticing; clean chunks restore, the bad one fails its first
         // touch with a checksum error.
-        let (restarted, _) = restart_cell(source, RestartStrategy::Lazy, config, Some(bad));
+        let restarted = restart_cell(source, RestartStrategy::Lazy, config, Some(bad));
         let (mut e, report) = restarted.unwrap();
         assert!(report.corrupt.is_empty(), "{source:?}: not detected yet");
         assert_eq!(report.deferred, ids, "{source:?}");
@@ -555,8 +493,7 @@ fn restart_matrix_invalid_config_is_a_config_error_from_every_source() {
         ..EngineConfig::default()
     };
     for source in SOURCES {
-        let (restarted, _) = restart_cell(source, RestartStrategy::Eager, bad, None);
-        match restarted {
+        match restart_cell(source, RestartStrategy::Eager, bad, None) {
             Err(EngineError::Config(ConfigError::ZeroNodeConcurrency)) => {}
             Err(other) => panic!("{source:?}: wrong error: {other}"),
             Ok(_) => panic!("{source:?}: node_concurrency 0 must be rejected"),

@@ -26,7 +26,10 @@ use std::sync::{Arc, Mutex};
 use nvm_chkpt::{CheckpointEngine, EngineConfig, RestartStrategy};
 use nvm_emu::{MemoryDevice, VirtualClock};
 use nvm_kv::{KvConfig, KvStore, SessionId};
-use nvm_store::{surviving_image, Container, CrashMode, CrashPoint, OpRecord, RecordingMedia};
+use nvm_store::{
+    expected_mark, surviving_image, CommitMark, Container, CrashMode, CrashPoint, OpRecord,
+    RecordingMedia,
+};
 use nvm_trace::Tracer;
 use proptest::prelude::*;
 
@@ -67,38 +70,30 @@ fn mk_engine() -> CheckpointEngine {
     .unwrap()
 }
 
-/// Oracle entry: what a crash recovering this engine commit must find.
+/// Oracle entry: what a crash recovering one engine commit must find.
 #[derive(Clone, Debug)]
 struct KvMark {
-    /// Media ops recorded once `nvchkptall` returned. The commit
-    /// record write is op `ops_after - 2`, its fsync `ops_after - 1`
-    /// (same container protocol the nvm-store sweep pins down).
-    ops_after: usize,
     /// CPR token this commit made durable (0 = none published yet).
     token: u64,
     /// Exact kv contents at that token.
     expected: BTreeMap<Vec<u8>, Vec<u8>>,
 }
 
-/// Which mark a crash at `point` must recover to (None = virgin).
-/// Same durability rule as `nvm_store::expected_mark`: under
-/// Keep/Torn the commit is durable once the crash lands at or after
-/// its fsync op (tearing the record itself fails its CRC and is
-/// discarded); under Drop only once the fsync completed.
-fn expected_kv_mark<'a>(marks: &'a [KvMark], point: &CrashPoint) -> Option<&'a KvMark> {
-    marks
-        .iter()
-        .filter(|m| match point.mode {
-            CrashMode::Keep | CrashMode::Torn { .. } => point.at_op >= m.ops_after - 1,
-            CrashMode::Drop => point.at_op >= m.ops_after,
-        })
-        .max_by_key(|m| m.ops_after)
-}
-
 /// A serving run whose media ops were recorded for crash replay.
 struct KvCrashRun {
     ops: Vec<OpRecord>,
+    /// When each engine commit became durable; its `epoch` indexes
+    /// `marks` (a kv commit's oracle is a token, not chunk bytes).
+    commits: Vec<CommitMark>,
     marks: Vec<KvMark>,
+}
+
+impl KvCrashRun {
+    /// The mark a crash at `point` must recover to (None = virgin), by
+    /// `nvm_store`'s durability rule.
+    fn expected(&self, point: &CrashPoint) -> Option<&KvMark> {
+        expected_mark(&self.commits, point).map(|c| &self.marks[c.epoch as usize])
+    }
 }
 
 /// Harness state for scripting a run: engine + store + the oracle
@@ -110,6 +105,7 @@ struct Driver {
     media: SharedMedia,
     /// (token, contents) at the last `checkpoint()` call.
     at_token: (u64, BTreeMap<Vec<u8>, Vec<u8>>),
+    commits: Vec<CommitMark>,
     marks: Vec<KvMark>,
 }
 
@@ -128,6 +124,7 @@ impl Driver {
             session,
             media,
             at_token: (0, BTreeMap::new()),
+            commits: Vec::new(),
             marks: Vec::new(),
         }
     }
@@ -165,8 +162,12 @@ impl Driver {
     /// Engine commit: the last published token becomes crash-durable.
     fn commit(&mut self) {
         self.engine.nvchkptall().unwrap();
-        self.marks.push(KvMark {
+        self.commits.push(CommitMark {
+            epoch: self.marks.len() as u64,
             ops_after: self.media.lock().unwrap().ops().len(),
+            expected: Vec::new(),
+        });
+        self.marks.push(KvMark {
             token: self.at_token.0,
             expected: self.at_token.1.clone(),
         });
@@ -175,6 +176,7 @@ impl Driver {
     fn finish(self) -> KvCrashRun {
         KvCrashRun {
             ops: recorded_ops(&self.media),
+            commits: self.commits,
             marks: self.marks,
         }
     }
@@ -233,7 +235,7 @@ fn check_kv_crash_point(run: &KvCrashRun, point: &CrashPoint) {
     let (mut kv, rec) = KvStore::recover(&mut engine, kv_cfg())
         .unwrap_or_else(|e| panic!("kv recovery must never error at {point:?}: {e}"));
     let got = kv.contents(&mut engine).unwrap();
-    match expected_kv_mark(&run.marks, point) {
+    match run.expected(point) {
         None => {
             assert_eq!(
                 rec.token, 0,
@@ -280,7 +282,7 @@ fn scripted_run_reaches_every_token_outcome() {
     for at_op in 0..=run.ops.len() {
         for mode in [CrashMode::Keep, CrashMode::Drop] {
             let p = CrashPoint { at_op, mode };
-            seen.insert(expected_kv_mark(&run.marks, &p).map(|m| m.token));
+            seen.insert(run.expected(&p).map(|m| m.token));
         }
     }
     for outcome in [None, Some(0), Some(1), Some(3)] {
@@ -340,7 +342,7 @@ fn two_tokens_before_one_commit_recover_to_the_newer() {
         at_op: run.ops.len(),
         mode: CrashMode::Drop,
     };
-    assert_eq!(expected_kv_mark(&run.marks, &after_drain).unwrap().token, 2);
+    assert_eq!(run.expected(&after_drain).unwrap().token, 2);
     check_kv_crash_point(&run, &after_drain);
     // ...and one anywhere before the commit record's fsync on the
     // virgin store.
@@ -376,7 +378,7 @@ proptest! {
     #[test]
     fn random_op_sequences_recover_to_their_oracle(
         script in proptest::collection::vec(script_op(), 1..40),
-        at_op_sel in any::<u64>(),
+        at_op_sel in any::<usize>(),
         mode_sel in 0u8..3,
         keep in 0usize..8192,
     ) {
@@ -397,15 +399,6 @@ proptest! {
         d.token();
         d.commit();
         let run = d.finish();
-        let at_op = (at_op_sel % (run.ops.len() as u64 + 1)) as usize;
-        let mode = match mode_sel {
-            0 => CrashMode::Keep,
-            1 => CrashMode::Drop,
-            _ if matches!(run.ops.get(at_op), Some(OpRecord::Write { .. })) => {
-                CrashMode::Torn { keep }
-            }
-            _ => CrashMode::Keep,
-        };
-        check_kv_crash_point(&run, &CrashPoint { at_op, mode });
+        check_kv_crash_point(&run, &CrashPoint::pick(&run.ops, at_op_sel, mode_sel, keep));
     }
 }
