@@ -59,7 +59,7 @@ pub use model::{
 };
 pub use nvm_obs::FlightDump;
 pub use profile::thread_cpu_ns;
-pub use profile::RunProfile;
+pub use profile::{Phase, RunProfile};
 pub use recovery::{collapse_batch, RecoveredChunkRecord, RecoveryRecord, RecoverySource};
 pub use reliability::{
     expected_failures, schedule_loses_pair, simulated_unrecoverable_rate,

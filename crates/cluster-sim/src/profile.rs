@@ -12,13 +12,20 @@
 //! * **per-shard merge time** — thread CPU time spent draining and
 //!   pre-merging each shard's trace/metrics/stat streams (spread over
 //!   workers shard-by-shard), and
-//! * **coordinator overhead** — everything else on the wall: barrier
-//!   arithmetic, failure handling, helper/link bookkeeping, and the
-//!   final O(shards) fold (the serial floor that caps scaling).
+//! * **coordinator overhead** — everything else on the wall: building
+//!   the cluster, barrier arithmetic, failure handling, helper/link
+//!   bookkeeping, the final O(shards) fold and the teardown (the serial
+//!   floor that caps scaling).
+//!
+//! Across both, the wall is also split by [`Phase`]: how long the run
+//! spent building, in each phase of the run loop, reducing and tearing
+//! down, so the coordinator's share can be read per phase.
 //!
 //! The split is measured, never modelled: what `--threads N` buys on a
 //! given host is read off two profiled runs' `wall_ns`, not projected
 //! from one.
+
+use std::time::Instant;
 
 /// Thread CPU time (CLOCK_THREAD_CPUTIME_ID) in nanoseconds.
 ///
@@ -58,13 +65,106 @@ pub fn thread_cpu_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
+/// A span of a [`crate::Cluster::run`] on the coordinator's wall clock,
+/// in the order a run enters them; [`RunProfile::phase_ns`] is indexed
+/// by it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Phase {
+    /// Devices, spill files, every rank's engine and workload setup.
+    Build,
+    /// Failure batches and the restore ladder.
+    HandleFailures,
+    /// One application iteration on every rank.
+    Compute,
+    /// Helper polling and link contention.
+    PollHelpers,
+    /// The coordinated local checkpoint, barriers included.
+    CheckpointLocal,
+    /// The remote commit and the ship to each node's buddy.
+    CheckpointRemote,
+    /// The end-of-run reduction into the result.
+    Reduce,
+    /// Closing the devices and removing their spill files.
+    Teardown,
+}
+
+impl Phase {
+    /// Every phase, in index order.
+    pub const ALL: [Phase; 8] = [
+        Phase::Build,
+        Phase::HandleFailures,
+        Phase::Compute,
+        Phase::PollHelpers,
+        Phase::CheckpointLocal,
+        Phase::CheckpointRemote,
+        Phase::Reduce,
+        Phase::Teardown,
+    ];
+
+    /// The phase's name, as the coordinator method it times.
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::Build => "build",
+            Phase::HandleFailures => "handle_failures",
+            Phase::Compute => "compute",
+            Phase::PollHelpers => "poll_helpers",
+            Phase::CheckpointLocal => "checkpoint_local",
+            Phase::CheckpointRemote => "checkpoint_remote",
+            Phase::Reduce => "reduce",
+            Phase::Teardown => "teardown",
+        }
+    }
+}
+
+/// Times [`Phase`]s on the wall clock of a profiled run; without a
+/// profile, [`PhaseClock::time`] is one branch around the call.
+pub(crate) struct PhaseClock {
+    start: Option<Instant>,
+    ns: [u64; Phase::ALL.len()],
+}
+
+impl PhaseClock {
+    /// A clock whose wall starts now, running only when `on`.
+    pub(crate) fn new(on: bool) -> Self {
+        PhaseClock {
+            start: on.then(Instant::now),
+            ns: [0; Phase::ALL.len()],
+        }
+    }
+
+    /// Run `f`, adding its wall time to `phase`.
+    pub(crate) fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
+        if self.start.is_none() {
+            return f();
+        }
+        let t0 = Instant::now();
+        let out = f();
+        self.ns[phase as usize] += t0.elapsed().as_nanos() as u64;
+        out
+    }
+
+    /// Write the phase times into `profile`, and its wall: from this
+    /// clock's creation to now.
+    pub(crate) fn finish(&self, profile: &mut RunProfile) {
+        if let Some(start) = self.start {
+            profile.wall_ns = start.elapsed().as_nanos() as u64;
+            profile.phase_ns = self.ns;
+        }
+    }
+}
+
 /// Timing decomposition of one simulator run. See the module docs for
 /// what each part means; all fields are measured, none feed back into
 /// the deterministic simulation state.
 #[derive(Clone, Debug)]
 pub struct RunProfile {
-    /// Total wall-clock nanoseconds for the run.
+    /// Total wall-clock nanoseconds for the run, from the start of
+    /// construction to the end of the teardown.
     pub wall_ns: u64,
+    /// Wall-clock nanoseconds spent in each [`Phase`], indexed by it.
+    /// The phases are disjoint spans of `wall_ns`; what they leave is
+    /// the run loop's own bookkeeping.
+    pub phase_ns: [u64; Phase::ALL.len()],
     /// Thread-CPU nanoseconds spent in rank callbacks, indexed by
     /// global rank (flattened node-major order — the same order the
     /// worker pool chunks).
@@ -78,6 +178,11 @@ pub struct RunProfile {
 }
 
 impl RunProfile {
+    /// Wall-clock nanoseconds spent in `phase`.
+    pub fn phase(&self, phase: Phase) -> u64 {
+        self.phase_ns[phase as usize]
+    }
+
     /// Total rank-parallel work on the wall.
     pub fn total_rank_busy_ns(&self) -> u64 {
         self.rank_busy_ns.iter().sum()
@@ -121,6 +226,7 @@ mod tests {
     fn degenerate_profiles_do_not_panic() {
         let p = RunProfile {
             wall_ns: 0,
+            phase_ns: [0; Phase::ALL.len()],
             rank_busy_ns: Vec::new(),
             merge_busy_ns: Vec::new(),
             threads: 1,
@@ -130,6 +236,7 @@ mod tests {
         // merge work: 600 - 4 x 100 - 2 x 50.
         let p = RunProfile {
             wall_ns: 600,
+            phase_ns: [0; Phase::ALL.len()],
             rank_busy_ns: vec![100; 4],
             merge_busy_ns: vec![50; 2],
             threads: 1,

@@ -45,7 +45,7 @@
 //! and `pool` (the worker pool).
 
 use crate::app::Workload;
-use crate::profile::RunProfile;
+use crate::profile::{Phase, PhaseClock, RunProfile};
 use crate::recovery::RecoveryRecord;
 use crate::schedule::ScheduleTrace;
 use crate::store::RankRecovery;
@@ -395,9 +395,20 @@ impl Cluster {
 
     /// Run to completion with the given output selection.
     pub fn run(self, options: RunOptions) -> Result<RunOutcome, SimError> {
-        let mut sim = phases::ClusterSim::with_options(self.config, options, self.factory)?;
+        let mut clock = PhaseClock::new(options.profile);
+        let mut sim = clock.time(Phase::Build, || {
+            phases::ClusterSim::with_options(self.config, options, self.factory)
+        })?;
         // Whatever ends the run early leaves with the black box.
-        sim.execute().map_err(|err| sim.attach_flight(err))
+        let outcome = sim
+            .execute(&mut clock)
+            .map_err(|err| sim.attach_flight(err));
+        clock.time(Phase::Teardown, || sim.teardown());
+        let mut outcome = outcome?;
+        if let Some(profile) = &mut outcome.profile {
+            clock.finish(profile);
+        }
+        Ok(outcome)
     }
 
     /// Scan `dir` for the `rank_<n>.store` container files a
@@ -841,6 +852,32 @@ mod tests {
         assert_eq!(p.merge_busy_ns.len(), small_config().shard_count());
         // Synthetic materialization has no byte images to spill.
         assert!(out.spill.is_none());
+    }
+
+    #[test]
+    fn profile_phases_are_disjoint_spans_of_the_wall() {
+        let mut cfg = small_config().with_threads(2);
+        cfg.engine = nvm_chkpt::EngineConfig::builder()
+            .materialization(Materialization::Bytes)
+            .build()
+            .unwrap();
+        cfg.remote = Some(RemoteConfig::infiniband(SimDuration::from_secs(10), true));
+        let out = Cluster::new(cfg, factory)
+            .run(RunOptions::new().with_profile(true))
+            .unwrap();
+        assert!(out.result.helper_stats.iter().all(|h| h.bytes_copied > 0));
+        let p = out.profile.expect("profile requested");
+        assert!(p.phase_ns.iter().sum::<u64>() <= p.wall_ns, "{p:?}");
+        for phase in [
+            Phase::Build,
+            Phase::Compute,
+            Phase::CheckpointLocal,
+            Phase::CheckpointRemote,
+            Phase::Reduce,
+            Phase::Teardown,
+        ] {
+            assert!(p.phase(phase) > 0, "{} untimed: {p:?}", phase.name());
+        }
     }
 
     #[test]

@@ -2,15 +2,17 @@
 //! as phases over one [`LoopState`] — failures (`recover.rs`) → compute
 //! → helper poll + link contention (`remote.rs`) → coordinated local
 //! checkpoint → remote commit/ship (`remote.rs`) — then the end-of-run
-//! reduction. Everything here runs serially between barriers; only the
-//! per-rank closures handed to `for_each_rank_parallel` leave the
-//! coordinator.
+//! reduction and the teardown. Everything here runs serially between
+//! barriers; only the closures handed to the pool leave the
+//! coordinator: per rank (compute, local checkpoint, restore
+//! verification), per node (the remote ship, the teardown) and per
+//! shard (the reduction).
 
 use super::pool::{for_each_rank_parallel, pool_map};
 use super::{ClusterConfig, RunOptions, RunOutcome, RunResult, SimError, SpillReport};
 use crate::app::Workload;
 use crate::failure::FailureSchedule;
-use crate::profile::{thread_cpu_ns, RunProfile};
+use crate::profile::{thread_cpu_ns, Phase, PhaseClock, RunProfile};
 use crate::recovery::RecoveryRecord;
 use crate::schedule::{Activity, ScheduleTrace};
 use nvm_chkpt::{CheckpointEngine, EngineError, EngineStats, Materialization};
@@ -84,6 +86,15 @@ impl Rank {
         self.engine = engine;
         self.instrument();
     }
+}
+
+/// Where node `n`'s NVM and DRAM spill files live under the spill
+/// directory.
+fn spill_paths(dir: &TempDir, n: usize) -> [PathBuf; 2] {
+    [
+        dir.join(format!("nvm_{n}.spill")),
+        dir.join(format!("dram_{n}.spill")),
+    ]
 }
 
 /// Where rank `global`'s durable container lives under a store directory.
@@ -175,9 +186,8 @@ pub(super) struct LoopState {
     /// Checkpoint bytes per rank (`D`; the modeled fetch charge).
     pub(super) d_per_rank: u64,
     pub(super) recovery: Vec<RecoveryRecord>,
-    /// Host-side profile inputs: they travel next to the tallies and
+    /// Host-side profile input: it travels next to the tallies and
     /// never into the result.
-    pub(super) wall_start: std::time::Instant,
     pub(super) rank_busy: Vec<AtomicU64>,
 }
 
@@ -208,7 +218,6 @@ impl LoopState {
             remote_ckpts: 0,
             d_per_rank: sim.ranks[0][0].engine.checkpoint_bytes() as u64,
             recovery: Vec::new(),
-            wall_start: std::time::Instant::now(),
             rank_busy: (0..config.total_ranks())
                 .map(|_| AtomicU64::new(0))
                 .collect(),
@@ -238,8 +247,9 @@ pub(super) struct ClusterSim {
     /// Barrier synchronisations executed (coordinator-side counter).
     barriers: u64,
     /// Coordinator-side metrics (comm stalls, helper transfer sizes,
-    /// barrier count, link peaks), recorded only from the serial
-    /// coordinator loop.
+    /// barrier count, link peaks). The helpers record into it from the
+    /// workers that ship their nodes; every update commutes, so the
+    /// report does not depend on which worker got there first.
     pub(super) coord_metrics: Metrics,
     /// Owns the per-device spill files for the lifetime of the run;
     /// `None` when the run is synthetic or spill is disabled.
@@ -280,12 +290,13 @@ impl ClusterSim {
             }
             let dram = MemoryDevice::dram(config.node_dram_capacity(n));
             if let Some(dir) = &spill_dir {
-                let f =
-                    FileSpill::create(&dir.join(format!("nvm_{n}.spill"))).map_err(Self::io_err)?;
-                nvm.attach_spill(Box::new(f));
-                let f = FileSpill::create(&dir.join(format!("dram_{n}.spill")))
-                    .map_err(Self::io_err)?;
-                dram.attach_spill(Box::new(f));
+                let [nvm_path, dram_path] = spill_paths(dir, n);
+                nvm.attach_spill(Box::new(
+                    FileSpill::create(&nvm_path).map_err(Self::io_err)?,
+                ));
+                dram.attach_spill(Box::new(
+                    FileSpill::create(&dram_path).map_err(Self::io_err)?,
+                ));
             }
             let mut helper = HelperProcess::with_params(helper_params);
             helper.set_metrics(coord_metrics.clone());
@@ -405,19 +416,59 @@ impl ClusterSim {
     /// schedule. The [`RunProfile`] and [`SpillReport`] travel *next
     /// to* the result, never inside it — [`RunResult`] stays
     /// byte-identical across thread counts and machines; timing and
-    /// host-memory accounting are neither.
-    pub(super) fn execute(&mut self) -> Result<RunOutcome, SimError> {
+    /// host-memory accounting are neither. Each phase's wall time goes
+    /// to `clock`.
+    pub(super) fn execute(&mut self, clock: &mut PhaseClock) -> Result<RunOutcome, SimError> {
         let mut st = LoopState::new(self);
         while st.iter < self.config.iterations {
             let iter_start = self.max_time();
-            self.handle_failures(&mut st, iter_start)?;
-            self.compute(&mut st)?;
-            self.poll_helpers(&mut st, iter_start);
-            if let Some(t1) = self.checkpoint_local(&mut st)? {
-                self.checkpoint_remote(&mut st, t1)?;
+            clock.time(Phase::HandleFailures, || {
+                self.handle_failures(&mut st, iter_start)
+            })?;
+            clock.time(Phase::Compute, || self.compute(&mut st))?;
+            clock.time(Phase::PollHelpers, || {
+                self.poll_helpers(&mut st, iter_start)
+            });
+            if let Some(t1) =
+                clock.time(Phase::CheckpointLocal, || self.checkpoint_local(&mut st))?
+            {
+                clock.time(Phase::CheckpointRemote, || {
+                    self.checkpoint_remote(&mut st, t1)
+                })?;
             }
         }
-        self.reduce(st)
+        clock.time(Phase::Reduce, || self.reduce(st))
+    }
+
+    /// Close every device and remove its spill file, one node per pool
+    /// item, so the spill directory is empty when it is removed. The
+    /// ranks' engines and the remote stores hold the other handles to
+    /// the devices, so they go first; a node's devices are then closed
+    /// by the worker that drops them.
+    pub(super) fn teardown(self) {
+        let ClusterSim {
+            config,
+            ranks,
+            nodes,
+            stores,
+            spill_dir,
+            ..
+        } = self;
+        drop(ranks);
+        drop(stores);
+        let mut nodes: Vec<(usize, Option<NodeDevices>)> =
+            nodes.into_iter().map(Some).enumerate().collect();
+        // Nothing here can fail the run: a file left behind goes with
+        // the directory.
+        let _ = pool_map(&mut nodes, config.threads, |(n, node)| {
+            drop(node.take());
+            if let Some(dir) = &spill_dir {
+                for path in spill_paths(dir, *n) {
+                    let _ = std::fs::remove_file(path);
+                }
+            }
+            Ok(())
+        });
     }
 
     /// One application iteration on every rank (the parallel epoch).
@@ -573,8 +624,11 @@ impl ClusterSim {
             store,
             recovery: st.recovery,
         };
+        // The wall and phase times are `Cluster::run`'s: it fills them
+        // in once the teardown has been timed.
         let profile = options.profile.then(|| RunProfile {
-            wall_ns: st.wall_start.elapsed().as_nanos() as u64,
+            wall_ns: 0,
+            phase_ns: [0; Phase::ALL.len()],
             rank_busy_ns: st.rank_busy.into_iter().map(|c| c.into_inner()).collect(),
             merge_busy_ns: shards.iter().map(|s| s.busy_ns).collect(),
             threads: self.config.threads,

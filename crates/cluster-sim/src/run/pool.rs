@@ -1,4 +1,21 @@
 //! The worker pool: the only code in the `run` module that spawns.
+//!
+//! Its items are ranks (compute, the local checkpoint, restore
+//! verification), nodes (the remote ship, the teardown) or merge
+//! shards. Correctness under concurrency rests on four properties that
+//! the determinism regression tests pin down:
+//!
+//! * a rank closure touches only its own engine/workload/clock (node
+//!   devices are shared, but their charge costs and statistics are
+//!   functions of length and configured concurrency, never of arrival
+//!   order);
+//! * a node closure touches only its ranks, its `NodeDevices`, and the
+//!   remote store on its buddy's NVM — the one allocator on that
+//!   device while the closure runs, so region ids are the serial ones;
+//! * no rank reads another rank's clock inside an epoch — cross-rank
+//!   time only flows through barriers, which the caller runs serially;
+//! * errors are reported by the lowest item that failed, so a failing
+//!   run is also deterministic.
 
 use super::phases::Rank;
 use super::SimError;
@@ -48,18 +65,8 @@ pub(super) fn pool_map<T: Send, R: Send>(
     })
 }
 
-/// Run `f` over every rank through [`pool_map`], in rank order.
-///
-/// Correctness under concurrency rests on three properties that the
-/// determinism regression tests pin down:
-///
-/// * ranks touch only their own engine/workload/clock (node devices
-///   are shared, but their charge costs and statistics are functions
-///   of length and configured concurrency, never of arrival order);
-/// * no rank reads another rank's clock inside an epoch — cross-rank
-///   time only flows through barriers, which the caller runs serially;
-/// * errors are reported by the lowest global rank that failed, so a
-///   failing run is also deterministic.
+/// Run `f` over every rank through [`pool_map`], in rank order (the
+/// module docs say why that is deterministic).
 pub(super) fn for_each_rank_parallel(
     ranks: &mut [Vec<Rank>],
     threads: usize,

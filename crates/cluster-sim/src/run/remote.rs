@@ -3,6 +3,7 @@
 //! the remote checkpoint to each node's ring buddy.
 
 use super::phases::{ClusterSim, LoopState, Rank};
+use super::pool::pool_map;
 use super::SimError;
 use crate::comm::AlphaBeta;
 use crate::schedule::{Activity, ScheduleTrace};
@@ -10,7 +11,7 @@ use nvm_chkpt::{EngineError, Materialization};
 use nvm_emu::{SimDuration, SimTime};
 use nvm_metrics::names;
 use nvm_trace::TraceEventKind;
-use rdma_sim::{HelperParams, RemoteStore};
+use rdma_sim::{HelperParams, HelperProcess, RemoteStore};
 
 impl ClusterSim {
     /// Advance every node's helper over the iteration window that
@@ -138,6 +139,10 @@ impl ClusterSim {
     /// Otherwise the entire committed checkpoint goes as one burst,
     /// staged by the helper at its bulk copy rate (the wire itself is
     /// faster but fed by one core).
+    ///
+    /// Every node's helper ships at once, as in the paper: one pool
+    /// item per node ([`ship_node`]); its link, flows and trace event
+    /// follow serially, in node order.
     fn ship_remote(
         &mut self,
         st: &mut LoopState,
@@ -150,26 +155,18 @@ impl ClusterSim {
         } else {
             helper.bulk_bandwidth
         };
+        let mut items: Vec<_> = self
+            .stores
+            .iter_mut()
+            .zip(&mut self.ranks)
+            .zip(&mut self.nodes)
+            .map(|((store, ranks), node)| (store, ranks, &mut node.helper))
+            .collect();
+        let shipped = pool_map(&mut items, self.config.threads, |(store, ranks, helper)| {
+            ship_node(store, ranks, helper, incremental)
+        })?;
         let mut cluster_end = t1;
-        for n in 0..self.config.nodes {
-            let mut shipped: u64 = 0;
-            for rank in self.ranks[n].iter_mut() {
-                let chunks = if incremental {
-                    rank.engine.remote_stable_chunks()
-                } else {
-                    rank.engine.heap().persistent_ids()
-                };
-                for id in chunks {
-                    let len = Self::ship_chunk(&mut self.stores[n], rank, id)?;
-                    if incremental {
-                        self.nodes[n].helper.copy_chunk(len);
-                    } else {
-                        self.nodes[n].helper.copy_bulk(len);
-                    }
-                    rank.engine.mark_remote_copied(id);
-                    shipped += len;
-                }
-            }
+        for (n, shipped) in shipped.into_iter().enumerate() {
             if shipped > 0 {
                 let window = SimDuration::for_transfer(shipped, bandwidth);
                 let dur = self.nodes[n].link.transfer_spread(t1, shipped, window);
@@ -214,4 +211,44 @@ impl ClusterSim {
         }
         Ok(chunk.len as u64)
     }
+}
+
+/// One node's share of [`ClusterSim::ship_remote`]: its ranks' due
+/// chunks into `store` (on its buddy's NVM), charged to its helper.
+/// Returns the bytes shipped.
+///
+/// Safe to run beside every other node's ship:
+/// * the buddy's NVM hosts this store and no other, and the buddy's own
+///   ranks only read that device meanwhile, so only this call allocates
+///   there and its region ids and spill layout are the serial ones;
+/// * device charges, stats, wear and the helper's metrics commute;
+/// * no device lock is held while another is taken: `committed_bytes`
+///   copies a slot out of this node's NVM and releases it before the
+///   put locks the buddy's, which in a 2-node ring is shipping back at
+///   the same time.
+fn ship_node(
+    store: &mut RemoteStore,
+    ranks: &mut [Rank],
+    helper: &mut HelperProcess,
+    incremental: bool,
+) -> Result<u64, SimError> {
+    let mut shipped = 0;
+    for rank in ranks {
+        let chunks = if incremental {
+            rank.engine.remote_stable_chunks()
+        } else {
+            rank.engine.heap().persistent_ids()
+        };
+        for id in chunks {
+            let len = ClusterSim::ship_chunk(store, rank, id)?;
+            if incremental {
+                helper.copy_chunk(len);
+            } else {
+                helper.copy_bulk(len);
+            }
+            rank.engine.mark_remote_copied(id);
+            shipped += len;
+        }
+    }
+    Ok(shipped)
 }

@@ -4,16 +4,18 @@
 //! acceptance bar for that parallelism is strict: the serialized
 //! [`cluster_sim::RunResult`] — epochs, schedule trace, link traces,
 //! engine statistics, everything — must match the serial run byte for
-//! byte on the same seed. These tests cover the three regimes where an
+//! byte on the same seed. These tests cover the four regimes where an
 //! ordering bug would show up: plain local checkpointing, the remote
-//! pre-copy path (shared per-node links and helpers), and seeded
-//! failure injection with rollbacks.
+//! pre-copy path (shared per-node links and helpers), seeded failure
+//! injection with rollbacks, and real bytes shipped to every buddy at
+//! once and fetched back after a hard failure.
 
 use cluster_sim::{
-    Cluster, ClusterConfig, FailureConfig, RemoteConfig, RunOptions, UniformWorkload, Workload,
+    Cluster, ClusterConfig, FailureConfig, FailureEvent, FailureKind, FailureSchedule,
+    RecoverySource, RemoteConfig, RunOptions, RunResult, UniformWorkload, Workload,
 };
-use nvm_chkpt::PrecopyPolicy;
-use nvm_emu::SimDuration;
+use nvm_chkpt::{EngineConfig, Materialization, PrecopyPolicy};
+use nvm_emu::{SimDuration, SimTime};
 
 const MB: usize = 1 << 20;
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -28,20 +30,36 @@ fn factory(_global: u64) -> Box<dyn Workload> {
 }
 
 /// Run the same configuration at each thread count and return the
-/// serialized results (thread count itself is not part of RunResult).
-fn runs_at_all_thread_counts(cfg: &ClusterConfig) -> Vec<String> {
+/// results (thread count itself is not part of RunResult).
+fn results_at_all_thread_counts(
+    cfg: &ClusterConfig,
+    opts: &RunOptions,
+    factory: fn(u64) -> Box<dyn Workload>,
+) -> Vec<RunResult> {
     THREAD_COUNTS
         .iter()
         .map(|&threads| {
             let mut c = cfg.clone();
             c.threads = threads;
-            let result = Cluster::new(c, factory)
-                .run(RunOptions::new())
-                .unwrap()
-                .result;
-            serde_json::to_string(&result).unwrap()
+            Cluster::new(c, factory).run(opts.clone()).unwrap().result
         })
         .collect()
+}
+
+fn to_json(results: &[RunResult]) -> Vec<String> {
+    results
+        .iter()
+        .map(|result| serde_json::to_string(result).unwrap())
+        .collect()
+}
+
+/// [`results_at_all_thread_counts`] of an uninstrumented run, serialized.
+fn runs_at_all_thread_counts(cfg: &ClusterConfig) -> Vec<String> {
+    to_json(&results_at_all_thread_counts(
+        cfg,
+        &RunOptions::new(),
+        factory,
+    ))
 }
 
 fn assert_all_identical(jsons: &[String], what: &str) {
@@ -100,4 +118,68 @@ fn failure_injection_is_thread_count_invariant() {
         &jsons[0][..200.min(jsons[0].len())]
     );
     assert_all_identical(&jsons, "failure injection");
+}
+
+/// Sixteen 16 KiB chunks per rank, rewritten every iteration: many
+/// small puts, so two nodes shipping at once overlap.
+fn bytes_factory(_global: u64) -> Box<dyn Workload> {
+    Box::new(UniformWorkload::new(
+        16,
+        16 << 10,
+        SimDuration::from_secs(2),
+        16 << 10,
+    ))
+}
+
+/// Real bytes under checksums, remote DCPCP pre-copy, and node 1 lost
+/// after the first remote epoch, so its ranks come back from the
+/// buddy's images.
+fn bytes_config(nodes: usize, spill: bool) -> ClusterConfig {
+    let mut c = ClusterConfig::builder()
+        .nodes(nodes)
+        .ranks_per_node(2)
+        .container_bytes(16 * (16 << 10) * 2 + MB)
+        .engine(
+            EngineConfig::builder()
+                .materialization(Materialization::Bytes)
+                .checksums(true)
+                .precopy(PrecopyPolicy::Dcpcp)
+                .node_concurrency(2)
+                .build()
+                .unwrap(),
+        )
+        .local_interval(Some(SimDuration::from_secs(5)))
+        .remote(RemoteConfig::infiniband(SimDuration::from_secs(10), true))
+        .iterations(16)
+        .schedule(FailureSchedule::from_events(vec![FailureEvent {
+            at: SimTime::from_secs(11),
+            kind: FailureKind::Hard,
+            node: 1,
+        }]))
+        .build()
+        .unwrap();
+    c.spill = spill;
+    c
+}
+
+#[test]
+fn byte_shipping_and_buddy_recovery_are_thread_count_invariant() {
+    // Every node ships to its buddy at once. On a 2-node ring each
+    // node is the other's buddy, and unspilled devices keep their
+    // bytes in RAM: a ship that held its own NVM while writing the
+    // buddy's would deadlock here rather than pass.
+    let opts = RunOptions::new().with_trace(true).with_metrics(true);
+    for (nodes, spill) in [(2, false), (8, true)] {
+        let results =
+            results_at_all_thread_counts(&bytes_config(nodes, spill), &opts, bytes_factory);
+        let r = &results[0];
+        assert_eq!(r.recovery.len(), 1);
+        assert_eq!(r.recovery[0].source, RecoverySource::RemoteBuddy);
+        assert_eq!(r.recovery[0].verified_chunks, 2 * 16);
+        assert!(r.engine_stats.precopied_bytes > 0 && !r.trace.is_empty());
+        assert_all_identical(
+            &to_json(&results),
+            &format!("{nodes}-node byte ring, spill {spill}"),
+        );
+    }
 }
