@@ -256,6 +256,21 @@ impl CheckpointEngine {
         self.core.read(id, offset, buf)
     }
 
+    /// Read several ranges, each `(chunk, offset, len)`, of the working
+    /// copies at once by borrowing them: `f` is lent the bytes of every
+    /// range, in the order given, where they lie. It is charged exactly
+    /// as [`CheckpointEngine::read`] of each range in turn would be, and
+    /// an unknown chunk or a range past a chunk's end charges nothing.
+    /// `f` may run under the DRAM device's lock, so it must not use
+    /// that device (see `nvm_emu::MemoryDevice::view_ranges`).
+    pub fn view_chunks<R>(
+        &mut self,
+        ranges: &[(ChunkId, usize, usize)],
+        f: impl FnOnce(&[&[u8]]) -> R,
+    ) -> Result<R, EngineError> {
+        self.core.view_chunks(ranges, f)
+    }
+
     /// Model a compute segment of length `dur`. Background pre-copy
     /// runs during the segment per the configured policy; the clock
     /// advances by `dur` plus the memory-interference penalty of any
@@ -1338,5 +1353,111 @@ mod tests {
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("length mismatch must be rejected"),
         }
+    }
+
+    #[test]
+    fn a_lend_is_charged_like_a_read() {
+        use nvm_emu::{MemSpill, PAGE_SIZE};
+        use nvm_trace::BufferSink;
+        use std::sync::Arc;
+        const A: usize = 3 * PAGE_SIZE;
+        // Twin processes, restarted lazily so that the first access of
+        // each chunk restores it: one `read`s the ranges in turn, the
+        // other is lent them at once.
+        for spilled in [false, true] {
+            let twin = || {
+                let (mut e, dram, nvm, clock) = setup(EngineConfig::default());
+                if spilled {
+                    dram.attach_spill(Box::new(MemSpill::new()));
+                }
+                let a = e.nvmalloc("a", A, true).unwrap();
+                let b = e.nvmalloc("b", 1000, true).unwrap();
+                let bytes: Vec<u8> = (0..A).map(|i| (i % 251) as u8).collect();
+                e.write(a, 0, &bytes).unwrap();
+                e.write(b, 0, &bytes[..1000]).unwrap();
+                e.nvchkptall().unwrap();
+                let region = e.metadata_region();
+                drop(e);
+                let sink = Arc::new(BufferSink::new());
+                let (e, _) = CheckpointEngine::restart(
+                    &dram,
+                    &nvm,
+                    region,
+                    clock.clone(),
+                    EngineConfig::default(),
+                    RestartStrategy::Lazy,
+                    Tracer::new(sink.clone()),
+                )
+                .unwrap();
+                (e, [a, b], dram, clock, sink)
+            };
+            let (mut read, [a, b], read_dram, read_clock, read_trace) = twin();
+            let (mut lent, _, lent_dram, lent_clock, lent_trace) = twin();
+            let ranges = [(b, 10, 500), (a, 0, A), (a, PAGE_SIZE + 7, 0), (b, 1000, 0)];
+            let want: Vec<Vec<u8>> = (ranges.iter())
+                .map(|&(id, offset, len)| {
+                    let mut buf = vec![0u8; len];
+                    read.read(id, offset, &mut buf).unwrap();
+                    buf
+                })
+                .collect();
+            let seen = lent.view_chunks(&ranges, |lent| {
+                lent.iter().map(|bytes| bytes.to_vec()).collect::<Vec<_>>()
+            });
+            assert_eq!(seen.unwrap(), want, "spilled {spilled}");
+            let region = |e: &CheckpointEngine, id| e.heap().chunk(id).unwrap().dram_region;
+            let wear = |e: &CheckpointEngine, dram: &MemoryDevice| {
+                [a, b].map(|id| dram.max_wear(region(e, id)).unwrap())
+            };
+            assert_eq!(lent_clock.now(), read_clock.now(), "spilled {spilled}");
+            assert_eq!(lent_dram.stats(), read_dram.stats());
+            assert_eq!(wear(&lent, &lent_dram), wear(&read, &read_dram));
+            assert_eq!(lent_dram.spill_read_bytes(), read_dram.spill_read_bytes());
+            // Each range's restore and read come in range order: the
+            // lazy restores are stamped alike.
+            assert_eq!(lent_trace.drain(), read_trace.drain());
+
+            // A range that is not there fails the lend before anything
+            // is charged or read.
+            let before = (lent_clock.now(), lent_dram.stats());
+            let spill_read = lent_dram.spill_read_bytes();
+            let past_end = lent.view_chunks(&[(a, 0, 8), (b, 990, 11)], |_| ());
+            assert!(
+                matches!(
+                    past_end,
+                    Err(EngineError::Heap(HeapError::Device(
+                        DeviceError::OutOfBounds { .. }
+                    )))
+                ),
+                "{past_end:?}"
+            );
+            let unknown = lent.view_chunks(&[(a, 0, 8), (ChunkId(999), 0, 1)], |_| ());
+            assert!(
+                matches!(unknown, Err(EngineError::Heap(HeapError::NoSuchChunk(_)))),
+                "{unknown:?}"
+            );
+            assert_eq!((lent_clock.now(), lent_dram.stats()), before);
+            assert_eq!(lent_dram.spill_read_bytes(), spill_read);
+        }
+        // A size-only chunk has no bytes to lend, and is not charged.
+        let synthetic = EngineConfig::builder()
+            .materialization(Materialization::Synthetic)
+            .checksums(false)
+            .build()
+            .unwrap();
+        let (mut e, dram, _, clock) = setup(synthetic);
+        let id = e.nvmalloc("a", 64, true).unwrap();
+        let before = (clock.now(), dram.stats());
+        let sized = e.view_chunks(&[(id, 0, 64)], |_| ());
+        assert!(
+            matches!(
+                sized,
+                Err(EngineError::Heap(HeapError::Device(
+                    DeviceError::SyntheticAccess(_)
+                )))
+            ),
+            "{sized:?}"
+        );
+        assert_eq!((clock.now(), dram.stats()), before);
     }
 }

@@ -39,12 +39,15 @@
 //! reentrant: the closure must not call back into the same device);
 //! for a spilled region it runs on a buffer the range was read into,
 //! with the lock released — for `view` the calling thread's reused
-//! buffer, for `view_mut` a private one. A closure may use **another**
-//! device, and every such nesting in the workspace takes **DRAM first,
-//! then NVM** — a shadow copy is a DRAM `view` around an NVM `write`, a
-//! restore a DRAM `view_mut` around an NVM `read` — so two threads
-//! sharing a node's devices cannot take the two locks in opposite
-//! orders.
+//! buffer, for `view_mut` a private one. [`MemoryDevice::view_ranges`]
+//! lends several ranges at once, `view` being its one-range case: it
+//! takes the lock once and, when any range is RAM-backed, holds it for
+//! the whole closure, which must not re-enter this device. A closure
+//! may use **another** device, and every such nesting in the workspace
+//! takes **DRAM first, then NVM** — a shadow copy is a DRAM `view`
+//! around an NVM `write`, a restore a DRAM `view_mut` around an NVM
+//! `read` — so two threads sharing a node's devices cannot take the
+//! two locks in opposite orders.
 
 use crate::bandwidth::BandwidthModel;
 use crate::energy::EnergyMeter;
@@ -63,11 +66,12 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 thread_local! {
-    /// The buffer [`MemoryDevice::view`] reads a spilled range into and
-    /// lends it from: taken for the call and put back after it, so a
-    /// thread's views of spilled ranges allocate and zero-fill only when
-    /// one is longer than any before it. A view nested inside another
-    /// on the same thread finds it taken and allocates its own.
+    /// The buffer [`MemoryDevice::view_ranges`] reads spilled ranges
+    /// into, one after another, and lends them from: taken for the call
+    /// and put back after it, so a thread's views of spilled ranges
+    /// allocate and zero-fill only when one is longer than any before
+    /// it. A view nested inside another on the same thread finds it
+    /// taken and allocates its own.
     static SPILL_VIEW: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
@@ -526,12 +530,10 @@ impl MemoryDevice {
     /// Lend `len` bytes of a materialized region at `offset` to `f`,
     /// without copying them out and without charging time, statistics
     /// or wear — a modeled read is charged separately
-    /// ([`MemoryDevice::read_synthetic`]). RAM-backed bytes are lent in
-    /// place, under the device lock, the region first grown to hold
-    /// the range (module docs); a spilled range is read under the lock
-    /// into the calling thread's reused buffer — over whatever an
-    /// earlier view left there, which [`SpillStore::read`] overwrites
-    /// whole — and lent with the lock released.
+    /// ([`MemoryDevice::read_synthetic`]). The one-range case of
+    /// [`MemoryDevice::view_ranges`]: RAM-backed bytes are lent in
+    /// place under the device lock, a spilled range from the calling
+    /// thread's reused buffer with the lock released.
     /// See the module docs for what `f` may call.
     pub fn view<R>(
         &self,
@@ -540,30 +542,69 @@ impl MemoryDevice {
         len: usize,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, DeviceError> {
-        let buf = {
-            let mut g = self.inner.lock();
-            let g = &mut *g;
-            let region = g
-                .regions
-                .get_mut(&id)
-                .ok_or(DeviceError::NoSuchRegion(id.0))?;
+        self.view_ranges(&[(id, offset, len)], |lent| f(lent[0]))
+    }
+
+    /// Lend several ranges, each `(region, offset, len)`, to `f` at
+    /// once, in the order given — like [`MemoryDevice::view`], without
+    /// copying and without charging anything. The device lock is taken
+    /// once. Every range is checked before any byte moves, so a
+    /// missing region, an out-of-bounds or a synthetic range fails the
+    /// call whole. RAM-backed ranges are lent in place, each region
+    /// first grown to hold its range (module docs), and the lock is
+    /// then held for the whole of `f`; spilled ranges are read under
+    /// the lock, one after another, into the calling thread's reused
+    /// buffer — over whatever an earlier view left there, which
+    /// [`SpillStore::read`] overwrites — and when no range is
+    /// RAM-backed, `f` runs with the lock released.
+    /// See the module docs for what `f` may call.
+    pub fn view_ranges<R>(
+        &self,
+        ranges: &[(RegionId, usize, usize)],
+        f: impl FnOnce(&[&[u8]]) -> R,
+    ) -> Result<R, DeviceError> {
+        let mut guard = self.inner.lock();
+        let g = &mut *guard;
+        let (mut spilled, mut in_ram) = (0, false);
+        for &(id, offset, len) in ranges {
+            let region = g.regions.get(&id).ok_or(DeviceError::NoSuchRegion(id.0))?;
             region.check_bounds(id, offset, len)?;
-            match &mut region.backing {
-                Backing::Bytes(held) => return Ok(f(reach(held, region.len, offset, len))),
-                Backing::Spilled { slot } => {
-                    let slot = *slot;
-                    let mut buf = SPILL_VIEW.take();
-                    if buf.len() < len {
-                        buf = materialize(&[], len);
-                    }
-                    g.spill_read(slot, offset, &mut buf[..len])?;
-                    buf
-                }
+            match region.backing {
+                Backing::Bytes(_) => in_ram = true,
+                Backing::Spilled { .. } => spilled += len,
                 Backing::Synthetic => return Err(DeviceError::SyntheticAccess(id.0)),
             }
+        }
+        let mut buf = Vec::new();
+        if spilled > 0 {
+            buf = SPILL_VIEW.take();
+            if buf.len() < spilled {
+                buf = materialize(&[], spilled);
+            }
+        }
+        let mut at = 0;
+        for &(id, offset, len) in ranges {
+            match g.regions.get_mut(&id).map(|r| (r.len, &mut r.backing)) {
+                Some((region_len, Backing::Bytes(held))) => {
+                    reach(held, region_len, offset, len);
+                }
+                Some((_, Backing::Spilled { slot })) => {
+                    let slot = *slot;
+                    g.spill_read(slot, offset, &mut buf[at..at + len])?;
+                    at += len;
+                }
+                _ => {}
+            }
+        }
+        let out = if in_ram {
+            lend(ranges, Some(&g.regions), &buf, f)
+        } else {
+            drop(guard);
+            lend(ranges, None, &buf, f)
         };
-        let out = f(&buf[..len]);
-        SPILL_VIEW.set(buf);
+        if spilled > 0 {
+            SPILL_VIEW.set(buf);
+        }
         Ok(out)
     }
 
@@ -815,6 +856,32 @@ fn reach(held: &mut Vec<u8>, region_len: usize, offset: usize, len: usize) -> &m
         *held = materialize(held, grown);
     }
     &mut held[offset..end]
+}
+
+/// Run `f` on the slices [`MemoryDevice::view_ranges`] lends: a
+/// RAM-backed range in place in `regions` (`None` when no range is
+/// RAM-backed), a spilled one from the next bytes of `spilled`, which
+/// holds the spilled ranges read in order. One range is lent without
+/// allocating.
+fn lend<'a, R>(
+    ranges: &[(RegionId, usize, usize)],
+    regions: Option<&'a IdMap<RegionId, Region>>,
+    spilled: &'a [u8],
+    f: impl FnOnce(&[&[u8]]) -> R,
+) -> R {
+    let mut at = 0;
+    let mut slice = |&(id, offset, len): &(RegionId, usize, usize)| -> &'a [u8] {
+        if let Some(Backing::Bytes(held)) = regions.and_then(|r| r.get(&id)).map(|r| &r.backing) {
+            // A range of no bytes may start past what the region holds.
+            return held.get(offset..offset + len).unwrap_or_default();
+        }
+        at += len;
+        &spilled[at - len..at]
+    };
+    match ranges {
+        [one] => f(&[slice(one)]),
+        _ => f(&ranges.iter().map(slice).collect::<Vec<_>>()),
+    }
 }
 
 /// `len` bytes that begin with `held` and are zeros after it — a
@@ -1198,6 +1265,58 @@ mod tests {
             ram.copy_out(r, 2 * PAGE_SIZE - 4, &mut copied),
             Err(DeviceError::OutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn several_ranges_are_lent_at_once_in_place_or_from_the_spill() {
+        use crate::spill::MemSpill;
+        let d = MemoryDevice::dram(MB);
+        let ram = d.alloc(2 * PAGE_SIZE).unwrap();
+        d.write(ram, 0, &[1; 16], 1).unwrap();
+        d.attach_spill(Box::new(MemSpill::new()));
+        let (s1, s2) = (d.alloc(100).unwrap(), d.alloc(100).unwrap());
+        d.write(s1, 0, &[2; 100], 1).unwrap();
+        d.write(s2, 0, &[3; 100], 1).unwrap();
+        let charged = d.stats();
+        let ranges = [
+            (s2, 90, 10),
+            (ram, 8, 16),
+            (s1, 0, 4),
+            (ram, PAGE_SIZE + 5, 0),
+            (s2, 0, 2),
+        ];
+        let lent = d
+            .view_ranges(&ranges, |lent| {
+                lent.iter().map(|b| b.to_vec()).collect::<Vec<_>>()
+            })
+            .unwrap();
+        let mut ram_bytes = vec![1u8; 8];
+        ram_bytes.resize(16, 0);
+        assert_eq!(
+            lent,
+            [vec![3; 10], ram_bytes, vec![2; 4], vec![], vec![3; 2]]
+        );
+        assert_eq!(d.stats(), charged, "a lend charges nothing");
+        assert_eq!(d.spill_read_bytes(), 10 + 4 + 2);
+        assert_eq!(
+            d.resident_bytes(),
+            PAGE_SIZE as u64,
+            "the range reached one page"
+        );
+        // Spilled ranges only: lent with the lock released, so the
+        // closure may use the device.
+        let nested = d.view_ranges(&[(s1, 0, 2), (s2, 0, 2)], |lent| {
+            (lent.concat(), d.view(ram, 0, 2, <[u8]>::to_vec).unwrap())
+        });
+        assert_eq!(nested.unwrap(), (vec![2, 2, 3, 3], vec![1, 1]));
+        // Every range is checked before a spill byte is read.
+        let read = d.spill_read_bytes();
+        let past_end = d.view_ranges(&[(s1, 0, 4), (s2, 99, 2)], |_| ());
+        assert!(matches!(past_end, Err(DeviceError::OutOfBounds { .. })));
+        let missing = d.view_ranges(&[(s1, 0, 4), (RegionId(99), 0, 1)], |_| ());
+        assert!(matches!(missing, Err(DeviceError::NoSuchRegion(99))));
+        assert_eq!(d.spill_read_bytes(), read);
+        assert_eq!(d.view_ranges(&[], |lent| lent.len()).unwrap(), 0);
     }
 
     #[test]

@@ -22,6 +22,9 @@
 /// value bytes follow the key, then zero padding to 8 bytes.
 pub const RECORD_HEADER_BYTES: usize = 24;
 
+/// Offset of the key-length byte in a record header.
+const KEY_LEN_AT: usize = 19;
+
 /// Bytes per hash-index entry: `key_hash: u64` then `tag: u64` where
 /// `tag == record_offset + 1` (0 means the slot is empty).
 pub const INDEX_ENTRY_BYTES: usize = 16;
@@ -103,7 +106,7 @@ pub fn encode_record_into(
     buf[8..16].copy_from_slice(&serial.to_le_bytes());
     buf[16..18].copy_from_slice(&session.to_le_bytes());
     buf[18] = if value.is_none() { FLAG_TOMBSTONE } else { 0 };
-    buf[19] = key.len() as u8;
+    buf[KEY_LEN_AT] = key.len() as u8;
     // bytes 20..24 reserved (zero)
     buf[RECORD_HEADER_BYTES..RECORD_HEADER_BYTES + key.len()].copy_from_slice(key);
     buf[RECORD_HEADER_BYTES + key.len()..RECORD_HEADER_BYTES + key.len() + val.len()]
@@ -123,7 +126,7 @@ pub fn decode_record_header(bytes: &[u8]) -> Option<RecordHeader> {
     let serial = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     let session = u16::from_le_bytes(bytes[16..18].try_into().unwrap());
     let flags = bytes[18];
-    let key_len = bytes[19];
+    let key_len = bytes[KEY_LEN_AT];
     if len_total == 0 || len_total == SEGMENT_END_MARKER || key_len == 0 {
         return None;
     }
@@ -138,6 +141,15 @@ pub fn decode_record_header(bytes: &[u8]) -> Option<RecordHeader> {
         flags,
         key_len,
     })
+}
+
+/// The key of the record `record` starts with, found from its header's
+/// key-length byte alone — for a record already decoded once, as
+/// recovery's replay does when a hash matches an earlier record.
+/// Panics if `record` is shorter than the key it names.
+pub fn record_key(record: &[u8]) -> &[u8] {
+    let key_len = record[KEY_LEN_AT] as usize;
+    &record[RECORD_HEADER_BYTES..RECORD_HEADER_BYTES + key_len]
 }
 
 /// Encode one index entry.
@@ -254,6 +266,7 @@ mod tests {
         assert!(!h.is_tombstone());
         let key = &rec[RECORD_HEADER_BYTES..RECORD_HEADER_BYTES + 5];
         assert_eq!(key, b"key-7");
+        assert_eq!(record_key(&rec), b"key-7");
         let val = &rec[RECORD_HEADER_BYTES + 5..RECORD_HEADER_BYTES + 5 + 11];
         assert_eq!(val, b"hello world");
     }

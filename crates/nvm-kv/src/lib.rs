@@ -47,11 +47,14 @@ mod tests {
     use std::collections::BTreeMap;
 
     use nvm_chkpt::{CheckpointEngine, EngineConfig, RestartStrategy, Tracer};
-    use nvm_emu::{MemoryDevice, VirtualClock};
+    use nvm_emu::{MemSpill, MemoryDevice, VirtualClock};
 
+    use crate::layout::{decode_record_header, record_len, RECORD_HEADER_BYTES};
     use crate::{KvConfig, KvError, KvStore};
 
     const MB: usize = 1 << 20;
+
+    type Contents = BTreeMap<Vec<u8>, Vec<u8>>;
 
     fn mk_engine() -> (CheckpointEngine, MemoryDevice, MemoryDevice, VirtualClock) {
         let dram = MemoryDevice::dram(256 * MB);
@@ -224,6 +227,130 @@ mod tests {
         assert_eq!(recovery.replayed, 0);
         assert_eq!(recovery.dropped, 1);
         assert!(kv2.contents(&mut e2).unwrap().is_empty());
+    }
+
+    /// An engine on `dram`, restarted from its NVM device after a
+    /// history that spans several log segments, grows the index,
+    /// deletes, and acknowledges records past its one durable token;
+    /// with the contents at that token.
+    fn restarted_after_history(dram: &MemoryDevice) -> (CheckpointEngine, Contents) {
+        let nvm = MemoryDevice::pcm(256 * MB);
+        let clock = VirtualClock::new();
+        let config = EngineConfig::default();
+        let mut e = CheckpointEngine::new(0, dram, &nvm, 128 * MB, clock.clone(), config).unwrap();
+        let mut kv = KvStore::create(&mut e, small_cfg()).unwrap();
+        let s = kv.new_session().unwrap();
+        for i in 0..300u32 {
+            let key = format!("key-{:03}", i % 120);
+            kv.upsert(&mut e, s, key.as_bytes(), &[i as u8; 40])
+                .unwrap();
+            if i % 7 == 0 {
+                kv.delete(&mut e, s, format!("key-{:03}", i % 50).as_bytes())
+                    .unwrap();
+            }
+        }
+        kv.checkpoint(&mut e).unwrap();
+        e.nvchkptall().unwrap();
+        let durable = kv.contents(&mut e).unwrap();
+        for i in 0..30u32 {
+            kv.upsert(&mut e, s, format!("late-{i}").as_bytes(), b"gone")
+                .unwrap();
+        }
+        e.nvchkptall().unwrap();
+        let region = e.metadata_region();
+        drop(e);
+        let strategy = RestartStrategy::Eager;
+        let restarted = CheckpointEngine::restart(
+            dram,
+            &nvm,
+            region,
+            clock,
+            config,
+            strategy,
+            Tracer::disabled(),
+        );
+        (restarted.unwrap().0, durable)
+    }
+
+    #[test]
+    fn recovery_replays_a_spilled_log_as_it_replays_one_in_ram() {
+        let ram = MemoryDevice::dram(256 * MB);
+        let spilled = MemoryDevice::dram(256 * MB);
+        spilled.attach_spill(Box::new(MemSpill::new()));
+        let [in_ram, from_spill] = [&ram, &spilled].map(|dram| {
+            let (mut e, durable) = restarted_after_history(dram);
+            let spill_read = dram.spill_read_bytes();
+            let (mut kv, recovery) = KvStore::recover(&mut e, small_cfg()).unwrap();
+            let lent = dram.spill_read_bytes() - spill_read;
+            assert_eq!(kv.contents(&mut e).unwrap(), durable);
+            (recovery, e.clock().now(), lent, kv.stats().segments)
+        });
+        let (recovery, clock, lent, segments) = in_ram;
+        assert!(
+            recovery.replayed > 0 && recovery.dropped >= 30,
+            "{recovery:?}"
+        );
+        assert!(segments > 4, "{segments} segments");
+        assert_eq!(lent, 0, "RAM-backed segments are lent in place");
+        let (spill_recovery, spill_clock, spill_lent, _) = from_spill;
+        assert!(
+            spill_lent >= segments * 4096,
+            "the lend read {spill_lent} bytes"
+        );
+        assert_eq!((spill_recovery, spill_clock), (recovery, clock));
+    }
+
+    #[test]
+    fn a_corrupt_log_fails_recovery_before_it_changes_the_engine() {
+        let dram = MemoryDevice::dram(256 * MB);
+        let (mut e, durable) = restarted_after_history(&dram);
+        let nvm = e.heap().nvm().clone();
+        let chunks = |e: &CheckpointEngine| -> Vec<_> {
+            (e.heap().chunks())
+                .map(|c| (c.id, c.name.clone(), c.len))
+                .collect()
+        };
+        let written = || {
+            let (d, n) = (dram.stats(), nvm.stats());
+            (d.bytes_written, n.bytes_written, n.write_ops)
+        };
+        let before = chunks(&e);
+        let seg0 = before.iter().find(|c| c.1 == "kv_seg_0").unwrap().0;
+        // Two corruptions of the first record's lengths, inside the
+        // token prefix: a value length its total disagrees with, and
+        // two lengths that agree but run past the segment's end.
+        let mut header = [0u8; RECORD_HEADER_BYTES];
+        e.read(seg0, 0, &mut header).unwrap();
+        let key_len = decode_record_header(&header).unwrap().key_len as usize;
+        let mut disagreeing: [u8; 8] = header[..8].try_into().unwrap();
+        disagreeing[4..].fill(0xEE);
+        let mut past_segment = [0u8; 8];
+        past_segment[..4].copy_from_slice(&(record_len(key_len, 5000) as u32).to_le_bytes());
+        past_segment[4..].copy_from_slice(&5000u32.to_le_bytes());
+        for lengths in [disagreeing, past_segment] {
+            e.write(seg0, 0, &lengths).unwrap();
+            let (t0, writes) = (e.clock().now(), written());
+            let err = KvStore::recover(&mut e, small_cfg()).err();
+            assert!(matches!(err, Some(KvError::Corrupt(_))), "{err:?}");
+            assert_eq!(chunks(&e), before, "no index generation deleted or added");
+            assert_eq!(written(), writes, "nothing written, no chunk table saved");
+            // The clock moved by the reads alone: the meta block and
+            // every segment, read again here.
+            let spent = e.clock().now().since(t0);
+            let t1 = e.clock().now();
+            for (id, name, len) in &before {
+                if name == "kv_meta" || name.starts_with("kv_seg_") {
+                    e.read(*id, 0, &mut vec![0u8; *len]).unwrap();
+                }
+            }
+            assert_eq!(e.clock().now().since(t1), spent);
+        }
+
+        // Repaired, the same engine recovers.
+        e.write(seg0, 0, &header[..8]).unwrap();
+        let (mut kv, recovery) = KvStore::recover(&mut e, small_cfg()).unwrap();
+        assert!(recovery.replayed > 0);
+        assert_eq!(kv.contents(&mut e).unwrap(), durable);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use nvm_trace::TraceEventKind;
 
 use crate::layout::{
     decode_index_entry, decode_meta, decode_record_header, encode_index_entry, encode_meta,
-    encode_record_into, hash64, meta_bytes, KvMeta, RecordHeader, INDEX_ENTRY_BYTES,
+    encode_record_into, hash64, meta_bytes, record_key, KvMeta, RecordHeader, INDEX_ENTRY_BYTES,
     RECORD_HEADER_BYTES, SEGMENT_END_MARKER,
 };
 
@@ -496,6 +496,13 @@ impl KvStore {
     /// committed token's meta block, replay the committed log prefix
     /// through the per-session watermarks into a fresh index, and
     /// drop acknowledged-after-token records.
+    ///
+    /// The log is replayed where the engine's working copies hold it
+    /// ([`CheckpointEngine::view_chunks`]), and nothing is changed in
+    /// the engine until the replay has succeeded: a
+    /// [`KvError::Corrupt`] log leaves every chunk, the old index
+    /// generations included, as it was, and the clock moved by the
+    /// reads alone.
     pub fn recover(
         engine: &mut CheckpointEngine,
         cfg: KvConfig,
@@ -574,119 +581,38 @@ impl KvStore {
             return Err(KvError::Corrupt("token log prefix exceeds log size"));
         }
 
-        // The index is a cache: discard every recovered generation
-        // and rebuild from the log below.
+        // Replay the log where the engine's working copies hold it, each
+        // segment's read charged as `engine.read` would charge it. The
+        // replay only reads: a corrupt prefix fails here, before any
+        // of the mutations below, and leaves the engine's chunks as
+        // they were.
+        let whole = |&id: &ChunkId| (id, 0, cfg.segment_bytes as usize);
+        let ranges: Vec<_> = segments.iter().map(whole).collect();
+        let replay = engine.view_chunks(&ranges, |segs| Replay::run(segs, &meta, &cfg))??;
+
+        // The index is a cache: discard every recovered generation for
+        // the one rebuilt above.
         index_gens.sort_by_key(|&(g, _)| g);
         let next_gen = index_gens.last().map_or(0, |&(g, _)| g + 1);
         for &(_, id) in &index_gens {
             engine.nvdelete(id)?;
         }
 
-        // Pull every segment into host memory once (sequential scan).
-        let mut seg_bytes: Vec<Vec<u8>> = Vec::with_capacity(segments.len());
-        for &id in &segments {
-            let mut buf = vec![0u8; cfg.segment_bytes as usize];
-            engine.read(id, 0, &mut buf)?;
-            seg_bytes.push(buf);
-        }
-
-        // Replay [0, log_len) into a host-side table, honouring the
-        // per-session watermarks.
-        let mut slots = cfg.initial_index_slots.max(meta.index_slots);
-        let mut table = vec![0u8; (slots as usize) * INDEX_ENTRY_BYTES];
-        let mut occupied = 0u64;
-        let mut replayed = 0u64;
-        let mut dropped = 0u64;
-        let seg_len = cfg.segment_bytes;
-        let mut pos = 0u64;
-        while pos < meta.log_len {
-            let seg = (pos / seg_len) as usize;
-            let off = (pos % seg_len) as usize;
-            let bytes = &seg_bytes[seg];
-            if seg_len as usize - off < RECORD_HEADER_BYTES {
-                pos = (seg as u64 + 1) * seg_len;
-                continue;
-            }
-            let word = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            if word == SEGMENT_END_MARKER || word == 0 {
-                pos = (seg as u64 + 1) * seg_len;
-                continue;
-            }
-            let Some(header) = decode_record_header(&bytes[off..]) else {
-                return Err(KvError::Corrupt("unparseable record in committed prefix"));
-            };
-            if pos + header.len_total as u64 > meta.log_len {
-                return Err(KvError::Corrupt("record straddles the token prefix"));
-            }
-            let watermark = meta.serials.get(header.session as usize).copied();
-            if watermark.is_some_and(|w| header.serial <= w) {
-                let key_at = off + RECORD_HEADER_BYTES;
-                let key = &bytes[key_at..key_at + header.key_len as usize];
-                let hash = hash64(key);
-                let key_of = |t: u64| -> &[u8] {
-                    let o = t - 1;
-                    let (s, so) = ((o / seg_len) as usize, (o % seg_len) as usize);
-                    let b = &seg_bytes[s];
-                    let kl = b[so + 19] as usize;
-                    &b[so + RECORD_HEADER_BYTES..so + RECORD_HEADER_BYTES + kl]
-                };
-                if replay_insert(&mut table, slots, hash, pos + 1, key, &mut occupied, key_of) {
-                    // Load crossed 3/4 during replay (can only happen
-                    // if the hint was stale): double and rehash.
-                    (table, slots) = host_grow(&table, slots);
-                }
-                replayed += 1;
-            } else {
-                dropped += 1;
-            }
-            pos += header.len_total as u64;
-        }
-
-        // Count acknowledged-after-token records past the prefix.
-        let mut pos = meta.log_len;
-        'scan: while (pos / seg_len) < segments.len() as u64 {
-            let seg = (pos / seg_len) as usize;
-            let off = (pos % seg_len) as usize;
-            let bytes = &seg_bytes[seg];
-            if seg_len as usize - off < RECORD_HEADER_BYTES {
-                pos = (seg as u64 + 1) * seg_len;
-                continue;
-            }
-            let word = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            if word == 0 {
-                break 'scan;
-            }
-            if word == SEGMENT_END_MARKER {
-                pos = (seg as u64 + 1) * seg_len;
-                continue;
-            }
-            match decode_record_header(&bytes[off..]) {
-                Some(h) => {
-                    dropped += 1;
-                    pos += h.len_total as u64;
-                }
-                // Torn or stale bytes past the committed prefix are
-                // expected after a crash; stop counting.
-                None => break 'scan,
-            }
-        }
-
         // Zero the log tail past the token prefix so the next run's
-        // appends land on a canonical, bit-verifiable log. Only spans
-        // that actually hold stale bytes are written.
-        for (seg, bytes) in seg_bytes.iter().enumerate() {
-            let seg_start = seg as u64 * seg_len;
-            let from = meta.log_len.saturating_sub(seg_start).min(seg_len) as usize;
-            let tail = &bytes[from..];
-            let Some(first) = tail.iter().position(|&b| b != 0) else {
-                continue;
-            };
-            let last = tail.iter().rposition(|&b| b != 0).unwrap();
-            let zeros = vec![0u8; last - first + 1];
-            engine.write(segments[seg], from + first, &zeros)?;
+        // appends land on a canonical, bit-verifiable log.
+        for &(seg, at, len) in &replay.stale {
+            engine.write(segments[seg], at, &vec![0u8; len])?;
         }
 
         // Materialise the rebuilt index as a fresh generation.
+        let Replay {
+            table,
+            slots,
+            occupied,
+            replayed,
+            dropped,
+            ..
+        } = replay;
         let index = engine.nvmalloc(
             &format!("kv_index_g{next_gen}"),
             (slots as usize) * INDEX_ENTRY_BYTES,
@@ -972,6 +898,130 @@ impl KvStore {
         self.metrics.splits.add(1);
         Ok(())
     }
+}
+
+/// What recovery reads off the log, from the segments' bytes alone:
+/// the rebuilt index, the record counts, and the stale tail to zero.
+struct Replay {
+    table: Vec<u8>,
+    slots: u64,
+    occupied: u64,
+    replayed: u64,
+    dropped: u64,
+    /// `(segment, offset, len)` per segment whose bytes past the token
+    /// prefix are not all zero: its first nonzero byte there to its
+    /// last. Only spans that hold stale bytes are rewritten.
+    stale: Vec<(usize, usize, usize)>,
+}
+
+impl Replay {
+    /// Replay `[0, meta.log_len)` of the log whose segments are `segs`
+    /// into a host-side table, honouring the per-session watermarks;
+    /// count the acknowledged-after-token records past the prefix; and
+    /// find the stale tail.
+    fn run(segs: &[&[u8]], meta: &KvMeta, cfg: &KvConfig) -> Result<Replay, KvError> {
+        let seg_len = cfg.segment_bytes;
+        let mut slots = cfg.initial_index_slots.max(meta.index_slots);
+        let mut table = vec![0u8; (slots as usize) * INDEX_ENTRY_BYTES];
+        let mut occupied = 0u64;
+        let mut replayed = 0u64;
+        let mut dropped = 0u64;
+        let key_of = |tag: u64| {
+            let at = tag - 1;
+            record_key(&segs[(at / seg_len) as usize][(at % seg_len) as usize..])
+        };
+        let mut pos = 0u64;
+        while pos < meta.log_len {
+            let seg = (pos / seg_len) as usize;
+            let off = (pos % seg_len) as usize;
+            let bytes = segs[seg];
+            if seg_len as usize - off < RECORD_HEADER_BYTES {
+                pos = (seg as u64 + 1) * seg_len;
+                continue;
+            }
+            let word = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
+            if word == SEGMENT_END_MARKER || word == 0 {
+                pos = (seg as u64 + 1) * seg_len;
+                continue;
+            }
+            let Some(header) = decode_record_header(&bytes[off..]) else {
+                return Err(KvError::Corrupt("unparseable record in committed prefix"));
+            };
+            if pos + header.len_total as u64 > meta.log_len {
+                return Err(KvError::Corrupt("record straddles the token prefix"));
+            }
+            if off + header.len_total as usize > bytes.len() {
+                return Err(KvError::Corrupt("record crosses a segment boundary"));
+            }
+            let watermark = meta.serials.get(header.session as usize).copied();
+            if watermark.is_some_and(|w| header.serial <= w) {
+                let key = record_key(&bytes[off..]);
+                let hash = hash64(key);
+                if replay_insert(&mut table, slots, hash, pos + 1, key, &mut occupied, key_of) {
+                    // Load crossed 3/4 during replay (can only happen
+                    // if the hint was stale): double and rehash.
+                    (table, slots) = host_grow(&table, slots);
+                }
+                replayed += 1;
+            } else {
+                dropped += 1;
+            }
+            pos += header.len_total as u64;
+        }
+        dropped += count_records_from(segs, meta.log_len, seg_len);
+
+        let stale = (segs.iter().enumerate())
+            .filter_map(|(seg, bytes)| {
+                let seg_start = seg as u64 * seg_len;
+                let from = meta.log_len.saturating_sub(seg_start).min(seg_len) as usize;
+                let tail = &bytes[from..];
+                let first = tail.iter().position(|&b| b != 0)?;
+                let last = tail.iter().rposition(|&b| b != 0)?;
+                Some((seg, from + first, last - first + 1))
+            })
+            .collect();
+        Ok(Replay {
+            table,
+            slots,
+            occupied,
+            replayed,
+            dropped,
+            stale,
+        })
+    }
+}
+
+/// The acknowledged-after-token records of the log `segs` from `pos`,
+/// the end of the token prefix, on.
+fn count_records_from(segs: &[&[u8]], mut pos: u64, seg_len: u64) -> u64 {
+    let mut records = 0;
+    while (pos / seg_len) < segs.len() as u64 {
+        let seg = (pos / seg_len) as usize;
+        let off = (pos % seg_len) as usize;
+        let bytes = segs[seg];
+        if seg_len as usize - off < RECORD_HEADER_BYTES {
+            pos = (seg as u64 + 1) * seg_len;
+            continue;
+        }
+        let word = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
+        if word == 0 {
+            break;
+        }
+        if word == SEGMENT_END_MARKER {
+            pos = (seg as u64 + 1) * seg_len;
+            continue;
+        }
+        match decode_record_header(&bytes[off..]) {
+            Some(h) => {
+                records += 1;
+                pos += h.len_total as u64;
+            }
+            // Torn or stale bytes past the committed prefix are
+            // expected after a crash; stop counting.
+            None => break,
+        }
+    }
+    records
 }
 
 /// Insert `(hash, tag)` for a key known to be absent from a

@@ -12,13 +12,17 @@
 //! seven 50 MiB chunks and committing it asks for no buffer larger than
 //! a page (its 1 MiB metadata region holds only the page a save
 //! reaches), and a steady-state commit encodes the chunk table from
-//! the heap's own, copying no record or name.
+//! the heap's own, copying no record or name. A kv recovery replays
+//! the log where the restarted engine holds it, copying out no
+//! segment.
 //!
 //! The global allocator is wrapped to count every request. Everything
 //! runs inside ONE `#[test]` so no concurrent test can pollute the
 //! process-wide counter between two samples.
 
-use nvm_chkpt::{CheckpointEngine, EngineConfig, Materialization, PrecopyPolicy};
+use nvm_chkpt::{
+    CheckpointEngine, EngineConfig, Materialization, PrecopyPolicy, RestartStrategy, Tracer,
+};
 use nvm_emu::{MemoryDevice, SimDuration, VirtualClock, PAGE_SIZE};
 use nvm_kv::{KvConfig, KvStore};
 use nvm_paging::{ChunkId, ChunkRecord, MetadataRegion, ProcessMetadata};
@@ -259,4 +263,50 @@ fn steady_state_writes_and_saves_do_not_allocate() {
         let commit = epoch();
         assert!(commit <= 3, "{commit} requests in a 7-chunk nvchkptall");
     }
+
+    // --- Recovery replays the log where the restarted engine holds it:
+    // over nine 64 KiB segments it asks for no buffer as large as a
+    // segment, and for fewer bytes in all than the log holds (it used
+    // to ask for one buffer per segment). Its largest requests are the
+    // rebuilt 16 KiB index table, built once and written once. ---
+    const SEG: usize = 64 << 10;
+    let cfg = KvConfig {
+        initial_index_slots: 1024,
+        segment_bytes: SEG as u64,
+        ..KvConfig::default()
+    };
+    let mut e = engine(4 * MB, EngineConfig::default());
+    let mut kv = KvStore::create(&mut e, cfg.clone()).unwrap();
+    let session = kv.new_session().unwrap();
+    while kv.stats().segments < 9 {
+        for key in &keys {
+            kv.upsert(&mut e, session, key.as_bytes(), &[7; 32])
+                .unwrap();
+        }
+    }
+    kv.checkpoint(&mut e).unwrap();
+    for key in &keys[..10] {
+        // Acknowledged after the token: a stale tail to zero.
+        kv.upsert(&mut e, session, key.as_bytes(), &[8; 32])
+            .unwrap();
+    }
+    e.nvchkptall().unwrap();
+    let (dram, nvm) = (e.heap().dram().clone(), e.heap().nvm().clone());
+    let (clock, region) = (e.clock().clone(), e.metadata_region());
+    drop((kv, e));
+    let (mut e, _) = CheckpointEngine::restart(
+        &dram,
+        &nvm,
+        region,
+        clock,
+        EngineConfig::default(),
+        RestartStrategy::Eager,
+        Tracer::disabled(),
+    )
+    .unwrap();
+    let ((kv, recovery), largest, bytes) = sizes_during(|| KvStore::recover(&mut e, cfg).unwrap());
+    let log = kv.stats().segments as usize * SEG;
+    assert_eq!((kv.stats().segments, recovery.dropped), (9, 10));
+    assert!(largest < SEG, "largest request: {largest} bytes");
+    assert!(bytes < log, "{bytes} bytes requested for a {log}-byte log");
 }
