@@ -41,7 +41,7 @@ pub fn from_recorded(
 }
 
 /// Sibling path for the folded-stack flamegraph.
-pub fn folded_path(path: &str) -> String {
+fn folded_path(path: &str) -> String {
     match path.strip_suffix(".json") {
         Some(stem) => format!("{stem}.folded"),
         None => format!("{path}.folded"),
@@ -49,7 +49,7 @@ pub fn folded_path(path: &str) -> String {
 }
 
 /// Write the report to `path` as stable JSON and the flamegraph to
-/// [`folded_path`]. Returns the flamegraph path.
+/// its `.folded` sibling. Returns the flamegraph path.
 pub fn export(
     report: &AnalysisReport,
     events: &[TraceEvent],

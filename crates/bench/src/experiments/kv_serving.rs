@@ -72,7 +72,7 @@ pub struct KvRow {
 /// preset shrinks the key space and batch size; the paper preset
 /// serves 4096 keys x 128-byte values per rank, 512 ops per
 /// iteration, YCSB-A mix at theta 0.99.
-pub fn serving_config(scale: &Scale) -> KvServingConfig {
+fn serving_config(scale: &Scale) -> KvServingConfig {
     let mut cfg = if scale.size_scale < 1.0 {
         KvServingConfig {
             keys: 128,
@@ -116,7 +116,7 @@ pub fn serving_config(scale: &Scale) -> KvServingConfig {
 /// Cluster configuration for the serving runs: the shared HPC config
 /// with the engine forced to real-byte materialization (the store
 /// reads its records back) and the container sized for kv state.
-pub fn kv_cluster_config(scale: &Scale, policy: PrecopyPolicy) -> ClusterConfig {
+fn kv_cluster_config(scale: &Scale, policy: PrecopyPolicy) -> ClusterConfig {
     let mut c = crate::experiments::cluster_config(scale, policy);
     c.container_bytes = 32 << 20;
     c.engine = c

@@ -40,7 +40,7 @@ pub fn run(scale: &Scale) -> MetricsReport {
 }
 
 /// Sibling path for the Prometheus text exposition.
-pub fn prom_path(path: &str) -> String {
+fn prom_path(path: &str) -> String {
     match path.strip_suffix(".json") {
         Some(stem) => format!("{stem}.prom"),
         None => format!("{path}.prom"),
@@ -56,7 +56,7 @@ pub fn to_stable_json(report: &MetricsReport) -> String {
 }
 
 /// Write the JSON report to `path` and the Prometheus exposition to
-/// [`prom_path`]. Returns the Prometheus path.
+/// its `.prom` sibling. Returns the Prometheus path.
 pub fn export(report: &MetricsReport, path: &str) -> std::io::Result<String> {
     std::fs::write(path, to_stable_json(report))?;
     let prom = prom_path(path);

@@ -101,16 +101,6 @@ fn write_json_in<T: Serialize>(dir: &Path, name: &str, value: &T) -> io::Result<
     std::fs::write(dir.join(format!("{name}.json")), json)
 }
 
-/// Format bytes as MB with one decimal.
-pub fn mb(bytes: u64) -> String {
-    format!("{:.1}", bytes as f64 / (1 << 20) as f64)
-}
-
-/// Format a fraction as a percentage with one decimal.
-pub fn pct(frac: f64) -> String {
-    format!("{:.1}%", frac * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,10 +132,5 @@ mod tests {
         std::fs::write(&blocker, b"").unwrap();
         let result = write_json_in(&blocker.join("experiments"), "rows", &[1u32, 2]);
         assert!(result.is_err(), "a failed write must not be swallowed");
-    }
-    #[test]
-    fn helpers_format() {
-        assert_eq!(mb(1 << 20), "1.0");
-        assert_eq!(pct(0.465), "46.5%");
     }
 }

@@ -49,7 +49,7 @@ impl Scale {
     }
 
     /// The 8-node remote-checkpoint scale (Figs. 9/10, Table V).
-    pub fn paper_remote() -> Self {
+    fn paper_remote() -> Self {
         Scale {
             nodes: 8,
             ..Self::paper()
@@ -207,19 +207,6 @@ impl RunArgs {
         self.threads.unwrap_or(1)
     }
 
-    /// The per-run [`cluster_sim::RunOptions`] these arguments select:
-    /// trace and metrics capture turn on when their export paths were
-    /// given, and `--store DIR` becomes the durable-store directory.
-    pub fn options(&self) -> cluster_sim::RunOptions {
-        let mut opts = cluster_sim::RunOptions::new()
-            .with_trace(self.trace.is_some())
-            .with_metrics(self.metrics.is_some());
-        if let Some(dir) = &self.store {
-            opts = opts.with_store_dir(dir);
-        }
-        opts
-    }
-
     /// The local-cluster scale these arguments select.
     pub fn scale(&self) -> Scale {
         if self.quick {
@@ -329,21 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn options_follow_the_capture_flags() {
-        let none = parse(&[]).unwrap().options();
-        assert!(!none.trace && !none.metrics && none.store_dir.is_none());
-        let full = parse(&["--trace", "t.jsonl", "--metrics", "m.json", "--store", "d"])
-            .unwrap()
-            .options();
-        assert!(full.trace && full.metrics);
-        assert_eq!(full.store_dir.as_deref(), Some(std::path::Path::new("d")));
-    }
-
-    #[test]
     fn analyze_flags_parse_in_both_forms() {
         let live = parse(&["--quick", "--analyze", "a.json"]).unwrap();
         assert_eq!(live.analyze.as_deref(), Some("a.json"));
         assert!(live.analyze_from.is_none());
+        // Analysis flags set no capture path; the analyzer run traces
+        // internally.
+        assert!(live.trace.is_none() && live.metrics.is_none());
         let inline = parse(&["--analyze=a.json", "--analyze-from=t.jsonl"]).unwrap();
         assert_eq!(inline.analyze.as_deref(), Some("a.json"));
         assert_eq!(inline.analyze_from.as_deref(), Some("t.jsonl"));
@@ -352,10 +331,6 @@ mod tests {
         assert!(parse(&["--analyze", "--quick"])
             .unwrap_err()
             .contains("value"));
-        // Analysis flags do not flip the run-capture options; the
-        // analyzer run traces internally.
-        let opts = parse(&["--analyze", "a.json"]).unwrap().options();
-        assert!(!opts.trace && !opts.metrics);
     }
 
     #[test]

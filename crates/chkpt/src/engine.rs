@@ -1129,7 +1129,7 @@ mod tests {
         let run = |traced: bool| {
             let (mut e, _, _, clock) = setup(EngineConfig::default());
             if traced {
-                e.set_tracer(Tracer::new(std::sync::Arc::new(nvm_trace::NullSink)));
+                e.set_tracer(Tracer::new(Default::default()));
             }
             let id = e.nvmalloc("x", 4096, true).unwrap();
             for i in 0..3u8 {

@@ -82,7 +82,5 @@ pub use nvm_paging::{genid, ChunkId, Granularity};
 
 // Event-tracing surface: attach a `Tracer` with
 // [`CheckpointEngine::set_tracer`] and collect [`TraceEvent`]s from
-// any [`TraceSink`].
-pub use nvm_trace::{
-    BufferSink, JsonlSink, NullSink, TraceEvent, TraceEventKind, TraceSink, Tracer,
-};
+// its [`BufferSink`].
+pub use nvm_trace::{BufferSink, TraceEvent, TraceEventKind, Tracer};

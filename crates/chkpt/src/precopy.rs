@@ -100,7 +100,7 @@ impl PrecopyPlanner {
     /// checkpoint copy time, clamped at zero — if the checkpoint cannot
     /// drain within one interval, start immediately. `None` while
     /// still unlearned.
-    pub fn start_offset(&self) -> Option<SimDuration> {
+    fn start_offset(&self) -> Option<SimDuration> {
         let t_c = SimDuration::from_secs_f64(self.data_bytes / self.bw_core * HEADROOM);
         Some(self.interval?.saturating_sub(t_c))
     }

@@ -20,7 +20,6 @@
 //! through the simulator (`(n + 1) % nodes` in four places, headroom
 //! terms inlined into provisioning) is centralized here:
 //! [`ClusterConfig::buddy_of`], [`ClusterConfig::hosted_by`],
-//! [`ClusterConfig::per_rank_nvm_bytes`],
 //! [`ClusterConfig::node_nvm_capacity`] and friends are the single
 //! source of truth the simulator, the recovery ladder, and the restart
 //! cost models all consult.
@@ -278,14 +277,14 @@ impl ClusterConfig {
 
     /// NVM bytes one rank's own state needs: two shadow version slots
     /// plus allocator slack.
-    pub fn per_rank_nvm_bytes(&self) -> usize {
+    fn per_rank_nvm_bytes(&self) -> usize {
         self.container_bytes * 2 + (4 << 20)
     }
 
     /// Extra NVM headroom `node` provisions for the remote images it
     /// hosts — sized by the *hosted neighbour's* rank count, not its
     /// own, because that is whose data lands there.
-    pub fn buddy_headroom_bytes(&self, node: usize) -> usize {
+    fn buddy_headroom_bytes(&self, node: usize) -> usize {
         self.container_bytes * 2 * self.node_rank_count(self.hosted_by(node))
     }
 

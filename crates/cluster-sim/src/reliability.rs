@@ -52,7 +52,7 @@ impl ReliabilityParams {
 }
 
 /// Probability one node fails within a single checkpoint interval.
-pub fn per_interval_failure(p: &ReliabilityParams) -> f64 {
+fn per_interval_failure(p: &ReliabilityParams) -> f64 {
     p.interval.as_secs_f64() / p.node_mtbf.as_secs_f64()
 }
 
@@ -72,7 +72,7 @@ pub enum BuddyTopology {
 impl BuddyTopology {
     /// Number of buddy pairs whose same-interval double failure is
     /// unrecoverable.
-    pub fn vulnerable_pairs(&self, nodes: u64) -> f64 {
+    fn vulnerable_pairs(&self, nodes: u64) -> f64 {
         match self {
             BuddyTopology::DisjointPairs => nodes as f64 / 2.0,
             BuddyTopology::Ring => {

@@ -395,17 +395,14 @@ impl ClusterSim {
             // trace) is thread-count independent.
             if let Some(sink) = &r.sink {
                 let arrival = r.clock.now();
-                nvm_trace::TraceSink::record(
-                    sink.as_ref(),
-                    TraceEvent {
-                        t_ns: arrival.as_nanos(),
-                        rank: r.global,
-                        kind: TraceEventKind::BarrierWait {
-                            id: self.barriers,
-                            wait_ns: t.since(arrival).as_nanos(),
-                        },
+                sink.record(TraceEvent {
+                    t_ns: arrival.as_nanos(),
+                    rank: r.global,
+                    kind: TraceEventKind::BarrierWait {
+                        id: self.barriers,
+                        wait_ns: t.since(arrival).as_nanos(),
                     },
-                );
+                });
             }
             r.clock.advance_to(t);
         }

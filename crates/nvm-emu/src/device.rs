@@ -50,16 +50,14 @@
 //! two locks in opposite orders.
 
 use crate::bandwidth::BandwidthModel;
-use crate::energy::EnergyMeter;
 use crate::error::DeviceError;
 use crate::idmap::IdMap;
 use crate::params::{DeviceKind, DeviceParams};
 use crate::spill::SpillStore;
-use crate::time::{SimDuration, VirtualClock};
+use crate::time::SimDuration;
 use crate::wearmap::WearMap;
 use crate::{pages_for, PAGE_SIZE};
 use nvm_metrics::{names, MetricsRegistry};
-use nvm_trace::{TraceEventKind, Tracer};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -101,8 +99,6 @@ pub struct DeviceStats {
     pub flush_ops: u64,
     /// Virtual time the device spent busy, summed over operations.
     pub busy: SimDuration,
-    /// Energy spent on writes.
-    pub energy: EnergyMeter,
 }
 
 impl DeviceStats {
@@ -117,7 +113,6 @@ impl DeviceStats {
             read_ops: _,
             flush_ops: _,
             busy,
-            energy: _,
         } = *self;
         let kind = kind.name();
         reg.publish_totals([
@@ -164,23 +159,14 @@ impl Region {
         Ok(())
     }
 
-    fn record_page_writes(&mut self, offset: usize, len: usize) -> u64 {
+    fn record_page_writes(&mut self, offset: usize, len: usize) {
         if len == 0 {
-            return 0;
+            return;
         }
         let first = (offset / PAGE_SIZE) as u64;
         let last = ((offset + len - 1) / PAGE_SIZE) as u64;
-        self.wear.increment_range(first, last)
+        self.wear.increment_range(first, last);
     }
-}
-
-/// Tracer attachment for a device. The device is passive (it has no
-/// clock of its own), so the caller that owns the device's timeline
-/// hands over the clock to stamp [`TraceEventKind::DeviceCharge`]
-/// events with.
-struct DeviceTracer {
-    tracer: Tracer,
-    clock: VirtualClock,
 }
 
 struct Inner {
@@ -191,10 +177,6 @@ struct Inner {
     next_id: u64,
     regions: IdMap<RegionId, Region>,
     stats: DeviceStats,
-    /// When true, writes past the endurance limit return an error.
-    strict_endurance: bool,
-    /// Optional charge tracing; `None` (the default) costs one branch.
-    tracer: Option<DeviceTracer>,
     /// Optional spill backing: when present, materialized regions
     /// allocated afterwards keep their bytes here instead of in RAM.
     spill: Option<Box<dyn SpillStore>>,
@@ -227,24 +209,15 @@ impl MemoryDevice {
     /// The bandwidth model defaults to the contended Figure-4 curve for
     /// the device's peak bandwidth.
     pub fn new(params: DeviceParams, capacity: usize) -> Self {
-        let model = BandwidthModel::for_device(&params);
-        Self::with_model(params, capacity, model)
-    }
-
-    /// Create a device with an explicit bandwidth model (e.g. a fixed
-    /// per-core bandwidth for the paper's x-axis sweeps).
-    pub fn with_model(params: DeviceParams, capacity: usize, model: BandwidthModel) -> Self {
         MemoryDevice {
             inner: Arc::new(Mutex::new(Inner {
                 params,
-                model,
+                model: BandwidthModel::for_device(&params),
                 capacity,
                 used: 0,
                 next_id: 1,
                 regions: IdMap::default(),
                 stats: DeviceStats::default(),
-                strict_endurance: false,
-                tracer: None,
                 spill: None,
                 spill_read_bytes: 0,
                 spill_written_bytes: 0,
@@ -266,26 +239,6 @@ impl MemoryDevice {
     /// NVM bandwidth per core).
     pub fn set_model(&self, model: BandwidthModel) {
         self.inner.lock().model = model;
-    }
-
-    /// Enable or disable strict endurance checking.
-    pub fn set_strict_endurance(&self, strict: bool) {
-        self.inner.lock().strict_endurance = strict;
-    }
-
-    /// Attach a tracer: every subsequent read/write/flush charge emits
-    /// a [`TraceEventKind::DeviceCharge`] event stamped with `clock`'s
-    /// current virtual time. The device is passive, so the clock must
-    /// be the one the device's caller advances. Only attach a tracer
-    /// when the device has a single timeline owner — a device shared
-    /// by concurrently-executing ranks would interleave events
-    /// nondeterministically.
-    pub fn set_tracer(&self, tracer: Tracer, clock: VirtualClock) {
-        self.inner.lock().tracer = if tracer.enabled() {
-            Some(DeviceTracer { tracer, clock })
-        } else {
-            None
-        };
     }
 
     /// Device parameter block.
@@ -673,7 +626,6 @@ impl MemoryDevice {
         let cost = FLUSH_PER_LINE * lines;
         g.stats.flush_ops += 1;
         g.stats.busy += cost;
-        trace_charge(&g.tracer, g.params.kind, "flush", len as u64, cost);
         Ok(cost)
     }
 
@@ -716,7 +668,7 @@ impl MemoryDevice {
 
 impl Inner {
     /// Charge a write of `len` bytes at `offset` of region `id` — wear,
-    /// time, statistics, energy — and return the region with the cost,
+    /// time, statistics — and return the region with the cost,
     /// for the caller that also has bytes to put there.
     fn write_common(
         &mut self,
@@ -731,14 +683,7 @@ impl Inner {
             .get_mut(&id)
             .ok_or(DeviceError::NoSuchRegion(id.0))?;
         region.check_bounds(id, offset, len)?;
-        let max_wear = region.record_page_writes(offset, len);
-        if self.strict_endurance && max_wear > params.write_endurance {
-            return Err(DeviceError::EnduranceExceeded {
-                region: id.0,
-                writes: max_wear,
-                limit: params.write_endurance,
-            });
-        }
+        region.record_page_writes(offset, len);
         // The model already encodes this device's peak bandwidth (or a
         // fixed per-core override); floor it to avoid degenerate zero.
         let stream_bw = self.model.per_core(concurrency, len).max(1.0);
@@ -748,10 +693,6 @@ impl Inner {
         self.stats.bytes_written += len as u64;
         self.stats.write_ops += 1;
         self.stats.busy += cost;
-        self.stats
-            .energy
-            .charge_write(len as u64, params.write_energy_pj_per_bit);
-        trace_charge(&self.tracer, params.kind, "write", len as u64, cost);
         Ok((cost, region))
     }
 
@@ -810,31 +751,7 @@ impl Inner {
         self.stats.bytes_read += len as u64;
         self.stats.read_ops += 1;
         self.stats.busy += cost;
-        trace_charge(&self.tracer, params.kind, "read", len as u64, cost);
         cost
-    }
-}
-
-/// Emit the charge on the attached tracer, if there is one. Takes the
-/// tracer field alone, so a charge can be traced with a region of the
-/// same device still borrowed.
-fn trace_charge(
-    tracer: &Option<DeviceTracer>,
-    kind: DeviceKind,
-    op: &str,
-    bytes: u64,
-    cost: SimDuration,
-) {
-    if let Some(dt) = tracer {
-        dt.tracer.emit(
-            dt.clock.now().as_nanos(),
-            TraceEventKind::DeviceCharge {
-                device: kind.name().to_string(),
-                op: op.to_string(),
-                bytes,
-                cost_ns: cost.as_nanos(),
-            },
-        );
     }
 }
 
@@ -1031,7 +948,6 @@ mod tests {
         assert_eq!(s.write_ops, 1);
         assert_eq!(s.read_ops, 1);
         assert_eq!(s.flush_ops, 1);
-        assert!(s.energy.joules() > 0.0);
         assert!(!s.busy.is_zero());
     }
 
@@ -1058,22 +974,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_endurance_errors_out() {
-        let mut params = DeviceParams::pcm();
-        params.write_endurance = 3;
-        let d = MemoryDevice::new(params, MB);
-        d.set_strict_endurance(true);
-        let r = d.alloc(64).unwrap();
-        for _ in 0..3 {
-            d.write(r, 0, &[1; 8], 1).unwrap();
-        }
-        assert!(matches!(
-            d.write(r, 0, &[1; 8], 1),
-            Err(DeviceError::EnduranceExceeded { .. })
-        ));
-    }
-
-    #[test]
     fn destroy_clears_contents() {
         let d = MemoryDevice::pcm(MB);
         let r = d.alloc(1024).unwrap();
@@ -1095,43 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn attached_tracer_records_charges() {
-        let d = MemoryDevice::pcm(MB);
-        let clock = VirtualClock::new();
-        let sink = std::sync::Arc::new(nvm_trace::BufferSink::new());
-        d.set_tracer(Tracer::new(sink.clone()), clock.clone());
-        let r = d.alloc(4096).unwrap();
-        let cost = d.write(r, 0, &[1; 4096], 1).unwrap();
-        clock.advance(cost);
-        d.flush(r, 4096).unwrap();
-        let events = sink.drain();
-        assert_eq!(events.len(), 2);
-        match &events[0].kind {
-            TraceEventKind::DeviceCharge {
-                device,
-                op,
-                bytes,
-                cost_ns,
-            } => {
-                assert_eq!(device, "pcm");
-                assert_eq!(op, "write");
-                assert_eq!(*bytes, 4096);
-                assert_eq!(*cost_ns, cost.as_nanos());
-            }
-            other => panic!("expected DeviceCharge, got {other:?}"),
-        }
-        // The write was stamped before the clock advanced; the flush
-        // after.
-        assert_eq!(events[0].t_ns, 0);
-        assert_eq!(events[1].t_ns, cost.as_nanos());
-
-        // A disabled tracer detaches cleanly.
-        d.set_tracer(Tracer::disabled(), clock.clone());
-        d.flush(r, 64).unwrap();
-        assert!(sink.is_empty());
-    }
-
-    #[test]
     fn publish_names_every_counted_field() {
         let mut reg = MetricsRegistry::new();
         DeviceStats::default().publish(DeviceKind::Pcm, &mut reg);
@@ -1143,7 +1006,6 @@ mod tests {
             read_ops: 4,
             flush_ops: 5,
             busy: SimDuration::from_nanos(6),
-            energy: EnergyMeter::default(),
         };
         stats.publish(DeviceKind::Pcm, &mut reg);
         stats.publish(DeviceKind::Dram, &mut reg);

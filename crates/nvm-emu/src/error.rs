@@ -94,16 +94,6 @@ pub enum DeviceError {
     },
     /// Byte-level read from a synthetic (size-only) region.
     SyntheticAccess(u64),
-    /// A write exceeded the device's endurance budget (only raised when
-    /// strict wear checking is enabled).
-    EnduranceExceeded {
-        /// Region whose wear crossed the endurance limit.
-        region: u64,
-        /// Writes observed on the hottest page of that region.
-        writes: u64,
-        /// The device's endurance limit.
-        limit: u64,
-    },
     /// The attached spill store failed an I/O operation (message from
     /// the underlying `io::Error`; kept as a string so the variant
     /// stays `Clone + PartialEq` like the rest of the enum).
@@ -124,10 +114,6 @@ crate::error_enum! {
         ),
         leaf DeviceError::SyntheticAccess(id) =>
             write!(f, "byte-level read from synthetic region {id}"),
-        leaf DeviceError::EnduranceExceeded { region, writes, limit } => write!(
-            f,
-            "endurance exceeded on region {region}: {writes} writes > limit {limit}"
-        ),
         leaf DeviceError::Spill(msg) => write!(f, "spill store I/O failed: {msg}"),
     }
 }

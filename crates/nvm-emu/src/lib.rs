@@ -11,15 +11,13 @@
 //!   experiments run in virtual time so paper-scale data sizes (hundreds
 //!   of megabytes per rank) cost microseconds of wall time.
 //! * [`params`] — the Table-I hardware model: DRAM vs PCM bandwidth,
-//!   page read/write latency, write endurance and energy.
+//!   page read/write latency, write endurance and write energy per bit.
 //! * [`bandwidth`] — the parallel-memcpy contention model behind Figure 4
 //!   of the paper: effective per-core copy bandwidth as a function of
 //!   concurrent copier count and buffer size.
 //! * [`device`] — [`device::MemoryDevice`]: an emulated memory device
 //!   holding *regions* of bytes (materialized or synthetic), charging
-//!   virtual time for reads/writes/flushes and accounting wear + energy.
-//! * [`energy`] — write-energy accounting (PCM write energy is ~40x DRAM
-//!   per bit).
+//!   virtual time for reads/writes/flushes and accounting wear.
 //! * [`idmap`] — [`idmap::IdMap`]: the hash table for keys that are
 //!   already numbers (region ids here, chunk ids in `nvm-paging`).
 //!
@@ -48,7 +46,6 @@
 
 pub mod bandwidth;
 pub mod device;
-pub mod energy;
 pub mod error;
 pub mod idmap;
 pub mod params;

@@ -42,19 +42,11 @@ impl TempDir {
     pub fn join(&self, name: impl AsRef<Path>) -> PathBuf {
         self.path.join(name)
     }
-
-    /// Consume without deleting (hand ownership of the files to the
-    /// caller).
-    pub fn keep(mut self) -> PathBuf {
-        std::mem::take(&mut self.path)
-    }
 }
 
 impl Drop for TempDir {
     fn drop(&mut self) {
-        if !self.path.as_os_str().is_empty() {
-            let _ = std::fs::remove_dir_all(&self.path);
-        }
+        let _ = std::fs::remove_dir_all(&self.path);
     }
 }
 
@@ -79,13 +71,5 @@ mod tests {
         let a = TempDir::new("nvm_emu_tempdir_test").unwrap();
         let b = TempDir::new("nvm_emu_tempdir_test").unwrap();
         assert_ne!(a.path(), b.path());
-    }
-
-    #[test]
-    fn keep_disarms_cleanup() {
-        let td = TempDir::new("nvm_emu_tempdir_keep").unwrap();
-        let path = td.keep();
-        assert!(path.is_dir());
-        std::fs::remove_dir_all(&path).unwrap();
     }
 }

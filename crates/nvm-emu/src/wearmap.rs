@@ -26,10 +26,10 @@
 //!
 //! Semantics are identical to the flat array: [`WearMap::increment_range`]
 //! adds one write to every page in the range and returns the hottest
-//! post-increment count inside it (the value strict endurance checks
-//! compare against), and [`WearMap::max`] is the device-lifetime hottest
-//! page. Counts only ever increase, so the global max can be cached and
-//! updated on the way in rather than recomputed by scanning.
+//! post-increment count inside it, and [`WearMap::max`] is the
+//! device-lifetime hottest page. Counts only ever increase, so the
+//! global max can be cached and updated on the way in rather than
+//! recomputed by scanning.
 
 use std::collections::BTreeMap;
 

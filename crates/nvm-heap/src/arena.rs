@@ -68,7 +68,7 @@ pub struct Arena {
 }
 
 /// Round a request to its size class.
-pub fn round_size(len: usize) -> usize {
+fn round_size(len: usize) -> usize {
     if len == 0 {
         SMALL_GRANULE
     } else if len >= LARGE_THRESHOLD {

@@ -297,30 +297,6 @@ impl NvmHeap {
         Ok(())
     }
 
-    /// Application write into the working copy (real bytes).
-    pub fn write(
-        &mut self,
-        id: ChunkId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<SimDuration, HeapError> {
-        let chunk = self.chunks.get(&id).ok_or(HeapError::NoSuchChunk(id))?;
-        Ok(self.dram.write(chunk.dram_region, offset, data, 1)?)
-    }
-
-    /// Application write, size-only.
-    pub fn write_synthetic(
-        &mut self,
-        id: ChunkId,
-        offset: usize,
-        len: usize,
-    ) -> Result<SimDuration, HeapError> {
-        let chunk = self.chunks.get(&id).ok_or(HeapError::NoSuchChunk(id))?;
-        Ok(self
-            .dram
-            .write_synthetic(chunk.dram_region, offset, len, 1)?)
-    }
-
     /// Read from the working copy.
     pub fn read(
         &self,
@@ -472,14 +448,11 @@ impl NvmHeap {
 
     /// Ids of persistent chunks only (the checkpoint set).
     pub fn persistent_ids(&self) -> Vec<ChunkId> {
-        self.iter_persistent_ids().collect()
-    }
-
-    /// Iterate persistent chunk ids in id order without allocating —
-    /// the hot-loop variant of [`NvmHeap::persistent_ids`] (pre-copy
-    /// candidate scans run once per drained chunk).
-    pub fn iter_persistent_ids(&self) -> impl Iterator<Item = ChunkId> + '_ {
-        self.chunks.values().filter(|c| c.persistent).map(|c| c.id)
+        self.chunks
+            .values()
+            .filter(|c| c.persistent)
+            .map(|c| c.id)
+            .collect()
     }
 
     /// Number of chunks.
@@ -500,19 +473,6 @@ impl NvmHeap {
             .filter(|c| c.persistent)
             .map(|c| c.len)
             .sum()
-    }
-
-    /// Export the persistent state as metadata records (what the
-    /// kernel manager keeps in the metadata region): an owned copy of
-    /// the table a [`nvm_paging::MetadataRegion`] saves from the heap
-    /// itself ([`ChunkTable`]).
-    pub fn export_metadata(&self) -> ProcessMetadata {
-        ProcessMetadata {
-            process_id: self.process_id(),
-            container_region: self.container_region(),
-            container_capacity: self.container_capacity(),
-            records: self.records().map(RecordRef::to_record).collect(),
-        }
     }
 
     /// Rebuild a heap from persisted metadata after a process restart.
@@ -633,6 +593,23 @@ mod tests {
         NvmHeap::new(1, &dram, &nvm, 32 * MB, versioning, Materialization::Bytes).unwrap()
     }
 
+    /// The persistent state as an owned table: a copy of what a
+    /// [`MetadataRegion`] saves from the heap itself.
+    fn export_metadata(h: &NvmHeap) -> ProcessMetadata {
+        ProcessMetadata {
+            process_id: h.process_id(),
+            container_region: h.container_region(),
+            container_capacity: h.container_capacity(),
+            records: h.records().map(RecordRef::to_record).collect(),
+        }
+    }
+
+    /// An application write into the working copy at offset 0.
+    fn write(h: &NvmHeap, id: ChunkId, data: &[u8]) {
+        let region = h.chunk(id).unwrap().dram_region;
+        h.dram().write(region, 0, data, 1).unwrap();
+    }
+
     #[test]
     fn nvmalloc_creates_dram_and_shadow_pair() {
         let mut h = heap(Versioning::Double);
@@ -677,7 +654,7 @@ mod tests {
         let mut h = heap(Versioning::Double);
         let id = h.nvmalloc("x", 1024, true).unwrap();
         let data: Vec<u8> = (0..1024u32).map(|i| (i % 256) as u8).collect();
-        h.write(id, 0, &data).unwrap();
+        write(&h, id, &data);
         let (cost, lent) = h.shadow_copy(id, 0, 1, <[u8]>::to_vec).unwrap();
         assert!(!cost.is_zero());
         assert_eq!(lent, Some(data.clone()), "the copy lends what it copies");
@@ -741,7 +718,7 @@ mod tests {
     fn nvrealloc_grows_and_preserves_content() {
         let mut h = heap(Versioning::Double);
         let id = h.nvmalloc("x", 1024, true).unwrap();
-        h.write(id, 0, &[7u8; 1024]).unwrap();
+        write(&h, id, &[7u8; 1024]);
         h.nvrealloc(id, 4096).unwrap();
         let c = h.chunk(id).unwrap();
         assert_eq!(c.len, 4096);
@@ -789,11 +766,11 @@ mod tests {
     fn restore_to_dram_roundtrips() {
         let mut h = heap(Versioning::Double);
         let id = h.nvmalloc("x", 512, true).unwrap();
-        h.write(id, 0, &[9u8; 512]).unwrap();
+        write(&h, id, &[9u8; 512]);
         h.shadow_copy(id, 1, 1, |_| ()).unwrap();
         h.chunk_mut(id).unwrap().committed_slot = Some(1);
         // clobber the working copy
-        h.write(id, 0, &[0u8; 512]).unwrap();
+        write(&h, id, &[0u8; 512]);
         h.restore_to_dram(id).unwrap();
         let mut buf = vec![0u8; 512];
         h.read(id, 0, &mut buf).unwrap();
@@ -819,10 +796,10 @@ mod tests {
             .unwrap();
             let id = h.nvmalloc("x", 5000, true).unwrap();
             let data: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
-            h.write(id, 0, &data).unwrap();
+            write(&h, id, &data);
             h.shadow_copy(id, 1, 1, |_| ()).unwrap();
             h.chunk_mut(id).unwrap().committed_slot = Some(1);
-            h.write(id, 0, &[0u8; 5000]).unwrap();
+            write(&h, id, &[0u8; 5000]);
             let chunk = h.chunk(id).unwrap();
             let (region, ext) = (chunk.dram_region, chunk.versions[1].unwrap());
             let cost = if plain {
@@ -856,11 +833,11 @@ mod tests {
         let a = h.nvmalloc("alpha", 4096, true).unwrap();
         let _scratch = h.nvmalloc("tmp", 4096, false).unwrap();
         let b = h.nvmalloc("beta", 8192, true).unwrap();
-        h.write(a, 0, &[1u8; 4096]).unwrap();
+        write(&h, a, &[1u8; 4096]);
         h.shadow_copy(a, 0, 1, |_| ()).unwrap();
         h.chunk_mut(a).unwrap().committed_slot = Some(0);
 
-        let meta = h.export_metadata();
+        let meta = export_metadata(&h);
         assert_eq!(meta.records.len(), 2, "only persistent chunks exported");
         drop(h); // process dies; NVM device survives
 
@@ -872,7 +849,7 @@ mod tests {
             Versioning::Double,
         )
         .unwrap();
-        assert_eq!(h2.export_metadata().process_id, 42);
+        assert_eq!(export_metadata(&h2).process_id, 42);
         assert_eq!(h2.len(), 2);
         let data = h2.view_version(a, 0, <[u8]>::to_vec).unwrap();
         assert_eq!(data, vec![1u8; 4096], "committed bytes survive restart");
@@ -895,7 +872,7 @@ mod tests {
             (cost, bytes.unwrap())
         };
         let live = saved(&|r| r.save(&h).unwrap());
-        assert_eq!(live, saved(&|r| r.save(&h.export_metadata()).unwrap()));
+        assert_eq!(live, saved(&|r| r.save(&export_metadata(&h)).unwrap()));
     }
 
     #[test]
@@ -911,7 +888,8 @@ mod tests {
         )
         .unwrap();
         let id = h.nvmalloc("big", 8 * MB, true).unwrap();
-        let wc = h.write_synthetic(id, 0, 8 * MB).unwrap();
+        let region = h.chunk(id).unwrap().dram_region;
+        let wc = h.dram().write_synthetic(region, 0, 8 * MB, 1).unwrap();
         assert!(!wc.is_zero());
         let (cc, lent) = h.shadow_copy(id, 0, 1, <[u8]>::len).unwrap();
         assert!(cc > wc, "NVM copy slower than DRAM write");

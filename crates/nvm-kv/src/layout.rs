@@ -45,7 +45,7 @@ pub const META_FIXED_BYTES: usize = 40;
 pub const META_MAGIC: u64 = u64::from_le_bytes(*b"NVKVMET1");
 
 /// Round `n` up to the next multiple of 8.
-pub const fn pad8(n: usize) -> usize {
+const fn pad8(n: usize) -> usize {
     (n + 7) & !7
 }
 
@@ -79,16 +79,10 @@ impl RecordHeader {
     }
 }
 
-/// Encode a full record (header + key + value + zero padding).
-/// `value: None` encodes a tombstone.
-pub fn encode_record(session: u16, serial: u64, key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_record_into(&mut buf, session, serial, key, value);
-    buf
-}
-
-/// [`encode_record`] into `buf`, which is left holding exactly the
-/// record and keeps its capacity from one record to the next.
+/// Encode a full record (header + key + value + zero padding) into
+/// `buf`, which is left holding exactly the record and keeps its
+/// capacity from one record to the next. `value: None` encodes a
+/// tombstone.
 pub fn encode_record_into(
     buf: &mut Vec<u8>,
     session: u16,
@@ -252,6 +246,12 @@ pub fn hash64(key: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode_record(session: u16, serial: u64, key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_record_into(&mut buf, session, serial, key, value);
+        buf
+    }
 
     #[test]
     fn record_round_trip() {

@@ -52,7 +52,7 @@ impl DerivedMetrics {
     /// Compute every derived quantity from a merged cluster snapshot.
     /// Missing inputs yield 0 rather than an error so partial
     /// instrumentations (unit tests, single-crate use) still export.
-    pub fn from_snapshot(snap: &MetricsSnapshot) -> Self {
+    fn from_snapshot(snap: &MetricsSnapshot) -> Self {
         let precopied = snap.counter(names::CHKPT_PRECOPIED_BYTES_TOTAL);
         let coordinated = snap.counter(names::CHKPT_COORDINATED_BYTES_TOTAL);
         let wasted = snap.counter(names::CHKPT_WASTED_PRECOPY_BYTES_TOTAL);
@@ -80,7 +80,7 @@ impl DerivedMetrics {
 
     /// Fill the exposure quantities from a trace-analysis blame
     /// report. Snapshots carry no causal ordering, so these two cannot
-    /// be derived in [`DerivedMetrics::from_snapshot`]; the bench
+    /// be derived in [`MetricsReport::new`]; the bench
     /// exporter calls this after running the analyzer over the trace.
     pub fn set_exposure(&mut self, exposed: f64, hidden: f64) {
         self.exposed_checkpoint_fraction = exposed;

@@ -94,7 +94,7 @@ impl Histogram {
     /// tail quantiles of a distribution that ends mid-bucket, and
     /// `quantile(1.0)` always, report the exact max). Returns 0 for an
     /// empty histogram. Integer arithmetic only — deterministic.
-    pub fn quantile(&self, q: f64) -> u64 {
+    fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -112,7 +112,9 @@ impl Histogram {
         self.max
     }
 
-    /// Median (see [`Histogram::quantile`]).
+    /// Median: the inclusive upper bound of the bucket holding the
+    /// sample of rank `ceil(count / 2)`, clamped to the observed
+    /// maximum; 0 for an empty histogram.
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
     }

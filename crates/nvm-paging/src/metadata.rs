@@ -66,26 +66,6 @@ impl ProcessMetadata {
             records: Vec::new(),
         }
     }
-
-    /// Find a record by chunk id.
-    pub fn find(&self, id: ChunkId) -> Option<&ChunkRecord> {
-        self.records.iter().find(|r| r.id == id)
-    }
-
-    /// Insert or replace a record.
-    pub fn upsert(&mut self, rec: ChunkRecord) {
-        match self.records.iter_mut().find(|r| r.id == rec.id) {
-            Some(slot) => *slot = rec,
-            None => self.records.push(rec),
-        }
-    }
-
-    /// Remove a record; true if it existed.
-    pub fn remove(&mut self, id: ChunkId) -> bool {
-        let before = self.records.len();
-        self.records.retain(|r| r.id != id);
-        self.records.len() != before
-    }
 }
 
 /// A [`ChunkRecord`] lent by the table that holds it, name and all,
@@ -410,7 +390,7 @@ mod tests {
 
     fn sample_meta() -> ProcessMetadata {
         let mut m = ProcessMetadata::new(7);
-        m.upsert(ChunkRecord {
+        m.records.push(ChunkRecord {
             id: genid("electrons"),
             name: "electrons".into(),
             len: 1 << 20,
@@ -420,7 +400,7 @@ mod tests {
             checksum: Some(0xdead_beef),
             committed_epoch: 3,
         });
-        m.upsert(ChunkRecord {
+        m.records.push(ChunkRecord {
             id: genid("ions"),
             name: "ions".into(),
             len: 4096,
@@ -475,7 +455,7 @@ mod tests {
         let mut region = MetadataRegion::with_capacity(&dev, 256).unwrap();
         let mut meta = ProcessMetadata::new(1);
         for i in 0..200 {
-            meta.upsert(ChunkRecord {
+            meta.records.push(ChunkRecord {
                 id: ChunkId(i),
                 name: format!("var_{i}"),
                 len: 4096,
@@ -490,37 +470,6 @@ mod tests {
         let (loaded, _) = region.load().unwrap();
         assert_eq!(loaded.records.len(), 200);
         assert_eq!(loaded, meta);
-    }
-
-    #[test]
-    fn upsert_replaces_and_remove_removes() {
-        let mut m = ProcessMetadata::new(1);
-        let id = genid("x");
-        m.upsert(ChunkRecord {
-            id,
-            name: "x".into(),
-            len: 1,
-            persistent: false,
-            versions: [None, None],
-            committed_slot: None,
-            checksum: None,
-            committed_epoch: 0,
-        });
-        m.upsert(ChunkRecord {
-            id,
-            name: "x".into(),
-            len: 2,
-            persistent: false,
-            versions: [None, None],
-            committed_slot: None,
-            checksum: None,
-            committed_epoch: 1,
-        });
-        assert_eq!(m.records.len(), 1);
-        assert_eq!(m.find(id).unwrap().len, 2);
-        assert!(m.remove(id));
-        assert!(!m.remove(id));
-        assert!(m.find(id).is_none());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! dirty chunks in the background, DCPC/DCPCP defer hot chunks, the
 //! coordinated step shrinks. End-of-run aggregates cannot show any of
 //! that, so this crate provides a virtual-time-stamped event stream
-//! that the engine, cluster simulator, and device layer all feed.
+//! that the engine, cluster simulator and kv serving layer feed.
 //!
 //! Design constraints, in priority order:
 //!
@@ -17,23 +17,22 @@
 //!    stream that is bit-identical whether ranks executed serially or
 //!    on a thread pool, extending the cluster simulator's determinism
 //!    guarantee to the trace itself.
-//! 3. **Pluggable output.** [`TraceSink`] is object-safe; shipped
-//!    sinks are [`NullSink`], an in-memory ring [`BufferSink`] for
-//!    tests, and a streaming [`JsonlSink`]. [`to_jsonl`] and
-//!    [`to_chrome_trace`] render collected events offline — the latter
-//!    loads in `chrome://tracing` / Perfetto.
+//! 3. **One sink.** Events collect in a [`BufferSink`] — unbounded,
+//!    or a ring of the most recent events (the flight recorder).
+//!    [`to_jsonl`] and [`to_chrome_trace`] render collected events
+//!    offline — the latter loads in `chrome://tracing` / Perfetto.
 
 #![warn(missing_docs)]
 
+use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
-/// Version of the JSONL trace format written by [`to_jsonl`] and
-/// [`JsonlSink`]. Bumped whenever an event gains a field or a new
-/// variant changes the wire shape in a way old readers cannot ignore.
+/// Version of the JSONL trace format written by [`to_jsonl`]. Bumped
+/// whenever an event gains a field or a new variant changes the wire
+/// shape in a way old readers cannot ignore.
 /// History:
 ///
 /// * **1** — seed format, no header line.
@@ -45,6 +44,9 @@ use serde::{Deserialize, Serialize};
 ///   `kv_checkpoint_end`, `kv_recovery_seek` emitted by the `nvm-kv`
 ///   serving layer. No existing kind changed shape, so version-2
 ///   traces load unmodified.
+/// * **3, unchanged** — kind `device_charge` retired. It was never
+///   emitted outside its own test; a line carrying it is a
+///   [`TraceReadError::Parse`].
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// What happened. Variants map one-to-one onto the mechanisms the
@@ -131,17 +133,6 @@ pub enum TraceEventKind {
         /// True for incremental (pre-copy) shipping, false for a bulk
         /// post-checkpoint burst.
         incremental: bool,
-    },
-    /// A memory device charged virtual time for an operation.
-    DeviceCharge {
-        /// Device name (e.g. `nvm`, `dram`).
-        device: String,
-        /// Operation (`write`, `read`, `flush`).
-        op: String,
-        /// Bytes involved.
-        bytes: u64,
-        /// Virtual nanoseconds charged.
-        cost_ns: u64,
     },
     /// A rank failed during a cluster run.
     RankFailure {
@@ -283,7 +274,6 @@ impl TraceEventKind {
             TraceEventKind::CommitFlip { .. } => "commit_flip",
             TraceEventKind::Restart { .. } => "restart",
             TraceEventKind::RemoteTransfer { .. } => "remote_transfer",
-            TraceEventKind::DeviceCharge { .. } => "device_charge",
             TraceEventKind::RankFailure { .. } => "rank_failure",
             TraceEventKind::BarrierWait { .. } => "barrier_wait",
             TraceEventKind::CommWait { .. } => "comm_wait",
@@ -313,30 +303,13 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// Destination for emitted events. Implementations use interior
-/// mutability; `record` takes `&self` so one sink can be shared by
-/// clones of a [`Tracer`].
-pub trait TraceSink: Send + Sync {
-    /// Accept one event.
-    fn record(&self, event: TraceEvent);
-}
-
-/// Sink that discards everything. Tracing call sites normally guard
-/// on [`Tracer::enabled`] and never reach a sink at all; `NullSink`
-/// exists for code that wants an always-valid sink object.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&self, _event: TraceEvent) {}
-}
-
-/// In-memory ring buffer sink for tests and for per-rank collection
-/// in the cluster simulator. Unbounded by default; with a capacity,
-/// keeps only the most recent events.
+/// In-memory event buffer, shared by the clones of a [`Tracer`]:
+/// per-rank collection in the cluster simulator and tests. Unbounded
+/// by default; with a capacity, a ring keeping only the most recent
+/// events.
 #[derive(Debug, Default)]
 pub struct BufferSink {
-    events: Mutex<Vec<TraceEvent>>,
+    events: Mutex<VecDeque<TraceEvent>>,
     capacity: Option<usize>,
 }
 
@@ -349,9 +322,18 @@ impl BufferSink {
     /// Ring buffer keeping at most `capacity` most-recent events.
     pub fn with_capacity(capacity: usize) -> Self {
         BufferSink {
-            events: Mutex::new(Vec::new()),
+            events: Mutex::new(VecDeque::new()),
             capacity: Some(capacity.max(1)),
         }
+    }
+
+    /// Accept one event; a full ring drops its oldest in O(1).
+    pub fn record(&self, event: TraceEvent) {
+        let mut events = self.events.lock().unwrap();
+        if self.capacity == Some(events.len()) {
+            events.pop_front();
+        }
+        events.push_back(event);
     }
 
     /// Number of buffered events.
@@ -366,68 +348,14 @@ impl BufferSink {
 
     /// Copy of the buffered events, oldest first.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().unwrap().clone()
+        self.events.lock().unwrap().iter().cloned().collect()
     }
 
-    /// Remove and return the buffered events, oldest first.
+    /// Remove and return the buffered events, oldest first. An
+    /// unbounded buffer never wraps, so its events move out without a
+    /// copy.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock().unwrap())
-    }
-}
-
-impl TraceSink for BufferSink {
-    fn record(&self, event: TraceEvent) {
-        let mut events = self.events.lock().unwrap();
-        if let Some(cap) = self.capacity {
-            if events.len() == cap {
-                events.remove(0);
-            }
-        }
-        events.push(event);
-    }
-}
-
-/// Streaming sink that writes one JSON object per line as events
-/// arrive. Buffered; flushed on drop.
-pub struct JsonlSink {
-    writer: Mutex<Box<dyn std::io::Write + Send>>,
-}
-
-impl std::fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink").finish_non_exhaustive()
-    }
-}
-
-impl JsonlSink {
-    /// Create (truncate) `path` and stream events to it, preceded by
-    /// the [`SCHEMA_VERSION`] header line.
-    pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        let mut writer: Box<dyn std::io::Write + Send> = Box::new(std::io::BufWriter::new(file));
-        writeln!(writer, "{}", jsonl_header())?;
-        Ok(JsonlSink {
-            writer: Mutex::new(writer),
-        })
-    }
-
-    /// Flush the underlying writer.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.writer.lock().unwrap().flush()
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn record(&self, event: TraceEvent) {
-        let line = serde_json::to_string(&event).expect("trace events always serialize");
-        let mut writer = self.writer.lock().unwrap();
-        let _ = writeln!(writer, "{line}");
-    }
-}
-
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        let _ = self.writer.lock().unwrap().flush();
+        Vec::from(std::mem::take(&mut *self.events.lock().unwrap()))
     }
 }
 
@@ -436,7 +364,7 @@ impl Drop for JsonlSink {
 /// costs one `Option` branch per call site.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    sink: Option<Arc<dyn TraceSink>>,
+    sink: Option<Arc<BufferSink>>,
     rank: u64,
 }
 
@@ -456,7 +384,7 @@ impl Tracer {
     }
 
     /// Handle feeding `sink`, tagged rank 0.
-    pub fn new(sink: Arc<dyn TraceSink>) -> Self {
+    pub fn new(sink: Arc<BufferSink>) -> Self {
         Tracer {
             sink: Some(sink),
             rank: 0,
@@ -564,12 +492,11 @@ impl std::fmt::Display for TraceReadError {
 
 impl std::error::Error for TraceReadError {}
 
-/// Parse JSONL produced by [`to_jsonl`] (or a [`JsonlSink`]),
-/// validating the schema header. Headerless input is treated as a
-/// legacy version-1 trace and upgraded in place (fields added since
-/// v1 take their documented defaults); a header declaring a version
-/// newer than [`SCHEMA_VERSION`] is rejected with
-/// [`TraceReadError::Schema`].
+/// Parse JSONL produced by [`to_jsonl`], validating the schema header.
+/// Headerless input is treated as a legacy version-1 trace and
+/// upgraded in place (fields added since v1 take their documented
+/// defaults); a header declaring a version newer than
+/// [`SCHEMA_VERSION`] is rejected with [`TraceReadError::Schema`].
 pub fn read_jsonl(text: &str) -> Result<Vec<TraceEvent>, TraceReadError> {
     let mut events = Vec::new();
     let mut saw_header = false;
@@ -699,8 +626,7 @@ fn kind_args(kind: &TraceEventKind) -> String {
     }
 }
 
-/// Per-kind event counts plus total charged device time — the compact
-/// summary bench reports print.
+/// Per-kind event counts — the compact summary bench reports print.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceSummary {
     /// Total events.
@@ -813,14 +739,21 @@ mod tests {
 
     #[test]
     fn ring_buffer_keeps_most_recent() {
-        let sink = BufferSink::with_capacity(2);
-        for t in 0..5 {
-            sink.record(ev(t, 0, t));
+        let times = |events: Vec<TraceEvent>| events.iter().map(|e| e.t_ns).collect::<Vec<_>>();
+        let ring = BufferSink::with_capacity(4);
+        let unbounded = BufferSink::new();
+        for t in 0..10 {
+            ring.record(ev(t, 0, t));
+            unbounded.record(ev(t, 0, t));
         }
-        let events = sink.snapshot();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].t_ns, 3);
-        assert_eq!(events[1].t_ns, 4);
+        assert_eq!(times(ring.snapshot()), [6, 7, 8, 9]);
+        assert_eq!(times(ring.drain()), [6, 7, 8, 9]);
+        assert!(ring.is_empty());
+        // An unbounded buffer hands over its own allocation.
+        let first = unbounded.events.lock().unwrap().front().unwrap() as *const TraceEvent;
+        let drained = unbounded.drain();
+        assert_eq!(drained.as_ptr(), first);
+        assert_eq!(times(drained), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -899,18 +832,14 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_matches_offline_rendering() {
-        let path =
-            std::env::temp_dir().join(format!("nvm_trace_sink_{}.jsonl", std::process::id()));
-        let events = vec![ev(1, 0, 7), ev(2, 0, 8)];
-        let sink = JsonlSink::create(&path).unwrap();
-        for e in &events {
-            sink.record(e.clone());
+    fn retired_device_charge_kind_is_a_parse_error() {
+        // A line as the last writer that knew the kind rendered it.
+        let text = "{\"schema_version\":3}\n\
+                    {\"t_ns\":0,\"rank\":0,\"kind\":{\"DeviceCharge\":{\"device\":\"pcm\",\"op\":\"write\",\"bytes\":4096,\"cost_ns\":1234}}}\n";
+        match read_jsonl(text).unwrap_err() {
+            TraceReadError::Parse { line, .. } => assert_eq!(line, 2),
+            other => panic!("expected parse error, got {other:?}"),
         }
-        drop(sink);
-        let written = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(written, to_jsonl(&events));
     }
 
     #[test]

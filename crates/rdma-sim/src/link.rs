@@ -41,15 +41,10 @@ pub struct Link {
 impl Link {
     /// A link with `capacity` bytes/s and 1-second trace buckets.
     pub fn new(capacity: f64) -> Self {
-        Self::with_bucket(capacity, SimDuration::from_secs(1))
-    }
-
-    /// A link with an explicit trace bucket width.
-    pub fn with_bucket(capacity: f64, bucket: SimDuration) -> Self {
         assert!(capacity > 0.0, "link capacity must be positive");
         Link {
             capacity,
-            trace: UsageTrace::new(bucket),
+            trace: UsageTrace::new(SimDuration::from_secs(1)),
             stats: LinkStats::default(),
             setup: SimDuration::from_micros(5),
         }

@@ -39,7 +39,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Time charged for the `attempt`-th (1-based) lost attempt:
     /// detection timeout plus exponential backoff.
-    pub fn lost_attempt_cost(&self, attempt: u32) -> SimDuration {
+    fn lost_attempt_cost(&self, attempt: u32) -> SimDuration {
         let shift = attempt.saturating_sub(1).min(16);
         self.timeout + SimDuration::from_nanos(self.base_backoff.as_nanos() << shift)
     }

@@ -76,7 +76,7 @@ impl UsageTrace {
     }
 
     /// Mean bucket occupancy over the non-empty prefix, in bytes.
-    pub fn mean_bytes(&self) -> f64 {
+    fn mean_bytes(&self) -> f64 {
         if self.buckets.is_empty() {
             0.0
         } else {

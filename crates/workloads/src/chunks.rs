@@ -50,24 +50,6 @@ impl SizeBucket {
             SizeBucket::Huge => (100 * MB, 200 * MB),
         }
     }
-
-    /// Which bucket a size falls into, if any (gaps between buckets
-    /// return `None`).
-    pub fn classify(bytes: usize) -> Option<SizeBucket> {
-        for b in [
-            SizeBucket::Small,
-            SizeBucket::Medium,
-            SizeBucket::Mid,
-            SizeBucket::Large,
-            SizeBucket::Huge,
-        ] {
-            let (lo, hi) = b.range();
-            if bytes >= lo && bytes <= hi {
-                return Some(b);
-            }
-        }
-        None
-    }
 }
 
 /// Percentage of chunks per bucket — one Table-IV row.
@@ -289,17 +271,6 @@ pub fn measured_distribution(specs: &[ChunkSpec]) -> ChunkDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_classify_correctly() {
-        assert_eq!(SizeBucket::classify(600 * KB), Some(SizeBucket::Small));
-        assert_eq!(SizeBucket::classify(5 * MB), Some(SizeBucket::Medium));
-        assert_eq!(SizeBucket::classify(15 * MB), Some(SizeBucket::Mid));
-        assert_eq!(SizeBucket::classify(70 * MB), Some(SizeBucket::Large));
-        assert_eq!(SizeBucket::classify(150 * MB), Some(SizeBucket::Huge));
-        assert_eq!(SizeBucket::classify(30 * MB), None); // gap 20-50 MB
-        assert_eq!(SizeBucket::classify(1), None);
-    }
 
     #[test]
     fn lammps_remainder_goes_to_medium() {

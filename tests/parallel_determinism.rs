@@ -8,11 +8,12 @@
 //! ordering bug would show up: plain local checkpointing, the remote
 //! pre-copy path (shared per-node links and helpers), seeded failure
 //! injection with rollbacks, and real bytes shipped to every buddy at
-//! once and fetched back after a hard failure.
+//! once and fetched back after a hard failure. A run that cannot
+//! recover fails with the same cause at every thread count.
 
 use cluster_sim::{
     Cluster, ClusterConfig, FailureConfig, FailureEvent, FailureKind, FailureSchedule,
-    RecoverySource, RemoteConfig, RunOptions, RunResult, UniformWorkload, Workload,
+    RecoverySource, RemoteConfig, RunOptions, RunResult, SimError, UniformWorkload, Workload,
 };
 use nvm_chkpt::{EngineConfig, Materialization, PrecopyPolicy};
 use nvm_emu::{SimDuration, SimTime};
@@ -181,5 +182,33 @@ fn byte_shipping_and_buddy_recovery_are_thread_count_invariant() {
             &to_json(&results),
             &format!("{nodes}-node byte ring, spill {spill}"),
         );
+    }
+}
+
+#[test]
+fn losing_both_buddies_fails_alike_at_every_thread_count() {
+    // Both nodes of a 2-node ring lost at once leave no copy to
+    // recover from. A recorded run wraps the failure in the flight
+    // recorder's envelope; `cause` is how a caller sees through it.
+    let mut cfg = bytes_config(2, false);
+    cfg.schedule_override = Some(FailureSchedule::from_events(
+        (0..2)
+            .map(|node| FailureEvent {
+                at: SimTime::from_secs(11),
+                kind: FailureKind::Hard,
+                node,
+            })
+            .collect(),
+    ));
+    for threads in THREAD_COUNTS {
+        cfg.threads = threads;
+        let err = Cluster::new(cfg.clone(), bytes_factory)
+            .run(RunOptions::new().with_flight(8))
+            .unwrap_err();
+        assert!(
+            matches!(err.cause(), SimError::Unrecoverable { .. }),
+            "{threads} threads: {err}"
+        );
+        assert!(err.flight().is_some());
     }
 }

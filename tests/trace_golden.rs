@@ -14,7 +14,7 @@ use nvm_chkpt::{
     BufferSink, CheckpointEngine, EngineConfig, PrecopyPolicy, TraceEventKind, Tracer,
 };
 use nvm_emu::{MemoryDevice, SimDuration, VirtualClock};
-use nvm_trace::{read_jsonl, to_jsonl, JsonlSink};
+use nvm_trace::{read_jsonl, to_jsonl};
 use std::sync::Arc;
 
 const MB: usize = 1 << 20;
@@ -165,30 +165,16 @@ fn gtc_factory(_g: u64) -> Box<dyn Workload> {
 
 #[test]
 fn jsonl_trace_is_byte_identical_across_thread_counts() {
-    let dir = std::env::temp_dir();
-    let mut paths = Vec::new();
-    for threads in [1usize, 4] {
+    let [a, b] = [1usize, 4].map(|threads| {
         let result = Cluster::new(traced_config(threads), gtc_factory)
             .run(RunOptions::new().with_trace(true))
             .unwrap()
             .result;
         assert!(!result.trace.is_empty());
-        let path = dir.join(format!("nvm_trace_golden_t{threads}.jsonl"));
-        let sink = JsonlSink::create(&path).unwrap();
-        for event in &result.trace {
-            nvm_trace::TraceSink::record(&sink, event.clone());
-        }
-        drop(sink); // flush
-        paths.push(path);
-    }
-    let a = std::fs::read(&paths[0]).unwrap();
-    let b = std::fs::read(&paths[1]).unwrap();
-    assert!(!a.is_empty());
+        to_jsonl(&result.trace)
+    });
     assert_eq!(
         a, b,
         "serial and 4-thread traces must serialize identically"
     );
-    for p in paths {
-        let _ = std::fs::remove_file(p);
-    }
 }
