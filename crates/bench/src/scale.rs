@@ -98,31 +98,31 @@ pub struct RunArgs {
     /// `--threads N` / `--threads=N`: rank-execution worker threads
     /// (`None` = serial; results are bit-identical either way).
     pub threads: Option<usize>,
-    /// `--trace PATH` / `--trace=PATH`: write the merged event stream
-    /// to PATH (`.jsonl` for line-delimited JSON, anything else for
-    /// Chrome `trace_event` JSON).
+    /// `--trace PATH` / `--trace=PATH`: write the observed run's
+    /// merged event stream to PATH (`.jsonl` for line-delimited JSON,
+    /// anything else for Chrome `trace_event` JSON). `--trace`,
+    /// `--metrics` and `--analyze` share one simulation.
     pub trace: Option<String>,
-    /// `--metrics PATH` / `--metrics=PATH`: write the metrics report
-    /// to PATH as stable-ordered JSON, plus Prometheus text exposition
-    /// alongside it.
+    /// `--metrics PATH` / `--metrics=PATH`: write the observed run's
+    /// metrics report to PATH as stable-ordered JSON, plus Prometheus
+    /// text exposition alongside it (`<path>.prom`).
     pub metrics: Option<String>,
-    /// `--analyze PATH` / `--analyze=PATH`: run a traced GTC
-    /// simulation through the `nvm-obs` analyzer and write the blame +
-    /// rollup report to PATH as stable-ordered JSON, plus a
-    /// folded-stack flamegraph alongside it (`<path>.folded`).
+    /// `--analyze PATH` / `--analyze=PATH`: write the `nvm-obs`
+    /// analyzer's blame + rollup report of the observed run to PATH as
+    /// stable-ordered JSON, plus a folded-stack flamegraph alongside
+    /// it (`<path>.folded`).
     pub analyze: Option<String>,
     /// `--analyze-from TRACE` / `--analyze-from=TRACE`: analyze a
     /// previously recorded JSONL trace instead of running a
     /// simulation; the report lands at `TRACE.analysis.json` with the
-    /// flamegraph beside it. Rejects traces with a newer schema
+    /// flamegraph beside it (`TRACE.analysis.folded`). Rejects traces with a newer schema
     /// version.
     pub analyze_from: Option<String>,
     /// `--store DIR` / `--store=DIR`: run the durable-store recovery
     /// experiment — a store-attached cluster run leaving one container
     /// file per rank under DIR, then per-rank recovery from those
-    /// files alone. Combines with `--trace`: the traced run then also
-    /// attaches stores, so `StoreWrite`/`StoreCommit` events appear in
-    /// the exported stream.
+    /// files alone. The observed run of `--trace` / `--metrics` /
+    /// `--analyze` attaches no store.
     pub store: Option<String>,
     /// `--measure`: Figure 4 also runs real copies on this host.
     pub measure: bool,
@@ -340,8 +340,8 @@ mod tests {
         let inline = parse(&["--store=d"]).unwrap();
         assert_eq!(inline.store.as_deref(), Some("d"));
         assert!(parse(&["--store"]).unwrap_err().contains("value"));
-        // --store and --trace combine (the traced run attaches the
-        // store and emits store events), in either order.
+        // --store and --trace parse together in either order (the
+        // store experiment and the observed run stay separate runs).
         for v in [
             &["--store", "d", "--trace", "t.jsonl"][..],
             &["--trace", "t.jsonl", "--store", "d"][..],

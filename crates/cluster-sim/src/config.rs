@@ -79,8 +79,6 @@ pub enum ConfigError {
     },
     /// `threads` must be >= 1 (1 = fully serial).
     ZeroThreads,
-    /// An explicit `shards` override must be >= 1.
-    ZeroShards,
 }
 
 nvm_emu::error_enum! {
@@ -93,7 +91,6 @@ nvm_emu::error_enum! {
             "container of {bytes} bytes is below the {min}-byte minimum"
         ),
         leaf ConfigError::ZeroThreads => write!(f, "threads must be >= 1 (1 = serial)"),
-        leaf ConfigError::ZeroShards => write!(f, "shards must be >= 1 when overridden"),
     }
 }
 
@@ -137,13 +134,10 @@ pub struct ClusterConfig {
     /// cross-rank reduction iterates in rank order on the
     /// coordinator.
     pub threads: usize,
-    /// Merge shards for the end-of-run trace/metrics/stat reduction;
-    /// `None` picks `min(nodes, ceil(sqrt(total_ranks)))`. The shard
-    /// plan depends only on the topology — never on `threads` — so
-    /// hierarchical merging keeps results bit-identical at any thread
-    /// count while the coordinator's serial fold shrinks from
-    /// O(ranks) to O(shards).
-    pub shards: Option<usize>,
+    /// Merge-shard override for the end-of-run reduction; `None` (the
+    /// only value outside this crate's tests) lets
+    /// [`ClusterConfig::shard_count`] pick the plan from the topology.
+    pub(crate) shards: Option<usize>,
     /// Spill byte-materialized device contents to per-device files
     /// (default `true`). Every region a rank's engines or the buddy
     /// remote stores allocate then lives on disk instead of process
@@ -211,9 +205,6 @@ impl ClusterConfig {
         }
         if self.threads == 0 {
             return Err(ConfigError::ZeroThreads);
-        }
-        if self.shards == Some(0) {
-            return Err(ConfigError::ZeroShards);
         }
         Ok(())
     }
@@ -308,9 +299,12 @@ impl ClusterConfig {
             .unwrap_or(rdma_sim::IB_40GBPS)
     }
 
-    /// The merge-shard plan: the explicit override, else
-    /// `ceil(sqrt(total_ranks))` capped to the node count — a function
-    /// of topology only, never of `threads`.
+    /// The merge-shard plan for the end-of-run trace/metrics/stat
+    /// reduction: `ceil(sqrt(total_ranks))` capped to the node count
+    /// (a test's override is clamped the same way). It depends only on
+    /// the topology, never on `threads`, so hierarchical merging keeps
+    /// results bit-identical at any thread count while the
+    /// coordinator's serial fold shrinks from O(ranks) to O(shards).
     pub fn shard_count(&self) -> usize {
         let auto = (self.total_ranks() as f64).sqrt().ceil() as usize;
         self.shards.unwrap_or(auto).clamp(1, self.nodes)
@@ -435,9 +429,6 @@ mod tests {
             ClusterConfig::builder().threads(0).build().unwrap_err(),
             ConfigError::ZeroThreads
         );
-        let mut zero_shards = ClusterConfig::new(2, 2);
-        zero_shards.shards = Some(0);
-        assert_eq!(zero_shards.validate().unwrap_err(), ConfigError::ZeroShards);
         match ClusterConfig::builder().container_bytes(1024).build() {
             Err(ConfigError::ContainerTooSmall { bytes: 1024, min }) => {
                 assert_eq!(min, MIN_CONTAINER_BYTES)

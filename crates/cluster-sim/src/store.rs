@@ -237,11 +237,24 @@ mod tests {
     #[test]
     fn attaching_stores_does_not_perturb_the_run() {
         let tmp = TempDir::new("cluster-store-inert").unwrap();
-        let plain = run_with(store_config(), RunOptions::new()).result;
-        let mut stored =
-            run_with(store_config(), RunOptions::new().with_store_dir(tmp.path())).result;
+        let traced = RunOptions::new().with_trace(true);
+        let plain = run_with(store_config(), traced.clone()).result;
+        let mut stored = run_with(store_config(), traced.with_store_dir(tmp.path())).result;
         assert!(stored.store.is_some());
-        stored.store = None; // the only field allowed to differ
+        // The store's own events are in the traced stream...
+        const STORE_EVENTS: [&str; 2] = ["store_write", "store_commit"];
+        for kind in STORE_EVENTS {
+            assert!(
+                stored.trace.iter().any(|e| e.kind.name() == kind),
+                "a store-attached trace must carry {kind} events"
+            );
+        }
+        // ...and, with them filtered out, the store fields are the only
+        // ones allowed to differ.
+        stored
+            .trace
+            .retain(|e| !STORE_EVENTS.contains(&e.kind.name()));
+        stored.store = None;
         assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&stored).unwrap(),

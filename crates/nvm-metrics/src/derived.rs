@@ -37,15 +37,6 @@ pub struct DerivedMetrics {
     pub peak_interconnect_bytes_per_s: u64,
     /// Helper-core duty cycle: `busy / elapsed` across all helpers.
     pub helper_cpu_utilization: f64,
-    /// Share of the run's critical path spent in *exposed* checkpoint
-    /// work (coordinated stop + pre-copy interference). Comes from the
-    /// trace-analysis blame report, not the snapshot; stays 0 until
-    /// [`DerivedMetrics::set_exposure`] is called with one.
-    pub exposed_checkpoint_fraction: f64,
-    /// Share of aggregate rank-time spent in checkpoint work *hidden*
-    /// under application compute. Same provenance as
-    /// [`DerivedMetrics::exposed_checkpoint_fraction`].
-    pub hidden_checkpoint_fraction: f64,
 }
 
 impl DerivedMetrics {
@@ -73,18 +64,7 @@ impl DerivedMetrics {
                 snap.counter(names::HELPER_BUSY_NS_TOTAL),
                 snap.counter(names::HELPER_ELAPSED_NS_TOTAL),
             ),
-            exposed_checkpoint_fraction: 0.0,
-            hidden_checkpoint_fraction: 0.0,
         }
-    }
-
-    /// Fill the exposure quantities from a trace-analysis blame
-    /// report. Snapshots carry no causal ordering, so these two cannot
-    /// be derived in [`MetricsReport::new`]; the bench
-    /// exporter calls this after running the analyzer over the trace.
-    pub fn set_exposure(&mut self, exposed: f64, hidden: f64) {
-        self.exposed_checkpoint_fraction = exposed;
-        self.hidden_checkpoint_fraction = hidden;
     }
 }
 
@@ -129,13 +109,6 @@ mod tests {
         assert_eq!(d.effective_nvm_bandwidth_bytes_per_s, 500_000.0);
         assert_eq!(d.peak_interconnect_bytes_per_s, 42_000);
         assert_eq!(d.helper_cpu_utilization, 0.25);
-        // Exposure is trace-derived; snapshots leave it zero until set.
-        assert_eq!(d.exposed_checkpoint_fraction, 0.0);
-        assert_eq!(d.hidden_checkpoint_fraction, 0.0);
-        let mut filled = d;
-        filled.set_exposure(0.125, 0.5);
-        assert_eq!(filled.exposed_checkpoint_fraction, 0.125);
-        assert_eq!(filled.hidden_checkpoint_fraction, 0.5);
     }
 
     #[test]

@@ -64,8 +64,9 @@ pub fn analyze(events: &[TraceEvent], bucket_ns: u64) -> AnalysisReport {
 }
 
 /// Stable pretty-printed JSON (trailing newline, insertion-ordered
-/// keys) — safe to byte-diff in tests and CI.
-pub fn to_stable_json(report: &AnalysisReport) -> String {
+/// keys) — safe to byte-diff in tests and CI. Every report the bench
+/// writes (analysis and metrics alike) is serialized through it.
+pub fn to_stable_json<T: Serialize>(report: &T) -> String {
     let mut out = serde_json::to_string_pretty(report).expect("report serializes");
     out.push('\n');
     out

@@ -97,13 +97,16 @@ impl KvCrashRun {
 }
 
 /// Harness state for scripting a run: engine + store + the oracle
-/// bookkeeping (contents snapshot at the last published token).
+/// bookkeeping. The oracle is a model of its own, updated by every
+/// op, never read back from the store it checks.
 struct Driver {
     engine: CheckpointEngine,
     kv: KvStore,
     session: SessionId,
     media: SharedMedia,
-    /// (token, contents) at the last `checkpoint()` call.
+    /// What every acknowledged op so far leaves in the store.
+    model: BTreeMap<Vec<u8>, Vec<u8>>,
+    /// (token, model) at the last `checkpoint()` call.
     at_token: (u64, BTreeMap<Vec<u8>, Vec<u8>>),
     commits: Vec<CommitMark>,
     marks: Vec<KvMark>,
@@ -123,6 +126,7 @@ impl Driver {
             kv,
             session,
             media,
+            model: BTreeMap::new(),
             at_token: (0, BTreeMap::new()),
             commits: Vec::new(),
             marks: Vec::new(),
@@ -133,30 +137,33 @@ impl Driver {
         self.kv
             .upsert(&mut self.engine, self.session, key, value)
             .unwrap();
+        self.model.insert(key.to_vec(), value.to_vec());
     }
 
     fn delete(&mut self, key: &[u8]) {
         self.kv.delete(&mut self.engine, self.session, key).unwrap();
+        self.model.remove(key);
     }
 
     fn rmw_bump(&mut self, key: &[u8]) {
         self.kv
-            .rmw(&mut self.engine, self.session, key, |old| {
-                let mut v = old.map_or_else(|| vec![0u8; 8], <[u8]>::to_vec);
-                if v.len() >= 8 {
-                    let c = u64::from_le_bytes(v[..8].try_into().unwrap());
-                    v[..8].copy_from_slice(&c.wrapping_add(1).to_le_bytes());
-                }
-                v
-            })
+            .rmw(&mut self.engine, self.session, key, bump)
             .unwrap();
+        let bumped = bump(self.model.get(key).map(Vec::as_slice));
+        self.model.insert(key.to_vec(), bumped);
     }
 
-    /// Publish a CPR token and snapshot the oracle contents at it.
+    /// Publish a CPR token: the store must hold exactly the model, and
+    /// the model is the oracle at that token.
     fn token(&mut self) {
         let t = self.kv.checkpoint(&mut self.engine).unwrap();
-        let contents = self.kv.contents(&mut self.engine).unwrap();
-        self.at_token = (t.token, contents);
+        assert_eq!(
+            self.kv.contents(&mut self.engine).unwrap(),
+            self.model,
+            "served contents diverged from the model at token {}",
+            t.token
+        );
+        self.at_token = (t.token, self.model.clone());
     }
 
     /// Engine commit: the last published token becomes crash-durable.
@@ -180,6 +187,17 @@ impl Driver {
             marks: self.marks,
         }
     }
+}
+
+/// The rmw update: bump the little-endian counter in a value's first
+/// eight bytes (a missing key starts from zero).
+fn bump(old: Option<&[u8]>) -> Vec<u8> {
+    let mut v = old.map_or_else(|| vec![0u8; 8], <[u8]>::to_vec);
+    if v.len() >= 8 {
+        let c = u64::from_le_bytes(v[..8].try_into().unwrap());
+        v[..8].copy_from_slice(&c.wrapping_add(1).to_le_bytes());
+    }
+    v
 }
 
 /// The scripted run: overwrites, tombstones, rmw, back-to-back
