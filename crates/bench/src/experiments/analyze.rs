@@ -74,13 +74,18 @@ mod tests {
 
     #[test]
     fn newer_schema_traces_are_rejected_with_a_typed_error() {
-        let future = format!("{{\"schema_version\":{}}}\n", nvm_trace::SCHEMA_VERSION + 1);
-        match from_recorded(&future) {
-            Err(TraceReadError::Schema { found, supported }) => {
-                assert_eq!(found, nvm_trace::SCHEMA_VERSION + 1);
-                assert_eq!(supported, nvm_trace::SCHEMA_VERSION);
+        // 4294967299 is 2^32 + 3: it must not wrap to the current
+        // version and load.
+        let newer = u64::from(nvm_trace::SCHEMA_VERSION) + 1;
+        for version in [newer, 4_294_967_299] {
+            let future = format!("{{\"schema_version\":{version}}}\n");
+            match from_recorded(&future) {
+                Err(TraceReadError::Schema { found, supported }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, nvm_trace::SCHEMA_VERSION);
+                }
+                other => panic!("expected schema error, got {other:?}"),
             }
-            other => panic!("expected schema error, got {other:?}"),
         }
     }
 

@@ -78,9 +78,9 @@ pub struct CommitCore {
     /// coordinated checkpoint is skipped.
     track_dirty: bool,
     stats: EngineStats,
-    /// Event-stream handle; disabled (one branch per emission site) by
-    /// default.
-    tracer: Tracer,
+    /// This process's event record; disabled (one branch per emission
+    /// site) by default.
+    pub(crate) tracer: Tracer,
     /// Handle for the latency distributions, which have no stats
     /// twin; disabled (one branch per sample) by default. Counters are
     /// not recorded here: they are [`EngineStats::publish`]ed.
@@ -173,10 +173,6 @@ impl CommitCore {
         }
     }
 
-    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
     pub(crate) fn set_metrics(&mut self, metrics: Metrics) {
         self.metrics = metrics;
     }
@@ -187,7 +183,7 @@ impl CommitCore {
 
     /// Emit `kind` stamped with the current virtual time.
     #[inline]
-    pub(crate) fn trace(&self, kind: TraceEventKind) {
+    pub(crate) fn trace(&mut self, kind: TraceEventKind) {
         self.tracer.emit(self.clock.now().as_nanos(), kind);
     }
 
@@ -306,6 +302,7 @@ impl CommitCore {
     ) -> Result<bool, EngineError> {
         self.ensure_restored(id)?;
         let chunk = self.heap.chunk(id)?;
+        let chunk_len = chunk.len as u64;
         let mut total = put(self.heap.dram(), chunk.dram_region).map_err(HeapError::from)?;
         let modified = chunk.persistent && len > 0;
         if modified {
@@ -321,7 +318,7 @@ impl CommitCore {
             if self.staged.remove(&id).is_some() {
                 // A staged chunk was modified again: the earlier copy
                 // is wasted and must be redone.
-                self.stats.wasted_precopy_bytes += chunk.len as u64;
+                self.stats.wasted_precopy_bytes += chunk_len;
                 self.trace(TraceEventKind::PrecopyWaste { chunk: id.0 });
             }
         }
@@ -855,7 +852,7 @@ impl CommitCore {
     // Introspection / remote-checkpoint hooks
     // ------------------------------------------------------------------
 
-    /// The attached tracer (disabled by default).
+    /// This process's event record (disabled by default).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }

@@ -117,7 +117,6 @@ pub struct CheckpointEngine {
     /// [`EpochReport`]'s per-interval counts are the totals' movement
     /// since.
     interval_stats: EngineStats,
-    log: Vec<EpochReport>,
 }
 
 impl std::ops::Deref for CheckpointEngine {
@@ -151,7 +150,6 @@ impl CheckpointEngine {
             interval_stats: core.stats(),
             core,
             config,
-            log: Vec::new(),
         }
     }
 
@@ -160,17 +158,19 @@ impl CheckpointEngine {
         &self.config
     }
 
-    /// Per-epoch reports so far.
-    pub fn log(&self) -> &[EpochReport] {
-        &self.log
-    }
-
     /// Attach a [`Tracer`]: protection faults, pre-copy activity,
-    /// coordinated phases, commit flips, and restarts emit structured
-    /// events stamped with this engine's virtual clock. Pass
+    /// coordinated phases, commit flips, and restarts are recorded into
+    /// it, stamped with this engine's virtual clock. Pass
     /// [`Tracer::disabled`] to detach.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.core.set_tracer(tracer);
+        self.core.tracer = tracer;
+    }
+
+    /// This engine's event record, for callers that emit on the
+    /// engine's behalf (the kv layer, a cluster coordinator) or take
+    /// its events.
+    pub fn tracer_mut(&mut self) -> &mut Tracer {
+        &mut self.core.tracer
     }
 
     /// Attach a [`Metrics`] handle for the fault and coordinated-step
@@ -332,7 +332,6 @@ impl CheckpointEngine {
             ..done
         };
         self.interval_stats = totals;
-        self.log.push(report);
         Ok(report)
     }
 
@@ -981,13 +980,13 @@ mod tests {
     fn epoch_log_accumulates_reports() {
         let (mut e, ..) = setup(EngineConfig::default());
         let id = e.nvmalloc("x", 4096, true).unwrap();
-        for i in 0..4u8 {
-            e.write(id, 0, &[i; 4096]).unwrap();
-            e.compute(SimDuration::from_millis(50));
-            e.nvchkptall().unwrap();
-        }
-        let log = e.log();
-        assert_eq!(log.len(), 4);
+        let log: Vec<EpochReport> = (0..4u8)
+            .map(|i| {
+                e.write(id, 0, &[i; 4096]).unwrap();
+                e.compute(SimDuration::from_millis(50));
+                e.nvchkptall().unwrap()
+            })
+            .collect();
         assert!(log.windows(2).all(|w| w[0].epoch + 1 == w[1].epoch));
         assert!(log.iter().all(|r| !r.interval.is_zero()));
         assert_eq!(e.stats().checkpoints, 4);
@@ -1045,12 +1044,8 @@ mod tests {
 
     #[test]
     fn tracer_records_fault_precopy_and_commit_events() {
-        use nvm_trace::BufferSink;
-        use std::sync::Arc;
-
         let (mut e, ..) = setup(EngineConfig::default().with_precopy(PrecopyPolicy::Cpc));
-        let sink = Arc::new(BufferSink::new());
-        e.set_tracer(Tracer::new(sink.clone()));
+        e.set_tracer(Tracer::new(0));
 
         let id = e.nvmalloc("x", 64 * 1024, true).unwrap();
         e.write(id, 0, &[7u8; 64 * 1024]).unwrap(); // fresh chunk: no fault
@@ -1058,9 +1053,7 @@ mod tests {
         e.write(id, 0, &[8u8; 64 * 1024]).unwrap(); // fault + waste
         e.nvchkptall().unwrap();
 
-        let kinds: Vec<&'static str> = sink
-            .snapshot()
-            .iter()
+        let kinds: Vec<&'static str> = (e.tracer().events().iter())
             .map(|ev| match &ev.kind {
                 TraceEventKind::ProtectionFault { .. } => "fault",
                 TraceEventKind::PrecopyStart { .. } => "precopy_start",
@@ -1087,7 +1080,7 @@ mod tests {
             ]
         );
         // Timestamps are monotone non-decreasing on one engine's clock.
-        let ts: Vec<u64> = sink.snapshot().iter().map(|ev| ev.t_ns).collect();
+        let ts: Vec<u64> = e.tracer().events().iter().map(|ev| ev.t_ns).collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "{ts:?}");
     }
 
@@ -1129,7 +1122,7 @@ mod tests {
         let run = |traced: bool| {
             let (mut e, _, _, clock) = setup(EngineConfig::default());
             if traced {
-                e.set_tracer(Tracer::new(Default::default()));
+                e.set_tracer(Tracer::new(0));
             }
             let id = e.nvmalloc("x", 4096, true).unwrap();
             for i in 0..3u8 {
@@ -1358,8 +1351,6 @@ mod tests {
     #[test]
     fn a_lend_is_charged_like_a_read() {
         use nvm_emu::{MemSpill, PAGE_SIZE};
-        use nvm_trace::BufferSink;
-        use std::sync::Arc;
         const A: usize = 3 * PAGE_SIZE;
         // Twin processes, restarted lazily so that the first access of
         // each chunk restores it: one `read`s the ranges in turn, the
@@ -1378,7 +1369,6 @@ mod tests {
                 e.nvchkptall().unwrap();
                 let region = e.metadata_region();
                 drop(e);
-                let sink = Arc::new(BufferSink::new());
                 let (e, _) = CheckpointEngine::restart(
                     &dram,
                     &nvm,
@@ -1386,13 +1376,13 @@ mod tests {
                     clock.clone(),
                     EngineConfig::default(),
                     RestartStrategy::Lazy,
-                    Tracer::new(sink.clone()),
+                    Tracer::new(0),
                 )
                 .unwrap();
-                (e, [a, b], dram, clock, sink)
+                (e, [a, b], dram, clock)
             };
-            let (mut read, [a, b], read_dram, read_clock, read_trace) = twin();
-            let (mut lent, _, lent_dram, lent_clock, lent_trace) = twin();
+            let (mut read, [a, b], read_dram, read_clock) = twin();
+            let (mut lent, _, lent_dram, lent_clock) = twin();
             let ranges = [(b, 10, 500), (a, 0, A), (a, PAGE_SIZE + 7, 0), (b, 1000, 0)];
             let want: Vec<Vec<u8>> = (ranges.iter())
                 .map(|&(id, offset, len)| {
@@ -1415,7 +1405,7 @@ mod tests {
             assert_eq!(lent_dram.spill_read_bytes(), read_dram.spill_read_bytes());
             // Each range's restore and read come in range order: the
             // lazy restores are stamped alike.
-            assert_eq!(lent_trace.drain(), read_trace.drain());
+            assert_eq!(lent.tracer().events(), read.tracer().events());
 
             // A range that is not there fails the lend before anything
             // is charged or read.

@@ -81,6 +81,6 @@ pub use nvm_heap::{Materialization, Versioning};
 pub use nvm_paging::{genid, ChunkId, Granularity};
 
 // Event-tracing surface: attach a `Tracer` with
-// [`CheckpointEngine::set_tracer`] and collect [`TraceEvent`]s from
-// its [`BufferSink`].
-pub use nvm_trace::{BufferSink, TraceEvent, TraceEventKind, Tracer};
+// [`CheckpointEngine::set_tracer`] and take its [`TraceEvent`]s back
+// through [`CheckpointEngine::tracer_mut`].
+pub use nvm_trace::{TraceEvent, TraceEventKind, Tracer};

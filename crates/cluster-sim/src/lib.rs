@@ -65,6 +65,6 @@ pub use reliability::{
     expected_failures, schedule_loses_pair, simulated_unrecoverable_rate,
     unrecoverable_probability, unrecoverable_probability_for, BuddyTopology, ReliabilityParams,
 };
-pub use run::{Cluster, RunOptions, RunOutcome, RunResult, SimError, SpillReport};
+pub use run::{Cluster, RunOptions, RunOutcome, RunResult, SimError, SpillReport, FLIGHT_TAIL};
 pub use schedule::{Activity, ScheduleTrace, Span};
 pub use store::RankRecovery;

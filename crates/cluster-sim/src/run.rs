@@ -49,7 +49,7 @@ use crate::profile::{Phase, PhaseClock, RunProfile};
 use crate::recovery::RecoveryRecord;
 use crate::schedule::ScheduleTrace;
 use crate::store::RankRecovery;
-use nvm_chkpt::{EngineError, EngineStats, EpochReport};
+use nvm_chkpt::{EngineError, EngineStats};
 use nvm_emu::SimDuration;
 use nvm_metrics::{Metrics, MetricsReport};
 use nvm_obs::FlightDump;
@@ -66,6 +66,10 @@ mod recover;
 mod remote;
 
 pub use crate::config::{ClusterConfig, ConfigError, RemoteConfig};
+
+/// Events per rank a [`SimError::WithFlight`] dump keeps: the tail of
+/// each rank's trace at the moment the run died.
+pub const FLIGHT_TAIL: usize = 16;
 
 /// Errors from a simulation run.
 #[non_exhaustive]
@@ -99,10 +103,10 @@ pub enum SimError {
         /// Chunk id that mismatched.
         chunk: u64,
     },
-    /// A fatal error with the flight recorder's last-events dump
-    /// attached. Produced instead of the bare error when
-    /// [`RunOptions::flight`] is set; match on [`SimError::cause`] to
-    /// handle the underlying failure uniformly.
+    /// A fatal error with the flight dump attached: the last
+    /// [`FLIGHT_TAIL`] events of every rank's trace. Produced instead
+    /// of the bare error when [`RunOptions::trace`] is set; match on
+    /// [`SimError::cause`] to handle the underlying failure uniformly.
     WithFlight {
         /// The fatal error itself.
         source: Box<SimError>,
@@ -120,7 +124,7 @@ impl SimError {
         }
     }
 
-    /// The attached flight dump, if the run was recorded.
+    /// The attached flight dump, if the run was traced.
     pub fn flight(&self) -> Option<&FlightDump> {
         match self {
             SimError::WithFlight { dump, .. } => Some(dump),
@@ -161,8 +165,6 @@ pub struct RunResult {
     pub remote_checkpoints: u64,
     /// Engine statistics summed over every rank.
     pub engine_stats: EngineStats,
-    /// Rank 0's per-epoch reports.
-    pub rank0_epochs: Vec<EpochReport>,
     /// Per-node link usage traces.
     pub link_traces: Vec<UsageTrace>,
     /// Per-node helper statistics.
@@ -220,10 +222,11 @@ impl RunResult {
 #[non_exhaustive]
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
-    /// Collect a structured event trace. Each rank buffers its own
-    /// events; merge shards combine them in `(time, rank)` order into
-    /// [`RunResult::trace`], bit-identical for serial and
-    /// multi-threaded execution.
+    /// Collect a structured event trace. Each rank's engine records its
+    /// own events; merge shards combine them in `(time, rank)` order
+    /// into [`RunResult::trace`], bit-identical for serial and
+    /// multi-threaded execution. A traced run that dies returns
+    /// [`SimError::WithFlight`], the tail of those records attached.
     pub trace: bool,
     /// Collect aggregate metrics: a private registry per rank for what
     /// is recorded live, every other counter published from the stats
@@ -243,15 +246,6 @@ pub struct RunOptions {
     /// never inside it — [`RunResult`] stays byte-identity-gated,
     /// timing is not.
     pub profile: bool,
-    /// Keep a bounded flight-recorder tail of this many events per
-    /// rank and attach it to fatal failures: whatever error ends the
-    /// run loop (a lost buddy pair, a failed recovery, a rank's engine
-    /// error) comes back as [`SimError::WithFlight`], and a recovery
-    /// ladder that falls through to virgin state surfaces the dump in
-    /// [`RunOutcome::flight`]. Without `trace` the per-rank
-    /// buffers stay rings of this size, so long runs pay O(bound)
-    /// memory, not O(events).
-    pub flight: Option<usize>,
 }
 
 impl RunOptions {
@@ -282,13 +276,6 @@ impl RunOptions {
     /// Enable or disable run profiling (builder style).
     pub fn with_profile(mut self, profile: bool) -> Self {
         self.profile = profile;
-        self
-    }
-
-    /// Keep a flight-recorder tail of `per_rank` events per rank and
-    /// attach it to fatal failures (builder style).
-    pub fn with_flight(mut self, per_rank: usize) -> Self {
-        self.flight = Some(per_rank);
         self
     }
 
@@ -345,12 +332,6 @@ pub struct RunOutcome {
     /// Spill-file accounting; `Some` iff the run spilled (see
     /// [`ClusterConfig::spill`]).
     pub spill: Option<SpillReport>,
-    /// Flight-recorder dump taken when a recovery ladder fell all the
-    /// way through to a virgin restart (progress was lost, but the
-    /// run survived); `Some` only when [`RunOptions::flight`] is set
-    /// and that happened. Fatal failures attach their dump to
-    /// [`SimError::WithFlight`] instead.
-    pub flight: Option<FlightDump>,
 }
 
 /// The public entry point: a configured cluster plus the workload
@@ -399,7 +380,7 @@ impl Cluster {
         let mut sim = clock.time(Phase::Build, || {
             phases::ClusterSim::with_options(self.config, options, self.factory)
         })?;
-        // Whatever ends the run early leaves with the black box.
+        // Whatever ends a traced run early leaves with the black box.
         let outcome = sim
             .execute(&mut clock)
             .map_err(|err| sim.attach_flight(err));
@@ -629,9 +610,9 @@ mod tests {
             ),
             "{err}"
         );
-        // A recorded run dies with the same cause, black box attached.
+        // A traced run dies with the same cause, black box attached.
         let err = Cluster::new(small_config().with_threads(4), make)
-            .run(RunOptions::new().with_flight(8))
+            .run(RunOptions::new().with_trace(true))
             .unwrap_err();
         assert!(
             matches!(
@@ -640,7 +621,7 @@ mod tests {
             ),
             "{err}"
         );
-        assert_eq!(err.flight().map(|dump| dump.per_rank), Some(8));
+        assert_eq!(err.flight().map(|dump| dump.per_rank), Some(FLIGHT_TAIL));
     }
 
     #[test]
@@ -916,16 +897,17 @@ mod tests {
             event(10, FailureKind::Hard, 1),
         ]));
         let err = Cluster::new(cfg.clone(), factory)
-            .run(RunOptions::new().with_flight(8))
+            .run(RunOptions::new().with_trace(true))
             .unwrap_err();
         match &err {
             SimError::WithFlight { source, dump } => {
                 assert!(matches!(**source, SimError::Unrecoverable { .. }));
-                assert_eq!(dump.per_rank, 8);
+                assert_eq!(dump.per_rank, FLIGHT_TAIL);
                 assert!(!dump.events.is_empty());
-                // Bounded: at most 8 events per rank survive.
+                // Bounded: at most the tail of each rank survives.
                 for rank in 0..4u64 {
-                    assert!(dump.events.iter().filter(|e| e.rank == rank).count() <= 8);
+                    let kept = dump.events.iter().filter(|e| e.rank == rank).count();
+                    assert!(kept <= FLIGHT_TAIL);
                 }
             }
             other => panic!("expected WithFlight, got {other}"),
@@ -933,7 +915,7 @@ mod tests {
         assert!(matches!(err.cause(), SimError::Unrecoverable { .. }));
         assert!(err.flight().is_some());
         assert!(err.to_string().contains("flight recorder"));
-        // Without the option the bare error comes back, as before.
+        // Untraced, the bare error comes back.
         let bare = Cluster::new(cfg, factory)
             .run(RunOptions::new())
             .unwrap_err();
@@ -941,10 +923,10 @@ mod tests {
     }
 
     #[test]
-    fn virgin_fallthrough_surfaces_a_flight_dump_next_to_the_result() {
+    fn virgin_fallthrough_is_in_the_recovery_record_and_the_trace() {
         // Byte-materialized run, no store dir, no remote: a hard
         // failure has nothing to recover from and falls through to
-        // virgin — the run survives and the outcome carries the dump.
+        // virgin — the run survives, and its record and trace say so.
         let mut cfg = small_config();
         cfg.engine = nvm_chkpt::EngineConfig::builder()
             .materialization(Materialization::Bytes)
@@ -956,16 +938,16 @@ mod tests {
             FailureKind::Hard,
             0,
         )]));
-        let out = Cluster::new(cfg, factory)
-            .run(RunOptions::new().with_flight(16))
-            .unwrap();
-        assert_eq!(out.result.recovery.len(), 1);
-        assert_eq!(out.result.recovery[0].source, RecoverySource::Virgin);
-        let dump = out.flight.expect("virgin fallthrough must dump");
-        assert!(dump.reason.contains("virgin"));
-        assert!(!dump.events.is_empty());
-        // Flight-only instrumentation must not leak a trace into the
-        // deterministic result.
-        assert!(out.result.trace.is_empty());
+        let untraced = run_opts(cfg.clone(), RunOptions::new());
+        let traced = run_opts(cfg, RunOptions::new().with_trace(true));
+        for r in [&untraced, &traced] {
+            assert_eq!(r.recovery.len(), 1);
+            assert_eq!(r.recovery[0].source, RecoverySource::Virgin);
+        }
+        assert!(untraced.trace.is_empty());
+        assert!(traced.trace.iter().any(|e| matches!(
+            &e.kind,
+            TraceEventKind::RecoveryStart { source, .. } if source == "virgin"
+        )));
     }
 }

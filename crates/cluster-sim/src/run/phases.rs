@@ -18,41 +18,35 @@ use crate::schedule::{Activity, ScheduleTrace};
 use nvm_chkpt::{CheckpointEngine, EngineError, EngineStats, Materialization};
 use nvm_emu::{BandwidthModel, MemoryDevice, SimTime, TempDir, VirtualClock};
 use nvm_metrics::{names, MergeStats, Metrics, MetricsRegistry, MetricsReport};
-use nvm_obs::FlightDump;
 use nvm_store::{FileSpill, FileStore, PersistError, StoreStats};
-use nvm_trace::{BufferSink, TraceEvent, TraceEventKind, Tracer};
+use nvm_trace::{TraceEvent, TraceEventKind, Tracer};
 use rdma_sim::{HelperProcess, Link, RemoteStore};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 
 pub(super) struct Rank {
     pub(super) global: u64,
     pub(super) clock: VirtualClock,
+    /// This rank's engine. Its tracer is the rank's event record: only
+    /// the one thread holding `&mut Rank` writes it, so parallel ranks
+    /// never contend on (or reorder) a shared stream.
     pub(super) engine: CheckpointEngine,
     pub(super) workload: Box<dyn Workload>,
-    /// Private event buffer; engine events land here via the tracer so
-    /// parallel ranks never contend on (or reorder) a shared stream.
-    pub(super) sink: Option<Arc<BufferSink>>,
     /// Private metrics registry (disabled unless
     /// [`RunOptions::metrics`]); merged in rank order at the end.
     pub(super) metrics: Metrics,
 }
 
 impl Rank {
-    /// A tracer into this rank's private sink (disabled without one).
-    pub(super) fn tracer(&self) -> Tracer {
-        match &self.sink {
-            Some(sink) => Tracer::new(sink.clone()).with_rank(self.global),
-            None => Tracer::disabled(),
+    /// An empty record for an engine that will replace this rank's:
+    /// enabled exactly when the current engine's is. [`Rank::install`]
+    /// puts the current engine's events in front of it.
+    pub(super) fn fresh_tracer(&self) -> Tracer {
+        if self.engine.tracer().enabled() {
+            Tracer::new(self.global)
+        } else {
+            Tracer::disabled()
         }
-    }
-
-    /// Point the (new or rebuilt) engine at this rank's tracer and
-    /// metrics registry.
-    fn instrument(&mut self) {
-        self.engine.set_tracer(self.tracer());
-        self.engine.set_metrics(self.metrics.clone());
     }
 
     /// Mirror the engine's commits into this rank's durable container
@@ -80,11 +74,18 @@ impl Rank {
     /// Replace this rank's engine with a rebuilt one. The outgoing
     /// engine's totals go into the rank's registry first, so the run's
     /// counters stay cumulative while [`RunResult::engine_stats`]
-    /// describes the surviving engines.
+    /// describes the surviving engines. Its events stay the rank's
+    /// too: the rebuilt engine's record (what its restart emitted)
+    /// continues the outgoing one, in emission order.
     pub(super) fn install(&mut self, engine: CheckpointEngine) {
         self.metrics.update(|reg| self.publish(reg));
-        self.engine = engine;
-        self.instrument();
+        let mut outgoing = std::mem::replace(&mut self.engine, engine);
+        let mut record = std::mem::take(outgoing.tracer_mut());
+        for event in self.engine.tracer_mut().take() {
+            record.emit(event.t_ns, event.kind);
+        }
+        self.engine.set_tracer(record);
+        self.engine.set_metrics(self.metrics.clone());
     }
 }
 
@@ -174,8 +175,6 @@ pub(super) struct LoopState {
     /// they get their own buffer and merge with the per-rank streams
     /// at the end. `None` unless the run is traced.
     pub(super) coord: Option<Vec<TraceEvent>>,
-    /// Dump taken if a recovery ladder bottomed out at virgin.
-    pub(super) flight: Option<FlightDump>,
     pub(super) executed: u64,
     pub(super) lost: u64,
     pub(super) soft: u64,
@@ -210,7 +209,6 @@ impl LoopState {
             last_remote_iter: 0,
             schedule: ScheduleTrace::new(),
             coord: sim.options.trace.then(Vec::new),
-            flight: None,
             executed: 0,
             lost: 0,
             soft: 0,
@@ -321,7 +319,7 @@ impl ClusterSim {
                 let global = config.first_rank(n) + r as u64;
                 let clock = VirtualClock::new();
                 let mut workload = factory(global);
-                let engine = fresh_engine(
+                let mut engine = fresh_engine(
                     &config,
                     node,
                     global,
@@ -330,24 +328,18 @@ impl ClusterSim {
                     Tracer::disabled(),
                     Metrics::disabled(),
                 )?;
-                // A traced run needs every event; a flight-only run
-                // keeps a bounded ring.
-                let sink = if options.trace {
-                    Some(Arc::new(BufferSink::new()))
-                } else {
-                    options
-                        .flight
-                        .map(|bound| Arc::new(BufferSink::with_capacity(bound)))
-                };
+                if options.trace {
+                    engine.set_tracer(Tracer::new(global));
+                }
+                let metrics = options.new_metrics();
+                engine.set_metrics(metrics.clone());
                 let mut rank = Rank {
                     global,
                     clock,
                     engine,
                     workload,
-                    sink,
-                    metrics: options.new_metrics(),
+                    metrics,
                 };
-                rank.instrument();
                 if let Some(dir) = &options.store_dir {
                     rank.attach_store(dir, config.container_bytes)?;
                 }
@@ -385,25 +377,22 @@ impl ClusterSim {
 
     pub(super) fn barrier(&mut self) -> SimTime {
         self.barriers += 1;
-        let t = self.max_time();
-        for r in self.ranks.iter().flatten() {
+        let (id, t) = (self.barriers, self.max_time());
+        for r in self.ranks.iter_mut().flatten() {
             // The barrier join edge of the causal DAG: stamped at the
             // rank's arrival, with its stall. The straggler(s) record
             // wait 0 — that zero is how the critical-path extractor
             // finds the rank that owned the segment. Runs on the
             // coordinator, so per-rank order (and hence the merged
             // trace) is thread-count independent.
-            if let Some(sink) = &r.sink {
-                let arrival = r.clock.now();
-                sink.record(TraceEvent {
-                    t_ns: arrival.as_nanos(),
-                    rank: r.global,
-                    kind: TraceEventKind::BarrierWait {
-                        id: self.barriers,
-                        wait_ns: t.since(arrival).as_nanos(),
-                    },
-                });
-            }
+            let arrival = r.clock.now();
+            r.engine.tracer_mut().emit(
+                arrival.as_nanos(),
+                TraceEventKind::BarrierWait {
+                    id,
+                    wait_ns: t.since(arrival).as_nanos(),
+                },
+            );
             r.clock.advance_to(t);
         }
         t
@@ -603,7 +592,6 @@ impl ClusterSim {
             local_checkpoints: st.local_ckpts,
             remote_checkpoints: st.remote_ckpts,
             engine_stats: EngineStats::merged(shards.iter().map(|s| &s.engine_stats)),
-            rank0_epochs: self.ranks[0][0].engine.log().to_vec(),
             link_traces: self.nodes.iter().map(|n| n.link.trace().clone()).collect(),
             helper_stats: self.nodes.iter().map(|n| n.helper.stats()).collect(),
             helper_utilization: self
@@ -645,7 +633,6 @@ impl ClusterSim {
             result,
             profile,
             spill,
-            flight: st.flight,
         })
     }
 }
@@ -663,20 +650,20 @@ struct ShardMerge {
 /// `(time, rank)` order, their engine and store stats summed, their
 /// metrics folded into one registry.
 fn merge_shard(
-    shard_ranks: &[Vec<Rank>],
+    shard_ranks: &mut [Vec<Rank>],
     shard_nodes: &[NodeDevices],
     options: &RunOptions,
 ) -> ShardMerge {
     let t0 = thread_cpu_ns();
-    let ranks = || shard_ranks.iter().flatten();
     let trace = if options.trace {
-        let buffers: Vec<Vec<TraceEvent>> = ranks()
-            .map(|r| r.sink.as_ref().map(|s| s.drain()).unwrap_or_default())
+        let buffers: Vec<Vec<TraceEvent>> = (shard_ranks.iter_mut().flatten())
+            .map(|r| r.engine.tracer_mut().take())
             .collect();
         nvm_trace::merge_ranked(buffers)
     } else {
         Vec::new()
     };
+    let ranks = || shard_ranks.iter().flatten();
     let rank_stats: Vec<EngineStats> = ranks().map(|r| r.engine.stats()).collect();
     let engine_stats = EngineStats::merged(rank_stats.iter());
     // The registries hold what was recorded live (latency

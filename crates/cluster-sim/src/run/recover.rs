@@ -10,7 +10,7 @@
 
 use super::phases::{fresh_engine, rank_store_path, ClusterSim, LoopState, Rank};
 use super::pool::pool_map;
-use super::SimError;
+use super::{SimError, FLIGHT_TAIL};
 use crate::failure::{FailureEvent, FailureKind};
 use crate::recovery::{collapse_batch, RecoveredChunkRecord, RecoveryRecord, RecoverySource};
 use crate::schedule::Activity;
@@ -20,7 +20,7 @@ use nvm_emu::{SimDuration, SimTime};
 use nvm_metrics::names;
 use nvm_obs::FlightDump;
 use nvm_store::{FileStore, Persistence};
-use nvm_trace::{TraceEvent, TraceEventKind};
+use nvm_trace::TraceEventKind;
 use rdma_sim::{fetch_with_retry, FaultModel, RemoteStore, RetryPolicy};
 use std::path::Path;
 
@@ -56,15 +56,6 @@ impl ClusterSim {
                 }
                 FailureKind::Hard => {
                     let record = self.recover_hard_node(ev.node, st)?;
-                    // A ladder that bottomed out at virgin lost all
-                    // progress — worth a black-box dump even though
-                    // the run survives.
-                    if record.source == RecoverySource::Virgin && st.flight.is_none() {
-                        st.flight = self.flight_dump(&format!(
-                            "recovery of node {} fell through to virgin at iteration {}",
-                            ev.node, st.iter
-                        ));
-                    }
                     target = target.min(match record.source {
                         RecoverySource::Virgin => 0,
                         RecoverySource::LocalStore => st.last_local_iter,
@@ -207,7 +198,7 @@ impl ClusterSim {
                 self.config.engine,
                 RestartStrategy::Eager,
                 Box::new(store),
-                rank.tracer(),
+                rank.fresh_tracer(),
             )?;
             Ok(engine)
         })?;
@@ -245,7 +236,7 @@ impl ClusterSim {
                 RestartStrategy::Eager,
                 &images_per_rank[i],
                 local_ckpts,
-                rank.tracer(),
+                rank.fresh_tracer(),
             )?;
             Ok(engine)
         })?;
@@ -334,7 +325,7 @@ impl ClusterSim {
         let node = record.node;
         record.source = RecoverySource::Virgin;
         record.duration += rebuild(&mut self.ranks[node], t0, |_, rank| {
-            let (tracer, metrics) = (rank.tracer(), rank.metrics.clone());
+            let (tracer, metrics) = (rank.fresh_tracer(), rank.metrics.clone());
             fresh_engine(
                 &self.config,
                 &self.nodes[node],
@@ -439,31 +430,22 @@ impl ClusterSim {
         );
     }
 
-    /// Materialize the flight recorder: the last `per_rank` events of
-    /// every rank's sink, merged. `None` unless
-    /// [`RunOptions::flight`] is set. Snapshots (never drains) the
-    /// sinks, so a trace-collecting run still merges its full stream
-    /// afterwards.
-    fn flight_dump(&self, reason: &str) -> Option<FlightDump> {
-        let per_rank = self.options.flight?;
-        let buffers: Vec<Vec<TraceEvent>> = self
+    /// Wrap a fatal error of a traced run with the flight dump: the
+    /// last [`FLIGHT_TAIL`] events of every rank's record, merged. An
+    /// untraced run returns the bare error.
+    pub(super) fn attach_flight(&self, err: SimError) -> SimError {
+        if !self.options.trace {
+            return err;
+        }
+        let records = self
             .ranks
             .iter()
             .flatten()
-            .map(|r| r.sink.as_ref().map(|s| s.snapshot()).unwrap_or_default())
-            .collect();
-        Some(FlightDump::capture(reason, per_rank, buffers))
-    }
-
-    /// Wrap a fatal error with the flight recorder's dump (the bare
-    /// error when the run was not recorded).
-    pub(super) fn attach_flight(&self, err: SimError) -> SimError {
-        match self.flight_dump(&err.to_string()) {
-            Some(dump) => SimError::WithFlight {
-                source: Box::new(err),
-                dump,
-            },
-            None => err,
+            .map(|r| r.engine.tracer().events());
+        let dump = FlightDump::capture(err.to_string(), FLIGHT_TAIL, records);
+        SimError::WithFlight {
+            source: Box::new(err),
+            dump,
         }
     }
 

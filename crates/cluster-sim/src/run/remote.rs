@@ -57,7 +57,7 @@ impl ClusterSim {
             if delay.is_zero() {
                 continue;
             }
-            let tracer = rank.engine.tracer();
+            let tracer = rank.engine.tracer_mut();
             if tracer.enabled() {
                 let t = rank.clock.now().as_nanos();
                 for (c, b) in &pattern.ops {

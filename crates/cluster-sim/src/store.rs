@@ -441,7 +441,7 @@ mod tests {
         cfg.nodes = 1;
         let out = run_with(
             cfg.with_failure_schedule(hard_at(100, 0)),
-            RunOptions::new().with_flight(8),
+            RunOptions::new().with_trace(true),
         );
         let r = &out.result;
         assert!(r.remote_checkpoints > 0, "remote epochs did commit");
@@ -451,7 +451,95 @@ mod tests {
         assert_eq!(rec.bytes_fetched, 0);
         assert_eq!(rec.reprotected_bytes, 0);
         assert_eq!(r.iterations_executed, 20 + r.lost_iterations);
-        assert!(out.flight.is_some(), "a virgin fall-through dumps");
+        assert!(
+            r.trace.iter().any(|e| matches!(
+                &e.kind,
+                nvm_trace::TraceEventKind::RecoveryStart { source, .. } if source == "virgin"
+            )),
+            "the trace records the virgin fall-through"
+        );
+    }
+
+    #[test]
+    fn a_rebuilt_ranks_trace_keeps_its_events_from_before_the_failure() {
+        // A recovery replaces a rank's engine, and with it the record
+        // the rank's events live in. Whatever the rung, the rank's
+        // events from before the failure stay in the run's trace, in
+        // emission order, ahead of what the rebuilt engine emits.
+        use nvm_trace::TraceEventKind;
+        let mut one_node = recovery_config(false);
+        one_node.nodes = 1;
+        let rungs = [
+            (recovery_config(false), 1, RecoverySource::RemoteBuddy),
+            (one_node, 0, RecoverySource::Virgin),
+        ];
+        for (cfg, node, source) in rungs {
+            let mut jsonl = Vec::new();
+            for threads in [1, 4] {
+                let cfg =
+                    (cfg.clone().with_threads(threads)).with_failure_schedule(hard_at(100, node));
+                let r = run_with(cfg.clone(), RunOptions::new().with_trace(true)).result;
+                assert_eq!(r.recovery[0].source, source, "{threads} threads");
+                let at = |t: &[nvm_trace::TraceEvent], pred: &dyn Fn(&TraceEventKind) -> bool| {
+                    t.iter().position(|e| pred(&e.kind)).unwrap()
+                };
+                let ladder = at(&r.trace, &|k| {
+                    matches!(k, TraceEventKind::RecoveryStart { .. })
+                });
+                let barriers = (r.trace.iter())
+                    .filter_map(|e| match e.kind {
+                        TraceEventKind::BarrierWait { id, .. } => Some(id),
+                        _ => None,
+                    })
+                    .max()
+                    .unwrap();
+                for rank in (0..cfg.ranks_per_node as u64).map(|i| cfg.first_rank(node) + i) {
+                    let own: Vec<(usize, &TraceEventKind)> = (r.trace.iter().enumerate())
+                        .filter(|(_, e)| e.rank == rank)
+                        .map(|(i, e)| (i, &e.kind))
+                        .collect();
+                    // Every barrier, in the order the rank reached them:
+                    // the ones before the rebuild included.
+                    let ids: Vec<u64> = (own.iter())
+                        .filter_map(|(_, k)| match k {
+                            TraceEventKind::BarrierWait { id, .. } => Some(*id),
+                            _ => None,
+                        })
+                        .collect();
+                    assert_eq!(ids, (1..=barriers).collect::<Vec<_>>(), "rank {rank}");
+                    // Every coordinated checkpoint, the pre-failure ones
+                    // ahead of the recovery.
+                    let ends = |range: std::ops::Range<usize>| {
+                        (own.iter())
+                            .filter(|(i, k)| {
+                                range.contains(i)
+                                    && matches!(k, TraceEventKind::CoordinatedEnd { .. })
+                            })
+                            .count() as u64
+                    };
+                    let (before, after) = (ends(0..ladder), ends(ladder..usize::MAX));
+                    assert!(
+                        before > 0,
+                        "rank {rank}: nothing kept from before the failure"
+                    );
+                    assert_eq!(before + after, r.local_checkpoints, "rank {rank}");
+                    // The buddy rung restarts each rank: its `Restart`
+                    // follows everything the outgoing engine recorded.
+                    if source == RecoverySource::RemoteBuddy {
+                        let restart = (own.iter())
+                            .find(|(_, k)| matches!(k, TraceEventKind::Restart { .. }))
+                            .map(|(i, _)| *i)
+                            .unwrap();
+                        assert!(restart > ladder, "rank {rank}");
+                    }
+                }
+                jsonl.push(nvm_trace::to_jsonl(&r.trace));
+            }
+            assert_eq!(
+                jsonl[0], jsonl[1],
+                "{source:?}: thread count changed the trace"
+            );
+        }
     }
 
     #[test]

@@ -461,7 +461,7 @@ impl KvStore {
         let t0 = engine.clock().now().as_nanos();
         let token = self.token + 1;
         engine
-            .tracer()
+            .tracer_mut()
             .emit(t0, TraceEventKind::KvCheckpointBegin { token });
 
         self.token = token;
@@ -475,7 +475,7 @@ impl KvStore {
         engine.write(self.meta, 0, &bytes)?;
 
         let t1 = engine.clock().now().as_nanos();
-        engine.tracer().emit(
+        engine.tracer_mut().emit(
             t1,
             TraceEventKind::KvCheckpointEnd {
                 token,
@@ -539,7 +539,7 @@ impl KvStore {
                 dropped: 0,
             };
             let t = engine.clock().now().as_nanos();
-            engine.tracer().emit(
+            engine.tracer_mut().emit(
                 t,
                 TraceEventKind::KvRecoverySeek {
                     token: 0,
@@ -638,7 +638,7 @@ impl KvStore {
         store.metrics.replayed.add(replayed);
         store.metrics.dropped.add(dropped);
         let t = engine.clock().now().as_nanos();
-        engine.tracer().emit(
+        engine.tracer_mut().emit(
             t,
             TraceEventKind::KvRecoverySeek {
                 token: meta.token,
@@ -714,7 +714,7 @@ impl KvStore {
 
     fn trace_op(
         &self,
-        engine: &CheckpointEngine,
+        engine: &mut CheckpointEngine,
         op: &str,
         session: SessionId,
         serial: u64,
@@ -724,7 +724,7 @@ impl KvStore {
             return;
         }
         let t = engine.clock().now().as_nanos();
-        engine.tracer().emit(
+        engine.tracer_mut().emit(
             t,
             TraceEventKind::KvOp {
                 op: op.to_string(),

@@ -14,10 +14,9 @@
 //! 2. **Allocation-light.** Metric names are `&'static str` (see
 //!    [`names`]); steady-state updates touch a `BTreeMap` entry and
 //!    never allocate. Histograms are fixed 65-slot arrays.
-//! 3. **One branch when disabled.** The [`Metrics`] handle mirrors
-//!    `nvm_trace::Tracer`: the default handle holds `None` and every
-//!    update is a single `Option` test, keeping the un-instrumented
-//!    quick preset at wall-clock parity.
+//! 3. **One branch when disabled.** The default [`Metrics`] handle
+//!    holds `None` and every update is a single `Option` test, keeping
+//!    the un-instrumented quick preset at wall-clock parity.
 //!
 //! Exports: Prometheus text exposition ([`to_prometheus_text`]) and a
 //! stable-ordered JSON [`MetricsReport`] (raw [`MetricsSnapshot`] plus

@@ -313,9 +313,9 @@ impl std::fmt::Debug for HistogramHandle {
     }
 }
 
-/// Clonable recording handle, mirroring `nvm_trace::Tracer`: `None`
-/// (the default) is disabled and every update is a single branch;
-/// enabled handles share one registry behind a mutex. All updates are
+/// Clonable recording handle: `None` (the default) is disabled and
+/// every update is a single branch; enabled handles share one registry
+/// behind a mutex. All updates are
 /// commutative (add/max/bucket-add), so a registry shared by
 /// concurrently executing ranks is still bit-deterministic.
 ///

@@ -1,12 +1,10 @@
-//! Bounded flight recorder: the last N events per rank, captured at
-//! the moment a run dies.
+//! Flight dump: the last N events per rank of a traced run, taken at
+//! the moment the run dies.
 //!
-//! Long cluster runs cannot afford to keep (or ship) full traces just
-//! in case something fails; the flight recorder keeps a cheap bounded
-//! tail per rank and only materializes it into the error report when
-//! a run actually dies (`SimError::Unrecoverable`, or a recovery
-//! ladder falling through to virgin state). The dump is an ordinary
-//! merged event stream, so every analysis in this crate — and the
+//! The dump is a view of the trace, not a capture path of its own:
+//! the cluster simulator copies the tail of each rank's record into
+//! the error report when a traced run fails. It is an ordinary merged
+//! event stream, so every analysis in this crate — and the
 //! JSONL/Chrome exporters in nvm-trace — work on it unchanged.
 
 use nvm_trace::{merge_ranked, TraceEvent};
@@ -18,7 +16,7 @@ pub struct FlightDump {
     /// Why the dump was taken (e.g. `unrecoverable node 3`,
     /// `recovery fell through to virgin`).
     pub reason: String,
-    /// Per-rank tail bound the recorder ran with.
+    /// Per-rank tail bound the dump was taken with.
     pub per_rank: usize,
     /// Last `<= per_rank` events of every rank, merged in
     /// `(t_ns, rank)` order like any cluster trace.
@@ -26,21 +24,15 @@ pub struct FlightDump {
 }
 
 impl FlightDump {
-    /// Capture the tail of each rank's buffer and merge.
-    pub fn capture(
+    /// Copy the last `per_rank` events of each rank's record and merge.
+    pub fn capture<'a>(
         reason: impl Into<String>,
         per_rank: usize,
-        buffers: Vec<Vec<TraceEvent>>,
+        records: impl IntoIterator<Item = &'a [TraceEvent]>,
     ) -> Self {
-        let tails = buffers
+        let tails = records
             .into_iter()
-            .map(|mut events| {
-                let excess = events.len().saturating_sub(per_rank);
-                if excess > 0 {
-                    events.drain(..excess);
-                }
-                events
-            })
+            .map(|events| events[events.len().saturating_sub(per_rank)..].to_vec())
             .collect();
         FlightDump {
             reason: reason.into(),
@@ -83,9 +75,9 @@ mod tests {
 
     #[test]
     fn keeps_only_the_tail_and_merges_in_time_rank_order() {
-        let rank0 = vec![ev(0, 0, 1), ev(10, 0, 2), ev(20, 0, 3)];
-        let rank1 = vec![ev(5, 1, 4), ev(15, 1, 5)];
-        let dump = FlightDump::capture("test", 2, vec![rank0, rank1]);
+        let rank0 = [ev(0, 0, 1), ev(10, 0, 2), ev(20, 0, 3)];
+        let rank1 = [ev(5, 1, 4), ev(15, 1, 5)];
+        let dump = FlightDump::capture("test", 2, [&rank0[..], &rank1[..]]);
         let stamps: Vec<(u64, u64)> = dump.events.iter().map(|e| (e.t_ns, e.rank)).collect();
         // Rank 0 lost its first event (bound 2); merge is (t, rank).
         assert_eq!(stamps, vec![(5, 1), (10, 0), (15, 1), (20, 0)]);
@@ -94,7 +86,7 @@ mod tests {
 
     #[test]
     fn render_carries_reason_and_every_event() {
-        let dump = FlightDump::capture("unrecoverable node 3", 8, vec![vec![ev(7, 0, 9)]]);
+        let dump = FlightDump::capture("unrecoverable node 3", 8, [&[ev(7, 0, 9)][..]]);
         let text = dump.render();
         assert!(text.starts_with("flight recorder (unrecoverable node 3)"));
         assert!(text.contains("t=7ns rank=0"));

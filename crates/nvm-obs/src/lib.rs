@@ -14,7 +14,8 @@
 //!   interval-bucketed time series ([`Rollup`]);
 //! * exporters — folded-stack flamegraphs ([`to_folded`]), the
 //!   stable-JSON [`AnalysisReport`] consumed by `run_all --analyze`,
-//!   and the bounded [`FlightDump`] ring attached to fatal errors.
+//!   and the [`FlightDump`] (each rank's trace tail) attached to a
+//!   traced run's fatal error.
 //!
 //! Everything here is a pure function of the event stream, so every
 //! output is bit-identical at any `--threads N` and identical whether

@@ -5,8 +5,8 @@
 
 use nvm_chkpt::checksum::crc64;
 use nvm_chkpt::{
-    CheckpointEngine, ConfigError, EngineConfig, EngineError, PrecopyPolicy, RemoteImage,
-    RestartReport, RestartStrategy, Tracer,
+    CheckpointEngine, ConfigError, EngineConfig, EngineError, EpochReport, PrecopyPolicy,
+    RemoteImage, RestartReport, RestartStrategy, Tracer,
 };
 use nvm_emu::{MemoryDevice, SimDuration, TempDir, VirtualClock};
 use nvm_paging::ChunkId;
@@ -38,16 +38,19 @@ fn engine_with(
 
 /// Three epochs of a small two-chunk workload; returns the chunk ids
 /// in allocation order.
-fn run_three_epochs(e: &mut CheckpointEngine) -> (ChunkId, ChunkId) {
+/// Two chunks through three epochs; returns them and the epochs'
+/// reports.
+fn run_three_epochs(e: &mut CheckpointEngine) -> (ChunkId, ChunkId, Vec<EpochReport>) {
     let a = e.nvmalloc("a", 4096, true).unwrap();
     let b = e.nvmalloc("b", 12000, true).unwrap();
+    let mut reports = Vec::new();
     for epoch in 0u8..3 {
         e.write(a, 0, &vec![epoch + 1; 4096]).unwrap();
         e.write(b, 100, &vec![0x40 | epoch; 8000]).unwrap();
         e.compute(SimDuration::from_millis(200));
-        e.nvchkptall().unwrap();
+        reports.push(e.nvchkptall().unwrap());
     }
-    (a, b)
+    (a, b, reports)
 }
 
 #[test]
@@ -59,7 +62,7 @@ fn checkpoints_survive_the_process_through_a_file_store() {
         let (dram, nvm, clock) = devices();
         let store = FileStore::open_path(&path, 7, STORE_CAP).unwrap();
         let mut e = engine_with(&dram, &nvm, clock, Some(Box::new(store)));
-        let (a, b) = run_three_epochs(&mut e);
+        let (a, b, _) = run_three_epochs(&mut e);
         (
             a,
             b,
@@ -103,7 +106,7 @@ fn checkpoints_survive_the_process_through_a_file_store() {
 fn lazy_store_restart_never_reads_untouched_chunks_from_media() {
     let tmp = TempDir::new("store-lazy").unwrap();
     let path = tmp.join("rank.store");
-    let (a, b) = {
+    let (a, b, _) = {
         let (dram, nvm, clock) = devices();
         let store = FileStore::open_path(&path, 7, STORE_CAP).unwrap();
         let mut e = engine_with(&dram, &nvm, clock, Some(Box::new(store)));
@@ -153,7 +156,7 @@ fn lazy_store_restart_never_reads_untouched_chunks_from_media() {
 fn coordinated_checkpoint_drains_store_lazy_chunks_first() {
     let tmp = TempDir::new("store-lazy-chkpt").unwrap();
     let path = tmp.join("rank.store");
-    let (a, b) = {
+    let (a, b, _) = {
         let (dram, nvm, clock) = devices();
         let store = FileStore::open_path(&path, 7, STORE_CAP).unwrap();
         let mut e = engine_with(&dram, &nvm, clock, Some(Box::new(store)));
@@ -209,8 +212,8 @@ fn attaching_a_store_does_not_perturb_simulation_results() {
     let run = |store: Option<Box<dyn Persistence>>| {
         let (dram, nvm, clock) = devices();
         let mut e = engine_with(&dram, &nvm, clock.clone(), store);
-        run_three_epochs(&mut e);
-        (clock.now(), e.log().to_vec(), e.stats())
+        let (_, _, log) = run_three_epochs(&mut e);
+        (clock.now(), log, e.stats())
     };
 
     let (t_plain, log_plain, stats_plain) = run(None);

@@ -8,25 +8,24 @@
 //!
 //! Design constraints, in priority order:
 //!
-//! 1. **Zero cost when disabled.** A [`Tracer`] is a clonable handle
-//!    that is `None` by default; every emission site guards on
-//!    [`Tracer::enabled`], which is a single branch on an `Option`.
+//! 1. **Zero cost when disabled.** A [`Tracer`] holds `None` by
+//!    default; every emission site guards on [`Tracer::enabled`],
+//!    which is a single branch on an `Option`.
 //! 2. **Deterministic.** Events carry a `u64` virtual-time stamp
 //!    (`t_ns`, nanoseconds on the owning rank's clock) and a rank tag.
 //!    Per-rank buffers merged with [`merge_ranked`] produce an event
 //!    stream that is bit-identical whether ranks executed serially or
 //!    on a thread pool, extending the cluster simulator's determinism
 //!    guarantee to the trace itself.
-//! 3. **One sink.** Events collect in a [`BufferSink`] — unbounded,
-//!    or a ring of the most recent events (the flight recorder).
-//!    [`to_jsonl`] and [`to_chrome_trace`] render collected events
-//!    offline — the latter loads in `chrome://tracing` / Perfetto.
+//! 3. **One record per rank, owned.** A [`Tracer`] is a plain `Vec`
+//!    its owner (one rank's engine) pushes into through `&mut`: no
+//!    lock, no sharing. [`to_jsonl`] and [`to_chrome_trace`] render
+//!    collected events offline — the latter loads in
+//!    `chrome://tracing` / Perfetto.
 
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
@@ -303,69 +302,15 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// In-memory event buffer, shared by the clones of a [`Tracer`]:
-/// per-rank collection in the cluster simulator and tests. Unbounded
-/// by default; with a capacity, a ring keeping only the most recent
-/// events.
-#[derive(Debug, Default)]
-pub struct BufferSink {
-    events: Mutex<VecDeque<TraceEvent>>,
-    capacity: Option<usize>,
-}
-
-impl BufferSink {
-    /// Unbounded buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ring buffer keeping at most `capacity` most-recent events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        BufferSink {
-            events: Mutex::new(VecDeque::new()),
-            capacity: Some(capacity.max(1)),
-        }
-    }
-
-    /// Accept one event; a full ring drops its oldest in O(1).
-    pub fn record(&self, event: TraceEvent) {
-        let mut events = self.events.lock().unwrap();
-        if self.capacity == Some(events.len()) {
-            events.pop_front();
-        }
-        events.push_back(event);
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
-    }
-
-    /// True if nothing has been recorded (or everything was drained).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy of the buffered events, oldest first.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().unwrap().iter().cloned().collect()
-    }
-
-    /// Remove and return the buffered events, oldest first. An
-    /// unbounded buffer never wraps, so its events move out without a
-    /// copy.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        Vec::from(std::mem::take(&mut *self.events.lock().unwrap()))
-    }
-}
-
-/// Clonable emission handle: an optional shared sink plus the rank
-/// tag stamped onto every event. The default handle is disabled and
-/// costs one `Option` branch per call site.
-#[derive(Clone, Default)]
+/// One rank's event record: the rank tag stamped onto every event and,
+/// when enabled, the events themselves in emission order. The record
+/// is owned by whoever emits into it (a rank's engine), so capture
+/// takes no lock. The default record is disabled and costs one
+/// `Option` branch per call site.
+#[derive(Default)]
 pub struct Tracer {
-    sink: Option<Arc<BufferSink>>,
     rank: u64,
+    events: Option<Vec<TraceEvent>>,
 }
 
 impl std::fmt::Debug for Tracer {
@@ -378,44 +323,47 @@ impl std::fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// Disabled handle; every emission is a no-op.
+    /// Disabled record; every emission is a no-op.
     pub fn disabled() -> Self {
         Tracer::default()
     }
 
-    /// Handle feeding `sink`, tagged rank 0.
-    pub fn new(sink: Arc<BufferSink>) -> Self {
+    /// Empty record collecting events tagged `rank`.
+    pub fn new(rank: u64) -> Self {
         Tracer {
-            sink: Some(sink),
-            rank: 0,
-        }
-    }
-
-    /// Same sink, different rank tag.
-    pub fn with_rank(&self, rank: u64) -> Self {
-        Tracer {
-            sink: self.sink.clone(),
             rank,
+            events: Some(Vec::new()),
         }
     }
 
-    /// True when a sink is attached. Call sites that need to compute
+    /// True when events are collected. Call sites that need to compute
     /// anything to build an event should guard on this first.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.sink.is_some()
+        self.events.is_some()
     }
 
-    /// Emit one event at virtual time `t_ns`. No-op when disabled.
+    /// Record one event at virtual time `t_ns`. No-op when disabled.
     #[inline]
-    pub fn emit(&self, t_ns: u64, kind: TraceEventKind) {
-        if let Some(sink) = &self.sink {
-            sink.record(TraceEvent {
+    pub fn emit(&mut self, t_ns: u64, kind: TraceEventKind) {
+        if let Some(events) = &mut self.events {
+            events.push(TraceEvent {
                 t_ns,
                 rank: self.rank,
                 kind,
             });
         }
+    }
+
+    /// The events recorded so far, oldest first (empty when disabled).
+    pub fn events(&self) -> &[TraceEvent] {
+        self.events.as_deref().unwrap_or_default()
+    }
+
+    /// Move the recorded events out, oldest first; the record stays
+    /// enabled (or disabled) and starts over empty.
+    pub fn take(&mut self) -> Vec<TraceEvent> {
+        self.events.as_mut().map(std::mem::take).unwrap_or_default()
     }
 }
 
@@ -462,8 +410,9 @@ pub enum TraceReadError {
     /// The trace header declares a schema version newer than this
     /// reader understands; re-record or upgrade the reader.
     Schema {
-        /// Version declared by the trace header.
-        found: u32,
+        /// Version declared by the trace header (any unsigned integer a
+        /// header can hold, so a huge one is reported as written).
+        found: u64,
         /// Newest version this reader supports ([`SCHEMA_VERSION`]).
         supported: u32,
     },
@@ -514,9 +463,8 @@ pub fn read_jsonl(text: &str) -> Result<Vec<TraceEvent>, TraceReadError> {
                 serde::Value::Number(n) => n.as_u64(),
                 _ => None,
             }
-            .ok_or_else(|| parse_err(&"schema_version is not an unsigned integer"))?
-                as u32;
-            if found > SCHEMA_VERSION {
+            .ok_or_else(|| parse_err(&"schema_version is not an unsigned integer"))?;
+            if found > u64::from(SCHEMA_VERSION) {
                 return Err(TraceReadError::Schema {
                     found,
                     supported: SCHEMA_VERSION,
@@ -718,42 +666,31 @@ mod tests {
 
     #[test]
     fn disabled_tracer_emits_nothing() {
-        let tracer = Tracer::disabled();
+        let mut tracer = Tracer::disabled();
         assert!(!tracer.enabled());
         tracer.emit(1, TraceEventKind::ProtectionFault { chunk: 0 });
+        assert!(tracer.events().is_empty());
+        assert!(tracer.take().is_empty());
+        assert!(!tracer.enabled());
     }
 
     #[test]
-    fn buffer_sink_records_in_order() {
-        let sink = Arc::new(BufferSink::new());
-        let tracer = Tracer::new(sink.clone()).with_rank(3);
+    fn tracer_records_in_order() {
+        let mut tracer = Tracer::new(3);
         tracer.emit(10, TraceEventKind::ProtectionFault { chunk: 1 });
         tracer.emit(20, TraceEventKind::PrecopyWaste { chunk: 1 });
-        let events = sink.drain();
-        assert_eq!(events.len(), 2);
+        assert_eq!(tracer.events().len(), 2);
+        let first = tracer.events().as_ptr();
+        let events = tracer.take();
+        // The buffer moves out without a copy.
+        assert_eq!(events.as_ptr(), first);
         assert_eq!(events[0].t_ns, 10);
         assert_eq!(events[0].rank, 3);
         assert_eq!(events[1].kind, TraceEventKind::PrecopyWaste { chunk: 1 });
-        assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn ring_buffer_keeps_most_recent() {
-        let times = |events: Vec<TraceEvent>| events.iter().map(|e| e.t_ns).collect::<Vec<_>>();
-        let ring = BufferSink::with_capacity(4);
-        let unbounded = BufferSink::new();
-        for t in 0..10 {
-            ring.record(ev(t, 0, t));
-            unbounded.record(ev(t, 0, t));
-        }
-        assert_eq!(times(ring.snapshot()), [6, 7, 8, 9]);
-        assert_eq!(times(ring.drain()), [6, 7, 8, 9]);
-        assert!(ring.is_empty());
-        // An unbounded buffer hands over its own allocation.
-        let first = unbounded.events.lock().unwrap().front().unwrap() as *const TraceEvent;
-        let drained = unbounded.drain();
-        assert_eq!(drained.as_ptr(), first);
-        assert_eq!(times(drained), (0..10).collect::<Vec<_>>());
+        // Taken, the record is empty but still collecting.
+        assert!(tracer.events().is_empty());
+        tracer.emit(30, TraceEventKind::ProtectionFault { chunk: 2 });
+        assert_eq!(tracer.events(), [ev(30, 3, 2)]);
     }
 
     #[test]
@@ -811,15 +748,19 @@ mod tests {
 
     #[test]
     fn future_schema_version_is_rejected_with_typed_error() {
-        let future = format!("{{\"schema_version\":{}}}\n", SCHEMA_VERSION + 1);
-        let err = read_jsonl(&future).unwrap_err();
-        assert_eq!(
-            err,
-            TraceReadError::Schema {
-                found: SCHEMA_VERSION + 1,
-                supported: SCHEMA_VERSION,
-            }
-        );
+        // The second header does not fit a u32: narrowed, it would wrap
+        // to 3 and load as a current trace.
+        for found in [u64::from(SCHEMA_VERSION) + 1, (1 << 32) + 3] {
+            let future = format!("{{\"schema_version\":{found}}}\n");
+            let err = read_jsonl(&future).unwrap_err();
+            assert_eq!(
+                err,
+                TraceReadError::Schema {
+                    found,
+                    supported: SCHEMA_VERSION,
+                }
+            );
+        }
     }
 
     #[test]
@@ -827,6 +768,18 @@ mod tests {
         let text = format!("{}\nnot json\n", super::jsonl_header());
         match read_jsonl(&text).unwrap_err() {
             TraceReadError::Parse { line, .. } => assert_eq!(line, 2),
+            other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deeply_nested_line_is_a_parse_error_not_a_stack_overflow() {
+        let text = format!("{}\n{}\n", super::jsonl_header(), "[".repeat(200_000));
+        match read_jsonl(&text).unwrap_err() {
+            TraceReadError::Parse { line, message } => {
+                assert_eq!(line, 2);
+                assert!(message.contains("recursion limit"), "{message}");
+            }
             other => panic!("expected parse error, got {other:?}"),
         }
     }

@@ -14,6 +14,7 @@
 use cluster_sim::{
     Cluster, ClusterConfig, FailureConfig, FailureEvent, FailureKind, FailureSchedule,
     RecoverySource, RemoteConfig, RunOptions, RunResult, SimError, UniformWorkload, Workload,
+    FLIGHT_TAIL,
 };
 use nvm_chkpt::{EngineConfig, Materialization, PrecopyPolicy};
 use nvm_emu::{SimDuration, SimTime};
@@ -188,8 +189,8 @@ fn byte_shipping_and_buddy_recovery_are_thread_count_invariant() {
 #[test]
 fn losing_both_buddies_fails_alike_at_every_thread_count() {
     // Both nodes of a 2-node ring lost at once leave no copy to
-    // recover from. A recorded run wraps the failure in the flight
-    // recorder's envelope; `cause` is how a caller sees through it.
+    // recover from. A traced run wraps the failure in the flight
+    // dump's envelope; `cause` is how a caller sees through it.
     let mut cfg = bytes_config(2, false);
     cfg.schedule_override = Some(FailureSchedule::from_events(
         (0..2)
@@ -203,12 +204,24 @@ fn losing_both_buddies_fails_alike_at_every_thread_count() {
     for threads in THREAD_COUNTS {
         cfg.threads = threads;
         let err = Cluster::new(cfg.clone(), bytes_factory)
-            .run(RunOptions::new().with_flight(8))
+            .run(RunOptions::new().with_trace(true))
             .unwrap_err();
         assert!(
             matches!(err.cause(), SimError::Unrecoverable { .. }),
             "{threads} threads: {err}"
         );
-        assert!(err.flight().is_some());
+        let dump = err.flight().expect("a traced run carries the dump");
+        assert_eq!(dump.per_rank, FLIGHT_TAIL);
+        for rank in 0..cfg.total_ranks() as u64 {
+            let kept = dump.events.iter().filter(|e| e.rank == rank).count();
+            assert!(kept <= FLIGHT_TAIL, "{threads} threads: rank {rank}");
+        }
+        let bare = Cluster::new(cfg.clone(), bytes_factory)
+            .run(RunOptions::new())
+            .unwrap_err();
+        assert!(
+            matches!(bare, SimError::Unrecoverable { .. }),
+            "{threads} threads: {bare}"
+        );
     }
 }

@@ -10,12 +10,9 @@
 
 use cluster_sim::{Cluster, ClusterConfig, RemoteConfig, RunOptions, Workload};
 use hpc_workloads::SyntheticApp;
-use nvm_chkpt::{
-    BufferSink, CheckpointEngine, EngineConfig, PrecopyPolicy, TraceEventKind, Tracer,
-};
+use nvm_chkpt::{CheckpointEngine, EngineConfig, PrecopyPolicy, TraceEventKind, Tracer};
 use nvm_emu::{MemoryDevice, SimDuration, VirtualClock};
 use nvm_trace::{read_jsonl, to_jsonl};
-use std::sync::Arc;
 
 const MB: usize = 1 << 20;
 const CHUNK: usize = 64 * 1024;
@@ -31,10 +28,7 @@ fn canonical_cpc_events() -> Vec<nvm_trace::TraceEvent> {
         .build()
         .unwrap();
     let mut engine = CheckpointEngine::new(0, &dram, &nvm, 32 * MB, clock, config).unwrap();
-    // Ring-buffer sink: large enough to keep everything here, but the
-    // same sink type a long-running job would cap.
-    let sink = Arc::new(BufferSink::with_capacity(256));
-    engine.set_tracer(Tracer::new(sink.clone()));
+    engine.set_tracer(Tracer::new(0));
 
     let id = engine.nvmalloc("field", CHUNK, true).unwrap();
     for epoch in 0..3u8 {
@@ -42,7 +36,7 @@ fn canonical_cpc_events() -> Vec<nvm_trace::TraceEvent> {
         engine.compute(SimDuration::from_secs(1));
         engine.nvchkptall().unwrap();
     }
-    sink.snapshot()
+    engine.tracer_mut().take()
 }
 
 #[test]

@@ -153,15 +153,22 @@ fn write_json_string(out: &mut String, s: &str) {
 
 // ---- parser ----------------------------------------------------------
 
+/// Deepest nesting of arrays and objects the parser accepts, as in
+/// upstream `serde_json`.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -214,59 +221,79 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(Error(format!("bad array at byte {}", self.pos))),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let val = self.value()?;
-                    fields.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(Error(format!("bad object at byte {}", self.pos))),
-                    }
-                }
-            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             other => Err(Error(format!(
                 "unexpected {:?} at byte {}",
                 other.map(|b| b as char),
                 self.pos
             ))),
+        }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`RECURSION_LIMIT`] levels: the parser recurses per level, so
+    /// unbounded nesting would overflow the stack.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(Error(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn array(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Array(items));
+                }
+                _ => return Err(Error(format!("bad array at byte {}", self.pos))),
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.value()?;
+            fields.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Object(fields));
+                }
+                _ => return Err(Error(format!("bad object at byte {}", self.pos))),
+            }
         }
     }
 
@@ -427,6 +454,18 @@ mod tests {
         let bytes = to_vec(&rows).unwrap();
         let back: Vec<(u64, f64)> = from_slice(&bytes).unwrap();
         assert_eq!(back, rows);
+    }
+
+    #[test]
+    fn nesting_past_the_recursion_limit_is_an_error_not_a_stack_overflow() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value(&nest(RECURSION_LIMIT)).is_ok());
+        let err = parse_value(&nest(RECURSION_LIMIT + 1)).unwrap_err();
+        assert_eq!(err.to_string(), "recursion limit exceeded at byte 128");
+        let err = parse_value(&"{\"a\":".repeat(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.to_string().starts_with("recursion limit exceeded"));
+        // Far deeper than any thread stack holds, unclosed as well.
+        assert!(parse_value(&"[".repeat(200_000)).is_err());
     }
 
     #[test]
