@@ -58,7 +58,6 @@ pub use model::{
     evaluate, optimal_interval, plan_two_level, ModelParams, ModelPrediction, TwoLevelPlan,
 };
 pub use nvm_obs::FlightDump;
-pub use profile::thread_cpu_ns;
 pub use profile::{Phase, RunProfile};
 pub use recovery::{collapse_batch, RecoveredChunkRecord, RecoveryRecord, RecoverySource};
 pub use reliability::{

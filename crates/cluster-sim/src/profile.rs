@@ -24,31 +24,60 @@
 //! The split is measured, never modelled: what `--threads N` buys on a
 //! given host is read off two profiled runs' `wall_ns`, not projected
 //! from one.
+//!
+//! Measuring costs host time too: a thread-CPU clock read costs about
+//! ten monotonic ones (≈380–430 ns against ≈45 ns on a 2-vCPU guest). So
+//! the clocks are read only through a `Profiler`, which a run holds
+//! only when it asks for a profile: an unprofiled run reads no thread
+//! clock and pays one branch per timer. A profiled run reads it once
+//! per item boundary of each worker's contiguous chunk: `ranks + 1`
+//! times per rank-parallel phase on one thread, and at most twice per
+//! merge shard.
 
+use crate::config::ClusterConfig;
 use std::time::Instant;
+
+#[cfg(test)]
+thread_local! {
+    /// Thread-clock reads made on this thread, so tests can assert
+    /// which runs pay for them.
+    static CLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Thread-clock reads made on the calling thread so far (tests only).
+#[cfg(test)]
+pub(crate) fn clock_reads() -> u64 {
+    CLOCK_READS.with(|c| c.get())
+}
 
 /// Thread CPU time (CLOCK_THREAD_CPUTIME_ID) in nanoseconds.
 ///
-/// Raw `clock_gettime` so no external crate is needed; falls back to a
-/// process-wide monotonic clock off Linux (still monotone, just not
+/// Raw `clock_gettime` so no external crate is needed. Its `timespec`
+/// is two C `long`s on every Linux target, so the fields are declared
+/// `c_long`: 8 bytes on 32-bit Linux, 16 on 64-bit. Off Linux it falls
+/// back to a process-wide monotonic clock (still monotone, just not
 /// per-thread).
 #[cfg(target_os = "linux")]
-pub fn thread_cpu_ns() -> u64 {
+fn thread_cpu_ns() -> u64 {
+    use std::os::raw::{c_int, c_long};
     #[repr(C)]
     struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
+        tv_sec: c_long,
+        tv_nsec: c_long,
     }
     extern "C" {
-        fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
+        fn clock_gettime(clockid: c_int, tp: *mut Timespec) -> c_int;
     }
-    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+    #[cfg(test)]
+    CLOCK_READS.with(|c| c.set(c.get() + 1));
     let mut ts = Timespec {
         tv_sec: 0,
         tv_nsec: 0,
     };
-    // SAFETY: `ts` outlives the call and the clock id is valid on
-    // every Linux since 2.6.12.
+    // SAFETY: `ts` outlives the call and has the layout of the C
+    // `struct timespec`; the clock id is valid on every Linux since
+    // 2.6.12.
     let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
     if rc != 0 {
         return 0;
@@ -58,9 +87,10 @@ pub fn thread_cpu_ns() -> u64 {
 
 /// Fallback: monotonic wall clock (not per-thread).
 #[cfg(not(target_os = "linux"))]
-pub fn thread_cpu_ns() -> u64 {
+fn thread_cpu_ns() -> u64 {
     use std::sync::OnceLock;
-    use std::time::Instant;
+    #[cfg(test)]
+    CLOCK_READS.with(|c| c.set(c.get() + 1));
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
@@ -116,41 +146,91 @@ impl Phase {
     }
 }
 
-/// Times [`Phase`]s on the wall clock of a profiled run; without a
-/// profile, [`PhaseClock::time`] is one branch around the call.
-pub(crate) struct PhaseClock {
-    start: Option<Instant>,
-    ns: [u64; Phase::ALL.len()],
+/// The host-time accounting of one profiled [`crate::Cluster::run`]:
+/// its wall, each [`Phase`], each rank's callbacks and each shard's
+/// merge. A run holds it as `Option<Profiler>`, `Some` only when
+/// `RunOptions::profile` is set, and every timer takes that option:
+/// without a profile a timer is one branch and reads no clock.
+pub(crate) struct Profiler {
+    start: Instant,
+    phase_ns: [u64; Phase::ALL.len()],
+    rank_busy_ns: Vec<u64>,
+    merge_busy_ns: Vec<u64>,
+    threads: usize,
 }
 
-impl PhaseClock {
-    /// A clock whose wall starts now, running only when `on`.
-    pub(crate) fn new(on: bool) -> Self {
-        PhaseClock {
-            start: on.then(Instant::now),
-            ns: [0; Phase::ALL.len()],
+impl Profiler {
+    /// A profiler for a run of `config`'s shape, its wall starting now.
+    pub(crate) fn new(config: &ClusterConfig) -> Self {
+        Profiler {
+            start: Instant::now(),
+            phase_ns: [0; Phase::ALL.len()],
+            rank_busy_ns: vec![0; config.total_ranks()],
+            merge_busy_ns: Vec::new(),
+            threads: config.threads,
         }
     }
 
-    /// Run `f`, adding its wall time to `phase`.
-    pub(crate) fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        if self.start.is_none() {
-            return f();
-        }
+    /// Run `f`, adding its wall time to `phase`. `f` gets the profiler
+    /// back, to time the rank or shard work inside the phase.
+    pub(crate) fn time<R>(
+        profiler: &mut Option<Self>,
+        phase: Phase,
+        f: impl FnOnce(Option<&mut Self>) -> R,
+    ) -> R {
+        let Some(p) = profiler else {
+            return f(None);
+        };
         let t0 = Instant::now();
-        let out = f();
-        self.ns[phase as usize] += t0.elapsed().as_nanos() as u64;
+        let out = f(Some(&mut *p));
+        p.phase_ns[phase as usize] += t0.elapsed().as_nanos() as u64;
         out
     }
 
-    /// Write the phase times into `profile`, and its wall: from this
-    /// clock's creation to now.
-    pub(crate) fn finish(&self, profile: &mut RunProfile) {
-        if let Some(start) = self.start {
-            profile.wall_ns = start.elapsed().as_nanos() as u64;
-            profile.phase_ns = self.ns;
+    /// The slots a rank-parallel phase adds its thread-CPU time to, one
+    /// per rank in global order.
+    pub(crate) fn rank_busy(&mut self) -> &mut [u64] {
+        &mut self.rank_busy_ns
+    }
+
+    /// The slots the end-of-run merge adds its thread-CPU time to, one
+    /// per shard.
+    pub(crate) fn merge_busy(&mut self, shards: usize) -> &mut [u64] {
+        self.merge_busy_ns = vec![0; shards];
+        &mut self.merge_busy_ns
+    }
+
+    /// The profile, its wall ending now.
+    pub(crate) fn finish(self) -> RunProfile {
+        RunProfile {
+            wall_ns: self.start.elapsed().as_nanos() as u64,
+            phase_ns: self.phase_ns,
+            rank_busy_ns: self.rank_busy_ns,
+            merge_busy_ns: self.merge_busy_ns,
+            threads: self.threads,
         }
     }
+}
+
+/// Run `f` over one worker's contiguous chunk of items in order, adding
+/// each item's thread-CPU time to the slot it is paired with; stops at
+/// the first error. The clock is read once before the first item and
+/// once after each (`part.len() + 1` reads), so an item's time also
+/// holds the loop's own bookkeeping since the item before it.
+pub(crate) fn time_each<T, R, E>(
+    part: &mut [(T, &mut u64)],
+    f: impl Fn(&mut T) -> Result<R, E>,
+) -> Result<Vec<R>, E> {
+    let mut last = thread_cpu_ns();
+    part.iter_mut()
+        .map(|(item, busy)| {
+            let out = f(item);
+            let now = thread_cpu_ns();
+            **busy += now.saturating_sub(last);
+            last = now;
+            out
+        })
+        .collect()
 }
 
 /// Timing decomposition of one simulator run. See the module docs for
@@ -167,11 +247,14 @@ pub struct RunProfile {
     pub phase_ns: [u64; Phase::ALL.len()],
     /// Thread-CPU nanoseconds spent in rank callbacks, indexed by
     /// global rank (flattened node-major order — the same order the
-    /// worker pool chunks).
+    /// worker pool chunks). A rank's time runs from the clock read that
+    /// ended the callback before it on the same worker, so it also
+    /// holds the pool's bookkeeping between two adjacent callbacks.
     pub rank_busy_ns: Vec<u64>,
     /// Thread-CPU nanoseconds spent pre-merging each shard's
     /// trace/metrics/stat streams, indexed by shard (contiguous node
-    /// chunks — the same partition the merge pool uses).
+    /// chunks — the same partition the merge pool uses), timed as
+    /// `rank_busy_ns` is.
     pub merge_busy_ns: Vec<u64>,
     /// Worker threads the run was configured with.
     pub threads: usize,

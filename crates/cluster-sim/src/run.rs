@@ -45,7 +45,7 @@
 //! and `pool` (the worker pool).
 
 use crate::app::Workload;
-use crate::profile::{Phase, PhaseClock, RunProfile};
+use crate::profile::{Phase, Profiler, RunProfile};
 use crate::recovery::RecoveryRecord;
 use crate::schedule::ScheduleTrace;
 use crate::store::RankRecovery;
@@ -376,19 +376,17 @@ impl Cluster {
 
     /// Run to completion with the given output selection.
     pub fn run(self, options: RunOptions) -> Result<RunOutcome, SimError> {
-        let mut clock = PhaseClock::new(options.profile);
-        let mut sim = clock.time(Phase::Build, || {
+        let mut profiler = options.profile.then(|| Profiler::new(&self.config));
+        let mut sim = Profiler::time(&mut profiler, Phase::Build, |_| {
             phases::ClusterSim::with_options(self.config, options, self.factory)
         })?;
         // Whatever ends a traced run early leaves with the black box.
         let outcome = sim
-            .execute(&mut clock)
+            .execute(&mut profiler)
             .map_err(|err| sim.attach_flight(err));
-        clock.time(Phase::Teardown, || sim.teardown());
+        Profiler::time(&mut profiler, Phase::Teardown, |_| sim.teardown());
         let mut outcome = outcome?;
-        if let Some(profile) = &mut outcome.profile {
-            clock.finish(profile);
-        }
+        outcome.profile = profiler.map(Profiler::finish);
         Ok(outcome)
     }
 
@@ -859,6 +857,37 @@ mod tests {
         ] {
             assert!(p.phase(phase) > 0, "{} untimed: {p:?}", phase.name());
         }
+    }
+
+    #[test]
+    fn only_a_profiled_run_reads_the_thread_clock() {
+        use crate::profile::clock_reads;
+        // One thread, so every read lands on this thread's counter.
+        let cfg = small_config().with_threads(1);
+        let before = clock_reads();
+        let plain = run_opts(cfg.clone(), RunOptions::new());
+        assert_eq!(
+            clock_reads() - before,
+            0,
+            "an unprofiled run read the clock"
+        );
+
+        let before = clock_reads();
+        let out = Cluster::new(cfg.clone(), factory)
+            .run(RunOptions::new().with_profile(true))
+            .unwrap();
+        let reads = clock_reads() - before;
+        // A read per rank boundary of each rank-parallel phase (every
+        // iteration's compute, every local checkpoint), and at most two
+        // per merge shard.
+        let r = &out.result;
+        let phases = r.iterations_executed + r.local_checkpoints;
+        let bound = phases * (cfg.total_ranks() as u64 + 1) + 2 * cfg.shard_count() as u64;
+        assert!(reads > 0 && reads <= bound, "{reads} reads, bound {bound}");
+        assert_eq!(
+            serde_json::to_string(&plain).unwrap(),
+            serde_json::to_string(r).unwrap()
+        );
     }
 
     #[test]

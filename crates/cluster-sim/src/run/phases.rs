@@ -8,11 +8,11 @@
 //! verification), per node (the remote ship, the teardown) and per
 //! shard (the reduction).
 
-use super::pool::{for_each_rank_parallel, pool_map};
+use super::pool::{for_each_rank_parallel, pool_map, pool_map_timed};
 use super::{ClusterConfig, RunOptions, RunOutcome, RunResult, SimError, SpillReport};
 use crate::app::Workload;
 use crate::failure::FailureSchedule;
-use crate::profile::{thread_cpu_ns, Phase, PhaseClock, RunProfile};
+use crate::profile::{Phase, Profiler};
 use crate::recovery::RecoveryRecord;
 use crate::schedule::{Activity, ScheduleTrace};
 use nvm_chkpt::{CheckpointEngine, EngineError, EngineStats, Materialization};
@@ -22,7 +22,6 @@ use nvm_store::{FileSpill, FileStore, PersistError, StoreStats};
 use nvm_trace::{TraceEvent, TraceEventKind, Tracer};
 use rdma_sim::{HelperProcess, Link, RemoteStore};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicU64;
 
 pub(super) struct Rank {
     pub(super) global: u64,
@@ -185,9 +184,6 @@ pub(super) struct LoopState {
     /// Checkpoint bytes per rank (`D`; the modeled fetch charge).
     pub(super) d_per_rank: u64,
     pub(super) recovery: Vec<RecoveryRecord>,
-    /// Host-side profile input: it travels next to the tallies and
-    /// never into the result.
-    pub(super) rank_busy: Vec<AtomicU64>,
 }
 
 impl LoopState {
@@ -216,9 +212,6 @@ impl LoopState {
             remote_ckpts: 0,
             d_per_rank: sim.ranks[0][0].engine.checkpoint_bytes() as u64,
             recovery: Vec::new(),
-            rank_busy: (0..config.total_ranks())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
         }
     }
 
@@ -399,31 +392,34 @@ impl ClusterSim {
     }
 
     /// The run loop, one pass per iteration of the Section-III
-    /// schedule. The [`RunProfile`] and [`SpillReport`] travel *next
-    /// to* the result, never inside it — [`RunResult`] stays
+    /// schedule. The [`crate::RunProfile`] and [`SpillReport`] travel
+    /// *next to* the result, never inside it — [`RunResult`] stays
     /// byte-identical across thread counts and machines; timing and
-    /// host-memory accounting are neither. Each phase's wall time goes
-    /// to `clock`.
-    pub(super) fn execute(&mut self, clock: &mut PhaseClock) -> Result<RunOutcome, SimError> {
+    /// host-memory accounting are neither. A profiled run's phase, rank
+    /// and shard times go to `profiler`.
+    pub(super) fn execute(
+        &mut self,
+        profiler: &mut Option<Profiler>,
+    ) -> Result<RunOutcome, SimError> {
         let mut st = LoopState::new(self);
         while st.iter < self.config.iterations {
             let iter_start = self.max_time();
-            clock.time(Phase::HandleFailures, || {
+            Profiler::time(profiler, Phase::HandleFailures, |_| {
                 self.handle_failures(&mut st, iter_start)
             })?;
-            clock.time(Phase::Compute, || self.compute(&mut st))?;
-            clock.time(Phase::PollHelpers, || {
+            Profiler::time(profiler, Phase::Compute, |p| self.compute(&mut st, p))?;
+            Profiler::time(profiler, Phase::PollHelpers, |_| {
                 self.poll_helpers(&mut st, iter_start)
             });
-            if let Some(t1) =
-                clock.time(Phase::CheckpointLocal, || self.checkpoint_local(&mut st))?
-            {
-                clock.time(Phase::CheckpointRemote, || {
+            if let Some(t1) = Profiler::time(profiler, Phase::CheckpointLocal, |p| {
+                self.checkpoint_local(&mut st, p)
+            })? {
+                Profiler::time(profiler, Phase::CheckpointRemote, |_| {
                     self.checkpoint_remote(&mut st, t1)
                 })?;
             }
         }
-        clock.time(Phase::Reduce, || self.reduce(st))
+        Profiler::time(profiler, Phase::Reduce, |p| self.reduce(st, p))
     }
 
     /// Close every device and remove its spill file, one node per pool
@@ -458,13 +454,13 @@ impl ClusterSim {
     }
 
     /// One application iteration on every rank (the parallel epoch).
-    fn compute(&mut self, st: &mut LoopState) -> Result<(), SimError> {
+    fn compute(&mut self, st: &mut LoopState, p: Option<&mut Profiler>) -> Result<(), SimError> {
         let iter = st.iter;
         let rank0_before = self.ranks[0][0].clock.now();
         for_each_rank_parallel(
             &mut self.ranks,
             self.config.threads,
-            &st.rank_busy,
+            p.map(Profiler::rank_busy),
             |rank| {
                 rank.workload
                     .iterate(&mut rank.engine, iter)
@@ -484,7 +480,11 @@ impl ClusterSim {
     /// The coordinated local checkpoint, when one is due (the interval
     /// elapsed, or the run is ending): barrier, every rank's
     /// `nvchkptall`, barrier. Returns when it ended.
-    fn checkpoint_local(&mut self, st: &mut LoopState) -> Result<Option<SimTime>, SimError> {
+    fn checkpoint_local(
+        &mut self,
+        st: &mut LoopState,
+        p: Option<&mut Profiler>,
+    ) -> Result<Option<SimTime>, SimError> {
         let now = self.max_time();
         let due = self.config.local_interval.is_some_and(|interval| {
             now.since(st.last_local_end) >= interval || st.iter == self.config.iterations
@@ -496,7 +496,7 @@ impl ClusterSim {
         for_each_rank_parallel(
             &mut self.ranks,
             self.config.threads,
-            &st.rank_busy,
+            p.map(Profiler::rank_busy),
             |rank| {
                 rank.engine
                     .nvchkptall()
@@ -533,7 +533,7 @@ impl ClusterSim {
     ///   histogram bucket adds all commute and associate, so any merge
     ///   tree yields the same totals; snapshots are name-sorted, so
     ///   the report is identical too.
-    fn reduce(&mut self, st: LoopState) -> Result<RunOutcome, SimError> {
+    fn reduce(&mut self, st: LoopState, p: Option<&mut Profiler>) -> Result<RunOutcome, SimError> {
         let total_time = self.barrier().since(SimTime::ZERO);
         let options = &self.options;
         let nodes_per_shard = self.config.nodes.div_ceil(self.config.shard_count());
@@ -542,7 +542,8 @@ impl ClusterSim {
             .chunks_mut(nodes_per_shard)
             .zip(self.nodes.chunks(nodes_per_shard))
             .collect();
-        let mut shards = pool_map(&mut shard_chunks, self.config.threads, |(r, n)| {
+        let busy = p.map(|p| p.merge_busy(shard_chunks.len()));
+        let mut shards = pool_map_timed(&mut shard_chunks, busy, self.config.threads, |(r, n)| {
             Ok(merge_shard(r, n, options))
         })?;
 
@@ -609,15 +610,6 @@ impl ClusterSim {
             store,
             recovery: st.recovery,
         };
-        // The wall and phase times are `Cluster::run`'s: it fills them
-        // in once the teardown has been timed.
-        let profile = options.profile.then(|| RunProfile {
-            wall_ns: 0,
-            phase_ns: [0; Phase::ALL.len()],
-            rank_busy_ns: st.rank_busy.into_iter().map(|c| c.into_inner()).collect(),
-            merge_busy_ns: shards.iter().map(|s| s.busy_ns).collect(),
-            threads: self.config.threads,
-        });
         let spill = self.spill_dir.as_ref().map(|_| {
             let devices = || self.nodes.iter().flat_map(|n| n.devices());
             SpillReport {
@@ -629,9 +621,11 @@ impl ClusterSim {
                 written_bytes: devices().map(|d| d.spill_written_bytes()).sum(),
             }
         });
+        // The profile is `Cluster::run`'s to finish, once the teardown
+        // has been timed.
         Ok(RunOutcome {
             result,
-            profile,
+            profile: None,
             spill,
         })
     }
@@ -643,7 +637,6 @@ struct ShardMerge {
     engine_stats: EngineStats,
     registry: Option<MetricsRegistry>,
     store_stats: Option<StoreStats>,
-    busy_ns: u64,
 }
 
 /// Reduce one shard's ranks and nodes: their trace buffers merged in
@@ -654,7 +647,6 @@ fn merge_shard(
     shard_nodes: &[NodeDevices],
     options: &RunOptions,
 ) -> ShardMerge {
-    let t0 = thread_cpu_ns();
     let trace = if options.trace {
         let buffers: Vec<Vec<TraceEvent>> = (shard_ranks.iter_mut().flatten())
             .map(|r| r.engine.tracer_mut().take())
@@ -693,6 +685,5 @@ fn merge_shard(
         engine_stats,
         registry,
         store_stats,
-        busy_ns: thread_cpu_ns().saturating_sub(t0),
     }
 }

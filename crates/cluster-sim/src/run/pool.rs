@@ -19,8 +19,7 @@
 
 use super::phases::Rank;
 use super::SimError;
-use crate::profile::thread_cpu_ns;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use crate::profile::time_each;
 
 // The worker pool moves `&mut Rank` across scoped threads; everything
 // a rank owns (engine, clock, workload) must therefore be `Send`.
@@ -42,15 +41,46 @@ pub(super) fn pool_map<T: Send, R: Send>(
     threads: usize,
     f: impl Fn(&mut T) -> Result<R, SimError> + Sync,
 ) -> Result<Vec<R>, SimError> {
+    pool_chunks(items, threads, |part| part.iter_mut().map(&f).collect())
+}
+
+/// [`pool_map`] with each item's thread-CPU time added to its slot in
+/// `busy` (one per item) when the run is profiled: each worker reads
+/// its clock once per item boundary of its chunk
+/// ([`time_each`]). Unprofiled, it is [`pool_map`].
+pub(super) fn pool_map_timed<T: Send, R: Send>(
+    items: &mut [T],
+    busy: Option<&mut [u64]>,
+    threads: usize,
+    f: impl Fn(&mut T) -> Result<R, SimError> + Sync,
+) -> Result<Vec<R>, SimError> {
+    let Some(busy) = busy else {
+        return pool_map(items, threads, f);
+    };
+    // A short slot list would drop items from the zip, and so from the
+    // run.
+    assert_eq!(busy.len(), items.len(), "one busy slot per item");
+    let mut timed: Vec<(&mut T, &mut u64)> = items.iter_mut().zip(busy).collect();
+    pool_chunks(&mut timed, threads, |part| time_each(part, |item| f(item)))
+}
+
+/// The chunking and spawning behind [`pool_map`]: `f` gets the whole
+/// of `items` on the calling thread, or each worker's contiguous chunk,
+/// and the chunks' results are concatenated in input order.
+fn pool_chunks<T: Send, R: Send>(
+    items: &mut [T],
+    threads: usize,
+    f: impl Fn(&mut [T]) -> Result<Vec<R>, SimError> + Sync,
+) -> Result<Vec<R>, SimError> {
     if threads <= 1 || items.len() <= 1 {
-        return items.iter_mut().map(f).collect();
+        return f(items);
     }
     let chunk = items.len().div_ceil(threads.min(items.len()));
     std::thread::scope(|scope| {
         let f = &f;
         let handles: Vec<_> = items
             .chunks_mut(chunk)
-            .map(|part| scope.spawn(move || part.iter_mut().map(f).collect::<Result<Vec<R>, _>>()))
+            .map(|part| scope.spawn(move || f(part)))
             .collect();
         let mut out = Vec::new();
         for handle in handles {
@@ -65,25 +95,18 @@ pub(super) fn pool_map<T: Send, R: Send>(
     })
 }
 
-/// Run `f` over every rank through [`pool_map`], in rank order (the
-/// module docs say why that is deterministic).
+/// Run `f` over every rank through [`pool_map_timed`], in rank order
+/// (the module docs say why that is deterministic); `busy` is the
+/// profile's per-rank slots, indexed by global rank.
 pub(super) fn for_each_rank_parallel(
     ranks: &mut [Vec<Rank>],
     threads: usize,
-    busy: &[AtomicU64],
+    busy: Option<&mut [u64]>,
     f: impl Fn(&mut Rank) -> Result<(), SimError> + Sync,
 ) -> Result<(), SimError> {
     let mut flat: Vec<&mut Rank> = ranks.iter_mut().flatten().collect();
-    // Each callback's thread-CPU time goes to the profile accumulator
-    // (indexed by global rank; workers touch disjoint indices, the
-    // atomic is only for the shared borrow).
-    pool_map(&mut flat, threads, |rank| {
-        let t0 = thread_cpu_ns();
-        let out = f(rank);
-        busy[rank.global as usize].fetch_add(thread_cpu_ns().saturating_sub(t0), Relaxed);
-        out
-    })
-    .map(drop)
+    debug_assert!((flat.iter().enumerate()).all(|(i, rank)| rank.global == i as u64));
+    pool_map_timed(&mut flat, busy, threads, |rank| f(rank)).map(drop)
 }
 
 #[cfg(test)]
