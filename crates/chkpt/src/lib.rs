@@ -77,7 +77,7 @@ pub use capi::{
 
 // Re-exports so downstream crates rarely need the substrate crates
 // directly.
-pub use nvm_heap::{Materialization, Versioning};
+pub use nvm_heap::{HeapError, Materialization, Versioning};
 pub use nvm_paging::{genid, ChunkId, Granularity};
 
 // Event-tracing surface: attach a `Tracer` with

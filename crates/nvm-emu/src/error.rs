@@ -27,12 +27,16 @@
 /// `f` names the `fmt::Formatter` binding the `leaf` arms may use
 /// (passed explicitly because macro hygiene would otherwise hide it).
 /// `wrap` variants chain: `source()` returns the wrapped error, so
-/// callers can walk `EngineError -> HeapError -> DeviceError`.
+/// callers can walk `EngineError -> HeapError -> DeviceError`. A
+/// `cause` variant displays and chains the same way but gets no
+/// `From`: it holds a lower-layer error that means something more
+/// particular at this layer, and is built where that is decided.
 #[macro_export]
 macro_rules! error_enum {
     (
         $err:ident, $f:ident {
             $( wrap $wvar:ident($winner:ty) => $wlabel:literal, )*
+            $( cause $cvar:ident($cinner:ty) => $clabel:literal, )*
             $( leaf $lpat:pat => $lexpr:expr, )*
         }
     ) => {
@@ -51,6 +55,7 @@ macro_rules! error_enum {
                 // exhaustiveness where the macro is invoked.
                 match self {
                     $( $err::$wvar(e) => ::std::write!($f, concat!($wlabel, ": {}"), e), )*
+                    $( $err::$cvar(e) => ::std::write!($f, concat!($clabel, ": {}"), e), )*
                     $( $lpat => $lexpr, )*
                 }
             }
@@ -61,6 +66,7 @@ macro_rules! error_enum {
                 #[allow(unreachable_patterns)]
                 match self {
                     $( $err::$wvar(e) => ::std::option::Option::Some(e), )*
+                    $( $err::$cvar(e) => ::std::option::Option::Some(e), )*
                     _ => ::std::option::Option::None,
                 }
             }

@@ -46,7 +46,9 @@ pub use store::{KvCheckpointToken, KvConfig, KvError, KvRecovery, KvStats, KvSto
 mod tests {
     use std::collections::BTreeMap;
 
-    use nvm_chkpt::{CheckpointEngine, EngineConfig, RestartStrategy, Tracer};
+    use nvm_chkpt::{
+        CheckpointEngine, EngineConfig, EngineError, HeapError, RestartStrategy, Tracer,
+    };
     use nvm_emu::{MemSpill, MemoryDevice, VirtualClock};
 
     use crate::layout::{decode_record_header, record_len, RECORD_HEADER_BYTES};
@@ -404,6 +406,31 @@ mod tests {
         assert!(matches!(kv.new_session(), Err(KvError::TooManySessions(4))));
     }
 
+    /// An engine whose container holds what a store under `cfg` takes
+    /// at creation — meta, index, first segment — and nothing more.
+    fn engine_that_fits(cfg: &KvConfig) -> CheckpointEngine {
+        let (mut sizing, _d, _n, _c) = mk_engine();
+        KvStore::create(&mut sizing, cfg.clone()).unwrap();
+        let container = sizing.heap().arena_stats().allocated;
+        let (dram, nvm) = (MemoryDevice::dram(16 * MB), MemoryDevice::pcm(16 * MB));
+        let config = EngineConfig::default();
+        CheckpointEngine::new(0, &dram, &nvm, container, VirtualClock::new(), config).unwrap()
+    }
+
+    /// `err` says the store is full, and chains to the engine's
+    /// out-of-room error.
+    fn assert_full(err: &KvError) {
+        assert!(matches!(err, KvError::Full(_)), "{err:?}");
+        let source = std::error::Error::source(err).expect("a full store has a source");
+        let engine = source
+            .downcast_ref::<EngineError>()
+            .expect("the engine's error");
+        assert!(
+            matches!(engine, EngineError::Heap(HeapError::OutOfNvm { .. })),
+            "{engine:?}"
+        );
+    }
+
     #[test]
     fn a_mutation_that_cannot_get_a_segment_changes_nothing() {
         // An index large enough never to grow here, so the only
@@ -412,15 +439,7 @@ mod tests {
             initial_index_slots: 1024,
             ..small_cfg()
         };
-        // What meta, index and the first segment take of a container;
-        // the engine under test gets a container of exactly that.
-        let (mut sizing, _d, _n, _c) = mk_engine();
-        KvStore::create(&mut sizing, cfg.clone()).unwrap();
-        let container = sizing.heap().arena_stats().allocated;
-        let (dram, nvm) = (MemoryDevice::dram(16 * MB), MemoryDevice::pcm(16 * MB));
-        let config = EngineConfig::default();
-        let mut e =
-            CheckpointEngine::new(0, &dram, &nvm, container, VirtualClock::new(), config).unwrap();
+        let mut e = engine_that_fits(&cfg);
         let mut kv = KvStore::create(&mut e, cfg).unwrap();
         let s = kv.new_session().unwrap();
 
@@ -433,7 +452,7 @@ mod tests {
                 Err(err) => break err,
             }
         };
-        assert!(matches!(full, KvError::Engine(_)), "{full:?}");
+        assert_full(&full);
         assert!(keys.len() > 16, "the segment held {} records", keys.len());
 
         let unchanged = |kv: &KvStore| {
@@ -444,16 +463,47 @@ mod tests {
         unchanged(&kv);
         // A new key through rmw, and a tombstone for an old one.
         let rmw = kv.rmw(&mut e, s, b"another", |_| vec![1]);
-        assert!(matches!(rmw, Err(KvError::Engine(_))), "{rmw:?}");
+        assert_full(&rmw.unwrap_err());
         unchanged(&kv);
         let delete = kv.delete(&mut e, s, keys[3].as_bytes());
-        assert!(matches!(delete, Err(KvError::Engine(_))), "{delete:?}");
+        assert_full(&delete.unwrap_err());
         unchanged(&kv);
         for (i, key) in keys.iter().enumerate() {
             let got = kv.read(&mut e, s, key.as_bytes()).unwrap();
             assert_eq!(got, Some(value(i)), "{key}");
         }
         assert!(kv.read(&mut e, s, b"another").unwrap().is_none());
+    }
+
+    #[test]
+    fn an_upsert_that_cannot_double_the_index_changes_nothing() {
+        // 16 slots double past 12 keys, long before the first segment
+        // fills: the only allocation an upsert can ask for is the
+        // doubled index.
+        let cfg = small_cfg();
+        let mut e = engine_that_fits(&cfg);
+        let mut kv = KvStore::create(&mut e, cfg).unwrap();
+        let s = kv.new_session().unwrap();
+
+        let value = |i: usize| vec![i as u8; 40];
+        let mut keys = Vec::new();
+        let full = loop {
+            let key = format!("key-{:04}", keys.len());
+            match kv.upsert(&mut e, s, key.as_bytes(), &value(keys.len())) {
+                Ok(()) => keys.push(key),
+                Err(err) => break err,
+            }
+        };
+        assert_full(&full);
+        assert_eq!(keys.len(), 12, "3/4 of 16 slots");
+        let stats = kv.stats();
+        assert_eq!(kv.session_serial(s).unwrap(), 12);
+        assert_eq!((stats.occupied_slots, stats.index_slots), (12, 16));
+        assert_eq!(stats.segments, 1);
+        for (i, key) in keys.iter().enumerate() {
+            let got = kv.read(&mut e, s, key.as_bytes()).unwrap();
+            assert_eq!(got, Some(value(i)), "{key}");
+        }
     }
 
     #[test]

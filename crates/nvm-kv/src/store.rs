@@ -23,7 +23,8 @@
 
 use std::collections::BTreeMap;
 
-use nvm_chkpt::{CheckpointEngine, ChunkId, EngineError};
+use nvm_chkpt::{CheckpointEngine, ChunkId, EngineError, HeapError};
+use nvm_emu::DeviceError;
 use nvm_metrics::names;
 use nvm_metrics::{CounterHandle, HistogramHandle, Metrics};
 use nvm_trace::TraceEventKind;
@@ -40,6 +41,10 @@ use crate::layout::{
 pub enum KvError {
     /// The underlying checkpoint engine failed.
     Engine(EngineError),
+    /// The store is full: its container (or a device under it) has no
+    /// room for the next log segment or for the doubled index. The
+    /// engine's error is the `source()`.
+    Full(EngineError),
     /// The configuration was rejected at store creation.
     BadConfig(&'static str),
     /// Key length outside `1..=255` bytes.
@@ -57,6 +62,7 @@ pub enum KvError {
 nvm_emu::error_enum! {
     KvError, f {
         wrap Engine(EngineError) => "engine",
+        cause Full(EngineError) => "kv store full",
         leaf KvError::BadConfig(why) => write!(f, "bad kv config: {why}"),
         leaf KvError::BadKey(len) => write!(f, "key length {len} outside 1..=255"),
         leaf KvError::RecordTooLarge(len) =>
@@ -859,7 +865,9 @@ impl KvStore {
             let off = (self.head % seg_len) as usize;
             while self.segments.len() <= seg {
                 let name = format!("kv_seg_{}", self.segments.len());
-                let id = engine.nvmalloc(&name, seg_len as usize, true)?;
+                let id = engine
+                    .nvmalloc(&name, seg_len as usize, true)
+                    .map_err(full_or_engine)?;
                 self.segments.push(id);
             }
             if seg_len as usize - off >= record.len() {
@@ -885,11 +893,13 @@ impl KvStore {
         engine.read(self.index, 0, &mut old)?;
         let (table, slots) = host_grow(&old, self.index_slots);
         let gen = self.index_gen + 1;
-        let new_index = engine.nvmalloc(
-            &format!("kv_index_g{gen}"),
-            (slots as usize) * INDEX_ENTRY_BYTES,
-            true,
-        )?;
+        let new_index = engine
+            .nvmalloc(
+                &format!("kv_index_g{gen}"),
+                (slots as usize) * INDEX_ENTRY_BYTES,
+                true,
+            )
+            .map_err(full_or_engine)?;
         engine.write(new_index, 0, &table)?;
         engine.nvdelete(self.index)?;
         self.index = new_index;
@@ -897,6 +907,18 @@ impl KvStore {
         self.index_slots = slots;
         self.metrics.splits.add(1);
         Ok(())
+    }
+}
+
+/// An `nvmalloc` error of a growing store: [`KvError::Full`] if it
+/// says there is no room, [`KvError::Engine`] otherwise.
+fn full_or_engine(e: EngineError) -> KvError {
+    match e {
+        EngineError::Heap(
+            HeapError::OutOfNvm { .. } | HeapError::Device(DeviceError::OutOfCapacity { .. }),
+        )
+        | EngineError::Device(DeviceError::OutOfCapacity { .. }) => KvError::Full(e),
+        e => KvError::Engine(e),
     }
 }
 

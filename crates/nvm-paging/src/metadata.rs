@@ -13,6 +13,18 @@
 //! small length header, charging device write + flush costs — metadata
 //! updates are on the checkpoint critical path in the paper and so must
 //! cost time here too.
+//!
+//! The region keeps what its last save encoded: each record's fields
+//! and bytes. The next save encodes only what changed and copies the
+//! pieces straight into the region. A record whose fields all match
+//! costs that copy. One whose shape (`id`, `name`, `len`,
+//! `persistent`, `versions`) matches but whose commit fields
+//! (`committed_slot`, `checksum`, `committed_epoch`) do not re-encodes
+//! just those three. Only a new or reshaped record is encoded whole. So
+//! an `nvmalloc` encodes one record and a steady commit three numbers
+//! per record, and the bytes written — and so the device calls, wear
+//! and virtual time a save costs — are exactly those of encoding the
+//! whole table.
 
 use nvm_emu::{DeviceError, MemoryDevice, RegionId, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -155,68 +167,232 @@ impl ChunkTable for ProcessMetadata {
     }
 }
 
-/// Append `table` to `out` in the region's format: the JSON
-/// `serde_json::to_vec` gives for the derives above, byte for byte,
-/// written straight from the fields. A save is charged by payload
-/// length, so the format is part of the model; `load` parses it through
-/// `serde_json`, and the derive is what the tests hold this against.
-fn encode(table: &impl ChunkTable, out: &mut Vec<u8>) {
-    put(out, "{\"process_id\":", Some(table.process_id()));
-    put(out, ",\"container_region\":", table.container_region());
-    put(
-        out,
-        ",\"container_capacity\":",
-        Some(table.container_capacity() as u64),
-    );
-    out.extend_from_slice(b",\"records\":[");
-    for (i, r) in table.records().enumerate() {
-        put(
-            out,
-            if i == 0 { "{\"id\":" } else { ",{\"id\":" },
-            Some(r.id.0),
-        );
-        out.extend_from_slice(b",\"name\":\"");
-        for &b in r.name.as_bytes() {
-            match b {
-                b'"' => out.extend_from_slice(b"\\\""),
-                b'\\' => out.extend_from_slice(b"\\\\"),
-                b'\n' => out.extend_from_slice(b"\\n"),
-                b'\r' => out.extend_from_slice(b"\\r"),
-                b'\t' => out.extend_from_slice(b"\\t"),
-                0..0x20 => {
-                    let hex = |nibble: u8| b"0123456789abcdef"[usize::from(nibble)];
-                    out.extend_from_slice(&[b'\\', b'u', b'0', b'0', hex(b >> 4), hex(b & 15)]);
-                }
-                _ => out.push(b), // UTF-8 passes through
-            }
-        }
-        put(out, "\",\"len\":", Some(r.len as u64));
-        out.extend_from_slice(if r.persistent {
-            b",\"persistent\":true".as_slice()
-        } else {
-            b",\"persistent\":false"
-        });
-        for (key, slot) in [",\"versions\":[", ","].into_iter().zip(r.versions) {
-            match slot {
-                Some((offset, len)) => {
-                    out.extend_from_slice(key.as_bytes());
-                    put(out, "[", Some(offset));
-                    put(out, ",", Some(len));
-                    out.push(b']');
-                }
-                None => put(out, key, None),
-            }
-        }
-        put(
-            out,
-            "],\"committed_slot\":",
-            r.committed_slot.map(u64::from),
-        );
-        put(out, ",\"checksum\":", r.checksum);
-        put(out, ",\"committed_epoch\":", Some(r.committed_epoch));
-        out.push(b'}');
+/// One record as the last save encoded it: its fields, and its bytes —
+/// the shape (`{` through `versions`), then the commit tail
+/// (`committed_slot`, `checksum`, `committed_epoch`, `}`).
+struct Kept {
+    id: ChunkId,
+    name: String,
+    len: usize,
+    persistent: bool,
+    versions: [Option<(u64, u64)>; 2],
+    tail: Tail,
+    bytes: Vec<u8>,
+    /// Where the shape's bytes end and the tail's begin.
+    shape_len: usize,
+}
+
+/// A record's commit fields: `committed_slot`, `checksum`,
+/// `committed_epoch`.
+type Tail = (Option<u8>, Option<u64>, u64);
+
+fn tail(r: &RecordRef<'_>) -> Tail {
+    (r.committed_slot, r.checksum, r.committed_epoch)
+}
+
+/// Room for a record whose numbers have the widths a chunk table's
+/// usually do, so encoding one seldom grows its buffer.
+const RECORD_ROOM: usize = 192;
+
+impl Kept {
+    /// `r`, encoded whole.
+    fn new(r: &RecordRef<'_>) -> Self {
+        let mut kept = Kept {
+            id: r.id,
+            name: String::new(),
+            len: r.len,
+            persistent: r.persistent,
+            versions: r.versions,
+            tail: tail(r),
+            bytes: Vec::with_capacity(RECORD_ROOM + r.name.len()),
+            shape_len: 0,
+        };
+        kept.encode(r);
+        kept
     }
-    out.extend_from_slice(b"]}");
+
+    /// Whether `r` has this record's shape: every field but the tail.
+    fn same_shape(&self, r: &RecordRef<'_>) -> bool {
+        self.id == r.id
+            && self.len == r.len
+            && self.persistent == r.persistent
+            && self.versions == r.versions
+            && self.name == r.name
+    }
+
+    /// Become `r`, encoded whole into the buffers this record has.
+    fn encode(&mut self, r: &RecordRef<'_>) {
+        #[cfg(test)]
+        WHOLE_RECORDS.with(|c| c.set(c.get() + 1));
+        (self.id, self.len, self.persistent, self.versions) =
+            (r.id, r.len, r.persistent, r.versions);
+        self.name.clear();
+        self.name.push_str(r.name);
+        self.bytes.clear();
+        encode_shape(r, &mut self.bytes);
+        self.shape_len = self.bytes.len();
+        self.tail = tail(r);
+        encode_tail(r, &mut self.bytes);
+    }
+
+    /// Take `r`'s commit fields, re-encoding the tail if they changed.
+    fn commit(&mut self, r: &RecordRef<'_>) {
+        if self.tail != tail(r) {
+            self.tail = tail(r);
+            self.bytes.truncate(self.shape_len);
+            encode_tail(r, &mut self.bytes);
+        }
+    }
+}
+
+/// A chunk table as the last save encoded it, in pieces: the head
+/// (the table's own fields), then each record's bytes. Laid end to end
+/// with a `,` between two records and a closing `]}`, they are the
+/// JSON `serde_json::to_vec` gives for the derives above, byte for
+/// byte.
+#[derive(Default)]
+struct Encoded {
+    /// `process_id`, `container_region`, `container_capacity`.
+    fields: (u64, Option<u64>, usize),
+    /// `{` through `"records":[`; empty before the first save.
+    head: Vec<u8>,
+    records: Vec<Kept>,
+}
+
+impl Encoded {
+    /// Encode `table` in the region's format, written straight from the
+    /// fields. A save is charged by payload length, so the format is
+    /// part of the model; `load` parses it through `serde_json`, and
+    /// the derive is what the tests hold this against.
+    ///
+    /// What the last save encoded is not encoded again. A record with
+    /// the shape of one the last save held keeps that one's bytes, and
+    /// re-encodes its tail only if its commit fields changed. Only a
+    /// record whose shape the last save does not hold — new, resized,
+    /// moved or renamed — is encoded whole. Every field is compared,
+    /// so ids need not be unique. A record is looked for where it sat
+    /// in the last save, or one further on (the record before it was
+    /// dropped): an allocation, a resize or a free changes one record
+    /// of a table that keeps its order. A record found nowhere near is
+    /// encoded whole, which costs time and never changes a byte.
+    fn encode(&mut self, table: &impl ChunkTable) {
+        let fields = (
+            table.process_id(),
+            table.container_region(),
+            table.container_capacity(),
+        );
+        if self.head.is_empty() || fields != self.fields {
+            self.fields = fields;
+            let head = &mut self.head;
+            head.clear();
+            put(head, "{\"process_id\":", Some(fields.0));
+            put(head, ",\"container_region\":", fields.1);
+            put(head, ",\"container_capacity\":", Some(fields.2 as u64));
+            head.extend_from_slice(b",\"records\":[");
+        }
+        // `records[..i]` are this table's; `records[i..]` are what is
+        // left of the last one's.
+        let records = &mut self.records;
+        let mut i = 0;
+        for r in table.records() {
+            match (i..records.len().min(i + 2)).find(|&k| records[k].same_shape(&r)) {
+                Some(k) => {
+                    if k > i {
+                        records.remove(i);
+                    }
+                    records[i].commit(&r);
+                }
+                // A record reshaped in place: its buffers are reused.
+                None if records.get(i).is_some_and(|k| k.id == r.id) => records[i].encode(&r),
+                None => records.insert(i, Kept::new(&r)),
+            }
+            i += 1;
+        }
+        records.truncate(i);
+    }
+
+    /// The encoded table, piece by piece.
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        let records = self.records.iter().enumerate();
+        let records = records.flat_map(|(i, r)| [if i == 0 { &b""[..] } else { b"," }, &r.bytes]);
+        std::iter::once(&self.head[..])
+            .chain(records)
+            .chain(std::iter::once(&b"]}"[..]))
+    }
+
+    /// The encoded table's length in bytes.
+    fn len(&self) -> usize {
+        self.pieces().map(<[u8]>::len).sum()
+    }
+}
+
+/// `{` through the end of `versions`: every field but the commit tail.
+fn encode_shape(r: &RecordRef<'_>, out: &mut Vec<u8>) {
+    put(out, "{\"id\":", Some(r.id.0));
+    out.extend_from_slice(b",\"name\":\"");
+    for &b in r.name.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            0..0x20 => {
+                let hex = |nibble: u8| b"0123456789abcdef"[usize::from(nibble)];
+                out.extend_from_slice(&[b'\\', b'u', b'0', b'0', hex(b >> 4), hex(b & 15)]);
+            }
+            _ => out.push(b), // UTF-8 passes through
+        }
+    }
+    put(out, "\",\"len\":", Some(r.len as u64));
+    out.extend_from_slice(if r.persistent {
+        b",\"persistent\":true".as_slice()
+    } else {
+        b",\"persistent\":false"
+    });
+    for (key, slot) in [",\"versions\":[", ","].into_iter().zip(r.versions) {
+        match slot {
+            Some((offset, len)) => {
+                out.extend_from_slice(key.as_bytes());
+                put(out, "[", Some(offset));
+                put(out, ",", Some(len));
+                out.push(b']');
+            }
+            None => put(out, key, None),
+        }
+    }
+    out.push(b']');
+}
+
+/// The commit tail, through the record's closing `}`.
+fn encode_tail(r: &RecordRef<'_>, out: &mut Vec<u8>) {
+    put(out, ",\"committed_slot\":", r.committed_slot.map(u64::from));
+    put(out, ",\"checksum\":", r.checksum);
+    put(out, ",\"committed_epoch\":", Some(r.committed_epoch));
+    out.push(b'}');
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Records encoded whole on this thread, so tests can assert how
+    /// much of a table a save re-encodes.
+    static WHOLE_RECORDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Records encoded whole on the calling thread so far (tests only).
+#[cfg(test)]
+fn whole_records() -> u64 {
+    WHOLE_RECORDS.with(|c| c.get())
+}
+
+/// `table` encoded from nothing, as a region's first save encodes it.
+#[cfg(test)]
+fn encode(table: &impl ChunkTable, out: &mut Vec<u8>) {
+    let mut encoded = Encoded::default();
+    encoded.encode(table);
+    encoded
+        .pieces()
+        .for_each(|piece| out.extend_from_slice(piece));
 }
 
 /// `key` (with the punctuation before it), then `value` in decimal or
@@ -247,9 +423,12 @@ pub struct MetadataRegion {
     device: MemoryDevice,
     region: RegionId,
     capacity: usize,
-    /// The last saved payload; kept so a save of a table no larger than
-    /// an earlier one asks the allocator for nothing.
-    payload: Vec<u8>,
+    /// The table as the last save encoded it, which the next save
+    /// re-encodes only where it changed. A save writes its pieces
+    /// straight into the region, so one that encodes no new record asks
+    /// the allocator for nothing, unless a record's commit fields
+    /// outgrow the room its buffer has.
+    encoded: Encoded,
 }
 
 impl MetadataRegion {
@@ -265,7 +444,7 @@ impl MetadataRegion {
             device: device.clone(),
             region,
             capacity,
-            payload: Vec::new(),
+            encoded: Encoded::default(),
         })
     }
 
@@ -276,7 +455,7 @@ impl MetadataRegion {
             device: device.clone(),
             region,
             capacity,
-            payload: Vec::new(),
+            encoded: Encoded::default(),
         })
     }
 
@@ -290,9 +469,8 @@ impl MetadataRegion {
     /// Persist `table`, growing the region if needed. Returns the
     /// virtual-time cost (serialize-write + cache flush).
     pub fn save(&mut self, table: &impl ChunkTable) -> Result<SimDuration, DeviceError> {
-        self.payload.clear();
-        encode(table, &mut self.payload);
-        let needed = HEADER + self.payload.len();
+        self.encoded.encode(table);
+        let needed = HEADER + self.encoded.len();
         if needed > self.capacity {
             // Grow: allocate a fresh, larger region. It replaces the old
             // one, which is freed, only once it is written (crash
@@ -321,13 +499,18 @@ impl MetadataRegion {
     /// whole; one that overwrites in place does so only if the device's
     /// backing write either fully happens or not at all.
     fn write_payload(&self, region: RegionId) -> Result<SimDuration, DeviceError> {
-        let payload = &self.payload;
-        let len = HEADER + payload.len();
+        let payload = self.encoded.len();
+        let len = HEADER + payload;
         let mut cost = self.device.write_synthetic(region, 0, HEADER, 1)?;
-        cost += (self.device).write_synthetic(region, HEADER, payload.len(), 1)?;
+        cost += (self.device).write_synthetic(region, HEADER, payload, 1)?;
         self.device.view_mut(region, 0, len, |dst| {
-            dst[..HEADER].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-            dst[HEADER..].copy_from_slice(payload);
+            let (header, mut rest) = dst.split_at_mut(HEADER);
+            header.copy_from_slice(&(payload as u64).to_le_bytes());
+            for piece in self.encoded.pieces() {
+                let (to, after) = rest.split_at_mut(piece.len());
+                to.copy_from_slice(piece);
+                rest = after;
+            }
         })?;
         cost += self.device.flush(region, len)?;
         Ok(cost)
@@ -559,6 +742,139 @@ mod tests {
         })
     }
 
+    /// One change a chunk table makes between two saves.
+    #[derive(Clone, Debug)]
+    enum Edit {
+        /// Every record commits: its slot flips, its checksum and epoch
+        /// move.
+        Commit,
+        /// The record at the index (mod len) is freed.
+        Drop(usize),
+        /// The record is allocated at the index (mod len + 1).
+        Add(usize, ChunkRecord),
+        /// One shape field of the record at the index — by the `u8`, its
+        /// name, len, persistence or versions, taken from this record,
+        /// or its id, taken from another record of the table — changes.
+        Reshape(usize, u8, ChunkRecord),
+        /// The table's order is reversed.
+        Reverse,
+        /// The record at the index is repeated beside itself, its epoch
+        /// moved: one id twice.
+        Repeat(usize),
+        /// Nothing changes.
+        Same,
+    }
+
+    fn edit() -> impl Strategy<Value = Edit> {
+        let edit = (0u8..7, any::<usize>(), 0u8..5, record());
+        edit.prop_map(|(kind, at, field, r)| match kind {
+            0 => Edit::Commit,
+            1 => Edit::Drop(at),
+            2 => Edit::Add(at, r),
+            3 => Edit::Reshape(at, field, r),
+            4 => Edit::Reverse,
+            5 => Edit::Repeat(at),
+            _ => Edit::Same,
+        })
+    }
+
+    fn apply(meta: &mut ProcessMetadata, edit: &Edit) {
+        let records = &mut meta.records;
+        let n = records.len();
+        match edit.clone() {
+            Edit::Commit => {
+                for r in records {
+                    r.committed_slot = Some(r.committed_slot.map_or(0, |s| s ^ 1));
+                    r.checksum = r.checksum.map(|c| c.wrapping_mul(31) ^ 7);
+                    r.committed_epoch = r.committed_epoch.wrapping_add(1);
+                }
+            }
+            Edit::Drop(at) if n > 0 => drop(records.remove(at % n)),
+            Edit::Add(at, r) => records.insert(at % (n + 1), r),
+            Edit::Reshape(at, field, r) if n > 0 => {
+                let other = records[r.id.0 as usize % n].id;
+                let old = &mut records[at % n];
+                match field {
+                    0 => old.name = r.name,
+                    1 => old.len = r.len,
+                    2 => old.persistent = !old.persistent,
+                    3 => old.versions = r.versions,
+                    _ => old.id = other,
+                }
+            }
+            Edit::Reverse => records.reverse(),
+            Edit::Repeat(at) if n > 0 => {
+                let mut copy = records[at % n].clone();
+                copy.committed_epoch = copy.committed_epoch.wrapping_add(1);
+                records.insert(at % n + 1, copy);
+            }
+            _ => {}
+        }
+    }
+
+    /// A table as the heap keeps it: one record per chunk, in id order,
+    /// each committed once.
+    fn heap_table(chunks: u64) -> ProcessMetadata {
+        let mut meta = ProcessMetadata::new(3);
+        meta.container_region = Some(1);
+        meta.container_capacity = 1 << 30;
+        meta.records = (0..chunks).map(|i| heap_record(10 * i)).collect();
+        meta
+    }
+
+    fn heap_record(id: u64) -> ChunkRecord {
+        ChunkRecord {
+            id: ChunkId(id),
+            name: format!("field_{id}"),
+            len: 50 << 20,
+            persistent: true,
+            versions: [Some((id << 27, 50 << 20)), Some(((id << 27) + 1, 50 << 20))],
+            committed_slot: Some(0),
+            checksum: None,
+            committed_epoch: 1,
+        }
+    }
+
+    /// A warm region encodes whole only what it has not saved before:
+    /// nothing on a steady commit, the one record an allocation or a
+    /// growing resize makes.
+    #[test]
+    fn a_save_encodes_whole_only_a_new_or_reshaped_record() {
+        let dev = MemoryDevice::pcm(4 << 20);
+        let mut region = MetadataRegion::create(&dev).unwrap();
+        let mut whole_in = |meta: &ProcessMetadata| {
+            let before = whole_records();
+            region.save(meta).unwrap();
+            assert_eq!(&region.load().unwrap().0, meta);
+            whole_records() - before
+        };
+        let commit = |meta: &mut ProcessMetadata| apply(meta, &Edit::Commit);
+
+        let mut meta = heap_table(7);
+        assert_eq!(whole_in(&meta), 7, "a cold region encodes every record");
+        for _ in 0..3 {
+            commit(&mut meta);
+            assert_eq!(whole_in(&meta), 0, "a steady nvchkptall");
+        }
+        assert_eq!(whole_in(&meta), 0, "the same table again");
+
+        meta.records.insert(3, heap_record(25));
+        assert_eq!(whole_in(&meta), 1, "an nvmalloc");
+        commit(&mut meta);
+        assert_eq!(whole_in(&meta), 0, "its first nvchkptall");
+
+        let grown = &mut meta.records[5];
+        grown.len *= 2;
+        grown.versions = [Some((9 << 30, grown.len as u64)), None];
+        grown.committed_slot = None;
+        assert_eq!(whole_in(&meta), 1, "a growing nvrealloc");
+        commit(&mut meta);
+        assert_eq!(whole_in(&meta), 0, "its first nvchkptall");
+
+        meta.records.remove(2);
+        assert_eq!(whole_in(&meta), 0, "an nvfree");
+    }
+
     proptest! {
         /// The one encoder in the product writes what the `serde`
         /// derive would, and what it writes loads back.
@@ -578,6 +894,34 @@ mod tests {
             dev.read(region.region(), HEADER, &mut stored, 1).unwrap();
             prop_assert_eq!(&stored, &derived, "the region holds the derive's bytes");
             prop_assert_eq!(region.load().unwrap().0, meta);
+        }
+
+        /// A region that keeps its last save still writes, save after
+        /// save, the derive's bytes for whatever the table became, and
+        /// what it writes loads back.
+        #[test]
+        fn a_warm_region_writes_the_derive_and_round_trips(
+            first in table(),
+            edits in proptest::collection::vec(edit(), 1..16),
+        ) {
+            let dev = MemoryDevice::pcm(4 << 20);
+            let mut region = MetadataRegion::create(&dev).unwrap();
+            let mut meta = first;
+            for edit in std::iter::once(&Edit::Same).chain(&edits) {
+                apply(&mut meta, edit);
+                region.save(&meta).unwrap();
+                let derived = serde_json::to_vec(&meta).unwrap();
+                let mut stored = vec![0u8; HEADER + derived.len()];
+                dev.read(region.region(), 0, &mut stored, 1).unwrap();
+                prop_assert_eq!(&stored[..HEADER], &(derived.len() as u64).to_le_bytes());
+                prop_assert_eq!(
+                    std::str::from_utf8(&stored[HEADER..]),
+                    std::str::from_utf8(&derived),
+                    "after {:?}",
+                    edit
+                );
+                prop_assert_eq!(&region.load().unwrap().0, &meta);
+            }
         }
     }
 }

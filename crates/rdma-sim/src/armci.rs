@@ -19,7 +19,8 @@
 use nvm_chkpt::checksum::crc64;
 use nvm_emu::{DeviceError, MemoryDevice, RegionId, SimDuration};
 use nvm_paging::ChunkId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// Key of a remote entry: source rank + chunk.
 pub type RemoteKey = (u64, ChunkId);
@@ -91,10 +92,16 @@ nvm_emu::error_enum! {
     }
 }
 
+/// Every key of `rank`.
+fn of_rank(rank: u64) -> RangeInclusive<RemoteKey> {
+    (rank, ChunkId(0))..=(rank, ChunkId(u64::MAX))
+}
+
 /// A buddy node's NVM-backed checkpoint store.
 pub struct RemoteStore {
     nvm: MemoryDevice,
-    entries: HashMap<RemoteKey, RemoteEntry>,
+    /// Ordered by rank, then chunk: a rank's entries are one range.
+    entries: BTreeMap<RemoteKey, RemoteEntry>,
     materialized: bool,
 }
 
@@ -104,7 +111,7 @@ impl RemoteStore {
     pub fn new(nvm: &MemoryDevice, materialized: bool) -> Self {
         RemoteStore {
             nvm: nvm.clone(),
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
             materialized,
         }
     }
@@ -198,13 +205,11 @@ impl RemoteStore {
     /// checkpoint completion barrier.
     pub fn commit_rank(&mut self, rank: u64, epoch: u64) -> usize {
         let mut committed = 0;
-        for (key, entry) in self.entries.iter_mut() {
-            if key.0 == rank {
-                if let Some(slot) = entry.staged.take() {
-                    entry.committed = Some(slot);
-                    entry.epoch = epoch;
-                    committed += 1;
-                }
+        for (_, entry) in self.entries.range_mut(of_rank(rank)) {
+            if let Some(slot) = entry.staged.take() {
+                entry.committed = Some(slot);
+                entry.epoch = epoch;
+                committed += 1;
             }
         }
         committed
@@ -268,14 +273,10 @@ impl RemoteStore {
     /// Chunk ids of `rank` holding a committed version, sorted — the
     /// enumeration a recovery walks to rebuild the rank.
     pub fn committed_chunks(&self, rank: u64) -> Vec<ChunkId> {
-        let mut ids: Vec<ChunkId> = self
-            .entries
-            .iter()
-            .filter(|((r, _), e)| *r == rank && e.committed.is_some())
+        (self.entries.range(of_rank(rank)))
+            .filter(|(_, e)| e.committed.is_some())
             .map(|((_, c), _)| *c)
-            .collect();
-        ids.sort();
-        ids
+            .collect()
     }
 
     /// Overwrite a committed slot's bytes *without* updating its

@@ -194,11 +194,11 @@ fn fill_key(buf: &mut [u8; KEY_BYTES], id: u64) {
 }
 
 /// Map kv-layer errors onto the engine error the [`Workload`] trait
-/// reports. Engine failures pass through; anything else is a bug in
-/// the workload itself.
+/// reports. Engine failures pass through, a full store's among them;
+/// anything else is a bug in the workload itself.
 fn engine_err(e: KvError) -> EngineError {
     match e {
-        KvError::Engine(e) => e,
+        KvError::Engine(e) | KvError::Full(e) => e,
         other => panic!("kv serving workload misuse: {other}"),
     }
 }
