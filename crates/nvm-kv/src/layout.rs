@@ -1,20 +1,21 @@
 //! On-chunk byte layout for the kv store.
 //!
-//! Three chunk families hold the entire durable state, all real-byte
-//! materialized so recovery is bit-verifiable:
+//! Three chunk families, all real-byte materialized. Two of them are
+//! persistent and hold the entire durable state, so recovery is
+//! bit-verifiable; the third is a cache of them:
 //!
 //! * **`kv_meta`** — one small chunk carrying the last published
 //!   checkpoint token: token id, committed log prefix length, index
 //!   sizing hint, and per-session serial watermarks.
-//! * **`kv_index_g{n}`** — one open-addressed hash table of 16-byte
-//!   entries `(key_hash, record_offset + 1)`; generation `n` bumps on
-//!   every growth/rehash so old and new tables coexist briefly. The
-//!   index is a cache: recovery never trusts it and rebuilds from the
-//!   log, so a stale or half-written table is harmless.
 //! * **`kv_seg_{i}`** — fixed-size record-log segments. Records are
 //!   append-only, 8-byte aligned, and never span a segment boundary;
 //!   a [`SEGMENT_END_MARKER`] (or an all-zero tail too short for a
 //!   header) says "continue at the next segment".
+//! * **`kv_index`** — one open-addressed hash table of 16-byte entries
+//!   `(key_hash, record_offset + 1)`, grown in place (doubled and
+//!   rehashed) past 3/4 load. It is not persistent: no checkpoint
+//!   copies it, no restart carries it over, and every recovery
+//!   rebuilds it from the log.
 //!
 //! All integers are little-endian.
 

@@ -1,13 +1,15 @@
 //! # nvm-kv — a key-value serving layer over the NVM checkpoint engine
 //!
 //! A concurrent-by-session key-value store whose persistence *is* the
-//! chunk/commit machinery from `nvm-chkpt`: the hash index and the
-//! append-only record log live in `nvmalloc`'d chunks (real-byte
-//! materialized), so pre-copy policies (CPC/DCPC/DCPCP) drain dirty
-//! kv pages in the background, `nvchkptall` commits them with the
-//! shadow/version-flip protocol, and the whole recovery ladder —
-//! local container, remote buddy, checksum verification — applies to
-//! serving state unchanged.
+//! chunk/commit machinery from `nvm-chkpt`: the append-only record log
+//! and the token block live in persistent `nvmalloc`'d chunks
+//! (real-byte materialized), so pre-copy policies (CPC/DCPC/DCPCP)
+//! drain dirty kv pages in the background, `nvchkptall` commits them
+//! with the shadow/version-flip protocol, and the whole recovery
+//! ladder — local container, remote buddy, checksum verification —
+//! applies to serving state unchanged. The hash index is a
+//! non-persistent chunk: nothing checkpoints it, and recovery rebuilds
+//! it from the log.
 //!
 //! Checkpoints are non-blocking in the FASTER-CPR style:
 //! [`KvStore::checkpoint`] publishes a [`KvCheckpointToken`] that
@@ -45,11 +47,13 @@ pub use store::{KvCheckpointToken, KvConfig, KvError, KvRecovery, KvStats, KvSto
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
+    use std::sync::{Arc, Mutex};
 
     use nvm_chkpt::{
         CheckpointEngine, EngineConfig, EngineError, HeapError, RestartStrategy, Tracer,
     };
-    use nvm_emu::{MemSpill, MemoryDevice, VirtualClock};
+    use nvm_emu::{DeviceError, MemSpill, MemoryDevice, VirtualClock};
+    use nvm_store::{Container, MemMedia};
 
     use crate::layout::{decode_record_header, record_len, RECORD_HEADER_BYTES};
     use crate::{KvConfig, KvError, KvStore};
@@ -302,10 +306,11 @@ mod tests {
         assert_eq!((spill_recovery, spill_clock), (recovery, clock));
     }
 
-    #[test]
-    fn a_corrupt_log_fails_recovery_before_it_changes_the_engine() {
-        let dram = MemoryDevice::dram(256 * MB);
-        let (mut e, durable) = restarted_after_history(&dram);
+    /// Run a recovery on `e` (working copies on `dram`) that must fail,
+    /// and check it changed nothing: no chunk added or deleted, nothing
+    /// written, no chunk table saved, and the clock moved by the reads
+    /// alone. Returns the error.
+    fn failed_recovery_changes_nothing(e: &mut CheckpointEngine, dram: &MemoryDevice) -> KvError {
         let nvm = e.heap().nvm().clone();
         let chunks = |e: &CheckpointEngine| -> Vec<_> {
             (e.heap().chunks())
@@ -316,8 +321,33 @@ mod tests {
             let (d, n) = (dram.stats(), nvm.stats());
             (d.bytes_written, n.bytes_written, n.write_ops)
         };
-        let before = chunks(&e);
-        let seg0 = before.iter().find(|c| c.1 == "kv_seg_0").unwrap().0;
+        let (before, t0, writes) = (chunks(e), e.clock().now(), written());
+        let err = KvStore::recover(e, small_cfg())
+            .err()
+            .expect("recovery fails");
+        assert_eq!(chunks(e), before, "no chunk deleted or added");
+        assert_eq!(written(), writes, "nothing written, no chunk table saved");
+        // The clock moved by the reads alone: the meta block and every
+        // segment, read again here.
+        let spent = e.clock().now().since(t0);
+        let t1 = e.clock().now();
+        for (id, name, len) in &before {
+            if name == "kv_meta" || name.starts_with("kv_seg_") {
+                e.read(*id, 0, &mut vec![0u8; *len]).unwrap();
+            }
+        }
+        assert_eq!(e.clock().now().since(t1), spent);
+        err
+    }
+
+    #[test]
+    fn a_corrupt_log_fails_recovery_before_it_changes_the_engine() {
+        let dram = MemoryDevice::dram(256 * MB);
+        let (mut e, durable) = restarted_after_history(&dram);
+        let seg0 = (e.heap().chunks())
+            .find(|c| c.name == "kv_seg_0")
+            .unwrap()
+            .id;
         // Two corruptions of the first record's lengths, inside the
         // token prefix: a value length its total disagrees with, and
         // two lengths that agree but run past the segment's end.
@@ -331,27 +361,44 @@ mod tests {
         past_segment[4..].copy_from_slice(&5000u32.to_le_bytes());
         for lengths in [disagreeing, past_segment] {
             e.write(seg0, 0, &lengths).unwrap();
-            let (t0, writes) = (e.clock().now(), written());
-            let err = KvStore::recover(&mut e, small_cfg()).err();
-            assert!(matches!(err, Some(KvError::Corrupt(_))), "{err:?}");
-            assert_eq!(chunks(&e), before, "no index generation deleted or added");
-            assert_eq!(written(), writes, "nothing written, no chunk table saved");
-            // The clock moved by the reads alone: the meta block and
-            // every segment, read again here.
-            let spent = e.clock().now().since(t0);
-            let t1 = e.clock().now();
-            for (id, name, len) in &before {
-                if name == "kv_meta" || name.starts_with("kv_seg_") {
-                    e.read(*id, 0, &mut vec![0u8; *len]).unwrap();
-                }
-            }
-            assert_eq!(e.clock().now().since(t1), spent);
+            let err = failed_recovery_changes_nothing(&mut e, &dram);
+            assert!(matches!(err, KvError::Corrupt(_)), "{err:?}");
         }
 
         // Repaired, the same engine recovers.
         e.write(seg0, 0, &header[..8]).unwrap();
         let (mut kv, recovery) = KvStore::recover(&mut e, small_cfg()).unwrap();
         assert!(recovery.replayed > 0);
+        assert_eq!(kv.contents(&mut e).unwrap(), durable);
+    }
+
+    #[test]
+    fn a_recovery_that_cannot_allocate_its_index_changes_nothing() {
+        let dram = MemoryDevice::dram(256 * MB);
+        let (mut e, durable) = restarted_after_history(&dram);
+
+        // The rebuilt index does not fit in DRAM. The log has a stale
+        // tail past the token, which a recovery zeroes only once its
+        // index is allocated.
+        let filler = dram.alloc(dram.available()).unwrap();
+        let err = failed_recovery_changes_nothing(&mut e, &dram);
+        assert_full(&err);
+        dram.free(filler).unwrap();
+
+        let (mut kv, recovery) = KvStore::recover(&mut e, small_cfg()).unwrap();
+        assert!(recovery.dropped >= 30, "{recovery:?}");
+        assert_eq!(kv.contents(&mut e).unwrap(), durable);
+
+        // Recovered again without a restart, the engine still holds
+        // the live index: a typed error, and the store keeps serving.
+        let err = failed_recovery_changes_nothing(&mut e, &dram);
+        assert!(
+            matches!(
+                err,
+                KvError::Engine(EngineError::Heap(HeapError::AlreadyExists(_)))
+            ),
+            "{err:?}"
+        );
         assert_eq!(kv.contents(&mut e).unwrap(), durable);
     }
 
@@ -407,18 +454,20 @@ mod tests {
     }
 
     /// An engine whose container holds what a store under `cfg` takes
-    /// at creation — meta, index, first segment — and nothing more.
-    fn engine_that_fits(cfg: &KvConfig) -> CheckpointEngine {
-        let (mut sizing, _d, _n, _c) = mk_engine();
+    /// at creation — meta, first segment — and nothing more; with
+    /// `tight_dram`, so does its DRAM, which also holds the index.
+    fn engine_that_fits(cfg: &KvConfig, tight_dram: bool) -> CheckpointEngine {
+        let (mut sizing, dram, _n, _c) = mk_engine();
         KvStore::create(&mut sizing, cfg.clone()).unwrap();
         let container = sizing.heap().arena_stats().allocated;
-        let (dram, nvm) = (MemoryDevice::dram(16 * MB), MemoryDevice::pcm(16 * MB));
+        let dram_bytes = if tight_dram { dram.used() } else { 16 * MB };
+        let (dram, nvm) = (MemoryDevice::dram(dram_bytes), MemoryDevice::pcm(16 * MB));
         let config = EngineConfig::default();
         CheckpointEngine::new(0, &dram, &nvm, container, VirtualClock::new(), config).unwrap()
     }
 
     /// `err` says the store is full, and chains to the engine's
-    /// out-of-room error.
+    /// out-of-room error: no container space, or no DRAM.
     fn assert_full(err: &KvError) {
         assert!(matches!(err, KvError::Full(_)), "{err:?}");
         let source = std::error::Error::source(err).expect("a full store has a source");
@@ -426,7 +475,13 @@ mod tests {
             .downcast_ref::<EngineError>()
             .expect("the engine's error");
         assert!(
-            matches!(engine, EngineError::Heap(HeapError::OutOfNvm { .. })),
+            matches!(
+                engine,
+                EngineError::Heap(
+                    HeapError::OutOfNvm { .. }
+                        | HeapError::Device(DeviceError::OutOfCapacity { .. })
+                )
+            ),
             "{engine:?}"
         );
     }
@@ -439,7 +494,7 @@ mod tests {
             initial_index_slots: 1024,
             ..small_cfg()
         };
-        let mut e = engine_that_fits(&cfg);
+        let mut e = engine_that_fits(&cfg, false);
         let mut kv = KvStore::create(&mut e, cfg).unwrap();
         let s = kv.new_session().unwrap();
 
@@ -479,9 +534,10 @@ mod tests {
     fn an_upsert_that_cannot_double_the_index_changes_nothing() {
         // 16 slots double past 12 keys, long before the first segment
         // fills: the only allocation an upsert can ask for is the
-        // doubled index.
+        // doubled index, which lives in DRAM alone, and the DRAM holds
+        // what creation took and nothing more.
         let cfg = small_cfg();
-        let mut e = engine_that_fits(&cfg);
+        let mut e = engine_that_fits(&cfg, true);
         let mut kv = KvStore::create(&mut e, cfg).unwrap();
         let s = kv.new_session().unwrap();
 
@@ -508,10 +564,14 @@ mod tests {
 
     #[test]
     fn serving_state_survives_engine_commits_bit_for_bit() {
-        // The kv chunks ride the engine's shadow/version-flip commit:
-        // committed bytes must equal the working copy after each
-        // nvchkptall.
+        // The persistent kv chunks ride the engine's
+        // shadow/version-flip commit: committed bytes must equal the
+        // working copy after each nvchkptall.
         let (mut e, _d, _n, _c) = mk_engine();
+        let media = Arc::new(Mutex::new(MemMedia::new()));
+        e.set_persistence(Box::new(
+            Container::open(media.clone(), 0, 64 * MB).unwrap(),
+        ));
         let mut kv = KvStore::create(&mut e, small_cfg()).unwrap();
         let s = kv.new_session().unwrap();
         for i in 0..40u32 {
@@ -520,13 +580,44 @@ mod tests {
         }
         kv.checkpoint(&mut e).unwrap();
         e.nvchkptall().unwrap();
+        let durable = kv.contents(&mut e).unwrap();
 
-        let ids: Vec<_> = e.heap().chunks().map(|c| (c.id, c.len)).collect();
+        let ids: Vec<_> = e.chunks().map(|c| (c.id, c.len)).collect();
         for (id, len) in ids {
             let committed = e.committed_bytes(id).unwrap();
             let mut working = vec![0u8; len];
             e.read(id, 0, &mut working).unwrap();
             assert_eq!(committed, working);
         }
+
+        // The index is not among them: a restart from the store finds
+        // the meta chunk and the log, and recovery rebuilds the index.
+        drop((kv, e));
+        let (dram, nvm) = (MemoryDevice::dram(256 * MB), MemoryDevice::pcm(256 * MB));
+        let (mut e, _) = CheckpointEngine::restart_from_store(
+            &dram,
+            &nvm,
+            128 * MB,
+            VirtualClock::new(),
+            EngineConfig::default(),
+            RestartStrategy::Eager,
+            Box::new(Container::open(media, 0, 64 * MB).unwrap()),
+            Tracer::disabled(),
+        )
+        .unwrap();
+        let names: Vec<_> = e.heap().chunks().map(|c| c.name.clone()).collect();
+        assert!(
+            !names.iter().any(|n| n.starts_with("kv_index")),
+            "{names:?}"
+        );
+        let segments = names.iter().filter(|n| n.starts_with("kv_seg_")).count();
+        let meta = crate::layout::meta_bytes(small_cfg().max_sessions);
+        assert_eq!(
+            e.heap().checkpoint_bytes(),
+            meta + segments * small_cfg().segment_bytes as usize
+        );
+        let (mut kv, recovery) = KvStore::recover(&mut e, small_cfg()).unwrap();
+        assert_eq!(recovery.replayed, 40);
+        assert_eq!(kv.contents(&mut e).unwrap(), durable);
     }
 }

@@ -1,13 +1,15 @@
 //! The kv store proper: sessions, point operations, CPR-style
 //! checkpoint tokens, and recovery to a token.
 //!
-//! Every byte of durable state lives in engine chunks (see
-//! [`crate::layout`]), so the existing machinery applies unchanged:
-//! pre-copy policies drain dirty index/log pages in the background,
-//! `nvchkptall` commits them with the engine's shadow/version-flip
-//! protocol, nvm-store makes the commit crash-consistent, and the
-//! recovery ladder (local container → remote buddy → rebuild)
-//! restores them bit-for-bit.
+//! Every byte of durable state lives in persistent engine chunks
+//! (see [`crate::layout`]), so the existing machinery applies
+//! unchanged: pre-copy policies drain dirty meta/log pages in the
+//! background, `nvchkptall` commits them with the engine's
+//! shadow/version-flip protocol, nvm-store makes the commit
+//! crash-consistent, and the recovery ladder (local container →
+//! remote buddy → rebuild) restores them bit-for-bit. The hash index
+//! is not durable state: it lives in a non-persistent chunk that no
+//! checkpoint copies, and every recovery rebuilds it from the log.
 //!
 //! # CPR tokens
 //!
@@ -42,8 +44,8 @@ pub enum KvError {
     /// The underlying checkpoint engine failed.
     Engine(EngineError),
     /// The store is full: its container (or a device under it) has no
-    /// room for the next log segment or for the doubled index. The
-    /// engine's error is the `source()`.
+    /// room for the next log segment, the doubled index, or the index
+    /// a recovery rebuilds. The engine's error is the `source()`.
     Full(EngineError),
     /// The configuration was rejected at store creation.
     BadConfig(&'static str),
@@ -229,7 +231,6 @@ pub struct KvStore {
     cfg: KvConfig,
     meta: ChunkId,
     index: ChunkId,
-    index_gen: u64,
     index_slots: u64,
     occupied: u64,
     segments: Vec<ChunkId>,
@@ -246,23 +247,19 @@ pub struct KvStore {
 }
 
 impl KvStore {
-    /// Create a fresh store: allocates the meta chunk, generation-0
-    /// index, and the first log segment.
+    /// Create a fresh store: allocates the meta chunk, the
+    /// (non-persistent) index, and the first log segment.
     pub fn create(engine: &mut CheckpointEngine, cfg: KvConfig) -> Result<KvStore, KvError> {
         cfg.validate()?;
         let meta = engine.nvmalloc("kv_meta", meta_bytes(cfg.max_sessions), true)?;
-        let index = engine.nvmalloc(
-            "kv_index_g0",
-            (cfg.initial_index_slots as usize) * INDEX_ENTRY_BYTES,
-            true,
-        )?;
+        let index_bytes = (cfg.initial_index_slots as usize) * INDEX_ENTRY_BYTES;
+        let index = engine.nvmalloc("kv_index", index_bytes, false)?;
         let seg0 = engine.nvmalloc("kv_seg_0", cfg.segment_bytes as usize, true)?;
         Ok(KvStore {
             index_slots: cfg.initial_index_slots,
             cfg,
             meta,
             index,
-            index_gen: 0,
             occupied: 0,
             segments: vec![seg0],
             head: 0,
@@ -497,18 +494,23 @@ impl KvStore {
         })
     }
 
-    /// Rebuild a store from a recovered engine (after
-    /// `restart_from_store`/`restart_from_images`): read the last
-    /// committed token's meta block, replay the committed log prefix
-    /// through the per-session watermarks into a fresh index, and
-    /// drop acknowledged-after-token records.
+    /// Rebuild a store from a restarted engine (after
+    /// `restart`/`restart_from_store`/`restart_from_images`): read the
+    /// last committed token's meta block, replay the committed log
+    /// prefix through the per-session watermarks into a fresh index,
+    /// and drop acknowledged-after-token records.
+    ///
+    /// A restart carries no index over (it is not persistent), so
+    /// recovery allocates one; an engine that still holds a live
+    /// `kv_index` — one never restarted since its store was created or
+    /// recovered — fails with [`KvError::Engine`].
     ///
     /// The log is replayed where the engine's working copies hold it
     /// ([`CheckpointEngine::view_chunks`]), and nothing is changed in
-    /// the engine until the replay has succeeded: a
-    /// [`KvError::Corrupt`] log leaves every chunk, the old index
-    /// generations included, as it was, and the clock moved by the
-    /// reads alone.
+    /// the engine until the replay has succeeded and the index is
+    /// allocated: a [`KvError::Corrupt`] log, or an index that does
+    /// not fit ([`KvError::Full`]), leaves every chunk as it was, and
+    /// the clock moved by the reads alone.
     pub fn recover(
         engine: &mut CheckpointEngine,
         cfg: KvConfig,
@@ -518,17 +520,12 @@ impl KvStore {
         // Inventory the recovered kv chunks by name.
         let mut meta_id = None;
         let mut seg_ids: Vec<(u64, ChunkId, usize)> = Vec::new();
-        let mut index_gens: Vec<(u64, ChunkId)> = Vec::new();
         for chunk in engine.heap().chunks() {
             if chunk.name == "kv_meta" {
                 meta_id = Some((chunk.id, chunk.len));
             } else if let Some(i) = chunk.name.strip_prefix("kv_seg_") {
                 if let Ok(i) = i.parse::<u64>() {
                     seg_ids.push((i, chunk.id, chunk.len));
-                }
-            } else if let Some(g) = chunk.name.strip_prefix("kv_index_g") {
-                if let Ok(g) = g.parse::<u64>() {
-                    index_gens.push((g, chunk.id));
                 }
             }
         }
@@ -595,35 +592,26 @@ impl KvStore {
         let whole = |&id: &ChunkId| (id, 0, cfg.segment_bytes as usize);
         let ranges: Vec<_> = segments.iter().map(whole).collect();
         let replay = engine.view_chunks(&ranges, |segs| Replay::run(segs, &meta, &cfg))??;
-
-        // The index is a cache: discard every recovered generation for
-        // the one rebuilt above.
-        index_gens.sort_by_key(|&(g, _)| g);
-        let next_gen = index_gens.last().map_or(0, |&(g, _)| g + 1);
-        for &(_, id) in &index_gens {
-            engine.nvdelete(id)?;
-        }
-
-        // Zero the log tail past the token prefix so the next run's
-        // appends land on a canonical, bit-verifiable log.
-        for &(seg, at, len) in &replay.stale {
-            engine.write(segments[seg], at, &vec![0u8; len])?;
-        }
-
-        // Materialise the rebuilt index as a fresh generation.
         let Replay {
             table,
             slots,
             occupied,
             replayed,
             dropped,
-            ..
+            stale,
         } = replay;
-        let index = engine.nvmalloc(
-            &format!("kv_index_g{next_gen}"),
-            (slots as usize) * INDEX_ENTRY_BYTES,
-            true,
-        )?;
+
+        // Allocate the index before the first write, so that an index
+        // that does not fit changes nothing.
+        let index = engine
+            .nvmalloc("kv_index", table.len(), false)
+            .map_err(full_or_engine)?;
+
+        // Zero the log tail past the token prefix so the next run's
+        // appends land on a canonical, bit-verifiable log.
+        for (seg, at, len) in stale {
+            engine.write(segments[seg], at, &vec![0u8; len])?;
+        }
         engine.write(index, 0, &table)?;
 
         let mut store = KvStore {
@@ -631,7 +619,6 @@ impl KvStore {
             cfg,
             meta: meta_id,
             index,
-            index_gen: next_gen,
             occupied,
             segments,
             head: meta.log_len,
@@ -892,26 +879,19 @@ impl KvStore {
         let mut old = vec![0u8; (self.index_slots as usize) * INDEX_ENTRY_BYTES];
         engine.read(self.index, 0, &mut old)?;
         let (table, slots) = host_grow(&old, self.index_slots);
-        let gen = self.index_gen + 1;
-        let new_index = engine
-            .nvmalloc(
-                &format!("kv_index_g{gen}"),
-                (slots as usize) * INDEX_ENTRY_BYTES,
-                true,
-            )
+        engine
+            .nvrealloc(self.index, table.len())
             .map_err(full_or_engine)?;
-        engine.write(new_index, 0, &table)?;
-        engine.nvdelete(self.index)?;
-        self.index = new_index;
-        self.index_gen = gen;
+        engine.write(self.index, 0, &table)?;
         self.index_slots = slots;
         self.metrics.splits.add(1);
         Ok(())
     }
 }
 
-/// An `nvmalloc` error of a growing store: [`KvError::Full`] if it
-/// says there is no room, [`KvError::Engine`] otherwise.
+/// An allocation error of a growing or recovering store:
+/// [`KvError::Full`] if it says there is no room, [`KvError::Engine`]
+/// otherwise.
 fn full_or_engine(e: EngineError) -> KvError {
     match e {
         EngineError::Heap(
