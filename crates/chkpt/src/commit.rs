@@ -30,7 +30,7 @@ use nvm_emu::{
     pages_for, DeviceError, MemoryDevice, RegionId, SimDuration, SimTime, VirtualClock, PAGE_SIZE,
 };
 use nvm_heap::{HeapError, Materialization, NvmHeap};
-use nvm_metrics::{names, Metrics};
+use nvm_metrics::{names, MetricsRegistry};
 use nvm_paging::metadata::MetadataError;
 use nvm_paging::{ChunkId, MetadataRegion, Mmu};
 use nvm_trace::{TraceEventKind, Tracer};
@@ -81,10 +81,11 @@ pub struct CommitCore {
     /// This process's event record; disabled (one branch per emission
     /// site) by default.
     pub(crate) tracer: Tracer,
-    /// Handle for the latency distributions, which have no stats
-    /// twin; disabled (one branch per sample) by default. Counters are
-    /// not recorded here: they are [`EngineStats::publish`]ed.
-    metrics: Metrics,
+    /// This process's registry for the latency distributions, which
+    /// have no stats twin; `None` (one branch per sample) by default.
+    /// Counters are not recorded here: they are
+    /// [`EngineStats::publish`]ed.
+    pub(crate) metrics: Option<MetricsRegistry>,
 }
 
 impl CommitCore {
@@ -169,12 +170,8 @@ impl CommitCore {
             track_dirty: config.precopy.enabled(),
             stats: EngineStats::default(),
             tracer: Tracer::disabled(),
-            metrics: Metrics::disabled(),
+            metrics: None,
         }
-    }
-
-    pub(crate) fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
     }
 
     pub(crate) fn set_persistence(&mut self, store: Box<dyn Persistence>) {
@@ -312,8 +309,9 @@ impl CommitCore {
             total += out.cost;
             if out.faults > 0 {
                 self.trace(TraceEventKind::ProtectionFault { chunk: id.0 });
-                self.metrics
-                    .observe(names::CHKPT_FAULT_NS, out.cost.as_nanos());
+                if let Some(m) = &mut self.metrics {
+                    m.observe(names::CHKPT_FAULT_NS, out.cost.as_nanos());
+                }
             }
             if self.staged.remove(&id).is_some() {
                 // A staged chunk was modified again: the earlier copy
@@ -512,10 +510,12 @@ impl CommitCore {
             });
             self.stats.checkpoints += 1;
             self.stats.coordinated_time += done.coordinated_time;
-            self.metrics.observe(
-                names::CHKPT_COORDINATED_NS,
-                done.coordinated_time.as_nanos(),
-            );
+            if let Some(m) = &mut self.metrics {
+                m.observe(
+                    names::CHKPT_COORDINATED_NS,
+                    done.coordinated_time.as_nanos(),
+                );
+            }
             self.epoch += 1;
         }
         Ok(done)
@@ -857,9 +857,9 @@ impl CommitCore {
         &self.tracer
     }
 
-    /// The attached metrics handle (disabled by default).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// This process's metrics registry (`None` by default).
+    pub fn metrics(&self) -> Option<&MetricsRegistry> {
+        self.metrics.as_ref()
     }
 
     /// Cumulative statistics.

@@ -19,7 +19,7 @@ use crate::restart::RestartStrategy;
 use crate::stats::{EngineStats, EpochReport};
 use nvm_emu::{DeviceError, MemoryDevice, RegionId, SimDuration, VirtualClock};
 use nvm_heap::HeapError;
-use nvm_metrics::Metrics;
+use nvm_metrics::MetricsRegistry;
 use nvm_paging::metadata::MetadataError;
 use nvm_paging::ChunkId;
 use nvm_trace::{TraceEventKind, Tracer};
@@ -173,12 +173,18 @@ impl CheckpointEngine {
         &mut self.core.tracer
     }
 
-    /// Attach a [`Metrics`] handle for the fault and coordinated-step
-    /// latency distributions (event totals are not recorded into it:
-    /// [`EngineStats::publish`] turns [`CommitCore::stats`] into
-    /// counters). Pass [`Metrics::disabled`] to detach.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.core.set_metrics(metrics);
+    /// Attach a [`MetricsRegistry`]: the fault and coordinated-step
+    /// latency distributions are recorded into it (event totals are
+    /// not: [`EngineStats::publish`] turns [`CommitCore::stats`] into
+    /// counters). Pass `None` to detach.
+    pub fn set_metrics(&mut self, metrics: Option<MetricsRegistry>) {
+        self.core.metrics = metrics;
+    }
+
+    /// This engine's metrics registry, for callers that record on the
+    /// engine's behalf (the kv layer) or take its registry.
+    pub fn metrics_mut(&mut self) -> &mut Option<MetricsRegistry> {
+        &mut self.core.metrics
     }
 
     /// Attach a durable [`Persistence`] backend. Every subsequent
@@ -1086,7 +1092,7 @@ mod tests {
 
     #[test]
     fn disabled_metrics_change_nothing() {
-        let run = |metrics: Metrics| {
+        let run = |metrics: Option<MetricsRegistry>| {
             let cfg = EngineConfig::default().with_precopy(PrecopyPolicy::Cpc);
             let (mut e, _, _, clock) = setup(cfg);
             e.set_metrics(metrics);
@@ -1097,16 +1103,15 @@ mod tests {
                 e.write(id, 0, &[i + 8; 64 * 1024]).unwrap(); // fault + waste
                 e.nvchkptall().unwrap();
             }
-            (clock.now().as_nanos(), e.stats())
+            (clock.now().as_nanos(), e.stats(), e.metrics_mut().take())
         };
-        let m = Metrics::new();
-        let (t, s) = run(m.clone());
-        assert_eq!(run(Metrics::disabled()), (t, s));
+        let (t, s, m) = run(Some(MetricsRegistry::new()));
+        assert_eq!(run(None), (t, s, None));
 
         // Live recording is the latency distributions only — one
         // sample per coordinated step and per faulting write (one
         // fault each at chunk granularity); totals are published.
-        let snap = m.registry().snapshot();
+        let snap = m.unwrap().snapshot();
         assert!(snap.counters.is_empty(), "{:?}", snap.counters);
         let coord = snap.histogram(names::CHKPT_COORDINATED_NS).unwrap();
         assert_eq!(coord.count, s.checkpoints);
@@ -1115,6 +1120,25 @@ mod tests {
         assert!(s.faults > 0);
         assert_eq!(fault.count, s.faults);
         assert_eq!(fault.sum, s.fault_time.as_nanos());
+    }
+
+    #[test]
+    fn a_taken_registry_leaves_the_engine_unmetered() {
+        let cfg = EngineConfig::default().with_precopy(PrecopyPolicy::Cpc);
+        let (mut e, _, _, _) = setup(cfg);
+        let id = e.nvmalloc("x", 64 * 1024, true).unwrap();
+        e.set_metrics(Some(MetricsRegistry::new()));
+        e.nvchkptall().unwrap();
+        // Taken the way a recovery moves it into a rebuilt engine.
+        let taken = e.metrics_mut().take().unwrap();
+        assert!(e.metrics().is_none());
+        e.write(id, 0, &[1; 64 * 1024]).unwrap(); // faults
+        e.nvchkptall().unwrap();
+        assert!(e.metrics().is_none());
+        let coord = taken.snapshot();
+        let coord = coord.histogram(names::CHKPT_COORDINATED_NS).unwrap();
+        assert_eq!(coord.count, 1);
+        assert_eq!(e.stats().checkpoints, 2);
     }
 
     #[test]

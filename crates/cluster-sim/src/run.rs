@@ -51,7 +51,7 @@ use crate::schedule::ScheduleTrace;
 use crate::store::RankRecovery;
 use nvm_chkpt::{EngineError, EngineStats};
 use nvm_emu::SimDuration;
-use nvm_metrics::{Metrics, MetricsReport};
+use nvm_metrics::MetricsReport;
 use nvm_obs::FlightDump;
 use nvm_store::{PersistError, StoreStats};
 use nvm_trace::TraceEvent;
@@ -278,16 +278,6 @@ impl RunOptions {
         self.profile = profile;
         self
     }
-
-    /// A fresh registry when metrics are collected, else the disabled
-    /// handle.
-    fn new_metrics(&self) -> Metrics {
-        if self.metrics {
-            Metrics::new()
-        } else {
-            Metrics::disabled()
-        }
-    }
 }
 
 /// Where the run's device bytes actually lived: accounting for the
@@ -408,7 +398,7 @@ mod tests {
     use crate::schedule::Activity;
     use nvm_chkpt::{CheckpointEngine, Materialization, PrecopyPolicy};
     use nvm_emu::SimTime;
-    use nvm_metrics::names;
+    use nvm_metrics::{names, MergeStats};
     use nvm_trace::TraceEventKind;
 
     const MB: usize = 1 << 20;
@@ -687,6 +677,19 @@ mod tests {
         let d = &r.metrics.as_ref().unwrap().derived;
         assert!(d.precopy_fraction > 0.0 && d.precopy_fraction <= 1.0);
         assert!(d.effective_nvm_bandwidth_bytes_per_s > 0.0);
+    }
+
+    #[test]
+    fn each_helpers_registry_folds_into_the_report() {
+        let mut cfg = small_config();
+        cfg.remote = Some(RemoteConfig::infiniband(SimDuration::from_secs(10), true));
+        let r = run_opts(cfg, RunOptions::new().with_metrics(true));
+        let snap = &r.metrics.as_ref().unwrap().snapshot;
+        let sizes = snap.histogram(names::HELPER_TRANSFER_BYTES).unwrap();
+        let helpers = HelperStats::merged(&r.helper_stats);
+        assert!(r.helper_stats.iter().filter(|h| h.copy_ops > 0).count() > 1);
+        assert_eq!(sizes.count, helpers.copy_ops);
+        assert_eq!(sizes.sum, helpers.bytes_copied);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::recovery::RecoveryRecord;
 use crate::schedule::{Activity, ScheduleTrace};
 use nvm_chkpt::{CheckpointEngine, EngineError, EngineStats, Materialization};
 use nvm_emu::{BandwidthModel, MemoryDevice, SimTime, TempDir, VirtualClock};
-use nvm_metrics::{names, MergeStats, Metrics, MetricsRegistry, MetricsReport};
+use nvm_metrics::{names, MergeStats, MetricsRegistry, MetricsReport};
 use nvm_store::{FileSpill, FileStore, PersistError, StoreStats};
 use nvm_trace::{TraceEvent, TraceEventKind, Tracer};
 use rdma_sim::{HelperProcess, Link, RemoteStore};
@@ -26,14 +26,13 @@ use std::path::{Path, PathBuf};
 pub(super) struct Rank {
     pub(super) global: u64,
     pub(super) clock: VirtualClock,
-    /// This rank's engine. Its tracer is the rank's event record: only
-    /// the one thread holding `&mut Rank` writes it, so parallel ranks
-    /// never contend on (or reorder) a shared stream.
+    /// This rank's engine. Its tracer and its metrics registry are the
+    /// rank's records: only the one thread holding `&mut Rank` writes
+    /// them, so parallel ranks never contend on (or reorder) shared
+    /// state. The registry is `None` unless [`RunOptions::metrics`],
+    /// and is merged in rank order at the end.
     pub(super) engine: CheckpointEngine,
     pub(super) workload: Box<dyn Workload>,
-    /// Private metrics registry (disabled unless
-    /// [`RunOptions::metrics`]); merged in rank order at the end.
-    pub(super) metrics: Metrics,
 }
 
 impl Rank {
@@ -46,6 +45,13 @@ impl Rank {
         } else {
             Tracer::disabled()
         }
+    }
+
+    /// An empty registry for an engine that will replace this rank's:
+    /// present exactly when the current engine's is. [`Rank::install`]
+    /// folds it into the current engine's registry.
+    pub(super) fn fresh_metrics(&self) -> Option<MetricsRegistry> {
+        self.engine.metrics().map(|_| MetricsRegistry::new())
     }
 
     /// Mirror the engine's commits into this rank's durable container
@@ -62,29 +68,37 @@ impl Rank {
         Ok(())
     }
 
-    /// Add the current engine's totals, and its store's, to `reg`.
-    fn publish(&self, reg: &mut MetricsRegistry) {
-        self.engine.stats().publish(reg);
-        if let Some(store) = self.engine.persistence_stats() {
-            store.publish(reg);
-        }
-    }
-
     /// Replace this rank's engine with a rebuilt one. The outgoing
-    /// engine's totals go into the rank's registry first, so the run's
-    /// counters stay cumulative while [`RunResult::engine_stats`]
-    /// describes the surviving engines. Its events stay the rank's
-    /// too: the rebuilt engine's record (what its restart emitted)
-    /// continues the outgoing one, in emission order.
+    /// engine's totals go into its registry, and the registry moves
+    /// into the rebuilt engine, so the run's counters stay cumulative
+    /// while [`RunResult::engine_stats`] describes the surviving
+    /// engines; what the rebuilt engine recorded before it was
+    /// installed (a revived rank's setup) is folded in. Its events
+    /// stay the rank's too: the rebuilt engine's record (what its
+    /// restart emitted) continues the outgoing one, in emission order.
     pub(super) fn install(&mut self, engine: CheckpointEngine) {
-        self.metrics.update(|reg| self.publish(reg));
         let mut outgoing = std::mem::replace(&mut self.engine, engine);
+        let mut registry = outgoing.metrics_mut().take();
+        if let Some(reg) = &mut registry {
+            publish(&outgoing, reg);
+            if let Some(setup) = self.engine.metrics() {
+                reg.merge_from(setup);
+            }
+        }
+        self.engine.set_metrics(registry);
         let mut record = std::mem::take(outgoing.tracer_mut());
         for event in self.engine.tracer_mut().take() {
             record.emit(event.t_ns, event.kind);
         }
         self.engine.set_tracer(record);
-        self.engine.set_metrics(self.metrics.clone());
+    }
+}
+
+/// Add `engine`'s totals, and its store's, to `reg`.
+fn publish(engine: &CheckpointEngine, reg: &mut MetricsRegistry) {
+    engine.stats().publish(reg);
+    if let Some(store) = engine.persistence_stats() {
+        store.publish(reg);
     }
 }
 
@@ -104,8 +118,8 @@ pub(super) fn rank_store_path(dir: &Path, global: u64) -> PathBuf {
 
 /// An engine made from nothing: empty on `node`'s devices, then the
 /// workload's `setup` allocates its chunks. `tracer` and `metrics`
-/// see the setup — disabled for a run's first start, the rank's own
-/// when the restore ladder bottoms out and a revived rank starts over.
+/// see the setup — disabled for a run's first start, fresh ones when
+/// the restore ladder bottoms out and a revived rank starts over.
 pub(super) fn fresh_engine(
     config: &ClusterConfig,
     node: &NodeDevices,
@@ -113,7 +127,7 @@ pub(super) fn fresh_engine(
     clock: &VirtualClock,
     workload: &mut dyn Workload,
     tracer: Tracer,
-    metrics: Metrics,
+    metrics: Option<MetricsRegistry>,
 ) -> Result<CheckpointEngine, SimError> {
     let mut engine = CheckpointEngine::new(
         global,
@@ -237,11 +251,10 @@ pub(super) struct ClusterSim {
     pub(super) stores: Vec<RemoteStore>, // stores[i] holds node i's data (on buddy NVM)
     /// Barrier synchronisations executed (coordinator-side counter).
     barriers: u64,
-    /// Coordinator-side metrics (comm stalls, helper transfer sizes,
-    /// barrier count, link peaks). The helpers record into it from the
-    /// workers that ship their nodes; every update commutes, so the
-    /// report does not depend on which worker got there first.
-    pub(super) coord_metrics: Metrics,
+    /// Coordinator-side metrics (comm stalls, recovery fallbacks,
+    /// barrier count, link peaks); `None` unless
+    /// [`RunOptions::metrics`]. Only the coordinator writes it.
+    pub(super) coord_metrics: Option<MetricsRegistry>,
     /// Owns the per-device spill files for the lifetime of the run;
     /// `None` when the run is synthetic or spill is disabled.
     spill_dir: Option<TempDir>,
@@ -271,7 +284,7 @@ impl ClusterSim {
             None
         };
 
-        let coord_metrics = options.new_metrics();
+        let coord_metrics = options.metrics.then(MetricsRegistry::new);
         let helper_params = config.remote.map(|r| r.helper).unwrap_or_default();
         let mut nodes = Vec::new();
         for n in 0..config.nodes {
@@ -290,7 +303,7 @@ impl ClusterSim {
                 ));
             }
             let mut helper = HelperProcess::with_params(helper_params);
-            helper.set_metrics(coord_metrics.clone());
+            helper.set_metrics(options.metrics.then(MetricsRegistry::new));
             nodes.push(NodeDevices {
                 link: Link::new(config.link_bandwidth()),
                 helper,
@@ -319,19 +332,17 @@ impl ClusterSim {
                     &clock,
                     workload.as_mut(),
                     Tracer::disabled(),
-                    Metrics::disabled(),
+                    None,
                 )?;
                 if options.trace {
                     engine.set_tracer(Tracer::new(global));
                 }
-                let metrics = options.new_metrics();
-                engine.set_metrics(metrics.clone());
+                engine.set_metrics(options.metrics.then(MetricsRegistry::new));
                 let mut rank = Rank {
                     global,
                     clock,
                     engine,
                     workload,
-                    metrics,
                 };
                 if let Some(dir) = &options.store_dir {
                     rank.attach_store(dir, config.container_bytes)?;
@@ -559,20 +570,17 @@ impl ClusterSim {
             None => Vec::new(),
         };
 
-        self.coord_metrics
-            .counter_add(names::CLUSTER_BARRIERS_TOTAL, self.barriers);
-        for n in &self.nodes {
-            self.coord_metrics.gauge_max(
-                names::LINK_PEAK_BYTES_PER_S,
-                n.link.trace().peak_bytes() as i64,
-            );
-        }
-        let metrics = options.metrics.then(|| {
-            let mut reg = MetricsRegistry::new();
+        let metrics = self.coord_metrics.take().map(|mut reg| {
+            reg.counter_add(names::CLUSTER_BARRIERS_TOTAL, self.barriers);
+            for n in &self.nodes {
+                reg.gauge_max(
+                    names::LINK_PEAK_BYTES_PER_S,
+                    n.link.trace().peak_bytes() as i64,
+                );
+            }
             for partial in shards.iter().filter_map(|s| s.registry.as_ref()) {
                 reg.merge_from(partial);
             }
-            self.coord_metrics.merge_into(&mut reg);
             for record in &st.recovery {
                 record.publish(&mut reg);
             }
@@ -665,10 +673,15 @@ fn merge_shard(
     let registry = options.metrics.then(|| {
         let mut reg = MetricsRegistry::new();
         for r in ranks() {
-            r.metrics.merge_into(&mut reg);
-            r.publish(&mut reg);
+            if let Some(own) = r.engine.metrics() {
+                reg.merge_from(own);
+            }
+            publish(&r.engine, &mut reg);
         }
         for n in shard_nodes {
+            if let Some(own) = n.helper.metrics() {
+                reg.merge_from(own);
+            }
             n.helper.stats().publish(&mut reg);
             for dev in n.devices() {
                 dev.stats().publish(dev.kind(), &mut reg);

@@ -325,7 +325,7 @@ impl ClusterSim {
         let node = record.node;
         record.source = RecoverySource::Virgin;
         record.duration += rebuild(&mut self.ranks[node], t0, |_, rank| {
-            let (tracer, metrics) = (rank.fresh_tracer(), rank.metrics.clone());
+            let (tracer, metrics) = (rank.fresh_tracer(), rank.fresh_metrics());
             fresh_engine(
                 &self.config,
                 &self.nodes[node],
@@ -354,8 +354,9 @@ impl ClusterSim {
             let _ = std::fs::remove_file(rank_store_path(dir, rank.global));
             rank.attach_store(dir, self.config.container_bytes)?;
         }
-        self.coord_metrics
-            .counter_add(names::RECOVERY_FALLBACK_REMOTE_TOTAL, 1);
+        if let Some(m) = &mut self.coord_metrics {
+            m.counter_add(names::RECOVERY_FALLBACK_REMOTE_TOTAL, 1);
+        }
         Ok(())
     }
 

@@ -74,8 +74,9 @@ impl ClusterSim {
                 }
             }
             rank.clock.advance(delay);
-            self.coord_metrics
-                .observe(names::CLUSTER_COMM_STALL_NS, delay.as_nanos());
+            if let Some(m) = &mut self.coord_metrics {
+                m.observe(names::CLUSTER_COMM_STALL_NS, delay.as_nanos());
+            }
             if rank.global == 0 {
                 schedule.record(
                     Activity::Blocked,

@@ -53,6 +53,7 @@ mod tests {
         CheckpointEngine, EngineConfig, EngineError, HeapError, RestartStrategy, Tracer,
     };
     use nvm_emu::{DeviceError, MemSpill, MemoryDevice, VirtualClock};
+    use nvm_metrics::{names, MetricsRegistry};
     use nvm_store::{Container, MemMedia};
 
     use crate::layout::{decode_record_header, record_len, RECORD_HEADER_BYTES};
@@ -233,6 +234,88 @@ mod tests {
         assert_eq!(recovery.replayed, 0);
         assert_eq!(recovery.dropped, 1);
         assert!(kv2.contents(&mut e2).unwrap().is_empty());
+    }
+
+    /// One known mix on `kv`: 2 upserts, 2 reads (1 miss), 1 rmw,
+    /// 1 delete of a live key and 1 token, values filled with `tag`.
+    /// Returns the log bytes it appended.
+    fn metered_mix(kv: &mut KvStore, e: &mut CheckpointEngine, tag: u8) -> u64 {
+        let s = kv.resume_session(0).unwrap();
+        kv.upsert(e, s, b"a", &[tag; 8]).unwrap();
+        kv.upsert(e, s, b"b", &[tag; 8]).unwrap();
+        assert!(kv.read(e, s, b"a").unwrap().is_some());
+        assert!(kv.read(e, s, b"zz").unwrap().is_none());
+        assert!(kv.rmw(e, s, b"a", |_| vec![tag; 4]).unwrap());
+        assert!(kv.delete(e, s, b"b").unwrap());
+        kv.checkpoint(e).unwrap();
+        (2 * record_len(1, 8) + record_len(1, 4) + record_len(1, 0)) as u64
+    }
+
+    /// Check that `reg` holds exactly one [`metered_mix`] that
+    /// appended `appended` log bytes.
+    fn assert_one_mix(reg: &MetricsRegistry, appended: u64) {
+        let snap = reg.snapshot();
+        let want: BTreeMap<String, u64> = [
+            (names::KV_UPSERTS_TOTAL, 2),
+            (names::KV_READS_TOTAL, 2),
+            (names::KV_READ_MISSES_TOTAL, 1),
+            (names::KV_RMWS_TOTAL, 1),
+            (names::KV_DELETES_TOTAL, 1),
+            (names::KV_CHECKPOINT_TOKENS_TOTAL, 1),
+            (names::KV_LOG_APPENDED_BYTES_TOTAL, appended),
+        ]
+        .map(|(name, v)| (name.to_string(), v))
+        .into();
+        assert_eq!(snap.counters, want);
+        assert_eq!(snap.histogram(names::KV_OP_NS).unwrap().count, 6);
+        assert_eq!(
+            snap.histogram(names::KV_CHECKPOINT_TOKEN_NS).unwrap().count,
+            1
+        );
+    }
+
+    #[test]
+    fn kv_counts_land_in_the_engines_current_registry() {
+        let (mut e, dram, nvm, clock) = mk_engine();
+        // Created on an unmetered engine, then metered, as a cluster
+        // rank's setup runs before the coordinator attaches a registry.
+        let mut kv = KvStore::create(&mut e, small_cfg()).unwrap();
+        kv.new_session().unwrap();
+        metered_mix(&mut kv, &mut e, 1);
+        e.set_metrics(Some(MetricsRegistry::new()));
+        let appended = metered_mix(&mut kv, &mut e, 2);
+        let first = e.metrics_mut().replace(MetricsRegistry::new()).unwrap();
+        assert_one_mix(&first, appended);
+
+        // A swapped-in registry gets exactly what follows the swap.
+        let appended = metered_mix(&mut kv, &mut e, 3);
+        assert_one_mix(e.metrics().unwrap(), appended);
+        e.nvchkptall().unwrap();
+
+        // A recovery on a metered, restarted engine records its replay.
+        let region = e.metadata_region();
+        drop(e);
+        let (mut e2, _report) = CheckpointEngine::restart(
+            &dram,
+            &nvm,
+            region,
+            clock,
+            EngineConfig::default(),
+            RestartStrategy::Eager,
+            Tracer::disabled(),
+        )
+        .unwrap();
+        e2.set_metrics(Some(MetricsRegistry::new()));
+        let (_kv2, recovery) = KvStore::recover(&mut e2, small_cfg()).unwrap();
+        // Four log records per mix: 2 upserts, the rmw, the tombstone.
+        assert_eq!(recovery.replayed, 3 * 4);
+        let snap = e2.metrics().unwrap().snapshot();
+        assert_eq!(
+            snap.counter(names::KV_RECOVERY_REPLAYED_TOTAL),
+            recovery.replayed
+        );
+        assert_eq!(snap.counter(names::KV_RECOVERY_DROPPED_TOTAL), 0);
+        assert_eq!(snap.counters.len(), 2, "{:?}", snap.counters);
     }
 
     /// An engine on `dram`, restarted from its NVM device after a

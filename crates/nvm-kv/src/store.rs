@@ -28,7 +28,6 @@ use std::collections::BTreeMap;
 use nvm_chkpt::{CheckpointEngine, ChunkId, EngineError, HeapError};
 use nvm_emu::DeviceError;
 use nvm_metrics::names;
-use nvm_metrics::{CounterHandle, HistogramHandle, Metrics};
 use nvm_trace::TraceEventKind;
 
 use crate::layout::{
@@ -170,47 +169,6 @@ pub struct KvStats {
     pub segments: u64,
 }
 
-/// Pre-resolved metric handles; re-resolved lazily because a cluster
-/// workload's `setup` runs before the coordinator attaches `Metrics`
-/// to the engine.
-#[derive(Default)]
-struct KvMetricHandles {
-    live: bool,
-    upserts: CounterHandle,
-    reads: CounterHandle,
-    rmws: CounterHandle,
-    deletes: CounterHandle,
-    misses: CounterHandle,
-    log_bytes: CounterHandle,
-    splits: CounterHandle,
-    tokens: CounterHandle,
-    replayed: CounterHandle,
-    dropped: CounterHandle,
-    op_ns: HistogramHandle,
-    token_ns: HistogramHandle,
-}
-
-impl KvMetricHandles {
-    fn ensure(&mut self, m: &Metrics) {
-        if m.enabled() == self.live {
-            return;
-        }
-        self.live = m.enabled();
-        self.upserts = m.counter_handle(names::KV_UPSERTS_TOTAL);
-        self.reads = m.counter_handle(names::KV_READS_TOTAL);
-        self.rmws = m.counter_handle(names::KV_RMWS_TOTAL);
-        self.deletes = m.counter_handle(names::KV_DELETES_TOTAL);
-        self.misses = m.counter_handle(names::KV_READ_MISSES_TOTAL);
-        self.log_bytes = m.counter_handle(names::KV_LOG_APPENDED_BYTES_TOTAL);
-        self.splits = m.counter_handle(names::KV_INDEX_SPLITS_TOTAL);
-        self.tokens = m.counter_handle(names::KV_CHECKPOINT_TOKENS_TOTAL);
-        self.replayed = m.counter_handle(names::KV_RECOVERY_REPLAYED_TOTAL);
-        self.dropped = m.counter_handle(names::KV_RECOVERY_DROPPED_TOTAL);
-        self.op_ns = m.histogram_handle(names::KV_OP_NS);
-        self.token_ns = m.histogram_handle(names::KV_CHECKPOINT_TOKEN_NS);
-    }
-}
-
 /// Outcome of probing the hash index for a key.
 enum Probe {
     /// The key has an index entry (possibly pointing at a tombstone).
@@ -243,7 +201,6 @@ pub struct KvStore {
     /// The record last appended, kept for its capacity: in steady
     /// state a mutation encodes its record without allocating.
     record: Vec<u8>,
-    metrics: KvMetricHandles,
 }
 
 impl KvStore {
@@ -266,7 +223,6 @@ impl KvStore {
             token: 0,
             serials: Vec::new(),
             record: Vec::new(),
-            metrics: KvMetricHandles::default(),
         })
     }
 
@@ -324,7 +280,6 @@ impl KvStore {
         if need as u64 > self.cfg.segment_bytes {
             return Err(KvError::RecordTooLarge(need));
         }
-        self.metrics.ensure(engine.metrics());
         let t0 = engine.clock().now().as_nanos();
 
         self.maybe_grow(engine)?;
@@ -334,9 +289,7 @@ impl KvStore {
         let slot = self.claim(probe);
         self.write_entry(engine, slot, hash, offset)?;
 
-        self.metrics.upserts.add(1);
-        let t1 = engine.clock().now().as_nanos();
-        self.metrics.op_ns.observe(t1 - t0);
+        count_op(engine, names::KV_UPSERTS_TOTAL, t0);
         self.trace_op(engine, "upsert", session, serial, true);
         Ok(())
     }
@@ -350,7 +303,6 @@ impl KvStore {
     ) -> Result<Option<Vec<u8>>, KvError> {
         self.check_key(key)?;
         self.check_session(session)?;
-        self.metrics.ensure(engine.metrics());
         let t0 = engine.clock().now().as_nanos();
 
         let hash = hash64(key);
@@ -361,12 +313,12 @@ impl KvStore {
             _ => None,
         };
 
-        self.metrics.reads.add(1);
         if value.is_none() {
-            self.metrics.misses.add(1);
+            if let Some(m) = engine.metrics_mut() {
+                m.counter_add(names::KV_READ_MISSES_TOTAL, 1);
+            }
         }
-        let t1 = engine.clock().now().as_nanos();
-        self.metrics.op_ns.observe(t1 - t0);
+        count_op(engine, names::KV_READS_TOTAL, t0);
         let serial = self.serials[session.0 as usize];
         self.trace_op(engine, "read", session, serial, value.is_some());
         Ok(value)
@@ -384,7 +336,6 @@ impl KvStore {
     ) -> Result<bool, KvError> {
         self.check_key(key)?;
         self.check_session(session)?;
-        self.metrics.ensure(engine.metrics());
         let t0 = engine.clock().now().as_nanos();
 
         self.maybe_grow(engine)?;
@@ -406,9 +357,7 @@ impl KvStore {
         let slot = self.claim(probe);
         self.write_entry(engine, slot, hash, offset)?;
 
-        self.metrics.rmws.add(1);
-        let t1 = engine.clock().now().as_nanos();
-        self.metrics.op_ns.observe(t1 - t0);
+        count_op(engine, names::KV_RMWS_TOTAL, t0);
         self.trace_op(engine, "rmw", session, serial, existed);
         Ok(existed)
     }
@@ -423,7 +372,6 @@ impl KvStore {
     ) -> Result<bool, KvError> {
         self.check_key(key)?;
         self.check_session(session)?;
-        self.metrics.ensure(engine.metrics());
         let t0 = engine.clock().now().as_nanos();
 
         let hash = hash64(key);
@@ -436,9 +384,7 @@ impl KvStore {
             _ => false,
         };
 
-        self.metrics.deletes.add(1);
-        let t1 = engine.clock().now().as_nanos();
-        self.metrics.op_ns.observe(t1 - t0);
+        count_op(engine, names::KV_DELETES_TOTAL, t0);
         let serial = self.serials[session.0 as usize];
         self.trace_op(engine, "delete", session, serial, existed);
         Ok(existed)
@@ -460,7 +406,6 @@ impl KvStore {
         &mut self,
         engine: &mut CheckpointEngine,
     ) -> Result<KvCheckpointToken, KvError> {
-        self.metrics.ensure(engine.metrics());
         let t0 = engine.clock().now().as_nanos();
         let token = self.token + 1;
         engine
@@ -486,8 +431,10 @@ impl KvStore {
                 sessions: self.serials.len() as u64,
             },
         );
-        self.metrics.tokens.add(1);
-        self.metrics.token_ns.observe(t1 - t0);
+        if let Some(m) = engine.metrics_mut() {
+            m.counter_add(names::KV_CHECKPOINT_TOKENS_TOTAL, 1);
+            m.observe(names::KV_CHECKPOINT_TOKEN_NS, t1 - t0);
+        }
         Ok(KvCheckpointToken {
             token,
             log_bytes: self.head,
@@ -533,8 +480,7 @@ impl KvStore {
         // No meta chunk: the store never survived a commit — start
         // fresh (still a valid recovery outcome: token 0, empty).
         let Some((meta_id, meta_len)) = meta_id else {
-            let mut store = KvStore::create(engine, cfg)?;
-            store.metrics.ensure(engine.metrics());
+            let store = KvStore::create(engine, cfg)?;
             let recovery = KvRecovery {
                 token: 0,
                 log_bytes: 0,
@@ -614,7 +560,7 @@ impl KvStore {
         }
         engine.write(index, 0, &table)?;
 
-        let mut store = KvStore {
+        let store = KvStore {
             index_slots: slots,
             cfg,
             meta: meta_id,
@@ -625,11 +571,11 @@ impl KvStore {
             token: meta.token,
             serials: meta.serials,
             record: Vec::new(),
-            metrics: KvMetricHandles::default(),
         };
-        store.metrics.ensure(engine.metrics());
-        store.metrics.replayed.add(replayed);
-        store.metrics.dropped.add(dropped);
+        if let Some(m) = engine.metrics_mut() {
+            m.counter_add(names::KV_RECOVERY_REPLAYED_TOTAL, replayed);
+            m.counter_add(names::KV_RECOVERY_DROPPED_TOTAL, dropped);
+        }
         let t = engine.clock().now().as_nanos();
         engine.tracer_mut().emit(
             t,
@@ -862,7 +808,9 @@ impl KvStore {
                 let offset = self.head;
                 self.head += record.len() as u64;
                 self.serials[session.0 as usize] = serial;
-                self.metrics.log_bytes.add(record.len() as u64);
+                if let Some(m) = engine.metrics_mut() {
+                    m.counter_add(names::KV_LOG_APPENDED_BYTES_TOTAL, record.len() as u64);
+                }
                 return Ok((offset, serial));
             }
             if seg_len as usize - off >= 4 {
@@ -884,8 +832,20 @@ impl KvStore {
             .map_err(full_or_engine)?;
         engine.write(self.index, 0, &table)?;
         self.index_slots = slots;
-        self.metrics.splits.add(1);
+        if let Some(m) = engine.metrics_mut() {
+            m.counter_add(names::KV_INDEX_SPLITS_TOTAL, 1);
+        }
         Ok(())
+    }
+}
+
+/// Count one point operation that began at `t0` into the engine's
+/// registry: its `total` counter and its latency in `kv_op_ns`.
+fn count_op(engine: &mut CheckpointEngine, total: &'static str, t0: u64) {
+    let t1 = engine.clock().now().as_nanos();
+    if let Some(m) = engine.metrics_mut() {
+        m.counter_add(total, 1);
+        m.observe(names::KV_OP_NS, t1 - t0);
     }
 }
 

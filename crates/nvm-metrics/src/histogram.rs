@@ -65,18 +65,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Reassemble a histogram from raw accumulator state (used when
-    /// draining the atomic-cell histograms behind pre-resolved
-    /// handles).
-    pub(crate) fn from_parts(buckets: [u64; BUCKET_COUNT], count: u64, sum: u64, max: u64) -> Self {
-        Histogram {
-            buckets,
-            count,
-            sum,
-            max,
-        }
-    }
-
     /// Fold another histogram in. Commutative and associative, so the
     /// merged result is independent of merge order.
     pub fn merge_from(&mut self, other: &Histogram) {

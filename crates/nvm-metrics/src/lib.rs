@@ -5,18 +5,20 @@
 //! percentiles come from integer buckets. Three properties drive the
 //! design:
 //!
-//! 1. **Determinism.** Every update is commutative (add, max, bucket
-//!    increment), so a registry shared by ranks running on a thread
-//!    pool holds bit-identical state no matter the interleaving, and
-//!    per-rank registries merged in rank order on the coordinator
-//!    reproduce the serial run exactly. Percentiles use integer
-//!    arithmetic only.
+//! 1. **Determinism.** No registry is shared: each recorder (a rank's
+//!    engine, a node's helper, the coordinator) owns its own
+//!    [`MetricsRegistry`] and writes it through `&mut`, so nothing is
+//!    locked or atomic. Every merge is commutative (add, max, bucket
+//!    add), and the coordinator folds the registries in rank order,
+//!    then node order, so a threaded run reproduces the serial run
+//!    exactly. Percentiles use integer arithmetic only.
 //! 2. **Allocation-light.** Metric names are `&'static str` (see
 //!    [`names`]); steady-state updates touch a `BTreeMap` entry and
 //!    never allocate. Histograms are fixed 65-slot arrays.
-//! 3. **One branch when disabled.** The default [`Metrics`] handle
-//!    holds `None` and every update is a single `Option` test, keeping
-//!    the un-instrumented quick preset at wall-clock parity.
+//! 3. **One branch when disabled.** A recorder holds an
+//!    `Option<MetricsRegistry>`; "off" is `None`, and every update is
+//!    a single `Option` test, keeping the un-instrumented quick preset
+//!    at wall-clock parity.
 //!
 //! Exports: Prometheus text exposition ([`to_prometheus_text`]) and a
 //! stable-ordered JSON [`MetricsReport`] (raw [`MetricsSnapshot`] plus
@@ -35,6 +37,4 @@ pub use derived::{DerivedMetrics, MetricsReport};
 pub use export::{to_prometheus_text, validate_prometheus_text};
 pub use histogram::{bucket_index, Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use merge::MergeStats;
-pub use registry::{
-    CounterHandle, HistogramHandle, Metric, Metrics, MetricsRegistry, MetricsSnapshot,
-};
+pub use registry::{Metric, Metrics, MetricsRegistry, MetricsSnapshot};

@@ -1,10 +1,9 @@
-//! Metric registries and the shared recording handle.
+//! Metric registries: one per recorder, written through `&mut`.
 
-use crate::histogram::{bucket_index, Histogram, HistogramSnapshot, BUCKET_COUNT};
+use crate::histogram::{Histogram, HistogramSnapshot};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// One named metric.
 ///
@@ -83,20 +82,6 @@ impl MetricsRegistry {
         self.metrics.is_empty()
     }
 
-    /// Fold a complete histogram into the named entry (used when
-    /// draining pre-resolved [`HistogramHandle`]s back into a
-    /// registry).
-    fn merge_histogram(&mut self, name: &'static str, other: &Histogram) {
-        match self
-            .metrics
-            .entry(name)
-            .or_insert_with(|| Metric::Histogram(Histogram::new()))
-        {
-            Metric::Histogram(h) => h.merge_from(other),
-            other => panic!("metric {name} is not a histogram: {other:?}"),
-        }
-    }
-
     /// Fold another registry into this one: counters add, gauges take
     /// the max, histograms merge bucketwise. Every combination rule is
     /// commutative and associative, but callers (the cluster
@@ -171,288 +156,73 @@ impl MetricsSnapshot {
     }
 }
 
-/// A counter cell shared between a [`CounterHandle`] and the registry
-/// that will eventually fold it in. `touched` distinguishes "added
-/// zero" from "never updated" so folding never invents entries the
-/// locked path would not have created.
-#[derive(Default)]
-struct SharedCounter {
-    value: AtomicU64,
-    touched: AtomicBool,
+/// A by-name counter handle borrowed from a [`Metrics`] shim: each
+/// [`CounterHandle::add`] is one [`MetricsRegistry::counter_add`].
+#[derive(Clone, Copy, Debug)]
+pub struct CounterHandle<'a> {
+    registry: &'a RefCell<MetricsRegistry>,
+    name: &'static str,
 }
 
-/// A histogram cell shared between a [`HistogramHandle`] and the
-/// registry. All fields are atomics updated with commutative ops
-/// (bucket add, count add, sum add, max), so concurrent observers
-/// produce bit-identical folded state regardless of interleaving.
-struct SharedHistogram {
-    buckets: [AtomicU64; BUCKET_COUNT],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for SharedHistogram {
-    fn default() -> Self {
-        SharedHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl SharedHistogram {
-    fn to_histogram(&self) -> Histogram {
-        Histogram::from_parts(
-            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            self.count.load(Ordering::Relaxed),
-            self.sum.load(Ordering::Relaxed),
-            self.max.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// Pre-resolved metric cells, keyed by name so folding back into the
-/// registry stays name-ordered and repeated resolution of the same
-/// name shares one cell.
-#[derive(Default)]
-struct Resolved {
-    counters: BTreeMap<&'static str, Arc<SharedCounter>>,
-    histograms: BTreeMap<&'static str, Arc<SharedHistogram>>,
-}
-
-struct MetricsInner {
-    registry: Mutex<MetricsRegistry>,
-    resolved: Mutex<Resolved>,
-}
-
-/// A pre-resolved counter: one relaxed atomic add per update — no
-/// mutex, no name lookup. Obtained from [`Metrics::counter_handle`];
-/// the cell is folded into the registry on
-/// [`Metrics::registry`]/[`Metrics::merge_into`]. u64 adds are
-/// commutative, so a handle shared by concurrently executing ranks is
-/// bit-deterministic. A handle from a disabled [`Metrics`] is a
-/// branch-only no-op.
-#[derive(Clone, Default)]
-pub struct CounterHandle {
-    cell: Option<Arc<SharedCounter>>,
-}
-
-impl CounterHandle {
-    /// A no-op handle (what a disabled [`Metrics`] hands out).
-    pub fn disabled() -> Self {
-        CounterHandle::default()
-    }
-
-    /// True when updates reach a registry.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.cell.is_some()
-    }
-
-    /// Add `delta` to the counter. No-op when disabled.
-    #[inline]
+impl CounterHandle<'_> {
+    /// Add `delta` to the counter.
     pub fn add(&self, delta: u64) {
-        if let Some(cell) = &self.cell {
-            cell.value.fetch_add(delta, Ordering::Relaxed);
-            cell.touched.store(true, Ordering::Relaxed);
-        }
+        self.registry.borrow_mut().counter_add(self.name, delta);
     }
 }
 
-impl std::fmt::Debug for CounterHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CounterHandle")
-            .field("enabled", &self.enabled())
-            .finish()
-    }
+/// A by-name histogram handle borrowed from a [`Metrics`] shim: each
+/// [`HistogramHandle::observe`] is one [`MetricsRegistry::observe`].
+#[derive(Clone, Copy, Debug)]
+pub struct HistogramHandle<'a> {
+    registry: &'a RefCell<MetricsRegistry>,
+    name: &'static str,
 }
 
-/// A pre-resolved histogram: a few relaxed atomic ops per sample.
-/// Obtained from [`Metrics::histogram_handle`]; same folding and
-/// determinism story as [`CounterHandle`]. The one semantic nuance vs
-/// the locked path: `sum` wraps instead of saturating, which diverges
-/// only past `u64::MAX` total — unreachable for the nanosecond/byte
-/// quantities recorded here.
-#[derive(Clone, Default)]
-pub struct HistogramHandle {
-    cell: Option<Arc<SharedHistogram>>,
-}
-
-impl HistogramHandle {
-    /// A no-op handle (what a disabled [`Metrics`] hands out).
-    pub fn disabled() -> Self {
-        HistogramHandle::default()
-    }
-
-    /// True when updates reach a registry.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.cell.is_some()
-    }
-
-    /// Record one sample. No-op when disabled.
-    #[inline]
+impl HistogramHandle<'_> {
+    /// Record one sample.
     pub fn observe(&self, value: u64) {
-        if let Some(cell) = &self.cell {
-            cell.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-            cell.count.fetch_add(1, Ordering::Relaxed);
-            cell.sum.fetch_add(value, Ordering::Relaxed);
-            cell.max.fetch_max(value, Ordering::Relaxed);
-        }
+        self.registry.borrow_mut().observe(self.name, value);
     }
 }
 
-impl std::fmt::Debug for HistogramHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HistogramHandle")
-            .field("enabled", &self.enabled())
-            .finish()
-    }
-}
-
-/// Clonable recording handle: `None` (the default) is disabled and
-/// every update is a single branch; enabled handles share one registry
-/// behind a mutex. All updates are
-/// commutative (add/max/bucket-add), so a registry shared by
-/// concurrently executing ranks is still bit-deterministic.
-///
-/// Per-operation paths (the kv store's) should pre-resolve names once
-/// via [`Metrics::counter_handle`]/[`Metrics::histogram_handle`] and
-/// update through the returned lock-free cells; the name-keyed
-/// `counter_add`/`gauge_max`/`observe` methods lock the registry and
-/// walk the name map on every call, which is fine per epoch or per
-/// protection fault.
-#[derive(Clone, Default)]
+/// A cold shim over one [`MetricsRegistry`], kept only because the
+/// benchmark's `nvm-metrics.fold_us` probe is pinned to
+/// `Metrics::{new, counter_handle, histogram_handle, merge_into}`.
+/// Nothing in the workspace records through it: every recorder owns
+/// an `Option<MetricsRegistry>` and writes it through `&mut`. ROADMAP
+/// item 1 re-pins the probe to [`MetricsRegistry::merge_from`] and
+/// deletes this shim.
+#[derive(Debug, Default)]
 pub struct Metrics {
-    inner: Option<Arc<MetricsInner>>,
-}
-
-impl std::fmt::Debug for Metrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Metrics")
-            .field("enabled", &self.enabled())
-            .finish()
-    }
+    registry: RefCell<MetricsRegistry>,
 }
 
 impl Metrics {
-    /// Disabled handle; every update is a no-op costing one branch.
-    pub fn disabled() -> Self {
-        Metrics::default()
-    }
-
-    /// Enabled handle over a fresh registry.
+    /// A shim over an empty registry.
     pub fn new() -> Self {
-        Metrics {
-            inner: Some(Arc::new(MetricsInner {
-                registry: Mutex::new(MetricsRegistry::new()),
-                resolved: Mutex::new(Resolved::default()),
-            })),
-        }
+        Self::default()
     }
 
-    /// True when a registry is attached.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Add `delta` to a counter. No-op when disabled.
-    #[inline]
-    pub fn counter_add(&self, name: &'static str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.lock().unwrap().counter_add(name, delta);
-        }
-    }
-
-    /// Raise a gauge to at least `value`. No-op when disabled.
-    #[inline]
-    pub fn gauge_max(&self, name: &'static str, value: i64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.lock().unwrap().gauge_max(name, value);
-        }
-    }
-
-    /// Record a histogram sample. No-op when disabled.
-    #[inline]
-    pub fn observe(&self, name: &'static str, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.lock().unwrap().observe(name, value);
-        }
-    }
-
-    /// Run `f` on the attached registry — how stats-struct `publish`
-    /// methods reach it. No-op when disabled.
-    pub fn update(&self, f: impl FnOnce(&mut MetricsRegistry)) {
-        if let Some(inner) = &self.inner {
-            f(&mut inner.registry.lock().expect("metrics registry poisoned"));
-        }
-    }
-
-    /// Pre-resolve a counter name into a lock-free handle. Repeated
-    /// resolution of the same name shares one cell; the cell's total
-    /// is folded into the registry when it is read or merged, summed
-    /// with any locked-path `counter_add`s to the same name.
-    pub fn counter_handle(&self, name: &'static str) -> CounterHandle {
-        let Some(inner) = &self.inner else {
-            return CounterHandle::disabled();
-        };
-        let mut resolved = inner.resolved.lock().unwrap();
-        let cell = resolved.counters.entry(name).or_default();
+    /// A handle that adds to the counter `name`.
+    pub fn counter_handle(&self, name: &'static str) -> CounterHandle<'_> {
         CounterHandle {
-            cell: Some(Arc::clone(cell)),
+            registry: &self.registry,
+            name,
         }
     }
 
-    /// Pre-resolve a histogram name into a lock-free handle (see
-    /// [`Metrics::counter_handle`]).
-    pub fn histogram_handle(&self, name: &'static str) -> HistogramHandle {
-        let Some(inner) = &self.inner else {
-            return HistogramHandle::disabled();
-        };
-        let mut resolved = inner.resolved.lock().unwrap();
-        let cell = resolved.histograms.entry(name).or_default();
+    /// A handle that records into the histogram `name`.
+    pub fn histogram_handle(&self, name: &'static str) -> HistogramHandle<'_> {
         HistogramHandle {
-            cell: Some(Arc::clone(cell)),
+            registry: &self.registry,
+            name,
         }
     }
 
-    /// Copy of the attached registry (empty when disabled), with all
-    /// pre-resolved cells folded in.
-    pub fn registry(&self) -> MetricsRegistry {
-        let Some(inner) = &self.inner else {
-            return MetricsRegistry::new();
-        };
-        let mut reg = inner.registry.lock().unwrap().clone();
-        Self::fold_resolved(&inner.resolved.lock().unwrap(), &mut reg);
-        reg
-    }
-
-    /// Merge the attached registry (with pre-resolved cells folded in)
-    /// into `target`. No-op when disabled.
+    /// Fold the registry into `target` ([`MetricsRegistry::merge_from`]).
     pub fn merge_into(&self, target: &mut MetricsRegistry) {
-        if let Some(inner) = &self.inner {
-            target.merge_from(&inner.registry.lock().unwrap());
-            Self::fold_resolved(&inner.resolved.lock().unwrap(), target);
-        }
-    }
-
-    /// Fold pre-resolved cells into `reg`, skipping never-touched
-    /// cells so resolution alone never creates entries.
-    fn fold_resolved(resolved: &Resolved, reg: &mut MetricsRegistry) {
-        for (name, cell) in &resolved.counters {
-            if cell.touched.load(Ordering::Relaxed) {
-                reg.counter_add(name, cell.value.load(Ordering::Relaxed));
-            }
-        }
-        for (name, cell) in &resolved.histograms {
-            if cell.count.load(Ordering::Relaxed) > 0 {
-                reg.merge_histogram(name, &cell.to_histogram());
-            }
-        }
+        target.merge_from(&self.registry.borrow());
     }
 }
 
@@ -512,46 +282,24 @@ mod tests {
     }
 
     #[test]
-    fn disabled_handle_records_nothing() {
-        let m = Metrics::disabled();
-        assert!(!m.enabled());
-        m.counter_add("c", 1);
-        m.observe("h", 1);
-        assert!(m.registry().is_empty());
-    }
-
-    #[test]
-    fn clones_share_one_registry() {
-        let m = Metrics::new();
-        let m2 = m.clone();
-        m.counter_add("c", 1);
-        m2.counter_add("c", 1);
-        assert_eq!(m.registry().snapshot().counter("c"), 2);
-        let mut target = MetricsRegistry::new();
-        m.merge_into(&mut target);
-        assert_eq!(target.snapshot().counter("c"), 2);
-    }
-
-    #[test]
     fn handles_fold_into_registry_like_locked_path() {
         let m = Metrics::new();
         let c = m.counter_handle("c");
         let h = m.histogram_handle("h");
         c.add(2);
-        m.counter_add("c", 3); // locked path to the same name sums in
         c.add(5);
         h.observe(100);
         h.observe(3);
-        m.observe("h", 7);
-        let s = m.registry().snapshot();
-        assert_eq!(s.counter("c"), 10);
-        let hs = s.histogram("h").unwrap();
-        assert_eq!(hs.count, 3);
-        assert_eq!(hs.max, 100);
-        // merge_into folds identically.
         let mut target = MetricsRegistry::new();
         m.merge_into(&mut target);
-        assert_eq!(target.snapshot(), s);
+        let mut direct = MetricsRegistry::new();
+        direct.counter_add("c", 2);
+        direct.counter_add("c", 5);
+        direct.observe("h", 100);
+        direct.observe("h", 3);
+        assert_eq!(target, direct);
+        assert_eq!(target.snapshot().counter("c"), 7);
+        assert_eq!(target.snapshot().histogram("h").unwrap().max, 100);
     }
 
     #[test]
@@ -559,12 +307,15 @@ mod tests {
         let m = Metrics::new();
         let _c = m.counter_handle("never_touched");
         let _h = m.histogram_handle("never_observed");
-        assert!(m.registry().is_empty());
-        // A zero-delta add still marks the counter live, matching the
-        // locked path (counter_add(name, 0) creates the entry).
+        let mut target = MetricsRegistry::new();
+        m.merge_into(&mut target);
+        assert!(target.is_empty());
+        // A zero-delta add still creates the counter, as
+        // `counter_add(name, 0)` does.
         m.counter_handle("zero").add(0);
-        assert_eq!(m.registry().metrics.len(), 1);
-        assert_eq!(m.registry().snapshot().counter("zero"), 0);
+        m.merge_into(&mut target);
+        assert_eq!(target.metrics.len(), 1);
+        assert_eq!(target.snapshot().counter("zero"), 0);
     }
 
     #[test]
@@ -574,19 +325,9 @@ mod tests {
         let b = m.counter_handle("c");
         a.add(1);
         b.add(2);
-        assert_eq!(m.registry().snapshot().counter("c"), 3);
-    }
-
-    #[test]
-    fn disabled_handles_are_noops() {
-        let m = Metrics::disabled();
-        let c = m.counter_handle("c");
-        let h = m.histogram_handle("h");
-        assert!(!c.enabled());
-        assert!(!h.enabled());
-        c.add(1);
-        h.observe(1);
-        assert!(m.registry().is_empty());
+        let mut target = MetricsRegistry::new();
+        m.merge_into(&mut target);
+        assert_eq!(target.snapshot().counter("c"), 3);
     }
 
     #[test]

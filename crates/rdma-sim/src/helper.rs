@@ -16,7 +16,7 @@
 //! ~2.5% of a 12-core node.
 
 use nvm_emu::SimDuration;
-use nvm_metrics::{names, Metrics, MetricsRegistry};
+use nvm_metrics::{names, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
 /// Cost parameters of the helper.
@@ -123,7 +123,9 @@ impl HelperStats {
 pub struct HelperProcess {
     params: HelperParams,
     stats: HelperStats,
-    metrics: Metrics,
+    /// This helper's registry for the transfer-size distribution;
+    /// `None` (one branch per transfer) by default.
+    metrics: Option<MetricsRegistry>,
 }
 
 impl HelperProcess {
@@ -137,15 +139,20 @@ impl HelperProcess {
         HelperProcess {
             params,
             stats: HelperStats::default(),
-            metrics: Metrics::disabled(),
+            metrics: None,
         }
     }
 
-    /// Attach a metrics handle: the transfer-size distribution, which
-    /// has no stats twin, records into it. Totals are
-    /// [`HelperStats::publish`]ed instead.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
+    /// Attach a registry: the transfer-size distribution, which has no
+    /// stats twin, records into it. Totals are
+    /// [`HelperStats::publish`]ed instead. Pass `None` to detach.
+    pub fn set_metrics(&mut self, metrics: Option<MetricsRegistry>) {
         self.metrics = metrics;
+    }
+
+    /// This helper's registry (`None` unless attached).
+    pub fn metrics(&self) -> Option<&MetricsRegistry> {
+        self.metrics.as_ref()
     }
 
     /// Charge one dirty-scan over `chunks` chunk records. Returns the
@@ -176,7 +183,9 @@ impl HelperProcess {
         self.stats.busy += cost;
         self.stats.bytes_copied += bytes;
         self.stats.copy_ops += 1;
-        self.metrics.observe(names::HELPER_TRANSFER_BYTES, bytes);
+        if let Some(m) = &mut self.metrics {
+            m.observe(names::HELPER_TRANSFER_BYTES, bytes);
+        }
         cost
     }
 
@@ -322,8 +331,7 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut h = HelperProcess::new();
-        let m = Metrics::new();
-        h.set_metrics(m.clone());
+        h.set_metrics(Some(MetricsRegistry::new()));
         h.scan(100);
         h.copy_chunk(MB);
         h.copy_bulk(2 * MB);
@@ -333,7 +341,7 @@ mod tests {
         assert_eq!(s.bytes_copied, 3 * MB);
         assert!(!s.busy.is_zero());
         // The only live metric is the transfer-size distribution.
-        let snap = m.registry().snapshot();
+        let snap = h.metrics().unwrap().snapshot();
         assert!(snap.counters.is_empty(), "{:?}", snap.counters);
         let hist = snap.histogram(names::HELPER_TRANSFER_BYTES).unwrap();
         assert_eq!(hist.count, s.copy_ops);

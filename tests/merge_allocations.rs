@@ -2,8 +2,8 @@
 //!
 //! The trace merge used to copy event-by-event; it now drains whole
 //! per-rank buffers into one capacity-preallocated vector, and the
-//! metrics fold walks pre-resolved shared cells. Both are therefore
-//! O(ranks) in allocator traffic, not O(events) — this test counts
+//! metrics fold merges each rank's registry entry by entry. Both are
+//! therefore O(ranks) in allocator traffic, not O(events) — this test counts
 //! actual global-allocator calls around each merge and fails if
 //! per-event allocation ever sneaks back in.
 //!
@@ -77,15 +77,13 @@ fn coordinator_merges_allocate_per_rank_not_per_event() {
          (expected O(ranks) = <= {RANKS})"
     );
 
-    // --- Metrics fold: per-rank registries with touched hot cells. ---
-    let ranks: Vec<nvm_metrics::Metrics> = (0..RANKS)
+    // --- Metrics fold: per-rank registries, as each engine owns one. ---
+    let mut ranks: Vec<nvm_metrics::MetricsRegistry> = (0..RANKS)
         .map(|r| {
-            let m = nvm_metrics::Metrics::new();
-            let faults = m.counter_handle("chkpt_faults_total");
-            let hist = m.histogram_handle("chkpt_fault_ns");
+            let mut m = nvm_metrics::MetricsRegistry::new();
             for i in 0..EVENTS_PER_RANK as u64 {
-                faults.add(1);
-                hist.observe(500 + i * 31 + r as u64);
+                m.counter_add("chkpt_faults_total", 1);
+                m.observe("chkpt_fault_ns", 500 + i * 31 + r as u64);
             }
             m
         })
@@ -94,14 +92,14 @@ fn coordinator_merges_allocate_per_rank_not_per_event() {
     let mut folded = nvm_metrics::MetricsRegistry::new();
     let fold_allocs = allocations_during(|| {
         for m in &ranks {
-            m.merge_into(&mut folded);
+            folded.merge_from(m);
         }
     });
     assert_eq!(
         folded.snapshot().counter("chkpt_faults_total"),
         (RANKS * EVENTS_PER_RANK) as u64
     );
-    // Each rank folds a fixed set of metric cells into the shared
+    // Each rank folds a fixed set of metrics into the coordinator's
     // registry: allocations scale with ranks x metrics, never with
     // the event count behind each counter.
     assert!(
@@ -113,16 +111,15 @@ fn coordinator_merges_allocate_per_rank_not_per_event() {
     );
 
     // --- The hot update itself is allocation-free. ---
-    let handle = ranks[0].counter_handle("chkpt_faults_total");
-    let hist = ranks[0].histogram_handle("chkpt_fault_ns");
+    let hot = &mut ranks[0];
     let hot_allocs = allocations_during(|| {
         for i in 0..10_000u64 {
-            handle.add(1);
-            hist.observe(i);
+            hot.counter_add("chkpt_faults_total", 1);
+            hot.observe("chkpt_fault_ns", i);
         }
     });
     assert_eq!(
         hot_allocs, 0,
-        "pre-resolved metric updates must not allocate (got {hot_allocs})"
+        "by-name updates to existing metrics must not allocate (got {hot_allocs})"
     );
 }
