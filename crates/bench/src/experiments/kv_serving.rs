@@ -144,7 +144,7 @@ pub fn run(scale: &Scale) -> Vec<KvRow> {
                 + snap.counter(names::KV_READS_TOTAL)
                 + snap.counter(names::KV_RMWS_TOTAL)
                 + snap.counter(names::KV_DELETES_TOTAL);
-            let op_ns = snap.histograms.get(names::KV_OP_NS);
+            let op_ns = snap.histogram(names::KV_OP_NS);
             let b = blame(&r.trace);
             let wall_ns = r.total_time.as_nanos();
             KvRow {

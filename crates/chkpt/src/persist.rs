@@ -351,7 +351,7 @@ mod tests {
                 (names::STORE_RECOVERIES_TOTAL, 6),
                 (names::STORE_TORN_WRITES_TOTAL, 7),
             ]
-            .map(|(name, v)| (name.to_string(), v))
+            .map(|(names::Counter(name), v)| (name.to_string(), v))
             .into()
         );
     }

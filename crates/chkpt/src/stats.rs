@@ -195,7 +195,7 @@ mod tests {
                 (names::CHKPT_FAULTS_TOTAL, 9),
                 (names::CHKPT_RESTARTS_TOTAL, 10),
             ]
-            .map(|(name, v)| (name.to_string(), v))
+            .map(|(names::Counter(name), v)| (name.to_string(), v))
             .into()
         );
     }

@@ -575,7 +575,7 @@ impl ClusterSim {
             for n in &self.nodes {
                 reg.gauge_max(
                     names::LINK_PEAK_BYTES_PER_S,
-                    n.link.trace().peak_bytes() as i64,
+                    n.link.trace().peak_bytes() as u64,
                 );
             }
             for partial in shards.iter().filter_map(|s| s.registry.as_ref()) {

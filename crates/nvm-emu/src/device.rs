@@ -102,9 +102,10 @@ pub struct DeviceStats {
 }
 
 impl DeviceStats {
-    /// Add these totals to the `dev_<kind>_*_total` counters of `reg`
-    /// — the only path from a device's totals into a registry. No `..`:
-    /// a new field needs a counter name or an explicit `_` to compile.
+    /// Add these totals to the `dev_{dram,pcm}_*_total` counters of
+    /// `reg` — the only path from a device's totals into a registry. No
+    /// `..` and no `_` kind arm: a new field or a new [`DeviceKind`]
+    /// needs its counter names to compile.
     pub fn publish(&self, kind: DeviceKind, reg: &mut MetricsRegistry) {
         let DeviceStats {
             bytes_written,
@@ -114,11 +115,22 @@ impl DeviceStats {
             flush_ops: _,
             busy,
         } = *self;
-        let kind = kind.name();
+        let [write, read, busy_ns] = match kind {
+            DeviceKind::Dram => [
+                names::DEV_DRAM_WRITE_BYTES_TOTAL,
+                names::DEV_DRAM_READ_BYTES_TOTAL,
+                names::DEV_DRAM_BUSY_NS_TOTAL,
+            ],
+            DeviceKind::Pcm => [
+                names::DEV_PCM_WRITE_BYTES_TOTAL,
+                names::DEV_PCM_READ_BYTES_TOTAL,
+                names::DEV_PCM_BUSY_NS_TOTAL,
+            ],
+        };
         reg.publish_totals([
-            (names::device_write_bytes_total(kind), bytes_written),
-            (names::device_read_bytes_total(kind), bytes_read),
-            (names::device_busy_ns_total(kind), busy.as_nanos()),
+            (write, bytes_written),
+            (read, bytes_read),
+            (busy_ns, busy.as_nanos()),
         ]);
     }
 }

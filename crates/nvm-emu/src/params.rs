@@ -25,14 +25,6 @@ impl DeviceKind {
     pub fn is_persistent(self) -> bool {
         !matches!(self, DeviceKind::Dram)
     }
-
-    /// Short lowercase name, used to label trace events.
-    pub fn name(self) -> &'static str {
-        match self {
-            DeviceKind::Dram => "dram",
-            DeviceKind::Pcm => "pcm",
-        }
-    }
 }
 
 /// Performance/endurance model for one memory device.

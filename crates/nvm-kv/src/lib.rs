@@ -264,7 +264,7 @@ mod tests {
             (names::KV_CHECKPOINT_TOKENS_TOTAL, 1),
             (names::KV_LOG_APPENDED_BYTES_TOTAL, appended),
         ]
-        .map(|(name, v)| (name.to_string(), v))
+        .map(|(names::Counter(name), v)| (name.to_string(), v))
         .into();
         assert_eq!(snap.counters, want);
         assert_eq!(snap.histogram(names::KV_OP_NS).unwrap().count, 6);

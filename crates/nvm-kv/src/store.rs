@@ -841,7 +841,7 @@ impl KvStore {
 
 /// Count one point operation that began at `t0` into the engine's
 /// registry: its `total` counter and its latency in `kv_op_ns`.
-fn count_op(engine: &mut CheckpointEngine, total: &'static str, t0: u64) {
+fn count_op(engine: &mut CheckpointEngine, total: names::Counter, t0: u64) {
     let t1 = engine.clock().now().as_nanos();
     if let Some(m) = engine.metrics_mut() {
         m.counter_add(total, 1);

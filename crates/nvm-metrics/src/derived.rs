@@ -29,8 +29,8 @@ pub struct DerivedMetrics {
     /// Fraction of pre-copied bytes invalidated by later writes:
     /// `wasted / precopied`.
     pub wasted_copy_ratio: f64,
-    /// Achieved NVM-class (PCM + NVM device) throughput while busy, in
-    /// bytes/s: `(reads + writes) / busy_time`.
+    /// Achieved NVM (PCM device) throughput while busy, in bytes/s:
+    /// `(reads + writes) / busy_time`.
     pub effective_nvm_bandwidth_bytes_per_s: f64,
     /// Peak 1-second interconnect demand across all node links, in
     /// bytes/s (max-merged gauge).
@@ -48,18 +48,15 @@ impl DerivedMetrics {
         let coordinated = snap.counter(names::CHKPT_COORDINATED_BYTES_TOTAL);
         let wasted = snap.counter(names::CHKPT_WASTED_PRECOPY_BYTES_TOTAL);
 
-        let nvm_bytes = snap.counter(names::device_read_bytes_total("pcm"))
-            + snap.counter(names::device_write_bytes_total("pcm"))
-            + snap.counter(names::device_read_bytes_total("nvm"))
-            + snap.counter(names::device_write_bytes_total("nvm"));
-        let nvm_busy_ns = snap.counter(names::device_busy_ns_total("pcm"))
-            + snap.counter(names::device_busy_ns_total("nvm"));
+        let nvm_bytes = snap.counter(names::DEV_PCM_READ_BYTES_TOTAL)
+            + snap.counter(names::DEV_PCM_WRITE_BYTES_TOTAL);
+        let nvm_busy_ns = snap.counter(names::DEV_PCM_BUSY_NS_TOTAL);
 
         DerivedMetrics {
             precopy_fraction: ratio(precopied, precopied + coordinated),
             wasted_copy_ratio: ratio(wasted, precopied),
             effective_nvm_bandwidth_bytes_per_s: ratio(nvm_bytes, nvm_busy_ns) * 1e9,
-            peak_interconnect_bytes_per_s: snap.gauge(names::LINK_PEAK_BYTES_PER_S).max(0) as u64,
+            peak_interconnect_bytes_per_s: snap.gauge(names::LINK_PEAK_BYTES_PER_S),
             helper_cpu_utilization: ratio(
                 snap.counter(names::HELPER_BUSY_NS_TOTAL),
                 snap.counter(names::HELPER_ELAPSED_NS_TOTAL),
@@ -98,8 +95,8 @@ mod tests {
         r.counter_add(names::CHKPT_PRECOPIED_BYTES_TOTAL, 750);
         r.counter_add(names::CHKPT_COORDINATED_BYTES_TOTAL, 250);
         r.counter_add(names::CHKPT_WASTED_PRECOPY_BYTES_TOTAL, 75);
-        r.counter_add(names::device_write_bytes_total("pcm"), 1_000_000);
-        r.counter_add(names::device_busy_ns_total("pcm"), 2_000_000_000);
+        r.counter_add(names::DEV_PCM_WRITE_BYTES_TOTAL, 1_000_000);
+        r.counter_add(names::DEV_PCM_BUSY_NS_TOTAL, 2_000_000_000);
         r.counter_add(names::HELPER_BUSY_NS_TOTAL, 300);
         r.counter_add(names::HELPER_ELAPSED_NS_TOTAL, 1200);
         r.gauge_max(names::LINK_PEAK_BYTES_PER_S, 42_000);

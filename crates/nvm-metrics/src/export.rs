@@ -35,10 +35,11 @@ pub fn to_prometheus_text(snap: &MetricsSnapshot) -> String {
 /// Minimal structural validation of Prometheus text: every non-comment
 /// line must be `name[{labels}] value` with a legal metric name and a
 /// numeric value, every series must be preceded by a `# TYPE`
-/// declaration for its family, and a histogram's bucket counts must be
-/// cumulative. Returns the number of samples on success. This is the
-/// one check of the exported file (`quick_metered_run_yields_report`
-/// runs it on the quick preset's exposition).
+/// declaration for its family, no family may be declared twice, and a
+/// histogram's bucket counts must be cumulative. Returns the number of
+/// samples on success. This is the one check of the exported file
+/// (`quick_metered_run_yields_report` runs it on the quick preset's
+/// exposition).
 pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
     let mut declared: Vec<String> = Vec::new();
     let mut samples = 0usize;
@@ -59,6 +60,9 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
                 .ok_or_else(|| format!("line {}: TYPE without kind", lineno + 1))?;
             if !matches!(kind, "counter" | "gauge" | "histogram") {
                 return Err(format!("line {}: unknown metric kind {kind}", lineno + 1));
+            }
+            if declared.iter().any(|d| d == name) {
+                return Err(format!("line {}: family {name} declared twice", lineno + 1));
             }
             declared.push(name.to_string());
             continue;
@@ -109,14 +113,15 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names;
     use crate::registry::MetricsRegistry;
 
     fn sample_snapshot() -> MetricsSnapshot {
         let mut r = MetricsRegistry::new();
-        r.counter_add("chkpt_faults_total", 3);
-        r.gauge_max("link_peak_bytes_per_s", 1024);
-        r.observe("chkpt_fault_ns", 100);
-        r.observe("chkpt_fault_ns", 5000);
+        r.counter_add(names::CHKPT_FAULTS_TOTAL, 3);
+        r.gauge_max(names::LINK_PEAK_BYTES_PER_S, 1024);
+        r.observe(names::CHKPT_FAULT_NS, 100);
+        r.observe(names::CHKPT_FAULT_NS, 5000);
         r.snapshot()
     }
 
@@ -151,6 +156,8 @@ mod tests {
         assert!(validate_prometheus_text("# TYPE x-y counter\nx-y 1\n").is_err());
         let shrinking = "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 1\n";
         assert!(validate_prometheus_text(shrinking).is_err());
+        let redeclared = "# TYPE x counter\nx 1\n# TYPE x gauge\nx 2\n";
+        assert!(validate_prometheus_text(redeclared).is_err());
     }
 
     #[test]

@@ -12,9 +12,13 @@
 //!    add), and the coordinator folds the registries in rank order,
 //!    then node order, so a threaded run reproduces the serial run
 //!    exactly. Percentiles use integer arithmetic only.
-//! 2. **Allocation-light.** Metric names are `&'static str` (see
-//!    [`names`]); steady-state updates touch a `BTreeMap` entry and
-//!    never allocate. Histograms are fixed 65-slot arrays.
+//! 2. **Typed names, allocation-light.** A metric name is a
+//!    [`names::Counter`], [`names::Gauge`] or [`names::Hist`] over a
+//!    `&'static str`, and the registry keeps one `BTreeMap` per kind.
+//!    Each method takes only its own kind, so recording a name as the
+//!    wrong kind does not compile, and no merge or lookup can meet
+//!    one. Steady-state updates touch a map entry and never allocate.
+//!    Histograms are fixed 65-slot arrays.
 //! 3. **One branch when disabled.** A recorder holds an
 //!    `Option<MetricsRegistry>`; "off" is `None`, and every update is
 //!    a single `Option` test, keeping the un-instrumented quick preset
@@ -37,4 +41,4 @@ pub use derived::{DerivedMetrics, MetricsReport};
 pub use export::{to_prometheus_text, validate_prometheus_text};
 pub use histogram::{bucket_index, Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use merge::MergeStats;
-pub use registry::{Metric, Metrics, MetricsRegistry, MetricsSnapshot};
+pub use registry::{Metrics, MetricsRegistry, MetricsSnapshot};

@@ -1,35 +1,43 @@
 //! Metric registries: one per recorder, written through `&mut`.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::names::{Counter, Gauge, Hist};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-/// One named metric.
+/// A set of named metrics, one map per kind. Each method takes the
+/// name type of its own kind, so a name cannot be recorded as a kind
+/// it is not:
 ///
-/// The histogram variant is large (65 fixed buckets), but registries
-/// hold a handful of long-lived entries and `observe` resolves them
-/// in place through the map — boxing would add a pointer chase to the
-/// hot path to shrink a map node that is never moved.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug, PartialEq)]
-pub enum Metric {
-    /// Monotone sum; merges by addition.
-    Counter(u64),
-    /// High-water mark (peak rates, largest residue); merges by max,
-    /// so the cluster-level value is the worst rank/node.
-    Gauge(i64),
-    /// Log2-bucketed distribution; merges bucketwise.
-    Histogram(Histogram),
-}
-
-/// A set of named metrics. Names are `&'static str` so steady-state
-/// updates allocate nothing; iteration order (and therefore snapshot
-/// and export order) is the `BTreeMap`'s name order — stable across
-/// runs, thread counts, and platforms.
+/// ```
+/// use nvm_metrics::{names, MetricsRegistry};
+/// let mut reg = MetricsRegistry::new();
+/// reg.observe(names::KV_OP_NS, 1);
+/// assert_eq!(reg.snapshot().histogram(names::KV_OP_NS).unwrap().count, 1);
+/// ```
+///
+/// ```compile_fail
+/// use nvm_metrics::{names, MetricsRegistry};
+/// let mut reg = MetricsRegistry::new();
+/// reg.counter_add(names::KV_OP_NS, 1); // a histogram name is not a counter
+/// ```
+///
+/// Names are `&'static str` so steady-state updates allocate nothing;
+/// iteration order (and therefore snapshot and export order) is each
+/// `BTreeMap`'s name order — stable across runs, thread counts, and
+/// platforms.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsRegistry {
-    metrics: BTreeMap<&'static str, Metric>,
+    /// Monotone sums; merge by addition.
+    counters: BTreeMap<&'static str, u64>,
+    /// High-water marks (peak rates); merge by max, so the
+    /// cluster-level value is the worst rank/node.
+    gauges: BTreeMap<&'static str, u64>,
+    /// Log2-bucketed distributions; merge bucketwise. A histogram is
+    /// 65 fixed buckets, held in place so `observe` reaches it without
+    /// a pointer chase.
+    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl MetricsRegistry {
@@ -38,18 +46,15 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Add `delta` to the named counter (created at 0).
-    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
-        match self.metrics.entry(name).or_insert(Metric::Counter(0)) {
-            Metric::Counter(v) => *v += delta,
-            other => panic!("metric {name} is not a counter: {other:?}"),
-        }
+    /// Add `delta` to the counter (created at 0).
+    pub fn counter_add(&mut self, Counter(name): Counter, delta: u64) {
+        *self.counters.entry(name).or_insert(0) += delta;
     }
 
     /// Add a stats struct's `(name, total)` pairs to their counters —
     /// what every `publish` body calls. Zero totals create no entry,
     /// so a published key is present exactly when its event happened.
-    pub fn publish_totals(&mut self, totals: impl IntoIterator<Item = (&'static str, u64)>) {
+    pub fn publish_totals(&mut self, totals: impl IntoIterator<Item = (Counter, u64)>) {
         for (name, total) in totals {
             if total != 0 {
                 self.counter_add(name, total);
@@ -57,73 +62,50 @@ impl MetricsRegistry {
         }
     }
 
-    /// Raise the named gauge to at least `value` (created at `value`).
-    pub fn gauge_max(&mut self, name: &'static str, value: i64) {
-        match self.metrics.entry(name).or_insert(Metric::Gauge(value)) {
-            Metric::Gauge(v) => *v = (*v).max(value),
-            other => panic!("metric {name} is not a gauge: {other:?}"),
-        }
+    /// Raise the gauge to at least `value` (created at `value`).
+    pub fn gauge_max(&mut self, Gauge(name): Gauge, value: u64) {
+        let v = self.gauges.entry(name).or_insert(value);
+        *v = (*v).max(value);
     }
 
-    /// Record one sample into the named histogram.
-    pub fn observe(&mut self, name: &'static str, value: u64) {
-        match self
-            .metrics
-            .entry(name)
-            .or_insert_with(|| Metric::Histogram(Histogram::new()))
-        {
-            Metric::Histogram(h) => h.record(value),
-            other => panic!("metric {name} is not a histogram: {other:?}"),
-        }
+    /// Record one sample into the histogram.
+    pub fn observe(&mut self, Hist(name): Hist, value: u64) {
+        self.histograms.entry(name).or_default().record(value);
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Fold another registry into this one: counters add, gauges take
     /// the max, histograms merge bucketwise. Every combination rule is
     /// commutative and associative, but callers (the cluster
     /// coordinator) still merge in rank order to mirror the trace-merge
-    /// discipline. Panics if the same name has different metric types.
+    /// discipline.
     pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        for (name, theirs) in &other.metrics {
-            match self.metrics.entry(name) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(theirs.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
-                    match (slot.get_mut(), theirs) {
-                        (Metric::Counter(a), Metric::Counter(b)) => *a += b,
-                        (Metric::Gauge(a), Metric::Gauge(b)) => *a = (*a).max(*b),
-                        (Metric::Histogram(a), Metric::Histogram(b)) => a.merge_from(b),
-                        (mine, theirs) => {
-                            panic!("metric {name} type mismatch: {mine:?} vs {theirs:?}")
-                        }
-                    }
-                }
-            }
+        for (name, v) in &other.counters {
+            *self.counters.entry(name).or_insert(0) += v;
+        }
+        for (name, v) in &other.gauges {
+            let mine = self.gauges.entry(name).or_insert(*v);
+            *mine = (*mine).max(*v);
+        }
+        for (name, h) in &other.histograms {
+            self.histograms.entry(name).or_default().merge_from(h);
         }
     }
 
     /// Serializable snapshot with stable (name-sorted) ordering.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        for (name, metric) in &self.metrics {
-            match metric {
-                Metric::Counter(v) => {
-                    snap.counters.insert(name.to_string(), *v);
-                }
-                Metric::Gauge(v) => {
-                    snap.gauges.insert(name.to_string(), *v);
-                }
-                Metric::Histogram(h) => {
-                    snap.histograms.insert(name.to_string(), h.snapshot());
-                }
-            }
+        fn owned<V, W>(map: &BTreeMap<&str, V>, f: impl Fn(&V) -> W) -> BTreeMap<String, W> {
+            map.iter().map(|(n, v)| (n.to_string(), f(v))).collect()
         }
-        snap
+        MetricsSnapshot {
+            counters: owned(&self.counters, |v| *v),
+            gauges: owned(&self.gauges, |v| *v),
+            histograms: owned(&self.histograms, Histogram::snapshot),
+        }
     }
 }
 
@@ -134,24 +116,24 @@ pub struct MetricsSnapshot {
     /// Monotone counters.
     pub counters: BTreeMap<String, u64>,
     /// High-water-mark gauges.
-    pub gauges: BTreeMap<String, i64>,
+    pub gauges: BTreeMap<String, u64>,
     /// Histogram summaries.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
     /// Counter value, defaulting to 0 when absent.
-    pub fn counter(&self, name: &str) -> u64 {
+    pub fn counter(&self, Counter(name): Counter) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Gauge value, defaulting to 0 when absent.
-    pub fn gauge(&self, name: &str) -> i64 {
+    pub fn gauge(&self, Gauge(name): Gauge) -> u64 {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
     /// Histogram summary, if recorded.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+    pub fn histogram(&self, Hist(name): Hist) -> Option<&HistogramSnapshot> {
         self.histograms.get(name)
     }
 }
@@ -161,7 +143,7 @@ impl MetricsSnapshot {
 #[derive(Clone, Copy, Debug)]
 pub struct CounterHandle<'a> {
     registry: &'a RefCell<MetricsRegistry>,
-    name: &'static str,
+    name: Counter,
 }
 
 impl CounterHandle<'_> {
@@ -176,7 +158,7 @@ impl CounterHandle<'_> {
 #[derive(Clone, Copy, Debug)]
 pub struct HistogramHandle<'a> {
     registry: &'a RefCell<MetricsRegistry>,
-    name: &'static str,
+    name: Hist,
 }
 
 impl HistogramHandle<'_> {
@@ -208,7 +190,7 @@ impl Metrics {
     pub fn counter_handle(&self, name: &'static str) -> CounterHandle<'_> {
         CounterHandle {
             registry: &self.registry,
-            name,
+            name: Counter(name),
         }
     }
 
@@ -216,7 +198,7 @@ impl Metrics {
     pub fn histogram_handle(&self, name: &'static str) -> HistogramHandle<'_> {
         HistogramHandle {
             registry: &self.registry,
-            name,
+            name: Hist(name),
         }
     }
 
@@ -233,52 +215,42 @@ mod tests {
     #[test]
     fn counters_gauges_histograms_record_and_snapshot() {
         let mut r = MetricsRegistry::new();
-        r.counter_add("c", 2);
-        r.counter_add("c", 3);
-        r.gauge_max("g", 10);
-        r.gauge_max("g", 4);
-        r.observe("h", 100);
-        r.observe("h", 3);
+        r.counter_add(Counter("c"), 2);
+        r.counter_add(Counter("c"), 3);
+        r.gauge_max(Gauge("g"), 10);
+        r.gauge_max(Gauge("g"), 4);
+        r.observe(Hist("h"), 100);
+        r.observe(Hist("h"), 3);
         let s = r.snapshot();
-        assert_eq!(s.counter("c"), 5);
-        assert_eq!(s.gauge("g"), 10);
-        let h = s.histogram("h").unwrap();
+        assert_eq!(s.counter(Counter("c")), 5);
+        assert_eq!(s.gauge(Gauge("g")), 10);
+        let h = s.histogram(Hist("h")).unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.max, 100);
-        assert_eq!(s.counter("missing"), 0);
+        assert_eq!(s.counter(Counter("missing")), 0);
     }
 
     #[test]
     fn merge_combines_by_type() {
         let mut a = MetricsRegistry::new();
-        a.counter_add("c", 1);
-        a.gauge_max("g", 7);
-        a.observe("h", 10);
+        a.counter_add(Counter("c"), 1);
+        a.gauge_max(Gauge("g"), 7);
+        a.observe(Hist("h"), 10);
         let mut b = MetricsRegistry::new();
-        b.counter_add("c", 2);
-        b.counter_add("only_b", 9);
-        b.gauge_max("g", 3);
-        b.observe("h", 2000);
+        b.counter_add(Counter("c"), 2);
+        b.counter_add(Counter("only_b"), 9);
+        b.gauge_max(Gauge("g"), 3);
+        b.observe(Hist("h"), 2000);
         let mut ab = a.clone();
         ab.merge_from(&b);
         let mut ba = b.clone();
         ba.merge_from(&a);
         assert_eq!(ab, ba, "merge is commutative");
         let s = ab.snapshot();
-        assert_eq!(s.counter("c"), 3);
-        assert_eq!(s.counter("only_b"), 9);
-        assert_eq!(s.gauge("g"), 7);
-        assert_eq!(s.histogram("h").unwrap().count, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "type mismatch")]
-    fn merge_rejects_type_clash() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("x", 1);
-        let mut b = MetricsRegistry::new();
-        b.gauge_max("x", 1);
-        a.merge_from(&b);
+        assert_eq!(s.counter(Counter("c")), 3);
+        assert_eq!(s.counter(Counter("only_b")), 9);
+        assert_eq!(s.gauge(Gauge("g")), 7);
+        assert_eq!(s.histogram(Hist("h")).unwrap().count, 2);
     }
 
     #[test]
@@ -293,13 +265,13 @@ mod tests {
         let mut target = MetricsRegistry::new();
         m.merge_into(&mut target);
         let mut direct = MetricsRegistry::new();
-        direct.counter_add("c", 2);
-        direct.counter_add("c", 5);
-        direct.observe("h", 100);
-        direct.observe("h", 3);
+        direct.counter_add(Counter("c"), 2);
+        direct.counter_add(Counter("c"), 5);
+        direct.observe(Hist("h"), 100);
+        direct.observe(Hist("h"), 3);
         assert_eq!(target, direct);
-        assert_eq!(target.snapshot().counter("c"), 7);
-        assert_eq!(target.snapshot().histogram("h").unwrap().max, 100);
+        assert_eq!(target.snapshot().counter(Counter("c")), 7);
+        assert_eq!(target.snapshot().histogram(Hist("h")).unwrap().max, 100);
     }
 
     #[test]
@@ -314,8 +286,11 @@ mod tests {
         // `counter_add(name, 0)` does.
         m.counter_handle("zero").add(0);
         m.merge_into(&mut target);
-        assert_eq!(target.metrics.len(), 1);
-        assert_eq!(target.snapshot().counter("zero"), 0);
+        assert_eq!(
+            target.counters.len() + target.gauges.len() + target.histograms.len(),
+            1
+        );
+        assert_eq!(target.snapshot().counter(Counter("zero")), 0);
     }
 
     #[test]
@@ -327,14 +302,14 @@ mod tests {
         b.add(2);
         let mut target = MetricsRegistry::new();
         m.merge_into(&mut target);
-        assert_eq!(target.snapshot().counter("c"), 3);
+        assert_eq!(target.snapshot().counter(Counter("c")), 3);
     }
 
     #[test]
     fn snapshot_json_is_name_ordered() {
         let mut r = MetricsRegistry::new();
-        r.counter_add("zebra", 1);
-        r.counter_add("alpha", 1);
+        r.counter_add(Counter("zebra"), 1);
+        r.counter_add(Counter("alpha"), 1);
         let json = serde_json::to_string(&r.snapshot()).unwrap();
         let a = json.find("alpha").unwrap();
         let z = json.find("zebra").unwrap();

@@ -323,7 +323,7 @@ mod tests {
                 (names::HELPER_COPY_OPS_TOTAL, 4),
                 (names::HELPER_SCANS_TOTAL, 5),
             ]
-            .map(|(name, v)| (name.to_string(), v))
+            .map(|(names::Counter(name), v)| (name.to_string(), v))
             .into()
         );
     }

@@ -10,6 +10,7 @@
 //! Everything runs inside ONE `#[test]` so no concurrent test can
 //! pollute the process-wide counter between the two samples.
 
+use nvm_metrics::names;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -82,8 +83,8 @@ fn coordinator_merges_allocate_per_rank_not_per_event() {
         .map(|r| {
             let mut m = nvm_metrics::MetricsRegistry::new();
             for i in 0..EVENTS_PER_RANK as u64 {
-                m.counter_add("chkpt_faults_total", 1);
-                m.observe("chkpt_fault_ns", 500 + i * 31 + r as u64);
+                m.counter_add(names::CHKPT_FAULTS_TOTAL, 1);
+                m.observe(names::CHKPT_FAULT_NS, 500 + i * 31 + r as u64);
             }
             m
         })
@@ -96,7 +97,7 @@ fn coordinator_merges_allocate_per_rank_not_per_event() {
         }
     });
     assert_eq!(
-        folded.snapshot().counter("chkpt_faults_total"),
+        folded.snapshot().counter(names::CHKPT_FAULTS_TOTAL),
         (RANKS * EVENTS_PER_RANK) as u64
     );
     // Each rank folds a fixed set of metrics into the coordinator's
@@ -114,8 +115,8 @@ fn coordinator_merges_allocate_per_rank_not_per_event() {
     let hot = &mut ranks[0];
     let hot_allocs = allocations_during(|| {
         for i in 0..10_000u64 {
-            hot.counter_add("chkpt_faults_total", 1);
-            hot.observe("chkpt_fault_ns", i);
+            hot.counter_add(names::CHKPT_FAULTS_TOTAL, 1);
+            hot.observe(names::CHKPT_FAULT_NS, i);
         }
     });
     assert_eq!(
