@@ -6,8 +6,11 @@
 //! commit turns on: chunks whose restore still waits for first access
 //! (*pending*), and chunks whose in-progress slot already holds their
 //! current working copy (*staged*), each with the checksum taken of the
-//! bytes as they were copied there. Its mutators are the application
-//! data path (alloc / realloc / delete / write / read), `stage`, one
+//! bytes as they were copied there. Its mutators are allocation
+//! (alloc / realloc / delete), the commit side of the application
+//! data path — the reads and writes themselves are a
+//! [`crate::Access`]'s, which resolves a pending restore here first
+//! and records each write here (`note_write`) — `stage`, one
 //! `checkpoint` behind `nvchkptall` and `nvchkptid`, and
 //! `restart_core`.
 //!
@@ -262,81 +265,43 @@ impl CommitCore {
     // Application data path
     // ------------------------------------------------------------------
 
-    /// Application write of real bytes; returns whether it modified
-    /// a persistent chunk.
-    pub(crate) fn write(
-        &mut self,
-        id: ChunkId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<bool, EngineError> {
-        self.write_with(id, offset, data.len(), |dram, region| {
-            dram.write(region, offset, data, 1)
-        })
-    }
-
-    /// [`Self::write`], size-only.
-    pub(crate) fn write_synthetic(
+    /// The commit side of an application write of `len > 0` bytes at
+    /// `offset` of persistent chunk `id` (`chunk_len` bytes long), made
+    /// in its working copy by a [`crate::Access`]: dirty tracking, with
+    /// the protection fault it may take, and un-staging — a staged
+    /// copy of the chunk is wasted. Returns the fault's cost. Before an
+    /// event is emitted, the cost the access has `accrued` goes onto
+    /// the clock, so that the event is stamped when a write made on its
+    /// own would stamp it.
+    pub(crate) fn note_write(
         &mut self,
         id: ChunkId,
         offset: usize,
         len: usize,
-    ) -> Result<bool, EngineError> {
-        self.write_with(id, offset, len, |dram, region| {
-            dram.write_synthetic(region, offset, len, 1)
-        })
-    }
-
-    /// One application write of `len` bytes at `offset` of chunk `id`,
-    /// which `put` makes in the working copy's DRAM region. The chunk
-    /// is looked up once, for the region and for the bookkeeping.
-    fn write_with(
-        &mut self,
-        id: ChunkId,
-        offset: usize,
-        len: usize,
-        put: impl FnOnce(&MemoryDevice, RegionId) -> Result<SimDuration, DeviceError>,
-    ) -> Result<bool, EngineError> {
-        self.ensure_restored(id)?;
-        let chunk = self.heap.chunk(id)?;
-        let chunk_len = chunk.len as u64;
-        let mut total = put(self.heap.dram(), chunk.dram_region).map_err(HeapError::from)?;
-        let modified = chunk.persistent && len > 0;
-        if modified {
-            let first = offset / PAGE_SIZE;
-            let last = (offset + len - 1) / PAGE_SIZE;
-            let out = self.mmu.record_write(id, first, last - first + 1);
-            total += out.cost;
-            if out.faults > 0 {
-                self.trace(TraceEventKind::ProtectionFault { chunk: id.0 });
-                if let Some(m) = &mut self.metrics {
-                    m.observe(names::CHKPT_FAULT_NS, out.cost.as_nanos());
-                }
-            }
-            if self.staged.remove(&id).is_some() {
-                // A staged chunk was modified again: the earlier copy
-                // is wasted and must be redone.
-                self.stats.wasted_precopy_bytes += chunk_len;
-                self.trace(TraceEventKind::PrecopyWaste { chunk: id.0 });
+        chunk_len: usize,
+        accrued: &mut SimDuration,
+    ) -> SimDuration {
+        let first = offset / PAGE_SIZE;
+        let last = (offset + len - 1) / PAGE_SIZE;
+        let out = self.mmu.record_write(id, first, last - first + 1);
+        if out.faults > 0 {
+            self.clock.advance(std::mem::take(accrued));
+            self.trace(TraceEventKind::ProtectionFault { chunk: id.0 });
+            if let Some(m) = &mut self.metrics {
+                m.observe(names::CHKPT_FAULT_NS, out.cost.as_nanos());
             }
         }
-        self.clock.advance(total);
-        Ok(modified)
+        if self.staged.remove(&id).is_some() {
+            // A staged chunk was modified again: the earlier copy
+            // is wasted and must be redone.
+            self.stats.wasted_precopy_bytes += chunk_len as u64;
+            self.clock.advance(std::mem::take(accrued));
+            self.trace(TraceEventKind::PrecopyWaste { chunk: id.0 });
+        }
+        out.cost
     }
 
-    pub(crate) fn read(
-        &mut self,
-        id: ChunkId,
-        offset: usize,
-        buf: &mut [u8],
-    ) -> Result<(), EngineError> {
-        self.ensure_restored(id)?;
-        let cost = self.heap.read(id, offset, buf)?;
-        self.clock.advance(cost);
-        Ok(())
-    }
-
-    /// [`Self::read`] of each `(chunk, offset, len)` of `ranges` in
+    /// [`crate::Access::read`] of each `(chunk, offset, len)` of `ranges` in
     /// order — its pending restore resolved, its read charged to the
     /// DRAM device and the clock — but with the bytes lent to `f` where
     /// the working copies hold them, in one lend, instead of copied
@@ -813,9 +778,14 @@ impl CommitCore {
         Ok(())
     }
 
+    /// Whether chunk `id` still awaits its lazy restore.
+    pub(crate) fn awaits_restore(&self, id: ChunkId) -> bool {
+        self.pending.contains_key(&id)
+    }
+
     /// Verify + restore a lazily-deferred chunk now. No-op for chunks
     /// that are not pending.
-    fn ensure_restored(&mut self, id: ChunkId) -> Result<(), EngineError> {
+    pub(crate) fn ensure_restored(&mut self, id: ChunkId) -> Result<(), EngineError> {
         let Some(from) = self.pending.remove(&id) else {
             return Ok(());
         };

@@ -4,12 +4,14 @@
 //! [`CheckpointEngine`] is a thin facade over the [`CommitCore`]
 //! (every byte: allocation, data path, stage, commit, restart — the
 //! engine derefs to it) and the pre-copy [`Scheduler`] (only *when*
-//! the core stages). It adds what needs both: application writes and
-//! deletes also reach the scheduler, [`CheckpointEngine::compute`]
+//! the core stages). It adds what needs both: application writes
+//! (made, like reads, through an [`Access`]) and deletes also reach
+//! the scheduler, [`CheckpointEngine::compute`]
 //! runs the background drain, and [`CheckpointEngine::nvchkptall`]
 //! closes the interval the scheduler learns from. All operations
 //! charge a shared [`VirtualClock`].
 
+use crate::access::Access;
 use crate::checksum::crc64;
 use crate::commit::{CommitCore, Committed};
 use crate::config::{ConfigError, EngineConfig};
@@ -112,6 +114,9 @@ pub struct RemoteImage {
 pub struct CheckpointEngine {
     core: CommitCore,
     sched: Scheduler,
+    /// The heap's DRAM device, which an [`Access`] locks apart from
+    /// the core it borrows.
+    dram: MemoryDevice,
     config: EngineConfig,
     /// [`CommitCore::stats`] as of the interval start; an
     /// [`EpochReport`]'s per-interval counts are the totals' movement
@@ -147,6 +152,7 @@ impl CheckpointEngine {
     fn assemble(core: CommitCore, config: EngineConfig) -> Self {
         CheckpointEngine {
             sched: Scheduler::new(&config, core.clock().now()),
+            dram: core.heap().dram().clone(),
             interval_stats: core.stats(),
             core,
             config,
@@ -236,30 +242,40 @@ impl CheckpointEngine {
         Ok(())
     }
 
-    /// Application write of real bytes into a chunk's working copy.
-    pub fn write(&mut self, id: ChunkId, offset: usize, data: &[u8]) -> Result<(), EngineError> {
-        if self.core.write(id, offset, data)? {
-            self.sched.record_modification(id);
-        }
-        Ok(())
+    /// Run `f` over an [`Access`]: a run of application reads, views
+    /// and writes of the working copies under one hold of the DRAM
+    /// device's lock, each charged and recorded exactly as the engine
+    /// call of its name (see the `access` module docs). `f` must not
+    /// use the DRAM device itself.
+    pub fn access<R>(&mut self, f: impl FnOnce(&mut Access<'_>) -> R) -> R {
+        f(&mut Access::open(
+            &mut self.core,
+            &mut self.sched,
+            &self.dram,
+        ))
     }
 
-    /// Application write, size-only (paper-scale benches).
+    /// Application write of real bytes into a chunk's working copy:
+    /// one [`Access::write`].
+    pub fn write(&mut self, id: ChunkId, offset: usize, data: &[u8]) -> Result<(), EngineError> {
+        self.access(|a| a.write(id, offset, data))
+    }
+
+    /// Application write, size-only (paper-scale benches): one
+    /// [`Access::write_synthetic`].
     pub fn write_synthetic(
         &mut self,
         id: ChunkId,
         offset: usize,
         len: usize,
     ) -> Result<(), EngineError> {
-        if self.core.write_synthetic(id, offset, len)? {
-            self.sched.record_modification(id);
-        }
-        Ok(())
+        self.access(|a| a.write_synthetic(id, offset, len))
     }
 
-    /// Read real bytes from a chunk's working copy.
+    /// Read real bytes from a chunk's working copy: one
+    /// [`Access::read`].
     pub fn read(&mut self, id: ChunkId, offset: usize, buf: &mut [u8]) -> Result<(), EngineError> {
-        self.core.read(id, offset, buf)
+        self.access(|a| a.read(id, offset, buf))
     }
 
     /// Read several ranges, each `(chunk, offset, len)`, of the working

@@ -46,6 +46,7 @@
 
 #![warn(missing_docs)]
 
+pub mod access;
 pub mod capi;
 pub mod checksum;
 pub mod commit;
@@ -57,6 +58,7 @@ pub mod predict;
 pub mod restart;
 pub mod stats;
 
+pub use access::Access;
 pub use commit::CommitCore;
 pub use config::{ConfigError, EngineConfig, EngineConfigBuilder, PrecopyPolicy};
 pub use engine::{CheckpointEngine, EngineError, RemoteImage, RestartReport};

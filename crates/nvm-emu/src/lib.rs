@@ -55,7 +55,7 @@ pub mod time;
 pub mod wearmap;
 
 pub use bandwidth::BandwidthModel;
-pub use device::{DeviceStats, MemoryDevice, RegionId};
+pub use device::{DeviceGuard, DeviceStats, MemoryDevice, RegionId};
 pub use error::DeviceError;
 pub use params::{DeviceKind, DeviceParams};
 pub use spill::{MemSpill, SpillStore};

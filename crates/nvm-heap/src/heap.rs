@@ -297,17 +297,6 @@ impl NvmHeap {
         Ok(())
     }
 
-    /// Read from the working copy.
-    pub fn read(
-        &self,
-        id: ChunkId,
-        offset: usize,
-        buf: &mut [u8],
-    ) -> Result<SimDuration, HeapError> {
-        let chunk = self.chunks.get(&id).ok_or(HeapError::NoSuchChunk(id))?;
-        Ok(self.dram.read(chunk.dram_region, offset, buf, 1)?)
-    }
-
     /// Shadow-copy the working copy into NVM version `slot`, as one of
     /// `concurrency` simultaneous streams, lending the bytes copied to
     /// `lend` while they are in hand (the stage-time checksum). Returns
@@ -431,6 +420,7 @@ impl NvmHeap {
     }
 
     /// Immutable access to a chunk.
+    #[inline]
     pub fn chunk(&self, id: ChunkId) -> Result<&Chunk, HeapError> {
         self.chunks.get(&id).ok_or(HeapError::NoSuchChunk(id))
     }
@@ -610,6 +600,12 @@ mod tests {
         h.dram().write(region, 0, data, 1).unwrap();
     }
 
+    /// An application read of the working copy at offset 0.
+    fn read(h: &NvmHeap, id: ChunkId, buf: &mut [u8]) {
+        let region = h.chunk(id).unwrap().dram_region;
+        h.dram().read(region, 0, buf, 1).unwrap();
+    }
+
     #[test]
     fn nvmalloc_creates_dram_and_shadow_pair() {
         let mut h = heap(Versioning::Double);
@@ -703,7 +699,7 @@ mod tests {
         let src = vec![0xABu8; 2048];
         let id = h.nvattach("lammps_custom", &src).unwrap();
         let mut buf = vec![0u8; 2048];
-        h.read(id, 0, &mut buf).unwrap();
+        read(&h, id, &mut buf);
         assert_eq!(buf, src);
     }
 
@@ -724,7 +720,7 @@ mod tests {
         assert_eq!(c.len, 4096);
         assert_eq!(c.committed_slot, None, "old commits are invalidated");
         let mut buf = vec![0u8; 1024];
-        h.read(id, 0, &mut buf).unwrap();
+        read(&h, id, &mut buf);
         assert_eq!(buf, vec![7u8; 1024]);
         // shrink is a no-op
         h.nvrealloc(id, 16).unwrap();
@@ -773,7 +769,7 @@ mod tests {
         write(&h, id, &[0u8; 512]);
         h.restore_to_dram(id).unwrap();
         let mut buf = vec![0u8; 512];
-        h.read(id, 0, &mut buf).unwrap();
+        read(&h, id, &mut buf);
         assert_eq!(buf, vec![9u8; 512]);
     }
 
@@ -810,7 +806,7 @@ mod tests {
                 h.restore_to_dram(id).unwrap()
             };
             let mut buf = vec![0u8; 5000];
-            h.read(id, 0, &mut buf).unwrap();
+            read(&h, id, &mut buf);
             assert_eq!(buf, data);
             let wear = dram.max_wear(region).unwrap();
             (cost, dram.stats(), nvm.stats(), wear)

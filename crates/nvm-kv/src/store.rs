@@ -22,10 +22,25 @@
 //! On recovery, [`KvStore::recover`] reads the last *committed* meta
 //! block, replays the committed log prefix through the per-session
 //! watermarks, and drops acknowledged-after-token records.
+//!
+//! # One pass through the engine
+//!
+//! An operation reaches the working copies through one
+//! [`CheckpointEngine::access`]: one hold of the DRAM lock, each read
+//! and write in it charged as an engine call of its own would be. The
+//! probe decodes index entries and compares keys where the index and
+//! the log hold them, and a read hit copies out only the value. What
+//! takes the DRAM lock itself — allocation — stays outside: the index
+//! doubles before the access opens, and a log segment the head rolls
+//! into is allocated between the access that reached it and a second
+//! one that appends there, so that the allocation keeps its place
+//! among the operation's charges and every event its timestamp.
+//! [`KvStore::rmw`] is a read access, then its closure with no lock
+//! held, then a write access.
 
 use std::collections::BTreeMap;
 
-use nvm_chkpt::{CheckpointEngine, ChunkId, EngineError, HeapError};
+use nvm_chkpt::{Access, CheckpointEngine, ChunkId, EngineError, HeapError};
 use nvm_emu::DeviceError;
 use nvm_metrics::names;
 use nvm_trace::TraceEventKind;
@@ -174,13 +189,17 @@ enum Probe {
     /// The key has an index entry (possibly pointing at a tombstone).
     Found {
         slot: u64,
-        offset: u64,
+        record: Record,
         header: RecordHeader,
     },
     /// The key is absent; `slot` is the first free slot on its probe
     /// path (where an insert goes).
     Free { slot: u64 },
 }
+
+/// Where a record lies: its log segment's chunk and its offset there,
+/// worked out once per record an operation reads.
+type Record = (ChunkId, usize);
 
 /// A concurrent-by-session key-value store persisted through the NVM
 /// checkpoint engine. All methods take the engine explicitly — the
@@ -284,10 +303,12 @@ impl KvStore {
 
         self.maybe_grow(engine)?;
         let hash = hash64(key);
-        let probe = self.probe(engine, hash, key)?;
-        let (offset, serial) = self.append(engine, session, key, Some(value))?;
-        let slot = self.claim(probe);
-        self.write_entry(engine, slot, hash, offset)?;
+        let serial = self.encode(session, key, Some(value));
+        let rolled = engine.access(|a| {
+            let probe = self.probe(a, hash, key)?;
+            self.place(a, session, serial, hash, probe)
+        })?;
+        self.finish(engine, session, serial, hash, rolled)?;
 
         count_op(engine, names::KV_UPSERTS_TOTAL, t0);
         self.trace_op(engine, "upsert", session, serial, true);
@@ -306,12 +327,12 @@ impl KvStore {
         let t0 = engine.clock().now().as_nanos();
 
         let hash = hash64(key);
-        let value = match self.probe(engine, hash, key)? {
-            Probe::Found { offset, header, .. } if !header.is_tombstone() => {
-                Some(self.read_value(engine, offset, &header)?)
+        let value = engine.access(|a| match self.probe(a, hash, key)? {
+            Probe::Found { record, header, .. } if !header.is_tombstone() => {
+                Ok::<_, KvError>(Some(read_value(a, record, &header)?.to_vec()))
             }
-            _ => None,
-        };
+            _ => Ok(None),
+        })?;
 
         if value.is_none() {
             if let Some(m) = engine.metrics_mut() {
@@ -340,22 +361,26 @@ impl KvStore {
 
         self.maybe_grow(engine)?;
         let hash = hash64(key);
-        let probe = self.probe(engine, hash, key)?;
-        let old = match probe {
-            Probe::Found { offset, header, .. } if !header.is_tombstone() => {
-                Some(self.read_value(engine, offset, &header)?)
-            }
-            _ => None,
-        };
+        let (probe, old) = engine.access(|a| {
+            let probe = self.probe(a, hash, key)?;
+            let old = match &probe {
+                Probe::Found { record, header, .. } if !header.is_tombstone() => {
+                    Some(read_value(a, *record, header)?.to_vec())
+                }
+                _ => None,
+            };
+            Ok::<_, KvError>((probe, old))
+        })?;
+        // `f` runs with no lock held.
         let existed = old.is_some();
         let value = f(old.as_deref());
         let need = crate::layout::record_len(key.len(), value.len());
         if need as u64 > self.cfg.segment_bytes {
             return Err(KvError::RecordTooLarge(need));
         }
-        let (offset, serial) = self.append(engine, session, key, Some(&value))?;
-        let slot = self.claim(probe);
-        self.write_entry(engine, slot, hash, offset)?;
+        let serial = self.encode(session, key, Some(&value));
+        let rolled = engine.access(|a| self.place(a, session, serial, hash, probe))?;
+        self.finish(engine, session, serial, hash, rolled)?;
 
         count_op(engine, names::KV_RMWS_TOTAL, t0);
         self.trace_op(engine, "rmw", session, serial, existed);
@@ -375,14 +400,17 @@ impl KvStore {
         let t0 = engine.clock().now().as_nanos();
 
         let hash = hash64(key);
-        let existed = match self.probe(engine, hash, key)? {
-            Probe::Found { slot, header, .. } if !header.is_tombstone() => {
-                let (offset, _) = self.append(engine, session, key, None)?;
-                self.write_entry(engine, slot, hash, offset)?;
-                true
+        let placed = engine.access(|a| match self.probe(a, hash, key)? {
+            found @ Probe::Found { header, .. } if !header.is_tombstone() => {
+                let serial = self.encode(session, key, None);
+                Ok::<_, KvError>(Some((serial, self.place(a, session, serial, hash, found)?)))
             }
-            _ => false,
-        };
+            _ => Ok(None),
+        })?;
+        let existed = placed.is_some();
+        if let Some((serial, rolled)) = placed {
+            self.finish(engine, session, serial, hash, rolled)?;
+        }
 
         count_op(engine, names::KV_DELETES_TOTAL, t0);
         let serial = self.serials[session.0 as usize];
@@ -505,9 +533,8 @@ impl KvStore {
         // Read the committed meta block. An all-zero block (chunk
         // committed before any `checkpoint()`) decodes to None: no
         // token, replay nothing.
-        let mut meta_buf = vec![0u8; meta_len];
-        engine.read(meta_id, 0, &mut meta_buf)?;
-        let meta = decode_meta(&meta_buf).unwrap_or(KvMeta {
+        let meta = engine.access(|a| a.view(meta_id, 0, meta_len).map(decode_meta))?;
+        let meta = meta.unwrap_or(KvMeta {
             token: 0,
             log_len: 0,
             index_slots: cfg.initial_index_slots,
@@ -531,7 +558,7 @@ impl KvStore {
         }
 
         // Replay the log where the engine's working copies hold it, each
-        // segment's read charged as `engine.read` would charge it. The
+        // segment's read charged as an engine read of it would be. The
         // replay only reads: a corrupt prefix fails here, before any
         // of the mutations below, and leaves the engine's chunks as
         // they were.
@@ -555,10 +582,12 @@ impl KvStore {
 
         // Zero the log tail past the token prefix so the next run's
         // appends land on a canonical, bit-verifiable log.
-        for (seg, at, len) in stale {
-            engine.write(segments[seg], at, &vec![0u8; len])?;
-        }
-        engine.write(index, 0, &table)?;
+        engine.access(|a| {
+            for (seg, at, len) in stale {
+                a.write(segments[seg], at, &vec![0u8; len])?;
+            }
+            a.write(index, 0, &table)
+        })?;
 
         let store = KvStore {
             index_slots: slots,
@@ -602,23 +631,24 @@ impl KvStore {
         &mut self,
         engine: &mut CheckpointEngine,
     ) -> Result<BTreeMap<Vec<u8>, Vec<u8>>, KvError> {
-        let mut map = BTreeMap::new();
-        for slot in 0..self.index_slots {
-            let (_, tag) = self.read_entry(engine, slot)?;
-            if tag == 0 {
-                continue;
+        engine.access(|a| {
+            let mut map = BTreeMap::new();
+            for slot in 0..self.index_slots {
+                let (_, tag) = self.read_entry(a, slot)?;
+                if tag == 0 {
+                    continue;
+                }
+                let record = self.locate(tag - 1);
+                let header = read_header(a, record)?;
+                if header.is_tombstone() {
+                    continue;
+                }
+                let key = read_key(a, record, header.key_len as usize)?.to_vec();
+                let value = read_value(a, record, &header)?.to_vec();
+                map.insert(key, value);
             }
-            let offset = tag - 1;
-            let header = self.read_header(engine, offset)?;
-            if header.is_tombstone() {
-                continue;
-            }
-            let mut key = vec![0u8; header.key_len as usize];
-            self.read_key(engine, offset, &mut key)?;
-            let value = self.read_value(engine, offset, &header)?;
-            map.insert(key, value);
-        }
-        Ok(map)
+            Ok(map)
+        })
     }
 
     // --- internals ---
@@ -674,6 +704,13 @@ impl KvStore {
         );
     }
 
+    /// The segment and the offset in it of the record at log offset
+    /// `offset`.
+    fn locate(&self, offset: u64) -> Record {
+        let (seg, off) = self.seg_of(offset);
+        (self.segments[seg], off)
+    }
+
     fn seg_of(&self, offset: u64) -> (usize, usize) {
         (
             (offset / self.cfg.segment_bytes) as usize,
@@ -681,93 +718,47 @@ impl KvStore {
         )
     }
 
-    fn read_entry(&self, engine: &mut CheckpointEngine, slot: u64) -> Result<(u64, u64), KvError> {
-        let mut buf = [0u8; INDEX_ENTRY_BYTES];
-        engine.read(self.index, (slot as usize) * INDEX_ENTRY_BYTES, &mut buf)?;
-        Ok(decode_index_entry(&buf))
+    fn read_entry(&self, a: &mut Access<'_>, slot: u64) -> Result<(u64, u64), KvError> {
+        let entry = a.view(
+            self.index,
+            (slot as usize) * INDEX_ENTRY_BYTES,
+            INDEX_ENTRY_BYTES,
+        )?;
+        Ok(decode_index_entry(entry))
     }
 
     fn write_entry(
-        &mut self,
-        engine: &mut CheckpointEngine,
+        &self,
+        a: &mut Access<'_>,
         slot: u64,
         hash: u64,
         offset: u64,
     ) -> Result<(), KvError> {
         let entry = encode_index_entry(hash, offset + 1);
-        engine.write(self.index, (slot as usize) * INDEX_ENTRY_BYTES, &entry)?;
+        a.write(self.index, (slot as usize) * INDEX_ENTRY_BYTES, &entry)?;
         Ok(())
-    }
-
-    fn read_header(
-        &self,
-        engine: &mut CheckpointEngine,
-        offset: u64,
-    ) -> Result<RecordHeader, KvError> {
-        let (seg, off) = self.seg_of(offset);
-        let mut buf = [0u8; RECORD_HEADER_BYTES];
-        engine.read(self.segments[seg], off, &mut buf)?;
-        decode_record_header(&buf).ok_or(KvError::Corrupt("index points at a non-record"))
-    }
-
-    /// Read the first `key.len()` key bytes of the record at `offset`.
-    fn read_key(
-        &self,
-        engine: &mut CheckpointEngine,
-        offset: u64,
-        key: &mut [u8],
-    ) -> Result<(), KvError> {
-        let (seg, off) = self.seg_of(offset);
-        engine.read(self.segments[seg], off + RECORD_HEADER_BYTES, key)?;
-        Ok(())
-    }
-
-    fn read_value(
-        &self,
-        engine: &mut CheckpointEngine,
-        offset: u64,
-        header: &RecordHeader,
-    ) -> Result<Vec<u8>, KvError> {
-        let (seg, off) = self.seg_of(offset);
-        let mut val = vec![0u8; header.val_len as usize];
-        engine.read(
-            self.segments[seg],
-            off + RECORD_HEADER_BYTES + header.key_len as usize,
-            &mut val,
-        )?;
-        Ok(val)
     }
 
     /// Probe the index for `key`. Linear probing; a slot whose hash
-    /// matches is confirmed by comparing key bytes from the log.
-    fn probe(
-        &self,
-        engine: &mut CheckpointEngine,
-        hash: u64,
-        key: &[u8],
-    ) -> Result<Probe, KvError> {
+    /// matches is confirmed by comparing the key with the log's bytes
+    /// where they lie.
+    fn probe(&self, a: &mut Access<'_>, hash: u64, key: &[u8]) -> Result<Probe, KvError> {
         let mask = self.index_slots - 1;
         let mut slot = hash & mask;
-        // A key is at most `u8::MAX` bytes (`check_key`).
-        let mut stored = [0u8; u8::MAX as usize];
-        let stored = &mut stored[..key.len()];
         for _ in 0..self.index_slots {
-            let (entry_hash, tag) = self.read_entry(engine, slot)?;
+            let (entry_hash, tag) = self.read_entry(a, slot)?;
             if tag == 0 {
                 return Ok(Probe::Free { slot });
             }
             if entry_hash == hash {
-                let offset = tag - 1;
-                let header = self.read_header(engine, offset)?;
-                if header.key_len as usize == key.len() {
-                    self.read_key(engine, offset, stored)?;
-                    if stored == key {
-                        return Ok(Probe::Found {
-                            slot,
-                            offset,
-                            header,
-                        });
-                    }
+                let record = self.locate(tag - 1);
+                let header = read_header(a, record)?;
+                if header.key_len as usize == key.len() && read_key(a, record, key.len())? == key {
+                    return Ok(Probe::Found {
+                        slot,
+                        record,
+                        header,
+                    });
                 }
             }
             slot = (slot + 1) & mask;
@@ -775,58 +766,90 @@ impl KvStore {
         Err(KvError::Corrupt("hash index has no free slot"))
     }
 
-    /// Append the record of `session`'s next mutation of `key`
-    /// (`value: None` is a tombstone), allocating log segments on
-    /// demand, and return its log offset and serial. Records never
+    /// Encode the record of `session`'s next mutation of `key`
+    /// (`value: None` is a tombstone) into the buffer the store keeps,
+    /// and return its serial.
+    fn encode(&mut self, session: SessionId, key: &[u8], value: Option<&[u8]>) -> u64 {
+        let serial = self.serials[session.0 as usize] + 1;
+        encode_record_into(&mut self.record, session.0, serial, key, value);
+        serial
+    }
+
+    /// Append the encoded record, `session`'s mutation `serial`, at the
+    /// log head and point the slot `probe` found at it. Records never
     /// span segments; a short tail is closed with a
-    /// [`SEGMENT_END_MARKER`]. The session's serial advances, and the
-    /// record's bytes are counted, only once the record is in the log:
-    /// a failed append consumes no serial.
-    fn append(
+    /// [`SEGMENT_END_MARKER`]. When the head reaches a segment not yet
+    /// allocated, `probe` comes back: allocation takes the DRAM lock,
+    /// so [`KvStore::finish`] allocates it outside the access and
+    /// places the record in a second one. The session's serial
+    /// advances, and the slot is claimed, only once the record is in
+    /// the log: a failed append consumes no serial and claims nothing.
+    fn place(
+        &mut self,
+        a: &mut Access<'_>,
+        session: SessionId,
+        serial: u64,
+        hash: u64,
+        probe: Probe,
+    ) -> Result<Option<Probe>, KvError> {
+        let seg_len = self.cfg.segment_bytes as usize;
+        let len = self.record.len();
+        loop {
+            let (seg, off) = self.seg_of(self.head);
+            let Some(&id) = self.segments.get(seg) else {
+                return Ok(Some(probe));
+            };
+            if seg_len - off >= len {
+                a.write(id, off, &self.record)?;
+                let offset = self.head;
+                self.head += len as u64;
+                self.serials[session.0 as usize] = serial;
+                let slot = self.claim(probe);
+                self.write_entry(a, slot, hash, offset)?;
+                return Ok(None);
+            }
+            if seg_len - off >= 4 {
+                a.write(id, off, &SEGMENT_END_MARKER.to_le_bytes())?;
+            }
+            self.head = (seg + 1) as u64 * seg_len as u64;
+        }
+    }
+
+    /// Finish a mutation [`KvStore::place`] began: allocate each log
+    /// segment it `rolled` into and place the record there, then count
+    /// the record's bytes.
+    fn finish(
         &mut self,
         engine: &mut CheckpointEngine,
         session: SessionId,
-        key: &[u8],
-        value: Option<&[u8]>,
-    ) -> Result<(u64, u64), KvError> {
-        let serial = self.serials[session.0 as usize] + 1;
-        encode_record_into(&mut self.record, session.0, serial, key, value);
-        let record = &self.record;
-        let seg_len = self.cfg.segment_bytes;
-        loop {
-            let seg = (self.head / seg_len) as usize;
-            let off = (self.head % seg_len) as usize;
-            while self.segments.len() <= seg {
-                let name = format!("kv_seg_{}", self.segments.len());
-                let id = engine
-                    .nvmalloc(&name, seg_len as usize, true)
-                    .map_err(full_or_engine)?;
-                self.segments.push(id);
-            }
-            if seg_len as usize - off >= record.len() {
-                engine.write(self.segments[seg], off, record)?;
-                let offset = self.head;
-                self.head += record.len() as u64;
-                self.serials[session.0 as usize] = serial;
-                if let Some(m) = engine.metrics_mut() {
-                    m.counter_add(names::KV_LOG_APPENDED_BYTES_TOTAL, record.len() as u64);
-                }
-                return Ok((offset, serial));
-            }
-            if seg_len as usize - off >= 4 {
-                engine.write(self.segments[seg], off, &SEGMENT_END_MARKER.to_le_bytes())?;
-            }
-            self.head = (seg as u64 + 1) * seg_len;
+        serial: u64,
+        hash: u64,
+        mut rolled: Option<Probe>,
+    ) -> Result<(), KvError> {
+        while let Some(probe) = rolled {
+            let name = format!("kv_seg_{}", self.segments.len());
+            let id = engine
+                .nvmalloc(&name, self.cfg.segment_bytes as usize, true)
+                .map_err(full_or_engine)?;
+            self.segments.push(id);
+            rolled = engine.access(|a| self.place(a, session, serial, hash, probe))?;
         }
+        if let Some(m) = engine.metrics_mut() {
+            m.counter_add(names::KV_LOG_APPENDED_BYTES_TOTAL, self.record.len() as u64);
+        }
+        Ok(())
     }
 
     fn maybe_grow(&mut self, engine: &mut CheckpointEngine) -> Result<(), KvError> {
         if (self.occupied + 1) * 4 <= self.index_slots * 3 {
             return Ok(());
         }
-        let mut old = vec![0u8; (self.index_slots as usize) * INDEX_ENTRY_BYTES];
-        engine.read(self.index, 0, &mut old)?;
-        let (table, slots) = host_grow(&old, self.index_slots);
+        let len = (self.index_slots as usize) * INDEX_ENTRY_BYTES;
+        let grown = engine.access(|a| {
+            a.view(self.index, 0, len)
+                .map(|old| host_grow(old, self.index_slots))
+        });
+        let (table, slots) = grown?;
         engine
             .nvrealloc(self.index, table.len())
             .map_err(full_or_engine)?;
@@ -837,6 +860,31 @@ impl KvStore {
         }
         Ok(())
     }
+}
+
+/// The header of `record`, where it lies.
+fn read_header(a: &mut Access<'_>, (seg, off): Record) -> Result<RecordHeader, KvError> {
+    let bytes = a.view(seg, off, RECORD_HEADER_BYTES)?;
+    decode_record_header(bytes).ok_or(KvError::Corrupt("index points at a non-record"))
+}
+
+/// The first `len` key bytes of `record`, where they lie.
+fn read_key<'v>(
+    a: &'v mut Access<'_>,
+    (seg, off): Record,
+    len: usize,
+) -> Result<&'v [u8], KvError> {
+    Ok(a.view(seg, off + RECORD_HEADER_BYTES, len)?)
+}
+
+/// The value of `record`, where it lies.
+fn read_value<'v>(
+    a: &'v mut Access<'_>,
+    (seg, off): Record,
+    header: &RecordHeader,
+) -> Result<&'v [u8], KvError> {
+    let at = off + RECORD_HEADER_BYTES + header.key_len as usize;
+    Ok(a.view(seg, at, header.val_len as usize)?)
 }
 
 /// Count one point operation that began at `t0` into the engine's

@@ -5,9 +5,11 @@
 //! that leaves every page as it was, and the device's wear map
 //! increments the run a page got at its first write — a metadata save
 //! of a table no larger than the last one encodes into the buffer the
-//! region keeps, and a kv `upsert` compares keys on the stack and
-//! encodes its record into the buffer the store keeps, so that a
-//! `read` hit allocates the value it returns and nothing else. A
+//! region keeps, and a kv operation compares keys where the log holds
+//! them and encodes its record into the buffer the store keeps, so
+//! that an `upsert` or a `delete` allocates nothing, a `read` hit
+//! allocates the value it returns and nothing else — and zero-fills
+//! nothing — and a read miss allocates nothing. A
 //! size-only engine costs what is written to it: building one with
 //! seven 50 MiB chunks and committing it asks for no buffer larger than
 //! a page (its 1 MiB metadata region holds only the page a save
@@ -38,6 +40,7 @@ struct CountingAlloc;
 static REQUESTS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
+static ZEROED: AtomicUsize = AtomicUsize::new(0);
 
 fn note(size: usize) {
     REQUESTS.fetch_add(1, Relaxed);
@@ -53,6 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        ZEROED.fetch_add(1, Relaxed);
         System.alloc_zeroed(layout)
     }
 
@@ -187,6 +191,7 @@ fn steady_state_writes_and_saves_do_not_allocate() {
         "no segment rolled, the index did not grow"
     );
     assert_eq!(upserts, 0, "upserts of existing keys");
+    let zeroed = ZEROED.load(Relaxed);
     let reads = requests_during(|| {
         for i in 0..1000 {
             let key = keys[(i * 13) % KEYS].as_bytes();
@@ -194,6 +199,22 @@ fn steady_state_writes_and_saves_do_not_allocate() {
         }
     });
     assert_eq!(reads, 1000, "read hits: the returned value, nothing else");
+    assert_eq!(ZEROED.load(Relaxed), zeroed, "read hits zero-fill nothing");
+    let absent: Vec<String> = (0..KEYS).map(|k| format!("gone{k:08}")).collect();
+    let misses = requests_during(|| {
+        for i in 0..1000 {
+            let key = absent[(i * 13) % KEYS].as_bytes();
+            assert!(kv.read(&mut e, session, key).unwrap().is_none());
+        }
+    });
+    assert_eq!(misses, 0, "read misses");
+    let deletes = requests_during(|| {
+        for key in &keys[..KEYS / 2] {
+            assert!(kv.delete(&mut e, session, key.as_bytes()).unwrap());
+        }
+    });
+    assert_eq!(kv.stats().segments, before.segments, "no segment rolled");
+    assert_eq!(deletes, 0, "deletes of existing keys");
 
     // --- A metadata save whose table is no larger than the last. ---
     let nvm = MemoryDevice::pcm(4 * MB);
