@@ -79,7 +79,9 @@ pub fn render(r: &Fig10Result) -> Table {
     let step = len.div_ceil(40).max(1);
     let mb = (1 << 20) as f64;
     for i in (0..len).step_by(step) {
-        let window = |s: &[f64]| -> f64 { s.iter().skip(i).take(step).sum::<f64>() };
+        // Folded from +0.0: `f64`'s `Sum` of nothing is -0.0, which a
+        // row past the end of the shorter series would print.
+        let window = |s: &[f64]| -> f64 { s.iter().skip(i).take(step).fold(0.0, |a, b| a + b) };
         t.row(vec![
             format!("{:.0}", i as f64 * r.bucket_s),
             format!("{:.1}", window(&r.precopy_series) / mb),
@@ -106,6 +108,26 @@ pub fn summary(r: &Fig10Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rows_past_the_shorter_series_read_zero() {
+        let mb = (1 << 20) as f64;
+        let r = Fig10Result {
+            bucket_s: 1.0,
+            precopy_series: vec![2.0 * mb; 3],
+            noprecopy_series: vec![mb; 5],
+            precopy_peak: 2.0 * mb,
+            noprecopy_peak: mb,
+            peak_reduction: 0.0,
+            precopy_total: 6.0 * mb,
+            noprecopy_total: 5.0 * mb,
+        };
+        let text = render(&r).render();
+        let rows: Vec<&str> = text.lines().filter(|l| l.starts_with("| 4 ")).collect();
+        assert_eq!(rows.len(), 1, "{text}");
+        assert!(rows[0].contains("| 0.0 "), "{text}");
+        assert!(!text.contains("-0.0"), "{text}");
+    }
 
     #[test]
     fn quick_fig10_peak_reduction() {

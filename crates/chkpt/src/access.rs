@@ -8,7 +8,8 @@
 //! on its own: the same device cost and [`nvm_emu::DeviceStats`]
 //! fields, the same dirty tracking, fault, staged-copy waste and
 //! scheduler bookkeeping, the same events at the same virtual times.
-//! Those engine calls *are* one-access runs of these. What a run saves
+//! Those engine calls *are* one-access runs of these. [`Access::views`]
+//! is `view` of several ranges, each charged in turn, lent at once. What a run saves
 //! is what each call paid again: the device lock and the clock update
 //! (costs are summed, and put on the clock at the points where a
 //! separate call's would be seen) and, on a RAM-backed working copy,
@@ -34,7 +35,7 @@ use crate::commit::CommitCore;
 use crate::engine::EngineError;
 use crate::precopy::Scheduler;
 use nvm_emu::{DeviceError, DeviceGuard, MemoryDevice, RegionId, SimDuration};
-use nvm_heap::HeapError;
+use nvm_heap::{HeapError, Materialization};
 use nvm_paging::ChunkId;
 
 /// One run of accesses to the working copies
@@ -77,6 +78,43 @@ impl<'a> Access<'a> {
         let (bytes, cost) = lent.map_err(HeapError::from)?;
         self.accrued += cost;
         Ok(bytes)
+    }
+
+    /// Lend several ranges, each `(chunk, offset, len)`, at once: each
+    /// is charged as [`Access::view`] of it would be, in the order
+    /// given — its pending restore, then its read — and then all of
+    /// them are lent together. Every range is checked first: an unknown
+    /// chunk, a range past a chunk's end or a size-only chunk fails the
+    /// call whole, before anything is restored or charged.
+    pub fn views(&mut self, ranges: &[(ChunkId, usize, usize)]) -> Result<Vec<&[u8]>, EngineError> {
+        let heap = self.core.heap();
+        let bytes = heap.materialization() == Materialization::Bytes;
+        for &(id, offset, len) in ranges {
+            let chunk = heap.chunk(id)?;
+            let (region, region_len) = (chunk.dram_region.0, chunk.len);
+            let bad = if !bytes {
+                DeviceError::SyntheticAccess(region)
+            } else if offset.checked_add(len).is_none_or(|end| end > region_len) {
+                DeviceError::OutOfBounds {
+                    region,
+                    offset,
+                    len,
+                    region_len,
+                }
+            } else {
+                continue;
+            };
+            return Err(HeapError::from(bad).into());
+        }
+        let mut regions = Vec::with_capacity(ranges.len());
+        for &(id, offset, len) in ranges {
+            let (region, ..) = self.working_copy(id)?;
+            let cost = held(&mut self.guard).charge_view(region, offset, len, 1);
+            self.accrued += cost.map_err(HeapError::from)?;
+            regions.push((region, offset, len));
+        }
+        let lent = held(&mut self.guard).lend_views(&regions);
+        Ok(lent.map_err(HeapError::from)?)
     }
 
     /// Copy `buf.len()` bytes of chunk `id`'s working copy at `offset`

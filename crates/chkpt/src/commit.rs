@@ -29,10 +29,8 @@ use crate::persist::{PersistError, Persistence, RecoveredChunk, StoreStats, Synt
 use crate::precopy::ChunkState;
 use crate::restart::RestartStrategy;
 use crate::stats::{EngineStats, EpochReport};
-use nvm_emu::{
-    pages_for, DeviceError, MemoryDevice, RegionId, SimDuration, SimTime, VirtualClock, PAGE_SIZE,
-};
-use nvm_heap::{HeapError, Materialization, NvmHeap};
+use nvm_emu::{pages_for, MemoryDevice, RegionId, SimDuration, SimTime, VirtualClock, PAGE_SIZE};
+use nvm_heap::{Materialization, NvmHeap};
 use nvm_metrics::{names, MetricsRegistry};
 use nvm_paging::metadata::MetadataError;
 use nvm_paging::{ChunkId, MetadataRegion, Mmu};
@@ -299,47 +297,6 @@ impl CommitCore {
             self.trace(TraceEventKind::PrecopyWaste { chunk: id.0 });
         }
         out.cost
-    }
-
-    /// [`crate::Access::read`] of each `(chunk, offset, len)` of `ranges` in
-    /// order — its pending restore resolved, its read charged to the
-    /// DRAM device and the clock — but with the bytes lent to `f` where
-    /// the working copies hold them, in one lend, instead of copied
-    /// out. Every range is checked before anything is charged: an
-    /// unknown chunk, a range past a chunk's end or a size-only chunk
-    /// is the error `read` would give, and costs nothing.
-    pub(crate) fn view_chunks<R>(
-        &mut self,
-        ranges: &[(ChunkId, usize, usize)],
-        f: impl FnOnce(&[&[u8]]) -> R,
-    ) -> Result<R, EngineError> {
-        let bytes = self.heap.materialization() == Materialization::Bytes;
-        let mut regions = Vec::with_capacity(ranges.len());
-        for &(id, offset, len) in ranges {
-            let chunk = self.heap.chunk(id)?;
-            let region = chunk.dram_region;
-            if !bytes {
-                return Err(HeapError::from(DeviceError::SyntheticAccess(region.0)).into());
-            }
-            if offset.checked_add(len).is_none_or(|end| end > chunk.len) {
-                let (region, region_len) = (region.0, chunk.len);
-                let oob = DeviceError::OutOfBounds {
-                    region,
-                    offset,
-                    len,
-                    region_len,
-                };
-                return Err(HeapError::from(oob).into());
-            }
-            regions.push((region, offset, len));
-        }
-        for (&(id, ..), &(region, offset, len)) in ranges.iter().zip(&regions) {
-            self.ensure_restored(id)?;
-            let cost = (self.heap.dram()).read_synthetic(region, offset, len, 1);
-            self.clock.advance(cost.map_err(HeapError::from)?);
-        }
-        let lent = self.heap.dram().view_ranges(&regions, f);
-        Ok(lent.map_err(HeapError::from)?)
     }
 
     /// Let a compute segment of `dur` pass, slowed by `interference`

@@ -1,22 +1,28 @@
 //! An access is its calls. A random run of reads, views and writes is
 //! made twice, on twin engines: once as separate engine calls
 //! (`read`, `write`, `write_synthetic`; a view's twin is a `read` of
-//! its range), once inside one `CheckpointEngine::access`. Every
-//! outcome, the clock, both devices' `DeviceStats`, resident and
-//! spilled bytes, `EngineStats`, the trace with its timestamps and the
-//! metrics registry must come out identical — and stay so through the
+//! its range, and a view of several ranges, lent at once, is a `read`
+//! of each in turn once every range is found to be there), once inside
+//! one `CheckpointEngine::access`. Every outcome, the clock, both
+//! devices' `DeviceStats`, wear, resident and spilled bytes,
+//! `EngineStats`, the trace with its timestamps and the metrics
+//! registry must come out identical — and stay so through the
 //! pre-copy and checkpoint that follow, which see what the run left
-//! dirty, staged and protected. Each run has, somewhere in its middle,
-//! a chunk still awaiting its lazy restore, a write that takes a
-//! protection fault, a write to a staged chunk and an out-of-bounds
-//! access, and each is run on a RAM-backed and on a spilled DRAM
-//! device.
+//! dirty, staged and protected. Each run opens with a view of two
+//! chunks that both await their lazy restore, and has, somewhere in
+//! its middle, a chunk still awaiting its lazy restore, a write that
+//! takes a protection fault, a write to a staged chunk and an
+//! out-of-bounds access, and each is run on a RAM-backed and on a
+//! spilled DRAM device.
 
 use nvm_chkpt::{
     Access, CheckpointEngine, ChunkId, EngineConfig, EngineError, PrecopyPolicy, RestartStrategy,
     Tracer,
 };
-use nvm_emu::{DeviceParams, MemSpill, MemoryDevice, SimDuration, VirtualClock, PAGE_SIZE};
+use nvm_emu::{
+    DeviceError, DeviceParams, MemSpill, MemoryDevice, SimDuration, VirtualClock, PAGE_SIZE,
+};
+use nvm_heap::HeapError;
 use nvm_metrics::MetricsRegistry;
 use proptest::prelude::*;
 
@@ -32,17 +38,21 @@ const UNKNOWN: usize = SCRATCH + 1;
 enum Kind {
     Read,
     View,
+    /// A view of this op's range and of those in `also`, lent at once.
+    Views,
     Write,
     WriteSynthetic,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 struct Op {
     kind: Kind,
     chunk: usize,
     offset: usize,
     len: usize,
     fill: u8,
+    /// A [`Kind::Views`] op's further ranges: `(chunk, offset, len)`.
+    also: Vec<(usize, usize, usize)>,
 }
 
 impl Op {
@@ -65,7 +75,13 @@ impl Op {
             offset,
             len,
             fill,
+            also: Vec::new(),
         }
+    }
+
+    /// Every range of the op, its own first.
+    fn ranges(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        std::iter::once((self.chunk, self.offset, self.len)).chain(self.also.iter().copied())
     }
 }
 
@@ -74,22 +90,40 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Kind::Read),
         Just(Kind::View),
         Just(Kind::View),
+        Just(Kind::Views),
         Just(Kind::Write),
         Just(Kind::Write),
         Just(Kind::WriteSynthetic),
     ];
+    // A views op's further ranges: rarely past an end, so that most
+    // such ops are lent.
+    let also = (
+        0..UNKNOWN,
+        (0..24u8).prop_map(|r| r == 0),
+        any::<usize>(),
+        any::<usize>(),
+    )
+        .prop_map(|(chunk, past_end, a, b)| {
+            let op = Op::new(Kind::View, chunk, past_end, a, b, 0);
+            (op.chunk, op.offset, op.len)
+        });
     (
         (kind, 0..UNKNOWN + 1),
         (0..8u8).prop_map(|r| r == 0),
         (any::<usize>(), any::<usize>()),
-        any::<u8>(),
+        (any::<u8>(), proptest::collection::vec(also, 1..3)),
     )
-        .prop_map(|((kind, chunk), past_end, (a, b), fill)| {
-            Op::new(kind, chunk, past_end, a, b, fill)
+        .prop_map(|((kind, chunk), past_end, (a, b), (fill, also))| {
+            let mut op = Op::new(kind, chunk, past_end, a, b, fill);
+            if let Kind::Views = kind {
+                op.also = also;
+            }
+            op
         })
 }
 
-/// A run: random operations with, between the first and the last, a
+/// A run: a view of the lazily pending chunks 3 and 2, lent at once,
+/// then random operations with, between the first and the last, a
 /// write to the staged chunk 0, a read of the lazily pending chunk 1
 /// and a view past the end of chunk 2, at positions `at` picks.
 fn run() -> impl Strategy<Value = Vec<Op>> {
@@ -106,6 +140,9 @@ fn run() -> impl Strategy<Value = Vec<Op>> {
             for (op, at) in forced {
                 ops.insert(1 + at % (ops.len() - 1), op);
             }
+            let mut both = Op::new(Kind::Views, 3, false, 1, 2, 0);
+            both.also = vec![(2, PAGE_SIZE - 3, 40), (3, 60, 4)];
+            ops.insert(0, both);
             ops
         })
 }
@@ -175,9 +212,14 @@ impl Twin {
     /// Everything an access may change, as the engine and its devices
     /// show it.
     fn observed(&self) -> impl PartialEq + std::fmt::Debug {
+        let wear: Vec<u64> = (self.ids.iter())
+            .filter_map(|&id| self.e.heap().chunk(id).ok())
+            .map(|c| self.dram.max_wear(c.dram_region).unwrap())
+            .collect();
         (
             self.clock.now(),
             [self.dram.stats(), self.nvm.stats()],
+            wear,
             [self.dram.resident_bytes(), self.nvm.resident_bytes()],
             [
                 self.dram.spill_read_bytes(),
@@ -196,13 +238,43 @@ fn data(op: &Op) -> Vec<u8> {
     (0..op.len).map(|i| op.fill ^ i as u8).collect()
 }
 
-/// `op` as an engine call of its own.
-fn call(e: &mut CheckpointEngine, id: ChunkId, op: &Op) -> Outcome {
+/// Is `len` bytes at `offset` of chunk `id` there to be lent? The
+/// error a view of several ranges fails with, before it restores or
+/// charges anything, if not.
+fn check(e: &CheckpointEngine, id: ChunkId, offset: usize, len: usize) -> Result<(), EngineError> {
+    let chunk = e.heap().chunk(id)?;
+    if offset + len > chunk.len {
+        let oob = DeviceError::OutOfBounds {
+            region: chunk.dram_region.0,
+            offset,
+            len,
+            region_len: chunk.len,
+        };
+        return Err(HeapError::from(oob).into());
+    }
+    Ok(())
+}
+
+/// `op` as engine calls of its own.
+fn call(e: &mut CheckpointEngine, ids: &[ChunkId], op: &Op) -> Outcome {
+    let id = ids[op.chunk];
     let done: Result<Vec<u8>, EngineError> = match op.kind {
         Kind::Read | Kind::View => {
             let mut buf = vec![0u8; op.len];
             e.read(id, op.offset, &mut buf).map(|()| buf)
         }
+        Kind::Views => (|| {
+            for (chunk, offset, len) in op.ranges() {
+                check(e, ids[chunk], offset, len)?;
+            }
+            let mut lent = Vec::new();
+            for (chunk, offset, len) in op.ranges() {
+                let mut buf = vec![0u8; len];
+                e.read(ids[chunk], offset, &mut buf)?;
+                lent.extend(buf);
+            }
+            Ok(lent)
+        })(),
         Kind::Write => e.write(id, op.offset, &data(op)).map(|()| Vec::new()),
         Kind::WriteSynthetic => e
             .write_synthetic(id, op.offset, op.len)
@@ -212,8 +284,15 @@ fn call(e: &mut CheckpointEngine, id: ChunkId, op: &Op) -> Outcome {
 }
 
 /// `op` as one access of a run.
-fn access(a: &mut Access<'_>, id: ChunkId, op: &Op) -> Outcome {
+fn access(a: &mut Access<'_>, ids: &[ChunkId], op: &Op) -> Outcome {
+    let id = ids[op.chunk];
     let done: Result<Vec<u8>, EngineError> = match op.kind {
+        Kind::Views => {
+            let ranges: Vec<_> = (op.ranges())
+                .map(|(chunk, offset, len)| (ids[chunk], offset, len))
+                .collect();
+            a.views(&ranges).map(|lent| lent.concat())
+        }
         Kind::Read => {
             let mut buf = vec![0u8; op.len];
             a.read(id, op.offset, &mut buf).map(|()| buf)
@@ -238,12 +317,13 @@ proptest! {
             prop_assert_eq!(calls.observed(), run.observed(), "twins differ");
             let before = calls.e.stats();
 
+            let ids = calls.ids.clone();
             let called: Vec<Outcome> = (ops.iter())
-                .map(|op| call(&mut calls.e, calls.ids[op.chunk], op))
+                .map(|op| call(&mut calls.e, &ids, op))
                 .collect();
             let ids = run.ids.clone();
             let accessed: Vec<Outcome> = run.e.access(|a| {
-                ops.iter().map(|op| access(a, ids[op.chunk], op)).collect()
+                ops.iter().map(|op| access(a, &ids, op)).collect()
             });
             prop_assert_eq!(&called, &accessed, "spilled {}", spilled);
             prop_assert_eq!(calls.observed(), run.observed(), "spilled {}", spilled);
@@ -253,6 +333,7 @@ proptest! {
             prop_assert!(after.faults > before.faults, "no protection fault");
             prop_assert!(after.wasted_precopy_bytes > before.wasted_precopy_bytes, "no staged write");
             prop_assert!(run.e.lazy_pending_count() < LENS.len() - 1, "no lazy restore");
+            prop_assert!(accessed[0].is_ok(), "the opening views failed");
             prop_assert!(accessed.iter().any(|o| o.as_ref().is_err_and(|e| e.contains("out of bounds"))),
                 "no out-of-bounds access");
 
@@ -265,4 +346,29 @@ proptest! {
             prop_assert_eq!(calls.observed(), run.observed(), "spilled {} after a checkpoint", spilled);
         }
     }
+}
+
+#[test]
+fn a_size_only_chunk_has_no_bytes_to_lend_and_is_not_charged() {
+    let (dram, nvm) = (MemoryDevice::dram(8 * MB), MemoryDevice::pcm(8 * MB));
+    let clock = VirtualClock::new();
+    let config = EngineConfig::builder()
+        .materialization(nvm_heap::Materialization::Synthetic)
+        .checksums(false)
+        .build()
+        .unwrap();
+    let mut e = CheckpointEngine::new(0, &dram, &nvm, 4 * MB, clock.clone(), config).unwrap();
+    let id = e.nvmalloc("a", 64, true).unwrap();
+    let before = (clock.now(), dram.stats());
+    let sized = e.access(|a| a.views(&[(id, 0, 64)]).map(|lent| lent.len()));
+    assert!(
+        matches!(
+            sized,
+            Err(EngineError::Heap(HeapError::Device(
+                DeviceError::SyntheticAccess(_)
+            )))
+        ),
+        "{sized:?}"
+    );
+    assert_eq!((clock.now(), dram.stats()), before);
 }

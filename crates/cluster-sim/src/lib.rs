@@ -4,8 +4,6 @@
 //!   performance model (with fixed-point solution of Eq. 1).
 //! * [`failure`] — seeded Poisson failure injection, soft vs hard.
 //! * [`app`] — the [`app::Workload`] trait rank behaviours implement.
-//! * [`schedule`] — activity traces for timing-diagram assertions
-//!   (Figures 1 and 5).
 //! * [`config`] — [`config::ClusterConfig`] and its builder: cluster
 //!   shape, provisioning, and the ring-buddy topology helpers.
 //! * [`run`] — [`run::Cluster`]: the cluster orchestrator that
@@ -47,7 +45,6 @@ pub mod profile;
 pub mod recovery;
 pub mod reliability;
 pub mod run;
-pub mod schedule;
 pub mod store;
 
 pub use app::{UniformWorkload, Workload};
@@ -65,5 +62,4 @@ pub use reliability::{
     unrecoverable_probability, unrecoverable_probability_for, BuddyTopology, ReliabilityParams,
 };
 pub use run::{Cluster, RunOptions, RunOutcome, RunResult, SimError, SpillReport, FLIGHT_TAIL};
-pub use schedule::{Activity, ScheduleTrace, Span};
 pub use store::RankRecovery;

@@ -47,7 +47,6 @@
 use crate::app::Workload;
 use crate::profile::{Phase, Profiler, RunProfile};
 use crate::recovery::RecoveryRecord;
-use crate::schedule::ScheduleTrace;
 use crate::store::RankRecovery;
 use nvm_chkpt::{EngineError, EngineStats};
 use nvm_emu::SimDuration;
@@ -177,8 +176,6 @@ pub struct RunResult {
     pub hard_failures: u64,
     /// Iterations redone due to failures.
     pub lost_iterations: u64,
-    /// Rank 0's activity schedule.
-    pub schedule: ScheduleTrace,
     /// Checkpoint bytes per rank (`D`).
     pub checkpoint_bytes_per_rank: u64,
     /// Merged event trace in `(time, rank)` order; empty unless
@@ -395,7 +392,6 @@ mod tests {
     use crate::app::UniformWorkload;
     use crate::failure::{FailureConfig, FailureKind, FailureSchedule};
     use crate::recovery::RecoverySource;
-    use crate::schedule::Activity;
     use nvm_chkpt::{CheckpointEngine, Materialization, PrecopyPolicy};
     use nvm_emu::SimTime;
     use nvm_metrics::{names, MergeStats};
@@ -428,6 +424,15 @@ mod tests {
 
     fn run_opts(cfg: ClusterConfig, opts: RunOptions) -> RunResult {
         Cluster::new(cfg, factory).run(opts).unwrap().result
+    }
+
+    /// The restart time a traced run's spans show, over every rank.
+    fn restart_time(r: &RunResult) -> SimDuration {
+        let spans = nvm_obs::build_spans(&r.trace);
+        (spans.iter())
+            .filter(|s| s.kind == nvm_obs::SpanKind::Restart)
+            .map(|s| SimDuration::from_nanos(s.dur_ns))
+            .fold(SimDuration::ZERO, |a, b| a + b)
     }
 
     #[test]
@@ -508,20 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_shape_matches_figure_1() {
-        let r = run_cfg(small_config()).unwrap();
-        let seq = r.schedule.sequence();
-        // Compute and LocalCheckpoint must alternate somewhere.
-        let has_c_then_l = seq
-            .windows(2)
-            .any(|w| w == [Activity::Compute, Activity::LocalCheckpoint]);
-        assert!(has_c_then_l, "sequence {seq:?}");
-        assert!(!r
-            .schedule
-            .overlaps(Activity::Compute, Activity::LocalCheckpoint));
-    }
-
-    #[test]
     fn soft_failures_cause_rollback_and_restart_time() {
         let mut cfg = small_config();
         cfg.iterations = 10;
@@ -531,10 +522,10 @@ mod tests {
             mtbf_hard: SimDuration::from_secs(1_000_000),
         });
         cfg.failure_horizon = SimDuration::from_secs(300);
-        let r = run_cfg(cfg.clone()).unwrap();
+        let r = run_opts(cfg.clone(), RunOptions::new().with_trace(true));
         assert!(r.soft_failures > 0, "expected soft failures");
         assert_eq!(r.hard_failures, 0);
-        assert!(r.schedule.total(Activity::Restart) > SimDuration::ZERO);
+        assert!(restart_time(&r) > SimDuration::ZERO);
         // Failures make the run slower than a failure-free one.
         let mut clean = cfg;
         clean.failures = None;
@@ -736,8 +727,9 @@ mod tests {
             FailureKind::Hard,
             0,
         )]));
-        let r_multi = run_cfg(multi).unwrap();
-        let r_single = run_cfg(single).unwrap();
+        let traced = RunOptions::new().with_trace(true);
+        let r_multi = run_opts(multi, traced.clone());
+        let r_single = run_opts(single, traced);
         assert_eq!(r_multi.hard_failures, 1);
         assert_eq!(r_multi.soft_failures, 0, "soft events must be absorbed");
         assert_eq!(
@@ -745,10 +737,7 @@ mod tests {
             "a collapsed batch must charge exactly one rollback"
         );
         assert_eq!(r_multi.total_time, r_single.total_time);
-        assert_eq!(
-            r_multi.schedule.total(Activity::Restart),
-            r_single.schedule.total(Activity::Restart)
-        );
+        assert_eq!(restart_time(&r_multi), restart_time(&r_single));
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::app::Workload;
 use crate::failure::FailureSchedule;
 use crate::profile::{Phase, Profiler};
 use crate::recovery::RecoveryRecord;
-use crate::schedule::{Activity, ScheduleTrace};
 use nvm_chkpt::{CheckpointEngine, EngineError, EngineStats, Materialization};
 use nvm_emu::{BandwidthModel, MemoryDevice, SimTime, TempDir, VirtualClock};
 use nvm_metrics::{names, MergeStats, MetricsRegistry, MetricsReport};
@@ -181,8 +180,6 @@ pub(super) struct LoopState {
     /// Iteration the last local checkpoint / remote epoch captured.
     pub(super) last_local_iter: u64,
     pub(super) last_remote_iter: u64,
-    /// Rank 0's activity schedule.
-    pub(super) schedule: ScheduleTrace,
     /// Cluster-level events (failures, recoveries, remote shipping)
     /// happen on the coordinator, outside any single rank's timeline;
     /// they get their own buffer and merge with the per-rank streams
@@ -217,7 +214,6 @@ impl LoopState {
             last_remote_end: SimTime::ZERO,
             last_local_iter: 0,
             last_remote_iter: 0,
-            schedule: ScheduleTrace::new(),
             coord: sim.options.trace.then(Vec::new),
             executed: 0,
             lost: 0,
@@ -420,7 +416,7 @@ impl ClusterSim {
             })?;
             Profiler::time(profiler, Phase::Compute, |p| self.compute(&mut st, p))?;
             Profiler::time(profiler, Phase::PollHelpers, |_| {
-                self.poll_helpers(&mut st, iter_start)
+                self.poll_helpers(iter_start)
             });
             if let Some(t1) = Profiler::time(profiler, Phase::CheckpointLocal, |p| {
                 self.checkpoint_local(&mut st, p)
@@ -467,7 +463,6 @@ impl ClusterSim {
     /// One application iteration on every rank (the parallel epoch).
     fn compute(&mut self, st: &mut LoopState, p: Option<&mut Profiler>) -> Result<(), SimError> {
         let iter = st.iter;
-        let rank0_before = self.ranks[0][0].clock.now();
         for_each_rank_parallel(
             &mut self.ranks,
             self.config.threads,
@@ -478,11 +473,6 @@ impl ClusterSim {
                     .map_err(SimError::from)
             },
         )?;
-        st.schedule.record(
-            Activity::Compute,
-            rank0_before,
-            self.ranks[0][0].clock.now(),
-        );
         st.executed += 1;
         st.iter += 1;
         Ok(())
@@ -503,7 +493,7 @@ impl ClusterSim {
         if !due {
             return Ok(None);
         }
-        let t0 = self.barrier();
+        self.barrier();
         for_each_rank_parallel(
             &mut self.ranks,
             self.config.threads,
@@ -516,7 +506,6 @@ impl ClusterSim {
             },
         )?;
         let t1 = self.barrier();
-        st.schedule.record(Activity::LocalCheckpoint, t0, t1);
         st.last_local_end = t1;
         st.last_local_iter = st.iter;
         st.local_ckpts += 1;
@@ -611,7 +600,6 @@ impl ClusterSim {
             soft_failures: st.soft,
             hard_failures: st.recovery.len() as u64,
             lost_iterations: st.lost,
-            schedule: st.schedule,
             checkpoint_bytes_per_rank: st.d_per_rank,
             trace,
             metrics,

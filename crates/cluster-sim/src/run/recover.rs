@@ -13,7 +13,6 @@ use super::pool::pool_map;
 use super::{SimError, FLIGHT_TAIL};
 use crate::failure::{FailureEvent, FailureKind};
 use crate::recovery::{collapse_batch, RecoveredChunkRecord, RecoveryRecord, RecoverySource};
-use crate::schedule::Activity;
 use nvm_chkpt::checksum::crc64;
 use nvm_chkpt::{CheckpointEngine, EngineError, Materialization, RemoteImage, RestartStrategy};
 use nvm_emu::{SimDuration, SimTime};
@@ -73,13 +72,13 @@ impl ClusterSim {
             r.clock.advance_to(t);
         }
         for ev in &batch {
-            st.schedule.record(Activity::Restart, t0, t);
             st.emit(
                 t0,
                 self.config.first_rank(ev.node),
                 TraceEventKind::RankFailure {
                     iteration: st.iter,
                     hard: ev.kind == FailureKind::Hard,
+                    restart_ns: t.since(t0).as_nanos(),
                 },
             );
         }

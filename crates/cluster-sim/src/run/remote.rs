@@ -6,7 +6,6 @@ use super::phases::{ClusterSim, LoopState, Rank};
 use super::pool::pool_map;
 use super::SimError;
 use crate::comm::AlphaBeta;
-use crate::schedule::{Activity, ScheduleTrace};
 use nvm_chkpt::{EngineError, Materialization};
 use nvm_emu::{SimDuration, SimTime};
 use nvm_metrics::names;
@@ -18,7 +17,7 @@ impl ClusterSim {
     /// began at `iter_start` (polling `nvdirty` state under pre-copy)
     /// and charge the ranks for sharing the link with checkpoint
     /// traffic still in flight.
-    pub(super) fn poll_helpers(&mut self, st: &mut LoopState, iter_start: SimTime) {
+    pub(super) fn poll_helpers(&mut self, iter_start: SimTime) {
         let Some(rc) = self.config.remote else {
             return;
         };
@@ -39,7 +38,7 @@ impl ClusterSim {
             self.nodes[n].helper.advance(window);
             let rate = self.nodes[n].active_rate(iter_start);
             if rate > 0.0 {
-                self.charge_contention(&mut st.schedule, n, rate);
+                self.charge_contention(n, rate);
             }
         }
     }
@@ -48,7 +47,7 @@ impl ClusterSim {
     /// in-flight checkpoint traffic (spread or burst) at `rate`: every
     /// round of every collective is slowed by the checkpoint's share
     /// of the link.
-    fn charge_contention(&mut self, schedule: &mut ScheduleTrace, n: usize, rate: f64) {
+    fn charge_contention(&mut self, n: usize, rate: f64) {
         let total_ranks = self.config.total_ranks();
         let fabric = AlphaBeta::infiniband(self.nodes[n].link.capacity());
         for rank in self.ranks[n].iter_mut() {
@@ -76,13 +75,6 @@ impl ClusterSim {
             rank.clock.advance(delay);
             if let Some(m) = &mut self.coord_metrics {
                 m.observe(names::CLUSTER_COMM_STALL_NS, delay.as_nanos());
-            }
-            if rank.global == 0 {
-                schedule.record(
-                    Activity::Blocked,
-                    rank.clock.now() - delay,
-                    rank.clock.now(),
-                );
             }
         }
     }
@@ -124,14 +116,14 @@ impl ClusterSim {
         let next_remote = st.last_remote_end + rc.interval;
         let ship_now = rc.precopy && t1 + local_int >= next_remote;
         if ship_now || (!rc.precopy && remote_due) {
-            let end = self.ship_remote(st, t1, rc.precopy, &rc.helper)?;
-            st.schedule.record(Activity::RemoteCheckpoint, t1, end);
+            self.ship_remote(st, t1, rc.precopy, &rc.helper)?;
         }
         Ok(())
     }
 
     /// Ship committed chunks from every node to its buddy's remote
-    /// store at time `t1`; returns when the last node's transfer ends.
+    /// store at time `t1`. Each node's transfer is traced with how long
+    /// it holds the node's link.
     ///
     /// `incremental` (remote pre-copy): the helper ships the chunks
     /// that are remote-stale but locally stable, chunk-by-chunk at its
@@ -150,7 +142,7 @@ impl ClusterSim {
         t1: SimTime,
         incremental: bool,
         helper: &HelperParams,
-    ) -> Result<SimTime, SimError> {
+    ) -> Result<(), SimError> {
         let bandwidth = if incremental {
             helper.incremental_bandwidth
         } else {
@@ -166,25 +158,24 @@ impl ClusterSim {
         let shipped = pool_map(&mut items, self.config.threads, |(store, ranks, helper)| {
             ship_node(store, ranks, helper, incremental)
         })?;
-        let mut cluster_end = t1;
         for (n, shipped) in shipped.into_iter().enumerate() {
             if shipped > 0 {
                 let window = SimDuration::for_transfer(shipped, bandwidth);
                 let dur = self.nodes[n].link.transfer_spread(t1, shipped, window);
                 let rate = shipped as f64 / dur.as_secs_f64();
                 self.nodes[n].flows.push((t1 + dur, rate));
-                cluster_end = cluster_end.max(t1 + dur);
                 st.emit(
                     t1,
                     self.config.first_rank(n),
                     TraceEventKind::RemoteTransfer {
                         bytes: shipped,
                         incremental,
+                        dur_ns: dur.as_nanos(),
                     },
                 );
             }
         }
-        Ok(cluster_end)
+        Ok(())
     }
 
     /// Mirror one committed chunk into the node's remote store: real

@@ -39,10 +39,7 @@
 //! reentrant: the closure must not call back into the same device);
 //! for a spilled region it runs on a buffer the range was read into,
 //! with the lock released — for `view` the calling thread's reused
-//! buffer, for `view_mut` a private one. [`MemoryDevice::view_ranges`]
-//! lends several ranges at once, `view` being its one-range case: it
-//! takes the lock once and, when any range is RAM-backed, holds it for
-//! the whole closure, which must not re-enter this device. A closure
+//! buffer, for `view_mut` a private one. A closure
 //! may use **another** device, and every such nesting in the workspace
 //! takes **DRAM first, then NVM** — a shadow copy is a DRAM `view`
 //! around an NVM `write`, a restore a DRAM `view_mut` around an NVM
@@ -52,7 +49,9 @@
 //! **Runs of accesses under one lock.** [`MemoryDevice::lock`] returns
 //! a [`DeviceGuard`], which holds the lock until it is dropped and
 //! offers `read`, `write`, `write_synthetic` and a charged view,
-//! [`DeviceGuard::read_view`]. Each is charged exactly as the device
+//! [`DeviceGuard::read_view`] — or, for several ranges lent at once,
+//! [`DeviceGuard::charge_view`] of each and one
+//! [`DeviceGuard::lend_views`]. Each is charged exactly as the device
 //! call of its name — the device's own calls are one-access runs of
 //! the guard's. A cost, once worked out, is remembered
 //! by its kind, length and concurrency until
@@ -84,9 +83,10 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 thread_local! {
-    /// The buffer [`MemoryDevice::view_ranges`] reads spilled ranges
-    /// into, one after another, and lends them from: taken for the call
-    /// and put back after it, so a thread's views of spilled ranges
+    /// The buffer a view reads a spilled range into and lends it from
+    /// ([`MemoryDevice::view`], and [`DeviceGuard`]'s views, which put
+    /// several ranges in it one after another): taken for the call and
+    /// put back after it, so a thread's views of spilled ranges
     /// allocate and zero-fill only when one is longer than any before
     /// it. A view nested inside another on the same thread finds it
     /// taken and allocates its own.
@@ -189,6 +189,16 @@ impl Region {
             });
         }
         Ok(())
+    }
+
+    /// Bytes `offset..offset + len`, where a RAM-backed region holds
+    /// them all; `None` for a range past what it holds, or a region
+    /// whose bytes are not in RAM.
+    fn held(&self, offset: usize, len: usize) -> Option<&[u8]> {
+        match &self.backing {
+            Backing::Bytes(held) => held.get(offset..offset + len),
+            _ => None,
+        }
     }
 
     fn record_page_writes(&mut self, offset: usize, len: usize) {
@@ -558,10 +568,12 @@ impl MemoryDevice {
     /// Lend `len` bytes of a materialized region at `offset` to `f`,
     /// without copying them out and without charging time, statistics
     /// or wear — a modeled read is charged separately
-    /// ([`MemoryDevice::read_synthetic`]). The one-range case of
-    /// [`MemoryDevice::view_ranges`]: RAM-backed bytes are lent in
-    /// place under the device lock, a spilled range from the calling
-    /// thread's reused buffer with the lock released.
+    /// ([`MemoryDevice::read_synthetic`]). RAM-backed bytes are lent in
+    /// place under the device lock, the region first grown to hold the
+    /// range (module docs); a spilled range is read under the lock into
+    /// the calling thread's reused buffer — over whatever an earlier
+    /// view left there, which [`SpillStore::read`] overwrites — and lent
+    /// from it with the lock released.
     /// See the module docs for what `f` may call.
     pub fn view<R>(
         &self,
@@ -570,69 +582,26 @@ impl MemoryDevice {
         len: usize,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, DeviceError> {
-        self.view_ranges(&[(id, offset, len)], |lent| f(lent[0]))
-    }
-
-    /// Lend several ranges, each `(region, offset, len)`, to `f` at
-    /// once, in the order given — like [`MemoryDevice::view`], without
-    /// copying and without charging anything. The device lock is taken
-    /// once. Every range is checked before any byte moves, so a
-    /// missing region, an out-of-bounds or a synthetic range fails the
-    /// call whole. RAM-backed ranges are lent in place, each region
-    /// first grown to hold its range (module docs), and the lock is
-    /// then held for the whole of `f`; spilled ranges are read under
-    /// the lock, one after another, into the calling thread's reused
-    /// buffer — over whatever an earlier view left there, which
-    /// [`SpillStore::read`] overwrites — and when no range is
-    /// RAM-backed, `f` runs with the lock released.
-    /// See the module docs for what `f` may call.
-    pub fn view_ranges<R>(
-        &self,
-        ranges: &[(RegionId, usize, usize)],
-        f: impl FnOnce(&[&[u8]]) -> R,
-    ) -> Result<R, DeviceError> {
         let mut guard = self.inner.lock();
         let g = &mut *guard;
-        let (mut spilled, mut in_ram) = (0, false);
-        for &(id, offset, len) in ranges {
-            let region = g.regions.get(&id).ok_or(DeviceError::NoSuchRegion(id.0))?;
-            region.check_bounds(id, offset, len)?;
-            match region.backing {
-                Backing::Bytes(_) => in_ram = true,
-                Backing::Spilled { .. } => spilled += len,
-                Backing::Synthetic => return Err(DeviceError::SyntheticAccess(id.0)),
-            }
-        }
-        let mut buf = Vec::new();
-        if spilled > 0 {
-            buf = SPILL_VIEW.take();
-            if buf.len() < spilled {
-                buf = materialize(&[], spilled);
-            }
-        }
-        let mut at = 0;
-        for &(id, offset, len) in ranges {
-            match g.regions.get_mut(&id).map(|r| (r.len, &mut r.backing)) {
-                Some((region_len, Backing::Bytes(held))) => {
-                    reach(held, region_len, offset, len);
-                }
-                Some((_, Backing::Spilled { slot })) => {
-                    let slot = *slot;
-                    g.spill.read(slot, offset, &mut buf[at..at + len])?;
-                    at += len;
-                }
-                _ => {}
-            }
-        }
-        let out = if in_ram {
-            lend(ranges, Some(&g.regions), &buf, f)
-        } else {
-            drop(guard);
-            lend(ranges, None, &buf, f)
+        let region = g
+            .regions
+            .get_mut(&id)
+            .ok_or(DeviceError::NoSuchRegion(id.0))?;
+        region.check_bounds(id, offset, len)?;
+        let slot = match &mut region.backing {
+            Backing::Bytes(held) => return Ok(f(reach(held, region.len, offset, len))),
+            Backing::Spilled { slot } => *slot,
+            Backing::Synthetic => return Err(DeviceError::SyntheticAccess(id.0)),
         };
-        if spilled > 0 {
-            SPILL_VIEW.set(buf);
+        let mut buf = SPILL_VIEW.take();
+        if buf.len() < len {
+            buf = materialize(&[], len);
         }
+        g.spill.read(slot, offset, &mut buf[..len])?;
+        drop(guard);
+        let out = f(&buf[..len]);
+        SPILL_VIEW.set(buf);
         Ok(out)
     }
 
@@ -863,27 +832,95 @@ impl DeviceGuard<'_> {
         let cost = (g.known).cost((false, len, concurrency), || {
             read_cost(params, model, len, concurrency)
         });
-        match &region.backing {
-            Backing::Bytes(held) if offset + len <= held.len() => {
-                g.stats.count_read(len, cost);
-                return Ok((&held[offset..offset + len], cost));
-            }
-            Backing::Synthetic => return Err(DeviceError::SyntheticAccess(id.0)),
-            _ => {}
+        if let Some(bytes) = region.held(offset, len) {
+            g.stats.count_read(len, cost);
+            return Ok((bytes, cost));
         }
-        if self.buf.len() < len {
-            if self.buf.is_empty() {
-                self.buf = SPILL_VIEW.take();
-            }
-            if self.buf.len() < len {
-                self.buf = materialize(&[], len);
-            }
+        if let Backing::Synthetic = region.backing {
+            return Err(DeviceError::SyntheticAccess(id.0));
         }
-        let bytes = &mut self.buf[..len];
+        let bytes = spare(&mut self.buf, len);
         region.fill(id, offset, bytes, &mut g.spill)?;
         g.stats.count_read(len, cost);
         Ok((bytes, cost))
     }
+
+    /// The charge of [`DeviceGuard::read_view`] alone: the range is
+    /// checked, and counted and costed as that read, and nothing is
+    /// lent. A run of views charged one by one, each in its turn, is
+    /// then lent at once by [`DeviceGuard::lend_views`].
+    pub fn charge_view(
+        &mut self,
+        id: RegionId,
+        offset: usize,
+        len: usize,
+        concurrency: usize,
+    ) -> Result<SimDuration, DeviceError> {
+        let region = (self.g.regions.get(&id)).ok_or(DeviceError::NoSuchRegion(id.0))?;
+        region.check_bounds(id, offset, len)?;
+        if let Backing::Synthetic = region.backing {
+            return Err(DeviceError::SyntheticAccess(id.0));
+        }
+        Ok(self.g.charge_read(len, concurrency))
+    }
+
+    /// Lend every `(region, offset, len)` of `ranges` at once, in the
+    /// order given and charging nothing: the lend of
+    /// [`DeviceGuard::read_view`] for ranges [`DeviceGuard::charge_view`]
+    /// charged. Each is lent as `read_view` lends it — where a
+    /// RAM-backed region holds it, else from the calling thread's
+    /// buffer, which the ranges lent from it share, one after another —
+    /// and every range is checked before any byte is read.
+    pub fn lend_views(
+        &mut self,
+        ranges: &[(RegionId, usize, usize)],
+    ) -> Result<Vec<&[u8]>, DeviceError> {
+        let g = &mut *self.g;
+        let mut buffered = 0;
+        for &(id, offset, len) in ranges {
+            let region = g.regions.get(&id).ok_or(DeviceError::NoSuchRegion(id.0))?;
+            region.check_bounds(id, offset, len)?;
+            if region.held(offset, len).is_none() {
+                if let Backing::Synthetic = region.backing {
+                    return Err(DeviceError::SyntheticAccess(id.0));
+                }
+                buffered += len;
+            }
+        }
+        let buf = spare(&mut self.buf, buffered);
+        let mut at = 0;
+        for &(id, offset, len) in ranges {
+            let region = &g.regions[&id];
+            if region.held(offset, len).is_none() {
+                region.fill(id, offset, &mut buf[at..at + len], &mut g.spill)?;
+                at += len;
+            }
+        }
+        let (regions, buf) = (&g.regions, &*buf);
+        let mut at = 0;
+        let lent = |&(id, offset, len): &(RegionId, usize, usize)| {
+            regions[&id].held(offset, len).unwrap_or_else(|| {
+                at += len;
+                &buf[at - len..at]
+            })
+        };
+        Ok(ranges.iter().map(lent).collect())
+    }
+}
+
+/// The first `len` bytes of a guard's view buffer, `buf`: the calling
+/// thread's ([`SPILL_VIEW`]) once the guard has taken it, grown when
+/// `len` is longer than any view before.
+fn spare(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    if buf.len() < len {
+        if buf.is_empty() {
+            *buf = SPILL_VIEW.take();
+        }
+        if buf.len() < len {
+            *buf = materialize(&[], len);
+        }
+    }
+    &mut buf[..len]
 }
 
 impl Drop for DeviceGuard<'_> {
@@ -997,32 +1034,6 @@ fn reach(held: &mut Vec<u8>, region_len: usize, offset: usize, len: usize) -> &m
         *held = materialize(held, grown);
     }
     &mut held[offset..end]
-}
-
-/// Run `f` on the slices [`MemoryDevice::view_ranges`] lends: a
-/// RAM-backed range in place in `regions` (`None` when no range is
-/// RAM-backed), a spilled one from the next bytes of `spilled`, which
-/// holds the spilled ranges read in order. One range is lent without
-/// allocating.
-fn lend<'a, R>(
-    ranges: &[(RegionId, usize, usize)],
-    regions: Option<&'a IdMap<RegionId, Region>>,
-    spilled: &'a [u8],
-    f: impl FnOnce(&[&[u8]]) -> R,
-) -> R {
-    let mut at = 0;
-    let mut slice = |&(id, offset, len): &(RegionId, usize, usize)| -> &'a [u8] {
-        if let Some(Backing::Bytes(held)) = regions.and_then(|r| r.get(&id)).map(|r| &r.backing) {
-            // A range of no bytes may start past what the region holds.
-            return held.get(offset..offset + len).unwrap_or_default();
-        }
-        at += len;
-        &spilled[at - len..at]
-    };
-    match ranges {
-        [one] => f(&[slice(one)]),
-        _ => f(&ranges.iter().map(slice).collect::<Vec<_>>()),
-    }
 }
 
 /// `len` bytes that begin with `held` and are zeros after it — a
@@ -1356,53 +1367,99 @@ mod tests {
     #[test]
     fn several_ranges_are_lent_at_once_in_place_or_from_the_spill() {
         use crate::spill::MemSpill;
-        let d = MemoryDevice::dram(MB);
-        let ram = d.alloc(2 * PAGE_SIZE).unwrap();
-        d.write(ram, 0, &[1; 16], 1).unwrap();
-        d.attach_spill(Box::new(MemSpill::new()));
-        let (s1, s2) = (d.alloc(100).unwrap(), d.alloc(100).unwrap());
-        d.write(s1, 0, &[2; 100], 1).unwrap();
-        d.write(s2, 0, &[3; 100], 1).unwrap();
-        let charged = d.stats();
+        // Twin devices: one reads each range in turn, the other charges
+        // them one by one and is lent them all at once.
+        let twin = || {
+            let d = MemoryDevice::dram(MB);
+            let ram = d.alloc(2 * PAGE_SIZE).unwrap();
+            d.write(ram, 0, &[1; 16], 1).unwrap(); // holds its first page
+            d.attach_spill(Box::new(MemSpill::new()));
+            let (s1, s2) = (d.alloc(100).unwrap(), d.alloc(100).unwrap());
+            d.write(s1, 0, &[2; 100], 1).unwrap();
+            d.write(s2, 0, &[3; 100], 1).unwrap();
+            (d, [ram, s1, s2])
+        };
+        let (read, [ram, s1, s2]) = twin();
+        let (viewed, _) = twin();
         let ranges = [
             (s2, 90, 10),
             (ram, 8, 16),
             (s1, 0, 4),
+            (ram, PAGE_SIZE + 5, 20),
             (ram, PAGE_SIZE + 5, 0),
             (s2, 0, 2),
         ];
-        let lent = d
-            .view_ranges(&ranges, |lent| {
-                lent.iter().map(|b| b.to_vec()).collect::<Vec<_>>()
+        let mut costs = Vec::new();
+        let want: Vec<Vec<u8>> = (ranges.iter())
+            .map(|&(id, offset, len)| {
+                let mut buf = vec![9u8; len];
+                costs.push(read.read(id, offset, &mut buf, 1).unwrap());
+                buf
             })
-            .unwrap();
-        let mut ram_bytes = vec![1u8; 8];
-        ram_bytes.resize(16, 0);
+            .collect();
+        let mut g = viewed.lock();
+        let charged: Vec<SimDuration> = (ranges.iter())
+            .map(|&(id, offset, len)| g.charge_view(id, offset, len, 1).unwrap())
+            .collect();
+        assert_eq!(charged, costs);
+        let lent = g.lend_views(&ranges).unwrap();
+        assert_eq!(lent, want);
+        // A range the region holds is lent where it lies.
+        assert!(std::ptr::eq(
+            lent[1],
+            g.lend_views(&[(ram, 8, 16)]).unwrap()[0]
+        ));
+        drop(g);
+        assert_eq!(viewed.stats(), read.stats());
+        assert_eq!(viewed.spill_read_bytes(), read.spill_read_bytes());
+        assert_eq!(viewed.resident_bytes(), PAGE_SIZE as u64, "no view grew");
+
+        // Every range is checked before a byte is read, and a failed
+        // charge counts nothing.
+        let (stats, spill_read) = (viewed.stats(), viewed.spill_read_bytes());
+        let mut g = viewed.lock();
+        let past_end = g.lend_views(&[(s1, 0, 4), (s2, 99, 2)]);
+        assert!(matches!(past_end, Err(DeviceError::OutOfBounds { .. })));
+        let missing = g.lend_views(&[(s1, 0, 4), (RegionId(99), 0, 1)]);
+        assert!(matches!(missing, Err(DeviceError::NoSuchRegion(99))));
+        assert!(g.charge_view(s2, 99, 2, 1).is_err());
+        assert!(g.lend_views(&[]).unwrap().is_empty());
+        drop(g);
         assert_eq!(
-            lent,
-            [vec![3; 10], ram_bytes, vec![2; 4], vec![], vec![3; 2]]
+            (viewed.stats(), viewed.spill_read_bytes()),
+            (stats, spill_read)
         );
-        assert_eq!(d.stats(), charged, "a lend charges nothing");
-        assert_eq!(d.spill_read_bytes(), 10 + 4 + 2);
+    }
+
+    #[test]
+    fn a_view_grows_a_ram_region_and_lends_a_spilled_one_unlocked() {
+        use crate::spill::MemSpill;
+        let d = MemoryDevice::dram(MB);
+        let ram = d.alloc(2 * PAGE_SIZE).unwrap();
+        d.write(ram, 0, &[1; 16], 1).unwrap();
+        d.attach_spill(Box::new(MemSpill::new()));
+        let spilled = d.alloc(100).unwrap();
+        d.write(spilled, 0, &[2; 100], 1).unwrap();
+        let charged = d.stats();
+        let seen = d.view(ram, 8, 16, <[u8]>::to_vec).unwrap();
+        assert_eq!(seen, [&[1u8; 8][..], &[0; 8]].concat());
         assert_eq!(
             d.resident_bytes(),
             PAGE_SIZE as u64,
             "the range reached one page"
         );
-        // Spilled ranges only: lent with the lock released, so the
-        // closure may use the device.
-        let nested = d.view_ranges(&[(s1, 0, 2), (s2, 0, 2)], |lent| {
-            (lent.concat(), d.view(ram, 0, 2, <[u8]>::to_vec).unwrap())
+        // A spilled range is lent with the lock released, so the closure
+        // may use the device.
+        let nested = d.view(spilled, 98, 2, |lent| {
+            (lent.to_vec(), d.view(ram, 0, 2, <[u8]>::to_vec).unwrap())
         });
-        assert_eq!(nested.unwrap(), (vec![2, 2, 3, 3], vec![1, 1]));
-        // Every range is checked before a spill byte is read.
-        let read = d.spill_read_bytes();
-        let past_end = d.view_ranges(&[(s1, 0, 4), (s2, 99, 2)], |_| ());
-        assert!(matches!(past_end, Err(DeviceError::OutOfBounds { .. })));
-        let missing = d.view_ranges(&[(s1, 0, 4), (RegionId(99), 0, 1)], |_| ());
-        assert!(matches!(missing, Err(DeviceError::NoSuchRegion(99))));
-        assert_eq!(d.spill_read_bytes(), read);
-        assert_eq!(d.view_ranges(&[], |lent| lent.len()).unwrap(), 0);
+        assert_eq!(nested.unwrap(), (vec![2, 2], vec![1, 1]));
+        assert_eq!(d.spill_read_bytes(), 2);
+        assert_eq!(d.stats(), charged, "a view charges nothing");
+        assert!(matches!(
+            d.view(spilled, 99, 2, |_| ()),
+            Err(DeviceError::OutOfBounds { .. })
+        ));
     }
 
     #[test]

@@ -481,7 +481,7 @@ impl KvStore {
     /// recovered — fails with [`KvError::Engine`].
     ///
     /// The log is replayed where the engine's working copies hold it
-    /// ([`CheckpointEngine::view_chunks`]), and nothing is changed in
+    /// ([`nvm_chkpt::Access::views`]), and nothing is changed in
     /// the engine until the replay has succeeded and the index is
     /// allocated: a [`KvError::Corrupt`] log, or an index that does
     /// not fit ([`KvError::Full`]), leaves every chunk as it was, and
@@ -564,7 +564,7 @@ impl KvStore {
         // they were.
         let whole = |&id: &ChunkId| (id, 0, cfg.segment_bytes as usize);
         let ranges: Vec<_> = segments.iter().map(whole).collect();
-        let replay = engine.view_chunks(&ranges, |segs| Replay::run(segs, &meta, &cfg))??;
+        let replay = engine.access(|a| Replay::run(&a.views(&ranges)?, &meta, &cfg))?;
         let Replay {
             table,
             slots,

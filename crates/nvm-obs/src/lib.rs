@@ -36,12 +36,19 @@ pub use span::{build_spans, wall_ns, Span, SpanKind};
 use nvm_trace::TraceEvent;
 use serde::{Deserialize, Serialize};
 
+/// Version of the [`AnalysisReport`]'s shape, written as its
+/// `schema_version`. It moved with the trace's
+/// [`nvm_trace::SCHEMA_VERSION`] up to 3; the trace's version 4 added
+/// durations that no figure of the report is computed from, so the
+/// report stayed at 3. Bumped when the report's fields change.
+pub const REPORT_VERSION: u32 = 3;
+
 /// The full analyzer output: blame + rollups, plus enough context to
 /// interpret them. Serialized with [`to_stable_json`]; byte-identical
 /// across thread counts and live vs offline.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AnalysisReport {
-    /// Trace schema the analyzer was built against.
+    /// The report's shape ([`REPORT_VERSION`]).
     pub schema_version: u32,
     /// Events analyzed.
     pub events: u64,
@@ -56,7 +63,7 @@ pub struct AnalysisReport {
 /// Analyze a trace: blame + rollup in one pass over the stream.
 pub fn analyze(events: &[TraceEvent], bucket_ns: u64) -> AnalysisReport {
     AnalysisReport {
-        schema_version: nvm_trace::SCHEMA_VERSION,
+        schema_version: REPORT_VERSION,
         events: events.len() as u64,
         bucket_ns,
         blame: blame(events),
@@ -126,7 +133,7 @@ mod tests {
     #[test]
     fn report_carries_schema_and_event_count() {
         let report = analyze(&sample(), 1_000);
-        assert_eq!(report.schema_version, nvm_trace::SCHEMA_VERSION);
+        assert_eq!(report.schema_version, REPORT_VERSION);
         assert_eq!(report.events, 3);
         assert_eq!(report.blame.exposed_checkpoint_ns, 22);
     }

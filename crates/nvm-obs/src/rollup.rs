@@ -161,6 +161,7 @@ mod tests {
                 TraceEventKind::RemoteTransfer {
                     bytes: 128,
                     incremental: true,
+                    dur_ns: 300,
                 },
             ),
             ev(

@@ -12,9 +12,16 @@
 //! else inherits the rank's running epoch counter (the number of
 //! `CoordinatedEnd` events the rank has emitted so far), which matches
 //! the engine's own epoch numbering.
+//!
+//! The timing diagrams of the paper (Figures 1 and 5) are drawn from
+//! these spans: [`SpanKind::Compute`], the blocking
+//! [`SpanKind::Coordinated`] checkpoint, [`SpanKind::RemoteCheckpoint`]
+//! and [`SpanKind::Restart`], with [`SpanKind::CommWait`] as the time a
+//! rank was blocked by checkpoint traffic.
 
 use nvm_trace::{TraceEvent, TraceEventKind};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// What a reconstructed span spent its time on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -36,6 +43,18 @@ pub enum SpanKind {
     CommWait,
     /// Hard-failure recovery: ladder walk, transfers, verification.
     Recovery,
+    /// The application running: from the start of the run, a barrier
+    /// release or the end of a coordinated phase, to the rank's next
+    /// barrier arrival or coordinated begin — less any restart that
+    /// held the cluster meanwhile. Contention stalls
+    /// ([`SpanKind::CommWait`]) fall inside it.
+    Compute,
+    /// A remote checkpoint's shipment on the link of the node whose
+    /// first rank carries it, overlapping that node's compute.
+    RemoteCheckpoint,
+    /// The cluster standing still while a batch of failures restarts,
+    /// on the first rank of each failed node.
+    Restart,
 }
 
 /// One reconstructed interval on one rank's virtual clock.
@@ -53,10 +72,12 @@ pub struct Span {
     pub dur_ns: u64,
 }
 
-#[derive(Default)]
 struct RankState {
     /// Epochs committed so far == epoch of in-flight work.
     epoch: u64,
+    /// Start of the compute in progress; `None` while the rank is at a
+    /// barrier or in a coordinated phase.
+    computing: Option<u64>,
     /// Open `CoordinatedBegin` (start time, epoch).
     open_coord: Option<(u64, u64)>,
     /// Open `RecoveryStart` times (stack; recoveries never really
@@ -64,18 +85,45 @@ struct RankState {
     open_recovery: Vec<u64>,
 }
 
+impl RankState {
+    /// A rank computes from the start of the run.
+    fn new() -> Self {
+        RankState {
+            epoch: 0,
+            computing: Some(0),
+            open_coord: None,
+            open_recovery: Vec::new(),
+        }
+    }
+
+    /// End the compute in progress at `t_ns`: its start and length,
+    /// the start moved past the restart in `restarts` that held it.
+    fn stop_computing(&mut self, t_ns: u64, restarts: &[Range<u64>]) -> Option<(u64, u64)> {
+        let start = self.computing.take()?;
+        let start = match restarts.iter().rev().find(|r| r.contains(&start)) {
+            Some(held) => held.end,
+            None => start,
+        };
+        Some((start, t_ns.saturating_sub(start)))
+    }
+}
+
 /// Reconstruct duration spans from an event stream.
 ///
 /// The stream may be a single engine's buffer or a merged cluster
-/// trace; per-rank event order is all that matters and both preserve
-/// it. Zero-length intervals are dropped except `Coordinated`, whose
-/// presence (even at zero cost) marks an epoch boundary for the blame
-/// layer.
+/// trace; per-rank event order is what matters and both preserve it.
+/// The one exception is a restart, which holds every rank's clock: a
+/// compute span that starts where a restart started is moved to where
+/// it ended, which takes the merged stream's time order. Zero-length
+/// intervals are dropped except `Coordinated`, whose presence (even at
+/// zero cost) marks an epoch boundary for the blame layer.
 pub fn build_spans(events: &[TraceEvent]) -> Vec<Span> {
     let mut states: BTreeMap<u64, RankState> = BTreeMap::new();
     let mut spans = Vec::new();
+    // Every restart's window so far, in time order.
+    let mut restarts: Vec<Range<u64>> = Vec::new();
     for event in events {
-        let state = states.entry(event.rank).or_default();
+        let state = states.entry(event.rank).or_insert_with(RankState::new);
         let mut push = |kind: SpanKind, epoch: u64, start_ns: u64, dur_ns: u64| {
             if dur_ns > 0 || kind == SpanKind::Coordinated {
                 spans.push(Span {
@@ -100,6 +148,9 @@ pub fn build_spans(events: &[TraceEvent]) -> Vec<Span> {
                 push(SpanKind::Interference, *epoch, event.t_ns, *interference_ns);
             }
             TraceEventKind::CoordinatedBegin { epoch, .. } => {
+                if let Some((start, dur)) = state.stop_computing(event.t_ns, &restarts) {
+                    push(SpanKind::Compute, state.epoch, start, dur);
+                }
                 state.open_coord = Some((event.t_ns, *epoch));
             }
             TraceEventKind::CoordinatedEnd { .. } => {
@@ -112,9 +163,14 @@ pub fn build_spans(events: &[TraceEvent]) -> Vec<Span> {
                     );
                 }
                 state.epoch += 1;
+                state.computing = Some(event.t_ns);
             }
             TraceEventKind::BarrierWait { wait_ns, .. } => {
+                if let Some((start, dur)) = state.stop_computing(event.t_ns, &restarts) {
+                    push(SpanKind::Compute, state.epoch, start, dur);
+                }
                 push(SpanKind::BarrierWait, state.epoch, event.t_ns, *wait_ns);
+                state.computing = Some(event.t_ns + wait_ns);
             }
             TraceEventKind::CommWait { wait_ns, .. } => {
                 push(SpanKind::CommWait, state.epoch, event.t_ns, *wait_ns);
@@ -131,6 +187,13 @@ pub fn build_spans(events: &[TraceEvent]) -> Vec<Span> {
                         event.t_ns.saturating_sub(start),
                     );
                 }
+            }
+            TraceEventKind::RemoteTransfer { dur_ns, .. } => {
+                push(SpanKind::RemoteCheckpoint, state.epoch, event.t_ns, *dur_ns);
+            }
+            TraceEventKind::RankFailure { restart_ns, .. } => {
+                push(SpanKind::Restart, state.epoch, event.t_ns, *restart_ns);
+                restarts.push(event.t_ns..event.t_ns + restart_ns);
             }
             _ => {}
         }
@@ -229,6 +292,13 @@ mod tests {
                 Span {
                     rank: 1,
                     epoch: 0,
+                    kind: SpanKind::Compute,
+                    start_ns: 0,
+                    dur_ns: 100
+                },
+                Span {
+                    rank: 1,
+                    epoch: 0,
                     kind: SpanKind::BarrierWait,
                     start_ns: 100,
                     dur_ns: 20
@@ -254,6 +324,91 @@ mod tests {
     }
 
     #[test]
+    fn rank_timelines_come_from_barriers_phases_transfers_and_restarts() {
+        use SpanKind::*;
+        let barrier =
+            |t, rank, wait_ns| ev(t, rank, TraceEventKind::BarrierWait { id: 1, wait_ns });
+        let events = vec![
+            barrier(100, 0, 20),
+            ev(
+                120,
+                0,
+                TraceEventKind::CoordinatedBegin { epoch: 0, dirty: 1 },
+            ),
+            ev(
+                150,
+                0,
+                TraceEventKind::CoordinatedEnd {
+                    epoch: 0,
+                    copied_bytes: 64,
+                },
+            ),
+            ev(
+                150,
+                0,
+                TraceEventKind::RemoteTransfer {
+                    bytes: 64,
+                    incremental: false,
+                    dur_ns: 500,
+                },
+            ),
+            ev(
+                300,
+                0,
+                TraceEventKind::CommWait {
+                    op: "halo".into(),
+                    wait_ns: 10,
+                },
+            ),
+            barrier(380, 0, 20),
+            barrier(400, 1, 0),
+            ev(
+                400,
+                1,
+                TraceEventKind::RankFailure {
+                    iteration: 3,
+                    hard: false,
+                    restart_ns: 50,
+                },
+            ),
+            barrier(600, 0, 0),
+            ev(
+                600,
+                1,
+                TraceEventKind::CoordinatedBegin { epoch: 1, dirty: 1 },
+            ),
+        ];
+        let got: Vec<(u64, u64, SpanKind, u64, u64)> = (build_spans(&events).into_iter())
+            .map(|s| (s.rank, s.epoch, s.kind, s.start_ns, s.dur_ns))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                // Rank 0 computes from the start of the run to its
+                // barrier arrival, and from the release to the
+                // coordinated begin (no time: dropped).
+                (0, 0, Compute, 0, 100),
+                (0, 0, BarrierWait, 100, 20),
+                (0, 0, Coordinated, 120, 30),
+                // The shipment runs on past the next barrier, over the
+                // compute that the contention stall falls inside.
+                (0, 1, RemoteCheckpoint, 150, 500),
+                (0, 1, CommWait, 300, 10),
+                (0, 1, Compute, 150, 230),
+                (0, 1, BarrierWait, 380, 20),
+                (1, 0, Compute, 0, 400),
+                // The restart holds every rank: both ranks compute again
+                // only where it ends.
+                (1, 0, Restart, 400, 50),
+                (0, 1, Compute, 450, 150),
+                (1, 0, Compute, 450, 150),
+            ]
+        );
+        // A shipment in flight does not extend the run's wall.
+        assert_eq!(wall_ns(&events), 600);
+    }
+
+    #[test]
     fn zero_length_stalls_are_dropped_but_empty_commits_kept() {
         let events = vec![
             ev(10, 0, TraceEventKind::BarrierWait { id: 1, wait_ns: 0 }),
@@ -271,10 +426,13 @@ mod tests {
                 },
             ),
         ];
+        // The compute before the barrier is kept; the zero-wait
+        // barrier and the empty compute between the phases are not.
         let spans = build_spans(&events);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].kind, SpanKind::Coordinated);
-        assert_eq!(spans[0].dur_ns, 0);
+        assert_eq!(spans.len(), 2);
+        assert_eq!((spans[0].kind, spans[0].dur_ns), (SpanKind::Compute, 10));
+        assert_eq!(spans[1].kind, SpanKind::Coordinated);
+        assert_eq!(spans[1].dur_ns, 0);
     }
 
     #[test]

@@ -46,7 +46,12 @@ use serde::{Deserialize, Serialize};
 /// * **3, unchanged** — kind `device_charge` retired. It was never
 ///   emitted outside its own test; a line carrying it is a
 ///   [`TraceReadError::Parse`].
-pub const SCHEMA_VERSION: u32 = 3;
+/// * **4** — `RemoteTransfer` gained `dur_ns` (how long the shipment
+///   held the link) and `RankFailure` gained `restart_ns` (how long the
+///   cluster stood still restarting), so a rank's timeline — Figures 1
+///   and 5 — is drawn from the trace alone. Version-3 and older traces
+///   load with both at 0.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// What happened. Variants map one-to-one onto the mechanisms the
 /// paper's timeline figures argue about; see DESIGN.md for the
@@ -132,6 +137,10 @@ pub enum TraceEventKind {
         /// True for incremental (pre-copy) shipping, false for a bulk
         /// post-checkpoint burst.
         incremental: bool,
+        /// Virtual nanoseconds the shipment took on the node's link,
+        /// from the event's timestamp (0 in traces older than schema
+        /// version 4).
+        dur_ns: u64,
     },
     /// A rank failed during a cluster run.
     RankFailure {
@@ -139,6 +148,10 @@ pub enum TraceEventKind {
         iteration: u64,
         /// True if the node was lost (recovery from the remote copy).
         hard: bool,
+        /// Virtual nanoseconds every rank stood still, from the event's
+        /// timestamp, while the failures of this batch were restarted
+        /// (0 in traces older than schema version 4).
+        restart_ns: u64,
     },
     /// A rank reached a cluster barrier and (possibly) waited for the
     /// stragglers. Emitted at the rank's arrival time; `wait_ns` is 0
@@ -481,9 +494,18 @@ pub fn read_jsonl(text: &str) -> Result<Vec<TraceEvent>, TraceReadError> {
     Ok(events)
 }
 
+/// Fields added to an existing kind since schema version 1, each
+/// with the version that added it: older records lack them, and load
+/// with them at 0.
+const ADDED_FIELDS: [(&str, &str); 3] = [
+    ("PrecopyDrain", "cost_ns"),   // version 2
+    ("RemoteTransfer", "dur_ns"),  // version 4
+    ("RankFailure", "restart_ns"), // version 4
+];
+
 /// Upgrade one event's value tree from any older schema version to
-/// the current one: `PrecopyDrain` records written before
-/// [`SCHEMA_VERSION`] 2 lack `cost_ns`, which defaults to 0.
+/// the current one: a field in [`ADDED_FIELDS`] that the record lacks
+/// is added as 0.
 fn upgrade_event_value(value: &mut serde::Value) {
     let serde::Value::Object(event_fields) = value else {
         return;
@@ -494,17 +516,15 @@ fn upgrade_event_value(value: &mut serde::Value) {
     let serde::Value::Object(kind_fields) = kind else {
         return;
     };
-    let Some((tag, payload)) = kind_fields.iter_mut().next() else {
+    let Some((tag, serde::Value::Object(fields))) = kind_fields.iter_mut().next() else {
         return;
     };
-    if tag == "PrecopyDrain" {
-        if let serde::Value::Object(fields) = payload {
-            if !fields.iter().any(|(k, _)| k == "cost_ns") {
-                fields.push((
-                    "cost_ns".to_string(),
-                    serde::Value::Number(serde::Number::U64(0)),
-                ));
-            }
+    for (_, field) in ADDED_FIELDS.iter().filter(|(kind, _)| kind == tag) {
+        if !fields.iter().any(|(k, _)| k == field) {
+            fields.push((
+                field.to_string(),
+                serde::Value::Number(serde::Number::U64(0)),
+            ));
         }
     }
 }
@@ -942,6 +962,58 @@ mod tests {
     }
 
     #[test]
+    fn version_3_traces_load_with_the_version_4_durations_at_zero() {
+        // A v3 trace: a transfer and a failure without the durations
+        // version 4 added, and a drain that keeps its own.
+        let v3 = "{\"schema_version\":3}\n\
+                  {\"t_ns\":5,\"rank\":0,\"kind\":{\"RemoteTransfer\":{\"bytes\":64,\"incremental\":true}}}\n\
+                  {\"t_ns\":6,\"rank\":2,\"kind\":{\"RankFailure\":{\"iteration\":4,\"hard\":false}}}\n\
+                  {\"t_ns\":7,\"rank\":0,\"kind\":{\"PrecopyDrain\":{\"chunk\":3,\"bytes\":64,\"cost_ns\":9}}}\n";
+        let kinds: Vec<TraceEventKind> = (read_jsonl(v3).unwrap().into_iter())
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![
+                TraceEventKind::RemoteTransfer {
+                    bytes: 64,
+                    incremental: true,
+                    dur_ns: 0,
+                },
+                TraceEventKind::RankFailure {
+                    iteration: 4,
+                    hard: false,
+                    restart_ns: 0,
+                },
+                TraceEventKind::PrecopyDrain {
+                    chunk: 3,
+                    bytes: 64,
+                    cost_ns: 9,
+                },
+            ]
+        );
+        // A version-4 record keeps what it carries, and round-trips.
+        let v4 = vec![TraceEvent {
+            t_ns: 6,
+            rank: 2,
+            kind: TraceEventKind::RankFailure {
+                iteration: 4,
+                hard: true,
+                restart_ns: 11,
+            },
+        }];
+        assert_eq!(read_jsonl(&to_jsonl(&v4)).unwrap(), v4);
+        // The reader knows no version past 4.
+        assert_eq!(
+            read_jsonl("{\"schema_version\":5}\n").unwrap_err(),
+            TraceReadError::Schema {
+                found: 5,
+                supported: 4,
+            }
+        );
+    }
+
+    #[test]
     fn summary_counts_kinds() {
         let events = vec![
             ev(1, 0, 0),
@@ -951,6 +1023,7 @@ mod tests {
                 kind: TraceEventKind::RemoteTransfer {
                     bytes: 100,
                     incremental: true,
+                    dur_ns: 7,
                 },
             },
             TraceEvent {
@@ -959,6 +1032,7 @@ mod tests {
                 kind: TraceEventKind::RemoteTransfer {
                     bytes: 50,
                     incremental: false,
+                    dur_ns: 3,
                 },
             },
         ];

@@ -10,6 +10,7 @@ use cluster_sim::{Cluster, ClusterConfig, FailureConfig, RemoteConfig, RunOption
 use hpc_workloads::SyntheticApp;
 use nvm_chkpt::PrecopyPolicy;
 use nvm_emu::SimDuration;
+use nvm_obs::{build_spans, SpanKind};
 
 fn main() {
     // 2 nodes x 4 ranks, GTC at 10% of paper size so the example is
@@ -36,7 +37,7 @@ fn main() {
         .unwrap()
         .result;
     let result = Cluster::new(cfg, factory)
-        .run(RunOptions::new())
+        .run(RunOptions::new().with_trace(true))
         .unwrap()
         .result;
 
@@ -79,9 +80,29 @@ fn main() {
         result.peak_link_bytes() / (1 << 20) as f64,
         result.helper_utilization[0] * 100.0,
     );
-    let seq = result.schedule.sequence();
+    // Rank 0's timeline, drawn from the run's trace as in Figure 1:
+    // compute, the blocking local checkpoint, the remote checkpoint
+    // overlapping the next compute, and restarts.
+    let mut spans = build_spans(&result.trace);
+    spans.retain(|s| {
+        s.rank == 0
+            && matches!(
+                s.kind,
+                SpanKind::Compute
+                    | SpanKind::Coordinated
+                    | SpanKind::RemoteCheckpoint
+                    | SpanKind::Restart
+            )
+    });
+    spans.sort_by_key(|s| s.start_ns);
+    let mut seq: Vec<SpanKind> = Vec::new();
+    for s in &spans {
+        if seq.last() != Some(&s.kind) {
+            seq.push(s.kind);
+        }
+    }
     println!(
-        "  rank-0 schedule (first 12 activities): {:?}",
+        "  rank-0 timeline (first 12 activities): {:?}",
         &seq[..seq.len().min(12)]
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! The cluster runs ranks on a worker pool when `threads > 1`. The
 //! acceptance bar for that parallelism is strict: the serialized
-//! [`cluster_sim::RunResult`] — epochs, schedule trace, link traces,
+//! [`cluster_sim::RunResult`] — epochs, link traces, recovery records,
 //! engine statistics, everything — must match the serial run byte for
 //! byte on the same seed. These tests cover the four regimes where an
 //! ordering bug would show up: plain local checkpointing, the remote

@@ -1,19 +1,22 @@
-//! Structural assertions on the simulator's schedules — the shapes of
-//! Figures 1 and 5 of the paper.
+//! Structural assertions on the simulator's rank timelines — the shapes
+//! of Figures 1 and 5 of the paper — drawn from a traced run's events
+//! by `nvm_obs::build_spans`.
 //!
-//! * Figure 1: compute and local checkpoints alternate; remote
-//!   checkpoints overlap the *following* compute (asynchronous).
+//! * Figure 1: compute and local checkpoints alternate, and the local
+//!   checkpoint is coordinated: no rank computes while any rank
+//!   checkpoints. Remote checkpoints overlap the *following* compute
+//!   (asynchronous).
 //! * Figure 5b: with pre-copy, the blocking local-checkpoint spans
 //!   shrink because most data drained during compute.
 //! * Figure 5c: with remote pre-copy, checkpoint traffic flows during
 //!   compute windows instead of arriving as one post-checkpoint burst.
 
 use cluster_sim::{
-    Activity, Cluster, ClusterConfig, RemoteConfig, RunOptions, RunResult, UniformWorkload,
-    Workload,
+    Cluster, ClusterConfig, RemoteConfig, RunOptions, RunResult, UniformWorkload, Workload,
 };
 use nvm_chkpt::PrecopyPolicy;
 use nvm_emu::SimDuration;
+use nvm_obs::{build_spans, Span, SpanKind};
 
 const MB: usize = 1 << 20;
 
@@ -35,50 +38,129 @@ fn factory(_g: u64) -> Box<dyn Workload> {
     ))
 }
 
-fn run_cluster(cfg: ClusterConfig, factory: fn(u64) -> Box<dyn Workload>) -> RunResult {
-    Cluster::new(cfg, factory)
-        .run(RunOptions::new())
+/// Ranks of unequal speed: rank `g` computes `g` quarter-seconds
+/// longer per iteration than rank 0, so only a barrier lines their
+/// checkpoints up.
+fn skewed_factory(g: u64) -> Box<dyn Workload> {
+    Box::new(UniformWorkload::new(
+        5,
+        4 * MB,
+        SimDuration::from_millis(4_000 + 250 * g),
+        2 * MB as u64,
+    ))
+}
+
+/// A traced run and the spans its trace rebuilds.
+fn run_cluster(
+    cfg: ClusterConfig,
+    factory: fn(u64) -> Box<dyn Workload>,
+) -> (RunResult, Vec<Span>) {
+    let r = Cluster::new(cfg, factory)
+        .run(RunOptions::new().with_trace(true))
         .expect("cluster run")
-        .result
+        .result;
+    let spans = build_spans(&r.trace);
+    (r, spans)
+}
+
+fn of(spans: &[Span], rank: Option<u64>, kind: SpanKind) -> Vec<Span> {
+    (spans.iter())
+        .filter(|s| s.kind == kind && rank.is_none_or(|r| s.rank == r))
+        .copied()
+        .collect()
+}
+
+fn end(s: &Span) -> u64 {
+    s.start_ns + s.dur_ns
+}
+
+fn overlaps(a: &Span, b: &Span) -> bool {
+    a.start_ns < end(b) && b.start_ns < end(a)
+}
+
+/// `rank`'s compute and local checkpoints in time order, runs of one
+/// kind merged: `[Compute, Coordinated, Compute, ...]`.
+fn sequence(spans: &[Span], rank: u64) -> Vec<SpanKind> {
+    let mut shown: Vec<Span> = (spans.iter())
+        .filter(|s| s.rank == rank && matches!(s.kind, SpanKind::Compute | SpanKind::Coordinated))
+        .copied()
+        .collect();
+    shown.sort_by_key(|s| s.start_ns);
+    let mut seq: Vec<SpanKind> = Vec::new();
+    for s in shown {
+        if seq.last() != Some(&s.kind) {
+            seq.push(s.kind);
+        }
+    }
+    seq
 }
 
 #[test]
 fn figure1_compute_and_local_checkpoints_alternate() {
-    let r = run_cluster(config(PrecopyPolicy::None), factory);
-    let seq = r.schedule.sequence();
-    // The canonical C L C L ... pattern appears.
+    let (r, spans) = run_cluster(config(PrecopyPolicy::None), skewed_factory);
+    // The canonical C L C L ... pattern: every local checkpoint of
+    // rank 0 follows a compute.
+    let seq = sequence(&spans, 0);
     let cl_pairs = seq
         .windows(2)
-        .filter(|w| w == &[Activity::Compute, Activity::LocalCheckpoint])
-        .count();
-    assert!(cl_pairs >= 3, "expected repeated C->L transitions: {seq:?}");
-    // Local checkpoints are coordinated: they never overlap compute.
-    assert!(!r
-        .schedule
-        .overlaps(Activity::Compute, Activity::LocalCheckpoint));
+        .filter(|w| w == &[SpanKind::Compute, SpanKind::Coordinated])
+        .count() as u64;
+    assert!(
+        cl_pairs >= 3 && cl_pairs == r.local_checkpoints,
+        "expected a C->L transition per local checkpoint ({}): {seq:?}",
+        r.local_checkpoints
+    );
+    // Local checkpoints are coordinated: while any rank checkpoints,
+    // no rank computes — the faster ranks wait at the barrier.
+    let computes = of(&spans, None, SpanKind::Compute);
+    for ckpt in of(&spans, None, SpanKind::Coordinated) {
+        let during = computes.iter().find(|c| overlaps(c, &ckpt));
+        assert!(
+            during.is_none(),
+            "rank {} checkpoints while rank {} computes: {ckpt:?} {during:?}",
+            ckpt.rank,
+            during.map_or(0, |c| c.rank)
+        );
+    }
+    assert!(
+        !of(&spans, None, SpanKind::BarrierWait).is_empty(),
+        "ranks of unequal speed wait at the barrier"
+    );
 }
 
 #[test]
 fn figure1_remote_checkpoints_overlap_compute() {
     let mut cfg = config(PrecopyPolicy::None);
     cfg.remote = Some(RemoteConfig::infiniband(SimDuration::from_secs(16), false));
-    let r = run_cluster(cfg, factory);
+    let (r, spans) = run_cluster(cfg, factory);
     assert!(r.remote_checkpoints >= 1);
-    // Asynchronous remote checkpoint: its span extends into compute.
+    // Asynchronous remote checkpoint: its shipment overlaps the compute
+    // that follows it, and that compute pays for sharing the link with
+    // it — a contention stall inside it. A rank that waited for the
+    // shipment to end would find the link free.
+    let remote = of(&spans, Some(0), SpanKind::RemoteCheckpoint);
+    let computes = of(&spans, Some(0), SpanKind::Compute);
+    let stalls = of(&spans, Some(0), SpanKind::CommWait);
+    let slowed = |c: &Span| (stalls.iter()).any(|w| c.start_ns <= w.start_ns && end(w) <= end(c));
+    let overlapped = (remote.iter()).any(|s| computes.iter().any(|c| overlaps(c, s) && slowed(c)));
     assert!(
-        r.schedule
-            .overlaps(Activity::Compute, Activity::RemoteCheckpoint),
-        "remote checkpoints must overlap compute: {:?}",
-        r.schedule.sequence()
+        overlapped,
+        "remote checkpoints must overlap a compute they slow: {remote:?}, \
+         rank-0 sequence {:?}",
+        sequence(&spans, 0)
     );
 }
 
 #[test]
 fn figure5b_precopy_shrinks_blocking_checkpoint_spans() {
-    let no = run_cluster(config(PrecopyPolicy::None), factory);
-    let pre = run_cluster(config(PrecopyPolicy::Dcpcp), factory);
-    let t_no = no.schedule.total(Activity::LocalCheckpoint);
-    let t_pre = pre.schedule.total(Activity::LocalCheckpoint);
+    let blocking = |policy| {
+        let (_, spans) = run_cluster(config(policy), factory);
+        let local = of(&spans, Some(0), SpanKind::Coordinated);
+        assert!(!local.is_empty());
+        SimDuration::from_nanos(local.iter().map(|s| s.dur_ns).sum())
+    };
+    let t_no = blocking(PrecopyPolicy::None);
+    let t_pre = blocking(PrecopyPolicy::Dcpcp);
     assert!(
         t_pre < t_no,
         "pre-copy blocking time {t_pre} must be below {t_no}"
@@ -92,8 +174,8 @@ fn figure5c_remote_precopy_moves_traffic_into_compute_windows() {
     let mut pre_cfg = config(PrecopyPolicy::Dcpcp);
     pre_cfg.remote = Some(RemoteConfig::infiniband(SimDuration::from_secs(16), true));
 
-    let burst = run_cluster(burst_cfg, factory);
-    let pre = run_cluster(pre_cfg, factory);
+    let (burst, _) = run_cluster(burst_cfg, factory);
+    let (pre, _) = run_cluster(pre_cfg, factory);
 
     // Same-order volumes, but the pre-copy trace is much flatter.
     let burst_trace = &burst.link_traces[0];
@@ -117,11 +199,13 @@ fn restart_spans_appear_after_failures() {
         mtbf_hard: SimDuration::from_secs(1_000_000),
     });
     cfg.failure_horizon = SimDuration::from_secs(600);
-    let r = run_cluster(cfg, factory);
+    let (r, spans) = run_cluster(cfg, factory);
     assert!(r.soft_failures > 0);
-    let restarts = r.schedule.of(Activity::Restart);
-    assert_eq!(restarts.len() as u64, r.soft_failures + r.hard_failures);
-    for s in restarts {
-        assert!(!s.duration().is_zero(), "restart must cost time");
-    }
+    // One restart span per failure, each of which costs time.
+    let restarts = of(&spans, None, SpanKind::Restart);
+    assert_eq!(
+        restarts.len() as u64,
+        r.soft_failures + r.hard_failures,
+        "every failure restarts, at a cost: {restarts:?}"
+    );
 }
