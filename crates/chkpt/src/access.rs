@@ -109,7 +109,7 @@ impl<'a> Access<'a> {
         let mut regions = Vec::with_capacity(ranges.len());
         for &(id, offset, len) in ranges {
             let (region, ..) = self.working_copy(id)?;
-            let cost = held(&mut self.guard).charge_view(region, offset, len, 1);
+            let cost = held(&mut self.guard).charge_read(region, offset, len, 1);
             self.accrued += cost.map_err(HeapError::from)?;
             regions.push((region, offset, len));
         }

@@ -477,36 +477,42 @@ impl CommitCore {
         let slot = (self.heap.chunk(id)?).in_progress_slot(self.heap.versioning());
         let flush_cost = self.heap.flush_version(id, slot)?;
         self.clock.advance(flush_cost);
-        let bytes = self.heap.materialization() == Materialization::Bytes;
-        let checksummed = self.checksums && bytes;
-        if checksummed {
-            let read_cost = self.heap.charge_version_read(id, slot)?;
-            self.clock.advance(read_cost);
-        }
         let epoch = self.epoch;
-        let (checksum, mirrored) = match self.persistence.as_mut() {
-            Some(store) => {
-                let chunk = self.heap.chunk(id)?;
-                let mut put =
-                    |payload: &[u8]| store.put_chunk(id, &chunk.name, chunk.len, epoch, payload);
-                let (crc, mirrored) = if bytes {
-                    // Checksums off: nothing was charged, and the slot
-                    // still holds the working copy it was filled from.
-                    (self.heap.view_version(id, slot, put)??, chunk.len)
-                } else {
-                    // Size-only runs persist a fixed descriptor standing
-                    // in for the bytes; crash tests still verify it
-                    // bit-for-bit.
+        let (checksum, mirrored) = if self.heap.materialization() == Materialization::Bytes {
+            // One hold of the NVM lock: the slot's modeled read charged
+            // (checksums on), and its bytes lent to the backend where
+            // they lie — the working copy the slot was filled from.
+            let range = self.heap.version_range(id, slot)?;
+            let mut nvm = self.heap.nvm().lock();
+            if self.checksums {
+                let (region, offset, len) = range;
+                self.clock.advance(nvm.charge_read(region, offset, len, 1)?);
+            }
+            match self.persistence.as_mut() {
+                Some(store) => {
+                    let chunk = self.heap.chunk(id)?;
+                    let payload = nvm.lend_views(&[range])?[0];
+                    let crc = store.put_chunk(id, &chunk.name, chunk.len, epoch, payload)?;
+                    (self.checksums.then_some(crc), Some(chunk.len as u64))
+                }
+                None => (staged_crc, None),
+            }
+        } else {
+            match self.persistence.as_mut() {
+                // Size-only runs persist a fixed descriptor standing in
+                // for the bytes; crash tests still verify it bit-for-bit.
+                Some(store) => {
+                    let chunk = self.heap.chunk(id)?;
                     let desc = SyntheticPayload {
                         id: id.0,
                         epoch,
                         len: chunk.len as u64,
                     };
-                    (put(&desc.encode())?, SyntheticPayload::ENCODED_LEN)
-                };
-                (checksummed.then_some(crc), Some(mirrored as u64))
+                    store.put_chunk(id, &chunk.name, chunk.len, epoch, &desc.encode())?;
+                    (None, Some(SyntheticPayload::ENCODED_LEN as u64))
+                }
+                None => (staged_crc, None),
             }
-            None => (staged_crc, None),
         };
         let chunk = self.heap.chunk_mut(id)?;
         chunk.committed_slot = Some(slot);
@@ -655,8 +661,11 @@ impl CommitCore {
             Some(sum) if heap.materialization() == Materialization::Bytes => sum,
             _ => return Ok(()),
         };
-        charge(heap.charge_version_read(id, slot)?);
-        let actual = heap.view_version(id, slot, crc64)?;
+        let (region, offset, len) = heap.version_range(id, slot)?;
+        let mut nvm = heap.nvm().lock();
+        let (bytes, cost) = nvm.read_view(region, offset, len, 1)?;
+        charge(cost);
+        let actual = crc64(bytes);
         if actual != expected {
             return Err(EngineError::ChecksumMismatch {
                 chunk: id,
@@ -860,9 +869,11 @@ impl CommitCore {
         // The reader (the remote helper) goes through the shared-NVM
         // interface: the device counts the read, nobody's clock moves.
         // The one copy-out of a slot: read once, into the returned
-        // buffer (CI checks that nothing else here reads a slot out).
-        self.heap.charge_version_read(id, slot)?;
-        Ok(self.heap.read_version(id, slot)?)
+        // buffer.
+        let (region, offset, len) = self.heap.version_range(id, slot)?;
+        let mut bytes = vec![0u8; len];
+        (self.heap.nvm().lock()).read(region, offset, &mut bytes, 1)?;
+        Ok(bytes)
     }
 
     /// The persistent chunks in id order — all the pre-copy scheduler

@@ -17,56 +17,52 @@
 //! **Never-written bytes read as zero**, whichever backing holds a
 //! materialized region. A spilled region's slot answers unwritten
 //! extents with zeros ([`crate::spill`]). A RAM-backed region holds
-//! nothing when it is allocated; the first `write`, `view` or
-//! `view_mut` that touches it gives it its first page
-//! (`min(PAGE_SIZE, len)` bytes), and the first that reaches past that
-//! page gives it all `len` bytes, zero-filled once, with the page it
-//! held copied in. A `read` never grows what a region holds: bytes past
-//! it are zeros. Capacity (`used`), charges, wear and statistics are
-//! all by region length, so only [`MemoryDevice::resident_bytes`] sees
-//! the difference — a metadata region that a save writes 2 KiB of costs
-//! one page of RAM, not its megabyte.
+//! nothing when it is allocated; the first `write` or `view_mut` that
+//! touches it gives it its first page (`min(PAGE_SIZE, len)` bytes),
+//! and the first that reaches past that page gives it all `len` bytes,
+//! zero-filled once, with the page it held copied in. A read never
+//! grows what a region holds, whether it copies, lends or only charges:
+//! bytes past it are zeros. Capacity (`used`), charges, wear and
+//! statistics are all by region length, so only
+//! [`MemoryDevice::resident_bytes`] sees the difference — a metadata
+//! region that a save writes 2 KiB of costs one page of RAM, not its
+//! megabyte.
 //!
 //! The device is passive with respect to time: operations return the
 //! [`SimDuration`] they would take, and the caller advances its clock.
 //! Concurrency (how many cores copy simultaneously) is an argument to
 //! each transfer, because only the orchestration layer knows it.
 //!
-//! **Borrowed views and lock order.** [`MemoryDevice::view`] and
-//! [`MemoryDevice::view_mut`] lend a range of a region's bytes to a
-//! closure instead of copying them out. For a RAM-backed region the
-//! closure runs *under this device's lock* (the mutex is not
-//! reentrant: the closure must not call back into the same device);
-//! for a spilled region it runs on a buffer the range was read into,
-//! with the lock released — for `view` the calling thread's reused
-//! buffer, for `view_mut` a private one. A closure
-//! may use **another** device, and every such nesting in the workspace
-//! takes **DRAM first, then NVM** — a shadow copy is a DRAM `view`
-//! around an NVM `write`, a restore a DRAM `view_mut` around an NVM
-//! `read` — so two threads sharing a node's devices cannot take the
-//! two locks in opposite orders.
-//!
-//! **Runs of accesses under one lock.** [`MemoryDevice::lock`] returns
-//! a [`DeviceGuard`], which holds the lock until it is dropped and
-//! offers `read`, `write`, `write_synthetic` and a charged view,
-//! [`DeviceGuard::read_view`] — or, for several ranges lent at once,
-//! [`DeviceGuard::charge_view`] of each and one
-//! [`DeviceGuard::lend_views`]. Each is charged exactly as the device
-//! call of its name — the device's own calls are one-access runs of
-//! the guard's. A cost, once worked out, is remembered
-//! by its kind, length and concurrency until
+//! **One way to read: the guard.** [`MemoryDevice::lock`] returns a
+//! [`DeviceGuard`], which holds the device's lock until it is dropped.
+//! It is the only way to read a device, lend its bytes or charge a
+//! read of them: [`DeviceGuard::read`] copies a range out,
+//! [`DeviceGuard::read_view`] lends it charged as that read,
+//! [`DeviceGuard::charge_read`] charges the read of a range of any
+//! region, size-only ones included, and [`DeviceGuard::lend_views`]
+//! lends several ranges at once and charges nothing. A range a
+//! RAM-backed region holds is lent where it lies; a range past what it
+//! holds, and a spilled range, are lent from the calling thread's
+//! reused buffer, so a lend moves neither
+//! [`MemoryDevice::resident_bytes`] nor the process's resident set. The
+//! guard writes too; the device's own `read`, `write` and
+//! `write_synthetic` are one-access runs of the guard's. A cost, once
+//! worked out, is remembered by its kind, length and concurrency until
 //! [`MemoryDevice::set_model`] replaces the model, which is exact:
-//! nothing else changes what an access costs. While a guard
-//! lives nothing may use its device: the holder drops the guard before
-//! any call that takes the lock and locks again after it (the checkpoint
-//! engine's `Access` does this around a lazy restore), and only another
-//! device may be used under it, DRAM before NVM as above. A charged
-//! view lends a range a RAM-backed region holds where it lies; like a
-//! `read`, and unlike `view`, it **never grows a region**: bytes past
-//! what the region holds are lent as zeros, from the same reused buffer
-//! of the calling thread a spilled range is read into, so neither
-//! [`MemoryDevice::resident_bytes`] nor the process's resident set
-//! moves.
+//! nothing else changes what an access costs.
+//!
+//! **Lock order.** While a guard lives nothing may use its device (the
+//! mutex is not reentrant): the holder drops the guard before any call
+//! that takes the lock and locks again after it (the checkpoint
+//! engine's `Access` does this around a lazy restore). Another device
+//! may be used under it, and every such nesting in the workspace takes
+//! **DRAM first, then NVM** — a shadow copy lends the working copy
+//! under the DRAM guard around an NVM `write`, a restore is a DRAM
+//! [`MemoryDevice::view_mut`] around an NVM `read` — so two threads
+//! sharing a node's devices cannot take the two locks in opposite
+//! orders. `view_mut`, the one lend for writing, hands a range to a
+//! closure: a RAM-backed one in place under the lock, a spilled one in
+//! a private buffer with the lock released.
 
 use crate::bandwidth::BandwidthModel;
 use crate::error::DeviceError;
@@ -83,13 +79,13 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 thread_local! {
-    /// The buffer a view reads a spilled range into and lends it from
-    /// ([`MemoryDevice::view`], and [`DeviceGuard`]'s views, which put
-    /// several ranges in it one after another): taken for the call and
-    /// put back after it, so a thread's views of spilled ranges
-    /// allocate and zero-fill only when one is longer than any before
-    /// it. A view nested inside another on the same thread finds it
-    /// taken and allocates its own.
+    /// The buffer a [`DeviceGuard`] lends a range from when the range
+    /// does not lie in RAM — spilled, or past what a RAM-backed region
+    /// holds — several ranges one after another: taken by the guard and
+    /// put back when it drops, so a thread's lends allocate and
+    /// zero-fill only when one is longer than any before it. A guard on
+    /// another device, held under the first on the same thread, finds
+    /// it taken and allocates its own.
     static SPILL_VIEW: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
@@ -492,10 +488,11 @@ impl MemoryDevice {
     }
 
     /// Hold this device's lock for a run of accesses: the
-    /// [`DeviceGuard`] reads, writes and lends ranges exactly as this
-    /// handle's calls of the same names do, one lock for the whole run.
-    /// Nothing may use this device while the guard lives (see the
-    /// module docs); drop it to release the lock.
+    /// [`DeviceGuard`], the one way to read, lend or charge a read of
+    /// this device, and to write it as this handle's calls of the same
+    /// names do, one lock for the whole run. Nothing may use this
+    /// device while the guard lives (see the module docs); drop it to
+    /// release the lock.
     #[inline]
     pub fn lock(&self) -> DeviceGuard<'_> {
         DeviceGuard {
@@ -542,69 +539,6 @@ impl MemoryDevice {
         self.lock().read(id, offset, buf, concurrency)
     }
 
-    /// Copy `buf.len()` bytes from `offset` into `buf` without charging
-    /// time, statistics or wear: [`MemoryDevice::read`] without its
-    /// charge, for a caller that keeps the bytes where
-    /// [`MemoryDevice::view`] would only lend them. A spilled range is
-    /// read straight into `buf`. Errors on synthetic regions.
-    pub fn copy_out(&self, id: RegionId, offset: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
-        self.inner.lock().fill(id, offset, buf)
-    }
-
-    /// Charge the cost of reading `len` bytes without materializing them.
-    pub fn read_synthetic(
-        &self,
-        id: RegionId,
-        offset: usize,
-        len: usize,
-        concurrency: usize,
-    ) -> Result<SimDuration, DeviceError> {
-        let mut g = self.inner.lock();
-        let region = g.regions.get(&id).ok_or(DeviceError::NoSuchRegion(id.0))?;
-        region.check_bounds(id, offset, len)?;
-        Ok(g.charge_read(len, concurrency))
-    }
-
-    /// Lend `len` bytes of a materialized region at `offset` to `f`,
-    /// without copying them out and without charging time, statistics
-    /// or wear — a modeled read is charged separately
-    /// ([`MemoryDevice::read_synthetic`]). RAM-backed bytes are lent in
-    /// place under the device lock, the region first grown to hold the
-    /// range (module docs); a spilled range is read under the lock into
-    /// the calling thread's reused buffer — over whatever an earlier
-    /// view left there, which [`SpillStore::read`] overwrites — and lent
-    /// from it with the lock released.
-    /// See the module docs for what `f` may call.
-    pub fn view<R>(
-        &self,
-        id: RegionId,
-        offset: usize,
-        len: usize,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R, DeviceError> {
-        let mut guard = self.inner.lock();
-        let g = &mut *guard;
-        let region = g
-            .regions
-            .get_mut(&id)
-            .ok_or(DeviceError::NoSuchRegion(id.0))?;
-        region.check_bounds(id, offset, len)?;
-        let slot = match &mut region.backing {
-            Backing::Bytes(held) => return Ok(f(reach(held, region.len, offset, len))),
-            Backing::Spilled { slot } => *slot,
-            Backing::Synthetic => return Err(DeviceError::SyntheticAccess(id.0)),
-        };
-        let mut buf = SPILL_VIEW.take();
-        if buf.len() < len {
-            buf = materialize(&[], len);
-        }
-        g.spill.read(slot, offset, &mut buf[..len])?;
-        drop(guard);
-        let out = f(&buf[..len]);
-        SPILL_VIEW.set(buf);
-        Ok(out)
-    }
-
     /// Lend `len` bytes of a materialized region at `offset` to `f`
     /// for overwriting: what `f` leaves in the slice is what the range
     /// holds afterwards, whatever `f` returns. The slice starts out
@@ -613,13 +547,12 @@ impl MemoryDevice {
     /// the lock released and flushed under it), so `f` is expected to
     /// write all of it.
     ///
-    /// Like [`MemoryDevice::view`] this charges no time, statistics or
-    /// wear. On its own it is *not* a modeled operation: it
-    /// reconstitutes emulator state that conceptually survived a
-    /// process failure (re-loading a durable store file into a fresh
-    /// NVM device on restart — on real hardware those bytes never left
-    /// the medium). A modeled write made through it is charged with
-    /// [`MemoryDevice::write_synthetic`].
+    /// This charges no time, statistics or wear. On its own it is *not*
+    /// a modeled operation: it reconstitutes emulator state that
+    /// conceptually survived a process failure (re-loading a durable
+    /// store file into a fresh NVM device on restart — on real hardware
+    /// those bytes never left the medium). A modeled write made through
+    /// it is charged with [`MemoryDevice::write_synthetic`].
     pub fn view_mut<R>(
         &self,
         id: RegionId,
@@ -711,16 +644,15 @@ impl MemoryDevice {
 }
 
 /// One hold of a [`MemoryDevice`]'s lock ([`MemoryDevice::lock`]):
-/// a run of reads, writes and lent ranges, each charged exactly as the
-/// device's call of the same name charges it — the same cost, the same
-/// [`DeviceStats`] fields — and the lock taken once for all of them.
-/// The device's own `read`, `write` and `write_synthetic` are
-/// one-access runs of these methods.
+/// a run of reads, lent ranges, read charges and writes, the lock taken
+/// once for all of them. The device's own `read`, `write` and
+/// `write_synthetic` are one-access runs of these methods, charged the
+/// same: the same cost, the same [`DeviceStats`] fields.
 pub struct DeviceGuard<'a> {
     g: MutexGuard<'a, Inner>,
-    /// The calling thread's view buffer ([`SPILL_VIEW`]), taken by the
-    /// first [`DeviceGuard::read_view`] that cannot lend in place and
-    /// put back when the guard drops.
+    /// The calling thread's lend buffer ([`SPILL_VIEW`]), taken by the
+    /// first lend that cannot lend in place and put back when the guard
+    /// drops.
     buf: Vec<u8>,
 }
 
@@ -806,8 +738,11 @@ impl DeviceGuard<'_> {
         buf: &mut [u8],
         concurrency: usize,
     ) -> Result<SimDuration, DeviceError> {
-        self.g.fill(id, offset, buf)?;
-        Ok(self.g.charge_read(buf.len(), concurrency))
+        let g = &mut *self.g;
+        let region = g.regions.get(&id).ok_or(DeviceError::NoSuchRegion(id.0))?;
+        region.check_bounds(id, offset, buf.len())?;
+        region.fill(id, offset, buf, &mut g.spill)?;
+        Ok(g.charge_read(buf.len(), concurrency))
     }
 
     /// [`DeviceGuard::read`] without the copy: the range's bytes are
@@ -845,11 +780,12 @@ impl DeviceGuard<'_> {
         Ok((bytes, cost))
     }
 
-    /// The charge of [`DeviceGuard::read_view`] alone: the range is
-    /// checked, and counted and costed as that read, and nothing is
-    /// lent. A run of views charged one by one, each in its turn, is
-    /// then lent at once by [`DeviceGuard::lend_views`].
-    pub fn charge_view(
+    /// The charge of [`DeviceGuard::read`] alone: the range is checked,
+    /// and counted and costed as that read, and no byte is touched. A
+    /// size-only region is charged like any other. A run of ranges
+    /// charged one by one, each in its turn, is then lent at once by
+    /// [`DeviceGuard::lend_views`].
+    pub fn charge_read(
         &mut self,
         id: RegionId,
         offset: usize,
@@ -858,16 +794,13 @@ impl DeviceGuard<'_> {
     ) -> Result<SimDuration, DeviceError> {
         let region = (self.g.regions.get(&id)).ok_or(DeviceError::NoSuchRegion(id.0))?;
         region.check_bounds(id, offset, len)?;
-        if let Backing::Synthetic = region.backing {
-            return Err(DeviceError::SyntheticAccess(id.0));
-        }
         Ok(self.g.charge_read(len, concurrency))
     }
 
     /// Lend every `(region, offset, len)` of `ranges` at once, in the
     /// order given and charging nothing: the lend of
-    /// [`DeviceGuard::read_view`] for ranges [`DeviceGuard::charge_view`]
-    /// charged. Each is lent as `read_view` lends it — where a
+    /// [`DeviceGuard::read_view`] for ranges [`DeviceGuard::charge_read`]
+    /// charged, or of bytes no modeled read sees. Each is lent as `read_view` lends it — where a
     /// RAM-backed region holds it, else from the calling thread's
     /// buffer, which the ranges lent from it share, one after another —
     /// and every range is checked before any byte is read.
@@ -997,15 +930,6 @@ impl Inner {
         Ok((cost, region))
     }
 
-    /// Fill `buf` with region `id`'s bytes at `offset`, charging
-    /// nothing: the body of [`MemoryDevice::read`] and
-    /// [`MemoryDevice::copy_out`].
-    fn fill(&mut self, id: RegionId, offset: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
-        let region = (self.regions.get(&id)).ok_or(DeviceError::NoSuchRegion(id.0))?;
-        region.check_bounds(id, offset, buf.len())?;
-        region.fill(id, offset, buf, &mut self.spill)
-    }
-
     fn charge_read(&mut self, len: usize, concurrency: usize) -> SimDuration {
         let (params, model) = (&self.params, &self.model);
         let cost = (self.known).cost((false, len, concurrency), || {
@@ -1038,9 +962,9 @@ fn reach(held: &mut Vec<u8>, region_len: usize, offset: usize, len: usize) -> &m
 
 /// `len` bytes that begin with `held` and are zeros after it — a
 /// RAM-backed region grown by [`reach`], a spilled range's private
-/// `view_mut` buffer, or a thread's `view` buffer when a view is longer
-/// than it. The one zero-fill in this file (CI checks it), so that no
-/// allocation fills a region nothing has reached yet.
+/// `view_mut` buffer, or a thread's lend buffer when a lend is longer
+/// than it. The one zero-fill in this file, so that no allocation
+/// fills a region nothing has reached yet (`tests/region_model.rs`).
 fn materialize(held: &[u8], len: usize) -> Vec<u8> {
     let mut bytes = vec![0u8; len];
     bytes[..held.len()].copy_from_slice(held);
@@ -1053,10 +977,10 @@ mod tests {
 
     const MB: usize = 1 << 20;
 
-    /// Every byte of `r`, copied out through the read view.
+    /// Every byte of `r`, lent free of charge and copied out.
     fn contents(d: &MemoryDevice, r: RegionId) -> Vec<u8> {
         let len = d.region_len(r).unwrap();
-        d.view(r, 0, len, <[u8]>::to_vec).unwrap()
+        d.lock().lend_views(&[(r, 0, len)]).unwrap()[0].to_vec()
     }
 
     #[test]
@@ -1133,15 +1057,20 @@ mod tests {
             Err(DeviceError::SyntheticAccess(_))
         ));
         assert!(matches!(
-            d.view(r, 0, 16, <[u8]>::to_vec),
-            Err(DeviceError::SyntheticAccess(_))
-        ));
-        assert!(matches!(
             d.view_mut(r, 0, 16, |b| b.fill(1)),
             Err(DeviceError::SyntheticAccess(_))
         ));
+        let mut g = d.lock();
+        assert!(matches!(
+            g.read_view(r, 0, 16, 1),
+            Err(DeviceError::SyntheticAccess(_))
+        ));
+        assert!(matches!(
+            g.lend_views(&[(r, 0, 16)]),
+            Err(DeviceError::SyntheticAccess(_))
+        ));
         // but cost-only reads work
-        assert!(d.read_synthetic(r, 0, MB, 1).is_ok());
+        assert!(g.charge_read(r, 0, MB, 1).is_ok());
     }
 
     #[test]
@@ -1325,43 +1254,30 @@ mod tests {
         let mut short_bytes = vec![1u8; 50];
         short_bytes.resize(100, 0);
         assert_eq!(contents(&d, short), short_bytes);
-        // A view nested in another on the same thread lends its own
-        // range, and the outer one's is intact after it.
-        let (inner, outer) = d
-            .view(long, 0, 16, |outer| {
-                let inner = d.view(short, 40, 20, <[u8]>::to_vec).unwrap();
-                (inner, outer.to_vec())
-            })
-            .unwrap();
-        assert_eq!(
-            (inner, outer),
-            (short_bytes[40..60].to_vec(), vec![7u8; 16])
-        );
-        assert_eq!(io(), (8192 + 100 + 16 + 20, 8192 + 50));
-        // `copy_out` reads the range straight into the caller's buffer,
-        // counted like any spill read and charged nothing.
-        let charged = d.stats();
-        let mut buf = [9u8; 10];
-        d.copy_out(short, 45, &mut buf).unwrap();
-        assert_eq!(buf, [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]);
-        assert_eq!(d.stats(), charged);
+        // A guard on another device, held under this one's on the same
+        // thread, lends from a buffer of its own, and the range lent
+        // under this one is intact after it.
+        let other = MemoryDevice::pcm(MB);
+        other.attach_spill(Box::new(MemSpill::new()));
+        let o = other.alloc(20).unwrap();
+        other.write(o, 0, &[4; 20], 1).unwrap();
+        let mut g = d.lock();
+        let outer = g.lend_views(&[(long, 0, 16)]).unwrap()[0];
+        let inner = other.lock().lend_views(&[(o, 0, 20)]).unwrap()[0].to_vec();
+        assert_eq!((inner, outer), (vec![4u8; 20], &[7u8; 16][..]));
+        drop(g);
+        assert_eq!(io(), (8192 + 100 + 16, 8192 + 50));
         d.view_mut(short, 0, 4, |b| b.fill(3)).unwrap();
-        assert_eq!(io(), (8192 + 100 + 16 + 20 + 10, 8192 + 50 + 4));
-        // No spill store, no spill I/O; `copy_out` is `read` uncharged.
+        assert_eq!(io(), (8192 + 100 + 16, 8192 + 50 + 4));
+        // No spill store, no spill I/O.
         let ram = MemoryDevice::pcm(MB);
         let r = ram.alloc(2 * PAGE_SIZE).unwrap();
         ram.write(r, 10, &[5; 20], 1).unwrap();
-        let mut read = [0u8; 40];
-        ram.read(r, 0, &mut read, 1).unwrap();
-        let charged = ram.stats();
-        let mut copied = [9u8; 40];
-        ram.copy_out(r, 0, &mut copied).unwrap();
-        assert_eq!((copied, ram.stats()), (read, charged));
+        assert_eq!(
+            contents(&ram, r)[8..32],
+            [&[0; 2][..], &[5; 20], &[0; 2]].concat()
+        );
         assert_eq!((ram.spill_read_bytes(), ram.spill_written_bytes()), (0, 0));
-        assert!(matches!(
-            ram.copy_out(r, 2 * PAGE_SIZE - 4, &mut copied),
-            Err(DeviceError::OutOfBounds { .. })
-        ));
     }
 
     #[test]
@@ -1399,7 +1315,7 @@ mod tests {
             .collect();
         let mut g = viewed.lock();
         let charged: Vec<SimDuration> = (ranges.iter())
-            .map(|&(id, offset, len)| g.charge_view(id, offset, len, 1).unwrap())
+            .map(|&(id, offset, len)| g.charge_read(id, offset, len, 1).unwrap())
             .collect();
         assert_eq!(charged, costs);
         let lent = g.lend_views(&ranges).unwrap();
@@ -1422,44 +1338,13 @@ mod tests {
         assert!(matches!(past_end, Err(DeviceError::OutOfBounds { .. })));
         let missing = g.lend_views(&[(s1, 0, 4), (RegionId(99), 0, 1)]);
         assert!(matches!(missing, Err(DeviceError::NoSuchRegion(99))));
-        assert!(g.charge_view(s2, 99, 2, 1).is_err());
+        assert!(g.charge_read(s2, 99, 2, 1).is_err());
         assert!(g.lend_views(&[]).unwrap().is_empty());
         drop(g);
         assert_eq!(
             (viewed.stats(), viewed.spill_read_bytes()),
             (stats, spill_read)
         );
-    }
-
-    #[test]
-    fn a_view_grows_a_ram_region_and_lends_a_spilled_one_unlocked() {
-        use crate::spill::MemSpill;
-        let d = MemoryDevice::dram(MB);
-        let ram = d.alloc(2 * PAGE_SIZE).unwrap();
-        d.write(ram, 0, &[1; 16], 1).unwrap();
-        d.attach_spill(Box::new(MemSpill::new()));
-        let spilled = d.alloc(100).unwrap();
-        d.write(spilled, 0, &[2; 100], 1).unwrap();
-        let charged = d.stats();
-        let seen = d.view(ram, 8, 16, <[u8]>::to_vec).unwrap();
-        assert_eq!(seen, [&[1u8; 8][..], &[0; 8]].concat());
-        assert_eq!(
-            d.resident_bytes(),
-            PAGE_SIZE as u64,
-            "the range reached one page"
-        );
-        // A spilled range is lent with the lock released, so the closure
-        // may use the device.
-        let nested = d.view(spilled, 98, 2, |lent| {
-            (lent.to_vec(), d.view(ram, 0, 2, <[u8]>::to_vec).unwrap())
-        });
-        assert_eq!(nested.unwrap(), (vec![2, 2], vec![1, 1]));
-        assert_eq!(d.spill_read_bytes(), 2);
-        assert_eq!(d.stats(), charged, "a view charges nothing");
-        assert!(matches!(
-            d.view(spilled, 99, 2, |_| ()),
-            Err(DeviceError::OutOfBounds { .. })
-        ));
     }
 
     #[test]
@@ -1492,22 +1377,24 @@ mod tests {
             })
             .unwrap();
         assert_eq!(seen, vec![7u8; 20], "a RAM-backed range is lent as it is");
-        assert_eq!(d.view(r, 8, 4, <[u8]>::to_vec).unwrap(), [7, 7, 9, 9]);
-        assert_eq!(d.view(r, 28, 4, <[u8]>::to_vec).unwrap(), [9, 9, 7, 7]);
-        assert_eq!(d.stats(), charged);
-        assert_eq!(d.max_wear(r).unwrap(), wear);
+        let mut g = d.lock();
+        let lent = g.lend_views(&[(r, 8, 4), (r, 28, 4)]).unwrap();
+        assert_eq!(lent, [[7, 7, 9, 9], [9, 9, 7, 7]]);
         // A range that does not fit is a typed error, not a panic.
         assert!(matches!(
-            d.view(r, 90, 20, <[u8]>::len),
+            g.lend_views(&[(r, 90, 20)]),
             Err(DeviceError::OutOfBounds { .. })
         ));
+        assert!(matches!(
+            g.lend_views(&[(RegionId(99), 0, 1)]),
+            Err(DeviceError::NoSuchRegion(99))
+        ));
+        drop(g);
+        assert_eq!(d.stats(), charged);
+        assert_eq!(d.max_wear(r).unwrap(), wear);
         assert!(matches!(
             d.view_mut(r, usize::MAX, 2, |b| b.fill(0)),
             Err(DeviceError::OutOfBounds { .. })
-        ));
-        assert!(matches!(
-            d.view(RegionId(99), 0, 1, <[u8]>::len),
-            Err(DeviceError::NoSuchRegion(99))
         ));
     }
 
@@ -1521,9 +1408,10 @@ mod tests {
         let src = dram.alloc(64).unwrap();
         let dst = nvm.alloc(64).unwrap();
         dram.write(src, 0, &[5; 64], 1).unwrap();
-        dram.view(src, 0, 64, |b| nvm.write(dst, 0, b, 1))
-            .unwrap()
+        let mut g = dram.lock();
+        nvm.write(dst, 0, g.lend_views(&[(src, 0, 64)]).unwrap()[0], 1)
             .unwrap();
+        drop(g);
         dram.view_mut(src, 0, 32, |b| {
             b.fill(0);
             nvm.read(dst, 32, b, 1)
@@ -1551,9 +1439,11 @@ mod tests {
     #[test]
     fn a_charged_view_is_a_read_that_lends_and_grows_nothing() {
         use crate::spill::MemSpill;
-        // Twin devices: one reads each range, the other views it under
-        // one guard; bytes, costs, statistics and what the regions hold
-        // must agree, on a RAM-backed and on a spilled region.
+        // Triplet devices: one reads each range, one views it and one
+        // only charges its read, each under one guard; bytes, costs,
+        // statistics and what the regions hold must agree, on a
+        // RAM-backed and on a spilled region. A size-only range is
+        // charged as the read of a materialized one of its length.
         let twin = || {
             let d = MemoryDevice::dram(MB);
             let ram = d.alloc(3 * PAGE_SIZE).unwrap();
@@ -1565,6 +1455,8 @@ mod tests {
         };
         let (read, ram, spilled) = twin();
         let (viewed, ..) = twin();
+        let (charged, ..) = twin();
+        let synthetic = charged.alloc_synthetic(100).unwrap();
         let ranges = [
             (ram, 0, 40),
             (ram, PAGE_SIZE - 8, 16),
@@ -1572,17 +1464,29 @@ mod tests {
             (spilled, 40, 60),
             (ram, 12, 0),
         ];
-        let mut g = viewed.lock();
+        let (mut g, mut c) = (viewed.lock(), charged.lock());
         for (id, offset, len) in ranges {
             let mut buf = vec![9u8; len];
             let cost = read.read(id, offset, &mut buf, 1).unwrap();
             let (bytes, view_cost) = g.read_view(id, offset, len, 1).unwrap();
             assert_eq!((bytes, view_cost), (&buf[..], cost), "{offset}+{len}");
+            assert_eq!(c.charge_read(id, offset, len, 1).unwrap(), cost);
         }
+        let cost = read.read(spilled, 40, &mut [0; 60], 1).unwrap();
+        assert_eq!(c.charge_read(synthetic, 40, 60, 1).unwrap(), cost);
+        assert!(matches!(
+            c.charge_read(synthetic, 41, 60, 1),
+            Err(DeviceError::OutOfBounds { .. })
+        ));
+        drop(c);
+        assert_eq!(charged.stats(), read.stats());
+        assert_eq!(charged.resident_bytes(), PAGE_SIZE as u64);
+        assert_eq!(charged.spill_read_bytes(), 0, "a charge reads nothing");
         assert!(matches!(
             g.read_view(ram, 3 * PAGE_SIZE - 1, 2, 1),
             Err(DeviceError::OutOfBounds { .. })
         ));
+        g.read_view(spilled, 40, 60, 1).unwrap();
         drop(g);
         assert_eq!(viewed.stats(), read.stats());
         assert_eq!(viewed.resident_bytes(), PAGE_SIZE as u64, "no view grew");
@@ -1604,8 +1508,8 @@ mod tests {
         assert_ne!(after, before);
         assert_eq!(after, fresh.write_synthetic(fr, 0, 4096, 1).unwrap());
         let reads = [
-            d.read_synthetic(r, 0, 100, 2),
-            fresh.read_synthetic(fr, 0, 100, 2),
+            d.lock().charge_read(r, 0, 100, 2),
+            fresh.lock().charge_read(fr, 0, 100, 2),
         ];
         assert_eq!(reads[0].as_ref().unwrap(), reads[1].as_ref().unwrap());
     }
@@ -1618,7 +1522,8 @@ mod tests {
         assert!(d.write(r, 16, &[], 1).is_ok());
         let mut buf = [0u8; 0];
         assert!(d.read(r, 16, &mut buf, 1).is_ok());
-        assert_eq!(d.view(r, 16, 0, <[u8]>::len).unwrap(), 0);
+        assert_eq!(d.lock().read_view(r, 16, 0, 1).unwrap().0, []);
+        assert!(d.lock().charge_read(r, 16, 0, 1).is_ok());
         assert_eq!(d.view_mut(r, 0, 0, |b| b.len()).unwrap(), 0);
     }
 }

@@ -36,7 +36,7 @@ fn concurrent_charges_match_serial_reference() {
                 for op in 0..OPS_PER_THREAD {
                     let len = write_len(t, op);
                     costs.push(dev.write_synthetic(id, 0, len, THREADS).unwrap());
-                    dev.read_synthetic(id, 0, len / 2, THREADS).unwrap();
+                    dev.lock().charge_read(id, 0, len / 2, THREADS).unwrap();
                 }
                 costs
             }

@@ -1,9 +1,10 @@
-//! A RAM-backed region holds only what an access has reached — nothing
-//! until it is first touched, then its first page, then all of it —
-//! and answers the rest with zeros. That must not be visible through
-//! the API: random `write` / `read` / `view` / `view_mut` /
-//! `write_synthetic` / `free` sequences are run against a flat
-//! `Vec<u8>` per region and against the same operations on a
+//! A RAM-backed region holds only what a write has reached — nothing
+//! until it is first written, then its first page, then all of it —
+//! and answers the rest with zeros; a read, whether it copies, lends
+//! or only charges, grows nothing. That must not be visible through
+//! the API: random `write` / `read` / guard lend / `charge_read` /
+//! `view_mut` / `write_synthetic` / `free` sequences are run against a
+//! flat `Vec<u8>` per region and against the same operations on a
 //! `MemSpill`-backed twin, and every byte, cost, error, `DeviceStats`
 //! value and `max_wear` must agree. Only `resident_bytes` may tell the
 //! two backings apart, and it must say what the region holds.
@@ -18,6 +19,7 @@ enum Kind {
     Write,
     Read,
     View,
+    ChargeRead,
     ViewMut,
     WriteSynthetic,
     Free,
@@ -85,6 +87,7 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Kind::Write),
         Just(Kind::Read),
         Just(Kind::View),
+        Just(Kind::ChargeRead),
         Just(Kind::ViewMut),
         Just(Kind::WriteSynthetic),
         Just(Kind::Free),
@@ -156,8 +159,8 @@ impl Twin {
         self.held = Held::Nothing;
     }
 
-    /// An access to `offset..offset + len` that lends or writes bytes
-    /// grows what the RAM-backed region holds.
+    /// A write to `offset..offset + len`, or a lend for writing, grows
+    /// what the RAM-backed region holds.
     fn reach(&mut self, offset: usize, len: usize) {
         if len == 0 || offset + len > self.model.len() {
             return;
@@ -213,12 +216,18 @@ impl Twin {
                 prop_assert_eq!(out.is_ok(), in_bounds, "{}", what);
             }
             Kind::View => {
-                let seen = self.both(&what, |d| d.view(region, offset, n, <[u8]>::to_vec))?;
-                if let Ok(bytes) = &seen {
+                let seen = self.both(&what, |d| {
+                    let mut g = d.lock();
+                    (g.read_view(region, offset, n, 1)).map(|(bytes, cost)| (cost, bytes.to_vec()))
+                })?;
+                if let Ok((_, bytes)) = &seen {
                     prop_assert_eq!(&bytes[..], &self.model[offset..offset + n], "{}", what);
-                    self.reach(offset, n);
                 }
                 prop_assert_eq!(seen.is_ok(), in_bounds, "{}", what);
+            }
+            Kind::ChargeRead => {
+                let cost = self.both(&what, |d| d.lock().charge_read(region, offset, n, 1))?;
+                prop_assert_eq!(cost.is_ok(), in_bounds, "{}", what);
             }
             Kind::ViewMut => {
                 // A spilled range is lent as zeros, a RAM-backed one as
@@ -302,13 +311,19 @@ fn a_region_holds_nothing_then_its_first_page_then_all_of_it() {
     assert_eq!(d.resident_bytes(), 0, "a read grows nothing");
     d.write(r, 8, &[7; 16], 1).unwrap();
     assert_eq!(d.resident_bytes(), PAGE_SIZE as u64, "inline");
-    d.view(r, PAGE_SIZE - 4, 4, <[u8]>::len).unwrap();
+    let mut g = d.lock();
+    assert_eq!(g.read_view(r, PAGE_SIZE - 4, 5, 1).unwrap().0, [0; 5]);
+    g.lend_views(&[(r, 0, len)]).unwrap();
+    drop(g);
+    assert_eq!(d.resident_bytes(), PAGE_SIZE as u64, "a lend grows nothing");
+    d.write(r, PAGE_SIZE - 4, &[1; 4], 1).unwrap();
     assert_eq!(
         d.resident_bytes(),
         PAGE_SIZE as u64,
         "still inside the page"
     );
-    d.view(r, PAGE_SIZE - 4, 5, <[u8]>::len).unwrap();
+    d.view_mut(r, PAGE_SIZE - 4, 5, |b| b.fill(2)).unwrap();
     assert_eq!(d.resident_bytes(), len as u64, "materialized");
-    assert_eq!(d.view(r, 8, 16, <[u8]>::to_vec).unwrap(), [7; 16]);
+    let mut g = d.lock();
+    assert_eq!(g.read_view(r, 8, 16, 1).unwrap().0, [7; 16]);
 }

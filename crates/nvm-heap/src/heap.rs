@@ -246,10 +246,12 @@ impl NvmHeap {
         let new_dram = match self.materialization {
             Materialization::Bytes => {
                 let r = self.dram.alloc(new_len)?;
-                // Same device on both sides: its lock cannot nest, so
-                // the carry-over goes through a copy.
-                let data = self.dram.view(old_dram, 0, old_len, <[u8]>::to_vec)?;
-                self.dram.write(r, 0, &data, 1)?;
+                // Same device on both sides, one hold of its lock: the
+                // old bytes are lent, free, and their copy is charged
+                // as a write to the new region.
+                let mut dram = self.dram.lock();
+                let data = dram.lend_views(&[(old_dram, 0, old_len)])?[0].to_vec();
+                dram.write(r, 0, &data, 1)?;
                 r
             }
             Materialization::Synthetic => self.dram.alloc_synthetic(new_len)?,
@@ -313,15 +315,14 @@ impl NvmHeap {
         let ext =
             chunk.versions[slot as usize].ok_or(HeapError::MissingVersion { chunk: id, slot })?;
         Ok(match self.materialization {
-            // One copy, working copy to slot (DRAM lock, then NVM).
+            // One copy, working copy to slot, lent under the DRAM lock
+            // around the NVM write.
             Materialization::Bytes => {
-                self.dram.view(chunk.dram_region, 0, chunk.len, |data| {
-                    let lent = lend(data);
-                    let cost = self
-                        .nvm
-                        .write(self.container, ext.offset, data, concurrency)?;
-                    Ok::<_, DeviceError>((cost, Some(lent)))
-                })??
+                let mut dram = self.dram.lock();
+                let data = dram.lend_views(&[(chunk.dram_region, 0, chunk.len)])?[0];
+                let lent = lend(data);
+                let cost = (self.nvm).write(self.container, ext.offset, data, concurrency)?;
+                (cost, Some(lent))
             }
             Materialization::Synthetic => {
                 let cost =
@@ -347,36 +348,16 @@ impl NvmHeap {
         Ok((ext, chunk.len))
     }
 
-    /// Lend the bytes of version `slot` to `f` where they lie
-    /// (checksum, store mirror and remote-ship paths). Charges
-    /// nothing: the modeled read is [`NvmHeap::charge_version_read`].
-    pub fn view_version<R>(
+    /// Where version `slot` of chunk `id` lies on the NVM device
+    /// ([`NvmHeap::nvm`]): `(region, offset, len)`, a range to read,
+    /// lend or charge through one [`nvm_emu::DeviceGuard`].
+    pub fn version_range(
         &self,
         id: ChunkId,
         slot: u8,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R, HeapError> {
+    ) -> Result<(RegionId, usize, usize), HeapError> {
         let (ext, len) = self.version(id, slot)?;
-        Ok(self.nvm.view(self.container, ext.offset, len, f)?)
-    }
-
-    /// Copy version `slot`'s bytes out into a buffer of their own, read
-    /// once — a spilled slot straight into it. Charges nothing, like
-    /// [`NvmHeap::view_version`]; for a caller that keeps the bytes.
-    pub fn read_version(&self, id: ChunkId, slot: u8) -> Result<Vec<u8>, HeapError> {
-        let (ext, len) = self.version(id, slot)?;
-        let mut bytes = vec![0u8; len];
-        self.nvm.copy_out(self.container, ext.offset, &mut bytes)?;
-        Ok(bytes)
-    }
-
-    /// Charge the modeled read of version `slot`'s bytes and return
-    /// its cost.
-    pub fn charge_version_read(&self, id: ChunkId, slot: u8) -> Result<SimDuration, HeapError> {
-        let (ext, len) = self.version(id, slot)?;
-        Ok(self
-            .nvm
-            .read_synthetic(self.container, ext.offset, len, 1)?)
+        Ok((self.container, ext.offset, len))
     }
 
     /// Lend version `slot`'s bytes to `f` for overwriting, without
@@ -411,8 +392,7 @@ impl NvmHeap {
                 self.nvm.read(self.container, ext.offset, data, 1)
             })??,
             Materialization::Synthetic => {
-                self.nvm
-                    .read_synthetic(self.container, ext.offset, len, 1)?
+                (self.nvm.lock()).charge_read(self.container, ext.offset, len, 1)?
             }
         };
         let write_cost = self.dram.write_synthetic(chunk.dram_region, 0, len, 1)?;
@@ -606,6 +586,12 @@ mod tests {
         h.dram().read(region, 0, buf, 1).unwrap();
     }
 
+    /// Version `slot`'s bytes, lent free of charge and copied out.
+    fn version_bytes(h: &NvmHeap, id: ChunkId, slot: u8) -> Result<Vec<u8>, HeapError> {
+        let range = h.version_range(id, slot)?;
+        Ok(h.nvm().lock().lend_views(&[range])?[0].to_vec())
+    }
+
     #[test]
     fn nvmalloc_creates_dram_and_shadow_pair() {
         let mut h = heap(Versioning::Double);
@@ -646,7 +632,7 @@ mod tests {
     }
 
     #[test]
-    fn write_then_shadow_copy_then_view_version() {
+    fn write_then_shadow_copy_then_lend_the_version() {
         let mut h = heap(Versioning::Double);
         let id = h.nvmalloc("x", 1024, true).unwrap();
         let data: Vec<u8> = (0..1024u32).map(|i| (i % 256) as u8).collect();
@@ -655,11 +641,13 @@ mod tests {
         assert!(!cost.is_zero());
         assert_eq!(lent, Some(data.clone()), "the copy lends what it copies");
         let read = h.nvm().stats();
-        assert_eq!(h.view_version(id, 0, <[u8]>::to_vec).unwrap(), data);
-        assert_eq!(h.read_version(id, 0).unwrap(), data);
-        assert_eq!(h.nvm().stats(), read, "the view and the copy-out are free");
-        let cost = h.charge_version_read(id, 0).unwrap();
-        assert!(!cost.is_zero());
+        assert_eq!(version_bytes(&h, id, 0).unwrap(), data);
+        assert_eq!(h.nvm().stats(), read, "a lend is free");
+        let (region, offset, len) = h.version_range(id, 0).unwrap();
+        let (bytes, cost) = (h.nvm().lock().read_view(region, offset, len, 1))
+            .map(|(bytes, cost)| (bytes.to_vec(), cost))
+            .unwrap();
+        assert_eq!((bytes, cost.is_zero()), (data, false));
         assert_eq!(h.nvm().stats().bytes_read, read.bytes_read + 1024);
     }
 
@@ -679,7 +667,7 @@ mod tests {
             "the slot is lent at the chunk's length"
         );
         assert_eq!((h.dram().stats(), h.nvm().stats()), before);
-        assert_eq!(h.view_version(id, 1, <[u8]>::to_vec).unwrap(), data);
+        assert_eq!(version_bytes(&h, id, 1).unwrap(), data);
         // A slot or a chunk that is not there is a typed error.
         let mut single = heap(Versioning::Single);
         let one = single.nvmalloc("y", 64, true).unwrap();
@@ -688,7 +676,7 @@ mod tests {
             Err(HeapError::MissingVersion { slot: 1, .. })
         ));
         assert!(matches!(
-            h.view_version(ChunkId(77), 0, <[u8]>::len),
+            h.version_range(ChunkId(77), 0),
             Err(HeapError::NoSuchChunk(_))
         ));
     }
@@ -847,7 +835,7 @@ mod tests {
         .unwrap();
         assert_eq!(export_metadata(&h2).process_id, 42);
         assert_eq!(h2.len(), 2);
-        let data = h2.view_version(a, 0, <[u8]>::to_vec).unwrap();
+        let data = version_bytes(&h2, a, 0).unwrap();
         assert_eq!(data, vec![1u8; 4096], "committed bytes survive restart");
         assert_eq!(h2.chunk(b).unwrap().committed_slot, None);
     }
@@ -864,8 +852,11 @@ mod tests {
         let saved = |save: &dyn Fn(&mut MetadataRegion) -> SimDuration| {
             let mut region = MetadataRegion::create(h.nvm()).unwrap();
             let cost = save(&mut region);
-            let bytes = h.nvm().view(region.region(), 0, 4096, <[u8]>::to_vec);
-            (cost, bytes.unwrap())
+            let mut nvm = h.nvm().lock();
+            (
+                cost,
+                nvm.lend_views(&[(region.region(), 0, 4096)]).unwrap()[0].to_vec(),
+            )
         };
         let live = saved(&|r| r.save(&h).unwrap());
         assert_eq!(live, saved(&|r| r.save(&export_metadata(&h)).unwrap()));
@@ -890,10 +881,7 @@ mod tests {
         let (cc, lent) = h.shadow_copy(id, 0, 1, <[u8]>::len).unwrap();
         assert!(cc > wc, "NVM copy slower than DRAM write");
         assert_eq!(lent, None, "no bytes to lend");
-        assert!(
-            h.view_version(id, 0, <[u8]>::len).is_err(),
-            "no bytes to read back"
-        );
+        assert!(version_bytes(&h, id, 0).is_err(), "no bytes to read back");
     }
 
     #[test]

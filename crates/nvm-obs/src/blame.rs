@@ -34,7 +34,7 @@
 //! segment covering the whole wall whose critical rank is the rank
 //! with the latest event.
 
-use crate::span::{build_spans, wall_ns, Span, SpanKind};
+use crate::span::{build_spans, soft_restarts, wall_ns, Span, SpanKind};
 use nvm_trace::{TraceEvent, TraceEventKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -55,7 +55,8 @@ pub struct BlameShares {
     /// Barrier stalls (zero on a true critical path; nonzero only in
     /// degenerate tail segments).
     pub barrier_ns: u64,
-    /// Hard-failure recovery.
+    /// Failure recovery: a hard failure's recovery, and the restart of
+    /// a batch of soft failures.
     pub recovery_ns: u64,
 }
 
@@ -254,6 +255,7 @@ pub fn blame(events: &[TraceEvent]) -> BlameReport {
     // at their end).
     let mut by_start: Vec<&Span> = spans.iter().collect();
     by_start.sort_by_key(|s| s.start_ns);
+    let mut soft = soft_restarts(events);
 
     let mut totals = BlameShares::default();
     let mut epochs: BTreeMap<u64, EpochBlame> = BTreeMap::new();
@@ -278,6 +280,10 @@ pub fn blame(events: &[TraceEvent]) -> BlameReport {
         for span in &by_start[begin..cursor] {
             match span.kind {
                 SpanKind::Recovery => charge(&mut shares.recovery_ns, span.dur_ns, &mut remaining),
+                // A soft batch's restart, once, whichever rank it is on.
+                SpanKind::Restart if soft.remove(&span.start_ns) => {
+                    charge(&mut shares.recovery_ns, span.dur_ns, &mut remaining);
+                }
                 SpanKind::PrecopyBusy => hidden += span.dur_ns,
                 SpanKind::Coordinated => committed = true,
                 _ => {}
@@ -538,5 +544,40 @@ mod tests {
         assert_eq!(report.totals.compute_ns, 70);
         assert_eq!(report.totals.total(), report.critical_path_ns);
         assert!(report.recovery_share > 0.0);
+
+        // A hard failure's batch is its recovery span: the restart the
+        // batch records, on the failed rank and on a soft one beside
+        // it, is not counted again.
+        let failure = |rank, hard| {
+            let restart_ns = 30;
+            let kind = TraceEventKind::RankFailure {
+                iteration: 1,
+                hard,
+                restart_ns,
+            };
+            ev(20, rank, kind)
+        };
+        let mut with_restarts = events.clone();
+        with_restarts.extend([failure(0, true), failure(1, false)]);
+        assert_eq!(blame(&with_restarts), report);
+    }
+
+    #[test]
+    fn a_batch_of_soft_failures_is_recovery_once() {
+        // Two soft failures in one batch at t=20 on different ranks:
+        // the cluster stood still 15 ns, once.
+        let mut events = two_rank_epoch();
+        for rank in [0, 1] {
+            let kind = TraceEventKind::RankFailure {
+                iteration: 1,
+                hard: false,
+                restart_ns: 15,
+            };
+            events.push(ev(20, rank, kind));
+        }
+        let report = blame(&events);
+        assert_eq!(report.totals.recovery_ns, 15);
+        assert_eq!(report.totals.compute_ns, 75);
+        assert_eq!(report.totals.total(), report.critical_path_ns);
     }
 }

@@ -17,10 +17,11 @@
 //! Hidden pre-copy renders as a *child of compute* (that is the whole
 //! point of overlap: the helper runs under the application), so a
 //! rank's `compute` self-weight plus its children always sums to the
-//! run wall. Lines are emitted in lexicographic stack order, so the
-//! output is byte-stable for a given trace.
+//! run wall. A rank's `recovery` is its hard-failure recovery and the
+//! restarts of its soft failures. Lines are emitted in lexicographic
+//! stack order, so the output is byte-stable for a given trace.
 
-use crate::span::{build_spans, wall_ns, SpanKind};
+use crate::span::{build_spans, soft_restarts, wall_ns, SpanKind};
 use nvm_trace::TraceEvent;
 use std::collections::BTreeMap;
 
@@ -28,15 +29,21 @@ use std::collections::BTreeMap;
 pub fn to_folded(events: &[TraceEvent]) -> String {
     let wall = wall_ns(events);
     let spans = build_spans(events);
+    let soft = soft_restarts(events);
     // (rank, kind) -> total ns. Drains are a sub-interval of the
-    // busy time already counted by PrecopyBusy; skip them here.
+    // busy time already counted by PrecopyBusy; skip them here. A soft
+    // failure's restart counts as recovery; a hard one's is its
+    // recovery spans.
     let mut sums: BTreeMap<(u64, SpanKind), u64> = BTreeMap::new();
     let mut ranks: std::collections::BTreeSet<u64> = events.iter().map(|e| e.rank).collect();
     for span in &spans {
         ranks.insert(span.rank);
-        if span.kind != SpanKind::Drain {
-            *sums.entry((span.rank, span.kind)).or_default() += span.dur_ns;
-        }
+        let kind = match span.kind {
+            SpanKind::Restart if soft.contains(&span.start_ns) => SpanKind::Recovery,
+            SpanKind::Drain | SpanKind::Restart => continue,
+            kind => kind,
+        };
+        *sums.entry((span.rank, kind)).or_default() += span.dur_ns;
     }
     let mut lines: BTreeMap<String, u64> = BTreeMap::new();
     for rank in ranks {
@@ -125,6 +132,21 @@ mod tests {
             total += weight.parse::<u64>().unwrap();
         }
         assert_eq!(total, 100);
+    }
+
+    #[test]
+    fn a_soft_failure_restart_is_its_rank_recovery() {
+        let failure = |hard| TraceEventKind::RankFailure {
+            iteration: 1,
+            hard,
+            restart_ns: 25,
+        };
+        let end = ev(100, 0, TraceEventKind::ProtectionFault { chunk: 1 });
+        let soft = vec![ev(10, 0, failure(false)), end.clone()];
+        assert_eq!(to_folded(&soft), "rank_0;compute 75\nrank_0;recovery 25\n");
+        // A hard failure's recovery is its recovery span alone.
+        let hard = vec![ev(10, 0, failure(true)), end];
+        assert_eq!(to_folded(&hard), "rank_0;compute 100\n");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! rank was blocked by checkpoint traffic.
 
 use nvm_trace::{TraceEvent, TraceEventKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// What a reconstructed span spent its time on.
@@ -199,6 +199,21 @@ pub fn build_spans(events: &[TraceEvent]) -> Vec<Span> {
         }
     }
     spans
+}
+
+/// Start instants of the failure batches that hold no hard failure.
+/// Such a batch's [`SpanKind::Restart`] spans are the only record of
+/// the time the cluster stood still for it, where a hard failure's
+/// batch is recorded by its [`SpanKind::Recovery`] spans: blame and the
+/// flamegraph charge these restarts to recovery.
+pub(crate) fn soft_restarts(events: &[TraceEvent]) -> BTreeSet<u64> {
+    let (mut soft, mut hard) = (BTreeSet::new(), BTreeSet::new());
+    for event in events {
+        if let TraceEventKind::RankFailure { hard: lost, .. } = event.kind {
+            if lost { &mut hard } else { &mut soft }.insert(event.t_ns);
+        }
+    }
+    &soft - &hard
 }
 
 /// End of the run on the virtual clock: the latest instant any event

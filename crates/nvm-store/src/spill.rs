@@ -249,28 +249,29 @@ mod tests {
         let charged = plain.stats();
         assert_eq!(spilly.stats(), charged);
 
-        // Both views, whole region and sub-range: the same bytes seen,
-        // the same bytes left behind, nothing charged on either device,
-        // and one spill read per read view / one spill write per write
-        // view — what the copy-out and copy-in calls they replaced
-        // made.
+        // A lend and a write view, whole region and sub-range: the same
+        // bytes seen, the same bytes left behind, nothing charged on
+        // either device, and one spill read per lend / one spill write
+        // per write view — what the copy-out and copy-in calls they
+        // replaced made.
+        let lent = |d: &MemoryDevice, r, offset, len| {
+            d.lock().lend_views(&[(r, offset, len)]).unwrap()[0].to_vec()
+        };
         let fresh: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
         for (offset, len) in [(0, 8192), (100, 3000)] {
             let before = io();
             let charged = (plain.stats(), spilly.stats());
-            let seen_p = plain.view(rp, offset, len, <[u8]>::to_vec).unwrap();
-            let seen_s = spilly.view(rs, offset, len, <[u8]>::to_vec).unwrap();
-            assert_eq!(seen_p, seen_s);
-            assert_eq!(io(), (before.0 + 1, before.1), "read view of {len}");
+            assert_eq!(
+                lent(&plain, rp, offset, len),
+                lent(&spilly, rs, offset, len)
+            );
+            assert_eq!(io(), (before.0 + 1, before.1), "lend of {len}");
 
             let fill = |b: &mut [u8]| b.copy_from_slice(&fresh[offset..offset + len]);
             plain.view_mut(rp, offset, len, fill).unwrap();
             spilly.view_mut(rs, offset, len, fill).unwrap();
             assert_eq!(io(), (before.0 + 1, before.1 + 1), "write view of {len}");
-            assert_eq!(
-                plain.view(rp, 0, 8192, <[u8]>::to_vec).unwrap(),
-                spilly.view(rs, 0, 8192, <[u8]>::to_vec).unwrap()
-            );
+            assert_eq!(lent(&plain, rp, 0, 8192), lent(&spilly, rs, 0, 8192));
             assert_eq!((plain.stats(), spilly.stats()), charged);
             plain.write(rp, 0, &data, 1).unwrap();
             spilly.write(rs, 0, &data, 1).unwrap();

@@ -208,4 +208,19 @@ fn restart_spans_appear_after_failures() {
         r.soft_failures + r.hard_failures,
         "every failure restarts, at a cost: {restarts:?}"
     );
+    // The time the cluster stood still is recovery, not compute: on
+    // the critical path once per batch of failures (one batch here
+    // holds two), and on each failed rank's flamegraph row.
+    assert_eq!(r.hard_failures, 0);
+    let batches: std::collections::BTreeMap<u64, u64> =
+        (restarts.iter()).map(|s| (s.start_ns, s.dur_ns)).collect();
+    assert!(batches.len() < restarts.len());
+    let stood_still: u64 = batches.values().sum();
+    assert_eq!(nvm_obs::blame(&r.trace).totals.recovery_ns, stood_still);
+    let folded = nvm_obs::to_folded(&r.trace);
+    let recovery: u64 = (folded.lines())
+        .filter_map(|line| line.split_once(";recovery "))
+        .map(|(_, ns)| ns.parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(recovery, restarts.iter().map(|s| s.dur_ns).sum());
 }
