@@ -5,9 +5,12 @@
 //! All simulated quantities are virtual time, so the thread count
 //! never changes a result — only how long the host takes to produce
 //! it. Each row runs the same LAMMPS-shaped configuration at one
-//! thread count, records host wall-clock time, and verifies that the
-//! serialized [`cluster_sim::RunResult`] matches the serial run byte
-//! for byte.
+//! thread count and verifies that the serialized
+//! [`cluster_sim::RunResult`] matches the serial run byte for byte.
+//! A run takes milliseconds, so one timing would be one sample of
+//! whatever else the host runs: the sweep is repeated [`SWEEPS`]
+//! times, the thread counts interleaved, and a row's wall time is the
+//! median of its runs.
 //!
 //! The one speedup column is measured — serial wall / this row's
 //! wall — and measured wall time only shows thread scaling when the
@@ -27,17 +30,23 @@ use std::time::Instant;
 /// reference output).
 pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
+/// Interleaved repeats of the whole sweep; each row reports the
+/// median of its runs.
+pub const SWEEPS: usize = 9;
+
 /// One thread-count measurement.
 #[derive(Clone, Debug, Serialize)]
 pub struct Row {
     /// Worker threads used for rank execution.
     pub threads: usize,
-    /// Host wall-clock time for the run, milliseconds.
+    /// Median host wall-clock time of the row's [`SWEEPS`] runs,
+    /// milliseconds.
     pub wall_ms: f64,
     /// Wall-clock speedup versus the serial row (measured; ~1.0 on a
     /// single-core host regardless of how parallel the work is).
     pub speedup_vs_serial: f64,
-    /// Whether the serialized result matched the serial run exactly.
+    /// Whether every run's serialized result matched the first serial
+    /// run's exactly.
     pub identical_to_serial: bool,
     /// Simulated (virtual) time of the run, seconds — identical on
     /// every row by construction.
@@ -57,38 +66,48 @@ pub struct Sweep {
 
 /// Run the sweep at the given scale.
 pub fn run(scale: &Scale) -> Sweep {
-    let mut rows: Vec<Row> = Vec::new();
-    let mut serial_json = String::new();
-    let mut serial_ms = f64::NAN;
-    for &threads in &THREAD_SWEEP {
-        let mut cfg = cluster_config(scale, PrecopyPolicy::Dcpcp);
-        cfg.threads = threads;
-        let sim = Cluster::new(cfg, {
-            let scale = *scale;
-            move |_| make_app("lammps", &scale)
-        });
-        let start = Instant::now();
-        let result = sim.run(RunOptions::new()).expect("cluster run").result;
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let json = serde_json::to_string(&result).expect("serialize result");
-        if threads == 1 {
-            serial_json = json.clone();
-            serial_ms = wall_ms;
+    let mut walls = vec![Vec::with_capacity(SWEEPS); THREAD_SWEEP.len()];
+    let mut identical = [true; THREAD_SWEEP.len()];
+    let mut serial_json = None;
+    let mut virtual_secs = [0.0; THREAD_SWEEP.len()];
+    for _ in 0..SWEEPS {
+        for (i, &threads) in THREAD_SWEEP.iter().enumerate() {
+            let mut cfg = cluster_config(scale, PrecopyPolicy::Dcpcp);
+            cfg.threads = threads;
+            let sim = Cluster::new(cfg, {
+                let scale = *scale;
+                move |_| make_app("lammps", &scale)
+            });
+            let start = Instant::now();
+            let result = sim.run(RunOptions::new()).expect("cluster run").result;
+            walls[i].push(start.elapsed().as_secs_f64() * 1e3);
+            let json = serde_json::to_string(&result).expect("serialize result");
+            identical[i] &= json == *serial_json.get_or_insert_with(|| json.clone());
+            virtual_secs[i] = result.total_time.as_secs_f64();
         }
-        rows.push(Row {
-            threads,
-            wall_ms,
-            speedup_vs_serial: serial_ms / wall_ms.max(1e-6),
-            identical_to_serial: json == serial_json,
-            virtual_secs: result.total_time.as_secs_f64(),
-        });
     }
+    let medians: Vec<f64> = walls.iter_mut().map(|w| median(w)).collect();
+    let rows = (0..THREAD_SWEEP.len())
+        .map(|i| Row {
+            threads: THREAD_SWEEP[i],
+            wall_ms: medians[i],
+            speedup_vs_serial: medians[0] / medians[i].max(1e-6),
+            identical_to_serial: identical[i],
+            virtual_secs: virtual_secs[i],
+        })
+        .collect();
     Sweep {
         host_cores: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
         rows,
     }
+}
+
+/// The middle of `samples` (an odd count, as [`SWEEPS`] is).
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Markdown table for the sweep.

@@ -8,8 +8,8 @@
 //! bytes — and folds every rank's trace/metrics/stat state through
 //! one serial coordinator loop. With them, image bytes live in
 //! per-device spill files (devices charge identical virtual costs, so
-//! results are bit-identical) and the coordinator folds O(shards)
-//! pre-merged buffers.
+//! results are bit-identical) and the coordinator folds one pre-merged
+//! buffer per node.
 //!
 //! Each row reports the measured peak RSS next to the *naive
 //! projection* — measured RSS plus the spill files' live-byte
@@ -53,10 +53,8 @@ const CHUNK_BYTES: usize = 64 * 1024;
 pub struct Row {
     /// Total ranks simulated.
     pub ranks: usize,
-    /// Nodes hosting them.
+    /// Nodes hosting them, each one item of the end-of-run merge.
     pub nodes: usize,
-    /// Merge shards the coordinator folded (the serial floor).
-    pub shards: usize,
     /// Host wall-clock for the run, milliseconds.
     pub wall_ms: f64,
     /// Peak resident set during the run, MB (`VmHWM`, reset per row).
@@ -165,7 +163,7 @@ pub fn run(scale: &Scale) -> ScalingRanks {
         .iter()
         .map(|&ranks| {
             let cfg = config(ranks, scale.threads);
-            let (nodes, shards) = (cfg.nodes, cfg.shard_count());
+            let nodes = cfg.nodes;
             reset_peak_rss();
             let start = Instant::now();
             let outcome = Cluster::new(cfg, factory)
@@ -179,7 +177,6 @@ pub fn run(scale: &Scale) -> ScalingRanks {
             Row {
                 ranks,
                 nodes,
-                shards,
                 wall_ms,
                 peak_rss_mb: rss,
                 spilled_peak_mb: spilled,
@@ -225,7 +222,6 @@ pub fn render(out: &ScalingRanks) -> Table {
         &[
             "ranks",
             "nodes",
-            "shards",
             "wall ms",
             "peak RSS (MB)",
             "spilled peak (MB)",
@@ -237,7 +233,6 @@ pub fn render(out: &ScalingRanks) -> Table {
         t.row(vec![
             r.ranks.to_string(),
             r.nodes.to_string(),
-            r.shards.to_string(),
             format!("{:.0}", r.wall_ms),
             format!("{:.1}", r.peak_rss_mb),
             format!("{:.1}", r.spilled_peak_mb),
@@ -259,7 +254,6 @@ mod tests {
         assert_eq!(ranks, RANK_SWEEP_QUICK);
         for r in &out.rows {
             assert_eq!(r.nodes * RANKS_PER_NODE, r.ranks);
-            assert!(r.shards <= r.nodes);
             // Every row pushed its image bytes to spill files, fully.
             assert!(r.spilled_peak_mb > 0.0, "{r:?}");
             assert_eq!(r.resident_mb, 0.0, "{r:?}");
@@ -267,9 +261,7 @@ mod tests {
         }
         // Spilled volume grows with rank count (more images).
         assert!(out.rows.last().unwrap().spilled_peak_mb > out.rows[0].spilled_peak_mb);
-        // The serial merge floor stays sublinear in ranks.
         let last = out.rows.last().unwrap();
-        assert!(last.shards * last.shards <= last.ranks * 4);
         // The RSS gate, at the size where images dwarf the rest of this
         // process (`tests/rank_scaling.rs` counts allocations exactly).
         assert!(last.rss_vs_naive < 0.25, "{last:?}");

@@ -15,6 +15,10 @@
 //!   independent lookups per 16-byte step: the only path on other
 //!   targets and CPUs, the path for short inputs and tails, the
 //!   kernel's final reduction, and the reference its tests compare to.
+//!
+//! `unsafe` is denied here but in `mod clmul`, and there every block
+//! states the reason it is sound (Clippy's `undocumented_unsafe_blocks`).
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 
 const POLY: u64 = 0xC96C_5795_D787_0F42; // ECMA-182, reflected
 
@@ -109,6 +113,7 @@ const KERNEL_MIN_LEN: usize = 128;
 /// `A.lo · x^(d+63) · x + A.hi · x^(d-1) · x (mod P)`: two multiplies
 /// by constants, XORed into the block found there.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod clmul {
     use super::{table_block, POLY};
     use std::arch::x86_64::*;

@@ -134,10 +134,6 @@ pub struct ClusterConfig {
     /// cross-rank reduction iterates in rank order on the
     /// coordinator.
     pub threads: usize,
-    /// Merge-shard override for the end-of-run reduction; `None` (the
-    /// only value outside this crate's tests) lets
-    /// [`ClusterConfig::shard_count`] pick the plan from the topology.
-    pub(crate) shards: Option<usize>,
     /// Spill byte-materialized device contents to per-device files
     /// (default `true`). Every region a rank's engines or the buddy
     /// remote stores allocate then lives on disk instead of process
@@ -168,7 +164,6 @@ impl ClusterConfig {
                 failure_horizon: SimDuration::from_secs(86_400),
                 schedule_override: None,
                 threads: 1,
-                shards: None,
                 spill: true,
             },
             engine: None,
@@ -298,17 +293,6 @@ impl ClusterConfig {
             .map(|r| r.link_bandwidth)
             .unwrap_or(rdma_sim::IB_40GBPS)
     }
-
-    /// The merge-shard plan for the end-of-run trace/metrics/stat
-    /// reduction: `ceil(sqrt(total_ranks))` capped to the node count
-    /// (a test's override is clamped the same way). It depends only on
-    /// the topology, never on `threads`, so hierarchical merging keeps
-    /// results bit-identical at any thread count while the
-    /// coordinator's serial fold shrinks from O(ranks) to O(shards).
-    pub fn shard_count(&self) -> usize {
-        let auto = (self.total_ranks() as f64).sqrt().ceil() as usize;
-        self.shards.unwrap_or(auto).clamp(1, self.nodes)
-    }
 }
 
 /// Builder for [`ClusterConfig`]; see [`ClusterConfig::builder`].
@@ -407,7 +391,6 @@ mod tests {
         assert_eq!(c.iterations, 10);
         assert_eq!(c.threads, 1);
         assert!(c.spill);
-        assert!(c.shards.is_none());
         assert_eq!(c.local_interval, Some(SimDuration::from_secs(40)));
         assert!(c.remote.is_none() && c.failures.is_none());
     }
@@ -478,26 +461,5 @@ mod tests {
         );
         assert!(c.node_dram_capacity(0) > c.container_bytes * 4);
         assert_eq!(c.link_bandwidth(), rdma_sim::IB_40GBPS);
-    }
-
-    #[test]
-    fn shard_plan_tracks_topology_not_threads() {
-        // 1024 ranks over 128 nodes: sqrt(1024) = 32 shards.
-        let big = ClusterConfig::builder()
-            .nodes(128)
-            .ranks_per_node(8)
-            .build()
-            .unwrap();
-        assert_eq!(big.shard_count(), 32);
-        assert_eq!(big.clone().with_threads(7).shard_count(), 32);
-        // Few nodes cap the plan.
-        assert_eq!(ClusterConfig::new(2, 32).shard_count(), 2);
-        assert_eq!(ClusterConfig::new(1, 1).shard_count(), 1);
-        // An explicit override wins (clamped to the node count).
-        let mut c = big;
-        c.shards = Some(5);
-        assert_eq!(c.shard_count(), 5);
-        c.shards = Some(1000);
-        assert_eq!(c.shard_count(), 128);
     }
 }

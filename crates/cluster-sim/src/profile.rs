@@ -9,12 +9,12 @@
 //! * **per-rank busy time** — thread CPU time spent inside each rank's
 //!   workload iteration and checkpoint callbacks (the part
 //!   `--threads N` spreads over workers),
-//! * **per-shard merge time** — thread CPU time spent draining and
-//!   pre-merging each shard's trace/metrics/stat streams (spread over
-//!   workers shard-by-shard), and
+//! * **per-node merge time** — thread CPU time spent draining and
+//!   pre-merging each node's trace/metrics/stat streams (spread over
+//!   workers node by node), and
 //! * **coordinator overhead** — everything else on the wall: building
 //!   the cluster, barrier arithmetic, failure handling, helper/link
-//!   bookkeeping, the final O(shards) fold and the teardown (the serial
+//!   bookkeeping, the final O(nodes) fold and the teardown (the serial
 //!   floor that caps scaling).
 //!
 //! Across both, the wall is also split by [`Phase`]: how long the run
@@ -32,7 +32,7 @@
 //! clock and pays one branch per timer. A profiled run reads it once
 //! per item boundary of each worker's contiguous chunk: `ranks + 1`
 //! times per rank-parallel phase on one thread, and at most twice per
-//! merge shard.
+//! node merged.
 
 use crate::config::ClusterConfig;
 use std::time::Instant;
@@ -147,7 +147,7 @@ impl Phase {
 }
 
 /// The host-time accounting of one profiled [`crate::Cluster::run`]:
-/// its wall, each [`Phase`], each rank's callbacks and each shard's
+/// its wall, each [`Phase`], each rank's callbacks and each node's
 /// merge. A run holds it as `Option<Profiler>`, `Some` only when
 /// `RunOptions::profile` is set, and every timer takes that option:
 /// without a profile a timer is one branch and reads no clock.
@@ -166,13 +166,13 @@ impl Profiler {
             start: Instant::now(),
             phase_ns: [0; Phase::ALL.len()],
             rank_busy_ns: vec![0; config.total_ranks()],
-            merge_busy_ns: Vec::new(),
+            merge_busy_ns: vec![0; config.nodes],
             threads: config.threads,
         }
     }
 
     /// Run `f`, adding its wall time to `phase`. `f` gets the profiler
-    /// back, to time the rank or shard work inside the phase.
+    /// back, to time the rank or node work inside the phase.
     pub(crate) fn time<R>(
         profiler: &mut Option<Self>,
         phase: Phase,
@@ -194,9 +194,8 @@ impl Profiler {
     }
 
     /// The slots the end-of-run merge adds its thread-CPU time to, one
-    /// per shard.
-    pub(crate) fn merge_busy(&mut self, shards: usize) -> &mut [u64] {
-        self.merge_busy_ns = vec![0; shards];
+    /// per node.
+    pub(crate) fn merge_busy(&mut self) -> &mut [u64] {
         &mut self.merge_busy_ns
     }
 
@@ -251,9 +250,8 @@ pub struct RunProfile {
     /// ended the callback before it on the same worker, so it also
     /// holds the pool's bookkeeping between two adjacent callbacks.
     pub rank_busy_ns: Vec<u64>,
-    /// Thread-CPU nanoseconds spent pre-merging each shard's
-    /// trace/metrics/stat streams, indexed by shard (contiguous node
-    /// chunks — the same partition the merge pool uses), timed as
+    /// Thread-CPU nanoseconds spent pre-merging each node's
+    /// trace/metrics/stat streams, indexed by node, timed as
     /// `rank_busy_ns` is.
     pub merge_busy_ns: Vec<u64>,
     /// Worker threads the run was configured with.
@@ -271,13 +269,13 @@ impl RunProfile {
         self.rank_busy_ns.iter().sum()
     }
 
-    /// Total shard-parallel merge work on the wall.
+    /// Total node-parallel merge work on the wall.
     pub fn total_merge_busy_ns(&self) -> u64 {
         self.merge_busy_ns.iter().sum()
     }
 
     /// The serial floor: wall time not attributable to rank callbacks
-    /// or shard merges. Meaningful as a *serial* floor only when the
+    /// or node merges. Meaningful as a *serial* floor only when the
     /// run itself was serial (`threads == 1`); in a parallel run that
     /// work overlaps the wall and the subtraction under-counts.
     pub fn coordinator_ns(&self) -> u64 {

@@ -220,14 +220,14 @@ impl RunResult {
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
     /// Collect a structured event trace. Each rank's engine records its
-    /// own events; merge shards combine them in `(time, rank)` order
+    /// own events; the node merges combine them in `(time, rank)` order
     /// into [`RunResult::trace`], bit-identical for serial and
     /// multi-threaded execution. A traced run that dies returns
     /// [`SimError::WithFlight`], the tail of those records attached.
     pub trace: bool,
     /// Collect aggregate metrics: a private registry per rank for what
     /// is recorded live, every other counter published from the stats
-    /// structs at the shard merges — all updates commute, so the snapshot
+    /// structs at the node merges — all updates commute, so the snapshot
     /// in [`RunResult::metrics`] is bit-identical at any thread count.
     pub metrics: bool,
     /// Give every rank a durable container file (`rank_<g>.store`)
@@ -788,31 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_plan_does_not_change_results() {
-        // The hierarchical merge must be invisible: one shard, the
-        // automatic plan, and one-shard-per-node all produce the same
-        // bytes for result, trace, and metrics at any thread count.
-        let mut base = small_config().with_threads(4);
-        base.remote = Some(RemoteConfig::infiniband(SimDuration::from_secs(10), true));
-        let opts = RunOptions::new().with_trace(true).with_metrics(true);
-        let mut golden: Option<(String, String)> = None;
-        for shards in [Some(1), None, Some(2)] {
-            let mut cfg = base.clone();
-            cfg.shards = shards;
-            let r = run_opts(cfg, opts.clone());
-            let trace = nvm_trace::to_jsonl(&r.trace);
-            let all = serde_json::to_string(&r).unwrap();
-            match &golden {
-                None => golden = Some((trace, all)),
-                Some((t, a)) => {
-                    assert_eq!(t, &trace, "trace differs at shards={shards:?}");
-                    assert_eq!(a, &all, "result differs at shards={shards:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn profile_reports_merge_work_and_synthetic_runs_do_not_spill() {
         let out = Cluster::new(small_config().with_threads(2), factory)
             .run(RunOptions::new().with_profile(true))
@@ -820,7 +795,7 @@ mod tests {
         let p = out.profile.expect("profile requested");
         assert_eq!(p.threads, 2);
         assert_eq!(p.rank_busy_ns.len(), 4);
-        assert_eq!(p.merge_busy_ns.len(), small_config().shard_count());
+        assert_eq!(p.merge_busy_ns.len(), small_config().nodes);
         // Synthetic materialization has no byte images to spill.
         assert!(out.spill.is_none());
     }
@@ -871,10 +846,10 @@ mod tests {
         let reads = clock_reads() - before;
         // A read per rank boundary of each rank-parallel phase (every
         // iteration's compute, every local checkpoint), and at most two
-        // per merge shard.
+        // per node merged.
         let r = &out.result;
         let phases = r.iterations_executed + r.local_checkpoints;
-        let bound = phases * (cfg.total_ranks() as u64 + 1) + 2 * cfg.shard_count() as u64;
+        let bound = phases * (cfg.total_ranks() as u64 + 1) + 2 * cfg.nodes as u64;
         assert!(reads > 0 && reads <= bound, "{reads} reads, bound {bound}");
         assert_eq!(
             serde_json::to_string(&plain).unwrap(),

@@ -5,8 +5,8 @@
 //! reduction and the teardown. Everything here runs serially between
 //! barriers; only the closures handed to the pool leave the
 //! coordinator: per rank (compute, local checkpoint, restore
-//! verification), per node (the remote ship, the teardown) and per
-//! shard (the reduction).
+//! verification) and per node (the remote ship, the reduction, the
+//! teardown).
 
 use super::pool::{for_each_rank_parallel, pool_map, pool_map_timed};
 use super::{ClusterConfig, RunOptions, RunOutcome, RunResult, SimError, SpillReport};
@@ -403,7 +403,7 @@ impl ClusterSim {
     /// *next to* the result, never inside it — [`RunResult`] stays
     /// byte-identical across thread counts and machines; timing and
     /// host-memory accounting are neither. A profiled run's phase, rank
-    /// and shard times go to `profiler`.
+    /// and node-merge times go to `profiler`.
     pub(super) fn execute(
         &mut self,
         profiler: &mut Option<Profiler>,
@@ -515,20 +515,19 @@ impl ClusterSim {
     /// The hierarchical end-of-run reduction of every rank's trace
     /// buffer, engine stats, metrics and store counters, plus the
     /// loop's state, into the [`RunOutcome`]. A serial fold is an
-    /// O(ranks) floor that dominates wall time at 1024 ranks, so
-    /// contiguous node groups ("shards", a function of topology only —
-    /// see `ClusterConfig::shard_count`) each reduce their own ranks
-    /// ([`merge_shard`]), in parallel when `threads > 1`, and the
-    /// coordinator folds O(shards) partial results:
+    /// O(ranks) floor that dominates wall time at 1024 ranks, so each
+    /// node reduces its own ranks and devices ([`merge_node`]), in
+    /// parallel when `threads > 1`, and the coordinator folds one
+    /// partial result per node:
     ///
-    /// * traces — each shard emits its ranks' events merged in
+    /// * traces — each node emits its ranks' events merged in
     ///   `(time, rank)` order; the final fold re-sorts the
-    ///   concatenated shard streams (plus the coordinator buffer,
+    ///   concatenated node streams (plus the coordinator buffer,
     ///   appended last) with the same stable key. Equal keys always
     ///   come from one rank's buffer — or that rank's buffer plus the
     ///   coordinator's — and both levels preserve their relative
     ///   order, so the result is byte-identical to the flat merge at
-    ///   any shard or thread count.
+    ///   any thread count.
     /// * stats/metrics/store counters — integer sums, gauge maxes and
     ///   histogram bucket adds all commute and associate, so any merge
     ///   tree yields the same totals; snapshots are name-sorted, so
@@ -536,20 +535,16 @@ impl ClusterSim {
     fn reduce(&mut self, st: LoopState, p: Option<&mut Profiler>) -> Result<RunOutcome, SimError> {
         let total_time = self.barrier().since(SimTime::ZERO);
         let options = &self.options;
-        let nodes_per_shard = self.config.nodes.div_ceil(self.config.shard_count());
-        let mut shard_chunks: Vec<(&mut [Vec<Rank>], &[NodeDevices])> = self
-            .ranks
-            .chunks_mut(nodes_per_shard)
-            .zip(self.nodes.chunks(nodes_per_shard))
-            .collect();
-        let busy = p.map(|p| p.merge_busy(shard_chunks.len()));
-        let mut shards = pool_map_timed(&mut shard_chunks, busy, self.config.threads, |(r, n)| {
-            Ok(merge_shard(r, n, options))
+        let mut nodes: Vec<(&mut Vec<Rank>, &NodeDevices)> =
+            self.ranks.iter_mut().zip(&self.nodes).collect();
+        let busy = p.map(Profiler::merge_busy);
+        let mut merged = pool_map_timed(&mut nodes, busy, self.config.threads, |(r, n)| {
+            Ok(merge_node(r, n, options))
         })?;
 
         let trace = match st.coord {
             Some(coord) => {
-                let mut streams: Vec<Vec<TraceEvent>> = shards
+                let mut streams: Vec<Vec<TraceEvent>> = merged
                     .iter_mut()
                     .map(|s| std::mem::take(&mut s.trace))
                     .collect();
@@ -567,7 +562,7 @@ impl ClusterSim {
                     n.link.trace().peak_bytes() as u64,
                 );
             }
-            for partial in shards.iter().filter_map(|s| s.registry.as_ref()) {
+            for partial in merged.iter().filter_map(|s| s.registry.as_ref()) {
                 reg.merge_from(partial);
             }
             for record in &st.recovery {
@@ -578,7 +573,7 @@ impl ClusterSim {
 
         // Store counters (None when no store is attached — so results
         // without `--store` serialize unchanged).
-        let store_partials: Vec<&StoreStats> = shards
+        let store_partials: Vec<&StoreStats> = merged
             .iter()
             .filter_map(|s| s.store_stats.as_ref())
             .collect();
@@ -589,7 +584,7 @@ impl ClusterSim {
             iterations_executed: st.executed,
             local_checkpoints: st.local_ckpts,
             remote_checkpoints: st.remote_ckpts,
-            engine_stats: EngineStats::merged(shards.iter().map(|s| &s.engine_stats)),
+            engine_stats: EngineStats::merged(merged.iter().map(|s| &s.engine_stats)),
             link_traces: self.nodes.iter().map(|n| n.link.trace().clone()).collect(),
             helper_stats: self.nodes.iter().map(|n| n.helper.stats()).collect(),
             helper_utilization: self
@@ -627,32 +622,27 @@ impl ClusterSim {
     }
 }
 
-/// One shard's share of [`ClusterSim::reduce`].
-struct ShardMerge {
+/// One node's share of [`ClusterSim::reduce`].
+struct NodeMerge {
     trace: Vec<TraceEvent>,
     engine_stats: EngineStats,
     registry: Option<MetricsRegistry>,
     store_stats: Option<StoreStats>,
 }
 
-/// Reduce one shard's ranks and nodes: their trace buffers merged in
-/// `(time, rank)` order, their engine and store stats summed, their
-/// metrics folded into one registry.
-fn merge_shard(
-    shard_ranks: &mut [Vec<Rank>],
-    shard_nodes: &[NodeDevices],
-    options: &RunOptions,
-) -> ShardMerge {
+/// Reduce one node's ranks and devices: the ranks' trace buffers
+/// merged in `(time, rank)` order, their engine and store stats
+/// summed, their metrics and the node's folded into one registry.
+fn merge_node(ranks: &mut [Rank], node: &NodeDevices, options: &RunOptions) -> NodeMerge {
     let trace = if options.trace {
-        let buffers: Vec<Vec<TraceEvent>> = (shard_ranks.iter_mut().flatten())
+        let buffers: Vec<Vec<TraceEvent>> = (ranks.iter_mut())
             .map(|r| r.engine.tracer_mut().take())
             .collect();
         nvm_trace::merge_ranked(buffers)
     } else {
         Vec::new()
     };
-    let ranks = || shard_ranks.iter().flatten();
-    let rank_stats: Vec<EngineStats> = ranks().map(|r| r.engine.stats()).collect();
+    let rank_stats: Vec<EngineStats> = ranks.iter().map(|r| r.engine.stats()).collect();
     let engine_stats = EngineStats::merged(rank_stats.iter());
     // The registries hold what was recorded live (latency
     // distributions, kv counters) and the totals of engines a recovery
@@ -660,28 +650,27 @@ fn merge_shard(
     // structs that are its one record.
     let registry = options.metrics.then(|| {
         let mut reg = MetricsRegistry::new();
-        for r in ranks() {
+        for r in ranks.iter() {
             if let Some(own) = r.engine.metrics() {
                 reg.merge_from(own);
             }
             publish(&r.engine, &mut reg);
         }
-        for n in shard_nodes {
-            if let Some(own) = n.helper.metrics() {
-                reg.merge_from(own);
-            }
-            n.helper.stats().publish(&mut reg);
-            for dev in n.devices() {
-                dev.stats().publish(dev.kind(), &mut reg);
-            }
+        if let Some(own) = node.helper.metrics() {
+            reg.merge_from(own);
+        }
+        node.helper.stats().publish(&mut reg);
+        for dev in node.devices() {
+            dev.stats().publish(dev.kind(), &mut reg);
         }
         reg
     });
-    let store_stats: Vec<StoreStats> = ranks()
+    let store_stats: Vec<StoreStats> = ranks
+        .iter()
         .filter_map(|r| r.engine.persistence_stats())
         .collect();
     let store_stats = (!store_stats.is_empty()).then(|| StoreStats::merged(&store_stats));
-    ShardMerge {
+    NodeMerge {
         trace,
         engine_stats,
         registry,

@@ -1,8 +1,8 @@
 //! The worker pool: the only code in the `run` module that spawns.
 //!
 //! Its items are ranks (compute, the local checkpoint, restore
-//! verification), nodes (the remote ship, the teardown) or merge
-//! shards. Correctness under concurrency rests on four properties that
+//! verification) or nodes (the remote ship, the end-of-run merge, the
+//! teardown). Correctness under concurrency rests on four properties that
 //! the determinism regression tests pin down:
 //!
 //! * a rank closure touches only its own engine/workload/clock (node

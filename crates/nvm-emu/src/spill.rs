@@ -21,9 +21,10 @@
 //! `nvm_store::FileSpill` through a short read past the end of its
 //! file (and by re-zeroing an extent it recycles), [`MemSpill`] by
 //! zero-filling the slot up front. Either way a read *writes* those
-//! zeros: `MemoryDevice::view` lends a spilled range from a buffer
-//! the calling thread reuses, read over whatever the last view left
-//! there, so a store that skipped the zeros would lend stale bytes.
+//! zeros: a guard's lends (`DeviceGuard::read_view`,
+//! `DeviceGuard::lend_views`) lend a spilled range from a buffer the
+//! calling thread reuses, read over whatever the last lend left there,
+//! so a store that skipped the zeros would lend stale bytes.
 //! The device counts every byte it reads from and writes to its store
 //! (`MemoryDevice::spill_read_bytes` / `spill_written_bytes`):
 //! host-side I/O the model never charges.
@@ -44,7 +45,7 @@ use std::io;
 /// (the device validates against region length before calling down);
 /// and a successful [`SpillStore::read`] writes **every** byte of its
 /// `buf`, zeros included — the device reads into a buffer it reuses
-/// across views, so a byte left untouched would be another range's.
+/// across lends, so a byte left untouched would be another range's.
 ///
 /// [`MemoryDevice`]: crate::device::MemoryDevice
 pub trait SpillStore: Send {

@@ -940,34 +940,36 @@ impl Replay {
             let at = tag - 1;
             record_key(&segs[(at / seg_len) as usize][(at % seg_len) as usize..])
         };
-        let mut pos = 0u64;
-        while pos < meta.log_len {
-            let seg = (pos / seg_len) as usize;
-            let off = (pos % seg_len) as usize;
-            let bytes = segs[seg];
-            if seg_len as usize - off < RECORD_HEADER_BYTES {
-                pos = (seg as u64 + 1) * seg_len;
-                continue;
-            }
-            let word = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            if word == SEGMENT_END_MARKER || word == 0 {
-                pos = (seg as u64 + 1) * seg_len;
-                continue;
-            }
-            let Some(header) = decode_record_header(&bytes[off..]) else {
-                return Err(KvError::Corrupt("unparseable record in committed prefix"));
+        // Inside the token prefix a zero word ends its segment's
+        // records, and an undecodable header is corruption.
+        let mut walk = LogWalk {
+            segs,
+            seg_len,
+            pos: 0,
+        };
+        while let Some(found) = walk.next(meta.log_len) {
+            let (header, bytes) = match found {
+                Found::Zero => {
+                    walk.skip_segment();
+                    continue;
+                }
+                Found::Garbage => {
+                    return Err(KvError::Corrupt("unparseable record in committed prefix"))
+                }
+                Found::Record(header, bytes) => (header, bytes),
             };
+            let pos = walk.pos;
             if pos + header.len_total as u64 > meta.log_len {
                 return Err(KvError::Corrupt("record straddles the token prefix"));
             }
-            if off + header.len_total as usize > bytes.len() {
+            if header.len_total as usize > bytes.len() {
                 return Err(KvError::Corrupt("record crosses a segment boundary"));
             }
             let watermark = meta.serials.get(header.session as usize).copied();
             if watermark.is_some_and(|w| header.serial <= w) {
-                let key = record_key(&bytes[off..]);
-                let hash = hash64(key);
-                if replay_insert(&mut table, slots, hash, pos + 1, key, &mut occupied, key_of) {
+                let key = record_key(bytes);
+                let same = |tag| key_of(tag) == key;
+                if host_insert(&mut table, slots, hash64(key), pos + 1, &mut occupied, same) {
                     // Load crossed 3/4 during replay (can only happen
                     // if the hint was stale): double and rehash.
                     (table, slots) = host_grow(&table, slots);
@@ -976,9 +978,16 @@ impl Replay {
             } else {
                 dropped += 1;
             }
-            pos += header.len_total as u64;
+            walk.pos += header.len_total as u64;
         }
-        dropped += count_records_from(segs, meta.log_len, seg_len);
+        // Past it, the acknowledged-after-token records run to the
+        // first zero word or undecodable header: torn or stale bytes
+        // are expected there after a crash.
+        walk.pos = meta.log_len;
+        while let Some(Found::Record(header, _)) = walk.next(u64::MAX) {
+            dropped += 1;
+            walk.pos += header.len_total as u64;
+        }
 
         let stale = (segs.iter().enumerate())
             .filter_map(|(seg, bytes)| {
@@ -1001,90 +1010,84 @@ impl Replay {
     }
 }
 
-/// The acknowledged-after-token records of the log `segs` from `pos`,
-/// the end of the token prefix, on.
-fn count_records_from(segs: &[&[u8]], mut pos: u64, seg_len: u64) -> u64 {
-    let mut records = 0;
-    while (pos / seg_len) < segs.len() as u64 {
-        let seg = (pos / seg_len) as usize;
-        let off = (pos % seg_len) as usize;
-        let bytes = segs[seg];
-        if seg_len as usize - off < RECORD_HEADER_BYTES {
-            pos = (seg as u64 + 1) * seg_len;
-            continue;
-        }
-        let word = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-        if word == 0 {
-            break;
-        }
-        if word == SEGMENT_END_MARKER {
-            pos = (seg as u64 + 1) * seg_len;
-            continue;
-        }
-        match decode_record_header(&bytes[off..]) {
-            Some(h) => {
-                records += 1;
-                pos += h.len_total as u64;
+/// A walk over the log whose segments are `segs`, each `seg_len`
+/// bytes, from `pos`.
+struct LogWalk<'a> {
+    segs: &'a [&'a [u8]],
+    seg_len: u64,
+    pos: u64,
+}
+
+/// What a [`LogWalk`] finds where a record may start.
+enum Found<'a> {
+    /// A record's header, and its segment's bytes from the record on.
+    Record(RecordHeader, &'a [u8]),
+    /// A zero word: nothing was appended here.
+    Zero,
+    /// A word that is neither zero nor a decodable header.
+    Garbage,
+}
+
+impl<'a> LogWalk<'a> {
+    /// What lies at the first position from `pos` on, below `end`
+    /// and the log's end, where a record may start: a segment tail too
+    /// short for a header and a [`SEGMENT_END_MARKER`] move the walk
+    /// on to the next segment.
+    fn next(&mut self, end: u64) -> Option<Found<'a>> {
+        while self.pos < end && self.pos / self.seg_len < self.segs.len() as u64 {
+            let off = (self.pos % self.seg_len) as usize;
+            let bytes = &self.segs[(self.pos / self.seg_len) as usize][off..];
+            if self.seg_len as usize - off < RECORD_HEADER_BYTES {
+                self.skip_segment();
+                continue;
             }
-            // Torn or stale bytes past the committed prefix are
-            // expected after a crash; stop counting.
-            None => break,
+            let word = u32::from_le_bytes(bytes[..4].try_into().unwrap());
+            if word == SEGMENT_END_MARKER {
+                self.skip_segment();
+                continue;
+            }
+            return Some(match word {
+                0 => Found::Zero,
+                _ => {
+                    decode_record_header(bytes).map_or(Found::Garbage, |h| Found::Record(h, bytes))
+                }
+            });
         }
+        None
     }
-    records
-}
 
-/// Insert `(hash, tag)` for a key known to be absent from a
-/// host-side table: first free slot on the probe path. Occupied
-/// slots are skipped even on hash equality — entries always stand
-/// for distinct keys here (rehash, or replay after a key-compare
-/// miss). Returns true when the table passed 3/4 load.
-fn host_insert_distinct(
-    table: &mut [u8],
-    slots: u64,
-    hash: u64,
-    tag: u64,
-    occupied: &mut u64,
-) -> bool {
-    let mask = slots - 1;
-    let mut slot = hash & mask;
-    loop {
-        let at = (slot as usize) * INDEX_ENTRY_BYTES;
-        let (_, entry_tag) = decode_index_entry(&table[at..at + INDEX_ENTRY_BYTES]);
-        if entry_tag == 0 {
-            table[at..at + INDEX_ENTRY_BYTES].copy_from_slice(&encode_index_entry(hash, tag));
-            *occupied += 1;
-            return (*occupied + 1) * 4 > slots * 3;
-        }
-        slot = (slot + 1) & mask;
+    /// Move the walk to the start of the next segment.
+    fn skip_segment(&mut self) {
+        self.pos = (self.pos / self.seg_len + 1) * self.seg_len;
     }
 }
 
-/// Insert-or-update `(hash, tag)` during log replay. `key_of`
-/// resolves an existing entry's tag to its key bytes so true hash
-/// collisions between distinct keys probe onward instead of merging.
+/// Insert `(hash, tag)` into a host-side table: over the entry of an
+/// equal key (`same` of its tag, asked only on a hash match), else
+/// into the first free slot on the probe path. A rehash passes a
+/// `same` that never matches: its entries stand for distinct keys.
 /// Returns true when the table passed 3/4 load.
-fn replay_insert<'a>(
+fn host_insert(
     table: &mut [u8],
     slots: u64,
     hash: u64,
     tag: u64,
-    key: &[u8],
     occupied: &mut u64,
-    key_of: impl Fn(u64) -> &'a [u8],
+    same: impl Fn(u64) -> bool,
 ) -> bool {
     let mask = slots - 1;
     let mut slot = hash & mask;
     loop {
         let at = (slot as usize) * INDEX_ENTRY_BYTES;
-        let (entry_hash, entry_tag) = decode_index_entry(&table[at..at + INDEX_ENTRY_BYTES]);
+        let entry = &mut table[at..at + INDEX_ENTRY_BYTES];
+        let (entry_hash, entry_tag) = decode_index_entry(entry);
         if entry_tag == 0 {
-            table[at..at + INDEX_ENTRY_BYTES].copy_from_slice(&encode_index_entry(hash, tag));
+            entry.copy_from_slice(&encode_index_entry(hash, tag));
             *occupied += 1;
             return (*occupied + 1) * 4 > slots * 3;
         }
-        if entry_hash == hash && key_of(entry_tag) == key {
-            table[at..at + INDEX_ENTRY_BYTES].copy_from_slice(&encode_index_entry(hash, tag));
+        if entry_hash == hash && same(entry_tag) {
+            entry.copy_from_slice(&encode_index_entry(hash, tag));
             return false;
         }
         slot = (slot + 1) & mask;
@@ -1100,7 +1103,7 @@ fn host_grow(old: &[u8], old_slots: u64) -> (Vec<u8>, u64) {
         let at = i * INDEX_ENTRY_BYTES;
         let (hash, tag) = decode_index_entry(&old[at..at + INDEX_ENTRY_BYTES]);
         if tag != 0 {
-            host_insert_distinct(&mut table, slots, hash, tag, &mut occupied);
+            host_insert(&mut table, slots, hash, tag, &mut occupied, |_| false);
         }
     }
     (table, slots)

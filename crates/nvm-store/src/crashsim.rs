@@ -200,11 +200,23 @@ pub struct CommitMark {
     pub epoch: u64,
     /// Number of media operations recorded once the commit returned.
     /// The commit-record write is op `ops_after - 2`; its fsync is op
-    /// `ops_after - 1`.
-    pub ops_after: usize,
+    /// `ops_after - 1`. Private, so that which commit a crash point
+    /// leaves durable is [`expected_mark`]'s alone to say.
+    ops_after: usize,
     /// Exact payload bytes of every live chunk at this commit, sorted
     /// by chunk id.
     pub expected: Vec<(u64, Vec<u8>)>,
+}
+
+impl CommitMark {
+    /// The mark of a commit of `epoch` that returned after `ops_after` media operations.
+    pub fn new(epoch: u64, ops_after: usize, expected: Vec<(u64, Vec<u8>)>) -> Self {
+        CommitMark {
+            epoch,
+            ops_after,
+            expected,
+        }
+    }
 }
 
 /// A completed driver run: the media operation log plus the oracle.
@@ -286,11 +298,8 @@ pub fn standard_run() -> CrashRun {
             live.insert(*id, payload);
         }
         store.commit(epoch).expect("commit");
-        marks.push(CommitMark {
-            epoch,
-            ops_after: store.media().ops().len(),
-            expected: live.iter().map(|(k, v)| (*k, v.clone())).collect(),
-        });
+        let expected = live.iter().map(|(k, v)| (*k, v.clone())).collect();
+        marks.push(CommitMark::new(epoch, store.media().ops().len(), expected));
     }
     CrashRun {
         process_id,

@@ -169,11 +169,9 @@ impl Driver {
     /// Engine commit: the last published token becomes crash-durable.
     fn commit(&mut self) {
         self.engine.nvchkptall().unwrap();
-        self.commits.push(CommitMark {
-            epoch: self.marks.len() as u64,
-            ops_after: self.media.lock().unwrap().ops().len(),
-            expected: Vec::new(),
-        });
+        let ops_after = self.media.lock().unwrap().ops().len();
+        let mark = CommitMark::new(self.marks.len() as u64, ops_after, Vec::new());
+        self.commits.push(mark);
         self.marks.push(KvMark {
             token: self.at_token.0,
             expected: self.at_token.1.clone(),

@@ -246,11 +246,8 @@ impl Lockstep {
 
     fn mark(&self, ops_after: usize) -> CommitMark {
         let durable = self.model.durable.iter();
-        CommitMark {
-            epoch: self.engine.epoch(),
-            ops_after,
-            expected: durable.map(|(id, bytes)| (id.0, bytes.clone())).collect(),
-        }
+        let expected = durable.map(|(id, bytes)| (id.0, bytes.clone())).collect();
+        CommitMark::new(self.engine.epoch(), ops_after, expected)
     }
 
     /// Apply one operation to engine and model alike.
