@@ -305,5 +305,5 @@ fn main() {
         eprintln!("\nerror: not written: {}", failed.join(", "));
         std::process::exit(1);
     }
-    println!("\nJSON written to experiments/ at the workspace root.");
+    println!("\nJSON written to experiments/ under the working directory.");
 }

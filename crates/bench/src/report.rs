@@ -82,15 +82,16 @@ impl Table {
     }
 }
 
+/// Where [`write_json`] puts results: relative, so resolved against
+/// the working directory at run time, as every path given on the
+/// command line is. A binary copied into another tree writes that
+/// tree's artifacts; `run_all` is run from the repository root.
+const EXPERIMENTS: &str = "experiments";
+
 /// Write a serializable result to `experiments/<name>.json` under the
-/// workspace root.
+/// working directory.
 pub fn write_json<T: Serialize>(name: &str, value: &T) -> io::Result<()> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map(|p| p.join("experiments"))
-        .unwrap_or_else(|| Path::new("experiments").to_path_buf());
-    write_json_in(&dir, name, value)
+    write_json_in(Path::new(EXPERIMENTS), name, value)
 }
 
 /// Write a serializable result to `<dir>/<name>.json`, creating `dir`
@@ -121,6 +122,16 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn arity_mismatch_panics() {
         Table::new("x", &["a"]).row(vec!["1".into(), "2".into()]);
+    }
+
+    #[test]
+    fn write_json_writes_under_the_directory_it_is_given() {
+        assert!(Path::new(EXPERIMENTS).is_relative());
+        let td = nvm_emu::TempDir::new("nvm_bench_report").unwrap();
+        let dir = td.join(EXPERIMENTS);
+        write_json_in(&dir, "rows", &[1u32, 2]).unwrap();
+        let written = std::fs::read_to_string(dir.join("rows.json")).unwrap();
+        assert_eq!(written, serde_json::to_string_pretty(&[1u32, 2]).unwrap());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   and verifies its checksum there.
 //!
 //! Mirroring is cost-free in virtual time: the emulated NVM device has
-//! already charged write time/bandwidth/wear for every shadow copy, so
+//! already charged write time and bandwidth for every shadow copy, so
 //! attaching a backend never perturbs simulation results.
 
 use nvm_metrics::{names, MetricsRegistry};

@@ -137,6 +137,8 @@ pub struct Scheduler {
     /// Background-copy budget in seconds; may go negative when a large
     /// chunk overdraws one compute segment and repays in the next.
     credit_secs: f64,
+    /// The open drain's candidates not yet handed out, last first.
+    drain: Vec<ChunkId>,
 }
 
 impl Scheduler {
@@ -149,6 +151,7 @@ impl Scheduler {
             predictor: PredictionTable::default(),
             interval_start: now,
             credit_secs: 0.0,
+            drain: Vec::new(),
         }
     }
 
@@ -204,15 +207,25 @@ impl Scheduler {
     }
 
     /// Open a segment's drain: `window` of background-copy time joins
-    /// the credit.
-    pub fn open(&mut self, window: SimDuration) {
+    /// the credit, and the drain will stage the [`Scheduler::candidates`]
+    /// of `chunks` as they stand now, in order. One pass is enough:
+    /// staging a chunk changes no other chunk's candidacy. Returns the
+    /// candidate count.
+    pub fn open(&mut self, window: SimDuration, chunks: impl Iterator<Item = ChunkState>) -> usize {
         self.credit_secs += window.as_secs_f64();
+        let mut drain = std::mem::take(&mut self.drain);
+        drain.clear();
+        drain.extend(self.candidates(chunks));
+        drain.reverse();
+        self.drain = drain;
+        self.drain.len()
     }
 
-    /// The chunk to stage next, while credit and candidates last.
-    pub fn next(&self, chunks: impl Iterator<Item = ChunkState>) -> Option<ChunkId> {
+    /// The chunk to stage next, while credit and the open drain's
+    /// candidates last.
+    pub fn next_to_stage(&mut self) -> Option<ChunkId> {
         if self.credit_secs > 0.0 {
-            self.candidates(chunks).next()
+            self.drain.pop()
         } else {
             None
         }
@@ -382,22 +395,67 @@ mod tests {
 
     #[test]
     fn credit_gates_next_and_idle_budget_does_not_bank() {
-        let view = [chunk(1, true, false)];
+        let view = [chunk(1, true, false), chunk(2, true, false)];
         let mut s = scheduler(PrecopyPolicy::Cpc);
-        assert_eq!(s.next(view.iter().copied()), None, "no window opened yet");
-        s.open(SimDuration::from_secs(1));
-        assert_eq!(s.next(view.iter().copied()), Some(ChunkId(1)));
+        assert_eq!(s.next_to_stage(), None, "no window opened yet");
+        assert_eq!(s.open(SimDuration::from_secs(1), view.iter().copied()), 2);
+        assert_eq!(s.next_to_stage(), Some(ChunkId(1)));
         // A large chunk overdraws this segment and repays in the next.
         s.charge(SimDuration::from_secs(3));
-        assert_eq!(s.next(view.iter().copied()), None);
+        assert_eq!(s.next_to_stage(), None);
         s.close();
-        s.open(SimDuration::from_secs(1));
-        assert_eq!(s.next(view.iter().copied()), None, "still 1 s in debt");
+        s.open(SimDuration::from_secs(1), view.iter().copied());
+        assert_eq!(s.next_to_stage(), None, "still 1 s in debt");
         s.close();
-        s.open(SimDuration::from_secs(2));
-        assert_eq!(s.next(view.iter().copied()), Some(ChunkId(1)));
-        // Nothing to copy: the unused second is not carried over.
+        s.open(SimDuration::from_secs(2), view.iter().copied());
+        assert_eq!(s.next_to_stage(), Some(ChunkId(1)));
+        // Nothing is staged past the close, and the unused second is
+        // not carried over.
         s.close();
-        assert_eq!(s.next(view.iter().copied()), None);
+        assert_eq!(s.next_to_stage(), None);
+        s.open(SimDuration::ZERO, view.iter().copied());
+        assert_eq!(s.next_to_stage(), None);
+    }
+
+    #[test]
+    fn one_pass_drain_stages_what_rescanning_did() {
+        // DCPCP learned that chunk 3 is written twice per interval and
+        // has seen it once: it stays out of every drain.
+        let mut s = scheduler(PrecopyPolicy::Dcpcp);
+        s.record_modification(ChunkId(3));
+        s.record_modification(ChunkId(3));
+        s.end_interval(SimTime::from_secs(1), SimDuration::ZERO, 1, 1.0);
+        s.record_modification(ChunkId(3));
+        let view = [
+            chunk(1, true, false),
+            chunk(2, false, false),
+            chunk(3, true, false),
+            chunk(4, true, false),
+            chunk(5, true, true),
+            chunk(6, true, false),
+            chunk(7, true, false),
+        ];
+        let second = SimDuration::from_secs(1);
+        for window in [1, 2, 3, 10].map(SimDuration::from_secs) {
+            // The loop this drain replaced: rescan every chunk after
+            // each stage, which marks the staged chunk staged.
+            let (mut rescanned, mut seen, mut credit) = (vec![], view, window);
+            while !credit.is_zero() {
+                let Some(id) = s.candidates(seen.iter().copied()).next() else {
+                    break;
+                };
+                rescanned.push(id);
+                seen.iter_mut().find(|c| c.id == id).unwrap().staged = true;
+                credit = credit.saturating_sub(second);
+            }
+            assert_eq!(s.open(window, view.iter().copied()), 4);
+            let mut staged = vec![];
+            while let Some(id) = s.next_to_stage() {
+                staged.push(id);
+                s.charge(second);
+            }
+            s.close();
+            assert_eq!(staged, rescanned, "window {window}");
+        }
     }
 }

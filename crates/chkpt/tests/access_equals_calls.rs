@@ -4,7 +4,7 @@
 //! its range, and a view of several ranges, lent at once, is a `read`
 //! of each in turn once every range is found to be there), once inside
 //! one `CheckpointEngine::access`. Every outcome, the clock, both
-//! devices' `DeviceStats`, wear, resident and spilled bytes,
+//! devices' `DeviceStats`, resident and spilled bytes,
 //! `EngineStats`, the trace with its timestamps and the metrics
 //! registry must come out identical — and stay so through the
 //! pre-copy and checkpoint that follow, which see what the run left
@@ -212,14 +212,9 @@ impl Twin {
     /// Everything an access may change, as the engine and its devices
     /// show it.
     fn observed(&self) -> impl PartialEq + std::fmt::Debug {
-        let wear: Vec<u64> = (self.ids.iter())
-            .filter_map(|&id| self.e.heap().chunk(id).ok())
-            .map(|c| self.dram.max_wear(c.dram_region).unwrap())
-            .collect();
         (
             self.clock.now(),
             [self.dram.stats(), self.nvm.stats()],
-            wear,
             [self.dram.resident_bytes(), self.nvm.resident_bytes()],
             [
                 self.dram.spill_read_bytes(),

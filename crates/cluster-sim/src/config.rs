@@ -137,7 +137,7 @@ pub struct ClusterConfig {
     /// Spill byte-materialized device contents to per-device files
     /// (default `true`). Every region a rank's engines or the buddy
     /// remote stores allocate then lives on disk instead of process
-    /// RAM; devices charge identical virtual time, wear, and stats
+    /// RAM; devices charge identical virtual time and stats
     /// either way, so spilling never changes simulation results —
     /// it only bounds resident memory, which is what makes 1024-rank
     /// byte-materialized runs feasible. Synthetic runs hold no bytes

@@ -270,7 +270,7 @@ impl ClusterSim {
         let materialized = config.engine.materialization == Materialization::Bytes;
 
         // Byte-materialized runs spill every device region to a file:
-        // region contents cost identical virtual time/wear/stats
+        // region contents cost identical virtual time and stats
         // wherever they live, and at 1024 ranks the images no longer
         // fit in process RAM. Attach before any engine allocates so
         // every materialized region is covered.

@@ -213,7 +213,7 @@ impl ClusterSim {
 /// * the buddy's NVM hosts this store and no other, and the buddy's own
 ///   ranks only read that device meanwhile, so only this call allocates
 ///   there and its region ids and spill layout are the serial ones;
-/// * device charges, stats, wear and the helper's metrics commute;
+/// * device charges, stats and the helper's metrics commute;
 /// * no device lock is held while another is taken: `committed_bytes`
 ///   copies a slot out of this node's NVM and releases it before the
 ///   put locks the buddy's, which in a 2-node ring is shipping back at

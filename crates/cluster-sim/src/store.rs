@@ -266,8 +266,8 @@ mod tests {
     fn spilling_images_to_files_does_not_perturb_the_run() {
         // `store_config` materializes real bytes, so spill is active by
         // default. Turning it off must change *only* where the bytes
-        // live — the result (including engine stats, wear, and the
-        // virtual clock) stays byte-identical.
+        // live — the result (including engine stats and the virtual
+        // clock) stays byte-identical.
         let spilled = run_with(store_config(), RunOptions::new());
         let mut in_ram = store_config();
         in_ram.spill = false;

@@ -22,8 +22,8 @@
 //! and the first that reaches past that page gives it all `len` bytes,
 //! zero-filled once, with the page it held copied in. A read never
 //! grows what a region holds, whether it copies, lends or only charges:
-//! bytes past it are zeros. Capacity (`used`), charges, wear and
-//! statistics are all by region length, so only
+//! bytes past it are zeros. Capacity (`used`), charges and statistics
+//! are all by region length, so only
 //! [`MemoryDevice::resident_bytes`] sees the difference — a metadata
 //! region that a save writes 2 KiB of costs one page of RAM, not its
 //! megabyte.
@@ -70,7 +70,6 @@ use crate::idmap::IdMap;
 use crate::params::{DeviceKind, DeviceParams};
 use crate::spill::SpillStore;
 use crate::time::SimDuration;
-use crate::wearmap::WearMap;
 use crate::{pages_for, PAGE_SIZE};
 use nvm_metrics::{names, MetricsRegistry};
 use parking_lot::{Mutex, MutexGuard};
@@ -168,10 +167,6 @@ enum Backing {
 struct Region {
     len: usize,
     backing: Backing,
-    /// Writes per page of this region (wear tracking), compressed as
-    /// equal-count segments so chunk-sized writes cost O(log segments)
-    /// instead of O(pages).
-    wear: WearMap,
 }
 
 impl Region {
@@ -195,15 +190,6 @@ impl Region {
             Backing::Bytes(held) => held.get(offset..offset + len),
             _ => None,
         }
-    }
-
-    fn record_page_writes(&mut self, offset: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = (offset / PAGE_SIZE) as u64;
-        let last = ((offset + len - 1) / PAGE_SIZE) as u64;
-        self.wear.increment_range(first, last);
     }
 
     /// Fill `buf` with this region's bytes at `offset`, which the
@@ -356,8 +342,8 @@ impl MemoryDevice {
     }
 
     /// Attach a spill store: materialized regions allocated from now on
-    /// keep their bytes in `store` instead of process RAM. Costs, wear
-    /// and statistics are charged by the exact same code as
+    /// keep their bytes in `store` instead of process RAM. Costs and
+    /// statistics are charged by the exact same code as
     /// RAM-backed regions, so simulation results are unaffected —
     /// only the process's resident set shrinks. Regions allocated
     /// before the attach keep their RAM backing.
@@ -453,14 +439,7 @@ impl MemoryDevice {
         let id = RegionId(g.next_id);
         g.next_id += 1;
         g.used += len;
-        g.regions.insert(
-            id,
-            Region {
-                len,
-                backing,
-                wear: WearMap::new(pages_for(len).max(1)),
-            },
-        );
+        g.regions.insert(id, Region { len, backing });
         Ok(id)
     }
 
@@ -547,7 +526,7 @@ impl MemoryDevice {
     /// the lock released and flushed under it), so `f` is expected to
     /// write all of it.
     ///
-    /// This charges no time, statistics or wear. On its own it is *not*
+    /// This charges no time or statistics. On its own it is *not*
     /// a modeled operation: it reconstitutes emulator state that
     /// conceptually survived a process failure (re-loading a durable
     /// store file into a fresh NVM device on restart — on real hardware
@@ -604,23 +583,6 @@ impl MemoryDevice {
         g.stats.flush_ops += 1;
         g.stats.busy += cost;
         Ok(cost)
-    }
-
-    /// Maximum per-page write count observed on a region (wear).
-    pub fn max_wear(&self, id: RegionId) -> Result<u64, DeviceError> {
-        let g = self.inner.lock();
-        g.regions
-            .get(&id)
-            .map(|r| r.wear.max())
-            .ok_or(DeviceError::NoSuchRegion(id.0))
-    }
-
-    /// Fraction of the endurance budget consumed by the hottest page of
-    /// the hottest region, in [0, 1+].
-    pub fn wear_fraction(&self) -> f64 {
-        let g = self.inner.lock();
-        let max = g.regions.values().map(|r| r.wear.max()).max().unwrap_or(0);
-        max as f64 / g.params.write_endurance as f64
     }
 
     /// Destroy all contents (hard failure: the node's NVM is lost).
@@ -904,8 +866,8 @@ fn write_cost(
 }
 
 impl Inner {
-    /// Charge a write of `len` bytes at `offset` of region `id` — wear,
-    /// time, statistics — and return the region with the cost,
+    /// Charge a write of `len` bytes at `offset` of region `id` — time
+    /// and statistics — and return the region with the cost,
     /// for the caller that also has bytes to put there.
     fn write_common(
         &mut self,
@@ -919,7 +881,6 @@ impl Inner {
             .get_mut(&id)
             .ok_or(DeviceError::NoSuchRegion(id.0))?;
         region.check_bounds(id, offset, len)?;
-        region.record_page_writes(offset, len);
         let (params, model) = (&self.params, &self.model);
         let cost = (self.known).cost((true, len, concurrency), || {
             write_cost(params, model, len, concurrency)
@@ -1126,18 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn wear_tracking_counts_page_writes() {
-        let d = MemoryDevice::pcm(MB);
-        let r = d.alloc(2 * PAGE_SIZE).unwrap();
-        for _ in 0..5 {
-            d.write(r, 0, &[1; 64], 1).unwrap();
-        }
-        d.write(r, PAGE_SIZE, &[1; 64], 1).unwrap();
-        assert_eq!(d.max_wear(r).unwrap(), 5);
-        assert!(d.wear_fraction() > 0.0);
-    }
-
-    #[test]
     fn destroy_clears_contents() {
         let d = MemoryDevice::pcm(MB);
         let r = d.alloc(1024).unwrap();
@@ -1203,7 +1152,7 @@ mod tests {
         // Fresh regions read back zeros either way.
         assert_eq!(contents(&spilly, rs), vec![0u8; 4096]);
 
-        // Identical virtual-time charges, stats, and wear for the same
+        // Identical virtual-time charges and stats for the same
         // operation sequence — spilling must not perturb the model.
         let data: Vec<u8> = (0..4096).map(|i| (i % 253) as u8).collect();
         let wp = plain.write(rp, 128, &data[..1024], 2).unwrap();
@@ -1217,7 +1166,6 @@ mod tests {
         assert_eq!(bp, bs);
         assert_eq!(bs, data[..1024]);
         assert_eq!(plain.stats(), spilly.stats());
-        assert_eq!(plain.max_wear(rp).unwrap(), spilly.max_wear(rs).unwrap());
 
         // Both views round-trip through the spill, free of charge.
         let charged = spilly.stats();
@@ -1368,7 +1316,6 @@ mod tests {
         let r = d.alloc(100).unwrap();
         d.write(r, 0, &[7; 100], 1).unwrap();
         let charged = d.stats();
-        let wear = d.max_wear(r).unwrap();
         let seen = d
             .view_mut(r, 10, 20, |b| {
                 let seen = b.to_vec();
@@ -1391,7 +1338,6 @@ mod tests {
         ));
         drop(g);
         assert_eq!(d.stats(), charged);
-        assert_eq!(d.max_wear(r).unwrap(), wear);
         assert!(matches!(
             d.view_mut(r, usize::MAX, 2, |b| b.fill(0)),
             Err(DeviceError::OutOfBounds { .. })

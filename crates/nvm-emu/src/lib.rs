@@ -17,7 +17,7 @@
 //!   concurrent copier count and buffer size.
 //! * [`device`] — [`device::MemoryDevice`]: an emulated memory device
 //!   holding *regions* of bytes (materialized or synthetic), charging
-//!   virtual time for reads/writes/flushes and accounting wear.
+//!   virtual time for reads/writes/flushes.
 //! * [`idmap`] — [`idmap::IdMap`]: the hash table for keys that are
 //!   already numbers (region ids here, chunk ids in `nvm-paging`).
 //!

@@ -10,7 +10,7 @@
 //! bytes out of RAM instead: slot-granular alloc/free plus random
 //! access reads and writes. Attaching one (see
 //! `MemoryDevice::attach_spill`) changes **only where bytes live** —
-//! every virtual-time charge, wear increment, statistic, and metric is
+//! every virtual-time charge, statistic, and metric is
 //! computed by the same code path as before, so simulation results
 //! stay bit-identical with and without a spill store.
 //!

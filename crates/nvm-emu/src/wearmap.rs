@@ -1,5 +1,10 @@
 //! Interval-compressed per-page wear tracking.
 //!
+//! No device keeps one: the paper gives PCM endurance (Table I) as a
+//! parameter and never evaluates wear, so the device stopped counting
+//! page writes. The map stays only while the benchmark's pinned
+//! `nvm-emu.wearmap_inc_ns` probe measures it.
+//!
 //! The paper preset writes hundreds of megabytes per rank per epoch, so
 //! the naive wear tracker — one counter bump per 4 KiB page per write —
 //! turns every full-chunk store into a loop over ~10k pages and

@@ -71,25 +71,3 @@ fn concurrent_charges_match_serial_reference() {
     assert_eq!(conc_stats.write_ops, (THREADS * OPS_PER_THREAD) as u64);
     assert_eq!(conc_stats.read_ops, (THREADS * OPS_PER_THREAD) as u64);
 }
-
-#[test]
-fn wear_tracking_is_region_private_under_concurrency() {
-    let dev = MemoryDevice::pcm(256 * MB);
-    let regions: Vec<_> = (0..THREADS)
-        .map(|_| dev.alloc_synthetic(MB).unwrap())
-        .collect();
-    thread::scope(|s| {
-        for (t, &id) in regions.iter().enumerate() {
-            let dev = dev.clone();
-            s.spawn(move || {
-                // Thread t rewrites its whole region t+1 times.
-                for _ in 0..=t {
-                    dev.write_synthetic(id, 0, MB, THREADS).unwrap();
-                }
-            });
-        }
-    });
-    for (t, &id) in regions.iter().enumerate() {
-        assert_eq!(dev.max_wear(id).unwrap(), (t + 1) as u64, "region {t}");
-    }
-}

@@ -5,8 +5,8 @@
 //! the API: random `write` / `read` / guard lend / `charge_read` /
 //! `view_mut` / `write_synthetic` / `free` sequences are run against a
 //! flat `Vec<u8>` per region and against the same operations on a
-//! `MemSpill`-backed twin, and every byte, cost, error, `DeviceStats`
-//! value and `max_wear` must agree. Only `resident_bytes` may tell the
+//! `MemSpill`-backed twin, and every byte, cost, error and
+//! `DeviceStats` value must agree. Only `resident_bytes` may tell the
 //! two backings apart, and it must say what the region holds.
 
 use nvm_emu::{DeviceError, MemSpill, MemoryDevice, RegionId, SimDuration, PAGE_SIZE};
@@ -252,13 +252,12 @@ impl Twin {
         self.check(&what)
     }
 
-    /// Costs already matched per call; the devices' totals, the wear
-    /// and every byte must too, and the RAM-backed region must hold
+    /// Costs already matched per call; the devices' totals and every
+    /// byte must too, and the RAM-backed region must hold
     /// what its accesses reached.
     fn check(&self, what: &str) -> Result<(), TestCaseError> {
         let region = self.region;
         self.both(what, MemoryDevice::stats)?;
-        self.both(what, |d| d.max_wear(region))?.unwrap();
         self.both(what, MemoryDevice::used)?;
         let len = self.model.len();
         let bytes = self.both(what, |d| {

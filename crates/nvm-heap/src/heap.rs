@@ -765,7 +765,7 @@ mod tests {
     fn restore_to_dram_charges_an_nvm_read_and_a_dram_write() {
         // The restore copies slot -> working copy inside a DRAM write
         // view. Same bytes land in DRAM, and both devices are charged
-        // (time, statistics, wear) exactly what the plain `read` +
+        // (time, statistics) exactly what the plain `read` +
         // `write` of those bytes charges.
         let run = |plain: bool| {
             let (dram, nvm) = devices();
@@ -796,8 +796,7 @@ mod tests {
             let mut buf = vec![0u8; 5000];
             read(&h, id, &mut buf);
             assert_eq!(buf, data);
-            let wear = dram.max_wear(region).unwrap();
-            (cost, dram.stats(), nvm.stats(), wear)
+            (cost, dram.stats(), nvm.stats())
         };
         assert_eq!(run(true), run(false));
     }

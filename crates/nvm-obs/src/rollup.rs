@@ -8,8 +8,8 @@
 //! Series are named by the `series::*` constants; values are plain
 //! `u64` sums per bucket (bytes or nanoseconds or counts — per-bucket
 //! *rates* are `value / bucket_ns` and left to presentation). Wear
-//! rate is tracked through `nvm_write_bytes` (media writes are what
-//! age PCM; see the wear map in nvm-paging for the per-line view).
+//! rate is tracked through `nvm_write_bytes`: media writes are what
+//! age PCM.
 
 use nvm_trace::{TraceEvent, TraceEventKind};
 use serde::{Deserialize, Serialize};

@@ -22,9 +22,9 @@
 //! (`committed_slot`, `checksum`, `committed_epoch`) do not re-encodes
 //! just those three. Only a new or reshaped record is encoded whole. So
 //! an `nvmalloc` encodes one record and a steady commit three numbers
-//! per record, and the bytes written — and so the device calls, wear
-//! and virtual time a save costs — are exactly those of encoding the
-//! whole table.
+//! per record, and the bytes written — and so the device calls and
+//! virtual time a save costs — are exactly those of encoding the whole
+//! table.
 
 use nvm_emu::{DeviceError, MemoryDevice, RegionId, SimDuration};
 use serde::{Deserialize, Serialize};

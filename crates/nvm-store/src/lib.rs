@@ -24,8 +24,8 @@
 //!   a bit-for-bit oracle of each committed epoch.
 //!
 //! Mirroring checkpoints into a container is cost-free in virtual
-//! time — the emulated NVM device already charged write time,
-//! bandwidth and wear for every shadow copy — so attaching a store
+//! time — the emulated NVM device already charged write time and
+//! bandwidth for every shadow copy — so attaching a store
 //! never changes simulation results; it only makes them survive the
 //! process.
 //!

@@ -10,7 +10,7 @@
 
 use nvm_chkpt::persist::PersistError;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -61,10 +61,9 @@ impl FileMedia {
 
 impl Media for FileMedia {
     fn write_at(&mut self, offset: u64, parts: &[&[u8]]) -> Result<(), PersistError> {
-        self.file.seek(SeekFrom::Start(offset))?;
         let mut end = offset;
         for part in parts {
-            self.file.write_all(part)?;
+            self.file.write_all_at(part, end)?;
             end += part.len() as u64;
         }
         self.len = self.len.max(end);
@@ -75,9 +74,8 @@ impl Media for FileMedia {
         if offset >= self.len {
             return Ok(0);
         }
-        self.file.seek(SeekFrom::Start(offset))?;
         let want = buf.len().min((self.len - offset) as usize);
-        self.file.read_exact(&mut buf[..want])?;
+        self.file.read_exact_at(&mut buf[..want], offset)?;
         Ok(want)
     }
 

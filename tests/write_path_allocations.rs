@@ -2,20 +2,21 @@
 //! state a write asks the allocator for nothing, whatever the size of
 //! the chunk it lands in — the page map answers from its uniform state
 //! and cached counts and never builds a per-page vector for a write
-//! that leaves every page as it was, and the device's wear map
-//! increments the run a page got at its first write — a metadata save
-//! of a table no larger than the last one encodes into the buffer the
-//! region keeps, and a kv operation compares keys where the log holds
-//! them and encodes its record into the buffer the store keeps, so
-//! that an `upsert` or a `delete` allocates nothing, a `read` hit
-//! allocates the value it returns and nothing else — and zero-fills
-//! nothing — and a read miss allocates nothing. A
-//! size-only engine costs what is written to it: building one with
-//! seven 50 MiB chunks and committing it asks for no buffer larger than
-//! a page (its 1 MiB metadata region holds only the page a save
-//! reaches), and a steady-state commit encodes the chunk table from
-//! the heap's own, copying no record or name. A kv recovery replays
-//! the log where the restarted engine holds it, copying out no
+//! that leaves every page as it was, and a device write into a region
+//! already materialized is a copy, whether or not its pages were
+//! written before — a metadata save of a table no larger than the last
+//! one encodes into the buffer the region keeps, and a kv operation
+//! compares keys where the log holds them and encodes its record into
+//! the buffer the store keeps, so that an `upsert` or a `delete`
+//! allocates nothing, even when its append reaches log pages never
+//! written before, a `read` hit allocates the value it returns and
+//! nothing else — and zero-fills nothing — and a read miss allocates
+//! nothing. A size-only engine costs what is written to it: building
+//! one with seven 50 MiB chunks and committing it asks for no buffer
+//! larger than a page (its 1 MiB metadata region holds only the page a
+//! save reaches), and a steady-state commit encodes the chunk table
+//! from the heap's own, copying no record or name. A kv recovery
+//! replays the log where the restarted engine holds it, copying out no
 //! segment.
 //!
 //! The global allocator is wrapped to count every request. Everything
@@ -116,25 +117,23 @@ fn steady_state_writes_and_saves_do_not_allocate() {
     assert_eq!(whole, 0, "whole-chunk writes of a 200 MiB synthetic chunk");
 
     // --- The kv workloads' write: a few bytes into a byte-backed
-    // 4 MiB chunk (1,024 pages) that is already dirty and whose pages
-    // have all been written before (a page's first write gives it a
-    // wear run of its own)... ---
+    // 4 MiB chunk (1,024 pages) that is already dirty, most of them
+    // into pages never written before: one write at its end
+    // materialized it whole... ---
     const SMALL: usize = 4 * MB;
     let mut e = engine(
         SMALL,
         EngineConfig::default().with_precopy(PrecopyPolicy::Cpc),
     );
     let id = e.nvmalloc("log", SMALL, true).unwrap();
-    for page in 0..SMALL / PAGE_SIZE {
-        e.write(id, page * PAGE_SIZE, &[1; 16]).unwrap(); // warm-up
-    }
+    e.write(id, SMALL - 16, &[1; 16]).unwrap(); // warm-up
     let small = requests_during(|| {
         for i in 0..1000 {
             e.write(id, (i * 4099) % (SMALL - 16), &[i as u8; 16])
                 .unwrap();
         }
     });
-    assert_eq!(small, 0, "16-byte writes over already-written pages");
+    assert_eq!(small, 0, "16-byte writes into a dirty chunk");
 
     // --- ...and the first one after a commit left the chunk clean and
     // write-protected: the fault re-opens the whole chunk. ---
@@ -163,20 +162,14 @@ fn steady_state_writes_and_saves_do_not_allocate() {
     let session = kv.new_session().unwrap();
     let keys: Vec<String> = (0..KEYS).map(|k| format!("user{k:08}")).collect();
     // Warm-up: every key twice (the second pass overwrites, as the
-    // measured ones will), and every page of the log rewritten with
-    // what it holds — the append head otherwise reaches pages never
-    // written before, whose first write adds a wear run.
+    // measured ones will). The segment's first write past its first
+    // page materialized it whole; the measured appends then reach its
+    // pages never written before, and those cost no allocation.
     for pass in 0..2u8 {
         for key in &keys {
             kv.upsert(&mut e, session, key.as_bytes(), &[pass; 32])
                 .unwrap();
         }
-    }
-    let log = e.heap().chunks().find(|c| c.name == "kv_seg_0").unwrap().id;
-    for at in (0..SEGMENT).step_by(PAGE_SIZE) {
-        let mut held = [0u8; 8];
-        e.read(log, at, &mut held).unwrap();
-        e.write(log, at, &held).unwrap();
     }
     let before = kv.stats();
     let upserts = requests_during(|| {
@@ -190,7 +183,10 @@ fn steady_state_writes_and_saves_do_not_allocate() {
         (before.segments, before.index_slots),
         "no segment rolled, the index did not grow"
     );
-    assert_eq!(upserts, 0, "upserts of existing keys");
+    let pages = |bytes: u64| bytes.div_ceil(PAGE_SIZE as u64);
+    let reached = pages(kv.stats().log_bytes) - pages(before.log_bytes);
+    assert!(reached >= 8, "the appends reached {reached} fresh pages");
+    assert_eq!(upserts, 0, "upserts of existing keys into fresh log pages");
     let zeroed = ZEROED.load(Relaxed);
     let reads = requests_during(|| {
         for i in 0..1000 {
