@@ -20,7 +20,12 @@
 //! nothing when it is allocated; the first `write` or `view_mut` that
 //! touches it gives it its first page (`min(PAGE_SIZE, len)` bytes),
 //! and the first that reaches past that page gives it all `len` bytes,
-//! zero-filled once, with the page it held copied in. A read never
+//! which the kernel zeroes as they are first touched, with the page it
+//! held copied in. All `len` come from the allocator, or, for a region
+//! of [`crate::HUGE_PAGE`] bytes or more on Linux, from a mapping of
+//! their own aligned to a huge page; a write asks for huge pages over
+//! the blocks it covers whole (`hostmem`), so filling a large chunk
+//! faults once per 2 MiB, not once per page. A read never
 //! grows what a region holds, whether it copies, lends or only charges:
 //! bytes past it are zeros. Capacity (`used`), charges and statistics
 //! are all by region length, so only
@@ -66,6 +71,7 @@
 
 use crate::bandwidth::BandwidthModel;
 use crate::error::DeviceError;
+use crate::hostmem::HostBytes;
 use crate::idmap::IdMap;
 use crate::params::{DeviceKind, DeviceParams};
 use crate::spill::SpillStore;
@@ -154,7 +160,7 @@ impl DeviceStats {
 enum Backing {
     /// In process RAM: the region's first bytes — none, its first page,
     /// or all of it (`reach` grows it); the rest read as zero.
-    Bytes(Vec<u8>),
+    Bytes(HostBytes),
     /// Materialized, but the bytes live in the attached [`SpillStore`]
     /// instead of process RAM. Behaves exactly like `Bytes` through the
     /// public API (reads, snapshots, checksums all see real data).
@@ -431,7 +437,7 @@ impl MemoryDevice {
                         .map_err(|e| DeviceError::Spill(e.to_string()))?;
                     Backing::Spilled { slot }
                 }
-                None => Backing::Bytes(Vec::new()),
+                None => Backing::Bytes(HostBytes::default()),
             }
         } else {
             Backing::Synthetic
@@ -524,7 +530,9 @@ impl MemoryDevice {
     /// as the range's current bytes (RAM-backed, in place under the
     /// device lock) or as zeros (spilled: a private buffer, filled with
     /// the lock released and flushed under it), so `f` is expected to
-    /// write all of it.
+    /// write all of it: a RAM-backed range is lent with huge pages
+    /// asked for the 2 MiB blocks it covers whole (module docs), which
+    /// costs resident memory only if `f` leaves some of them unwritten.
     ///
     /// This charges no time or statistics. On its own it is *not*
     /// a modeled operation: it reconstitutes emulator state that
@@ -902,10 +910,12 @@ impl Inner {
 }
 
 /// Bytes `offset..offset + len` of a RAM-backed region of `region_len`
-/// bytes that holds `held`, after growing `held` to what the range
-/// reaches: the first page, or the whole region. A range of no bytes
-/// touches nothing. The caller has checked the bounds.
-fn reach(held: &mut Vec<u8>, region_len: usize, offset: usize, len: usize) -> &mut [u8] {
+/// bytes that holds `held`, for the caller to overwrite, after growing
+/// `held` to what the range reaches — the first page, or the whole
+/// region — and asking for huge pages over the blocks the range covers
+/// whole. A range of no bytes touches nothing. The caller has checked
+/// the bounds.
+fn reach(held: &mut HostBytes, region_len: usize, offset: usize, len: usize) -> &mut [u8] {
     if len == 0 {
         return &mut [];
     }
@@ -916,16 +926,19 @@ fn reach(held: &mut Vec<u8>, region_len: usize, offset: usize, len: usize) -> &m
         } else {
             region_len
         };
-        *held = materialize(held, grown);
+        *held = HostBytes::grown(held, grown, offset..end);
+    } else {
+        held.advise(offset..end);
     }
     &mut held[offset..end]
 }
 
 /// `len` bytes that begin with `held` and are zeros after it — a
-/// RAM-backed region grown by [`reach`], a spilled range's private
-/// `view_mut` buffer, or a thread's lend buffer when a lend is longer
-/// than it. The one zero-fill in this file, so that no allocation
-/// fills a region nothing has reached yet (`tests/region_model.rs`).
+/// spilled range's private `view_mut` buffer, or a thread's lend
+/// buffer when a lend is longer than it. It and `HostBytes::grown`,
+/// which grows a RAM-backed region in [`reach`], are the device's only
+/// zero-fills, so that no allocation fills a region nothing has reached
+/// yet (`tests/region_model.rs`).
 fn materialize(held: &[u8], len: usize) -> Vec<u8> {
     let mut bytes = vec![0u8; len];
     bytes[..held.len()].copy_from_slice(held);

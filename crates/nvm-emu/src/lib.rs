@@ -20,6 +20,10 @@
 //!   virtual time for reads/writes/flushes.
 //! * [`idmap`] — [`idmap::IdMap`]: the hash table for keys that are
 //!   already numbers (region ids here, chunk ids in `nvm-paging`).
+//! * `hostmem` — where a RAM-backed region's bytes live: a 2 MiB-aligned
+//!   mapping for a region of [`HUGE_PAGE`] bytes or more, huge pages
+//!   asked for the blocks a write covers whole ([`mapped_bytes`]
+//!   counts them), and all of this crate's `unsafe`.
 //!
 //! Devices are deliberately *passive*: they expose cost functions and
 //! record statistics but never advance a clock themselves. Callers (the
@@ -43,10 +47,13 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod bandwidth;
 pub mod device;
 pub mod error;
+#[allow(unsafe_code)]
+mod hostmem;
 pub mod idmap;
 pub mod params;
 pub mod spill;
@@ -57,6 +64,7 @@ pub mod wearmap;
 pub use bandwidth::BandwidthModel;
 pub use device::{DeviceGuard, DeviceStats, MemoryDevice, RegionId};
 pub use error::DeviceError;
+pub use hostmem::{mapped_bytes, HUGE_PAGE};
 pub use params::{DeviceKind, DeviceParams};
 pub use spill::{MemSpill, SpillStore};
 pub use tempdir::TempDir;

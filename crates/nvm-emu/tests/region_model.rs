@@ -7,12 +7,31 @@
 //! flat `Vec<u8>` per region and against the same operations on a
 //! `MemSpill`-backed twin, and every byte, cost, error and
 //! `DeviceStats` value must agree. Only `resident_bytes` may tell the
-//! two backings apart, and it must say what the region holds.
+//! two backings apart, and it must say what the region holds. A region
+//! of a huge page or more holds all of it in a mapping aligned to one,
+//! which is lent where it lies.
 
-use nvm_emu::{DeviceError, MemSpill, MemoryDevice, RegionId, SimDuration, PAGE_SIZE};
+use nvm_emu::{
+    mapped_bytes, DeviceError, MemSpill, MemoryDevice, RegionId, SimDuration, HUGE_PAGE, PAGE_SIZE,
+};
 use proptest::prelude::*;
 
-const LENGTHS: [usize; 6] = [1, 100, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1, 64 << 10];
+const LENGTHS: [usize; 8] = [
+    1,
+    100,
+    PAGE_SIZE - 1,
+    PAGE_SIZE,
+    PAGE_SIZE + 1,
+    64 << 10,
+    HUGE_PAGE,
+    2 * HUGE_PAGE + PAGE_SIZE + 3,
+];
+
+/// Where a region of a huge page or more is mapped (`nvm_emu` hostmem).
+const MAPPED: bool = cfg!(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+));
 
 #[derive(Clone, Copy, Debug)]
 enum Kind {
@@ -38,6 +57,10 @@ enum Shape {
     LastByte,
     Whole,
     Anywhere,
+    /// From on or beside one 2 MiB boundary to on or beside a later
+    /// one, so a write covers some huge-page blocks whole and others in
+    /// part; clipped to a shorter region.
+    Blocks,
     /// Past the region's end: a typed error on both backings.
     PastEnd,
 }
@@ -73,6 +96,20 @@ impl Shape {
                 let offset = a % l;
                 (offset, 1 + b % (l - offset))
             }
+            Shape::Blocks => {
+                let starts = [0, 1, HUGE_PAGE - 1, HUGE_PAGE, HUGE_PAGE + 1];
+                let ends = [
+                    HUGE_PAGE,
+                    HUGE_PAGE + 1,
+                    2 * HUGE_PAGE - 1,
+                    2 * HUGE_PAGE,
+                    l - 1,
+                    l,
+                ];
+                let offset = starts[a % starts.len()].min(l - 1);
+                let end = ends[b % ends.len()].clamp(offset + 1, l);
+                (offset, end - offset)
+            }
             Shape::PastEnd => {
                 let offset = a % (l + 1);
                 (offset, l - offset + 1 + b % 8)
@@ -100,6 +137,7 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Shape::LastByte),
         Just(Shape::Whole),
         Just(Shape::Anywhere),
+        Just(Shape::Blocks),
         Just(Shape::PastEnd),
     ];
     (
@@ -138,8 +176,8 @@ struct Twin {
 
 impl Twin {
     fn new(len: usize) -> Self {
-        let ram = MemoryDevice::pcm(1 << 20);
-        let spilled = MemoryDevice::pcm(1 << 20);
+        let ram = MemoryDevice::pcm(8 << 20);
+        let spilled = MemoryDevice::pcm(8 << 20);
         spilled.attach_spill(Box::new(MemSpill::new()));
         let mut twin = Twin {
             ram,
@@ -189,7 +227,10 @@ impl Twin {
         let (offset, n) = op.shape.range(len, op.a, op.b);
         let what = format!("{op:?} on {len} bytes at {offset}+{n}");
         let in_bounds = offset + n <= len;
-        let data: Vec<u8> = (0..n).map(|i| op.fill ^ i as u8).collect();
+        // Byte `i` is `fill ^ i as u8`, built by doubling copies.
+        let pattern: Vec<u8> = (0..=255).map(|i| op.fill ^ i).collect();
+        let mut data = pattern.repeat(n.div_ceil(256));
+        data.truncate(n);
         let region = self.region;
         match op.kind {
             Kind::Write => {
@@ -274,6 +315,15 @@ impl Twin {
             ),
             Held::All => prop_assert_eq!(resident, len, "{}: materialized", what),
         }
+        if self.held == Held::All && len >= HUGE_PAGE && MAPPED {
+            let lent = self.ram.lock().lend_views(&[(region, 0, len)]).unwrap()[0].as_ptr();
+            prop_assert_eq!(
+                lent as usize % HUGE_PAGE,
+                0,
+                "{}: lent from its mapping",
+                what
+            );
+        }
         prop_assert_eq!(self.spilled.resident_bytes(), 0, "{}: spilled", what);
         Ok(())
     }
@@ -325,4 +375,38 @@ fn a_region_holds_nothing_then_its_first_page_then_all_of_it() {
     assert_eq!(d.resident_bytes(), len as u64, "materialized");
     let mut g = d.lock();
     assert_eq!(g.read_view(r, 8, 16, 1).unwrap().0, [7; 16]);
+}
+
+/// A region of a huge page or more, once a write reaches past its first
+/// page, holds all its bytes in a mapping aligned to a huge page, and
+/// they read as zeros until written.
+#[test]
+fn a_large_region_is_mapped_aligned_and_reads_zeros_until_written() {
+    let len = 2 * HUGE_PAGE + 5;
+    let d = MemoryDevice::dram(8 << 20);
+    let r = d.alloc(len).unwrap();
+    let mut buf = vec![1u8; len];
+    d.read(r, 0, &mut buf, 1).unwrap();
+    assert!(buf.iter().all(|&b| b == 0), "reads zeros");
+    let mapped = mapped_bytes();
+    d.write(r, len - 1, &[9], 1).unwrap();
+    assert_eq!(d.resident_bytes(), len as u64, "materialized");
+    let mut g = d.lock();
+    let held = g.lend_views(&[(r, 0, len)]).unwrap()[0];
+    assert!(
+        held[..len - 1].iter().all(|&b| b == 0),
+        "unwritten bytes are zeros"
+    );
+    assert_eq!(held[len - 1], 9);
+    if MAPPED {
+        assert_eq!(held.as_ptr() as usize % HUGE_PAGE, 0, "aligned");
+        assert!(mapped_bytes() - mapped >= len as u64, "counted as mapped");
+    }
+    drop(g);
+    // A write covering both whole blocks and a part of the third.
+    d.view_mut(r, 1, len - 1, |b| b.fill(3)).unwrap();
+    d.read(r, 0, &mut buf, 1).unwrap();
+    assert_eq!((buf[0], buf[1], buf[len - 1]), (0, 3, 3));
+    d.free(r).unwrap();
+    assert_eq!(d.resident_bytes(), 0, "unmapped with the region");
 }

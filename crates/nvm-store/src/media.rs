@@ -116,8 +116,11 @@ impl Media for MemMedia {
     fn write_at(&mut self, offset: u64, parts: &[&[u8]]) -> Result<(), PersistError> {
         let mut at = offset as usize;
         let end = at + parts.iter().map(|part| part.len()).sum::<usize>();
-        if self.bytes.len() < end {
-            self.bytes.resize(end, 0);
+        let len = self.bytes.len();
+        if len < end {
+            // Zeros from one zeroed allocation: `resize` stores them one
+            // by one, which an unoptimized build pays per crash point.
+            self.bytes.extend_from_slice(&vec![0u8; end - len]);
         }
         for part in parts {
             self.bytes[at..at + part.len()].copy_from_slice(part);

@@ -126,6 +126,14 @@ fn capture_shares_no_state() {
     deny(|l| !l.path.starts_with("benchmark/") && !metrics(l) && words(&l.code).any(shim));
 }
 
+/// The device's one window onto the host's memory holds all of `nvm-emu`'s `unsafe` (DESIGN.md §14).
+#[test]
+fn nvm_emu_is_unsafe_only_in_hostmem() {
+    let emu = |l: &Line| l.path.starts_with("crates/nvm-emu/");
+    let hostmem = |l: &Line| l.path == "crates/nvm-emu/src/hostmem.rs";
+    deny(|l| emu(l) && !hostmem(l) && words(&l.code).any(|w| w == "unsafe"));
+}
+
 /// A product `pub fn` is named in another `.rs` file, or it goes.
 #[test]
 fn every_product_pub_fn_is_named_in_another_file() {

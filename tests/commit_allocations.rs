@@ -4,13 +4,16 @@
 //! allocator for a chunk-sized temporary.
 //!
 //! The global allocator is wrapped to record every request of at least
-//! one chunk (1 MiB). A phase may make such a request only for a device
-//! region that is still resident when the phase ends (a restart's new
-//! working copies, a fresh device's container): the large bytes
-//! requested and the growth of the devices' resident bytes must differ
-//! by less than one chunk — a region holds its first page without a
-//! large request (`nvm_emu::device` module docs), and a chunk-sized
-//! temporary is a whole chunk more than what stays resident.
+//! one chunk (1 MiB). A region of 2 MiB or more takes its bytes from a
+//! mapping instead, which `nvm_emu::mapped_bytes` counts. A phase may
+//! ask for such bytes, either way, only for a device region that is
+//! still resident when the phase ends (a restart's new working copies,
+//! a fresh device's container): the large bytes requested plus the
+//! bytes mapped and the growth of the devices' resident bytes must
+//! differ by less than one chunk — a region holds its first page
+//! without a large request (`nvm_emu::device` module docs), and a
+//! chunk-sized temporary is a whole chunk more than what stays
+//! resident.
 //!
 //! The checksum under all of those steps asks for nothing at all:
 //! every request, of any size, is counted too, and `crc64` over 64 KiB
@@ -23,7 +26,7 @@ use nvm_chkpt::checksum::crc64;
 use nvm_chkpt::{
     CheckpointEngine, ChunkId, EngineConfig, PrecopyPolicy, RestartReport, RestartStrategy, Tracer,
 };
-use nvm_emu::{MemoryDevice, RegionId, SimDuration, VirtualClock};
+use nvm_emu::{mapped_bytes, MemoryDevice, RegionId, SimDuration, VirtualClock};
 use nvm_store::{Container, MemMedia};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -76,20 +79,22 @@ unsafe impl GlobalAlloc for LargeRequests {
 #[global_allocator]
 static ALLOCATOR: LargeRequests = LargeRequests;
 
-/// Run `f`; every chunk-sized request it made must be a region that
-/// `devices` still hold. A region's first page is held without a large
-/// request, so the two may differ by less than one chunk.
+/// Run `f`; every chunk-sized request it made, and every mapping, must
+/// be a region that `devices` still hold. A region's first page is held
+/// without a large request, so the two may differ by less than one
+/// chunk.
 fn phase<R>(what: &str, devices: [&MemoryDevice; 2], f: impl FnOnce() -> R) -> R {
     let resident = || devices.iter().map(|d| d.resident_bytes()).sum::<u64>();
-    let (regions, large) = (resident(), LARGE_BYTES.load(Relaxed));
+    let asked = || LARGE_BYTES.load(Relaxed) as u64 + mapped_bytes();
+    let (regions, before) = (resident(), asked());
     LARGEST.store(0, Relaxed);
     let out = f();
-    let asked = (LARGE_BYTES.load(Relaxed) - large) as u64;
+    let asked = asked() - before;
     let grew = resident() - regions;
     assert!(
         asked.abs_diff(grew) < CHUNK_BYTES as u64,
-        "{what}: chunk-sized temporary requested: {asked} large bytes, resident grew {grew} \
-         (largest single request {} bytes)",
+        "{what}: chunk-sized temporary requested: {asked} large or mapped bytes, resident grew \
+         {grew} (largest single request {} bytes)",
         LARGEST.load(Relaxed)
     );
     out
