@@ -17,7 +17,8 @@
 //! metrics and analysis are committed as
 //! `experiments/metrics_baseline.json` and
 //! `experiments/blame_baseline.json` and diffed tolerance-free by
-//! `tests/metrics_golden.rs` and `tests/blame_golden.rs`.
+//! `tests/blame_golden.rs`, and through the binary by
+//! `tests/run_all_cli.rs`.
 
 use crate::experiments::{cluster_config, run_cluster};
 use crate::scale::Scale;
