@@ -3,13 +3,14 @@
 //!
 //! This charts what the spill-through-`nvm-store` backend and the
 //! hierarchical merge tree buy: without them a byte-materialized run
-//! keeps every rank's working copy, both NVM version slots, and the
-//! buddy node's remote images in process RAM — O(ranks) resident
-//! bytes — and folds every rank's trace/metrics/stat state through
-//! one serial coordinator loop. With them, image bytes live in
-//! per-device spill files (devices charge identical virtual costs, so
-//! results are bit-identical) and the coordinator folds one pre-merged
-//! buffer per node.
+//! keeps both NVM version slots of every rank and the buddy node's
+//! remote images in process RAM — O(ranks) resident bytes — and folds
+//! every rank's trace/metrics/stat state through one serial
+//! coordinator loop. With them, image bytes live in one spill file per
+//! node's NVM (devices charge identical virtual costs, so results are
+//! bit-identical) and the coordinator folds one pre-merged buffer per
+//! node. DRAM working copies stay in RAM; this workload's writes are
+//! size-only, so they hold no bytes.
 //!
 //! Each row reports the measured peak RSS next to the *naive
 //! projection* — measured RSS plus the spill files' live-byte
@@ -68,8 +69,9 @@ pub struct Row {
     /// `peak_rss_mb / naive_rss_mb` — the acceptance gate holds this
     /// below 0.25 at 1024 ranks.
     pub rss_vs_naive: f64,
-    /// Region bytes left resident despite spilling (0 = full
-    /// coverage).
+    /// Region bytes resident in RAM at the end of the run: the DRAM
+    /// working copies' (0 here, where every write is size-only); no
+    /// NVM region stays resident.
     pub resident_mb: f64,
     /// Virtual (simulated) seconds — identical shape at every rank
     /// count.
@@ -171,7 +173,7 @@ pub fn run(scale: &Scale) -> ScalingRanks {
                 .expect("scaling run");
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             let rss = peak_rss_bytes() as f64 / mb;
-            let spill = outcome.spill.expect("byte runs spill by default");
+            let spill = outcome.spill.expect("byte runs spill");
             let spilled = spill.peak_bytes as f64 / mb;
             let naive = rss + spilled;
             Row {
@@ -254,7 +256,8 @@ mod tests {
         assert_eq!(ranks, RANK_SWEEP_QUICK);
         for r in &out.rows {
             assert_eq!(r.nodes * RANKS_PER_NODE, r.ranks);
-            // Every row pushed its image bytes to spill files, fully.
+            // Every row pushed its image bytes to spill files, fully,
+            // and its size-only working copies hold none.
             assert!(r.spilled_peak_mb > 0.0, "{r:?}");
             assert_eq!(r.resident_mb, 0.0, "{r:?}");
             assert!(r.rss_vs_naive <= 1.0);

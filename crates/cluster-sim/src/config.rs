@@ -134,21 +134,12 @@ pub struct ClusterConfig {
     /// cross-rank reduction iterates in rank order on the
     /// coordinator.
     pub threads: usize,
-    /// Spill byte-materialized device contents to per-device files
-    /// (default `true`). Every region a rank's engines or the buddy
-    /// remote stores allocate then lives on disk instead of process
-    /// RAM; devices charge identical virtual time and stats
-    /// either way, so spilling never changes simulation results —
-    /// it only bounds resident memory, which is what makes 1024-rank
-    /// byte-materialized runs feasible. Synthetic runs hold no bytes
-    /// and ignore this knob.
-    pub spill: bool,
 }
 
 impl ClusterConfig {
     /// Start building a config. Defaults: 1 node x 1 rank, 64 MiB
     /// containers, synthetic engine, 40 s local interval, 10
-    /// iterations, serial execution, spill enabled.
+    /// iterations, serial execution.
     pub fn builder() -> ClusterConfigBuilder {
         ClusterConfigBuilder {
             config: ClusterConfig {
@@ -164,7 +155,6 @@ impl ClusterConfig {
                 failure_horizon: SimDuration::from_secs(86_400),
                 schedule_override: None,
                 threads: 1,
-                spill: true,
             },
             engine: None,
         }
@@ -390,7 +380,6 @@ mod tests {
         assert_eq!(c.container_bytes, 64 << 20);
         assert_eq!(c.iterations, 10);
         assert_eq!(c.threads, 1);
-        assert!(c.spill);
         assert_eq!(c.local_interval, Some(SimDuration::from_secs(40)));
         assert!(c.remote.is_none() && c.failures.is_none());
     }

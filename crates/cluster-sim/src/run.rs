@@ -25,9 +25,10 @@
 //! a byte-materialized run are recovered for real — the node's devices
 //! are wiped and the simulator walks a restore ladder (the rank's
 //! durable containers if a store directory is attached and intact, the
-//! buddy node's remote images fetched chunk-by-chunk over the
-//! interconnect with retry/backoff on link faults and bit-for-bit
-//! verification, a virgin restart when nothing recoverable exists),
+//! buddy node's remote images fetched one rank at a time, chunk by
+//! chunk, over the interconnect with retry/backoff on link faults and
+//! bit-for-bit verification, a virgin restart when nothing recoverable
+//! exists),
 //! then re-replicates the buddy copy the failed node was hosting. Each
 //! recovery is described by a [`RecoveryRecord`] in
 //! [`RunResult::recovery`]. Losing a node *and its ring buddy* to hard
@@ -278,26 +279,27 @@ impl RunOptions {
 }
 
 /// Where the run's device bytes actually lived: accounting for the
-/// per-device spill files a byte-materialized run pushes its images
-/// to (see [`ClusterConfig::spill`]). Reported next to the result —
-/// like timing, it describes the host-side execution, not the
-/// simulation, and must never enter the byte-identity-gated
-/// [`RunResult`].
+/// spill files a byte-materialized run pushes its NVM contents to,
+/// one per node — its ranks' version slots and the buddy images it
+/// hosts. DRAM working copies never spill: the ranks compute on them
+/// in RAM, as in the paper. Reported next to the result — like
+/// timing, it describes the host-side execution, not the simulation,
+/// and must never enter the byte-identity-gated [`RunResult`].
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct SpillReport {
-    /// Devices that spilled (one NVM + one DRAM device per node).
+    /// Devices that spilled (one NVM device per node).
     pub devices: usize,
     /// Sum of each spill file's live-byte high-water mark — the RAM
-    /// an unspilled run would have held in `Vec<u8>` region backings
-    /// (devices hold their steady-state images concurrently, so the
-    /// per-device peaks effectively coincide).
+    /// the NVM regions would have held in process memory (devices
+    /// hold their steady-state images concurrently, so the per-device
+    /// peaks effectively coincide).
     pub peak_bytes: u64,
     /// Bytes still live in spill files when the run ended.
     pub live_bytes: u64,
-    /// Region bytes still resident in process RAM (materialized
-    /// regions allocated outside spill coverage; 0 when every
-    /// materialized region spilled).
+    /// Region bytes still resident in process RAM when the run ended:
+    /// the DRAM working copies the ranks touched (every NVM region
+    /// spilled).
     pub resident_bytes: u64,
     /// Bytes the devices read back from their spill files over the run
     /// (`MemoryDevice::spill_read_bytes`, summed).
@@ -316,8 +318,8 @@ pub struct RunOutcome {
     pub result: RunResult,
     /// Wall/CPU decomposition; `Some` iff [`RunOptions::profile`].
     pub profile: Option<RunProfile>,
-    /// Spill-file accounting; `Some` iff the run spilled (see
-    /// [`ClusterConfig::spill`]).
+    /// Spill-file accounting; `Some` iff the run materialized bytes
+    /// (a synthetic run holds none to spill).
     pub spill: Option<SpillReport>,
 }
 

@@ -4,9 +4,8 @@
 //! checkpoint → remote commit/ship (`remote.rs`) — then the end-of-run
 //! reduction and the teardown. Everything here runs serially between
 //! barriers; only the closures handed to the pool leave the
-//! coordinator: per rank (compute, local checkpoint, restore
-//! verification) and per node (the remote ship, the reduction, the
-//! teardown).
+//! coordinator: per rank (compute, local checkpoint) and per node (the
+//! remote ship, the reduction, the teardown).
 
 use super::pool::{for_each_rank_parallel, pool_map, pool_map_timed};
 use super::{ClusterConfig, RunOptions, RunOutcome, RunResult, SimError, SpillReport};
@@ -101,13 +100,9 @@ fn publish(engine: &CheckpointEngine, reg: &mut MetricsRegistry) {
     }
 }
 
-/// Where node `n`'s NVM and DRAM spill files live under the spill
-/// directory.
-fn spill_paths(dir: &TempDir, n: usize) -> [PathBuf; 2] {
-    [
-        dir.join(format!("nvm_{n}.spill")),
-        dir.join(format!("dram_{n}.spill")),
-    ]
+/// Where node `n`'s NVM spill file lives under the spill directory.
+fn spill_path(dir: &TempDir, n: usize) -> PathBuf {
+    dir.join(format!("nvm_{n}.spill"))
 }
 
 /// Where rank `global`'s durable container lives under a store directory.
@@ -251,8 +246,8 @@ pub(super) struct ClusterSim {
     /// barrier count, link peaks); `None` unless
     /// [`RunOptions::metrics`]. Only the coordinator writes it.
     pub(super) coord_metrics: Option<MetricsRegistry>,
-    /// Owns the per-device spill files for the lifetime of the run;
-    /// `None` when the run is synthetic or spill is disabled.
+    /// Owns the per-node NVM spill files for the lifetime of the run;
+    /// `None` when the run is synthetic.
     spill_dir: Option<TempDir>,
 }
 
@@ -269,12 +264,14 @@ impl ClusterSim {
         config.validate()?;
         let materialized = config.engine.materialization == Materialization::Bytes;
 
-        // Byte-materialized runs spill every device region to a file:
-        // region contents cost identical virtual time and stats
-        // wherever they live, and at 1024 ranks the images no longer
-        // fit in process RAM. Attach before any engine allocates so
-        // every materialized region is covered.
-        let spill_dir = if config.spill && materialized {
+        // Byte-materialized runs spill each node's NVM to a file: the
+        // version slots and the buddy images it hosts. Region contents
+        // cost identical virtual time and stats wherever they live, and
+        // at 1024 ranks the images no longer fit in process RAM. DRAM
+        // holds the working copies the ranks compute on, so it stays in
+        // RAM, as in the paper. Attach before any engine allocates so
+        // every NVM region is covered.
+        let spill_dir = if materialized {
             Some(TempDir::new("cluster-spill").map_err(Self::io_err)?)
         } else {
             None
@@ -288,16 +285,11 @@ impl ClusterSim {
             if let Some(bw) = config.nvm_bw_per_core {
                 nvm.set_model(BandwidthModel::fixed_per_core(bw));
             }
-            let dram = MemoryDevice::dram(config.node_dram_capacity(n));
             if let Some(dir) = &spill_dir {
-                let [nvm_path, dram_path] = spill_paths(dir, n);
-                nvm.attach_spill(Box::new(
-                    FileSpill::create(&nvm_path).map_err(Self::io_err)?,
-                ));
-                dram.attach_spill(Box::new(
-                    FileSpill::create(&dram_path).map_err(Self::io_err)?,
-                ));
+                let file = FileSpill::create(&spill_path(dir, n)).map_err(Self::io_err)?;
+                nvm.attach_spill(Box::new(file));
             }
+            let dram = MemoryDevice::dram(config.node_dram_capacity(n));
             let mut helper = HelperProcess::with_params(helper_params);
             helper.set_metrics(options.metrics.then(MetricsRegistry::new));
             nodes.push(NodeDevices {
@@ -429,7 +421,7 @@ impl ClusterSim {
         Profiler::time(profiler, Phase::Reduce, |p| self.reduce(st, p))
     }
 
-    /// Close every device and remove its spill file, one node per pool
+    /// Close every device and remove the node's spill file, one node per pool
     /// item, so the spill directory is empty when it is removed. The
     /// ranks' engines and the remote stores hold the other handles to
     /// the devices, so they go first; a node's devices are then closed
@@ -452,9 +444,7 @@ impl ClusterSim {
         let _ = pool_map(&mut nodes, config.threads, |(n, node)| {
             drop(node.take());
             if let Some(dir) = &spill_dir {
-                for path in spill_paths(dir, *n) {
-                    let _ = std::fs::remove_file(path);
-                }
+                let _ = std::fs::remove_file(spill_path(dir, *n));
             }
             Ok(())
         });
@@ -602,14 +592,15 @@ impl ClusterSim {
             recovery: st.recovery,
         };
         let spill = self.spill_dir.as_ref().map(|_| {
-            let devices = || self.nodes.iter().flat_map(|n| n.devices());
+            let nvm = || self.nodes.iter().map(|n| &n.nvm);
+            let devices = self.nodes.iter().flat_map(|n| n.devices());
             SpillReport {
-                devices: devices().count(),
-                peak_bytes: devices().map(|d| d.spill_peak_bytes()).sum(),
-                live_bytes: devices().map(|d| d.spill_live_bytes()).sum(),
-                resident_bytes: devices().map(|d| d.resident_bytes()).sum(),
-                read_bytes: devices().map(|d| d.spill_read_bytes()).sum(),
-                written_bytes: devices().map(|d| d.spill_written_bytes()).sum(),
+                devices: nvm().count(),
+                peak_bytes: nvm().map(|d| d.spill_peak_bytes()).sum(),
+                live_bytes: nvm().map(|d| d.spill_live_bytes()).sum(),
+                resident_bytes: devices.map(|d| d.resident_bytes()).sum(),
+                read_bytes: nvm().map(|d| d.spill_read_bytes()).sum(),
+                written_bytes: nvm().map(|d| d.spill_written_bytes()).sum(),
             }
         });
         // The profile is `Cluster::run`'s to finish, once the teardown

@@ -1,8 +1,7 @@
 //! The worker pool: the only code in the `run` module that spawns.
 //!
-//! Its items are ranks (compute, the local checkpoint, restore
-//! verification) or nodes (the remote ship, the end-of-run merge, the
-//! teardown). Correctness under concurrency rests on four properties that
+//! Its items are ranks (compute, the local checkpoint) or nodes (the
+//! remote ship, the end-of-run merge, the teardown). Correctness under concurrency rests on four properties that
 //! the determinism regression tests pin down:
 //!
 //! * a rank closure touches only its own engine/workload/clock (node

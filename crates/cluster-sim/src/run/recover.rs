@@ -9,7 +9,6 @@
 //! re-attached and the remote copy the node hosted is re-replicated.
 
 use super::phases::{fresh_engine, rank_store_path, ClusterSim, LoopState, Rank};
-use super::pool::pool_map;
 use super::{SimError, FLIGHT_TAIL};
 use crate::failure::{FailureEvent, FailureKind};
 use crate::recovery::{collapse_batch, RecoveredChunkRecord, RecoveryRecord, RecoverySource};
@@ -186,7 +185,7 @@ impl ClusterSim {
             return Ok(false);
         }
         record.source = RecoverySource::LocalStore;
-        record.duration += rebuild(&mut self.ranks[node], t0, |_, rank| {
+        record.duration += rebuild(&mut self.ranks[node], t0, |rank| {
             let store = FileStore::open_existing(&rank_store_path(dir, rank.global))
                 .map_err(EngineError::from)?;
             let (engine, _report) = CheckpointEngine::restart_from_store(
@@ -204,13 +203,16 @@ impl ClusterSim {
         Ok(true)
     }
 
-    /// Rung 2: fetch the last committed remote epoch from the buddy,
-    /// rebuild every rank from the images and verify the restored
-    /// contents bit-for-bit against what crossed the wire. A remote
-    /// epoch may exist in name only — the commit-then-ship ordering
-    /// means the first remote boundary commits before anything was
-    /// staged — so fetch first: `false` (and an untouched record) when
-    /// no committed image came back.
+    /// Rung 2: rebuild every rank from the last committed remote epoch
+    /// on the buddy, one rank at a time: fetch the rank's images over
+    /// the interconnect, restart from them and verify the restored
+    /// contents bit-for-bit against what crossed the wire, then drop
+    /// them before the next rank's fetch. `false` (and an untouched
+    /// record) when the buddy holds no committed image of any of the
+    /// node's ranks: before the first remote epoch, after an epoch in
+    /// name only — the commit-then-ship ordering means the first remote
+    /// boundary commits before anything was staged — and on a one-node
+    /// cluster, which is its own buddy (the copy died with it).
     fn rung_buddy(
         &mut self,
         record: &mut RecoveryRecord,
@@ -218,72 +220,29 @@ impl ClusterSim {
         st: &mut LoopState,
     ) -> Result<bool, SimError> {
         let node = record.node;
-        let images_per_rank = self.fetch_images(record, t0, st)?;
-        if images_per_rank.iter().all(|imgs| imgs.is_empty()) {
+        let store = &self.stores[node];
+        if (self.ranks[node].iter()).all(|r| store.committed_chunks(r.global).is_empty()) {
             return Ok(false);
         }
         record.source = RecoverySource::RemoteBuddy;
-        let local_ckpts = st.local_ckpts;
-        record.duration += rebuild(&mut self.ranks[node], t0, |i, rank| {
-            let (engine, _report) = CheckpointEngine::restart_from_images(
-                rank.global,
-                &self.nodes[node].dram,
-                &self.nodes[node].nvm,
-                self.config.container_bytes,
-                rank.clock.clone(),
-                self.config.engine,
-                RestartStrategy::Eager,
-                &images_per_rank[i],
-                local_ckpts,
-                rank.fresh_tracer(),
-            )?;
-            Ok(engine)
-        })?;
-        // Read-only per-rank work (reads + CRC over real bytes), so it
-        // runs on the worker pool; records are assembled in rank order
-        // and a failure reports the lowest failing rank, keeping the
-        // serial and parallel paths byte-identical.
-        for records in verify_restored(
-            &mut self.ranks[node],
-            &images_per_rank,
-            self.config.threads,
-            node,
-        )? {
-            record.verified_chunks += records.len() as u64;
-            record.chunks.extend(records);
-        }
-        Ok(true)
-    }
-
-    /// Pull every committed image of `record.node`'s ranks from the
-    /// buddy's NVM over the interconnect, chunk by chunk in rank
-    /// order, with retry/timeout/backoff on lost transfers; wire time,
-    /// bytes, retries and the newest epoch seen go into `record`.
-    /// Empty before the first remote epoch and on a one-node cluster
-    /// (which is its own buddy: the copy died with it).
-    fn fetch_images(
-        &mut self,
-        record: &mut RecoveryRecord,
-        t0: SimTime,
-        st: &mut LoopState,
-    ) -> Result<Vec<Vec<RemoteImage>>, SimError> {
-        let node = record.node;
-        let mut images_per_rank = Vec::new();
-        if st.remote_ckpts == 0 || self.config.nodes <= 1 {
-            return Ok(images_per_rank);
-        }
-        let store = &self.stores[node];
+        // Handles to the node's devices, so the buddy's link can be
+        // borrowed beside them.
+        let (dram, nvm) = (self.nodes[node].dram.clone(), self.nodes[node].nvm.clone());
         let link = &mut self.nodes[self.config.buddy_of(node)].link;
-        let policy = RetryPolicy::default();
         // ~2% per-attempt loss: a fabric draining a dead node is not
         // the happy path. Deterministic (pure hash of the run seed and
         // the transfer identity).
         let faults = FaultModel::new(self.config.failures.map(|f| f.seed).unwrap_or(0), 20_000);
-        for global in self.ranks[node].iter().map(|r| r.global) {
+        let policy = RetryPolicy::default();
+        let (container_bytes, engine) = (self.config.container_bytes, self.config.engine);
+        let local_ckpts = st.local_ckpts;
+        let slowest = rebuild(&mut self.ranks[node], t0, |rank| {
+            let global = rank.global;
             let mut images = Vec::new();
             for id in store.committed_chunks(global) {
-                // Transfers are serial: each starts when the wire time
-                // accumulated so far has passed.
+                // Transfers are serial, in rank and chunk order: each
+                // starts when the wire time accumulated so far has
+                // passed.
                 let at = t0 + record.duration;
                 let outcome = fetch_with_retry(store, link, at, global, id, &policy, &faults)?;
                 if outcome.attempts > 1 {
@@ -311,9 +270,42 @@ impl ClusterSim {
                     payload: outcome.data,
                 });
             }
-            images_per_rank.push(images);
-        }
-        Ok(images_per_rank)
+            let (restored, _report) = CheckpointEngine::restart_from_images(
+                global,
+                &dram,
+                &nvm,
+                container_bytes,
+                rank.clock.clone(),
+                engine,
+                RestartStrategy::Eager,
+                &images,
+                local_ckpts,
+                rank.fresh_tracer(),
+            )?;
+            for img in &images {
+                let bytes = restored.committed_bytes(img.id)?;
+                if bytes != img.payload {
+                    return Err(SimError::RecoveryMismatch {
+                        node,
+                        rank: global,
+                        chunk: img.id.0,
+                    });
+                }
+                record.verified_chunks += 1;
+                record.chunks.push(RecoveredChunkRecord {
+                    rank: global,
+                    chunk: img.id.0,
+                    name: img.name.clone(),
+                    len: img.len as u64,
+                    checksum: crc64(&bytes),
+                });
+            }
+            Ok(restored)
+        })?;
+        // The fetches are serial wire time; the slowest rank's rebuild
+        // follows them.
+        record.duration += slowest;
+        Ok(true)
     }
 
     /// Rung 3: nothing recoverable exists anywhere — no usable
@@ -323,7 +315,7 @@ impl ClusterSim {
     fn rung_virgin(&mut self, record: &mut RecoveryRecord, t0: SimTime) -> Result<(), SimError> {
         let node = record.node;
         record.source = RecoverySource::Virgin;
-        record.duration += rebuild(&mut self.ranks[node], t0, |_, rank| {
+        record.duration += rebuild(&mut self.ranks[node], t0, |rank| {
             let (tracer, metrics) = (rank.fresh_tracer(), rank.fresh_metrics());
             fresh_engine(
                 &self.config,
@@ -481,11 +473,11 @@ impl ClusterSim {
 fn rebuild(
     ranks: &mut [Rank],
     t0: SimTime,
-    mut build: impl FnMut(usize, &mut Rank) -> Result<CheckpointEngine, SimError>,
+    mut build: impl FnMut(&mut Rank) -> Result<CheckpointEngine, SimError>,
 ) -> Result<SimDuration, SimError> {
     let mut slowest = SimDuration::ZERO;
-    for (i, rank) in ranks.iter_mut().enumerate() {
-        let engine = build(i, rank)?;
+    for rank in ranks.iter_mut() {
+        let engine = build(rank)?;
         rank.install(engine);
         slowest = slowest.max(rank.clock.now().since(t0));
     }
@@ -510,48 +502,6 @@ fn probe_local_store(dir: &Path, globals: impl IntoIterator<Item = u64>) -> bool
                 .chunks
                 .iter()
                 .all(|rec| store.read_chunk(rec.id).is_ok())
-    })
-}
-
-/// Bit-for-bit verification of freshly restored ranks against the
-/// remote images they were rebuilt from: per rank, read every
-/// restored chunk back, compare against the fetched payload, and
-/// record its CRC. Pure reads over rank-owned engines (shared
-/// device access is commutative stats only), so ranks verify
-/// through [`pool_map`]: results come back in rank order, and on
-/// failure the lowest failing global rank wins — both identical to
-/// the serial path.
-fn verify_restored(
-    ranks: &mut [Rank],
-    images_per_rank: &[Vec<RemoteImage>],
-    threads: usize,
-    node: usize,
-) -> Result<Vec<Vec<RecoveredChunkRecord>>, SimError> {
-    // `&mut Rank` is `Send` even though `&Rank` is not `Sync`
-    // (boxed workloads/persistence), so the pool gets exclusive
-    // rank borrows exactly like `for_each_rank_parallel`.
-    let mut pairs: Vec<(&mut Rank, &Vec<RemoteImage>)> =
-        ranks.iter_mut().zip(images_per_rank.iter()).collect();
-    pool_map(&mut pairs, threads, |(rank, images)| {
-        let mut records = Vec::with_capacity(images.len());
-        for img in images.iter() {
-            let restored = rank.engine.committed_bytes(img.id)?;
-            if restored != img.payload {
-                return Err(SimError::RecoveryMismatch {
-                    node,
-                    rank: rank.global,
-                    chunk: img.id.0,
-                });
-            }
-            records.push(RecoveredChunkRecord {
-                rank: rank.global,
-                chunk: img.id.0,
-                name: img.name.clone(),
-                len: img.len as u64,
-                checksum: crc64(&restored),
-            });
-        }
-        Ok(records)
     })
 }
 

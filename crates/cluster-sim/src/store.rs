@@ -264,35 +264,27 @@ mod tests {
 
     #[test]
     fn spilling_images_to_files_does_not_perturb_the_run() {
-        // `store_config` materializes real bytes, so spill is active by
-        // default. Turning it off must change *only* where the bytes
-        // live — the result (including engine stats and the virtual
-        // clock) stays byte-identical.
-        let spilled = run_with(store_config(), RunOptions::new());
-        let mut in_ram = store_config();
-        in_ram.spill = false;
-        let unspilled = run_with(in_ram, RunOptions::new());
-        assert_eq!(
-            serde_json::to_string(&spilled.result).unwrap(),
-            serde_json::to_string(&unspilled.result).unwrap(),
-            "spilling must be invisible to simulation results"
-        );
-
-        let report = spilled.spill.expect("byte runs spill by default");
-        assert!(unspilled.spill.is_none());
-        // 2 nodes x (NVM + DRAM).
-        assert_eq!(report.devices, 4);
-        // Every rank holds two version slots of 2x96 KiB on NVM plus a
-        // DRAM working copy, and each node hosts its buddy's images —
-        // all of it must live in the spill files, none in RAM.
+        // A byte run spills each node's NVM — its ranks' version slots
+        // and the images it hosts for its buddy — and nothing else: the
+        // DRAM working copies the ranks compute on stay in RAM. That
+        // spilling changes only where bytes live is held below the
+        // cluster, where a spilled device has an unspilled twin
+        // (`nvm-emu`'s region model, the lockstep harness).
+        let out = run_with(recovery_config(true), RunOptions::new());
+        let report = out.spill.expect("byte runs spill");
+        let image = (CHUNKS * CHUNK_BYTES) as u64;
+        // One spill file per node, on its NVM.
+        assert_eq!(report.devices, 2);
+        // What stays in RAM is exactly the 4 ranks' working copies, each
+        // written whole every iteration: no NVM region is resident, and
+        // the DRAM device spilled none of its own.
+        assert_eq!(report.resident_bytes, 4 * image);
+        // Two version slots per rank plus the hosted image of each rank
+        // lived in the files.
         assert!(
-            report.peak_bytes >= 4 * 2 * (CHUNKS * CHUNK_BYTES) as u64,
+            report.peak_bytes >= 4 * 3 * image,
             "peak {} too small",
             report.peak_bytes
-        );
-        assert_eq!(
-            report.resident_bytes, 0,
-            "no materialized region may stay RAM-resident"
         );
         assert!(report.live_bytes > 0 && report.live_bytes <= report.peak_bytes);
     }
@@ -300,18 +292,18 @@ mod tests {
     #[test]
     fn a_spilled_commit_reads_nothing_back_and_the_ship_reads_each_slot_once() {
         // Checksums on, no store, no failure, pre-copy both levels. The
-        // DRAM side reads each working copy once per copy into a slot
-        // (pre-copied or coordinated), and the checksum is taken there;
-        // the NVM side reads a committed slot only to ship it, once per
-        // shipped byte. A commit that read its slot back to hash it
-        // would add `copied` again.
+        // working copies are read from DRAM in RAM, and the checksum is
+        // taken as each is copied into its NVM slot (pre-copied or
+        // coordinated); the spill file is read only to ship a committed
+        // slot, once per shipped byte. A commit that read its slot back
+        // to hash it would add `copied`.
         let out = run_with(recovery_config(true), RunOptions::new());
         let (r, spill) = (&out.result, out.spill.expect("byte runs spill"));
         let copied = r.engine_stats.precopied_bytes + r.engine_stats.coordinated_bytes;
         let shipped: u64 = r.helper_stats.iter().map(|h| h.bytes_copied).sum();
         assert!(r.engine_stats.precopied_bytes > 0 && shipped > 0);
-        assert_eq!(spill.read_bytes, copied + shipped);
-        // Every working copy, slot and image written went to the files.
+        assert_eq!(spill.read_bytes, shipped);
+        // Every slot and hosted image written went to the files.
         assert!(spill.written_bytes >= copied + shipped);
     }
 

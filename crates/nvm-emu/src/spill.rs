@@ -3,8 +3,10 @@
 //! A [`MemoryDevice`] normally keeps materialized region contents in
 //! process RAM (`Vec<u8>` per region). That is fine at paper scale
 //! (8 nodes) but sinks thousand-rank byte-materialized cluster runs:
-//! every rank's two NVM version slots, its DRAM working copy, *and*
-//! its buddy's remote checkpoint images all end up resident at once.
+//! every rank's two NVM version slots *and* its buddy's remote
+//! checkpoint images all end up resident at once. (The DRAM working
+//! copies the ranks compute on stay in RAM, as in the paper: the
+//! cluster spills NVM devices only.)
 //!
 //! [`SpillStore`] is the narrow interface a device uses to push those
 //! bytes out of RAM instead: slot-granular alloc/free plus random

@@ -3,9 +3,10 @@
 //! [`FileSpill`] implements [`nvm_emu::SpillStore`] over the same
 //! [`Media`] layer the crash-consistent container uses, so a
 //! byte-materialized cluster run can push every checkpoint image —
-//! a rank's two NVM version slots, its DRAM working copy, and the
-//! buddy-hosted remote images — out of process RAM and onto one spill
-//! file per device. Spilling changes *where bytes live*, never what
+//! a rank's two NVM version slots and the buddy-hosted remote
+//! images — out of process RAM and onto one spill file per node's NVM
+//! device (DRAM working copies stay in RAM). Spilling changes *where
+//! bytes live*, never what
 //! the simulation computes: the device charges identical virtual
 //! time, stats, and metrics either way (see
 //! [`nvm_emu::spill`]).

@@ -136,8 +136,8 @@ fn bytes_factory(_global: u64) -> Box<dyn Workload> {
 /// Real bytes under checksums, remote DCPCP pre-copy, and node 1 lost
 /// after the first remote epoch, so its ranks come back from the
 /// buddy's images.
-fn bytes_config(nodes: usize, spill: bool) -> ClusterConfig {
-    let mut c = ClusterConfig::builder()
+fn bytes_config(nodes: usize) -> ClusterConfig {
+    ClusterConfig::builder()
         .nodes(nodes)
         .ranks_per_node(2)
         .container_bytes(16 * (16 << 10) * 2 + MB)
@@ -159,30 +159,23 @@ fn bytes_config(nodes: usize, spill: bool) -> ClusterConfig {
             node: 1,
         }]))
         .build()
-        .unwrap();
-    c.spill = spill;
-    c
+        .unwrap()
 }
 
 #[test]
 fn byte_shipping_and_buddy_recovery_are_thread_count_invariant() {
     // Every node ships to its buddy at once. On a 2-node ring each
-    // node is the other's buddy, and unspilled devices keep their
-    // bytes in RAM: a ship that held its own NVM while writing the
-    // buddy's would deadlock here rather than pass.
+    // node is the other's buddy: a ship that held its own NVM while
+    // writing the buddy's would deadlock here rather than pass.
     let opts = RunOptions::new().with_trace(true).with_metrics(true);
-    for (nodes, spill) in [(2, false), (8, true)] {
-        let results =
-            results_at_all_thread_counts(&bytes_config(nodes, spill), &opts, bytes_factory);
+    for nodes in [2, 8] {
+        let results = results_at_all_thread_counts(&bytes_config(nodes), &opts, bytes_factory);
         let r = &results[0];
         assert_eq!(r.recovery.len(), 1);
         assert_eq!(r.recovery[0].source, RecoverySource::RemoteBuddy);
         assert_eq!(r.recovery[0].verified_chunks, 2 * 16);
         assert!(r.engine_stats.precopied_bytes > 0 && !r.trace.is_empty());
-        assert_all_identical(
-            &to_json(&results),
-            &format!("{nodes}-node byte ring, spill {spill}"),
-        );
+        assert_all_identical(&to_json(&results), &format!("{nodes}-node byte ring"));
     }
 }
 
@@ -191,7 +184,7 @@ fn losing_both_buddies_fails_alike_at_every_thread_count() {
     // Both nodes of a 2-node ring lost at once leave no copy to
     // recover from. A traced run wraps the failure in the flight
     // dump's envelope; `cause` is how a caller sees through it.
-    let mut cfg = bytes_config(2, false);
+    let mut cfg = bytes_config(2);
     cfg.schedule_override = Some(FailureSchedule::from_events(
         (0..2)
             .map(|node| FailureEvent {

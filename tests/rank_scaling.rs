@@ -3,12 +3,14 @@
 //! between serial and `--threads 4` execution.
 //!
 //! * **RSS gate** — the process-wide counting allocator measures the
-//!   peak live heap bytes during a 256-rank run with device spill on.
-//!   The gate: live heap must stay below 25% of the naive
-//!   in-RAM-images projection (live heap + the spill files' live-byte
-//!   high-water mark). Without spilling, every rank's working copy,
-//!   both NVM version slots, and the buddy node's remote images would
-//!   all be resident — the projection *is* that design's floor.
+//!   peak live heap bytes during a 256-rank byte run, whose NVM
+//!   devices spill to one file per node. The gate: live heap must stay
+//!   below 25% of the naive in-RAM-images projection (live heap + the
+//!   spill files' live-byte high-water mark). Without spilling, both
+//!   NVM version slots of every rank and the buddy node's remote
+//!   images would all be resident — the projection *is* that design's
+//!   floor. DRAM working copies never spill; this workload's writes
+//!   are size-only, so they hold no bytes here.
 //! * **Identity gate** — the same 256-rank cluster run serial and on
 //!   4 worker threads with tracing, metrics, and durable stores all
 //!   on: the serialized result, the JSONL trace stream, and every
@@ -77,7 +79,7 @@ const CHUNK_BYTES: usize = 32 * 1024;
 const CHUNKS: usize = 2;
 
 /// 256 ranks, byte-materialized with CRC verification, ring-buddy
-/// remote checkpointing, device spill on (the default).
+/// remote checkpointing.
 fn config(threads: usize) -> ClusterConfig {
     ClusterConfig::builder()
         .nodes(RANKS / RANKS_PER_NODE)
@@ -131,10 +133,10 @@ fn rank_256_run_is_memory_frugal_and_thread_count_invariant() {
         .run(RunOptions::new())
         .expect("256-rank run");
     let peak_live = PEAK.load(Relaxed).saturating_sub(baseline) as u64;
-    let spill = outcome.spill.expect("byte runs spill by default");
+    let spill = outcome.spill.expect("byte runs spill");
     assert_eq!(
         spill.resident_bytes, 0,
-        "every materialized region must live in a spill file"
+        "every NVM region must live in a spill file, and no working copy holds bytes"
     );
     assert!(spill.peak_bytes > 0);
     let naive = peak_live + spill.peak_bytes;
